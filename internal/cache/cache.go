@@ -252,10 +252,13 @@ func (c *Cache) Write(block int64, data []byte, done func(err error)) {
 }
 
 // WriteOwned is Write with ownership transfer: the cache installs data
-// directly as its copy of the block, so the caller must not read or
-// modify the buffer after the call. The file system's serialization
-// paths encode every block into a fresh buffer; handing that buffer
-// over skips Write's defensive copy of every written block.
+// directly as its copy of the block, so the caller must not modify the
+// buffer after the call. Nor does the cache, or the device it writes
+// back to: the buffer stays byte for byte what was handed over, so a
+// caller may hand the same buffer over again (the file system does,
+// with its inode-block images). The file system's serialization paths
+// never write to a block once encoded; handing the buffer over skips
+// Write's defensive copy of every written block.
 func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 	if len(data) != c.drv.BlockSize().Bytes() {
 		c.eng.After(0, func() {
@@ -298,8 +301,8 @@ func (c *Cache) WriteThrough(block int64, data []byte, done func(err error)) {
 
 // WriteThroughOwned is WriteThrough with ownership transfer: data
 // becomes the cache's copy of the block (and is handed to the driver
-// for the synchronous disk write), so the caller must not read or
-// modify the buffer after the call.
+// for the synchronous disk write), so the caller must not modify the
+// buffer after the call; as with WriteOwned, nothing below does either.
 func (c *Cache) WriteThroughOwned(block int64, data []byte, done func(err error)) {
 	if len(data) != c.drv.BlockSize().Bytes() {
 		c.eng.After(0, func() {

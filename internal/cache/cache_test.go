@@ -362,3 +362,54 @@ func TestDeferredWriteZeroAllocs(t *testing.T) {
 		t.Errorf("deferred write round trip: %v allocs, want 0", n)
 	}
 }
+
+// One buffer handed to WriteOwned and WriteThroughOwned for several
+// blocks, over and over, as the file system does with an inode-block
+// image: the cache and everything beneath it may only read it. Checked
+// across write-back by Sync, write-back by eviction and a re-read from
+// disk.
+func TestOwnedPayloadNeverModified(t *testing.T) {
+	r, c := newRig(t) // 8 blocks
+	shared := make([]byte, r.Driver.BlockSize().Bytes())
+	for i := range shared {
+		shared[i] = byte(i*13) ^ byte(i>>8)
+	}
+	want := append([]byte(nil), shared...)
+	check := func(when string) {
+		t.Helper()
+		if !bytes.Equal(shared, want) {
+			t.Fatalf("%s: the shared payload was modified", when)
+		}
+	}
+
+	c.WriteOwned(1, shared, nil)
+	c.WriteOwned(1, shared, nil) // the atime pattern: same block, same bytes
+	c.WriteThroughOwned(2, shared, nil)
+	r.Eng.Run()
+	check("after the writes")
+	c.Sync(nil)
+	r.Eng.Run()
+	check("after Sync wrote it back")
+
+	// Dirty again, then push it out with other blocks: eviction writes
+	// it back while the slot is reused.
+	c.WriteOwned(1, shared, nil)
+	for b := int64(100); b < 120; b++ {
+		c.Write(b, block(r, byte(b)), nil)
+	}
+	r.Eng.Run()
+	if _, _, wb := c.Stats(); wb < 3 {
+		t.Fatalf("only %d write-backs: block 1 was never evicted", wb)
+	}
+	check("after eviction wrote it back")
+
+	for _, b := range []int64{1, 2} {
+		c.Read(b, func(data []byte, err error) {
+			if err != nil || !bytes.Equal(data, want) {
+				t.Errorf("block %d read back wrong (err=%v)", b, err)
+			}
+		})
+		r.Eng.Run()
+	}
+	check("after reading the blocks back from disk")
+}

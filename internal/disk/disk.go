@@ -17,6 +17,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/fault"
@@ -368,54 +369,59 @@ func (d *Disk) mechanicalService(nowMS float64, sector int64, count int) Timing 
 	return t
 }
 
+// pageRun splits a sector range at page boundaries: it returns the page
+// holding sector, the byte offset of sector within that page, and how
+// many of the count sectors wanted lie in it.
+func pageRun(sector int64, count int) (key int64, off, n int) {
+	key = sector / pageSectors
+	in := int(sector % pageSectors)
+	n = pageSectors - in
+	if n > count {
+		n = count
+	}
+	return key, in * geom.SectorSize, n
+}
+
 // readData copies count sectors of stored data starting at sector.
 // Unwritten sectors read as zeros.
 func (d *Disk) readData(sector int64, count int) []byte {
 	out := make([]byte, count*geom.SectorSize)
-	for i := 0; i < count; i++ {
-		s := sector + int64(i)
-		page, ok := d.pages[s/pageSectors]
-		if !ok {
-			continue
+	for rest := out; count > 0; {
+		key, off, n := pageRun(sector, count)
+		if page, ok := d.pages[key]; ok {
+			copy(rest[:n*geom.SectorSize], page[off:])
 		}
-		off := (s % pageSectors) * geom.SectorSize
-		copy(out[i*geom.SectorSize:(i+1)*geom.SectorSize], page[off:off+geom.SectorSize])
+		rest, sector, count = rest[n*geom.SectorSize:], sector+int64(n), count-n
 	}
 	return out
 }
 
-// writeData stores data starting at sector, allocating pages as
-// needed. Writing zeros to a sector whose page was never materialized
-// is a no-op: the store is sparse and unwritten sectors already read
-// as zeros, so a whole-device pass (a RAID rebuild copying a mostly
-// empty member onto a spare) does not materialize the empty regions.
+// writeData stores data starting at sector, one page run at a time,
+// allocating pages as needed. Writing zeros to a page that was never
+// materialized is a no-op: the store is sparse and unwritten sectors
+// already read as zeros, so a whole-device pass (a RAID rebuild copying
+// a mostly empty member onto a spare) does not materialize the empty
+// regions.
 func (d *Disk) writeData(sector int64, data []byte) {
-	count := len(data) / geom.SectorSize
-	for i := 0; i < count; i++ {
-		s := sector + int64(i)
-		key := s / pageSectors
-		chunk := data[i*geom.SectorSize : (i+1)*geom.SectorSize]
+	for count := len(data) / geom.SectorSize; count > 0; {
+		key, off, n := pageRun(sector, count)
+		run := data[:n*geom.SectorSize]
+		data, sector, count = data[len(run):], sector+int64(n), count-n
 		page, ok := d.pages[key]
 		if !ok {
-			if allZero(chunk) {
+			if bytes.Equal(run, zeroPage[:len(run)]) {
 				continue
 			}
-			page = make([]byte, pageSectors*geom.SectorSize)
+			page = make([]byte, len(zeroPage))
 			d.pages[key] = page
 		}
-		off := (s % pageSectors) * geom.SectorSize
-		copy(page[off:off+geom.SectorSize], chunk)
+		copy(page[off:], run)
 	}
 }
 
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+// zeroPage is what writeData compares a run against to see that it
+// holds only zeros (bytes.Equal compares words, not bytes).
+var zeroPage [pageSectors * geom.SectorSize]byte
 
 // PeekData returns the stored contents of a sector range without
 // advancing the mechanical model. It is intended for tests and tools.

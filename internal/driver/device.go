@@ -16,7 +16,10 @@ type BlockDevice interface {
 	// partition; done fires at completion in simulated time.
 	ReadBlock(part int, blk int64, done DoneFunc)
 	// WriteBlock issues a write of one file system block. data must be
-	// exactly one block long.
+	// exactly one block long. The device holds the buffer until the
+	// write completes and only ever reads it, and the caller must not
+	// modify it in that time; callers may therefore pass one unchanging
+	// buffer to any number of writes (devtest checks this).
 	WriteBlock(part int, blk int64, data []byte, done DoneFunc)
 	// BlockSize returns the device's file system block size.
 	BlockSize() geom.BlockSize

@@ -16,6 +16,10 @@
 //   - write sizing: any length other than exactly one block fails;
 //   - asynchrony: no completion callback — success or error — ever
 //     runs inside the issuing call;
+//   - payload: the buffer handed to WriteBlock is only ever read — not
+//     by the write, nor by later reads, a member death, a degraded
+//     write or a rebuild — so a caller may keep sharing it (the file
+//     system hands the same inode-block image to write after write);
 //   - death: after the harness's Kill hook, requests either fail with
 //     driver.ErrDead (unwrapping to fault.ErrCrash) or, for redundant
 //     devices, keep succeeding with the data intact; and once the
@@ -79,6 +83,12 @@ func TestDevice(t *testing.T, build Builder) {
 	t.Run("write-sizing", func(t *testing.T) { testWriteSizing(t, build(t, false)) })
 	t.Run("bounds", func(t *testing.T) { testBounds(t, build(t, false)) })
 	t.Run("async-completion", func(t *testing.T) { testAsync(t, build(t, false)) })
+	t.Run("payload-immutable", func(t *testing.T) {
+		testPayloadImmutable(t, build(t, false))
+		if h := build(t, true); h.Kill != nil {
+			testPayloadImmutableDead(t, h)
+		}
+	})
 	t.Run("dead", func(t *testing.T) {
 		h := build(t, true)
 		if h.Kill == nil {
@@ -243,6 +253,91 @@ func testAsync(t *testing.T, h *Harness) {
 			t.Errorf("%s: completion callback never ran", c.name)
 		}
 	}
+}
+
+// payloads tracks write buffers and what they held when handed over.
+type payloads struct {
+	bufs, want [][]byte
+}
+
+// pattern builds one block-sized buffer of varied bytes (a constant
+// fill would hide an in-place XOR of two equal payloads) and tracks it.
+func (p *payloads) pattern(h *Harness, salt byte) []byte {
+	buf := make([]byte, h.Dev.BlockSize().Bytes())
+	for i := range buf {
+		buf[i] = byte(i*7) ^ byte(i>>8) ^ salt
+	}
+	p.bufs = append(p.bufs, buf)
+	p.want = append(p.want, append([]byte(nil), buf...))
+	return buf
+}
+
+func (p *payloads) check(t *testing.T, when string) {
+	t.Helper()
+	for i := range p.bufs {
+		if !bytes.Equal(p.bufs[i], p.want[i]) {
+			t.Fatalf("%s: the device modified write payload %d", when, i)
+		}
+	}
+}
+
+func testPayloadImmutable(t *testing.T, h *Harness) {
+	var p payloads
+	blks := []int64{0, 1, h.Blocks / 2, h.Blocks - 1}
+	for i, blk := range blks {
+		if err := h.write(t, blk, p.pattern(h, byte(0x31+i))); err != nil {
+			t.Fatalf("write block %d: %v", blk, err)
+		}
+		p.check(t, "after the write completed")
+	}
+	for i, blk := range blks {
+		got, err := h.read(t, blk)
+		if err != nil {
+			t.Fatalf("read block %d: %v", blk, err)
+		}
+		if !bytes.Equal(got, p.want[i]) {
+			t.Fatalf("read block %d: data differs from what was written", blk)
+		}
+		// Scribbling on what a read delivered must not reach a payload.
+		for j := range got {
+			got[j] = 0xFF
+		}
+	}
+	p.check(t, "after reading the blocks back")
+	// Rewriting one block from a payload the device has already seen.
+	if err := h.write(t, blks[1], p.bufs[0]); err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	p.check(t, "after writing one payload to a second block")
+}
+
+// testPayloadImmutableDead repeats the check across the Kill hook: a
+// write the dead part refuses, or, on a redundant device, degraded
+// writes and reads and whatever rebuild the harness's Run carries out.
+func testPayloadImmutableDead(t *testing.T, h *Harness) {
+	var p payloads
+	if !h.DeadIsFatal {
+		if err := h.write(t, h.DeadBlock, p.pattern(h, 0x41)); err != nil {
+			t.Fatalf("seeding write: %v", err)
+		}
+	}
+	h.Kill()
+	p.check(t, "after the kill")
+	err := h.write(t, h.DeadBlock, p.pattern(h, 0x42))
+	p.check(t, "after a write past the kill")
+	if h.DeadIsFatal {
+		if !errors.Is(err, driver.ErrDead) {
+			t.Errorf("write after kill: err = %v, want ErrDead", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("write after member kill: %v", err)
+	}
+	if got, err := h.read(t, h.DeadBlock); err != nil || !bytes.Equal(got, p.want[1]) {
+		t.Fatalf("readback after degraded write: err=%v", err)
+	}
+	p.check(t, "after a degraded read")
 }
 
 func testDead(t *testing.T, h *Harness) {

@@ -6,6 +6,7 @@ package devtest
 import (
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/rig"
 	"repro/internal/volume"
@@ -141,6 +142,29 @@ func TestRAID5Conformance(t *testing.T) {
 	TestDevice(t, func(t *testing.T, kill bool) *Harness {
 		return volumeHarness(t, volume.Options{Layout: volume.RAID5, Disks: 3, StripeUnit: 1}, kill,
 			func(v *volume.Volume) int64 { return 1 }, 0)
+	})
+}
+
+// The same array with a hot spare on small members: the Kill hook's Run
+// drains only once the dead member is rebuilt onto the spare, so the
+// battery's post-kill checks (degraded-then-healthy reads, payload
+// immutability) cover a whole rebuild.
+func TestRAID5SpareConformance(t *testing.T) {
+	small := disk.Toshiba()
+	small.Geom.Cylinders = 40
+	TestDevice(t, func(t *testing.T, kill bool) *Harness {
+		h := volumeHarness(t, volume.Options{Layout: volume.RAID5, Disks: 3, StripeUnit: 1, Spare: 1, Disk: small}, kill,
+			func(v *volume.Volume) int64 { return 1 })
+		if kill {
+			v, killMember := h.Dev.(*volume.Volume), h.Kill
+			h.Kill = func() {
+				killMember()
+				if st := v.RAID(); st.RebuildsDone != 1 {
+					t.Fatalf("kill hook did not carry a rebuild through: %+v", st)
+				}
+			}
+		}
+		return h
 	})
 }
 

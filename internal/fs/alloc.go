@@ -34,7 +34,9 @@ func (f *FS) allocInode(preferGroup int, spread bool) (Ino, error) {
 			if !used {
 				g.inodeUsed[idx] = true
 				g.freeIno--
-				return f.inoOf(g2, idx), nil
+				ino := f.inoOf(g2, idx)
+				f.inodeChanged(ino)
+				return ino, nil
 			}
 		}
 	}
@@ -51,6 +53,7 @@ func (f *FS) freeInode(ino Ino) {
 		g.freeIno++
 	}
 	delete(f.inodes, ino)
+	f.inodeChanged(ino)
 }
 
 // allocData allocates one data block. preferGroup anchors blocks near

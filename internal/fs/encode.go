@@ -123,9 +123,41 @@ const (
 	inoFlagDir  = 1 << 1
 )
 
-// encodeInodeBlock serializes all inode slots of the given inode-table
-// block from the in-memory inode map.
+// encodeInodeBlock returns the serialized form of the given inode-table
+// block. The result is the block's shared image: the bytes depend only
+// on the in-memory inodes of that block, so they are built once and
+// handed out again until inodeChanged drops them — an access-time touch,
+// which changes no encoded field, re-serializes nothing. An image is
+// immutable from the moment it is returned: every consumer takes it
+// under the cache's ownership contract (WriteOwned, WriteBlock), which
+// forbids writing to a payload, and a change builds a fresh buffer
+// rather than patching this one.
 func (f *FS) encodeInodeBlock(blk int64) []byte {
+	img := &f.inoImages[f.imageIndex(blk)]
+	if *img == nil {
+		*img = f.buildInodeBlock(blk)
+	}
+	return *img
+}
+
+// imageIndex is the position of inode-table block blk in f.inoImages.
+func (f *FS) imageIndex(blk int64) int {
+	gi := f.groupOf(blk)
+	return gi*f.prm.InodeBlocksPerGroup + int(blk-f.groups[gi].base-1)
+}
+
+// inodeChanged drops the image of ino's inode-table block. Every
+// assignment to an encoded field of an in-memory inode (dir, size,
+// direct, indirect), to a group's inodeUsed, or to f.inodes itself must
+// be followed by this call before the block is next encoded. (Newfs and
+// Mount fill a fresh FS, which holds no image yet.)
+func (f *FS) inodeChanged(ino Ino) {
+	f.inoImages[f.imageIndex(f.inodeBlockOf(ino))] = nil
+}
+
+// buildInodeBlock serializes all inode slots of the given inode-table
+// block from the in-memory inode map.
+func (f *FS) buildInodeBlock(blk int64) []byte {
 	buf := make([]byte, f.blockBytes)
 	gi := f.groupOf(blk)
 	g := f.groups[gi]

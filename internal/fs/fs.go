@@ -155,6 +155,11 @@ type FS struct {
 	readOnly bool
 	dirRotor uint64 // new-directory spread rotor (see allocInode)
 
+	// inoImages holds the current serialized image of each inode-table
+	// block, group-major: nil until first encoded and again after a
+	// change (see encodeInodeBlock). Bounded by the inode table.
+	inoImages [][]byte
+
 	// freeRead heads the pool of ReadAt walk records (see readReq in
 	// ops.go). Single-threaded like the rest of the file system.
 	freeRead *readReq
@@ -238,6 +243,7 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 		blocksPerGp: blocksPerGp,
 		totalBlocks: ngroups * blocksPerGp,
 		inodes:      make(map[Ino]*inode),
+		inoImages:   make([][]byte, int(ngroups)*prm.InodeBlocksPerGroup),
 	}
 	for gi := int64(0); gi < ngroups; gi++ {
 		base := gi * blocksPerGp
@@ -383,8 +389,8 @@ func (f *FS) runSeq(steps []step, done func(error)) {
 		case s.data == nil:
 			c.Read(s.block, func(_ []byte, err error) { next(err) })
 		case !s.meta && f.prm.SyncData:
-			// Step buffers are encoded fresh per operation and never
-			// touched again, so the cache can take them as-is.
+			// Step buffers are never written to once encoded, so the
+			// cache can take them as-is.
 			c.WriteThroughOwned(s.block, s.data, next)
 		default:
 			c.WriteOwned(s.block, s.data, next)

@@ -1,7 +1,9 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/rig"
@@ -9,11 +11,16 @@ import (
 
 func newFS(t *testing.T) (*rig.Rig, *FS) {
 	t.Helper()
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
+	return newFSWith(t, rig.Options{ReservedCyls: 48}, Params{})
+}
+
+func newFSWith(t *testing.T, opts rig.Options, prm Params) (*rig.Rig, *FS) {
+	t.Helper()
+	r, err := rig.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Newfs(r.Eng, r.Driver, 0, Params{})
+	f, err := Newfs(r.Eng, r.Driver, 0, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +28,25 @@ func newFS(t *testing.T) (*rig.Rig, *FS) {
 	return r, f
 }
 
-// mustCreate, mustMkdir, mustOpen, mustWrite are synchronous wrappers
-// that drive the engine to completion.
+// checkImages is the oracle for the inode-block images: every image
+// the file system holds must equal a fresh full encode of its block. A
+// mutation site that forgot inodeChanged fails here.
+func checkImages(t *testing.T, f *FS) {
+	t.Helper()
+	for gi, g := range f.groups {
+		for ib := 0; ib < f.prm.InodeBlocksPerGroup; ib++ {
+			blk := g.base + 1 + int64(ib)
+			img := f.inoImages[f.imageIndex(blk)]
+			if img != nil && !bytes.Equal(img, f.buildInodeBlock(blk)) {
+				t.Fatalf("stale image of inode block %d (group %d): an inode changed without inodeChanged", blk, gi)
+			}
+		}
+	}
+}
+
+// mustCreate, mustMkdir, mustOpen, mustWrite, mustRead, mustRemove are
+// synchronous wrappers that drive the engine to completion and then
+// check the inode-block images against the oracle.
 func mustCreate(t *testing.T, r *rig.Rig, f *FS, path string) Ino {
 	t.Helper()
 	var ino Ino
@@ -32,6 +56,7 @@ func mustCreate(t *testing.T, r *rig.Rig, f *FS, path string) Ino {
 	if cerr != nil {
 		t.Fatalf("create %s: %v", path, cerr)
 	}
+	checkImages(t, f)
 	return ino
 }
 
@@ -44,6 +69,7 @@ func mustMkdir(t *testing.T, r *rig.Rig, f *FS, path string) Ino {
 	if cerr != nil {
 		t.Fatalf("mkdir %s: %v", path, cerr)
 	}
+	checkImages(t, f)
 	return ino
 }
 
@@ -56,6 +82,7 @@ func mustOpen(t *testing.T, r *rig.Rig, f *FS, path string) *Handle {
 	if oerr != nil {
 		t.Fatalf("open %s: %v", path, oerr)
 	}
+	checkImages(t, f)
 	return h
 }
 
@@ -67,6 +94,7 @@ func mustWrite(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) {
 	if werr != nil {
 		t.Fatalf("write: %v", werr)
 	}
+	checkImages(t, h.f)
 }
 
 func mustRead(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) [][]byte {
@@ -78,7 +106,19 @@ func mustRead(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) [][]byte {
 	if rerr != nil {
 		t.Fatalf("read: %v", rerr)
 	}
+	checkImages(t, h.f)
 	return data
+}
+
+func mustRemove(t *testing.T, r *rig.Rig, f *FS, path string) {
+	t.Helper()
+	var rerr error
+	f.Remove(path, func(err error) { rerr = err })
+	r.Eng.Run()
+	if rerr != nil {
+		t.Fatalf("remove %s: %v", path, rerr)
+	}
+	checkImages(t, f)
 }
 
 func TestNewfsLayout(t *testing.T) {
@@ -330,12 +370,7 @@ func TestRemoveFreesSpace(t *testing.T) {
 	if f.FreeBlocks() >= free0 {
 		t.Fatal("write consumed no space")
 	}
-	var rerr error
-	f.Remove("/tmp", func(err error) { rerr = err })
-	r.Eng.Run()
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
+	mustRemove(t, r, f, "/tmp")
 	if f.FreeBlocks() != free0 {
 		t.Errorf("free = %d after remove, want %d", f.FreeBlocks(), free0)
 	}
@@ -358,13 +393,8 @@ func TestRemoveNonEmptyDirFails(t *testing.T) {
 		t.Errorf("remove non-empty dir: %v", rerr)
 	}
 	// Empty it, then it works.
-	f.Remove("/d/x", nil)
-	r.Eng.Run()
-	f.Remove("/d", func(err error) { rerr = err })
-	r.Eng.Run()
-	if rerr != nil {
-		t.Errorf("remove emptied dir: %v", rerr)
-	}
+	mustRemove(t, r, f, "/d/x")
+	mustRemove(t, r, f, "/d")
 }
 
 func TestRemoveMiddleEntryKeepsOthers(t *testing.T) {
@@ -373,8 +403,7 @@ func TestRemoveMiddleEntryKeepsOthers(t *testing.T) {
 	for _, n := range []string{"a", "b", "c"} {
 		mustCreate(t, r, f, "/d/"+n)
 	}
-	f.Remove("/d/b", nil)
-	r.Eng.Run()
+	mustRemove(t, r, f, "/d/b")
 	for _, n := range []string{"a", "c"} {
 		var lerr error
 		f.Lookup("/d/"+n, func(_ Ino, err error) { lerr = err })
@@ -481,6 +510,7 @@ func TestOutOfSpace(t *testing.T) {
 	if !errors.Is(werr, ErrNoSpace) && !errors.Is(werr, ErrFileTooBig) {
 		t.Errorf("overfull write: %v", werr)
 	}
+	checkImages(t, f)
 }
 
 func TestManyFilesDirectoryGrowth(t *testing.T) {
@@ -724,8 +754,7 @@ func TestFreeBlocksNeverNegative(t *testing.T) {
 		h := mustOpen(t, r, f, path)
 		mustWrite(t, r, h, 0, 5)
 		if i%2 == 0 {
-			f.Remove(path, nil)
-			r.Eng.Run()
+			mustRemove(t, r, f, path)
 		}
 		if f.FreeBlocks() < 0 || f.FreeBlocks() > f.TotalBlocks() {
 			t.Fatalf("free blocks = %d of %d", f.FreeBlocks(), f.TotalBlocks())
@@ -733,37 +762,51 @@ func TestFreeBlocksNeverNegative(t *testing.T) {
 	}
 }
 
-// A fully cached single-block read on a noatime mount must cost
-// exactly one allocation: the result slice handed to done. The walk
-// record and its callbacks are pooled (see readReq), and the cache's
-// hit delivery is pooled one layer down — this is the floor that keeps
-// read-heavy simulated workloads out of the garbage collector.
+// A fully cached single-block read must cost exactly one allocation:
+// the result slice handed to done. The walk record and its callbacks are
+// pooled (see readReq), and the cache's hit delivery is pooled one layer
+// down — this is the floor that keeps read-heavy simulated workloads out
+// of the garbage collector. It holds with access times on as well: the
+// touch hands the cache the inode block's held image, so it neither
+// allocates nor encodes a block (the bytes bound is far below one).
 func TestReadAtWarmOneAlloc(t *testing.T) {
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Newfs(r.Eng, r.Driver, 0, Params{NoAtime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Eng.Run()
-	mustCreate(t, r, f, "/warm")
-	h := mustOpen(t, r, f, "/warm")
-	mustWrite(t, r, h, 0, 1)
-	done := func(out [][]byte, err error) {
-		if err != nil || len(out) != 1 {
-			t.Fatal("bad read completion")
-		}
-	}
-	op := func() {
-		h.ReadAt(0, 1, done)
-		r.Eng.Run()
-	}
-	for i := 0; i < 16; i++ {
-		op()
-	}
-	if n := testing.AllocsPerRun(200, op); n > 1 {
-		t.Errorf("warm ReadAt round trip: %v allocs, want at most 1 (the result slice)", n)
+	for _, tc := range []struct {
+		name string
+		prm  Params
+	}{
+		{"noatime", Params{NoAtime: true}},
+		{"atime", Params{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, tc.prm)
+			mustCreate(t, r, f, "/warm")
+			h := mustOpen(t, r, f, "/warm")
+			mustWrite(t, r, h, 0, 1)
+			done := func(out [][]byte, err error) {
+				if err != nil || len(out) != 1 {
+					t.Fatal("bad read completion")
+				}
+			}
+			op := func() {
+				h.ReadAt(0, 1, done)
+				r.Eng.Run()
+			}
+			for i := 0; i < 16; i++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(200, op); n > 1 {
+				t.Errorf("warm ReadAt round trip: %v allocs, want at most 1 (the result slice)", n)
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+				t.Errorf("warm ReadAt round trip: %d bytes allocated per read, want under 1024 (no block buffer)", per)
+			}
+		})
 	}
 }

@@ -102,16 +102,12 @@ func TestModelCheckedRandomOps(t *testing.T) {
 			if mf == nil {
 				continue
 			}
-			var derr error
-			f.Remove(path, func(err error) { derr = err })
-			r.Eng.Run()
-			if derr != nil {
-				t.Fatalf("op %d: remove %s: %v", op, path, derr)
-			}
+			mustRemove(t, r, f, path)
 			delete(model, path)
 		default: // periodic sync, as the update daemon would
 			f.Sync(nil)
 			r.Eng.Run()
+			checkImages(t, f)
 		}
 	}
 

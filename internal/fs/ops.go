@@ -204,6 +204,7 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 		nd.entries = make(map[string]Ino)
 	}
 	f.inodes[ino] = nd
+	f.inodeChanged(ino)
 
 	dirty := map[int]bool{int(ino) / perGroup: true}
 	wsteps, err := f.addEntry(parent, name, ino, dirty)
@@ -247,6 +248,7 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool) (
 	parent.entries[name] = ino
 	parent.order = append(parent.order, name)
 	parent.size = int64(len(parent.order))
+	f.inodeChanged(parent.ino)
 	return []step{
 		{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
 		{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
@@ -341,14 +343,39 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	indirectTouched := false
 	indirectRead := false
 
+	// Nothing reaches the cache until every block of the extent is
+	// allocated, so running out of space part way must leave no trace:
+	// noSpace hands back the blocks taken so far and restores the inode's
+	// pointers, or the next write of this inode block (a mere atime
+	// touch of a neighbour) would persist a half-grown file.
+	type grown struct{ b, blk int64 } // file block b was given blk
+	var grew []grown
+	oldIndirect, oldIblockLen := nd.indirect, len(nd.iblock)
+	noSpace := func(err error) {
+		for _, a := range grew {
+			f.freeData(a.blk)
+			if a.b < NDirect {
+				nd.direct[a.b] = -1
+			}
+		}
+		nd.iblock = nd.iblock[:oldIblockLen] // files have no holes: new entries were appended
+		if nd.indirect != oldIndirect {
+			f.freeData(nd.indirect)
+			nd.indirect = oldIndirect
+		}
+		f.inodeChanged(h.ino)
+		f.fail1(done, err)
+	}
+
 	for b := idx; b < idx+n; b++ {
 		if b >= NDirect && nd.indirect < 0 {
 			ib, err := f.allocData(gi, -1)
 			if err != nil {
-				f.fail1(done, err)
+				noSpace(err)
 				return
 			}
 			nd.indirect = ib
+			f.inodeChanged(h.ino)
 			dirty[f.groupOf(ib)] = true
 			indirectTouched = true
 		}
@@ -365,12 +392,14 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			var err error
 			blk, err = f.allocData(gi, prev)
 			if err != nil {
-				f.fail1(done, err)
+				noSpace(err)
 				return
 			}
+			grew = append(grew, grown{b, blk})
 			dirty[f.groupOf(blk)] = true
 			if b < NDirect {
 				nd.direct[b] = blk
+				f.inodeChanged(h.ino)
 			} else {
 				for int64(len(nd.iblock)) <= b-NDirect {
 					nd.iblock = append(nd.iblock, -1)
@@ -383,6 +412,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
+		f.inodeChanged(h.ino)
 	}
 	if indirectTouched {
 		steps = append(steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
@@ -588,6 +618,7 @@ func (f *FS) Remove(path string, done func(error)) {
 		f.meta.Invalidate(freed)
 		dirty[f.groupOf(freed)] = true
 	}
+	f.inodeChanged(parent.ino)
 	wsteps = append(wsteps,
 		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
 		step{block: targetIB, data: f.encodeInodeBlock(targetIB), meta: true},
