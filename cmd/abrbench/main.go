@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	abrbench [-out BENCH_sim.json] [-baseline FILE] [-check] [-reps N] [-jobs N] [-shard N]
+//	abrbench [-out BENCH_sim.json] [-baseline FILE] [-check] [-reps N] [-jobs N]
 //	         [-metrics FILE]
 //
 // It runs a fixed subset of the experiment registry (the same
@@ -18,7 +18,6 @@
 //	  "benchmarks": [
 //	    {
 //	      "name": "table2",            benchmark name
-//	      "shards": 4,                 engine shards per volume (sharded rows only)
 //	      "sim_days": 4,               simulated days covered
 //	      "wall_ns": 2947000000,       best wall clock for the whole run
 //	      "ns_per_sim_day": 736750000, wall_ns / sim_days
@@ -74,7 +73,7 @@ type bench struct {
 	opts experiment.Options
 }
 
-func benches(shard int) []bench {
+func benches() []bench {
 	return []bench{
 		// The paper's core experiment: alternating off/on days of the
 		// system workload on both disks.
@@ -85,17 +84,11 @@ func benches(shard int) []bench {
 		// Fault-tolerant mode: retries, remaps and dual-slot table
 		// writes on the hot path.
 		{name: "faults", id: "faults", opts: experiment.Options{Days: 2, WindowMS: 30 * 60 * 1000}},
-		// The multi-disk volume matrix: fan-out/fan-in across member
-		// engines sharing one event queue, up to 8 spindles. Its
+		// The multi-disk volume matrix: fan-out/fan-in across members
+		// sharing one event queue, up to 8 spindles. Its
 		// per-configuration throughputs ride along in the JSON so the
 		// scale-out claim (4-disk stripe beats one disk) is recorded.
 		{name: "volume-scale", id: "volume-scale", opts: experiment.Options{Days: 2, WindowMS: 15 * 60 * 1000}},
-		// The same matrix with every volume member on a private engine
-		// shard (sim.Coordinator), recording events/sec per shard count
-		// next to the single-engine row above. Event counts are
-		// identical between the two by the exact-merge contract.
-		{name: "volume-scale-sharded", id: "volume-scale",
-			opts: experiment.Options{Days: 2, WindowMS: 15 * 60 * 1000, Shards: shard}},
 		// The multi-tenant server front end: network hops, token
 		// buckets, admission control and the breaker layered on every
 		// request, with 20k tenant buckets live. Tenants pinned so the
@@ -119,10 +112,7 @@ func benches(shard int) []bench {
 
 // Result is one benchmark measurement as serialized into the JSON file.
 type Result struct {
-	Name string `json:"name"`
-	// Shards is the engine shard count per volume (0 = one shared
-	// engine); recorded so the sharded rows are self-describing.
-	Shards       int     `json:"shards,omitempty"`
+	Name         string  `json:"name"`
 	SimDays      float64 `json:"sim_days"`
 	WallNS       int64   `json:"wall_ns"`
 	NSPerSimDay  int64   `json:"ns_per_sim_day"`
@@ -160,12 +150,11 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional events_per_sec regression before -check fails")
 	reps := flag.Int("reps", 2, "repetitions per benchmark; the best is recorded")
 	jobs := flag.Int("jobs", 0, "parallel simulation jobs per run (0 = GOMAXPROCS)")
-	shard := flag.Int("shard", 4, "engine shards per volume in the sharded volume benchmark")
 	metricsOut := flag.String("metrics", "", "write the volume-scale benchmark's metrics snapshot (JSON) to this file")
 	flag.Parse()
 
 	f := File{Schema: 1, Go: runtime.Version()}
-	for _, b := range benches(*shard) {
+	for _, b := range benches() {
 		r, snaps, err := runBench(b, *reps, *jobs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "abrbench: %s: %v\n", b.id, err)
@@ -241,7 +230,6 @@ func runBench(b bench, reps, jobs int) (Result, []metrics.JobSnapshot, error) {
 		}
 		r := Result{
 			Name:    b.name,
-			Shards:  b.opts.Shards,
 			SimDays: simDays,
 			WallNS:  wall.Nanoseconds(),
 			Events:  events,

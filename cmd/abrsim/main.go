@@ -64,6 +64,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,52 +84,84 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (see the list below)")
-	days := flag.Int("days", 0, "override days per run (0 = paper's counts)")
-	hours := flag.Float64("hours", 0, "measured hours per day (0 = the paper's 15)")
-	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
-	jobs := flag.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	shard := flag.Int("shard", 0, "run volume members on private engine shards when > 1 (output is byte-identical to -shard=1)")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	traceFile := flag.String("trace", "", "write request-lifecycle spans as JSONL to this file")
-	sample := flag.Duration("sample", 0, "telemetry sampling period in sim time (0 = off)")
-	teleFile := flag.String("telemetry", "", "write sampled time series as CSV to this file (default telemetry.csv when -sample is set)")
-	metricsFile := flag.String("metrics", "", "record latency histograms and counters, one snapshot per job, to this file")
-	metricsFormat := flag.String("metrics-format", "json", `metrics snapshot format: "json" or "prom"`)
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	faultPlan := flag.String("fault-plan", "", `inject device faults per this plan (e.g. "seed=3;twrite=1e-4;bad=40000-40015")`)
-	faultSeed := flag.Uint64("fault-seed", 0, "override the fault plan's seed (implies an empty plan if -fault-plan is unset)")
-	crashAfter := flag.Int64("crash-after", 0, "power loss after this many device operations (adds to the fault plan)")
-	tenants := flag.Int("tenants", 0, "tenant-scale: pin the tenant population (0 = the registered sweep)")
-	netLat := flag.Float64("net-lat", 0, "tenant-scale: one-way network latency in ms (0 = default 0.2)")
-	netBW := flag.Float64("net-bw", 0, "tenant-scale: network bandwidth in MB/s (0 = default 100, negative = unlimited)")
-	qos := flag.String("qos", "", `tenant-scale: force admission control "on" or "off" ("" = per-row setting)`)
-	traceIn := flag.String("trace-in", "", "trace-replay: replay this trace file (binary/text/msr/blkparse, auto-detected) instead of the synthesized workload")
-	replayMode := flag.String("replay-mode", "", `trace-replay: replay pacing, "open" (timestamp-faithful) or "closed" (think-time) ("" = the registered matrix)`)
-	traceScale := flag.Int("trace-scale", 0, "trace-replay: multiplex this many address-shifted copies with matching time compression (0 = the registered matrix)")
-	traceShift := flag.Int64("trace-shift", 0, "trace-replay: per-copy address shift in blocks for -trace-scale (0 = spread copies evenly)")
-	layout := flag.String("layout", "", `raid-rebuild: collapse the matrix to one row of this layout ("raid5" or "raid6")`)
-	spare := flag.Int("spare", 0, "raid-rebuild: hot spares for the -layout row")
-	rebuildRate := flag.Float64("rebuild-rate", 0, "raid-rebuild: rebuild/scrub throttle for the -layout row, member blocks per simulated second (0 = default 200)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "raid-rebuild: scrub period in sim time for the -layout row (0 = scrub off)")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// cli is the whole command: it parses args, runs the experiment, writes
+// reports to stdout and everything else to stderr, and returns the exit
+// code — 0 on success (and for -h), 1 when the run fails, 2 when the
+// command line is rejected before anything runs.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("abrsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(fs) }
+	exp := fs.String("exp", "all", "experiment id (see the list below)")
+	days := fs.Int("days", 0, "override days per run (0 = paper's counts)")
+	hours := fs.Float64("hours", 0, "measured hours per day (0 = the paper's 15)")
+	seed := fs.Uint64("seed", 0, "workload seed (0 = default)")
+	jobs := fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
+	traceFile := fs.String("trace", "", "write request-lifecycle spans as JSONL to this file")
+	sample := fs.Duration("sample", 0, "telemetry sampling period in sim time (0 = off)")
+	teleFile := fs.String("telemetry", "", "write sampled time series as CSV to this file (default telemetry.csv when -sample is set)")
+	metricsFile := fs.String("metrics", "", "record latency histograms and counters, one snapshot per job, to this file")
+	metricsFormat := fs.String("metrics-format", "json", `metrics snapshot format: "json" or "prom"`)
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	faultPlan := fs.String("fault-plan", "", `inject device faults per this plan (e.g. "seed=3;twrite=1e-4;bad=40000-40015")`)
+	faultSeed := fs.Uint64("fault-seed", 0, "override the fault plan's seed (implies an empty plan if -fault-plan is unset)")
+	crashAfter := fs.Int64("crash-after", 0, "power loss after this many device operations (adds to the fault plan)")
+	tenants := fs.Int("tenants", 0, "tenant-scale: pin the tenant population (0 = the registered sweep)")
+	netLat := fs.Float64("net-lat", 0, "tenant-scale: one-way network latency in ms (0 = default 0.2)")
+	netBW := fs.Float64("net-bw", 0, "tenant-scale: network bandwidth in MB/s (0 = default 100, negative = unlimited)")
+	qos := fs.String("qos", "", `tenant-scale: force admission control "on" or "off" ("" = per-row setting)`)
+	traceIn := fs.String("trace-in", "", "trace-replay: replay this trace file (binary/text/msr/blkparse, auto-detected) instead of the synthesized workload")
+	replayMode := fs.String("replay-mode", "", `trace-replay: replay pacing, "open" (timestamp-faithful) or "closed" (think-time) ("" = the registered matrix)`)
+	traceScale := fs.Int("trace-scale", 0, "trace-replay: multiplex this many address-shifted copies with matching time compression (0 = the registered matrix)")
+	traceShift := fs.Int64("trace-shift", 0, "trace-replay: per-copy address shift in blocks for -trace-scale (0 = spread copies evenly)")
+	layout := fs.String("layout", "", `raid-rebuild: collapse the matrix to one row of this layout ("raid5" or "raid6")`)
+	spare := fs.Int("spare", 0, "raid-rebuild: hot spares for the -layout row")
+	rebuildRate := fs.Float64("rebuild-rate", 0, "raid-rebuild: rebuild/scrub throttle for the -layout row, member blocks per simulated second (0 = default 200)")
+	scrubInterval := fs.Duration("scrub-interval", 0, "raid-rebuild: scrub period in sim time for the -layout row (0 = scrub off)")
+	if err := fs.Parse(args); err != nil {
+		// The flag package has already printed the error and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// 0 selects the default for each of these, and the experiment code
+	// reads any value below 1 as 0: an unrejected negative would run the
+	// default experiment and exit 0.
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"days", float64(*days)}, {"hours", *hours}, {"jobs", float64(*jobs)},
+		{"tenants", float64(*tenants)}, {"trace-scale", float64(*traceScale)}, {"spare", float64(*spare)},
+	} {
+		if !(f.value >= 0) { // also catches NaN
+			fmt.Fprintf(stderr, "abrsim: invalid -%s %v (want 0 or more)\n", f.name, f.value)
+			return 2
+		}
+	}
 	if *qos != "" && *qos != "on" && *qos != "off" {
-		fmt.Fprintf(os.Stderr, "abrsim: unknown -qos %q (want on or off)\n", *qos)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "abrsim: unknown -qos %q (want on or off)\n", *qos)
+		return 2
 	}
 	if *layout != "" && *layout != "raid5" && *layout != "raid6" {
-		fmt.Fprintf(os.Stderr, "abrsim: unknown -layout %q (want raid5 or raid6)\n", *layout)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "abrsim: unknown -layout %q (want raid5 or raid6)\n", *layout)
+		return 2
 	}
 	if _, err := tracein.ParseMode(*replayMode); err != nil {
-		fmt.Fprintln(os.Stderr, "abrsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "abrsim:", err)
+		return 2
+	}
+	if *metricsFormat != "json" && *metricsFormat != "prom" {
+		fmt.Fprintf(stderr, "abrsim: unknown -metrics-format %q (want json or prom)\n", *metricsFormat)
+		return 2
 	}
 	o := experiment.Options{
-		Days: *days, Seed: *seed, Jobs: *jobs, Shards: *shard,
+		Days: *days, Seed: *seed, Jobs: *jobs,
 		Tenants: *tenants, NetLatencyMS: *netLat, NetBandwidthMBps: *netBW, QoS: *qos,
 		RAIDLayout: *layout, RAIDSpare: *spare, RebuildRate: *rebuildRate,
 		ScrubIntervalMS: scrubInterval.Seconds() * 1000,
@@ -137,8 +170,8 @@ func main() {
 	}
 	plan, err := buildFaultPlan(*faultPlan, *faultSeed, *crashAfter)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "abrsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "abrsim:", err)
+		return 2
 	}
 	o.Fault = plan
 	if *hours > 0 {
@@ -155,21 +188,18 @@ func main() {
 	if *teleFile == "" && *sample > 0 {
 		*teleFile = "telemetry.csv"
 	}
-	if *metricsFormat != "json" && *metricsFormat != "prom" {
-		fmt.Fprintf(os.Stderr, "abrsim: unknown -metrics-format %q (want json or prom)\n", *metricsFormat)
-		os.Exit(2)
-	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "abrsim: pprof:", err)
+				fmt.Fprintln(stderr, "abrsim: pprof:", err)
 			}
 		}()
 	}
-	if err := run(*exp, o, *jobs, *timeout, *traceFile, *teleFile, *metricsFile, *metricsFormat); err != nil {
-		fmt.Fprintln(os.Stderr, "abrsim:", err)
-		os.Exit(1)
+	if err := run(stdout, stderr, *exp, o, *jobs, *timeout, *traceFile, *teleFile, *metricsFile, *metricsFormat); err != nil {
+		fmt.Fprintln(stderr, "abrsim:", err)
+		return 1
 	}
+	return 0
 }
 
 // buildFaultPlan assembles the fault plan from the CLI flags: the plan
@@ -205,7 +235,7 @@ var flagGroups = []struct {
 	title string
 	names []string
 }{
-	{"simulation", []string{"exp", "days", "hours", "seed", "jobs", "shard", "timeout"}},
+	{"simulation", []string{"exp", "days", "hours", "seed", "jobs", "timeout"}},
 	{"observability", []string{"trace", "sample", "telemetry", "metrics", "metrics-format", "pprof"}},
 	{"fault injection", []string{"fault-plan", "fault-seed", "crash-after"}},
 	{"tenant scale", []string{"tenants", "net-lat", "net-bw", "qos"}},
@@ -215,12 +245,12 @@ var flagGroups = []struct {
 
 // usage prints the grouped flag help plus the registry's experiment
 // ids, so the valid ids always match what is actually registered.
-func usage() {
-	out := flag.CommandLine.Output()
+func usage(fs *flag.FlagSet) {
+	out := fs.Output()
 	fmt.Fprintf(out, "usage: abrsim [flags]\n")
 	all := make(map[string]*flag.Flag)
 	var order []string
-	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+	fs.VisitAll(func(f *flag.Flag) {
 		all[f.Name] = f
 		order = append(order, f.Name)
 	})
@@ -268,7 +298,7 @@ func printFlag(out io.Writer, f *flag.Flag) {
 	fmt.Fprintln(out, line)
 }
 
-func run(exp string, o experiment.Options, jobs int, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
+func run(stdout, stderr io.Writer, exp string, o experiment.Options, jobs int, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
 	if _, ok := experiment.Lookup(exp); !ok {
 		// Fail before the banner; RunSpec renders the valid-id list.
 		_, err := experiment.RunSpec(context.Background(), exp, o, runner.Config{})
@@ -278,14 +308,14 @@ func run(exp string, o experiment.Options, jobs int, timeout time.Duration, trac
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(os.Stderr, "abrsim: running %q on %d worker(s)\n", exp, workers)
+	fmt.Fprintf(stderr, "abrsim: running %q on %d worker(s)\n", exp, workers)
 
 	start := time.Now()
 	cfg := runner.Config{
 		Workers: jobs,
 		Timeout: timeout,
 		OnProgress: func(p runner.Progress) {
-			fmt.Fprintf(os.Stderr, "abrsim: %d/%d jobs, %.1f/%.0f sim-days, %.2f sim-days/sec\n",
+			fmt.Fprintf(stderr, "abrsim: %d/%d jobs, %.1f/%.0f sim-days, %.2f sim-days/sec\n",
 				p.Done, p.Total, p.Units, p.TotalUnits, p.Rate())
 		},
 	}
@@ -293,27 +323,27 @@ func run(exp string, o experiment.Options, jobs int, timeout time.Duration, trac
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "abrsim: done in %.1fs\n", time.Since(start).Seconds())
-	summarize(rs)
-	if err := writeTelemetry(rs, traceFile, teleFile); err != nil {
+	fmt.Fprintf(stderr, "abrsim: done in %.1fs\n", time.Since(start).Seconds())
+	summarize(stderr, rs)
+	if err := writeTelemetry(stderr, rs, traceFile, teleFile); err != nil {
 		return err
 	}
-	if err := writeMetrics(rs, metricsFile, metricsFormat); err != nil {
+	if err := writeMetrics(stderr, rs, metricsFile, metricsFormat); err != nil {
 		return err
 	}
 	for _, r := range reports {
-		fmt.Println(r.Render())
+		fmt.Fprintln(stdout, r.Render())
 	}
 	return nil
 }
 
 // summarize prints the per-job harness metrics: wall clock, simulated
 // days, throughput, engine events dispatched, and spans emitted.
-func summarize(rs *experiment.ResultSet) {
+func summarize(stderr io.Writer, rs *experiment.ResultSet) {
 	if len(rs.Metrics) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "abrsim: %-24s %10s %9s %10s %12s %10s\n",
+	fmt.Fprintf(stderr, "abrsim: %-24s %10s %9s %10s %12s %10s\n",
 		"job", "wall", "sim-days", "days/sec", "events", "spans")
 	for i, m := range rs.Metrics {
 		var events, spans int64
@@ -325,7 +355,7 @@ func summarize(rs *experiment.ResultSet) {
 		if m.Failed {
 			status = "  FAILED"
 		}
-		fmt.Fprintf(os.Stderr, "abrsim: %-24s %10s %9.1f %10.2f %12d %10d%s\n",
+		fmt.Fprintf(stderr, "abrsim: %-24s %10s %9.1f %10.2f %12d %10d%s\n",
 			m.Name, m.Wall.Round(time.Millisecond), m.Units, m.Rate(), events, spans, status)
 	}
 }
@@ -333,7 +363,7 @@ func summarize(rs *experiment.ResultSet) {
 // writeTelemetry writes the concatenated per-job trace and time-series
 // files. Collectors are concatenated in job order, so both files are
 // byte-identical for any -jobs value.
-func writeTelemetry(rs *experiment.ResultSet, traceFile, teleFile string) error {
+func writeTelemetry(stderr io.Writer, rs *experiment.ResultSet, traceFile, teleFile string) error {
 	write := func(path string, emit func(f *os.File) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -351,7 +381,7 @@ func writeTelemetry(rs *experiment.ResultSet, traceFile, teleFile string) error 
 		}); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "abrsim: wrote request spans to %s\n", traceFile)
+		fmt.Fprintf(stderr, "abrsim: wrote request spans to %s\n", traceFile)
 	}
 	if teleFile != "" {
 		if err := write(teleFile, func(f *os.File) error {
@@ -359,14 +389,14 @@ func writeTelemetry(rs *experiment.ResultSet, traceFile, teleFile string) error 
 		}); err != nil {
 			return fmt.Errorf("writing telemetry: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "abrsim: wrote telemetry samples to %s\n", teleFile)
+		fmt.Fprintf(stderr, "abrsim: wrote telemetry samples to %s\n", teleFile)
 	}
 	return nil
 }
 
 // writeMetrics writes the per-job metrics snapshots, in job order —
-// byte-identical for any -jobs or -shard value.
-func writeMetrics(rs *experiment.ResultSet, path, format string) error {
+// byte-identical for any -jobs value.
+func writeMetrics(stderr io.Writer, rs *experiment.ResultSet, path, format string) error {
 	if path == "" {
 		return nil
 	}
@@ -387,6 +417,6 @@ func writeMetrics(rs *experiment.ResultSet, path, format string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("writing metrics: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "abrsim: wrote metrics snapshot to %s\n", path)
+	fmt.Fprintf(stderr, "abrsim: wrote metrics snapshot to %s\n", path)
 	return nil
 }

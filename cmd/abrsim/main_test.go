@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"repro/internal/experiment"
+)
+
+// TestCLIRejects drives cli with command lines that must be refused
+// before any simulation starts: the exit code, and what stderr has to
+// say so the user can fix the line.
+func TestCLIRejects(t *testing.T) {
+	var ids []string
+	for _, s := range experiment.Specs() {
+		ids = append(ids, s.ID)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		want []string // substrings of stderr
+	}{
+		{[]string{"-shard", "4"}, 2, []string{"flag provided but not defined: -shard"}},
+		{[]string{"-days", "-1"}, 2, []string{"-days", "-1", "0 or more"}},
+		{[]string{"-hours", "-1"}, 2, []string{"-hours", "-1", "0 or more"}},
+		{[]string{"-hours", "NaN"}, 2, []string{"-hours", "NaN", "0 or more"}},
+		{[]string{"-jobs", "-3"}, 2, []string{"-jobs", "-3", "0 or more"}},
+		{[]string{"-tenants", "-1"}, 2, []string{"-tenants", "-1", "0 or more"}},
+		{[]string{"-trace-scale", "-1"}, 2, []string{"-trace-scale", "-1", "0 or more"}},
+		{[]string{"-spare", "-1"}, 2, []string{"-spare", "-1", "0 or more"}},
+		{[]string{"-qos", "maybe"}, 2, []string{"-qos", `"maybe"`, "on or off"}},
+		{[]string{"-layout", "raid7"}, 2, []string{"-layout", `"raid7"`, "raid5 or raid6"}},
+		{[]string{"-replay-mode", "sideways"}, 2, []string{"sideways"}},
+		{[]string{"-metrics-format", "xml"}, 2, []string{"-metrics-format", `"xml"`, "json or prom"}},
+		{[]string{"-fault-plan", "twrite=lots"}, 2, []string{"fault:", "lots"}},
+		{[]string{"-exp", "no-such-table"}, 1, append([]string{"no-such-table"}, ids...)},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := cli(tc.args, &stdout, &stderr)
+		if code != tc.code {
+			t.Errorf("%v: exit %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr.String())
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("%v: stderr lacks %q:\n%s", tc.args, w, stderr.String())
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestCLIHelp checks that -h exits 0 and that every registered flag has
+// a home in flagGroups: a flag left out of the groups shows up under a
+// trailing "other flags" heading.
+func TestCLIHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := cli([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	help := stderr.String()
+	if strings.Contains(help, "other flags") {
+		t.Errorf("-h lists ungrouped flags:\n%s", help)
+	}
+	for _, w := range []string{"simulation flags:", "-exp", "experiment ids:", "volume-scale"} {
+		if !strings.Contains(help, w) {
+			t.Errorf("-h lacks %q:\n%s", w, help)
+		}
+	}
+}

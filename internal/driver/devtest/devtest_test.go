@@ -1,6 +1,5 @@
 // The conformance battery applied to every BlockDevice in the tree:
-// the single-disk driver and all five volume layouts, the volumes in
-// both execution modes (shared engine and coordinator shards).
+// the single-disk driver and all five volume layouts.
 package devtest
 
 import (
@@ -175,44 +174,6 @@ func TestRAID5SpareConformance(t *testing.T) {
 func TestRAID6Conformance(t *testing.T) {
 	TestDevice(t, func(t *testing.T, kill bool) *Harness {
 		return volumeHarness(t, volume.Options{Layout: volume.RAID6, Disks: 4, StripeUnit: 1}, kill,
-			func(v *volume.Volume) int64 { return 0 }, 2, 3)
-	})
-}
-
-// The sharded variants run the identical battery with every member on
-// a private engine shard: the conformance surface must be mode-blind,
-// including death semantics delivered across the shard boundary.
-func TestConcatShardedConformance(t *testing.T) {
-	TestDevice(t, func(t *testing.T, kill bool) *Harness {
-		return volumeHarness(t, volume.Options{Layout: volume.Concat, Disks: 2, Shards: 2}, kill,
-			func(v *volume.Volume) int64 { return v.Blocks() - 1 })
-	})
-}
-
-func TestStripeShardedConformance(t *testing.T) {
-	TestDevice(t, func(t *testing.T, kill bool) *Harness {
-		return volumeHarness(t, volume.Options{Layout: volume.Stripe, Disks: 2, StripeUnit: 1, Shards: 2}, kill,
-			func(v *volume.Volume) int64 { return 1 })
-	})
-}
-
-func TestMirrorShardedConformance(t *testing.T) {
-	TestDevice(t, func(t *testing.T, kill bool) *Harness {
-		return volumeHarness(t, volume.Options{Layout: volume.Mirror, Disks: 2, Shards: 2}, kill,
-			func(v *volume.Volume) int64 { return 0 }, 0)
-	})
-}
-
-func TestRAID5ShardedConformance(t *testing.T) {
-	TestDevice(t, func(t *testing.T, kill bool) *Harness {
-		return volumeHarness(t, volume.Options{Layout: volume.RAID5, Disks: 3, StripeUnit: 1, Shards: 2}, kill,
-			func(v *volume.Volume) int64 { return 1 }, 0)
-	})
-}
-
-func TestRAID6ShardedConformance(t *testing.T) {
-	TestDevice(t, func(t *testing.T, kill bool) *Harness {
-		return volumeHarness(t, volume.Options{Layout: volume.RAID6, Disks: 4, StripeUnit: 1, Shards: 2}, kill,
 			func(v *volume.Volume) int64 { return 0 }, 2, 3)
 	})
 }

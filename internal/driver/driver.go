@@ -146,14 +146,6 @@ type Driver struct {
 	bt  *blocktable.Table
 	cfg Config
 
-	// shard, when non-nil, marks the driver as running on a member
-	// shard of a sim.Coordinator: public entry points are bracketed
-	// with Enter/Exit and their completion callbacks wrapped so they
-	// fire on the coordinator's fan-in side in global (time, seq)
-	// order. nil (the default) is the single-engine path with zero
-	// overhead.
-	shard *sim.Shard
-
 	queue []*ioreq
 	busy  bool
 
@@ -345,34 +337,16 @@ func (d *Driver) BlockTable() []blocktable.Entry {
 // (not counting the one being serviced).
 func (d *Driver) QueueLen() int { return len(d.queue) }
 
-// BindShard attaches the driver to a coordinator shard: from now on
-// the driver's engine is the shard's private engine and every public
-// entry point is a coordinator boundary. The volume binds each member
-// driver to its shard right after building the member rig; everything
-// below the entry points (strategy, the queue, retries, block-copy
-// chains) is untouched and runs member-side.
-func (d *Driver) BindShard(s *sim.Shard) { d.shard = s }
-
 // ReadBlock issues a read of one file system block: partition-relative
 // block number blk on partition part. done fires at completion in
 // simulated time.
 func (d *Driver) ReadBlock(part int, blk int64, done DoneFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapDone(done)
-	}
 	d.blockIO(false, part, blk, nil, done)
 }
 
 // WriteBlock issues a write of one file system block. data must be one
 // block long.
 func (d *Driver) WriteBlock(part int, blk int64, data []byte, done DoneFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapDone(done)
-	}
 	if len(data) != d.cfg.BlockSize.Bytes() {
 		d.fail(done, fmt.Errorf("driver: write of %d bytes, block size is %d", len(data), d.cfg.BlockSize.Bytes()))
 		return
@@ -462,9 +436,7 @@ type driverMetrics struct {
 // moment of binding, plus func-backed counters over the lifetime
 // Counters, resolved at snapshot time. Bind after populate so the
 // distributions cover only the measured window. Like every driver entry
-// point, call it from the goroutine driving the simulation — for a
-// sharded member, between coordinator windows, which is exactly when
-// the experiment harness runs.
+// point, call it from the goroutine driving the simulation.
 func (d *Driver) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	d.mx = &driverMetrics{
 		service:  reg.Histogram("driver_service_ms", metrics.HistogramOpts{}, labels...),
@@ -498,11 +470,6 @@ func (d *Driver) Outstanding() int {
 // (Section 4.1.2); done fires once, after the last subrequest, with the
 // concatenated data for reads.
 func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done DoneFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapDone(done)
-	}
 	if count <= 0 || vsector < 0 || vsector+int64(count) > d.lbl.VirtualSectors() {
 		d.fail(done, fmt.Errorf("%w: raw range [%d, %d)", ErrBadBlock, vsector, vsector+int64(count)))
 		return

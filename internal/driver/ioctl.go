@@ -31,11 +31,6 @@ type ErrFunc func(err error)
 // and interleave with other traffic. Requests for the block are delayed
 // until the move completes.
 func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapErr(done)
-	}
 	if err := d.checkMove(orig, dst); err != nil {
 		d.failCtl(done, err)
 		return
@@ -120,11 +115,6 @@ func (d *Driver) checkMove(orig, dst int64) error {
 // to disk. Moving a clean block out costs one I/O (the table write);
 // a dirty block costs two more.
 func (d *Driver) Clean(done ErrFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapErr(done)
-	}
 	if d.bt == nil {
 		d.failCtl(done, ErrNotRearranged)
 		return
@@ -138,11 +128,6 @@ func (d *Driver) Clean(done ErrFunc) {
 // of DKIOCCLEAN that incremental rearrangement uses. It is a no-op if
 // the block is not rearranged.
 func (d *Driver) BClean(orig int64, done ErrFunc) {
-	if s := d.shard; s != nil {
-		s.Enter()
-		defer s.Exit()
-		done = s.WrapErr(done)
-	}
 	if d.bt == nil {
 		d.failCtl(done, ErrNotRearranged)
 		return

@@ -4,7 +4,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -78,13 +77,6 @@ func renderSpec(t *testing.T, id string, days, workers int) string {
 	if days > 0 {
 		o.Days = days
 	}
-	return renderSpecOpts(t, id, o, workers)
-}
-
-// renderSpecOpts is renderSpec with explicit options, for the sharded
-// variants below.
-func renderSpecOpts(t *testing.T, id string, o Options, workers int) string {
-	t.Helper()
 	reports, err := RunSpec(context.Background(), id, o,
 		runner.Config{Workers: workers})
 	if err != nil {
@@ -136,62 +128,6 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 	}
 }
 
-// TestShardedVolumeEquivalence pins the shard coordinator's exact-merge
-// contract end to end: running every volume member on a private engine
-// shard (Options.Shards > 1, what abrsim -shard requests) must leave
-// each experiment's rendered reports byte-identical to the
-// shared-engine run — and the shared-engine run is itself locked to
-// the committed goldens above, so the sharded render is compared
-// straight against the golden bytes. volume-scale is the real subject,
-// fanning requests out over concat/stripe/mirror volumes of up to 8
-// members; table2 and faults are single-disk experiments for which
-// Shards is a documented no-op, locked here so the flag can never
-// perturb them.
-func TestShardedVolumeEquivalence(t *testing.T) {
-	shards := runtime.NumCPU()
-	if shards < 2 {
-		// The contract is about merge order, not parallel hardware: a
-		// single-core box still runs real shard goroutines in lockstep.
-		shards = 4
-	}
-	for _, spec := range []struct {
-		id    string
-		short bool // runs in -short mode too
-		days  int  // override equivOptions().Days when > 0 (must match equivSpecs)
-	}{
-		{id: "table2", short: true},
-		{id: "faults", short: true},
-		{id: "volume-scale"},
-		{id: "tenant-scale"},
-		{id: "raid-rebuild", days: 1},
-		{id: "trace-replay"},
-	} {
-		spec := spec
-		t.Run(spec.id, func(t *testing.T) {
-			if testing.Short() && !spec.short {
-				t.Skip("volume matrix simulation in -short mode")
-			}
-			path := filepath.Join("testdata", "equiv", spec.id+".golden")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("reading golden (generate with UPDATE_EQUIV_GOLDEN=1): %v", err)
-			}
-			o := equivOptions()
-			if spec.days > 0 {
-				o.Days = spec.days
-			}
-			o.Shards = shards
-			got := renderSpecOpts(t, spec.id, o, 1)
-			if got != string(want) {
-				gotPath := path + ".sharded-got"
-				_ = os.WriteFile(gotPath, []byte(got), 0o644)
-				t.Errorf("%s: shards=%d output differs from shared-engine golden %s; observed bytes written to %s",
-					spec.id, shards, path, gotPath)
-			}
-		})
-	}
-}
-
 // metricsJSON runs one spec with metrics histograms enabled and
 // returns the per-job snapshot document as abrsim -metrics writes it.
 func metricsJSON(t *testing.T, id string, o Options, workers int) string {
@@ -216,27 +152,17 @@ func metricsJSON(t *testing.T, id string, o Options, workers int) string {
 // TestMetricsDeterminism pins the metrics core's determinism contract
 // end to end: the JSON snapshot — every bucket count, sum, and
 // quantile input — must be byte-identical for any harness worker
-// count and, for volume experiments, for any engine shard count. The
-// per-shard-member registries merge in member index order, so the
-// sharded run must reproduce the shared-engine snapshot exactly.
-// The cheap specs pin the jobs axis on its own; volume-scale (a
-// 10-configuration matrix, the expensive spec) turns jobs=8 and
-// sharding on together, so one comparison covers both axes.
+// count.
 func TestMetricsDeterminism(t *testing.T) {
-	shards := runtime.NumCPU()
-	if shards < 2 {
-		shards = 4
-	}
 	for _, spec := range []struct {
 		id    string
 		short bool // runs in -short mode too
-		shard bool // volume-backed: exercise engine shards too
 	}{
-		{"table2", true, false},
-		{"faults", true, false},
-		{"volume-scale", false, true},
-		{"tenant-scale", false, true},
-		{"trace-replay", false, true},
+		{"table2", true},
+		{"faults", true},
+		{"volume-scale", false},
+		{"tenant-scale", false},
+		{"trace-replay", false},
 	} {
 		spec := spec
 		t.Run(spec.id, func(t *testing.T) {
@@ -244,13 +170,8 @@ func TestMetricsDeterminism(t *testing.T) {
 				t.Skip("volume matrix simulation in -short mode")
 			}
 			base := metricsJSON(t, spec.id, equivOptions(), 1)
-			o := equivOptions()
-			if spec.shard {
-				o.Shards = shards // sharding only applies to volume-backed specs
-			}
-			if got := metricsJSON(t, spec.id, o, 8); got != base {
-				t.Errorf("%s: jobs=8 shards=%d metrics snapshot differs from jobs=1 shards=1",
-					spec.id, o.Shards)
+			if got := metricsJSON(t, spec.id, equivOptions(), 8); got != base {
+				t.Errorf("%s: jobs=8 metrics snapshot differs from jobs=1", spec.id)
 			}
 		})
 	}

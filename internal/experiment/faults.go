@@ -57,7 +57,7 @@ func faultUnits(o Options) []unit {
 			DiskName: "toshiba", FSName: "system",
 			Days:      o.days(2),
 			OnPattern: func(day int) bool { return day > 0 },
-			WindowMS:  o.WindowMS, Seed: o.Seed, Shards: o.Shards,
+			WindowMS:  o.WindowMS, Seed: o.Seed,
 			Fault: &fault.Plan{Seed: seed, TransientRead: rate, TransientWrite: rate},
 		}
 		units = append(units, unit{

@@ -64,7 +64,7 @@ func raidConfigs(o Options) []VolumeSetup {
 	base := func(cfg string, layout volume.Layout, disks int) VolumeSetup {
 		return VolumeSetup{
 			Config: cfg, Layout: layout, Disks: disks, StripeUnit: 16,
-			Days: days, WindowMS: o.WindowMS, Seed: o.Seed, Shards: o.Shards,
+			Days: days, WindowMS: o.WindowMS, Seed: o.Seed,
 		}
 	}
 	if o.RAIDLayout != "" {

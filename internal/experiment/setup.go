@@ -97,11 +97,6 @@ type Setup struct {
 	// the run exercises retries, bad-block remapping, and crash-safe
 	// table writes. nil (the default) is the zero-overhead path.
 	Fault *fault.Plan
-	// Shards is accepted for harness symmetry with VolumeSetup (abrsim
-	// -shard threads it through every experiment): a single-disk stack
-	// is one member on one engine, so there is nothing to shard and any
-	// value runs the identical single-engine simulation.
-	Shards int
 }
 
 func (s Setup) withDefaults() (Setup, error) {

@@ -36,11 +36,6 @@ type Options struct {
 	// experiments ("faults", "crash") ignore it: they define their own
 	// plans. nil (the default) changes nothing.
 	Fault *fault.Plan
-	// Shards above 1 runs every member disk of a volume-backed
-	// experiment on its own engine and goroutine (abrsim -shard; see
-	// volume.Options.Shards). Single-disk experiments have one member
-	// and ignore it. Results are byte-identical for any value.
-	Shards int
 	// Tenants above 0 collapses the tenant-scale population sweep to
 	// this single tenant count and resizes the scenario rows (abrsim
 	// -tenants). Other experiments ignore it.

@@ -3,10 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -50,9 +48,8 @@ type TenantSetup struct {
 	// (zeros = server defaults: 0.2 ms, 100 MB/s).
 	NetLatencyMS     float64
 	NetBandwidthMBps float64
-	// Seed, Shards as in VolumeSetup.
-	Seed   uint64
-	Shards int
+	// Seed as in VolumeSetup.
+	Seed uint64
 }
 
 func (s TenantSetup) withDefaults() TenantSetup {
@@ -123,7 +120,6 @@ func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
 		ReservedCyls: 48,
 		Faults:       s.Faults,
 		Telemetry:    col,
-		Shards:       s.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -160,19 +156,11 @@ func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
 		registerTenantProbes(col, v, srv)
 		col.StartSampler(v.Eng)
 	}
-	// Server and volume metrics live on the fan-in side; each member
-	// driver gets a private registry labeled with its disk index, merged
-	// in member order at the end — the volume experiments' shape.
-	var memberRegs []*metrics.Registry
 	if col != nil && col.MetricsEnabled() {
 		reg := col.Metrics()
 		srv.BindMetrics(reg)
 		v.BindMetrics(reg)
-		for i, m := range v.Members {
-			mreg := metrics.NewRegistry()
-			m.Driver.BindMetrics(mreg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
-			memberRegs = append(memberRegs, mreg)
-		}
+		bindMemberMetrics(reg, v)
 	}
 
 	// Traffic starts at the paper's day start — long after formatting —
@@ -203,11 +191,6 @@ func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
 	}
 	if col != nil {
 		col.SetEngineEvents(v.Dispatched())
-	}
-	for i, mreg := range memberRegs {
-		if err := col.Metrics().Merge(mreg); err != nil {
-			return nil, fmt.Errorf("experiment: merging member %d metrics: %w", i, err)
-		}
 	}
 	return pt, nil
 }
@@ -257,7 +240,6 @@ func tenantConfigs(o Options) []TenantSetup {
 			s.DurationMS = o.WindowMS
 		}
 		s.Seed = o.Seed
-		s.Shards = o.Shards
 		// Resolve defaults here too so the runner job names carry the
 		// final row labels.
 		return s.withDefaults()

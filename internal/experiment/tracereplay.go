@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -59,8 +58,6 @@ type TraceSetup struct {
 	// workload and the closed-loop think times.
 	WindowMS float64
 	Seed     uint64
-	// Shards above 1 runs each volume member on its own engine.
-	Shards int
 }
 
 func (s TraceSetup) withDefaults() TraceSetup {
@@ -210,7 +207,6 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 		StripeUnit:   s.StripeUnit,
 		ReservedCyls: 48,
 		Telemetry:    col,
-		Shards:       s.Shards,
 	}
 	if s.Rearrange {
 		// The learning pass must observe every request: size each
@@ -318,16 +314,11 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	// column); when the job carries a metrics collector the instruments
 	// land there instead, alongside the volume's and per-member
 	// drivers', exactly as in ExecuteVolume.
-	var memberRegs []*metrics.Registry
 	if col != nil && col.MetricsEnabled() {
 		reg := col.Metrics()
 		v.BindMetrics(reg)
 		rep.BindMetrics(reg)
-		for i, m := range v.Members {
-			mreg := metrics.NewRegistry()
-			m.Driver.BindMetrics(mreg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
-			memberRegs = append(memberRegs, mreg)
-		}
+		bindMemberMetrics(reg, v)
 	} else {
 		rep.BindMetrics(metrics.NewRegistry())
 	}
@@ -381,11 +372,6 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	if col != nil {
 		col.SetEngineEvents(capEvents + v.Dispatched())
 	}
-	for i, mreg := range memberRegs {
-		if err := col.Metrics().Merge(mreg); err != nil {
-			return nil, fmt.Errorf("experiment: trace %s merging member %d metrics: %w", s.Config, i, err)
-		}
-	}
 	return pt, nil
 }
 
@@ -398,7 +384,7 @@ func traceConfigs(o Options) []TraceSetup {
 	base := func(cfg string, mode tracein.Mode, rearr bool) TraceSetup {
 		return TraceSetup{
 			Config: cfg, Mode: mode, Rearrange: rearr,
-			WindowMS: o.WindowMS, Seed: o.Seed, Shards: o.Shards,
+			WindowMS: o.WindowMS, Seed: o.Seed,
 		}
 	}
 	if o.TraceIn != "" || o.ReplayMode != "" || o.TraceScale > 0 || o.TraceShift != 0 {

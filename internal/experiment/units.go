@@ -131,7 +131,7 @@ func onOffUnits(fsname string, o Options) []unit {
 		s := Setup{
 			DiskName: diskName, FSName: fsname,
 			Days: o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,
-			Fault: o.Fault, Shards: o.Shards,
+			Fault: o.Fault,
 		}
 		return unit{
 			job: runner.Job{
@@ -176,7 +176,7 @@ func policiesUnits(o Options) []unit {
 				Days:      o.days(4),
 				OnPattern: func(day int) bool { return day > 0 },
 				WindowMS:  o.WindowMS, Seed: o.Seed,
-				Fault: o.Fault, Shards: o.Shards,
+				Fault: o.Fault,
 			}
 			units = append(units, unit{
 				job: runner.Job{
@@ -221,7 +221,7 @@ func sweepUnits(o Options, counts []int) []unit {
 			Days:      o.days(2),
 			OnPattern: func(day int) bool { return day > 0 },
 			WindowMS:  o.WindowMS, Seed: o.Seed,
-			Fault: o.Fault, Shards: o.Shards,
+			Fault: o.Fault,
 		}
 		units = append(units, unit{
 			job: runner.Job{

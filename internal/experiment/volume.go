@@ -58,10 +58,6 @@ type VolumeSetup struct {
 	// experiment is to saturate one disk so the scaling is visible.
 	Clients     int
 	ThinkMeanMS float64
-	// Shards above 1 runs each member disk on its own engine and
-	// goroutine (volume.Options.Shards); output is byte-identical to
-	// the single-engine run.
-	Shards int
 }
 
 func (s VolumeSetup) withDefaults() VolumeSetup {
@@ -149,7 +145,6 @@ func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
 		ScrubIntervalMS: s.ScrubIntervalMS,
 		Faults:          s.Faults,
 		Telemetry:       col,
-		Shards:          s.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -209,22 +204,12 @@ func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
 		registerVolumeProbes(col, v)
 		col.StartSampler(v.Eng)
 	}
-	// Each member driver gets a private registry labeled with its disk
-	// index, merged into the collector's after the run — the same
-	// shard-then-fan-in shape as the event engine. Binding happens here,
-	// between coordinator windows, so member goroutines observe the
-	// bound histograms before the next window starts.
-	var memberRegs []*metrics.Registry
 	if col != nil && col.MetricsEnabled() {
 		reg := col.Metrics()
 		v.BindMetrics(reg)
 		fsys.BindMetrics(reg)
 		w.BindMetrics(reg)
-		for i, m := range v.Members {
-			mreg := metrics.NewRegistry()
-			m.Driver.BindMetrics(mreg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
-			memberRegs = append(memberRegs, mreg)
-		}
+		bindMemberMetrics(reg, v)
 	}
 
 	pt := &VolumePoint{
@@ -297,21 +282,12 @@ func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
 	if col != nil {
 		col.SetEngineEvents(v.Dispatched())
 	}
-	// Fan the per-member registries into the collector's, in member
-	// index order: names carry disk labels, so every member's metrics
-	// land as distinct entries in a deterministic order.
-	for i, mreg := range memberRegs {
-		if err := col.Metrics().Merge(mreg); err != nil {
-			return nil, fmt.Errorf("experiment: merging member %d metrics: %w", i, err)
-		}
-	}
 	return pt, nil
 }
 
 // awaitVolume is await for a volume-backed stack: it drives the
-// volume (the shared engine, or the shard coordinator when sharded)
-// until the operation signals completion, in bounded horizon
-// increments so periodic daemons cannot stall it.
+// volume's engine until the operation signals completion, in bounded
+// horizon increments so periodic daemons cannot stall it.
 func awaitVolume(v *volume.Volume, what string, horizon float64, op func(done func(error))) error {
 	var opErr error
 	finished := false
@@ -330,6 +306,14 @@ func awaitVolume(v *volume.Volume, what string, horizon float64, op func(done fu
 		return fmt.Errorf("experiment: volume %s did not complete by t=%.0f ms", what, v.Now())
 	}
 	return opErr
+}
+
+// bindMemberMetrics binds every member driver's instruments into reg
+// under a disk="i" label, in member-index order.
+func bindMemberMetrics(reg *metrics.Registry, v *volume.Volume) {
+	for i, m := range v.Members {
+		m.Driver.BindMetrics(reg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
+	}
 }
 
 // registerVolumeProbes registers the volume stack's sampler columns:
@@ -380,7 +364,7 @@ func registerVolumeProbes(col *telemetry.Collector, v *volume.Volume) {
 func volumeConfigs(o Options) []VolumeSetup {
 	days := o.days(2)
 	base := func(cfg string) VolumeSetup {
-		return VolumeSetup{Config: cfg, Days: days, WindowMS: o.WindowMS, Seed: o.Seed, Shards: o.Shards}
+		return VolumeSetup{Config: cfg, Days: days, WindowMS: o.WindowMS, Seed: o.Seed}
 	}
 	stripe := func(cfg string, disks, unit int) VolumeSetup {
 		s := base(cfg)

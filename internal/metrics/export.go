@@ -11,7 +11,7 @@ import (
 // JobSnapshot pairs one job's metrics with the job's name. A run's
 // snapshot file holds one JobSnapshot per experiment job, in job order
 // — the same order the trace and CSV exporters use, so the file is
-// byte-identical for any -jobs or -shard value.
+// byte-identical for any -jobs value.
 type JobSnapshot struct {
 	Job     string       `json:"job"`
 	Metrics []MetricSnap `json:"metrics"`

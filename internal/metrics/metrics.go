@@ -10,8 +10,8 @@
 //     2^SubBits equal mantissa steps, assembled directly from float64
 //     bits (never through a log), so a histogram's state is a pure
 //     function of the multiset *and order* of recorded values. Because
-//     the simulation replays the same event sequence for any -jobs or
-//     -shard value, snapshots are byte-identical across those settings.
+//     the simulation replays the same event sequence for any -jobs
+//     value, snapshots are byte-identical across worker counts.
 //   - Allocation-free recording. Counter.Inc, Gauge.Set and
 //     Histogram.Record never allocate: the bucket array is sized at
 //     construction. All allocation happens at registration or snapshot
@@ -19,9 +19,7 @@
 //
 // Metrics are single-goroutine by design, like the engines they
 // instrument: each metric must be recorded from one goroutine at a
-// time, and cross-goroutine fan-in happens through Registry.Merge at a
-// synchronization point, exactly as the shard coordinator merges member
-// engines.
+// time. Every harness job owns a private registry.
 package metrics
 
 import (

@@ -272,64 +272,6 @@ func TestRegistryPanics(t *testing.T) {
 	expectPanic("GaugeFunc re-register", func() { r.GaugeFunc("gf", func() float64 { return 0 }) })
 }
 
-func TestRegistryMerge(t *testing.T) {
-	main := NewRegistry()
-	main.Counter("reqs").Add(10)
-	main.Gauge("depth").Set(1)
-	main.Histogram("lat", HistogramOpts{}).Record(1)
-
-	member := NewRegistry()
-	member.Counter("reqs").Add(5)
-	member.Gauge("depth").Set(2)
-	member.Histogram("lat", HistogramOpts{}).Record(3)
-	member.Counter("only_member", Label{"disk", "0"}).Add(2)
-	member.CounterFunc("member_fn", func() int64 { return 11 })
-	mh := member.Histogram("member_lat", HistogramOpts{})
-	mh.Record(4)
-
-	if err := main.Merge(member); err != nil {
-		t.Fatal(err)
-	}
-	s := main.Snapshot()
-	byName := map[string]MetricSnap{}
-	for _, m := range s.Metrics {
-		byName[m.Name] = m
-	}
-	if v := byName["reqs"].Value; v != 15 {
-		t.Errorf("merged counter = %g, want 15", v)
-	}
-	if v := byName["depth"].Value; v != 3 {
-		t.Errorf("merged gauge = %g, want 3", v)
-	}
-	if h := byName["lat"].Hist; h.Count != 2 || h.Sum != 4 {
-		t.Errorf("merged histogram = %+v", h)
-	}
-	if v := byName[`only_member{disk="0"}`].Value; v != 2 {
-		t.Errorf("appended counter = %g, want 2", v)
-	}
-	if v := byName["member_fn"].Value; v != 11 {
-		t.Errorf("func-backed merge = %g, want 11", v)
-	}
-	if h := byName["member_lat"].Hist; h.Count != 1 || h.Max != 4 {
-		t.Errorf("appended histogram = %+v", h)
-	}
-	// Merge order is preserved: appended metrics follow main's.
-	if s.Metrics[len(s.Metrics)-1].Name != "member_lat" {
-		t.Errorf("last metric = %s, want member_lat", s.Metrics[len(s.Metrics)-1].Name)
-	}
-	// Kind clash across registries is an error, not a panic.
-	bad := NewRegistry()
-	bad.Gauge("reqs")
-	if err := main.Merge(bad); err == nil {
-		t.Error("kind clash merge did not error")
-	}
-	badHist := NewRegistry()
-	badHist.Histogram("lat", HistogramOpts{SubBits: 1, MinExp: 0, MaxExp: 2})
-	if err := main.Merge(badHist); err == nil {
-		t.Error("histogram layout clash merge did not error")
-	}
-}
-
 func TestSnapshotQuantileMatchesLive(t *testing.T) {
 	h := NewHistogram(HistogramOpts{})
 	v := 0.01

@@ -4,40 +4,32 @@ import "fmt"
 
 // metricEntry is one registered metric. Counters and gauges are either
 // instance-backed (Counter/Gauge) or func-backed (resolved lazily at
-// snapshot time); acc accumulates values folded in by Merge.
+// snapshot time).
 type metricEntry struct {
 	name string
 	kind Kind
 
 	counter   *Counter
 	counterFn func() int64
-	accC      int64
 
 	gauge   *Gauge
 	gaugeFn func() float64
-	accG    float64
 
 	hist *Histogram
 }
 
 func (e *metricEntry) counterValue() int64 {
-	v := e.accC
 	if e.counterFn != nil {
-		v += e.counterFn()
-	} else if e.counter != nil {
-		v += e.counter.v
+		return e.counterFn()
 	}
-	return v
+	return e.counter.v
 }
 
 func (e *metricEntry) gaugeValue() float64 {
-	v := e.accG
 	if e.gaugeFn != nil {
-		v += e.gaugeFn()
-	} else if e.gauge != nil {
-		v += e.gauge.v
+		return e.gaugeFn()
 	}
-	return v
+	return e.gauge.v
 }
 
 // Registry holds a set of named metrics in registration order, which is
@@ -123,42 +115,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 		panic("metrics: GaugeFunc re-registers " + e.name)
 	}
 	e.gaugeFn = fn
-}
-
-// Merge folds other's current values into r — the metrics mirror of the
-// engine's member fan-in. Counters and gauges add; histograms merge
-// bucket-wise; metrics unknown to r are appended in other's
-// registration order. Func-backed metrics in other are resolved to
-// plain values at merge time, so merging per-shard-member registries in
-// member-index order at the end of a run is deterministic.
-func (r *Registry) Merge(other *Registry) error {
-	for _, o := range other.order {
-		e, ok := r.byName[o.name]
-		if !ok {
-			e = &metricEntry{name: o.name, kind: o.kind}
-			if o.kind == KindHistogram {
-				e.hist = NewHistogram(HistogramOpts{
-					SubBits: o.hist.subBits, MinExp: o.hist.minExp, MaxExp: o.hist.maxExp,
-				})
-			}
-			r.order = append(r.order, e)
-			r.byName[o.name] = e
-		}
-		if e.kind != o.kind {
-			return fmt.Errorf("metrics: merge: %s is a %s here, a %s there", o.name, e.kind, o.kind)
-		}
-		switch o.kind {
-		case KindCounter:
-			e.accC += o.counterValue()
-		case KindGauge:
-			e.accG += o.gaugeValue()
-		case KindHistogram:
-			if err := e.hist.Merge(o.hist); err != nil {
-				return fmt.Errorf("%s: %w", o.name, err)
-			}
-		}
-	}
-	return nil
 }
 
 // Snapshot renders every metric to pure data, in registration order.

@@ -28,12 +28,9 @@ type Options struct {
 	Ctx context.Context
 	// Eng, when non-nil, builds the rig on an existing engine instead of
 	// creating a private one. A multi-disk volume builds one rig per
-	// member on a caller-provided engine: either one engine shared by
-	// every member, or — when the volume shards — a private engine per
-	// member whose event stream the sim.Coordinator merges back into
-	// one deterministic timeline. The caller owns the engine's
-	// interrupt hook; Ctx still gates construction but is not wired
-	// into a provided engine.
+	// member on the one engine every member shares. The caller owns the
+	// engine's interrupt hook; Ctx still gates construction but is not
+	// wired into a provided engine.
 	Eng *sim.Engine
 	// Disk selects the drive model; the zero value selects the Toshiba
 	// MK156F.

@@ -26,7 +26,7 @@
 // Everything is scheduled on the caller's sim.Engine and all state
 // lives on that engine's goroutine, so a run is deterministic: for the
 // same configuration and request stream the server makes byte-identical
-// decisions for any harness worker count or engine shard count.
+// decisions for any harness worker count.
 package server
 
 import (

@@ -14,8 +14,6 @@
 // per event. Steady-state scheduling performs zero allocations.
 package sim
 
-import "sync/atomic"
-
 // Caller is a pre-allocated event callback: scheduling a Caller with
 // AtCall/AfterCall stores only its interface value in the queue, so a
 // long-lived object (a pooled request record, a ticker) can schedule
@@ -41,9 +39,7 @@ type event struct {
 type Engine struct {
 	now       float64
 	seq       int64
-	curSeq    int64
-	seqSrc    *atomic.Int64 // non-nil: draw seqs from a shared counter
-	heap      []event       // 4-ary min-heap ordered by (time, seq)
+	heap      []event // 4-ary min-heap ordered by (time, seq)
 	stopped   bool
 	interrupt func() bool
 	dispatch  int64
@@ -130,101 +126,8 @@ func (e *Engine) schedule(t float64, fn func(), call Caller) {
 	if t < e.now {
 		t = e.now
 	}
-	var s int64
-	if e.seqSrc != nil {
-		s = e.seqSrc.Add(1)
-	} else {
-		e.seq++
-		s = e.seq
-	}
-	e.push(event{time: t, seq: s, fn: fn, call: call})
-}
-
-// ShareSeq switches the engine to draw event sequence numbers from src,
-// a counter shared with other engines. Executing the merged event
-// streams of the sharing engines in (time, seq) order then reproduces
-// the scheduling order a single engine would have produced, which is
-// what makes sharded simulations byte-identical to unsharded ones. Any
-// sequence numbers the engine already consumed locally are folded into
-// src so numbers never repeat. A nil seqSrc (the default) keeps the
-// private counter with no atomic on the scheduling hot path.
-func (e *Engine) ShareSeq(src *atomic.Int64) {
-	for {
-		cur := src.Load()
-		if e.seq <= cur || src.CompareAndSwap(cur, e.seq) {
-			break
-		}
-	}
-	e.seqSrc = src
-}
-
-// Peek returns the (time, seq) key of the earliest queued event without
-// firing it, and ok=false when the queue is empty. The shard
-// coordinator uses it to compute conservative execution bounds.
-func (e *Engine) Peek() (t float64, seq int64, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, 0, false
-	}
-	return e.heap[0].time, e.heap[0].seq, true
-}
-
-// FiringSeq returns the sequence number of the event currently being
-// fired (valid only from inside an event callback). Cross-engine
-// deliveries are stamped with it so the merged execution order
-// preserves the (time, seq) order of a single engine.
-func (e *Engine) FiringSeq() int64 { return e.curSeq }
-
-// AdvanceTo moves the clock forward to t without firing any events; a
-// t in the past is a no-op. The shard coordinator uses it to keep the
-// fan-in engine's clock on the merged timeline as member completions
-// commit.
-func (e *Engine) AdvanceTo(t float64) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// Bound is an exclusive execution limit for RunBound, ordered like
-// events: an event fires only while its (time, seq) key is strictly
-// below the bound. {T, math.MaxInt64} therefore admits every event
-// with time ≤ T, matching RunUntil's inclusive horizon.
-type Bound struct {
-	Time float64
-	Seq  int64
-}
-
-// before reports whether key (t, s) is strictly below the bound.
-func (b *Bound) before(t float64, s int64) bool {
-	if t != b.Time {
-		return t < b.Time
-	}
-	return s < b.Seq
-}
-
-// beforeBound reports whether bound a is strictly below bound b.
-func (a *Bound) beforeBound(b *Bound) bool { return b.before(a.Time, a.Seq) }
-
-// RunBound executes events whose (time, seq) key is strictly below *b,
-// re-reading the bound before every event so a callback (or code it
-// calls synchronously) may tighten it mid-run. Unlike RunUntil it never
-// advances the clock beyond the last fired event: the caller owns the
-// final clock position. It returns false when a Stop or interrupt
-// halted the run early.
-func (e *Engine) RunBound(b *Bound) bool {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		if !b.before(e.heap[0].time, e.heap[0].seq) {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.time
-		e.curSeq = ev.seq
-		ev.fire()
-		if e.interrupted() {
-			return false
-		}
-	}
-	return !e.stopped
+	e.seq++
+	e.push(event{time: t, seq: e.seq, fn: fn, call: call})
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past runs
@@ -319,7 +222,6 @@ func (e *Engine) Run() {
 	for len(e.heap) > 0 && !e.stopped {
 		ev := e.pop()
 		e.now = ev.time
-		e.curSeq = ev.seq
 		ev.fire()
 		if e.interrupted() {
 			break
@@ -338,7 +240,6 @@ func (e *Engine) RunUntil(t float64) {
 		}
 		ev := e.pop()
 		e.now = ev.time
-		e.curSeq = ev.seq
 		ev.fire()
 		if e.interrupted() {
 			return

@@ -214,7 +214,7 @@ func WriteCSV(w io.Writer, cols []*Collector) error {
 
 // MetricsSnapshots renders each collector's registry in job order —
 // the metrics analogue of WriteTrace/WriteCSV concatenation, and
-// byte-identical for any worker or shard count for the same reason.
+// byte-identical for any worker count for the same reason.
 // Snapshot resolves func-backed metrics against live model state, so
 // call this only after every job has completed. Collectors without a
 // registry are skipped.

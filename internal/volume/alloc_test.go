@@ -13,7 +13,7 @@ import "testing"
 //     data as a fresh buffer (ownership transfer to the caller), same
 //     as a single-disk read.
 //
-// These floors are what lets a sharded volume-scale run spend its
+// These floors are what lets a volume-scale run spend its
 // wall-clock on events rather than garbage; the closures the volume
 // used to build per request (finish wrapper, mirror failover chain,
 // per-member write fan-in) dominated its allocation profile.

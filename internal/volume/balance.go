@@ -22,8 +22,7 @@ type Device interface {
 // A Balancer orders the live members a redundant read should try.
 // The built-in policies are selected by Options.ReadPolicy;
 // Options.Balancer installs a custom implementation. Order is called
-// on the fan-in goroutine once per balanced read and must be
-// deterministic: any state it keeps (cursors, histories) may only
+// once per balanced read and must be deterministic: any state it keeps (cursors, histories) may only
 // depend on the sequence of Order calls.
 type Balancer interface {
 	// Order appends the member indices to try, best candidate first,
@@ -94,8 +93,8 @@ func newBalancer(p ReadPolicy) (Balancer, error) {
 // three built-in families — linear (concat/stripe), mirrored, and
 // parity (raid5/raid6) — all speak this interface, so a layout
 // composes with any Device and the volume's entry points stay
-// layout-blind. Implementations run on the fan-in goroutine and must
-// never invoke done inside the routing call itself.
+// layout-blind. Implementations must never invoke done inside the
+// routing call itself.
 type placement interface {
 	read(blk int64, done driver.DoneFunc)
 	write(blk int64, data []byte, done driver.DoneFunc)

@@ -12,7 +12,7 @@ import (
 
 // TestParityPropertyPrograms is the randomized parity battery: each
 // seed builds a RAID-5 or RAID-6 volume with randomized geometry,
-// spares, scrub, sharding, and planned member deaths within the
+// spares, scrub, and planned member deaths within the
 // parity budget, runs a random interleaved write/read program across
 // the failures (including mid-rebuild spare death and mid-scrub
 // member death), and asserts every acknowledged write reads back
@@ -36,9 +36,10 @@ func TestParityPropertyPrograms(t *testing.T) {
 			spare := rng.Intn(2)
 			kills := rng.Intn(npar + 1)
 			scrub := rng.Intn(3) == 0
-			shards := 0
+			// Discarded draws: dropping them would shift every later draw
+			// and so change the kill/spare program each seed has pinned.
 			if rng.Intn(3) == 0 {
-				shards = 2 + rng.Intn(3)
+				rng.Intn(3)
 			}
 			faults := make([]*fault.Plan, disks+spare)
 			for k := 0; k < kills; k++ {
@@ -58,7 +59,7 @@ func TestParityPropertyPrograms(t *testing.T) {
 			opts := Options{
 				Layout: layout, Disks: disks, Spare: spare, StripeUnit: unit,
 				Disk: tinyDisk(), RebuildRate: 500 + float64(rng.Intn(1500)),
-				Faults: faults, Shards: shards,
+				Faults: faults,
 			}
 			if scrub {
 				opts.ScrubIntervalMS = 50_000
@@ -68,8 +69,8 @@ func TestParityPropertyPrograms(t *testing.T) {
 			if scrub && !v.StartScrub() {
 				t.Fatal("StartScrub refused")
 			}
-			t.Logf("seed=%d layout=%s disks=%d unit=%d spare=%d kills=%d scrub=%v shards=%d spareDies=%v rate=%g",
-				seed, layout, disks, unit, spare, kills, scrub, shards, spareDies, opts.RebuildRate)
+			t.Logf("seed=%d layout=%s disks=%d unit=%d spare=%d kills=%d scrub=%v spareDies=%v rate=%g",
+				seed, layout, disks, unit, spare, kills, scrub, spareDies, opts.RebuildRate)
 
 			shadow := make(map[int64][]byte)
 			var wErrs, rErrs []error

@@ -552,52 +552,6 @@ func TestRAIDValidation(t *testing.T) {
 	}
 }
 
-// Sharded and shared engines must produce identical results for the
-// same parity-volume program, including a mid-run member death.
-func TestRAIDShardedMatchesShared(t *testing.T) {
-	run := func(shards int) (data [][]byte, stats Stats, raidStats RAIDStats) {
-		v := mustNew(t, Options{
-			Layout: RAID6, Disks: 4, StripeUnit: 2, Disk: tinyDisk(),
-			Shards: shards,
-			Faults: []*fault.Plan{nil, nil, {CrashAfterOps: 30}},
-		})
-		defer v.Close()
-		for k := int64(0); k < 40; k++ {
-			v.WriteBlock(0, k%32, blockOf(byte(k)), nil)
-			if k%4 == 3 {
-				v.Run()
-			}
-		}
-		v.Run()
-		for k := int64(0); k < 32; k++ {
-			v.ReadBlock(0, k, func(d []byte, err error) {
-				if err != nil {
-					t.Errorf("shards=%d: read %d: %v", shards, k, err)
-				}
-				data = append(data, d)
-			})
-			v.Run()
-		}
-		return data, v.Stats(), v.RAID()
-	}
-	d1, s1, r1 := run(1)
-	d4, s4, r4 := run(4)
-	if len(d1) != len(d4) {
-		t.Fatalf("read counts differ: %d vs %d", len(d1), len(d4))
-	}
-	for i := range d1 {
-		if !bytes.Equal(d1[i], d4[i]) {
-			t.Fatalf("block %d differs between shared and sharded", i)
-		}
-	}
-	if s1.Requests != s4.Requests || s1.Errors != s4.Errors || s1.Degraded != s4.Degraded {
-		t.Errorf("stats differ: %+v vs %+v", s1, s4)
-	}
-	if r1 != r4 {
-		t.Errorf("raid stats differ: %+v vs %+v", r1, r4)
-	}
-}
-
 func TestParseConfigRoundTrip(t *testing.T) {
 	cases := []struct {
 		spec string

@@ -33,14 +33,9 @@
 // A volume advances in a single simulated timeline and the
 // fan-out/fan-in of mirror requests is fully deterministic: member
 // completions are ordered by simulated (time, seq), the engine's fixed
-// event ordering. By default all members share one event engine; with
-// Options.Shards > 1 each member instead runs its own engine on its
-// own goroutine under a sim.Coordinator, which merges completions back
-// in the same global (time, seq) order — so sharded and unsharded runs
-// of the same volume, and runs under any number of harness jobs, all
-// yield byte-identical output. Callers drive a sharded volume through
-// Run/RunUntil (which delegate to the coordinator) and must Close it
-// when done to join the member goroutines.
+// event ordering. All members share one event engine, so runs of the
+// same volume under any number of harness jobs yield byte-identical
+// output.
 //
 // Degraded operation: a member whose driver has died (fault plan crash)
 // is skipped by mirror reads and writes; the volume request succeeds as
@@ -152,15 +147,6 @@ type Options struct {
 	// member's request lifecycle stream, tagged with the member's disk
 	// index via telemetry.TagDisk.
 	Telemetry *telemetry.Collector
-	// Shards enables parallel member execution: a value above 1 gives
-	// every member disk its own engine and goroutine under a
-	// sim.Coordinator (the value itself is a switch, not a pool size —
-	// the natural decomposition is one shard per member; GOMAXPROCS
-	// bounds actual parallelism). 0 or 1 selects the single shared
-	// engine. Output is byte-identical either way. Span-capturing
-	// telemetry forces the shared engine, since span sinks observe
-	// member-side request lifecycles that have no fan-in ordering.
-	Shards int
 }
 
 // Stats are volume-level request statistics, accumulated since the last
@@ -189,11 +175,8 @@ type Stats struct {
 // Volume is a logical volume over member rigs. Like the rest of the
 // stack it is event-driven and single-threaded on its engine.
 type Volume struct {
-	// Eng is the fan-in engine: the shared engine of every member when
-	// unsharded, or the coordinator's main engine when sharded. The
-	// file system, cache, workloads and rearrangers all run on it
-	// either way; drive it through the volume's Run/RunUntil so the
-	// sharded path engages the coordinator.
+	// Eng is the engine every member shares; the file system, cache,
+	// workloads and rearrangers run on it too.
 	Eng *sim.Engine
 	// Members are the per-disk stacks, in disk-index order, hot spares
 	// last. Callers may attach rearrangers or read per-member
@@ -220,12 +203,8 @@ type Volume struct {
 	balancer Balancer
 	ra       *raid
 
-	// co is the shard coordinator, nil on the single-engine path.
-	co *sim.Coordinator
-
 	// free is the vreq pool; targets is the mirror write fan-out
-	// scratch; bufFree pools block-size parity scratch buffers. All
-	// are fan-in-side (main goroutine) only.
+	// scratch; bufFree pools block-size parity scratch buffers.
 	free    *vreq
 	targets []int
 	bufFree [][]byte
@@ -302,7 +281,6 @@ func New(opts Options) (*Volume, error) {
 		eng.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
 	spans := opts.Telemetry != nil && opts.Telemetry.SpansEnabled()
-	sharded := opts.Shards > 1 && opts.Disks > 1 && !spans
 
 	v := &Volume{
 		Eng:    eng,
@@ -312,21 +290,14 @@ func New(opts Options) (*Volume, error) {
 		ctx:    opts.Ctx,
 	}
 	nrigs := opts.Disks + opts.Spare
-	if sharded {
-		v.co = sim.NewCoordinator(eng, nrigs)
-	}
 	v.stats.PerDisk = make([]int64, nrigs)
 	for i := 0; i < nrigs; i++ {
 		var plan *fault.Plan
 		if i < len(opts.Faults) {
 			plan = opts.Faults[i]
 		}
-		mEng := eng
-		if sharded {
-			mEng = v.co.Shard(i).Engine()
-		}
 		m, err := rig.New(rig.Options{
-			Eng:              mEng,
+			Eng:              eng,
 			Disk:             opts.Disk,
 			ReservedCyls:     opts.ReservedCyls,
 			BlockSize:        opts.BlockSize,
@@ -337,9 +308,6 @@ func New(opts Options) (*Volume, error) {
 		if err != nil {
 			v.Close()
 			return nil, fmt.Errorf("volume: member %d: %w", i, err)
-		}
-		if sharded {
-			m.Driver.BindShard(v.co.Shard(i))
 		}
 		if spans {
 			m.Driver.SetSink(telemetry.TagDisk(i, opts.Telemetry))
@@ -448,52 +416,25 @@ func New(opts Options) (*Volume, error) {
 	return v, nil
 }
 
-// Run drives the simulation until every engine is quiescent: the
-// coordinator's merged run when sharded, the shared engine's Run
-// otherwise.
-func (v *Volume) Run() {
-	if v.co != nil {
-		v.co.Run()
-		return
-	}
-	v.Eng.Run()
-}
+// Run drives the simulation until the engine is quiescent.
+func (v *Volume) Run() { v.Eng.Run() }
 
 // RunUntil drives the simulation through time t inclusive, then
 // advances the clock to t, like sim.Engine.RunUntil.
-func (v *Volume) RunUntil(t float64) {
-	if v.co != nil {
-		v.co.RunUntil(t)
-		return
-	}
-	v.Eng.RunUntil(t)
-}
+func (v *Volume) RunUntil(t float64) { v.Eng.RunUntil(t) }
 
-// Now returns the fan-in engine's current simulated time.
+// Now returns the engine's current simulated time.
 func (v *Volume) Now() float64 { return v.Eng.Now() }
 
-// Dispatched returns the total number of events fired across all the
-// volume's engines; sharded and unsharded runs of the same program
-// report the same count.
-func (v *Volume) Dispatched() int64 {
-	if v.co != nil {
-		return v.co.Dispatched()
-	}
-	return v.Eng.Dispatched()
-}
+// Dispatched returns the number of events the volume's engine has fired.
+func (v *Volume) Dispatched() int64 { return v.Eng.Dispatched() }
 
-// Close releases the volume's resources: on the sharded path it shuts
-// the coordinator down and joins the member goroutines (dropping any
-// in-flight completions, so only call it when the run is over or
-// cancelled). The single-engine path has nothing to release. Close is
-// idempotent.
+// Close disarms the periodic scrub so its ticker stops re-arming on the
+// engine. Close is idempotent.
 func (v *Volume) Close() {
 	if v.ra != nil && v.ra.scrubCancel != nil {
 		v.ra.scrubCancel()
 		v.ra.scrubCancel = nil
-	}
-	if v.co != nil {
-		v.co.Close()
 	}
 }
 
@@ -579,8 +520,8 @@ func (v *Volume) Stats() Stats {
 // response-time distribution (request entry to fan-in completion, one
 // observation per request from the moment of binding), the lifetime
 // count of degraded mirror requests, and the current number of dead
-// members. Call it from the fan-in goroutine; per-member driver
-// metrics are bound separately on each member.
+// members. Per-member driver metrics are bound separately on each
+// member.
 func (v *Volume) BindMetrics(reg *metrics.Registry) {
 	v.mxResp = reg.Histogram("volume_resp_ms", metrics.HistogramOpts{})
 	reg.CounterFunc("volume_degraded", func() int64 { return v.cumDegraded })
@@ -652,8 +593,7 @@ func (v *Volume) fail(done driver.DoneFunc, err error) {
 // callbacks handed to member drivers, prebuilt once per record so a
 // steady-state volume request allocates nothing at the volume layer
 // (the fan-out closures used to dominate the allocation profile of
-// volume-scale runs). Records live on the fan-in side only — every
-// field is touched on the main goroutine — so the pool needs no lock.
+// volume-scale runs).
 type vreq struct {
 	v    *Volume
 	next *vreq
@@ -786,7 +726,7 @@ func (v *Volume) WriteBlock(part int, blk int64, data []byte, done driver.DoneFu
 }
 
 // getBuf pops a pooled block-size scratch buffer for parity math;
-// putBuf returns one. Fan-in side only, like the request pools.
+// putBuf returns one.
 func (v *Volume) getBuf() []byte {
 	if n := len(v.bufFree); n > 0 {
 		b := v.bufFree[n-1]
