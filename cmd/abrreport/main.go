@@ -47,13 +47,13 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tracein"
 )
 
 func main() {
@@ -355,16 +355,9 @@ func run(ctx context.Context, traceFile, diskName, schedName, policyName, format
 		return fmt.Errorf("trace is empty")
 	}
 
-	var model disk.Model
-	reserved := 48
-	switch diskName {
-	case "toshiba":
-		model = disk.Toshiba()
-	case "fujitsu":
-		model = disk.Fujitsu()
-		reserved = 80
-	default:
-		return fmt.Errorf("unknown disk %q", diskName)
+	model, reserved, err := rig.PaperDisk(diskName)
+	if err != nil {
+		return fmt.Errorf("-disk: %w", err)
 	}
 	schedPolicy, err := sched.New(schedName)
 	if err != nil {
@@ -382,9 +375,13 @@ func run(ctx context.Context, traceFile, diskName, schedName, policyName, format
 	}
 
 	replay := func(label string) (*driver.Side, error) {
+		rep, err := tracein.NewReplayer(r.Eng, r.Driver, recs, tracein.ReplayOptions{Mode: tracein.OpenLoop})
+		if err != nil {
+			return nil, err
+		}
 		done := false
-		var completed, errs int
-		trace.Replay(r.Eng, r.Driver, recs, func(c, e int) { completed, errs, done = c, e, true })
+		var res tracein.Result
+		rep.Start(func(r tracein.Result) { res, done = r, true })
 		r.Eng.Run()
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -392,8 +389,8 @@ func run(ctx context.Context, traceFile, diskName, schedName, policyName, format
 		if !done {
 			return nil, fmt.Errorf("replay stalled")
 		}
-		if errs > 0 {
-			fmt.Fprintf(os.Stderr, "abrreport: %s: %d of %d requests failed\n", label, errs, completed+errs)
+		if res.Errors > 0 {
+			fmt.Fprintf(os.Stderr, "abrreport: %s: %d of %d requests failed\n", label, res.Errors, res.Completed+res.Errors)
 		}
 		return r.Driver.ReadStats().All(), nil
 	}

@@ -17,12 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/blocktable"
-	"repro/internal/disk"
 	"repro/internal/geom"
 	"repro/internal/label"
+	"repro/internal/rig"
 )
 
 func main() {
@@ -31,32 +32,30 @@ func main() {
 	out := flag.String("o", "", "write the label and block table into this image file")
 	flag.Parse()
 
-	if err := run(*diskName, *reserved, *out); err != nil {
+	if err := run(os.Stdout, *diskName, *reserved, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "mkrdisk:", err)
 		os.Exit(1)
 	}
 }
 
-func run(diskName string, reserved int, out string) error {
-	var model disk.Model
-	switch diskName {
-	case "toshiba":
-		model = disk.Toshiba()
-		if reserved == 0 {
-			reserved = 48
-		}
-	case "fujitsu":
-		model = disk.Fujitsu()
-		if reserved == 0 {
-			reserved = 80
-		}
-	default:
-		return fmt.Errorf("unknown disk %q", diskName)
+func run(w io.Writer, diskName string, reserved int, out string) error {
+	model, paperReserved, err := rig.PaperDisk(diskName)
+	if err != nil {
+		return fmt.Errorf("-disk: %w", err)
+	}
+	if reserved == 0 {
+		reserved = paperReserved
+	}
+	// The label sector and at least one file system cylinder must
+	// remain outside the region.
+	if reserved < 0 || reserved >= model.Geom.Cylinders-1 {
+		return fmt.Errorf("-reserved %d: want 0 (the paper's %d) or 1 to %d of the %s's %d cylinders",
+			reserved, paperReserved, model.Geom.Cylinders-2, model.Name, model.Geom.Cylinders)
 	}
 	firstCyl, err := label.AlignedFirstCyl(model.Geom, geom.Block8K.Sectors(),
 		(model.Geom.Cylinders-reserved)/2)
 	if err != nil {
-		return err
+		return fmt.Errorf("-reserved %d: %w", reserved, err)
 	}
 	lbl, err := label.NewRearrangedAt(model.Name, model.Geom, firstCyl, reserved)
 	if err != nil {
@@ -70,19 +69,19 @@ func run(diskName string, reserved int, out string) error {
 	}
 
 	first, count := lbl.ReservedCyls()
-	fmt.Printf("disk:              %s\n", model.Name)
-	fmt.Printf("geometry:          %d cylinders, %d tracks/cyl, %d sectors/track\n",
+	fmt.Fprintf(w, "disk:              %s\n", model.Name)
+	fmt.Fprintf(w, "geometry:          %d cylinders, %d tracks/cyl, %d sectors/track\n",
 		model.Geom.Cylinders, model.Geom.TracksPerCyl, model.Geom.SectorsPerTrack)
-	fmt.Printf("capacity:          %d MB\n", model.Geom.Capacity()>>20)
-	fmt.Printf("reserved region:   cylinders %d-%d (%d cylinders, %.1f MB, %.1f%% of disk)\n",
+	fmt.Fprintf(w, "capacity:          %d MB\n", model.Geom.Capacity()>>20)
+	fmt.Fprintf(w, "reserved region:   cylinders %d-%d (%d cylinders, %.1f MB, %.1f%% of disk)\n",
 		first, first+count-1, count,
 		float64(lbl.ReservedLen)*geom.SectorSize/(1<<20),
 		100*float64(lbl.ReservedLen)/float64(model.Geom.TotalSectors()))
-	fmt.Printf("virtual disk:      %d cylinders (%d sectors)\n",
+	fmt.Fprintf(w, "virtual disk:      %d cylinders (%d sectors)\n",
 		lbl.VirtualGeom().Cylinders, lbl.VirtualSectors())
-	fmt.Printf("block slots:       %d 8K blocks fit in the reserved region\n",
+	fmt.Fprintf(w, "block slots:       %d 8K blocks fit in the reserved region\n",
 		geom.Block8K.BlocksIn(lbl.ReservedLen))
-	fmt.Printf("fs partition:      %d blocks\n", size/bsec)
+	fmt.Fprintf(w, "fs partition:      %d blocks\n", size/bsec)
 
 	if out == "" {
 		return nil
@@ -103,6 +102,6 @@ func run(diskName string, reserved int, out string) error {
 	if _, err := f.WriteAt(bt.Encode(), lbl.ReservedStart*geom.SectorSize); err != nil {
 		return err
 	}
-	fmt.Printf("wrote label + empty block table to %s\n", out)
+	fmt.Fprintf(w, "wrote label + empty block table to %s\n", out)
 	return f.Close()
 }

@@ -13,13 +13,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"repro/internal/cache"
-	"repro/internal/disk"
-	"repro/internal/fs"
+	"repro/internal/experiment"
 	"repro/internal/rig"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -40,89 +40,46 @@ func main() {
 	}
 }
 
+// run validates every argument before simulating anything, so a
+// rejected command line costs nothing and leaves no file behind.
 func run(out, fsName, diskName string, hours float64, format string, seed uint64) error {
 	if out == "" {
-		return fmt.Errorf("-o is required")
+		return fmt.Errorf("-o is required: name the trace file to write")
 	}
-	var model disk.Model
-	reserved := 48
-	switch diskName {
-	case "toshiba":
-		model = disk.Toshiba()
-	case "fujitsu":
-		model = disk.Fujitsu()
-		reserved = 80
+	write := trace.WriteBinary
+	switch format {
+	case "binary":
+	case "text":
+		write = trace.WriteText
 	default:
-		return fmt.Errorf("unknown disk %q", diskName)
+		return fmt.Errorf("-format %q: want binary or text", format)
 	}
-	r, err := rig.New(rig.Options{Disk: model, ReservedCyls: reserved})
+	if fsName != "system" && fsName != "users" {
+		return fmt.Errorf("-fs %q: want system or users", fsName)
+	}
+	if _, _, err := rig.PaperDisk(diskName); err != nil {
+		return fmt.Errorf("-disk: %w", err)
+	}
+	if !(hours > 0) || math.IsInf(hours, 0) {
+		return fmt.Errorf("-hours %v: want a positive, finite number of hours", hours)
+	}
+
+	recs, _, err := experiment.CaptureDay(context.Background(), diskName, fsName, hours*workload.HourMS, seed)
 	if err != nil {
 		return err
 	}
-	fsys, err := fs.Newfs(r.Eng, r.Driver, 0, fs.Params{
-		Cache: cache.Config{CapacityBlocks: 512, PressurePeriodMS: 60_000, Seed: seed},
-	})
-	if err != nil {
-		return err
-	}
-	r.Eng.Run()
-
-	var w workload.Workload
-	switch fsName {
-	case "system":
-		w = workload.NewSystem(r.Eng, fsys, workload.SystemConfig{
-			WindowMS: hours * workload.HourMS, Seed: seed,
-		})
-	case "users":
-		w = workload.NewUsers(r.Eng, fsys, workload.UsersConfig{
-			WindowMS: hours * workload.HourMS, Seed: seed,
-		})
-	default:
-		return fmt.Errorf("unknown workload %q", fsName)
-	}
-
-	populated := false
-	var perr error
-	w.Populate(func(err error) { perr, populated = err, true })
-	r.Eng.RunUntil(workload.DayStartMS)
-	if !populated {
-		return fmt.Errorf("populate did not complete")
-	}
-	if perr != nil {
-		return perr
-	}
-
-	cap := trace.NewCapture(r.Eng, r.Driver)
-	dayDone := false
-	var derr error
-	w.RunDay(0, func(err error) { derr, dayDone = err, true })
-	deadline := workload.DayStartMS + hours*workload.HourMS + workload.HourMS
-	r.Eng.RunUntil(deadline)
-	if !dayDone {
-		return fmt.Errorf("workload did not complete by the deadline")
-	}
-	if derr != nil {
-		return derr
-	}
-	cap.Close()
-
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	recs := cap.Records()
-	switch format {
-	case "binary":
-		err = trace.WriteBinary(f, recs)
-	case "text":
-		err = trace.WriteText(f, recs)
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	if err := write(f, recs); err != nil {
+		f.Close()
+		os.Remove(out)
+		return err
 	}
-	if err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %d records to %s\n", len(recs), out)
-	return f.Close()
+	return nil
 }

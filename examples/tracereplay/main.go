@@ -7,22 +7,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/fs"
+	"repro/internal/experiment"
 	"repro/internal/rig"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/tracein"
 	"repro/internal/workload"
 )
 
 func main() {
-	// 1. Capture one hour of the system file-server workload.
-	recs := capture()
+	// 1. Capture one hour of the system file-server workload — the
+	// library call behind cmd/tracegen.
+	recs, _, err := experiment.CaptureDay(context.Background(), "toshiba", "system", workload.HourMS, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("captured %d block requests (1 hour of the system workload)\n\n", len(recs))
 
 	// 2. Replay it under each scheduler, original layout vs rearranged.
@@ -40,50 +45,6 @@ func main() {
 	}
 	fmt.Println("\nrearrangement helps under every scheduler; SCAN + rearrangement")
 	fmt.Println("compound (the synergy the paper describes in Section 5.2).")
-}
-
-// capture runs the system workload for an hour and records the driver's
-// request stream.
-func capture() []trace.Record {
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fsys, err := fs.Newfs(r.Eng, r.Driver, 0, fs.Params{
-		Cache: cache.Config{CapacityBlocks: 512, PressurePeriodMS: 60_000},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Eng.Run()
-	w := workload.NewSystem(r.Eng, fsys, workload.SystemConfig{
-		WindowMS: workload.HourMS,
-	})
-	populated := false
-	w.Populate(func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		populated = true
-	})
-	r.Eng.RunUntil(workload.DayStartMS)
-	if !populated {
-		log.Fatal("populate stalled")
-	}
-	cap := trace.NewCapture(r.Eng, r.Driver)
-	done := false
-	w.RunDay(0, func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		done = true
-	})
-	r.Eng.RunUntil(workload.DayStartMS + 2*workload.HourMS)
-	if !done {
-		log.Fatal("workload stalled")
-	}
-	cap.Close()
-	return cap.Records()
 }
 
 // replay runs the trace on a fresh disk with the given scheduler,
@@ -128,10 +89,14 @@ func replay(recs []trace.Record, schedName string, rearranged bool) (seekMS, zer
 }
 
 func runReplay(r *rig.Rig, recs []trace.Record) {
+	rep, err := tracein.NewReplayer(r.Eng, r.Driver, recs, tracein.ReplayOptions{Mode: tracein.OpenLoop})
+	if err != nil {
+		log.Fatal(err)
+	}
 	done := false
-	trace.Replay(r.Eng, r.Driver, recs, func(_, errs int) {
-		if errs > 0 {
-			log.Fatalf("%d replay errors", errs)
+	rep.Start(func(res tracein.Result) {
+		if res.Errors > 0 {
+			log.Fatalf("%d replay errors", res.Errors)
 		}
 		done = true
 	})

@@ -179,13 +179,13 @@ func (c *Cache) Stats() (hits, misses, writebacks int64) {
 }
 
 // BindMetrics registers the cache's lifetime counters in reg under a
-// cache="name" label, as func-backed metrics resolved at snapshot time
-// — the hot path is untouched.
-func (c *Cache) BindMetrics(reg *metrics.Registry, name string) {
-	lbl := metrics.Label{Key: "cache", Value: name}
-	reg.CounterFunc("cache_hits", func() int64 { return c.hits }, lbl)
-	reg.CounterFunc("cache_misses", func() int64 { return c.misses }, lbl)
-	reg.CounterFunc("cache_writebacks", func() int64 { return c.writebacks }, lbl)
+// cache="name" label (plus any extra labels), as func-backed metrics
+// resolved at snapshot time — the hot path is untouched.
+func (c *Cache) BindMetrics(reg *metrics.Registry, name string, labels ...metrics.Label) {
+	labels = append([]metrics.Label{{Key: "cache", Value: name}}, labels...)
+	reg.CounterFunc("cache_hits", func() int64 { return c.hits }, labels...)
+	reg.CounterFunc("cache_misses", func() int64 { return c.misses }, labels...)
+	reg.CounterFunc("cache_writebacks", func() int64 { return c.writebacks }, labels...)
 }
 
 // Len returns the number of cached blocks.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,13 +49,18 @@ var equivSpecs = []struct {
 	id    string
 	short bool // runs in -short mode too
 	days  int  // override equivOptions().Days when > 0
+	// metrics marks a spec TestMetricsDeterminism locks as well. Its
+	// three simulations are shared between the two tests: plain jobs=1,
+	// metrics-on jobs=1 and metrics-on jobs=8, instead of a plain and a
+	// metrics-on pair each.
+	metrics bool
 }{
-	{id: "table2", short: true},
-	{id: "faults", short: true},
+	{id: "table2", short: true, metrics: true},
+	{id: "faults", short: true, metrics: true},
 	{id: "crash", short: true},
 	{id: "table7"},
-	{id: "volume-scale"},
-	{id: "tenant-scale"},
+	{id: "volume-scale", metrics: true},
+	{id: "tenant-scale", metrics: true},
 	// One day, not two: the parity matrix has no rearrangement (nothing
 	// distinguishes day 1 from day 0) and six rows at full fan-out, so
 	// the second day would only double the battery's wall clock.
@@ -65,30 +71,74 @@ var equivSpecs = []struct {
 	// new event-ordering surface. Not in -short: each row re-captures
 	// the source trace, and the race step's time budget is spent on the
 	// tracein package's own battery instead.
-	{id: "trace-replay"},
+	{id: "trace-replay", metrics: true},
 }
 
-// renderSpec gathers one spec on the given worker count and renders its
-// reports exactly as abrsim prints them. days > 0 overrides the fixed
-// day count.
-func renderSpec(t *testing.T, id string, days, workers int) string {
+// specRun is what one run of a spec wrote: the reports exactly as
+// abrsim prints them and, for a metrics-on run, the per-job snapshot
+// document as abrsim -metrics writes it.
+type specRun struct{ stdout, snapshot string }
+
+// runSpec gathers one spec on the given worker count. days > 0
+// overrides the fixed day count; withMetrics turns the histograms on
+// and fails the test if any job's snapshot is empty.
+func runSpec(t *testing.T, id string, days, workers int, withMetrics bool) specRun {
 	t.Helper()
 	o := equivOptions()
 	if days > 0 {
 		o.Days = days
 	}
-	reports, err := RunSpec(context.Background(), id, o,
+	if withMetrics {
+		o.Telemetry = &telemetry.Options{Metrics: true}
+	}
+	reports, rs, err := RunSpecFull(context.Background(), id, o,
 		runner.Config{Workers: workers})
 	if err != nil {
 		t.Fatalf("%s (jobs=%d): %v", id, workers, err)
 	}
+	var run specRun
 	var sb strings.Builder
 	for _, r := range reports {
 		sb.WriteString(r.Render())
 		sb.WriteByte('\n')
 	}
-	return sb.String()
+	run.stdout = sb.String()
+	if withMetrics {
+		jobs := telemetry.MetricsSnapshots(rs.Collectors)
+		if len(jobs) == 0 {
+			t.Fatalf("%s: no metrics snapshots collected", id)
+		}
+		for _, j := range jobs {
+			if len(j.Metrics) == 0 {
+				t.Errorf("%s: job %s bound no metrics", id, j.Job)
+			}
+		}
+		sb.Reset()
+		if err := metrics.WriteJSON(&sb, jobs); err != nil {
+			t.Fatal(err)
+		}
+		run.snapshot = sb.String()
+	}
+	return run
 }
+
+// metricsRuns memoizes the metrics-on runs the two tests share.
+var metricsRuns = map[string]specRun{}
+
+// metricsRun returns the spec's metrics-on run at the given worker
+// count, simulating it the first time either test asks.
+func metricsRun(t *testing.T, id string, workers int) specRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/jobs=%d", id, workers)
+	run, ok := metricsRuns[key]
+	if !ok {
+		run = runSpec(t, id, 0, workers, true)
+		metricsRuns[key] = run
+	}
+	return run
+}
+
+func goldenPath(id string) string { return filepath.Join("testdata", "equiv", id+".golden") }
 
 func TestEngineEquivalenceGolden(t *testing.T) {
 	for _, spec := range equivSpecs {
@@ -97,8 +147,8 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			if testing.Short() && !spec.short {
 				t.Skip("policy matrix simulation in -short mode")
 			}
-			got := renderSpec(t, spec.id, spec.days, 1)
-			path := filepath.Join("testdata", "equiv", spec.id+".golden")
+			got := runSpec(t, spec.id, spec.days, 1, false).stdout
+			path := goldenPath(spec.id)
 			if os.Getenv("UPDATE_EQUIV_GOLDEN") != "" {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -120,58 +170,62 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			}
 			// The parallel gather must agree byte-for-byte with the
 			// sequential one — the runner's ordering contract, re-checked
-			// here because the pooled engine must stay job-private.
-			if par := renderSpec(t, spec.id, spec.days, 8); par != got {
+			// here because the pooled engine must stay job-private. Where
+			// TestMetricsDeterminism runs the spec at jobs=8 anyway, that
+			// run stands in: stdout is the same with or without -metrics.
+			var par string
+			if spec.metrics {
+				par = metricsRun(t, spec.id, 8).stdout
+			} else {
+				par = runSpec(t, spec.id, spec.days, 8, false).stdout
+			}
+			if par != got {
 				t.Errorf("%s: jobs=8 output differs from jobs=1", spec.id)
 			}
 		})
 	}
 }
 
-// metricsJSON runs one spec with metrics histograms enabled and
-// returns the per-job snapshot document as abrsim -metrics writes it.
-func metricsJSON(t *testing.T, id string, o Options, workers int) string {
-	t.Helper()
-	o.Telemetry = &telemetry.Options{Metrics: true}
-	_, rs, err := RunSpecFull(context.Background(), id, o,
-		runner.Config{Workers: workers})
-	if err != nil {
-		t.Fatalf("%s (jobs=%d): %v", id, workers, err)
-	}
-	jobs := telemetry.MetricsSnapshots(rs.Collectors)
-	if len(jobs) == 0 {
-		t.Fatalf("%s: no metrics snapshots collected", id)
-	}
-	var sb strings.Builder
-	if err := metrics.WriteJSON(&sb, jobs); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
-}
-
 // TestMetricsDeterminism pins the metrics core's determinism contract
 // end to end: the JSON snapshot — every bucket count, sum, and
 // quantile input — must be byte-identical for any harness worker
-// count.
+// count, no job's snapshot may be empty, and turning metrics on must
+// not move a byte of stdout (checked against the golden, where the
+// spec has one).
 func TestMetricsDeterminism(t *testing.T) {
-	for _, spec := range []struct {
-		id    string
-		short bool // runs in -short mode too
-	}{
-		{"table2", true},
-		{"faults", true},
-		{"volume-scale", false},
-		{"tenant-scale", false},
-		{"trace-replay", false},
-	} {
+	type row struct {
+		id            string
+		short, golden bool
+	}
+	// "shared" has no golden; it is here because it is the experiment
+	// that once bound no metrics at all.
+	rows := []row{{id: "shared", short: true}}
+	for _, spec := range equivSpecs {
+		if spec.metrics {
+			rows = append(rows, row{spec.id, spec.short, true})
+		}
+	}
+	for _, spec := range rows {
 		spec := spec
 		t.Run(spec.id, func(t *testing.T) {
 			if testing.Short() && !spec.short {
 				t.Skip("volume matrix simulation in -short mode")
 			}
-			base := metricsJSON(t, spec.id, equivOptions(), 1)
-			if got := metricsJSON(t, spec.id, equivOptions(), 8); got != base {
+			base, par := metricsRun(t, spec.id, 1), metricsRun(t, spec.id, 8)
+			if par.snapshot != base.snapshot {
 				t.Errorf("%s: jobs=8 metrics snapshot differs from jobs=1", spec.id)
+			}
+			if !spec.golden {
+				return
+			}
+			want, err := os.ReadFile(goldenPath(spec.id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for jobs, run := range map[int]specRun{1: base, 8: par} {
+				if run.stdout != string(want) {
+					t.Errorf("%s: stdout with metrics on (jobs=%d) differs from the golden", spec.id, jobs)
+				}
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fault/crashcheck"
-	"repro/internal/runner"
 )
 
 // This file registers the fault-tolerance extension experiments — runs
@@ -50,43 +49,36 @@ func faultUnits(o Options) []unit {
 	if seed == 0 {
 		seed = 1
 	}
-	var units []unit
+	var rows []Setup
 	for _, rate := range DefaultFaultRates {
-		rate := rate
-		s := Setup{
-			DiskName: "toshiba", FSName: "system",
-			Days:      o.days(2),
-			OnPattern: func(day int) bool { return day > 0 },
-			WindowMS:  o.WindowMS, Seed: o.Seed,
-			Fault: &fault.Plan{Seed: seed, TransientRead: rate, TransientWrite: rate},
-		}
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  fmt.Sprintf("faults/%g", rate),
-				Units: float64(s.Days),
-				Run: func(ctx context.Context) (any, error) {
-					run, err := Execute(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: faults rate=%g: %w", rate, err)
-					}
-					sum := Summarize(run.Days, run.Curve, AllRequests)
-					c := run.Counters
-					return FaultPoint{
-						Rate:           rate,
-						ServiceMS:      sum.Service.Avg(),
-						WaitMS:         sum.Wait.Avg(),
-						Faults:         c.Faults,
-						Retries:        c.Retries,
-						Remaps:         c.Remaps,
-						Unrecovered:    c.Unrecovered,
-						WorkloadErrors: run.WorkloadErrors,
-					}, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) { rs.Faults = append(rs.Faults, v.(FaultPoint)) },
-		})
+		s := o.setup("toshiba", "system", 2)
+		s.OnPattern = everyDayAfterWarmup
+		s.Fault = &fault.Plan{Seed: seed, TransientRead: rate, TransientWrite: rate}
+		rows = append(rows, s)
 	}
-	return units
+	return matrixUnits(rows,
+		func(s Setup) (string, float64) {
+			return fmt.Sprintf("faults/%g", s.Fault.TransientRead), float64(s.Days)
+		},
+		func(ctx context.Context, s Setup) (FaultPoint, error) {
+			run, err := Execute(ctx, s)
+			if err != nil {
+				return FaultPoint{}, err
+			}
+			sum := Summarize(run.Days, run.Curve, AllRequests)
+			c := run.Counters
+			return FaultPoint{
+				Rate:           s.Fault.TransientRead,
+				ServiceMS:      sum.Service.Avg(),
+				WaitMS:         sum.Wait.Avg(),
+				Faults:         c.Faults,
+				Retries:        c.Retries,
+				Remaps:         c.Remaps,
+				Unrecovered:    c.Unrecovered,
+				WorkloadErrors: run.WorkloadErrors,
+			}, nil
+		},
+		func(rs *ResultSet, _ Setup, p FaultPoint) { rs.Faults = append(rs.Faults, p) })
 }
 
 // FaultsReport renders the fault-rate sweep with the clean baseline's
@@ -135,14 +127,17 @@ type CrashPoint struct {
 	Err string
 }
 
+// crashScenario is one row of the crash battery.
+type crashScenario struct {
+	name string
+	plan fault.Plan
+}
+
 // crashScenarios is the scenario battery: a crash during each phase of
 // the DKIOCBCOPY protocol, plus arbitrary-point crashes. Seed 350 is a
 // searched-for seed whose table-write tear lands inside the encoded
 // bytes, forcing recovery onto the other slot's previous generation.
-var crashScenarios = []struct {
-	name string
-	plan fault.Plan
-}{
+var crashScenarios = []crashScenario{
 	{"mid block-copy", fault.Plan{Seed: 11, CrashPhase: "bcopy-copy", CrashPhaseSkip: 2}},
 	{"mid table-write (torn slot)", fault.Plan{Seed: 350, CrashPhase: "table-write", CrashPhaseSkip: 2}},
 	{"after 29 device ops", fault.Plan{Seed: 29, CrashAfterOps: 29}},
@@ -152,33 +147,24 @@ var crashScenarios = []struct {
 // crashUnits wraps each crash scenario as one independent job. An
 // invariant violation is reported in the point, not as a job error, so
 // one bad scenario does not mask the others' results.
-func crashUnits() []unit {
-	var units []unit
-	for _, sc := range crashScenarios {
-		sc := sc
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  "crash/" + sc.name,
-				Units: 1,
-				Run: func(ctx context.Context) (any, error) {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					p := CrashPoint{Scenario: sc.name, Plan: sc.plan.String()}
-					res, err := crashcheck.Check(sc.plan)
-					if err != nil {
-						p.Err = err.Error()
-						return p, nil
-					}
-					p.Ops, p.Moves, p.AckedWrites, p.Entries =
-						res.Ops, res.Moves, res.AckedWrites, res.Entries
-					return p, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) { rs.Crash = append(rs.Crash, v.(CrashPoint)) },
-		})
-	}
-	return units
+func crashUnits(Options) []unit {
+	return matrixUnits(crashScenarios,
+		func(sc crashScenario) (string, float64) { return "crash/" + sc.name, 1 },
+		func(ctx context.Context, sc crashScenario) (CrashPoint, error) {
+			if err := ctx.Err(); err != nil {
+				return CrashPoint{}, err
+			}
+			p := CrashPoint{Scenario: sc.name, Plan: sc.plan.String()}
+			res, err := crashcheck.Check(sc.plan)
+			if err != nil {
+				p.Err = err.Error()
+				return p, nil
+			}
+			p.Ops, p.Moves, p.AckedWrites, p.Entries =
+				res.Ops, res.Moves, res.AckedWrites, res.Entries
+			return p, nil
+		},
+		func(rs *ResultSet, _ crashScenario, p CrashPoint) { rs.Crash = append(rs.Crash, p) })
 }
 
 // CrashReport renders the crash-recovery battery.

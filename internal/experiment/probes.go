@@ -3,6 +3,7 @@ package experiment
 import (
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/rig"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -44,19 +45,16 @@ func registerCacheProbes(col *telemetry.Collector, prefix string, c *cache.Cache
 	})
 }
 
-// registerFaultProbes registers fault-tolerance counters as sampler
-// columns: injected faults, transient retries, bad-block remaps, and
-// unrecovered failures. It is a no-op on a rig without a fault injector,
-// so fault-free runs keep their exact column set (and golden output).
-func registerFaultProbes(col *telemetry.Collector, r *rig.Rig) {
-	if r.Faults == nil {
-		return
-	}
-	drv := r.Driver
-	col.AddProbe("faults", func() float64 { return float64(drv.Counters().Faults) })
-	col.AddProbe("retries", func() float64 { return float64(drv.Counters().Retries) })
-	col.AddProbe("remaps", func() float64 { return float64(drv.Counters().Remaps) })
-	col.AddProbe("unrecovered", func() float64 { return float64(drv.Counters().Unrecovered) })
+// registerFaultProbes registers one disk's fault-tolerance counters as
+// sampler columns under the given prefix: injected faults, transient
+// retries, bad-block remaps, and unrecovered failures. Callers register
+// them only for a disk with a fault injector, so fault-free runs keep
+// their exact column set (and golden output).
+func registerFaultProbes(col *telemetry.Collector, prefix string, drv *driver.Driver) {
+	col.AddProbe(prefix+"faults", func() float64 { return float64(drv.Counters().Faults) })
+	col.AddProbe(prefix+"retries", func() float64 { return float64(drv.Counters().Retries) })
+	col.AddProbe(prefix+"remaps", func() float64 { return float64(drv.Counters().Remaps) })
+	col.AddProbe(prefix+"unrecovered", func() float64 { return float64(drv.Counters().Unrecovered) })
 }
 
 // registerRearrangerProbes registers hot-list probes: how many blocks

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/volume"
 	"repro/internal/workload"
 )
@@ -109,27 +107,10 @@ func raidConfigs(o Options) []VolumeSetup {
 // raidUnits decomposes the parity matrix into one independent run per
 // configuration.
 func raidUnits(o Options) []unit {
-	var units []unit
-	for _, s := range raidConfigs(o) {
-		s := s
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  "raid/" + s.Config,
-				Units: float64(s.Days),
-				Run: func(ctx context.Context) (any, error) {
-					pt, err := ExecuteVolume(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: raid %s: %w", s.Config, err)
-					}
-					return pt, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) {
-				rs.RAID = append(rs.RAID, *v.(*VolumePoint))
-			},
-		})
-	}
-	return units
+	return matrixUnits(raidConfigs(o),
+		func(s VolumeSetup) (string, float64) { return "raid/" + s.Config, float64(s.Days) },
+		ExecuteVolume,
+		func(rs *ResultSet, _ VolumeSetup, pt *VolumePoint) { rs.RAID = append(rs.RAID, *pt) })
 }
 
 // RAIDReport renders the parity-layout matrix.

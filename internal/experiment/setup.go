@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fs"
 	"repro/internal/hotlist"
-	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/sched"
 	"repro/internal/seek"
@@ -99,38 +98,39 @@ type Setup struct {
 	Fault *fault.Plan
 }
 
-func (s Setup) withDefaults() (Setup, error) {
-	switch s.DiskName {
-	case "", "toshiba":
+// toshibaSlots is the paper's rearranged-block count on the Toshiba:
+// what its 48 reserved cylinders hold beside the block table.
+const toshibaSlots = 1018
+
+// withDefaults fills the zero fields and resolves the disk model.
+func (s Setup) withDefaults() (Setup, disk.Model, error) {
+	model, reserved, err := rig.PaperDisk(s.DiskName)
+	if err != nil {
+		return s, model, fmt.Errorf("experiment: %w", err)
+	}
+	if s.ReservedCyls == 0 {
+		s.ReservedCyls = reserved
+	}
+	// How much the paper rearranged and how many users it had on each
+	// disk are facts of the experiments, not of the disks.
+	blocks, users := toshibaSlots, 10
+	if s.DiskName == "fujitsu" {
+		blocks, users = 3500, 20
+	} else {
 		s.DiskName = "toshiba"
-		if s.Blocks == 0 {
-			s.Blocks = 1018
-		}
-		if s.ReservedCyls == 0 {
-			s.ReservedCyls = 48
-		}
-		if s.Users == 0 {
-			s.Users = 10
-		}
-	case "fujitsu":
-		if s.Blocks == 0 {
-			s.Blocks = 3500
-		}
-		if s.ReservedCyls == 0 {
-			s.ReservedCyls = 80
-		}
-		if s.Users == 0 {
-			s.Users = 20
-		}
-	default:
-		return s, fmt.Errorf("experiment: unknown disk %q", s.DiskName)
+	}
+	if s.Blocks == 0 {
+		s.Blocks = blocks
+	}
+	if s.Users == 0 {
+		s.Users = users
 	}
 	switch s.FSName {
 	case "", "system":
 		s.FSName = "system"
 	case "users":
 	default:
-		return s, fmt.Errorf("experiment: unknown file system %q", s.FSName)
+		return s, model, fmt.Errorf("experiment: unknown file system %q", s.FSName)
 	}
 	if s.Policy == "" {
 		s.Policy = "organ-pipe"
@@ -165,7 +165,22 @@ func (s Setup) withDefaults() (Setup, error) {
 	if s.PressureFrac <= 0 {
 		s.PressureFrac = 0.10
 	}
-	return s, nil
+	return s, model, nil
+}
+
+// fsParams is the setup's file system: the calibrated caches, mounted
+// write-through (NFS) for a users file system.
+func (s Setup) fsParams(syncData bool) fs.Params {
+	return fs.Params{
+		SyncData: syncData,
+		Cache: cache.Config{
+			CapacityBlocks:   s.CacheBlocks,
+			PressurePeriodMS: s.PressurePeriodMS,
+			PressureFrac:     s.PressureFrac,
+			Seed:             s.Seed,
+		},
+		MetaCache: cache.Config{CapacityBlocks: s.MetaCacheBlocks, SyncPeriodMS: s.MetaSyncPeriodMS},
+	}
 }
 
 // DayResult is one measured day.
@@ -223,80 +238,14 @@ func (r *Run) filter(on bool) []DayResult {
 // calls never share mutable state — the property the parallel runner
 // relies on.
 func Execute(ctx context.Context, s Setup) (*Run, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s, err := s.withDefaults()
+	s, model, err := s.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	var model disk.Model
-	if s.DiskName == "toshiba" {
-		model = disk.Toshiba()
-	} else {
-		model = disk.Fujitsu()
 	}
 	schedPolicy, err := sched.New(s.Sched)
 	if err != nil {
 		return nil, err
 	}
-	// A collector in the context (injected per job by the harness)
-	// turns on telemetry for this run; nil leaves every hook on its
-	// zero-cost path.
-	col := telemetry.FromContext(ctx)
-	var schedCount *sched.Counting
-	if col != nil && (col.SamplePeriodMS() > 0 || col.MetricsEnabled()) {
-		schedCount = sched.NewCounting(schedPolicy)
-		schedPolicy = schedCount
-	}
-	r, err := rig.New(rig.Options{
-		Ctx:              ctx,
-		Disk:             model,
-		ReservedCyls:     s.ReservedCyls,
-		ReservedFirstCyl: s.ReservedFirstCyl,
-		Sched:            schedPolicy,
-		Telemetry:        col,
-		Fault:            s.Fault,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fsys, err := fs.Newfs(r.Eng, r.Driver, 0, fs.Params{
-		SyncData: s.FSName == "users",
-		Cache: cache.Config{
-			CapacityBlocks:   s.CacheBlocks,
-			PressurePeriodMS: s.PressurePeriodMS,
-			PressureFrac:     s.PressureFrac,
-			Seed:             s.Seed,
-		},
-		MetaCache: cache.Config{CapacityBlocks: s.MetaCacheBlocks, SyncPeriodMS: s.MetaSyncPeriodMS},
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.Eng.Run() // format completes before any daemon exists
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var w workload.Workload
-	var errorsOf func() int64
-	if s.FSName == "system" {
-		sw := workload.NewSystem(r.Eng, fsys, workload.SystemConfig{
-			Files:    s.Files,
-			WindowMS: s.WindowMS,
-			Seed:     s.Seed,
-		})
-		w, errorsOf = sw, sw.Errors
-	} else {
-		uw := workload.NewUsers(r.Eng, fsys, workload.UsersConfig{
-			Users:    s.Users,
-			WindowMS: s.WindowMS,
-			Seed:     s.Seed,
-		})
-		w, errorsOf = uw, uw.Errors
-	}
-
 	var policy core.Policy
 	if s.Policy == "cylinder" {
 		policy = core.NewCylinderOrganPipe(model.Geom.SectorsPerCyl())
@@ -310,19 +259,30 @@ func Execute(ctx context.Context, s Setup) (*Run, error) {
 	if s.HotlistSize > 0 {
 		counter = hotlist.NewBounded(s.HotlistSize, hotlist.ReplaceMin)
 	}
-	rear, err := core.New(r.Eng, r.Driver, core.Config{
-		Policy:       policy,
-		Counter:      counter,
-		MaxBlocks:    s.Blocks,
-		PollPeriodMS: s.PollPeriodMS,
+	st, err := newStack(ctx, stackSpec{
+		rig: &rig.Options{
+			Disk:             model,
+			ReservedCyls:     s.ReservedCyls,
+			ReservedFirstCyl: s.ReservedFirstCyl,
+			Sched:            schedPolicy,
+			Fault:            s.Fault,
+		},
+		mounts: []mount{{params: s.fsParams(s.FSName == "users")}},
+		rearrange: &core.Config{
+			Policy:       policy,
+			Counter:      counter,
+			MaxBlocks:    s.Blocks,
+			PollPeriodMS: s.PollPeriodMS,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer st.finish()
+	drv := st.rig.Driver
 
-	if err := await(r, "populate", workload.DayStartMS, func(done func(error)) {
-		w.Populate(done)
-	}); err != nil {
+	w := paperWorkload(st, s.FSName, s.Files, s.Users, s.WindowMS, s.Seed)
+	if err := st.await("populate", workload.DayStartMS, w.Populate); err != nil {
 		return nil, err
 	}
 
@@ -339,116 +299,47 @@ func Execute(ctx context.Context, s Setup) (*Run, error) {
 			readCnt.Observe(e.Block)
 		}
 	})
-	if col != nil && col.SpansEnabled() {
-		r.Driver.SetSink(telemetry.Multi(countSink, col))
+	if st.col.SpansEnabled() {
+		drv.SetSink(telemetry.Multi(countSink, st.col))
 	} else {
-		r.Driver.SetSink(countSink)
+		drv.SetSink(countSink)
 	}
-	if col != nil && col.SamplePeriodMS() > 0 {
-		registerStackProbes(col, r, schedCount)
-		registerCacheProbes(col, "cache", fsys.Cache())
-		registerCacheProbes(col, "meta", fsys.MetaCache())
-		registerRearrangerProbes(col, rear)
-		registerFaultProbes(col, r)
-		col.StartSampler(r.Eng)
-	}
-	if col != nil && col.MetricsEnabled() {
-		// Bind after populate so the distributions cover only measured
-		// traffic, like ReadStats discarding populate noise below.
-		reg := col.Metrics()
-		r.Driver.BindMetrics(reg)
-		schedCount.BindMetrics(reg)
-		fsys.BindMetrics(reg)
-		if b, ok := w.(interface{ BindMetrics(*metrics.Registry) }); ok {
-			b.BindMetrics(reg)
-		}
-	}
+	st.observe(w)
 
 	run := &Run{Setup: s, Curve: model.Seek}
-	for day := 0; day < s.Days; day++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dayStart := float64(day)*workload.DayMS + workload.DayStartMS
-		dayEnd := dayStart + s.WindowMS
-		r.Eng.RunUntil(dayStart)
-		r.Driver.ReadStats() // discard overnight / populate noise
-		allCnt.Reset()
-		readCnt.Reset()
-		rear.StartMonitoring()
-
-		if err := await(r, fmt.Sprintf("day %d", day), dayEnd+30*60*1000, func(done func(error)) {
-			w.RunDay(day, done)
-		}); err != nil {
-			return nil, err
-		}
-		rear.StopMonitoring()
-
-		dr := DayResult{
-			Day:        day,
-			On:         s.OnPattern(day) && day > 0,
-			Stats:      r.Driver.ReadStats(),
-			AccessDist: allCnt.Distribution(),
-			ReadDist:   readCnt.Distribution(),
-		}
-		allCnt.Reset()
-		readCnt.Reset()
-		run.Days = append(run.Days, dr)
-
-		// Overnight: rearrange (or clean) for the next day using the
-		// counts measured today.
-		if day+1 < s.Days {
-			if s.OnPattern(day + 1) {
-				var installed int
-				if err := await(r, fmt.Sprintf("rearrange after day %d", day),
-					r.Eng.Now()+2*workload.HourMS, func(done func(error)) {
-						rear.Rearrange(func(n int, err error) {
-							installed = n
-							done(err)
-						})
-					}); err != nil {
-					return nil, err
-				}
-				run.Installed = append(run.Installed, installed)
-			} else {
-				if err := await(r, fmt.Sprintf("clean after day %d", day),
-					r.Eng.Now()+2*workload.HourMS, func(done func(error)) {
-						rear.CleanOnly(done)
-					}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		rear.ResetCounts()
+	run.Installed, err = st.runDays(s.Days, s.WindowMS, s.OnPattern, w.RunDay,
+		func(int) {
+			drv.ReadStats() // discard overnight / populate noise
+			allCnt.Reset()
+			readCnt.Reset()
+		},
+		func(day int) {
+			run.Days = append(run.Days, DayResult{
+				Day:        day,
+				On:         s.OnPattern(day) && day > 0,
+				Stats:      drv.ReadStats(),
+				AccessDist: allCnt.Distribution(),
+				ReadDist:   readCnt.Distribution(),
+			})
+		})
+	if err != nil {
+		return nil, err
 	}
-	run.WorkloadErrors = errorsOf()
-	run.Counters = r.Driver.Counters()
-	if col != nil {
-		col.SetEngineEvents(r.Eng.Dispatched())
-	}
+	run.WorkloadErrors = w.Errors()
+	run.Counters = drv.Counters()
 	return run, nil
 }
 
-// await drives the engine until an async operation signals completion,
-// extending the horizon in bounded increments so periodic daemons cannot
-// stall it, and failing if the operation takes absurdly long. A
-// cancelled rig surfaces as the context's error rather than a stall.
-func await(r *rig.Rig, what string, horizon float64, op func(done func(error))) error {
-	var opErr error
-	finished := false
-	op(func(err error) {
-		opErr = err
-		finished = true
-	})
-	r.Eng.RunUntil(horizon)
-	for ext := 0; !finished && r.Err() == nil && ext < 200; ext++ {
-		r.Eng.RunUntil(r.Eng.Now() + 10*60*1000)
+// paperWorkload makes one of the paper's two file-server workloads,
+// "system" or "users", on the stack's first file system. Zero files
+// (system) or users (users) select the workload's own default.
+func paperWorkload(st *stack, fsName string, files, users int, windowMS float64, seed uint64) interface {
+	workload.Workload
+	metricsBinder
+	Errors() int64
+} {
+	if fsName == "system" {
+		return workload.NewSystem(st.eng, st.fs[0], workload.SystemConfig{Files: files, WindowMS: windowMS, Seed: seed})
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !finished {
-		return fmt.Errorf("experiment: %s did not complete by t=%.0f ms", what, r.Eng.Now())
-	}
-	return opErr
+	return workload.NewUsers(st.eng, st.fs[0], workload.UsersConfig{Users: users, WindowMS: windowMS, Seed: seed})
 }

@@ -2,14 +2,9 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/disk"
-	"repro/internal/fs"
 	"repro/internal/rig"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -30,153 +25,73 @@ type SharedResult struct {
 // Both workloads drive one rig and one engine, so the run is a single
 // job on the parallel runner; the context cancels it.
 func RunShared(ctx context.Context, o Options) (*SharedResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	days := o.days(4)
-	windowMS := o.WindowMS
-	if windowMS <= 0 {
-		windowMS = workload.DayEndMS - workload.DayStartMS
-	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
-	model := disk.Toshiba()
+	// The paper's Toshiba setup — its window, caches, reserved region
+	// and alternating on-days — with two file systems on the one disk.
+	s, model, _ := Setup{Days: o.days(4), WindowMS: o.WindowMS, Seed: o.Seed}.withDefaults()
 	// Split the virtual disk ~60/40 between the two file systems.
-	totalBlocks := (model.Geom.TotalSectors() - 48*int64(model.Geom.SectorsPerCyl())) / 16
+	totalBlocks := (model.Geom.TotalSectors() - int64(s.ReservedCyls)*int64(model.Geom.SectorsPerCyl())) / 16
 	sysBlocks := totalBlocks * 6 / 10
 	usrBlocks := totalBlocks - sysBlocks - 16
-	col := telemetry.FromContext(ctx)
-	r, err := rig.New(rig.Options{
-		Ctx:             ctx,
-		Disk:            model,
-		ReservedCyls:    48,
-		PartitionBlocks: []int64{sysBlocks, usrBlocks},
-		Telemetry:       col,
-		Fault:           o.Fault,
+	st, err := newStack(ctx, stackSpec{
+		rig: &rig.Options{
+			Disk:            model,
+			ReservedCyls:    s.ReservedCyls,
+			PartitionBlocks: []int64{sysBlocks, usrBlocks},
+			Fault:           o.Fault,
+		},
+		mounts:    []mount{{"sys", s.fsParams(false)}, {"usr", s.fsParams(true)}},
+		rearrange: &core.Config{MaxBlocks: s.Blocks},
 	})
 	if err != nil {
 		return nil, err
 	}
-	mkfs := func(part int, syncData bool) (*fs.FS, error) {
-		return fs.Newfs(r.Eng, r.Driver, part, fs.Params{
-			SyncData: syncData,
-			Cache: cache.Config{
-				CapacityBlocks:   512,
-				PressurePeriodMS: 60_000,
-				PressureFrac:     0.10,
-				Seed:             seed,
-			},
-			MetaCache: cache.Config{CapacityBlocks: 512, SyncPeriodMS: 5_000},
-		})
-	}
-	sysFS, err := mkfs(0, false)
-	if err != nil {
-		return nil, err
-	}
-	usrFS, err := mkfs(1, true)
-	if err != nil {
-		return nil, err
-	}
-	r.Eng.Run()
+	defer st.finish()
+	drv := st.rig.Driver
 
-	sysW := workload.NewSystem(r.Eng, sysFS, workload.SystemConfig{
-		WindowMS: windowMS, Seed: seed,
+	sysW := workload.NewSystem(st.eng, st.fs[0], workload.SystemConfig{
+		WindowMS: s.WindowMS, Seed: s.Seed,
 	})
-	usrW := workload.NewUsers(r.Eng, usrFS, workload.UsersConfig{
-		WindowMS: windowMS, Seed: seed + 1,
+	usrW := workload.NewUsers(st.eng, st.fs[1], workload.UsersConfig{
+		WindowMS: s.WindowMS, Seed: s.Seed + 1,
 	})
-	rear, err := core.New(r.Eng, r.Driver, core.Config{MaxBlocks: 1018})
-	if err != nil {
+	// The time series has always covered populate; the distributions,
+	// as everywhere, only measured traffic. The two workloads share one
+	// workload_job_ms distribution.
+	st.startSampler()
+	if err := st.await("populate system", workload.DayStartMS/2, sysW.Populate); err != nil {
 		return nil, err
 	}
-	if col != nil && col.SamplePeriodMS() > 0 {
-		registerStackProbes(col, r, nil)
-		registerCacheProbes(col, "sys_cache", sysFS.Cache())
-		registerCacheProbes(col, "usr_cache", usrFS.Cache())
-		registerRearrangerProbes(col, rear)
-		registerFaultProbes(col, r)
-		col.StartSampler(r.Eng)
-	}
-
-	if err := await(r, "populate system", workload.DayStartMS/2, func(done func(error)) {
-		sysW.Populate(done)
-	}); err != nil {
+	if err := st.await("populate users", workload.DayStartMS, usrW.Populate); err != nil {
 		return nil, err
 	}
-	if err := await(r, "populate users", workload.DayStartMS, func(done func(error)) {
-		usrW.Populate(done)
-	}); err != nil {
-		return nil, err
-	}
+	st.bindMetrics(sysW, usrW)
 
-	run := &Run{
-		Setup: Setup{DiskName: "toshiba", FSName: "shared", Days: days},
-		Curve: model.Seek,
-	}
-	on := func(day int) bool { return day%2 == 1 }
-	for day := 0; day < days; day++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dayStart := float64(day)*workload.DayMS + workload.DayStartMS
-		dayEnd := dayStart + windowMS
-		r.Eng.RunUntil(dayStart)
-		r.Driver.ReadStats()
-		rear.StartMonitoring()
-
-		// Both workloads run concurrently over the same window.
-		remaining := 2
-		var firstErr error
-		bothDone := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-		}
-		sysW.RunDay(day, bothDone)
-		usrW.RunDay(day, bothDone)
-		r.Eng.RunUntil(dayEnd + 30*60*1000)
-		for ext := 0; remaining > 0 && r.Err() == nil && ext < 200; ext++ {
-			r.Eng.RunUntil(r.Eng.Now() + 10*60*1000)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if remaining > 0 {
-			return nil, fmt.Errorf("experiment shared: day %d did not complete", day)
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		rear.StopMonitoring()
-		run.Days = append(run.Days, DayResult{
-			Day: day, On: on(day) && day > 0, Stats: r.Driver.ReadStats(),
-		})
-
-		if day+1 < days {
-			if on(day + 1) {
-				var installed int
-				if err := await(r, "shared rearrange", r.Eng.Now()+2*workload.HourMS,
-					func(done func(error)) {
-						rear.Rearrange(func(n int, err error) { installed = n; done(err) })
-					}); err != nil {
-					return nil, err
+	s.FSName = "shared"
+	run := &Run{Setup: s, Curve: model.Seek}
+	run.Installed, err = st.runDays(s.Days, s.WindowMS, s.OnPattern,
+		func(day int, done func(error)) {
+			// Both workloads run concurrently over the same window.
+			remaining := 2
+			var firstErr error
+			bothDone := func(err error) {
+				if err != nil && firstErr == nil {
+					firstErr = err
 				}
-				run.Installed = append(run.Installed, installed)
-			} else {
-				if err := await(r, "shared clean", r.Eng.Now()+2*workload.HourMS,
-					func(done func(error)) { rear.CleanOnly(done) }); err != nil {
-					return nil, err
+				if remaining--; remaining == 0 {
+					done(firstErr)
 				}
 			}
-		}
-		rear.ResetCounts()
-	}
-	if col != nil {
-		col.SetEngineEvents(r.Eng.Dispatched())
+			sysW.RunDay(day, bothDone)
+			usrW.RunDay(day, bothDone)
+		},
+		func(int) { drv.ReadStats() },
+		func(day int) {
+			run.Days = append(run.Days, DayResult{
+				Day: day, On: s.OnPattern(day) && day > 0, Stats: drv.ReadStats(),
+			})
+		})
+	if err != nil {
+		return nil, err
 	}
 	return &SharedResult{
 		Run:          run,

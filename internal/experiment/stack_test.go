@@ -1,0 +1,72 @@
+package experiment
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+)
+
+// TestOneAssemblySite keeps the package's stacks built, observed and
+// driven in one place: outside stack.go no non-test file may call the
+// constructors of the layers a stack is made of, start the sampler,
+// report engine events, or drive an engine by hand. A new experiment
+// is a stackSpec handed to newStack, not another hand-wired executor.
+func TestOneAssemblySite(t *testing.T) {
+	// Package-qualified constructors, and methods by name whatever the
+	// receiver expression.
+	constructors := map[string]bool{
+		"rig.New": true, "volume.New": true, "fs.Newfs": true,
+		"server.New": true, "core.New": true,
+	}
+	methods := map[string]bool{
+		"StartSampler": true, "SetEngineEvents": true, "RunUntil": true,
+	}
+	// latentBadRange builds a throwaway scout volume only to read a
+	// label mapping off it; it never runs an engine.
+	allowed := map[string]string{"latentBadRange": "volume.New"}
+
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "stack.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := pkgs["experiment"].Files
+	if len(files) < 10 {
+		t.Fatalf("parsed %d files of the package, expected the whole of it", len(files))
+	}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				name := sel.Sel.Name
+				if x, ok := sel.X.(*ast.Ident); ok && constructors[x.Name+"."+name] {
+					name = x.Name + "." + name
+				} else if !methods[name] {
+					return true
+				}
+				if allowed[fn.Name.Name] == name {
+					return true
+				}
+				t.Errorf("%s: %s calls %s; describe the stack and let stack.go do it",
+					fset.Position(call.Pos()), fn.Name.Name, name)
+				return true
+			})
+		}
+	}
+}

@@ -79,6 +79,16 @@ func (o Options) days(def int) int {
 	return def
 }
 
+// setup scales one Execute run by the options: the day count unless
+// overridden, the window, the seed and the fault plan.
+func (o Options) setup(diskName, fsName string, days int) Setup {
+	return Setup{
+		DiskName: diskName, FSName: fsName,
+		Days: o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,
+		Fault: o.Fault,
+	}
+}
+
 // OnOff holds the paired on/off runs of one file system on both disks —
 // the experiments behind Tables 2, 3, 4 (system) and 5, 6 (users) and
 // Figures 4–7.

@@ -5,8 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/runner"
+	"repro/internal/rig"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/volume"
 	"repro/internal/workload"
@@ -106,39 +107,29 @@ type TenantPoint struct {
 // ExecuteTenants runs one tenant-scale configuration to completion.
 // Like ExecuteVolume it builds a fully self-contained stack per call.
 func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s = s.withDefaults()
-	col := telemetry.FromContext(ctx)
-	v, err := volume.New(volume.Options{
-		Ctx:    ctx,
-		Layout: s.Layout,
-		Disks:  s.Disks,
-		// Members carry the usual reserved region so their geometry
-		// matches the volume experiments, though nothing rearranges here.
-		ReservedCyls: 48,
-		Faults:       s.Faults,
-		Telemetry:    col,
+	st, err := newStack(ctx, stackSpec{
+		volume: &volume.Options{
+			Layout: s.Layout,
+			Disks:  s.Disks,
+			// Members carry the usual reserved region so their geometry
+			// matches the volume experiments, though nothing rearranges here.
+			ReservedCyls: 48,
+			Faults:       s.Faults,
+		},
+		server: &server.Config{
+			Tenants: s.Tenants,
+			Net:     server.LinkConfig{LatencyMS: s.NetLatencyMS, BandwidthMBps: s.NetBandwidthMBps},
+			QoSOff:  s.QoSOff,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
-	v.Run() // member formatting completes before any traffic
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	defer st.finish()
+	v, srv := st.vol, st.srv
 
-	srv, err := server.New(v.Eng, v, server.Config{
-		Tenants: s.Tenants,
-		Net:     server.LinkConfig{LatencyMS: s.NetLatencyMS, BandwidthMBps: s.NetBandwidthMBps},
-		QoSOff:  s.QoSOff,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.NewTenants(v.Eng, srv, v.Blocks(), workload.TenantConfig{
+	w, err := workload.NewTenants(st.eng, srv, v.Blocks(), workload.TenantConfig{
 		Tenants:         s.Tenants,
 		Classes:         3,
 		RatePerSec:      s.RatePerSec,
@@ -151,30 +142,19 @@ func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	if col != nil && col.SamplePeriodMS() > 0 {
-		registerTenantProbes(col, v, srv)
-		col.StartSampler(v.Eng)
-	}
-	if col != nil && col.MetricsEnabled() {
-		reg := col.Metrics()
-		srv.BindMetrics(reg)
-		v.BindMetrics(reg)
-		bindMemberMetrics(reg, v)
-	}
+	st.observe()
 
 	// Traffic starts at the paper's day start — long after formatting —
 	// purely so every configuration shares one well-known clock origin.
 	start := workload.DayStartMS
 	end := start + s.DurationMS
-	if err := awaitVolume(v, "tenant traffic", end+60_000, func(done func(error)) {
+	if err := st.await("tenant traffic", end+60_000, func(done func(error)) {
 		w.Run(start, end, done)
 	}); err != nil {
 		return nil, err
 	}
 
-	vst := v.Stats()
-	pt := &TenantPoint{
+	return &TenantPoint{
 		Config:      s.Config,
 		Tenants:     s.Tenants,
 		Layout:      string(s.Layout),
@@ -186,21 +166,17 @@ func ExecuteTenants(ctx context.Context, s TenantSetup) (*TenantPoint, error) {
 		Server:      srv.Counters(),
 		Breaker:     srv.Breaker().Counts(),
 		Classes:     srv.ClassStats(),
-		Degraded:    vst.Degraded,
+		Degraded:    v.Stats().Degraded,
 		DeadMembers: v.DeadMembers(),
-	}
-	if col != nil {
-		col.SetEngineEvents(v.Dispatched())
-	}
-	return pt, nil
+	}, nil
 }
 
 // registerTenantProbes registers the sampler columns of the server
 // stack: accept-queue state, breaker position, and shed counts.
-func registerTenantProbes(col *telemetry.Collector, v *volume.Volume, srv *server.Server) {
+func registerTenantProbes(col *telemetry.Collector, eng *sim.Engine, members []*rig.Rig, srv *server.Server) {
 	col.AddProbe("accept_queue", func() float64 { return float64(srv.QueueLen()) })
 	col.AddProbe("inflight", func() float64 { return float64(srv.InFlight()) })
-	col.AddProbe("breaker_state", func() float64 { return float64(srv.Breaker().State(v.Now())) })
+	col.AddProbe("breaker_state", func() float64 { return float64(srv.Breaker().State(eng.Now())) })
 	col.AddProbe("throttled", func() float64 { return float64(srv.Counters().Throttled) })
 	col.AddProbe("shed", func() float64 {
 		c := srv.Counters()
@@ -210,7 +186,7 @@ func registerTenantProbes(col *telemetry.Collector, v *volume.Volume, srv *serve
 		c := srv.Counters()
 		return float64(c.DeadlineMiss + c.Expired)
 	})
-	for i, m := range v.Members {
+	for i, m := range members {
 		drv := m.Driver
 		col.AddProbe(fmt.Sprintf("disk%d_qd", i), func() float64 {
 			return float64(drv.QueueLen())
@@ -279,27 +255,10 @@ func tenantConfigs(o Options) []TenantSetup {
 // tenantUnits decomposes the matrix into one independent run per
 // configuration.
 func tenantUnits(o Options) []unit {
-	var units []unit
-	for _, s := range tenantConfigs(o) {
-		s := s
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  "tenants/" + s.Config,
-				Units: s.DurationMS / workload.DayMS,
-				Run: func(ctx context.Context) (any, error) {
-					pt, err := ExecuteTenants(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: tenants %s: %w", s.Config, err)
-					}
-					return pt, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) {
-				rs.Tenants = append(rs.Tenants, *v.(*TenantPoint))
-			},
-		})
-	}
-	return units
+	return matrixUnits(tenantConfigs(o),
+		func(s TenantSetup) (string, float64) { return "tenants/" + s.Config, s.DurationMS / workload.DayMS },
+		ExecuteTenants,
+		func(rs *ResultSet, _ TenantSetup, pt *TenantPoint) { rs.Tenants = append(rs.Tenants, *pt) })
 }
 
 // TenantReport renders the tenant-scale matrix: the per-configuration

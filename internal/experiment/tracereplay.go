@@ -10,7 +10,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -130,60 +129,52 @@ type TracePoint struct {
 	Installed int
 }
 
-// captureTrace synthesizes a trace deterministically: the system
-// workload runs for windowMS on a single Toshiba rig with every driver
-// request captured — tracegen's flow as a library call. The same seed
-// and window always produce byte-identical records, so every row (and
-// every worker) replays the same trace without sharing state. The
-// second return is the capture engine's dispatched event count, so the
-// job's telemetry covers both engines it ran.
-func captureTrace(ctx context.Context, windowMS float64, seed uint64) ([]trace.Record, int64, error) {
-	r, err := rig.New(rig.Options{Ctx: ctx, Disk: disk.Toshiba(), ReservedCyls: 48})
+// CaptureDay synthesizes a trace deterministically: one of the paper's
+// workloads ("system" or "users") populates a fresh file system on the
+// named disk (rig.PaperDisk) and runs windowMS of day 0 with every
+// driver request captured — the records cmd/tracegen writes. The same
+// arguments always produce the same records, so every row (and every
+// worker) replays the same trace without sharing state. The second
+// return is the capture engine's dispatched event count. A collector in
+// ctx does not see the capture: it prepares input, it is not the run.
+func CaptureDay(ctx context.Context, diskName, fsName string, windowMS float64, seed uint64) ([]trace.Record, int64, error) {
+	model, reserved, err := rig.PaperDisk(diskName)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("experiment: %w", err)
 	}
-	fsys, err := fs.Newfs(r.Eng, r.Driver, 0, fs.Params{
-		Cache: cache.Config{CapacityBlocks: 512, PressurePeriodMS: 60_000, Seed: seed},
+	if fsName != "system" && fsName != "users" {
+		return nil, 0, fmt.Errorf("experiment: unknown file system %q (valid: system, users)", fsName)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	st, err := newStack(telemetry.NewContext(ctx, nil), stackSpec{
+		rig: &rig.Options{Disk: model, ReservedCyls: reserved},
+		mounts: []mount{{params: fs.Params{
+			Cache: cache.Config{CapacityBlocks: 512, PressurePeriodMS: 60_000, Seed: seed},
+		}}},
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	r.Eng.Run()
-	w := workload.NewSystem(r.Eng, fsys, workload.SystemConfig{WindowMS: windowMS, Seed: seed})
-	populated := false
-	var perr error
-	w.Populate(func(err error) { perr, populated = err, true })
-	r.Eng.RunUntil(workload.DayStartMS)
-	if err := r.Err(); err != nil {
+	w := paperWorkload(st, fsName, 0, 0, windowMS, seed)
+	if err := st.await("trace capture populate", workload.DayStartMS, w.Populate); err != nil {
 		return nil, 0, err
 	}
-	if !populated || perr != nil {
-		return nil, 0, fmt.Errorf("experiment: trace capture populate: done=%v err=%v", populated, perr)
-	}
-	cap := trace.NewCapture(r.Eng, r.Driver)
+	cap := trace.NewCapture(st.eng, st.rig.Driver)
 	defer cap.Close()
-	dayDone := false
-	var derr error
-	w.RunDay(0, func(err error) { derr, dayDone = err, true })
-	r.Eng.RunUntil(workload.DayStartMS + windowMS + workload.HourMS)
-	if err := r.Err(); err != nil {
+	if err := st.await("trace capture day", workload.DayStartMS+windowMS+workload.HourMS,
+		func(done func(error)) { w.RunDay(0, done) }); err != nil {
 		return nil, 0, err
 	}
-	if !dayDone || derr != nil {
-		return nil, 0, fmt.Errorf("experiment: trace capture day: done=%v err=%v", dayDone, derr)
-	}
-	return cap.Records(), r.Eng.Dispatched(), nil
+	return cap.Records(), st.eng.Dispatched(), nil
 }
 
 // ExecuteTraceReplay runs one trace-replay row to completion. Like
 // ExecuteVolume it builds a fully self-contained stack per call, so
 // rows run concurrently on the parallel runner.
 func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s = s.withDefaults()
-	col := telemetry.FromContext(ctx)
 
 	var recs []trace.Record
 	var capEvents int64
@@ -191,7 +182,7 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	if s.TracePath != "" {
 		recs, _, err = tracein.ReadFile(s.TracePath, s.TraceFormat, tracein.Options{})
 	} else {
-		recs, capEvents, err = captureTrace(ctx, s.WindowMS, s.Seed)
+		recs, capEvents, err = CaptureDay(ctx, "toshiba", "system", s.WindowMS, s.Seed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment: trace %s: %w", s.Config, err)
@@ -200,31 +191,27 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 		return nil, fmt.Errorf("experiment: trace %s: empty trace", s.Config)
 	}
 
-	vopts := volume.Options{
-		Ctx:          ctx,
+	spec := stackSpec{volume: &volume.Options{
 		Layout:       s.Layout,
 		Disks:        s.Disks,
 		StripeUnit:   s.StripeUnit,
 		ReservedCyls: 48,
-		Telemetry:    col,
-	}
+	}}
 	if s.Rearrange {
 		// The learning pass must observe every request: size each
 		// member's monitoring table for the whole scaled trace.
-		vopts.RequestTableSize = len(recs)*s.Copies + 1
+		spec.volume.RequestTableSize = len(recs)*s.Copies + 1
+		spec.rearrange = &core.Config{MaxBlocks: toshibaSlots}
 	}
-	v, err := volume.New(vopts)
+	st, err := newStack(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
-	v.Run() // volume format completes before the replay starts
+	defer st.finish()
+	st.otherEvents = capEvents
+	v := st.vol
 
-	p0, err := v.Label().Partition(0)
-	if err != nil {
-		return nil, err
-	}
-	blocks := p0.Size / int64(v.BlockSize().Sectors())
+	blocks := v.Blocks()
 	scaled := s.scale(blocks).Apply(recs)
 	// An external trace (or a capture from a slightly different
 	// geometry) may address past the target partition; fold it in
@@ -237,7 +224,7 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	}
 	// Horizon for the await loops: the open-loop span is known from the
 	// timestamps; closed loop is paced by the device, so give it a
-	// service-time budget per record and let awaitVolume extend.
+	// service-time budget per record and let await extend.
 	span := scaled[len(scaled)-1].TimeMS - scaled[0].TimeMS
 	horizon := span + 30*60*1000
 	if s.Mode == tracein.ClosedLoop {
@@ -260,41 +247,17 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	if s.Rearrange {
 		// Learning pass: replay once with monitoring on, then rearrange
 		// every member overnight-style from its own counts.
-		var rears []*core.Rearranger
-		for i, m := range v.Members {
-			rear, rerr := core.New(v.Eng, m.Driver, core.Config{MaxBlocks: 1018})
-			if rerr != nil {
-				return nil, fmt.Errorf("experiment: trace %s member %d rearranger: %w", s.Config, i, rerr)
-			}
-			rears = append(rears, rear)
+		learn, err := tracein.NewReplayer(st.eng, v, scaled, ropts)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: trace %s learning replayer: %w", s.Config, err)
 		}
-		learn, lerr := tracein.NewReplayer(v.Eng, v, scaled, ropts)
-		if lerr != nil {
-			return nil, fmt.Errorf("experiment: trace %s learning replayer: %w", s.Config, lerr)
-		}
-		for _, rear := range rears {
-			rear.StartMonitoring()
-		}
-		if err := awaitVolume(v, "learning replay", v.Now()+horizon, func(done func(error)) {
+		if err := st.monitored("learning replay", st.eng.Now()+horizon, func(done func(error)) {
 			learn.Start(func(tracein.Result) { done(nil) })
 		}); err != nil {
 			return nil, err
 		}
-		for _, rear := range rears {
-			rear.StopMonitoring()
-		}
-		for i, rear := range rears {
-			var installed int
-			if err := awaitVolume(v, fmt.Sprintf("rearrange member %d", i),
-				v.Now()+2*workload.HourMS, func(done func(error)) {
-					rear.Rearrange(func(n int, err error) {
-						installed = n
-						done(err)
-					})
-				}); err != nil {
-				return nil, err
-			}
-			pt.Installed += installed
+		if pt.Installed, err = st.rearrange(true, "after the learning replay"); err != nil {
+			return nil, err
 		}
 	}
 
@@ -306,7 +269,7 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 		m.Driver.ReadStats()
 	}
 
-	rep, err := tracein.NewReplayer(v.Eng, v, scaled, ropts)
+	rep, err := tracein.NewReplayer(st.eng, v, scaled, ropts)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: trace %s replayer: %w", s.Config, err)
 	}
@@ -314,21 +277,12 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	// column); when the job carries a metrics collector the instruments
 	// land there instead, alongside the volume's and per-member
 	// drivers', exactly as in ExecuteVolume.
-	if col != nil && col.MetricsEnabled() {
-		reg := col.Metrics()
-		v.BindMetrics(reg)
-		rep.BindMetrics(reg)
-		bindMemberMetrics(reg, v)
-	} else {
+	if !st.col.MetricsEnabled() {
 		rep.BindMetrics(metrics.NewRegistry())
 	}
-	if col != nil && col.SamplePeriodMS() > 0 {
-		registerVolumeProbes(col, v)
-		col.StartSampler(v.Eng)
-	}
-
+	st.observe(rep)
 	var res tracein.Result
-	if err := awaitVolume(v, "measured replay", v.Now()+horizon, func(done func(error)) {
+	if err := st.await("measured replay", st.eng.Now()+horizon, func(done func(error)) {
 		rep.Start(func(r tracein.Result) {
 			res = r
 			done(nil)
@@ -337,14 +291,14 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 		return nil, err
 	}
 
-	st := v.Stats()
+	vs := v.Stats()
 	pt.Errors = res.Errors
 	pt.ElapsedMS = res.ElapsedMS
 	if res.ElapsedMS > 0 {
 		pt.Throughput = float64(res.Completed) / (res.ElapsedMS / 1000)
 	}
-	if st.Requests > 0 {
-		pt.MeanRespMS = st.RespMSSum / float64(st.Requests)
+	if vs.Requests > 0 {
+		pt.MeanRespMS = vs.RespMSSum / float64(vs.Requests)
 	}
 	pt.P99MS = rep.Latency().Quantile(0.99)
 
@@ -354,23 +308,15 @@ func ExecuteTraceReplay(ctx context.Context, s TraceSetup) (*TracePoint, error) 
 	// homogeneous Toshibas, so one curve serves the volume.
 	fcfs, sched := stats.NewDistHist(), stats.NewDistHist()
 	for _, m := range v.Members {
-		mst := m.Driver.ReadStats()
-		for _, side := range []*stats.DistHist{mst.ReadSide.FCFSDist, mst.WriteSide.FCFSDist} {
-			fcfs.Merge(side)
-		}
-		for _, side := range []*stats.DistHist{mst.ReadSide.SchedDist, mst.WriteSide.SchedDist} {
-			sched.Merge(side)
-		}
+		all := m.Driver.ReadStats().All()
+		fcfs.Merge(all.FCFSDist)
+		sched.Merge(all.SchedDist)
 	}
 	curve := disk.Toshiba().Seek
 	pt.FCFSSeekMS = fcfs.MeanSeekMS(curve)
 	pt.SeekMS = sched.MeanSeekMS(curve)
 	if pt.FCFSSeekMS > 0 {
 		pt.SeekRedPct = (1 - pt.SeekMS/pt.FCFSSeekMS) * 100
-	}
-
-	if col != nil {
-		col.SetEngineEvents(capEvents + v.Dispatched())
 	}
 	return pt, nil
 }
@@ -430,27 +376,10 @@ func traceConfigs(o Options) []TraceSetup {
 // itself — deterministic, so all rows replay identical records with no
 // shared state across the pool.
 func traceUnits(o Options) []unit {
-	var units []unit
-	for _, s := range traceConfigs(o) {
-		s := s
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  "trace/" + s.Config,
-				Units: 1,
-				Run: func(ctx context.Context) (any, error) {
-					pt, err := ExecuteTraceReplay(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: trace %s: %w", s.Config, err)
-					}
-					return pt, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) {
-				rs.Trace = append(rs.Trace, *v.(*TracePoint))
-			},
-		})
-	}
-	return units
+	return matrixUnits(traceConfigs(o),
+		func(s TraceSetup) (string, float64) { return "trace/" + s.Config, 1 },
+		ExecuteTraceReplay,
+		func(rs *ResultSet, _ TraceSetup, pt *TracePoint) { rs.Trace = append(rs.Trace, *pt) })
 }
 
 // TraceReport renders the trace-replay matrix.

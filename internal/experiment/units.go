@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/runner"
 	"repro/internal/telemetry"
@@ -53,33 +54,30 @@ const (
 	needCount
 )
 
+// needTable names each need and expands it into its simulation units.
+var needTable = [needCount]struct {
+	name  string
+	units func(Options) []unit
+}{
+	NeedSystem:   {"onoff-system", func(o Options) []unit { return onOffUnits("system", o) }},
+	NeedUsers:    {"onoff-users", func(o Options) []unit { return onOffUnits("users", o) }},
+	NeedPolicies: {"policies", policiesUnits},
+	NeedSweep:    {"sweep", func(o Options) []unit { return sweepUnits(o, nil) }},
+	NeedShared:   {"shared", sharedUnits},
+	NeedFaults:   {"faults", faultUnits},
+	NeedCrash:    {"crash", crashUnits},
+	NeedVolume:   {"volume", volumeUnits},
+	NeedTenants:  {"tenants", tenantUnits},
+	NeedRAID:     {"raid", raidUnits},
+	NeedTrace:    {"trace", traceUnits},
+}
+
 // String names the need for errors and job labels.
 func (n Need) String() string {
-	switch n {
-	case NeedSystem:
-		return "onoff-system"
-	case NeedUsers:
-		return "onoff-users"
-	case NeedPolicies:
-		return "policies"
-	case NeedSweep:
-		return "sweep"
-	case NeedShared:
-		return "shared"
-	case NeedFaults:
-		return "faults"
-	case NeedCrash:
-		return "crash"
-	case NeedVolume:
-		return "volume"
-	case NeedTenants:
-		return "tenants"
-	case NeedRAID:
-		return "raid"
-	case NeedTrace:
-		return "trace"
+	if n < 0 || n >= needCount {
+		return fmt.Sprintf("need(%d)", int(n))
 	}
-	return fmt.Sprintf("need(%d)", int(n))
+	return needTable[n].name
 }
 
 // ResultSet holds the assembled simulation products the registered
@@ -118,6 +116,33 @@ type unit struct {
 	apply func(rs *ResultSet, v any)
 }
 
+// matrixUnits decomposes a configuration matrix into one independent
+// unit per row: label names and weighs the row's job, run simulates it
+// (a failure is wrapped with the job's name) and apply installs its
+// result, in row order.
+func matrixUnits[S, R any](rows []S, label func(S) (name string, units float64),
+	run func(context.Context, S) (R, error), apply func(*ResultSet, S, R)) []unit {
+	units := make([]unit, 0, len(rows))
+	for _, row := range rows {
+		name, n := label(row)
+		units = append(units, unit{
+			job: runner.Job{
+				Name:  name,
+				Units: n,
+				Run: func(ctx context.Context) (any, error) {
+					res, err := run(ctx, row)
+					if err != nil {
+						return nil, fmt.Errorf("experiment: %s: %w", name, err)
+					}
+					return res, nil
+				},
+			},
+			apply: func(rs *ResultSet, v any) { apply(rs, row, v.(R)) },
+		})
+	}
+	return units
+}
+
 // onOffUnits decomposes one file system's on/off experiment into its
 // two independent per-disk runs. The paper ran 10 days (5 on, 5 off)
 // for the system file system, and 12 (Toshiba) / 10 (Fujitsu) days for
@@ -127,29 +152,17 @@ func onOffUnits(fsname string, o Options) []unit {
 	if fsname == "users" {
 		daysTosh = 12
 	}
-	mk := func(diskName string, days int) unit {
-		s := Setup{
-			DiskName: diskName, FSName: fsname,
-			Days: o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,
-			Fault: o.Fault,
-		}
-		return unit{
-			job: runner.Job{
-				Name:  "onoff/" + fsname + "/" + diskName,
-				Units: float64(s.Days),
-				Run:   func(ctx context.Context) (any, error) { return Execute(ctx, s) },
-			},
-			apply: func(rs *ResultSet, v any) {
-				res := ensureOnOff(rs, fsname)
-				if diskName == "toshiba" {
-					res.Toshiba = v.(*Run)
-				} else {
-					res.Fujitsu = v.(*Run)
-				}
-			},
-		}
-	}
-	return []unit{mk("toshiba", daysTosh), mk("fujitsu", daysFuji)}
+	return matrixUnits([]Setup{o.setup("toshiba", fsname, daysTosh), o.setup("fujitsu", fsname, daysFuji)},
+		func(s Setup) (string, float64) { return "onoff/" + fsname + "/" + s.DiskName, float64(s.Days) },
+		Execute,
+		func(rs *ResultSet, s Setup, run *Run) {
+			res := ensureOnOff(rs, fsname)
+			if s.DiskName == "toshiba" {
+				res.Toshiba = run
+			} else {
+				res.Fujitsu = run
+			}
+		})
 }
 
 func ensureOnOff(rs *ResultSet, fsname string) *OnOff {
@@ -163,46 +176,34 @@ func ensureOnOff(rs *ResultSet, fsname string) *OnOff {
 	return *slot
 }
 
+// everyDayAfterWarmup is the on-pattern of the experiments that
+// rearrange after every day but the first.
+func everyDayAfterWarmup(day int) bool { return day > 0 }
+
 // policiesUnits decomposes the placement-policy experiments into their
 // six independent runs (system file system, each disk × each policy,
 // rearrangement applied every day after a warm-up day).
 func policiesUnits(o Options) []unit {
-	var units []unit
+	var rows []Setup
 	for _, d := range []string{"toshiba", "fujitsu"} {
 		for _, p := range PolicyNames {
-			d, p := d, p
-			s := Setup{
-				DiskName: d, FSName: "system", Policy: p,
-				Days:      o.days(4),
-				OnPattern: func(day int) bool { return day > 0 },
-				WindowMS:  o.WindowMS, Seed: o.Seed,
-				Fault: o.Fault,
-			}
-			units = append(units, unit{
-				job: runner.Job{
-					Name:  "policies/" + d + "/" + p,
-					Units: float64(s.Days),
-					Run: func(ctx context.Context) (any, error) {
-						run, err := Execute(ctx, s)
-						if err != nil {
-							return nil, fmt.Errorf("experiment: policies %s/%s: %w", d, p, err)
-						}
-						return run, nil
-					},
-				},
-				apply: func(rs *ResultSet, v any) {
-					if rs.Policies == nil {
-						rs.Policies = &Policies{Runs: make(map[string]map[string]*Run)}
-					}
-					if rs.Policies.Runs[d] == nil {
-						rs.Policies.Runs[d] = make(map[string]*Run)
-					}
-					rs.Policies.Runs[d][p] = v.(*Run)
-				},
-			})
+			s := o.setup(d, "system", 4)
+			s.Policy, s.OnPattern = p, everyDayAfterWarmup
+			rows = append(rows, s)
 		}
 	}
-	return units
+	return matrixUnits(rows,
+		func(s Setup) (string, float64) { return "policies/" + s.DiskName + "/" + s.Policy, float64(s.Days) },
+		Execute,
+		func(rs *ResultSet, s Setup, run *Run) {
+			if rs.Policies == nil {
+				rs.Policies = &Policies{Runs: make(map[string]map[string]*Run)}
+			}
+			if rs.Policies.Runs[s.DiskName] == nil {
+				rs.Policies.Runs[s.DiskName] = make(map[string]*Run)
+			}
+			rs.Policies.Runs[s.DiskName][s.Policy] = run
+		})
 }
 
 // sweepUnits decomposes the Figure 8 sweep into one independent run per
@@ -212,86 +213,40 @@ func sweepUnits(o Options, counts []int) []unit {
 	if len(counts) == 0 {
 		counts = DefaultSweepBlocks
 	}
-	var units []unit
+	var rows []Setup
 	for _, n := range counts {
-		n := n
-		s := Setup{
-			DiskName: "toshiba", FSName: "system",
-			Blocks:    n,
-			Days:      o.days(2),
-			OnPattern: func(day int) bool { return day > 0 },
-			WindowMS:  o.WindowMS, Seed: o.Seed,
-			Fault: o.Fault,
-		}
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  fmt.Sprintf("sweep/%d", n),
-				Units: float64(s.Days),
-				Run: func(ctx context.Context) (any, error) {
-					run, err := Execute(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: sweep n=%d: %w", n, err)
-					}
-					_, on := detailDays(run)
-					all := on.Metrics(run.Curve, AllRequests)
-					reads := on.Metrics(run.Curve, ReadsOnly)
-					return SweepPoint{
-						Blocks:         n,
-						DistRedPct:     DistReductionPct(all),
-						TimeRedPct:     SeekReductionPct(all),
-						ReadDistRedPct: DistReductionPct(reads),
-						ReadTimeRedPct: SeekReductionPct(reads),
-					}, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) {
-				rs.Sweep = append(rs.Sweep, v.(SweepPoint))
-			},
-		})
+		s := o.setup("toshiba", "system", 2)
+		s.Blocks, s.OnPattern = n, everyDayAfterWarmup
+		rows = append(rows, s)
 	}
-	return units
-}
-
-// sharedUnit wraps the shared-disk extension. Its two workloads drive
-// one rig and one engine, so it is a single job.
-func sharedUnit(o Options) unit {
-	return unit{
-		job: runner.Job{
-			Name:  "shared",
-			Units: float64(o.days(4)),
-			Run:   func(ctx context.Context) (any, error) { return RunShared(ctx, o) },
+	return matrixUnits(rows,
+		func(s Setup) (string, float64) { return "sweep/" + strconv.Itoa(s.Blocks), float64(s.Days) },
+		func(ctx context.Context, s Setup) (SweepPoint, error) {
+			run, err := Execute(ctx, s)
+			if err != nil {
+				return SweepPoint{}, err
+			}
+			_, on := detailDays(run)
+			all := on.Metrics(run.Curve, AllRequests)
+			reads := on.Metrics(run.Curve, ReadsOnly)
+			return SweepPoint{
+				Blocks:         s.Blocks,
+				DistRedPct:     DistReductionPct(all),
+				TimeRedPct:     SeekReductionPct(all),
+				ReadDistRedPct: DistReductionPct(reads),
+				ReadTimeRedPct: SeekReductionPct(reads),
+			}, nil
 		},
-		apply: func(rs *ResultSet, v any) { rs.Shared = v.(*SharedResult) },
-	}
+		func(rs *ResultSet, _ Setup, p SweepPoint) { rs.Sweep = append(rs.Sweep, p) })
 }
 
-// needUnits expands one need into its independent simulation units.
-func needUnits(n Need, o Options) []unit {
-	switch n {
-	case NeedSystem:
-		return onOffUnits("system", o)
-	case NeedUsers:
-		return onOffUnits("users", o)
-	case NeedPolicies:
-		return policiesUnits(o)
-	case NeedSweep:
-		return sweepUnits(o, nil)
-	case NeedShared:
-		return []unit{sharedUnit(o)}
-	case NeedFaults:
-		return faultUnits(o)
-	case NeedCrash:
-		return crashUnits()
-	case NeedVolume:
-		return volumeUnits(o)
-	case NeedTenants:
-		return tenantUnits(o)
-	case NeedRAID:
-		return raidUnits(o)
-	case NeedTrace:
-		return traceUnits(o)
-	}
-	panic(fmt.Sprintf("experiment: unknown need %d", int(n)))
+// sharedUnits wraps the shared-disk extension. Its two workloads drive
+// one rig and one engine, so it is a single job.
+func sharedUnits(o Options) []unit {
+	return matrixUnits([]Options{o},
+		func(o Options) (string, float64) { return "shared", float64(o.days(4)) },
+		RunShared,
+		func(rs *ResultSet, _ Options, res *SharedResult) { rs.Shared = res })
 }
 
 // Gather simulates the given needs on the parallel runner and assembles
@@ -309,7 +264,7 @@ func Gather(ctx context.Context, needs []Need, o Options, cfg runner.Config) (*R
 	var units []unit
 	for n := Need(0); n < needCount; n++ {
 		if requested[n] {
-			units = append(units, needUnits(n, o)...)
+			units = append(units, needTable[n].units(o)...)
 		}
 	}
 	return runUnits(ctx, units, o, cfg)

@@ -3,14 +3,12 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fs"
-	"repro/internal/metrics"
-	"repro/internal/runner"
+	"repro/internal/rig"
 	"repro/internal/telemetry"
 	"repro/internal/volume"
 	"repro/internal/workload"
@@ -126,91 +124,56 @@ type VolumePoint struct {
 // Execute it builds a fully self-contained stack per call, so the
 // parallel runner can execute configurations concurrently.
 func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s = s.withDefaults()
-	col := telemetry.FromContext(ctx)
-	v, err := volume.New(volume.Options{
-		Ctx:        ctx,
-		Layout:     s.Layout,
-		Disks:      s.Disks,
-		StripeUnit: s.StripeUnit,
-		ReadPolicy: s.ReadPolicy,
-		// Members always carry the Toshiba reserved region so layouts
-		// are geometry-identical whether or not rearrangement runs.
-		ReservedCyls:    48,
-		Spare:           s.Spare,
-		RebuildRate:     s.RebuildRate,
-		ScrubIntervalMS: s.ScrubIntervalMS,
-		Faults:          s.Faults,
-		Telemetry:       col,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	// The volume matrix is a throughput benchmark: mount noatime (else
-	// the heavy client pool spends the run re-encoding inode blocks for
-	// atime bookkeeping) and keep the data cache small so most reads
-	// miss and the member disks stay the bottleneck under test.
-	fsys, err := fs.Newfs(v.Eng, v, 0, fs.Params{
-		NoAtime: true,
-		Cache: cache.Config{
-			CapacityBlocks:   128,
-			PressurePeriodMS: 60_000,
-			PressureFrac:     0.10,
-			Seed:             s.Seed,
+	spec := stackSpec{
+		volume: &volume.Options{
+			Layout:     s.Layout,
+			Disks:      s.Disks,
+			StripeUnit: s.StripeUnit,
+			ReadPolicy: s.ReadPolicy,
+			// Members always carry the Toshiba reserved region so layouts
+			// are geometry-identical whether or not rearrangement runs.
+			ReservedCyls:    48,
+			Spare:           s.Spare,
+			RebuildRate:     s.RebuildRate,
+			ScrubIntervalMS: s.ScrubIntervalMS,
+			Faults:          s.Faults,
 		},
-		MetaCache: cache.Config{CapacityBlocks: 256, SyncPeriodMS: 5_000},
-	})
+		// The volume matrix is a throughput benchmark: mount noatime (else
+		// the heavy client pool spends the run re-encoding inode blocks for
+		// atime bookkeeping) and keep the data cache small so most reads
+		// miss and the member disks stay the bottleneck under test.
+		mounts: []mount{{params: fs.Params{
+			NoAtime: true,
+			Cache: cache.Config{
+				CapacityBlocks:   128,
+				PressurePeriodMS: 60_000,
+				PressureFrac:     0.10,
+				Seed:             s.Seed,
+			},
+			MetaCache: cache.Config{CapacityBlocks: 256, SyncPeriodMS: 5_000},
+		}}},
+	}
+	if s.Rearrange {
+		spec.rearrange = &core.Config{MaxBlocks: toshibaSlots}
+	}
+	st, err := newStack(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	v.Run() // format completes before any daemon exists
-	v.StartScrub()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	defer st.finish()
+	v := st.vol
 
-	w := workload.NewSystem(v.Eng, fsys, workload.SystemConfig{
+	w := workload.NewSystem(st.eng, st.fs[0], workload.SystemConfig{
 		Clients:     s.Clients,
 		ThinkMeanMS: s.ThinkMeanMS,
 		WindowMS:    s.WindowMS,
 		Seed:        s.Seed,
 	})
-
-	// One rearranger per member: each learns from its own monitoring
-	// table and rearranges its own reserved region, exactly as N
-	// independent single-disk deployments would.
-	var rears []*core.Rearranger
-	if s.Rearrange {
-		for i, m := range v.Members {
-			rear, err := core.New(v.Eng, m.Driver, core.Config{MaxBlocks: 1018})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: volume member %d rearranger: %w", i, err)
-			}
-			rears = append(rears, rear)
-		}
-	}
-
-	if err := awaitVolume(v, "populate", workload.DayStartMS, func(done func(error)) {
-		w.Populate(done)
-	}); err != nil {
+	if err := st.await("populate", workload.DayStartMS, w.Populate); err != nil {
 		return nil, err
 	}
-
-	if col != nil && col.SamplePeriodMS() > 0 {
-		registerVolumeProbes(col, v)
-		col.StartSampler(v.Eng)
-	}
-	if col != nil && col.MetricsEnabled() {
-		reg := col.Metrics()
-		v.BindMetrics(reg)
-		fsys.BindMetrics(reg)
-		w.BindMetrics(reg)
-		bindMemberMetrics(reg, v)
-	}
+	st.observe(w)
 
 	pt := &VolumePoint{
 		Config:     s.Config,
@@ -221,52 +184,24 @@ func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
 		Rearrange:  s.Rearrange,
 		PerDisk:    make([]int64, s.Disks+s.Spare), // spare rigs count too
 	}
-	for day := 0; day < s.Days; day++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dayStart := float64(day)*workload.DayMS + workload.DayStartMS
-		dayEnd := dayStart + s.WindowMS
-		v.RunUntil(dayStart)
-		v.ResetStats() // discard overnight / populate traffic
-		for _, rear := range rears {
-			rear.StartMonitoring()
-		}
-		if err := awaitVolume(v, fmt.Sprintf("day %d", day), dayEnd+30*60*1000, func(done func(error)) {
-			w.RunDay(day, done)
-		}); err != nil {
-			return nil, err
-		}
-		for _, rear := range rears {
-			rear.StopMonitoring()
-		}
-		st := v.Stats()
-		pt.Requests += st.Requests
-		pt.MeanRespMS += st.RespMSSum // normalized after the loop
-		pt.Degraded += st.Degraded
-		for i, n := range st.PerDisk {
-			pt.PerDisk[i] += n
-		}
-		// Overnight: every member rearranges for the next day using the
-		// counts it measured today.
-		if day+1 < s.Days {
-			for i, rear := range rears {
-				var installed int
-				if err := awaitVolume(v, fmt.Sprintf("rearrange member %d after day %d", i, day),
-					v.Now()+2*workload.HourMS, func(done func(error)) {
-						rear.Rearrange(func(n int, err error) {
-							installed = n
-							done(err)
-						})
-					}); err != nil {
-					return nil, err
-				}
-				pt.Installed += installed
+	// Every night is an on-night: a row either rearranges every member
+	// after every day or has no rearrangers at all.
+	installed, err := st.runDays(s.Days, s.WindowMS, func(int) bool { return true }, w.RunDay,
+		func(int) { v.ResetStats() }, // discard overnight / populate traffic
+		func(int) {
+			vs := v.Stats()
+			pt.Requests += vs.Requests
+			pt.MeanRespMS += vs.RespMSSum // normalized after the loop
+			pt.Degraded += vs.Degraded
+			for i, n := range vs.PerDisk {
+				pt.PerDisk[i] += n
 			}
-		}
-		for _, rear := range rears {
-			rear.ResetCounts()
-		}
+		})
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range installed {
+		pt.Installed += n
 	}
 	if pt.Requests > 0 {
 		pt.MeanRespMS /= float64(pt.Requests)
@@ -279,82 +214,36 @@ func ExecuteVolume(ctx context.Context, s VolumeSetup) (*VolumePoint, error) {
 	pt.RAID = v.RAID()
 	pt.SparesLeft = v.Spares()
 	pt.WorkloadErrors = w.Errors()
-	if col != nil {
-		col.SetEngineEvents(v.Dispatched())
-	}
 	return pt, nil
-}
-
-// awaitVolume is await for a volume-backed stack: it drives the
-// volume's engine until the operation signals completion, in bounded
-// horizon increments so periodic daemons cannot stall it.
-func awaitVolume(v *volume.Volume, what string, horizon float64, op func(done func(error))) error {
-	var opErr error
-	finished := false
-	op(func(err error) {
-		opErr = err
-		finished = true
-	})
-	v.RunUntil(horizon)
-	for ext := 0; !finished && v.Err() == nil && ext < 200; ext++ {
-		v.RunUntil(v.Now() + 10*60*1000)
-	}
-	if err := v.Err(); err != nil {
-		return err
-	}
-	if !finished {
-		return fmt.Errorf("experiment: volume %s did not complete by t=%.0f ms", what, v.Now())
-	}
-	return opErr
-}
-
-// bindMemberMetrics binds every member driver's instruments into reg
-// under a disk="i" label, in member-index order.
-func bindMemberMetrics(reg *metrics.Registry, v *volume.Volume) {
-	for i, m := range v.Members {
-		m.Driver.BindMetrics(reg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
-	}
 }
 
 // registerVolumeProbes registers the volume stack's sampler columns:
 // aggregate queue state, then per-member queue depth and — on members
 // with a fault injector — per-disk fault counters, the columns
 // abrreport -telemetry reports per disk.
-func registerVolumeProbes(col *telemetry.Collector, v *volume.Volume) {
+func registerVolumeProbes(col *telemetry.Collector, members []*rig.Rig) {
 	col.AddProbe("queue_depth", func() float64 {
 		var n int
-		for _, m := range v.Members {
+		for _, m := range members {
 			n += m.Driver.QueueLen()
 		}
 		return float64(n)
 	})
 	col.AddProbe("outstanding", func() float64 {
 		var n int
-		for _, m := range v.Members {
+		for _, m := range members {
 			n += m.Driver.Outstanding()
 		}
 		return float64(n)
 	})
-	for i, m := range v.Members {
+	for i, m := range members {
 		drv := m.Driver
 		col.AddProbe(fmt.Sprintf("disk%d_qd", i), func() float64 {
 			return float64(drv.QueueLen())
 		})
-		if m.Faults == nil {
-			continue
+		if m.Faults != nil {
+			registerFaultProbes(col, fmt.Sprintf("disk%d_", i), drv)
 		}
-		col.AddProbe(fmt.Sprintf("disk%d_faults", i), func() float64 {
-			return float64(drv.Counters().Faults)
-		})
-		col.AddProbe(fmt.Sprintf("disk%d_retries", i), func() float64 {
-			return float64(drv.Counters().Retries)
-		})
-		col.AddProbe(fmt.Sprintf("disk%d_remaps", i), func() float64 {
-			return float64(drv.Counters().Remaps)
-		})
-		col.AddProbe(fmt.Sprintf("disk%d_unrecovered", i), func() float64 {
-			return float64(drv.Counters().Unrecovered)
-		})
 	}
 }
 
@@ -399,27 +288,10 @@ func volumeConfigs(o Options) []VolumeSetup {
 // volumeUnits decomposes the volume-scale matrix into one independent
 // run per configuration.
 func volumeUnits(o Options) []unit {
-	var units []unit
-	for _, s := range volumeConfigs(o) {
-		s := s
-		units = append(units, unit{
-			job: runner.Job{
-				Name:  "volume/" + s.Config,
-				Units: float64(s.Days),
-				Run: func(ctx context.Context) (any, error) {
-					pt, err := ExecuteVolume(ctx, s)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: volume %s: %w", s.Config, err)
-					}
-					return pt, nil
-				},
-			},
-			apply: func(rs *ResultSet, v any) {
-				rs.Volume = append(rs.Volume, *v.(*VolumePoint))
-			},
-		})
-	}
-	return units
+	return matrixUnits(volumeConfigs(o),
+		func(s VolumeSetup) (string, float64) { return "volume/" + s.Config, float64(s.Days) },
+		ExecuteVolume,
+		func(rs *ResultSet, _ VolumeSetup, pt *VolumePoint) { rs.Volume = append(rs.Volume, *pt) })
 }
 
 // VolumeReport renders the volume-scale matrix.

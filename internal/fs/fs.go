@@ -269,12 +269,14 @@ func (f *FS) MetaCache() *cache.Cache { return f.meta }
 // BindMetrics registers the file system's metrics in reg: end-to-end
 // ReadAt/WriteAt latency histograms (recorded from the moment of
 // binding, so bind after populate) and the two caches' hit/miss/
-// writeback counters under cache="data" and cache="meta" labels.
-func (f *FS) BindMetrics(reg *metrics.Registry) {
-	f.mxRead = reg.Histogram("fs_read_ms", metrics.HistogramOpts{})
-	f.mxWrite = reg.Histogram("fs_write_ms", metrics.HistogramOpts{})
-	f.cache.BindMetrics(reg, "data")
-	f.meta.BindMetrics(reg, "meta")
+// writeback counters under cache="data" and cache="meta" labels. Extra
+// labels tell apart the file systems of one registry (two partitions
+// of a shared disk).
+func (f *FS) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
+	f.mxRead = reg.Histogram("fs_read_ms", metrics.HistogramOpts{}, labels...)
+	f.mxWrite = reg.Histogram("fs_write_ms", metrics.HistogramOpts{}, labels...)
+	f.cache.BindMetrics(reg, "data", labels...)
+	f.meta.BindMetrics(reg, "meta", labels...)
 }
 
 // StartSyncDaemon starts the periodic update policy on both caches.

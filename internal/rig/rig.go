@@ -62,6 +62,19 @@ type Options struct {
 	Fault *fault.Plan
 }
 
+// PaperDisk maps a drive name to its model and to the reserved-region
+// size the paper gave it: 48 cylinders on the Toshiba MK156F, 80 on the
+// Fujitsu M2266. The empty name selects the Toshiba, like Options.Disk.
+func PaperDisk(name string) (model disk.Model, reservedCyls int, err error) {
+	switch name {
+	case "", "toshiba":
+		return disk.Toshiba(), 48, nil
+	case "fujitsu":
+		return disk.Fujitsu(), 80, nil
+	}
+	return disk.Model{}, 0, fmt.Errorf("rig: unknown disk %q (valid: toshiba, fujitsu)", name)
+}
+
 // Rig is an assembled simulation stack.
 type Rig struct {
 	Eng    *sim.Engine
@@ -167,7 +180,7 @@ func New(opts Options) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Telemetry != nil && opts.Telemetry.SpansEnabled() {
+	if opts.Telemetry.SpansEnabled() {
 		drv.SetSink(opts.Telemetry)
 	}
 	return &Rig{Eng: eng, Disk: dsk, Label: lbl, Driver: drv, Faults: inj, ctx: opts.Ctx}, nil

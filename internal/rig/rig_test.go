@@ -3,6 +3,7 @@ package rig
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -167,4 +168,24 @@ func TestMustNewPanicsOnError(t *testing.T) {
 		}
 	}()
 	MustNew(Options{PartitionBlocks: []int64{1 << 40}})
+}
+
+func TestPaperDisk(t *testing.T) {
+	for _, tc := range []struct {
+		name, model string
+		reserved    int
+	}{
+		{"", disk.Toshiba().Name, 48},
+		{"toshiba", disk.Toshiba().Name, 48},
+		{"fujitsu", disk.Fujitsu().Name, 80},
+	} {
+		m, reserved, err := PaperDisk(tc.name)
+		if err != nil || m.Name != tc.model || reserved != tc.reserved {
+			t.Errorf("PaperDisk(%q) = %q, %d, %v; want %q, %d", tc.name, m.Name, reserved, err, tc.model, tc.reserved)
+		}
+	}
+	_, _, err := PaperDisk("quantum")
+	if err == nil || !strings.Contains(err.Error(), `"quantum"`) || !strings.Contains(err.Error(), "toshiba, fujitsu") {
+		t.Errorf("PaperDisk(quantum) error = %v; want the value and the valid names", err)
+	}
 }

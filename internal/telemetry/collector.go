@@ -80,10 +80,17 @@ func (c *Collector) MetricsEnabled() bool { return c != nil && c.reg != nil }
 func (c *Collector) Name() string { return c.name }
 
 // SpansEnabled reports whether the event stream is being captured.
-func (c *Collector) SpansEnabled() bool { return c.opts.Spans }
+// Like MetricsEnabled, SamplePeriodMS and SetEngineEvents it is safe on
+// a nil collector, so code holding FromContext's result needs no guard.
+func (c *Collector) SpansEnabled() bool { return c != nil && c.opts.Spans }
 
 // SamplePeriodMS returns the sampler period (0 = sampling disabled).
-func (c *Collector) SamplePeriodMS() float64 { return c.opts.SamplePeriodMS }
+func (c *Collector) SamplePeriodMS() float64 {
+	if c == nil {
+		return 0
+	}
+	return c.opts.SamplePeriodMS
+}
 
 // Event implements Sink: it counts the event and, when span capture is
 // enabled, appends its JSONL encoding to the trace buffer.
@@ -151,7 +158,11 @@ func (c *Collector) SamplesCSV() []byte { return c.csv }
 
 // SetEngineEvents records the simulation engine's dispatched-event
 // count at the end of the job.
-func (c *Collector) SetEngineEvents(n int64) { c.engineEvents = n }
+func (c *Collector) SetEngineEvents(n int64) {
+	if c != nil {
+		c.engineEvents = n
+	}
+}
 
 // EngineEvents returns the recorded engine event count.
 func (c *Collector) EngineEvents() int64 { return c.engineEvents }

@@ -152,6 +152,17 @@ func TestCollectorSpansOff(t *testing.T) {
 	}
 }
 
+// Code holding telemetry.FromContext's result calls these four without
+// a nil guard; the nil collector must read as "everything off".
+func TestNilCollectorAccessors(t *testing.T) {
+	var c *Collector
+	if c.SpansEnabled() || c.MetricsEnabled() || c.SamplePeriodMS() != 0 {
+		t.Errorf("nil collector reports spans=%v metrics=%v period=%v, want all off",
+			c.SpansEnabled(), c.MetricsEnabled(), c.SamplePeriodMS())
+	}
+	c.SetEngineEvents(42) // must not panic
+}
+
 func TestCollectorSampler(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewCollector("j1", Options{SamplePeriodMS: 10})

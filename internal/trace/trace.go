@@ -1,6 +1,7 @@
 // Package trace implements block-request traces: capture from a running
-// driver, a compact binary encoding, a line-oriented text encoding, and
-// replay into a driver.
+// driver, a compact binary encoding, and a line-oriented text encoding.
+// Replay — open or closed loop, into a driver or a volume — is
+// internal/tracein's Replayer.
 //
 // The paper's technique was first validated by trace-driven simulation
 // ([Akyurek 93]); this package provides the equivalent capability for
@@ -219,43 +220,3 @@ func (c *Capture) Records() []Record { return c.records }
 
 // Close detaches the capture sink.
 func (c *Capture) Close() { c.drv.SetSink(nil) }
-
-// Replay schedules every record against the driver at its recorded time
-// (shifted to start at the engine's current time), and calls done when
-// the last request completes. Writes replay zero-filled blocks. Run the
-// engine to drive the replay.
-func Replay(eng *sim.Engine, drv *driver.Driver, records []Record, done func(completed int, errs int)) {
-	if len(records) == 0 {
-		eng.After(0, func() {
-			if done != nil {
-				done(0, 0)
-			}
-		})
-		return
-	}
-	base := eng.Now() - records[0].TimeMS
-	zero := make([]byte, drv.BlockSize().Bytes())
-	remaining := len(records)
-	completed, errs := 0, 0
-	finish := func(err error) {
-		if err != nil {
-			errs++
-		} else {
-			completed++
-		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done(completed, errs)
-		}
-	}
-	for _, r := range records {
-		r := r
-		eng.At(base+r.TimeMS, func() {
-			if r.Write {
-				drv.WriteBlock(r.Part, r.Block, zero, func(_ []byte, err error) { finish(err) })
-			} else {
-				drv.ReadBlock(r.Part, r.Block, func(_ []byte, err error) { finish(err) })
-			}
-		})
-	}
-}

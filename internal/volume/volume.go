@@ -280,7 +280,7 @@ func New(opts Options) (*Volume, error) {
 	if ctx := opts.Ctx; ctx != nil {
 		eng.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
-	spans := opts.Telemetry != nil && opts.Telemetry.SpansEnabled()
+	spans := opts.Telemetry.SpansEnabled()
 
 	v := &Volume{
 		Eng:    eng,

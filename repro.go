@@ -70,27 +70,18 @@ type Server struct {
 // NewServer formats a fresh disk per the configuration, mounts a file
 // system on it, and starts the file system's update daemon.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	var model disk.Model
-	switch cfg.DiskModel {
-	case "", "toshiba":
-		model = disk.Toshiba()
-		if cfg.ReservedCyls == 0 {
-			cfg.ReservedCyls = 48
-		}
-	case "fujitsu":
-		model = disk.Fujitsu()
-		if cfg.ReservedCyls == 0 {
-			cfg.ReservedCyls = 80
-		}
-	default:
-		return nil, fmt.Errorf("repro: unknown disk model %q", cfg.DiskModel)
+	model, reserved, err := rig.PaperDisk(cfg.DiskModel)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	if cfg.ReservedCyls == 0 {
+		cfg.ReservedCyls = reserved
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = "organ-pipe"
 	}
 	var schedPolicy sched.Scheduler
 	if cfg.Sched != "" {
-		var err error
 		schedPolicy, err = sched.New(cfg.Sched)
 		if err != nil {
 			return nil, err
