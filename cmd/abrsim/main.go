@@ -25,7 +25,8 @@
 // caches, volume, file system, workload) and writes one snapshot per
 // job as JSON — or Prometheus text with -metrics-format prom; -pprof
 // serves net/http/pprof on the given address for profiling the harness
-// itself.
+// itself (a run that ends before it has delivered any CPU profile
+// waits for the one being taken).
 //
 // Fault injection: -fault-plan injects device faults per the plan
 // grammar (e.g. "seed=3;twrite=1e-4;bad=40000-40015") into every
@@ -69,10 +70,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	_ "net/http/pprof"
+	"net/http/pprof"
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiment"
@@ -189,17 +191,46 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		*teleFile = "telemetry.csv"
 	}
 	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(stderr, "abrsim: pprof:", err)
-			}
-		}()
+		defer servePprof(*pprofAddr, stderr)()
 	}
 	if err := run(stdout, stderr, *exp, o, *jobs, *timeout, *traceFile, *teleFile, *metricsFile, *metricsFormat); err != nil {
 		fmt.Fprintln(stderr, "abrsim:", err)
 		return 1
 	}
 	return 0
+}
+
+// servePprof serves net/http/pprof on addr and returns what to call
+// before exiting. A CPU profile is a window of wall time (one second,
+// the way bench/ asks), and a run shorter than the window used to exit
+// under the request and never be profiled at all; so if no CPU profile
+// has been delivered yet, the one being taken is allowed to finish. A
+// run that has delivered one exits at once, as it always did, cutting
+// the slice in flight.
+func servePprof(addr string, stderr io.Writer) (beforeExit func()) {
+	var delivered atomic.Bool
+	mux := http.NewServeMux()
+	mux.Handle("/", http.DefaultServeMux) // where net/http/pprof registers
+	mux.HandleFunc("/debug/pprof/profile", func(w http.ResponseWriter, r *http.Request) {
+		pprof.Profile(w, r)
+		delivered.Store(true)
+	})
+	srv := &http.Server{Addr: addr, Handler: mux}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintln(stderr, "abrsim: pprof:", err)
+		}
+	}()
+	return func() {
+		if delivered.Load() {
+			return
+		}
+		// Shutdown returns when no request is active; 30 s is the
+		// longest window the profile handler takes unasked.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx) // exiting either way
+	}
 }
 
 // buildFaultPlan assembles the fault plan from the CLI flags: the plan

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 )
@@ -68,5 +73,64 @@ func TestCLIHelp(t *testing.T) {
 		if !strings.Contains(help, w) {
 			t.Errorf("-h lacks %q:\n%s", w, help)
 		}
+	}
+}
+
+// TestPprofOutlivesShortRun: a run shorter than the one-second CPU
+// profile asked of it must still deliver that profile (bench/ fetches
+// one-second slices and fails the observed run when it gets none).
+func TestPprofOutlivesShortRun(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback listener:", err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	type result struct {
+		body []byte
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		url := "http://" + addr + "/debug/pprof/profile?seconds=1"
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			resp, err := http.Get(url)
+			if err != nil {
+				if time.Now().After(deadline) {
+					got <- result{nil, err}
+					return
+				}
+				continue // not listening yet
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("%s: %s", url, resp.Status)
+			}
+			got <- result{body, err}
+			return
+		}
+	}()
+	start := time.Now()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "tenant-scale", "-tenants", "100", "-hours", "0.02", "-pprof", addr}
+	if code := cli(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	elapsed := time.Since(start)
+	// In a test the process outlives cli, so a profile always arrives in
+	// the end; what shows that cli waited for it is that it is (all but)
+	// there when cli returns.
+	var r result
+	select {
+	case r = <-got:
+	case <-time.After(300 * time.Millisecond):
+		t.Fatalf("cli returned after %v with the profile still being taken", elapsed)
+	}
+	if r.err != nil || len(r.body) == 0 {
+		t.Fatalf("the profile was not delivered (%d bytes, err %v); the run took %v", len(r.body), r.err, elapsed)
+	}
+	if elapsed > 3*time.Second {
+		t.Errorf("the run took %v: it should wait for one profile, not more", elapsed)
 	}
 }

@@ -301,7 +301,8 @@ func (d *Disk) invalidateBufferRange(sector int64, count int) {
 
 // Read services a read of count sectors starting at sector, beginning at
 // time nowMS. It returns the data and the service-time breakdown, and
-// updates the head position and buffer state.
+// updates the head position and buffer state. The data buffer is the
+// caller's; its last owner may hand it to Recycle.
 func (d *Disk) Read(nowMS float64, sector int64, count int) ([]byte, Timing, error) {
 	if err := d.validateRange(sector, count); err != nil {
 		return nil, Timing{}, err
@@ -382,16 +383,20 @@ func pageRun(sector int64, count int) (key int64, off, n int) {
 	return key, in * geom.SectorSize, n
 }
 
-// readData copies count sectors of stored data starting at sector.
-// Unwritten sectors read as zeros.
+// readData copies count sectors of stored data starting at sector into
+// a buffer from the pool (bufpool.go). Unwritten sectors read as zeros,
+// which a recycled buffer does not hold: every byte is overwritten.
 func (d *Disk) readData(sector int64, count int) []byte {
-	out := make([]byte, count*geom.SectorSize)
+	out, used := takeBuf(count * geom.SectorSize)
 	for rest := out; count > 0; {
 		key, off, n := pageRun(sector, count)
+		run := rest[:n*geom.SectorSize]
 		if page, ok := d.pages[key]; ok {
-			copy(rest[:n*geom.SectorSize], page[off:])
+			copy(run, page[off:])
+		} else if used {
+			clear(run)
 		}
-		rest, sector, count = rest[n*geom.SectorSize:], sector+int64(n), count-n
+		rest, sector, count = rest[len(run):], sector+int64(n), count-n
 	}
 	return out
 }

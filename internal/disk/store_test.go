@@ -54,7 +54,10 @@ func (r *refStore) tear(sector int64, data []byte, n int) {
 
 // Seeded random programs of writes, reads and torn writes over
 // unaligned ranges that straddle pages, against the per-sector
-// reference: same bytes back, same pages materialized.
+// reference: same bytes back, same pages materialized. Every read
+// buffer is recycled once checked, and one read in three is of exactly
+// one block, so the program runs on poisoned buffers taken back from
+// the pool.
 func TestSparseStoreMatchesReference(t *testing.T) {
 	const span = 40 * pageSectors // small, so ranges overlap often
 	for seed := int64(1); seed <= 8; seed++ {
@@ -95,9 +98,15 @@ func TestSparseStoreMatchesReference(t *testing.T) {
 					d.SetFaults(nil)
 					ref.tear(sector, data, n)
 				default:
-					if got, want := d.readData(sector, count), ref.read(sector, count); !bytes.Equal(got, want) {
+					if p == 9 { // one block at any alignment: the pooled size
+						count = pageSectors
+						sector = int64(rnd.Intn(span - count))
+					}
+					got := d.readData(sector, count)
+					if want := ref.read(sector, count); !bytes.Equal(got, want) {
 						t.Fatalf("op %d: read [%d,+%d) differs from the reference", op, sector, count)
 					}
+					Recycle(got)
 				}
 			}
 			if got, want := d.readData(0, span), ref.read(0, span); !bytes.Equal(got, want) {
@@ -160,6 +169,126 @@ func TestSparseStoreZeroDetection(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// drainPool empties the free list so the next Recycle decides which
+// buffer the next block read is handed.
+func drainPool() {
+	for {
+		select {
+		case <-freeBufs:
+		default:
+			return
+		}
+	}
+}
+
+// A recycled buffer holds poison, not zeros, and nothing clears it on
+// the way out: a read must overwrite every byte itself. The cases are
+// the ones where most of what it writes is zeros it used to get from
+// make — a range never written, a block straddling a materialized and
+// a missing page (either order), and a page whose only non-zero byte
+// sits at an edge of a sector or of the page.
+func TestReadIntoRecycledBufferMatchesReference(t *testing.T) {
+	const base = 100 * pageSectors
+	lone := func(pos int) []byte {
+		data := make([]byte, bufBytes)
+		data[pos] = 0x5A
+		return data
+	}
+	dense := bytes.Repeat([]byte{0xC3}, bufBytes)
+	for _, tc := range []struct {
+		name   string
+		at     int64  // where data is written, relative to base
+		data   []byte // nil: nothing is written
+		sector int64  // the block read, relative to base
+	}{
+		{"never written", 0, nil, 0},
+		{"never written, unaligned", 0, nil, 5},
+		{"materialized then missing", 0, dense, pageSectors / 2},
+		{"missing then materialized", pageSectors, dense, pageSectors / 2},
+		{"lone byte at 0", 0, lone(0), 0},
+		{"lone byte at 511", 0, lone(511), 0},
+		{"lone byte at 512", 0, lone(512), 0},
+		{"lone byte at the end", 0, lone(bufBytes - 1), 0},
+		{"lone byte at the end, block straddling", 0, lone(bufBytes - 1), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := MustNew(Toshiba())
+			ref := &refStore{sectors: map[int64][]byte{}, pages: map[int64]bool{}}
+			if tc.data != nil {
+				d.writeData(base+tc.at, tc.data)
+				ref.write(base+tc.at, tc.data)
+			}
+			drainPool()
+			buf := make([]byte, bufBytes)
+			Recycle(buf)
+			if buf[0] != poison || buf[bufBytes-1] != poison {
+				t.Fatal("Recycle did not poison the buffer")
+			}
+			got := d.readData(base+tc.sector, pageSectors)
+			if &got[0] != &buf[0] {
+				t.Fatal("the read did not take the recycled buffer")
+			}
+			if want := ref.read(base+tc.sector, pageSectors); !bytes.Equal(got, want) {
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("byte %d of the block reads %#x, reference says %#x", i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// The pool takes one size only and never more than its capacity, and
+// what it declines stays untouched (the caller may have been wrong to
+// offer it, but must not be punished with poison for that).
+func TestRecycleBounds(t *testing.T) {
+	drainPool()
+	for _, n := range []int{0, geom.SectorSize, bufBytes - 1, bufBytes + 1, 2 * bufBytes} {
+		odd := make([]byte, n)
+		Recycle(odd)
+		if len(freeBufs) != 0 {
+			t.Fatalf("a %d-byte buffer was pooled", n)
+		}
+		if n > 0 && odd[0] != 0 {
+			t.Fatalf("a %d-byte buffer was poisoned", n)
+		}
+	}
+	if got := Buffer(3 * geom.SectorSize); len(got) != 3*geom.SectorSize {
+		t.Fatalf("Buffer(3 sectors) is %d bytes", len(got))
+	}
+	for i := 0; i < cap(freeBufs)+10; i++ {
+		Recycle(make([]byte, bufBytes))
+	}
+	if len(freeBufs) != cap(freeBufs) {
+		t.Fatalf("pool holds %d buffers after %d recycles, want its capacity %d",
+			len(freeBufs), cap(freeBufs)+10, cap(freeBufs))
+	}
+	drainPool()
+	if buf := Buffer(bufBytes); len(buf) != bufBytes || buf[0] != 0 {
+		t.Fatal("an empty pool must fall back to a fresh zeroed buffer")
+	}
+}
+
+// A block read whose buffer comes back costs no allocation.
+func TestReadRecycleNoAlloc(t *testing.T) {
+	d := MustNew(Toshiba())
+	d.writeData(0, bytes.Repeat([]byte{1}, bufBytes))
+	now, sector := 0.0, int64(0)
+	n := testing.AllocsPerRun(200, func() {
+		data, tm, err := d.Read(now, sector, pageSectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Recycle(data)
+		now += tm.TotalMS()
+		sector = (sector + 8) % 64 // written, straddling and unwritten blocks in turn
+	})
+	if n != 0 {
+		t.Errorf("read + recycle: %v allocs, want 0", n)
 	}
 }
 

@@ -8,9 +8,10 @@ import "testing"
 //     the completion event is the ioreq itself (sim.Caller), the
 //     scheduler candidates and device queue reuse their backing arrays,
 //     and the disk stores into already-allocated pages;
-//   - reads: 1 allocation — the disk model materializes the returned
-//     data as a fresh buffer, which the completion hands to the caller
-//     (ownership transfer; the driver cannot reuse it).
+//   - reads: 1 allocation when the caller keeps the data — the disk
+//     model hands over a buffer, which the completion passes to the
+//     caller (ownership transfer; the driver cannot reuse it) — and 0
+//     when the caller, as last owner, gives it back with Recycle.
 //
 // These bounds keep per-event closures and container/heap-style boxing
 // from silently returning to the hot path.
@@ -64,5 +65,34 @@ func TestReadRoundTripOneAlloc(t *testing.T) {
 		eng.Run()
 	}); n > 1 {
 		t.Errorf("read round trip: %v allocs, want at most 1 (the returned data buffer)", n)
+	}
+}
+
+func TestReadRecycleRoundTripZeroAllocs(t *testing.T) {
+	eng, _, drv := newRig(t)
+	var werr error
+	drv.WriteBlock(0, 100, blockOf(0x5a), func(_ []byte, err error) { werr = err })
+	eng.Run()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	done := func(got []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || got[0] != 0x5a {
+			t.Fatal("read returned the wrong data")
+		}
+		Recycle(got)
+	}
+	for i := 0; i < 64; i++ {
+		drv.ReadBlock(0, 100, done)
+		eng.Run()
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		drv.ReadBlock(0, 100, done)
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("read round trip with the buffer recycled: %v allocs, want 0", n)
 	}
 }

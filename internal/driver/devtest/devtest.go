@@ -20,6 +20,13 @@
 //     by the write, nor by later reads, a member death, a degraded
 //     write or a rebuild — so a caller may keep sharing it (the file
 //     system hands the same inode-block image to write after write);
+//   - read ownership: the buffer a read delivers is the receiver's. The
+//     device keeps no reference to it (read-owned: scribbling on it
+//     changes no later read), and nothing the device did recycles it, so
+//     the receiver may hand it to driver.Recycle and every later read —
+//     served from recycled buffers, several in flight at once, across a
+//     member death, degraded writes and a rebuild — still returns what
+//     was written (read-recycled);
 //   - death: after the harness's Kill hook, requests either fail with
 //     driver.ErrDead (unwrapping to fault.ErrCrash) or, for redundant
 //     devices, keep succeeding with the data intact; and once the
@@ -87,6 +94,18 @@ func TestDevice(t *testing.T, build Builder) {
 		testPayloadImmutable(t, build(t, false))
 		if h := build(t, true); h.Kill != nil {
 			testPayloadImmutableDead(t, h)
+		}
+	})
+	t.Run("read-owned", func(t *testing.T) {
+		testReadOwned(t, build(t, false))
+		if h := build(t, true); h.Kill != nil {
+			testReadOwned(t, h)
+		}
+	})
+	t.Run("read-recycled", func(t *testing.T) {
+		testReadRecycled(t, build(t, false))
+		if h := build(t, true); h.Kill != nil {
+			testReadRecycledDead(t, h)
 		}
 	})
 	t.Run("dead", func(t *testing.T) {
@@ -261,12 +280,18 @@ type payloads struct {
 }
 
 // pattern builds one block-sized buffer of varied bytes (a constant
-// fill would hide an in-place XOR of two equal payloads) and tracks it.
-func (p *payloads) pattern(h *Harness, salt byte) []byte {
+// fill would hide an in-place XOR of two equal payloads).
+func (h *Harness) pattern(salt byte) []byte {
 	buf := make([]byte, h.Dev.BlockSize().Bytes())
 	for i := range buf {
 		buf[i] = byte(i*7) ^ byte(i>>8) ^ salt
 	}
+	return buf
+}
+
+// pattern builds one such buffer and tracks it.
+func (p *payloads) pattern(h *Harness, salt byte) []byte {
+	buf := h.pattern(salt)
 	p.bufs = append(p.bufs, buf)
 	p.want = append(p.want, append([]byte(nil), buf...))
 	return buf
@@ -338,6 +363,182 @@ func testPayloadImmutableDead(t *testing.T, h *Harness) {
 		t.Fatalf("readback after degraded write: err=%v", err)
 	}
 	p.check(t, "after a degraded read")
+}
+
+// shadow is what the device should hold: the last pattern each block
+// was successfully written with, zeros for a block never written.
+type shadow struct {
+	h    *Harness
+	want map[int64][]byte
+	salt byte
+	// lossy tolerates failed requests: the harness's fault plan is armed
+	// and the device has no redundancy. What does succeed must still be
+	// right.
+	lossy bool
+}
+
+func newShadow(h *Harness) *shadow {
+	return &shadow{h: h, want: map[int64][]byte{}, lossy: h.Kill != nil && h.DeadIsFatal}
+}
+
+// spread picks blocks from both ends and the middle of the device,
+// neighbours included, so that on every layout they span several
+// members and stripe rows.
+func (h *Harness) spread() []int64 {
+	return []int64{0, 1, 2, 3, h.Blocks / 2, h.Blocks/2 + 1, h.Blocks - 2, h.Blocks - 1}
+}
+
+func (s *shadow) expect(blk int64) []byte {
+	if w, ok := s.want[blk]; ok {
+		return w
+	}
+	return make([]byte, s.h.Dev.BlockSize().Bytes())
+}
+
+// write stores a fresh pattern in blk and records it if the device
+// took it.
+func (s *shadow) write(t *testing.T, blk int64) {
+	t.Helper()
+	s.salt++
+	buf := s.h.pattern(s.salt)
+	if err := s.h.write(t, blk, buf); err == nil {
+		s.want[blk] = buf
+	} else if !s.lossy {
+		t.Fatalf("write block %d: %v", blk, err)
+	}
+}
+
+func (s *shadow) check(t *testing.T, when string, blk int64, got []byte, err error) {
+	t.Helper()
+	if err != nil {
+		if !s.lossy {
+			t.Fatalf("%s: read block %d: %v", when, blk, err)
+		}
+		return
+	}
+	if !bytes.Equal(got, s.expect(blk)) {
+		t.Fatalf("%s: read block %d: data differs from what was written (starts %#x, want %#x)",
+			when, blk, got[0], s.expect(blk)[0])
+	}
+}
+
+// readHeld reads every block of blks with all the reads in flight at
+// once and checks them only after the last has completed, the caller
+// still holding every buffer: two reads that were handed the same
+// buffer (one recycled twice) cannot both be right.
+func (s *shadow) readHeld(t *testing.T, when string, blks []int64) [][]byte {
+	t.Helper()
+	bufs := make([][]byte, len(blks))
+	errs := make([]error, len(blks))
+	fired := 0
+	for i, blk := range blks {
+		i := i
+		s.h.Dev.ReadBlock(0, blk, func(d []byte, err error) { bufs[i], errs[i] = d, err; fired++ })
+	}
+	s.h.Run()
+	if fired != len(blks) {
+		t.Fatalf("%s: %d of %d reads completed", when, fired, len(blks))
+	}
+	for i, blk := range blks {
+		s.check(t, when, blk, bufs[i], errs[i])
+	}
+	return bufs
+}
+
+// storm starts, for every block of blks, a chain of depth reads: each
+// completion checks what it was given, hands the buffer back and issues
+// the next read, so recycled buffers are retaken while other requests —
+// the other chains, and whatever the caller issues before Run — are in
+// flight. The blocks must not be written until the chains have run out.
+func (s *shadow) storm(t *testing.T, when string, blks []int64, depth int) {
+	for _, blk := range blks {
+		blk, left := blk, depth
+		var next driver.DoneFunc
+		next = func(d []byte, err error) {
+			s.check(t, when, blk, d, err)
+			driver.Recycle(d)
+			if left--; left > 0 {
+				s.h.Dev.ReadBlock(0, blk, next)
+			}
+		}
+		s.h.Dev.ReadBlock(0, blk, next)
+	}
+}
+
+// testReadOwned: what a read delivers belongs to the receiver. With a
+// kill hook the re-reads come from the degraded (or rebuilt) device.
+func testReadOwned(t *testing.T, h *Harness) {
+	s, blks := newShadow(h), h.spread()
+	for _, blk := range blks {
+		s.write(t, blk)
+	}
+	if h.Kill != nil {
+		h.Kill()
+	}
+	for _, buf := range s.readHeld(t, "first read", blks) {
+		for j := range buf {
+			buf[j] = 0xFF
+		}
+	}
+	// Other I/O, then the same blocks again: a device that kept the
+	// delivered buffer (as a cache line, a parity operand, a rebuild
+	// source) would now serve the scribble.
+	s.write(t, blks[0])
+	s.readHeld(t, "unrelated read", []int64{h.Blocks / 3})
+	s.readHeld(t, "re-read after scribbling on the first read's buffers", blks)
+}
+
+// testReadRecycled: the receiver may recycle what a read delivered.
+func testReadRecycled(t *testing.T, h *Harness) {
+	s, blks := newShadow(h), h.spread()
+	unwritten := []int64{h.Blocks / 3, h.Blocks/3 + 1}
+	for _, blk := range blks {
+		s.write(t, blk)
+	}
+	// Recycled buffers come back poisoned: reads of written and of
+	// never-written blocks alike must overwrite every byte.
+	s.storm(t, "read, recycle, read", append(unwritten, blks...), 4)
+	h.Run()
+	for _, buf := range s.readHeld(t, "reads in flight together", blks) {
+		driver.Recycle(buf)
+	}
+	// Writes to one half of the blocks while the other half is read and
+	// recycled: the device's own use of recycled buffers (parity
+	// read-modify-write operands) meets the caller's.
+	half := len(blks) / 2
+	s.storm(t, "reads beside writes", blks[half:], 4)
+	for _, blk := range blks[:half] {
+		s.write(t, blk)
+	}
+	for _, buf := range s.readHeld(t, "final re-read", append(unwritten, blks...)) {
+		driver.Recycle(buf)
+	}
+}
+
+// testReadRecycledDead repeats it across the Kill hook: chains of
+// recycling reads are in flight when the doomed part takes its first
+// operation, through the degraded write that follows, and — on a
+// harness with a hot spare — while the rebuild copies rows with the
+// same pool's buffers.
+func testReadRecycledDead(t *testing.T, h *Harness) {
+	// Few blocks and short chains: harnesses arm lazier fault plans on
+	// further members for the Overwhelm hook, which this traffic must
+	// not trip.
+	s, blks := newShadow(h), h.spread()[:4]
+	quiet := []int64{h.Blocks / 3, h.Blocks/3 + 1}
+	s.storm(t, "reads across the kill", quiet, 6)
+	s.write(t, h.DeadBlock)
+	h.Kill()
+	for _, blk := range blks {
+		s.write(t, blk)
+	}
+	s.write(t, h.DeadBlock)
+	all := append(append([]int64{h.DeadBlock}, quiet...), blks...)
+	s.storm(t, "read, recycle, read past the kill", all, 2)
+	h.Run()
+	for _, buf := range s.readHeld(t, "final re-read past the kill", all) {
+		driver.Recycle(buf)
+	}
 }
 
 func testDead(t *testing.T, h *Harness) {

@@ -99,8 +99,19 @@ var (
 var ErrDead = fmt.Errorf("driver: device is dead: %w", fault.ErrCrash)
 
 // DoneFunc is the completion callback of an asynchronous request. For
-// reads, data holds the returned bytes; for writes data is nil.
+// reads, data holds the returned bytes; for writes data is nil. The
+// receiver owns data: no device keeps a reference to a buffer it has
+// delivered, so the receiver may modify it, keep it, pass it on — or,
+// as its last owner, hand it back with Recycle.
 type DoneFunc func(data []byte, err error)
+
+// Recycle hands a read buffer back to the pool the next block read is
+// served from (disk.Recycle). Only the buffer's last owner may call it
+// — whoever a DoneFunc delivered it to and who passed it to nobody —
+// and must not touch the buffer afterwards: it is overwritten with a
+// poison byte at once and will carry another read's data soon. Not
+// recycling is always correct; the garbage collector takes the buffer.
+func Recycle(buf []byte) { disk.Recycle(buf) }
 
 // ioreq is one queued device operation. Records are pooled: the
 // completion path returns them to the driver's free list, so the
@@ -493,7 +504,10 @@ func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done 
 		pieces = append(pieces, piece{vsec: s, count: int(next - s)})
 		s = next
 	}
-	out := make([]byte, count*geom.SectorSize)
+	var out []byte
+	if !write {
+		out = make([]byte, count*geom.SectorSize)
+	}
 	remaining := len(pieces)
 	var firstErr error
 	off := 0
@@ -510,14 +524,11 @@ func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done 
 			}
 			if !write && err == nil {
 				copy(out[pcOff:], rdata)
+				Recycle(rdata)
 			}
 			remaining--
 			if remaining == 0 && done != nil {
-				if write {
-					done(nil, firstErr)
-				} else {
-					done(out, firstErr)
-				}
+				done(out, firstErr)
 			}
 		})
 		off += pc.count * geom.SectorSize

@@ -74,7 +74,8 @@ type Result struct {
 // inflight tracks one outstanding request. Instances are pooled and
 // each carries its DoneFunc closure, built once at allocation, so the
 // steady-state replay path schedules and completes requests without
-// allocating.
+// allocating. The replayer looks at no byte a read returns and is the
+// buffer's last owner, so both closures hand it straight back.
 type inflight struct {
 	r       *Replayer
 	issueMS float64
@@ -187,7 +188,10 @@ func (r *Replayer) Start(done func(Result)) {
 		for i := 0; i < n; i++ {
 			c := &clClient{r: r, rnd: rnd.Split()}
 			c.inf.r = r
-			c.inf.done = func(_ []byte, err error) { c.complete(err) }
+			c.inf.done = func(data []byte, err error) {
+				driver.Recycle(data)
+				c.complete(err)
+			}
 			// Stagger client starts by one think time draw each, so the
 			// population doesn't arrive as a single burst.
 			r.eng.AfterCall(c.rnd.Exp(r.o.ThinkMS), c)
@@ -221,7 +225,10 @@ func (r *Replayer) getInflight() *inflight {
 		return inf
 	}
 	inf := &inflight{r: r}
-	inf.done = func(_ []byte, err error) { inf.r.complete(inf, err) }
+	inf.done = func(data []byte, err error) {
+		driver.Recycle(data)
+		inf.r.complete(inf, err)
+	}
 	return inf
 }
 

@@ -1,6 +1,10 @@
 package volume
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/driver"
+)
 
 // Allocation regression tests for the volume request round trip,
 // extending the driver's battery one layer up. The budget:
@@ -9,9 +13,10 @@ import "testing"
 //     with its fan-in callbacks prebuilt, the mirror fan-out target
 //     list reuses volume-level scratch, and the member drivers are
 //     already allocation-free on writes;
-//   - reads: 1 allocation — the member disk materializes the returned
-//     data as a fresh buffer (ownership transfer to the caller), same
-//     as a single-disk read.
+//   - reads: 1 allocation when the caller keeps the data — the member
+//     disk hands over a buffer (ownership transfer to the caller), same
+//     as a single-disk read — and 0 when the caller gives it back with
+//     driver.Recycle; the volume adds nothing either way.
 //
 // These floors are what lets a volume-scale run spend its
 // wall-clock on events rather than garbage; the closures the volume
@@ -87,12 +92,11 @@ func TestMirrorWriteRoundTripZeroAllocs(t *testing.T) {
 	}
 }
 
-// RAID parity budgets are looser than the mirror's: the read-modify-
-// write cycle pulls old data, P (and Q) off the member disks, and each
-// member read materializes a fresh buffer (the same ownership transfer
-// as the plain read path) before the deltas fold into pooled scratch.
-// Everything else — the request record, per-slot callbacks, row locks,
-// parity buffers — is pooled and must not allocate.
+// RAID parity writes are allocation-free too: the read-modify-write
+// cycle pulls old data, P (and Q) off the member disks, folds the
+// deltas into those very buffers, and — being their last owner — hands
+// them back to the pool the next member read takes them from. The
+// request record, per-slot callbacks and row locks are pooled as well.
 func TestRAID5WriteRoundTripAllocFloor(t *testing.T) {
 	v := mustNew(t, Options{Layout: RAID5, Disks: 4, StripeUnit: 4})
 	data := blockOf(0x5a)
@@ -106,8 +110,8 @@ func TestRAID5WriteRoundTripAllocFloor(t *testing.T) {
 		v.WriteBlock(0, blk%64, data, done)
 		blk++
 		v.Run()
-	}); n > 2 {
-		t.Errorf("raid5 write round trip: %v allocs, want at most 2 (old data + old parity reads)", n)
+	}); n != 0 {
+		t.Errorf("raid5 write round trip: %v allocs, want 0 (old data + old parity buffers are recycled)", n)
 	}
 }
 
@@ -124,8 +128,8 @@ func TestRAID6WriteRoundTripAllocFloor(t *testing.T) {
 		v.WriteBlock(0, blk%64, data, done)
 		blk++
 		v.Run()
-	}); n > 3 {
-		t.Errorf("raid6 write round trip: %v allocs, want at most 3 (old data + old P + old Q reads)", n)
+	}); n != 0 {
+		t.Errorf("raid6 write round trip: %v allocs, want 0 (old data + old P + old Q buffers are recycled)", n)
 	}
 }
 
@@ -176,5 +180,38 @@ func TestMirrorReadRoundTripOneAlloc(t *testing.T) {
 		v.Run()
 	}); n > 1 {
 		t.Errorf("mirror read round trip: %v allocs, want at most 1 (the data buffer)", n)
+	}
+}
+
+// The recycling twins of the three read floors: a caller that hands
+// the delivered buffer back reads for nothing, on every layout.
+func TestReadRecycleRoundTripZeroAllocs(t *testing.T) {
+	for _, opts := range []Options{
+		{Layout: Stripe, Disks: 4},
+		{Layout: Mirror, Disks: 2, ReadPolicy: ShortestQueue},
+		{Layout: RAID5, Disks: 4, StripeUnit: 4},
+	} {
+		t.Run(string(opts.Layout), func(t *testing.T) {
+			v := mustNew(t, opts)
+			for k := int64(0); k < 64; k++ {
+				if err := write(t, v, k, blockOf(0x5a)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := func(got []byte, err error) {
+				if err != nil || len(got) == 0 || got[0] != 0x5a {
+					t.Fatal("bad read completion")
+				}
+				driver.Recycle(got)
+			}
+			blk := int64(0)
+			if n := steadyState(t, v, func() {
+				v.ReadBlock(0, blk%64, done)
+				blk++
+				v.Run()
+			}); n != 0 {
+				t.Errorf("%s read round trip with the buffer recycled: %v allocs, want 0", opts.Layout, n)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/disk"
 	"repro/internal/driver"
 	"repro/internal/fault"
 )
@@ -212,11 +213,29 @@ func (ra *raid) errLost(blk int64, missing int) error {
 		blk, missing, ra.npar, driver.ErrDead)
 }
 
+// scratch draws a block-size buffer for parity math from the pool the
+// member reads come from (its contents are unspecified: every use
+// below starts with a whole-block copy) and notes it in *pool, which
+// recycleAll hands back at request end.
+func (ra *raid) scratch(pool *[][]byte) []byte {
+	buf := disk.Buffer(ra.v.bs.Bytes())
+	*pool = append(*pool, buf)
+	return buf
+}
+
+// recycleAll hands back member-read results the volume consumed itself
+// and scratch buffers, nil entries skipped. Nothing in bufs may have
+// been delivered upward: a buffer has exactly one recycler.
+func recycleAll(bufs [][]byte) {
+	for _, b := range bufs {
+		driver.Recycle(b)
+	}
+}
+
 // solveRow fills the nil (unreadable) entries of colv — the row's
 // data columns — from whichever parity blocks are available (nil =
-// unreadable). Solved columns land in buffers drawn from the volume
-// pool and appended to *pool for release at request end. Returns how
-// many columns remain unsolved.
+// unreadable). Solved columns land in scratch buffers noted in *pool.
+// Returns how many columns remain unsolved.
 func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 	x, y, unknown := -1, -1, 0
 	for c, b := range colv {
@@ -234,8 +253,7 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 		return 0
 	case unknown == 1 && p != nil:
 		// D_x = P ⊕ ⊕_{c≠x} D_c
-		buf := ra.v.getBuf()
-		*pool = append(*pool, buf)
+		buf := ra.scratch(pool)
 		copy(buf, p)
 		for c, b := range colv {
 			if c != x {
@@ -246,8 +264,7 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 		return 0
 	case unknown == 1 && q != nil:
 		// D_x = g^{-x} (Q ⊕ Σ_{c≠x} g^c D_c)
-		buf := ra.v.getBuf()
-		*pool = append(*pool, buf)
+		buf := ra.scratch(pool)
 		copy(buf, q)
 		for c, b := range colv {
 			if c != x {
@@ -261,9 +278,7 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 		// Two erasures: with P_xy and Q_xy the syndromes restricted to
 		// the two unknown columns,
 		//   D_x = [g^y P_xy ⊕ Q_xy] / (g^x ⊕ g^y),  D_y = D_x ⊕ P_xy.
-		pxy := ra.v.getBuf()
-		qxy := ra.v.getBuf()
-		*pool = append(*pool, pxy, qxy)
+		pxy, qxy := ra.scratch(pool), ra.scratch(pool)
 		copy(pxy, p)
 		copy(qxy, q)
 		for c, b := range colv {
@@ -311,10 +326,10 @@ type rreq struct {
 	degraded   bool
 	lockHeld   bool
 
-	bufs [][]byte // row-read results, by slot (buffers owned here)
+	bufs [][]byte // row-read results, by slot (owned here, recycled in putReq)
 	errs []error  // row-read errors, by slot
 	colv [][]byte // per-column data values for parity math
-	pool [][]byte // buffers borrowed from the volume pool
+	pool [][]byte // scratch buffers (recycled in putReq)
 
 	newP, newQ []byte
 
@@ -351,15 +366,18 @@ func (ra *raid) newReq() *rreq {
 	return r
 }
 
+// putReq retires a record. Every member read it fanned in was consumed
+// by parity math and every write that referenced one has completed, so
+// the row buffers and the scratch go back to the pool; a direct read's
+// buffer went to the caller and never entered bufs.
 func (ra *raid) putReq(r *rreq) {
+	recycleAll(r.bufs)
+	recycleAll(r.pool)
 	for i := range r.bufs {
 		r.bufs[i], r.errs[i] = nil, nil
 	}
 	for i := range r.colv {
 		r.colv[i] = nil
-	}
-	for _, b := range r.pool {
-		ra.v.putBuf(b)
 	}
 	r.pool = r.pool[:0]
 	r.newP, r.newQ = nil, nil
@@ -607,8 +625,7 @@ func (r *rreq) rowWriteDone() {
 	r.colv[r.col] = r.data
 	rb := ra.rebuild
 	if ra.alive(r.pslot) || (rb != nil && rb.slot == r.pslot && r.mb < rb.cursor) {
-		pb := ra.v.getBuf()
-		r.pool = append(r.pool, pb)
+		pb := ra.scratch(&r.pool)
 		copy(pb, r.colv[0])
 		for c := 1; c < ra.ndata; c++ {
 			xorInto(pb, r.colv[c])
@@ -616,8 +633,7 @@ func (r *rreq) rowWriteDone() {
 		r.newP = pb
 	}
 	if ra.dbl && (ra.alive(r.qslot) || (rb != nil && rb.slot == r.qslot && r.mb < rb.cursor)) {
-		qb := ra.v.getBuf()
-		r.pool = append(r.pool, qb)
+		qb := ra.scratch(&r.pool)
 		copy(qb, r.colv[0]) // g^0 = 1
 		for c := 1; c < ra.ndata; c++ {
 			gfMulAddInto(qb, gfPow(c), r.colv[c])
@@ -713,7 +729,9 @@ func (r *rreq) finishRecon() {
 		r.finishUnlock(nil, ra.errLost(r.blk, left))
 		return
 	}
-	out := make([]byte, len(r.colv[r.col])) // ownership transfers to the caller
+	// The caller gets a buffer of its own: colv[col] is recycled with
+	// the rest of the row when the record retires.
+	out := disk.Buffer(len(r.colv[r.col]))
 	copy(out, r.colv[r.col])
 	ra.cum.DegradedReads++
 	r.finishUnlock(out, nil)

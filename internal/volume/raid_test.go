@@ -133,9 +133,7 @@ func TestSolveRowAllErasures(t *testing.T) {
 				}
 			}
 		}
-		for _, b := range pool {
-			v.putBuf(b)
-		}
+		recycleAll(pool)
 	}
 	cols := func(erase ...int) [][]byte {
 		colv := make([][]byte, ra.ndata)

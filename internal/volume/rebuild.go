@@ -154,16 +154,14 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 		if ra.solveRow(colv, p, q, &pool) == 0 {
 			switch rb.slot {
 			case ps:
-				buf := ra.v.getBuf()
-				pool = append(pool, buf)
+				buf := ra.scratch(&pool)
 				copy(buf, colv[0])
 				for c := 1; c < ra.ndata; c++ {
 					xorInto(buf, colv[c])
 				}
 				val = buf
 			case qs:
-				buf := ra.v.getBuf()
-				pool = append(pool, buf)
+				buf := ra.scratch(&pool)
 				copy(buf, colv[0]) // g^0 = 1
 				for c := 1; c < ra.ndata; c++ {
 					gfMulAddInto(buf, gfPow(c), colv[c])
@@ -173,10 +171,10 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 				val = colv[ra.colOfSlot(row, rb.slot)]
 			}
 		}
+		// The survivors' blocks were read for this copy alone.
 		release := func() {
-			for _, b := range pool {
-				ra.v.putBuf(b)
-			}
+			recycleAll(bufs)
+			recycleAll(pool)
 		}
 		if val == nil {
 			// This row lost more than parity covers; its data is gone
@@ -325,9 +323,8 @@ func (ra *raid) scrubBlock(mb, row int64) {
 		}
 		var pool [][]byte
 		finish := func() {
-			for _, b := range pool {
-				ra.v.putBuf(b)
-			}
+			recycleAll(bufs)
+			recycleAll(pool)
 			ra.unlock(row)
 			ra.v.Eng.After(ra.stepDelay(), func() { ra.scrubStep(mb + 1) })
 		}
@@ -343,16 +340,14 @@ func (ra *raid) scrubBlock(mb, row int64) {
 			finish()
 			return
 		}
-		expP := ra.v.getBuf()
-		pool = append(pool, expP)
+		expP := ra.scratch(&pool)
 		copy(expP, colv[0])
 		for c := 1; c < ra.ndata; c++ {
 			xorInto(expP, colv[c])
 		}
 		var expQ []byte
 		if ra.dbl {
-			expQ = ra.v.getBuf()
-			pool = append(pool, expQ)
+			expQ = ra.scratch(&pool)
 			copy(expQ, colv[0])
 			for c := 1; c < ra.ndata; c++ {
 				gfMulAddInto(expQ, gfPow(c), colv[c])

@@ -204,10 +204,9 @@ type Volume struct {
 	ra       *raid
 
 	// free is the vreq pool; targets is the mirror write fan-out
-	// scratch; bufFree pools block-size parity scratch buffers.
+	// scratch.
 	free    *vreq
 	targets []int
-	bufFree [][]byte
 
 	stats Stats
 	// cumDegraded counts degraded mirror requests over the volume's
@@ -724,16 +723,3 @@ func (v *Volume) WriteBlock(part int, blk int64, data []byte, done driver.DoneFu
 	v.stats.Writes++
 	v.place.write(blk, data, done)
 }
-
-// getBuf pops a pooled block-size scratch buffer for parity math;
-// putBuf returns one.
-func (v *Volume) getBuf() []byte {
-	if n := len(v.bufFree); n > 0 {
-		b := v.bufFree[n-1]
-		v.bufFree = v.bufFree[:n-1]
-		return b
-	}
-	return make([]byte, v.bs.Bytes())
-}
-
-func (v *Volume) putBuf(b []byte) { v.bufFree = append(v.bufFree, b) }

@@ -130,7 +130,9 @@ func NewTenants(eng *sim.Engine, srv BlockServer, blocks int64, cfg TenantConfig
 		zipf:   sim.NewZipf(cfg.Tenants, cfg.Theta),
 		fzipf:  sim.NewZipf(int(cfg.FootprintBlocks), 1.2),
 	}
-	w.onDone = func(_ []byte, err error) {
+	w.onDone = func(data []byte, err error) {
+		// A tenant keeps nothing of what it read.
+		driver.Recycle(data)
 		w.responded++
 		if err != nil {
 			w.failed++

@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -180,4 +183,80 @@ func TestTenantsDeterminism(t *testing.T) {
 	if a.n == 0 {
 		t.Fatal("no requests issued")
 	}
+}
+
+// rigServer is a BlockServer straight onto one simulated disk: a read
+// hands the disk's buffer to the workload, which recycles it. Every
+// block holds its own number interleaved with the server's tag, checked
+// before the buffer moves on, so a buffer that reaches this engine
+// while the other one still writes to it shows as wrong bytes (and as a
+// data race).
+type rigServer struct {
+	t     *testing.T
+	r     *rig.Rig
+	tag   byte
+	reads int
+}
+
+func (s *rigServer) stamp(blk int64) []byte {
+	buf := make([]byte, s.r.Driver.BlockSize().Bytes())
+	for i := 0; i < len(buf); i += 2 {
+		buf[i], buf[i+1] = s.tag, byte(blk)
+	}
+	return buf
+}
+
+func (s *rigServer) Read(_, _ int, blk int64, done driver.DoneFunc) {
+	s.r.Driver.ReadBlock(0, blk, func(data []byte, err error) {
+		if err == nil && !bytes.Equal(data, s.stamp(blk)) {
+			s.t.Errorf("engine %#x: block %d read back as %#x %#x…", s.tag, blk, data[0], data[1])
+		}
+		s.reads++
+		done(data, err)
+	})
+}
+
+func (s *rigServer) Write(_, _ int, blk int64, done driver.DoneFunc) {
+	s.r.Driver.WriteBlock(0, blk, s.stamp(blk), done)
+}
+
+// The read-buffer pool is the one piece of mutable state engines share
+// (every other layer lives on its engine's goroutine). Two engines on
+// two goroutines read and recycle through it at once, as two harness
+// jobs do under -jobs 2; run with -race.
+func TestTenantsRecycleAcrossEngines(t *testing.T) {
+	const blocks = 64
+	var wg sync.WaitGroup
+	for _, tag := range []byte{0xA5, 0x3C} {
+		tag := tag
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := rig.New(rig.Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			srv := &rigServer{t: t, r: r, tag: tag}
+			for blk := int64(0); blk < blocks; blk++ {
+				srv.Write(0, 0, blk, func(_ []byte, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			r.Eng.Run()
+			w, err := NewTenants(r.Eng, srv, blocks, TenantConfig{Tenants: 8, RatePerSec: 40, Seed: uint64(tag)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w.Run(r.Eng.Now(), r.Eng.Now()+60_000, func(error) {})
+			r.Eng.Run()
+			if w.Failed() != 0 || srv.reads < 1000 {
+				t.Errorf("engine %#x: %d reads, %d failed", tag, srv.reads, w.Failed())
+			}
+		}()
+	}
+	wg.Wait()
 }
