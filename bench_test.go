@@ -95,9 +95,9 @@ func BenchmarkTable3DayDetail(b *testing.B) {
 			offs, ons := dr.OffDays(), dr.OnDays()
 			off := offs[len(offs)-1].Metrics(dr.Curve, experiment.AllRequests)
 			on := ons[len(ons)-1].Metrics(dr.Curve, experiment.AllRequests)
-			b.ReportMetric(off.ZeroSeekPct, dr.Setup.DiskName+"_zeroOff_pct")
-			b.ReportMetric(on.ZeroSeekPct, dr.Setup.DiskName+"_zeroOn_pct")
-			b.ReportMetric(off.FCFSDist, dr.Setup.DiskName+"_fcfsDist_cyl")
+			b.ReportMetric(off.ZeroSeekPct, dr.Experiment.Devices.Disk+"_zeroOff_pct")
+			b.ReportMetric(on.ZeroSeekPct, dr.Experiment.Devices.Disk+"_zeroOn_pct")
+			b.ReportMetric(off.FCFSDist, dr.Experiment.Devices.Disk+"_fcfsDist_cyl")
 		}
 	}
 }
@@ -296,8 +296,8 @@ func BenchmarkFigure8BlockSweep(b *testing.B) {
 func BenchmarkAblationScheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, s := range []string{"fcfs", "scan", "cscan", "sstf"} {
-			run, err := experiment.Execute(context.Background(), experiment.Setup{
-				Sched: s, Days: 2, WindowMS: 1 * workload.HourMS,
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Devices: experiment.Devices{Sched: s}, Rearrange: &experiment.Rearrange{}, Days: 2, WindowMS: 1 * workload.HourMS,
 				OnPattern: func(day int) bool { return day > 0 },
 			})
 			if err != nil {
@@ -317,8 +317,8 @@ func BenchmarkAblationScheduling(b *testing.B) {
 func BenchmarkAblationHotlistSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, size := range []int{64, 256, 1024, 0} { // 0 = exact
-			run, err := experiment.Execute(context.Background(), experiment.Setup{
-				HotlistSize: size, Days: 2, WindowMS: 1 * workload.HourMS,
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Rearrange: &experiment.Rearrange{HotlistSize: size}, Days: 2, WindowMS: 1 * workload.HourMS,
 				OnPattern: func(day int) bool { return day > 0 },
 			})
 			if err != nil {
@@ -344,8 +344,8 @@ func BenchmarkAblationReservedLocation(b *testing.B) {
 			name  string
 			first int
 		}{{"center", 0}, {"edge", 4}} {
-			run, err := experiment.Execute(context.Background(), experiment.Setup{
-				ReservedFirstCyl: loc.first, Days: 2, WindowMS: 1 * workload.HourMS,
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Devices: experiment.Devices{ReservedFirstCyl: loc.first}, Rearrange: &experiment.Rearrange{}, Days: 2, WindowMS: 1 * workload.HourMS,
 				OnPattern: func(day int) bool { return day > 0 },
 			})
 			if err != nil {
@@ -363,8 +363,8 @@ func BenchmarkAblationReservedLocation(b *testing.B) {
 func BenchmarkAblationMonitorPeriod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, period := range []float64{30_000, 120_000, 600_000} {
-			run, err := experiment.Execute(context.Background(), experiment.Setup{
-				PollPeriodMS: period, Days: 2, WindowMS: 1 * workload.HourMS,
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Rearrange: &experiment.Rearrange{PollPeriodMS: period}, Days: 2, WindowMS: 1 * workload.HourMS,
 				OnPattern: func(day int) bool { return day > 0 },
 			})
 			if err != nil {
@@ -384,8 +384,8 @@ func BenchmarkAblationMonitorPeriod(b *testing.B) {
 func BenchmarkAblationCylinderShuffle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range []string{"organ-pipe", "cylinder"} {
-			run, err := experiment.Execute(context.Background(), experiment.Setup{
-				Policy: p, Days: 2, WindowMS: 1 * workload.HourMS,
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Rearrange: &experiment.Rearrange{Policy: p}, Days: 2, WindowMS: 1 * workload.HourMS,
 				OnPattern: func(day int) bool { return day > 0 },
 			})
 			if err != nil {

@@ -32,13 +32,16 @@
 //	  ]
 //	}
 //
-// With -check it compares per benchmark against the baseline file and
-// exits non-zero if any shared benchmark's events_per_sec regressed by
-// more than -tolerance (default 10%), or its allocs_per_event grew
-// beyond the baseline by more than 15% plus an absolute slack of 0.01
-// — the guard that keeps the metrics-instrumented hot path
-// allocation-free. The event counts themselves are deterministic; only
-// the wall-clock derived fields vary between runs.
+// With -baseline it prints each shared benchmark's events_per_sec
+// against the baseline file, as information: sub-second rows swing
+// 10-40 % on an unchanged binary, so timing verdicts are bench/
+// -compare's (BENCHMARK.json), not this command's. With -check it exits
+// non-zero if a benchmark's allocs_per_event grew beyond the baseline by
+// more than 15% plus an absolute slack of 0.01 — deterministic up to
+// the harness's own setup allocations, and the guard that keeps the
+// metrics-instrumented hot path allocation-free. The event counts
+// themselves are deterministic; only the wall-clock derived fields vary
+// between runs.
 //
 // Every run records with metrics histograms enabled, so the measured
 // hot path is the instrumented one. With -metrics FILE the
@@ -146,8 +149,7 @@ type File struct {
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "write measurements to this file")
 	baseline := flag.String("baseline", "", "baseline BENCH_sim.json to compare against")
-	check := flag.Bool("check", false, "exit non-zero if events_per_sec regressed vs -baseline")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional events_per_sec regression before -check fails")
+	check := flag.Bool("check", false, "exit non-zero if allocs_per_event grew vs -baseline")
 	reps := flag.Int("reps", 2, "repetitions per benchmark; the best is recorded")
 	jobs := flag.Int("jobs", 0, "parallel simulation jobs per run (0 = GOMAXPROCS)")
 	metricsOut := flag.String("metrics", "", "write the volume-scale benchmark's metrics snapshot (JSON) to this file")
@@ -185,7 +187,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "abrbench: wrote %s\n", *out)
 
 	if *baseline != "" {
-		if err := compare(f, *baseline, *tolerance, *check); err != nil {
+		if err := compare(f, *baseline, *check); err != nil {
 			fmt.Fprintln(os.Stderr, "abrbench:", err)
 			os.Exit(1)
 		}
@@ -247,18 +249,18 @@ func runBench(b bench, reps, jobs int) (Result, []metrics.JobSnapshot, error) {
 		}
 		for _, p := range append(rs.Volume, rs.RAID...) {
 			r.Volume = append(r.Volume, VolBench{
-				Config:       p.Config,
-				Disks:        p.Disks,
-				Requests:     p.Requests,
-				ReqPerSimSec: p.Throughput,
+				Config:       p.Experiment.Name,
+				Disks:        p.Experiment.Devices.Disks,
+				Requests:     p.Volume.Requests,
+				ReqPerSimSec: p.Volume.Throughput,
 			})
 		}
 		for _, p := range rs.Trace {
 			r.Volume = append(r.Volume, VolBench{
-				Config:       p.Config,
-				Disks:        p.Disks,
-				Requests:     int64(p.Records),
-				ReqPerSimSec: p.Throughput,
+				Config:       p.Experiment.Name,
+				Disks:        p.Experiment.Devices.Disks,
+				Requests:     int64(p.Replay.Records),
+				ReqPerSimSec: p.Replay.Throughput,
 			})
 		}
 		if best.WallNS == 0 || r.WallNS < best.WallNS {
@@ -281,10 +283,11 @@ func writeSnapshot(path string, snaps []metrics.JobSnapshot) error {
 	return f.Close()
 }
 
-// compare reports per-benchmark events/sec against the baseline file.
-// With check set it returns an error when any shared benchmark is more
-// than tolerance slower; new or removed benchmarks only inform.
-func compare(f File, path string, tolerance float64, check bool) error {
+// compare reports per-benchmark events/sec and allocs/event against the
+// baseline file. With check set it returns an error when a shared
+// benchmark allocates more per event; the events/sec delta, and new or
+// removed benchmarks, only inform.
+func compare(f File, path string, check bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading baseline: %w", err)
@@ -307,9 +310,6 @@ func compare(f File, path string, tolerance float64, check bool) error {
 		ratio := r.EventsPerSec / b.EventsPerSec
 		fmt.Fprintf(os.Stderr, "abrbench: %-8s %10.0f -> %10.0f events/sec (%+.1f%%)  %.4f -> %.4f allocs/event\n",
 			r.Name, b.EventsPerSec, r.EventsPerSec, (ratio-1)*100, b.AllocsPerEvt, r.AllocsPerEvt)
-		if check && ratio < 1-tolerance {
-			failed = append(failed, fmt.Sprintf("%s regressed %.1f%%", r.Name, (1-ratio)*100))
-		}
 		// Allocation guard: the hot path must stay as allocation-free as
 		// the baseline. 15% relative plus 0.01/event absolute slack
 		// absorbs run-to-run noise in the harness's own setup allocations
@@ -320,7 +320,7 @@ func compare(f File, path string, tolerance float64, check bool) error {
 		}
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("regression vs baseline: %v", failed)
+		return fmt.Errorf("allocation regression vs baseline: %v", failed)
 	}
 	return nil
 }

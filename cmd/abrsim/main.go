@@ -1,66 +1,35 @@
 // Command abrsim runs the paper's experiments and prints the
 // corresponding tables and figures with the paper's own numbers
-// alongside for comparison.
+// alongside for comparison. abrsim -h lists every flag, by section, and
+// every experiment id in the registry; what follows is what -h does not
+// say.
 //
-// Usage:
-//
-//	abrsim -exp table2 [-days N] [-hours H] [-seed S] [-jobs N] [-timeout D]
-//	       [-trace FILE] [-sample D [-telemetry FILE]]
-//	       [-metrics FILE [-metrics-format json|prom]] [-pprof ADDR]
-//	       [-fault-plan PLAN] [-fault-seed S] [-crash-after N]
-//
-// Experiment ids come from the experiment registry; -h lists them all.
 // Independent simulations (each disk, policy, and sweep configuration)
 // fan out across -jobs workers, and the output — including the trace,
 // telemetry, and metrics files — is byte-identical for any worker
-// count.
+// count. Fault draws are keyed by (seed, operation index) for the same
+// reason.
 //
-// The default window is the paper's full 7am-10pm day; use -hours to
-// compress it for quick runs (shapes are stable down to about 1 hour).
+// The default window is the paper's full 7am-10pm day; shapes are
+// stable down to about -hours 1.
 //
-// Observability: -trace streams one JSONL request span per completed
-// disk request; -sample runs the telemetry sampler every D of sim time
-// and writes the time series as CSV to -telemetry; -metrics records
-// latency histograms and counters across the stack (driver, scheduler,
-// caches, volume, file system, workload) and writes one snapshot per
-// job as JSON — or Prometheus text with -metrics-format prom; -pprof
-// serves net/http/pprof on the given address for profiling the harness
-// itself (a run that ends before it has delivered any CPU profile
-// waits for the one being taken).
+// -pprof profiles the harness itself; a run that ends before it has
+// delivered any CPU profile waits for the one being taken.
 //
-// Fault injection: -fault-plan injects device faults per the plan
-// grammar (e.g. "seed=3;twrite=1e-4;bad=40000-40015") into every
-// simulation unit; -fault-seed and -crash-after are shorthands that
-// override the plan's seed and power-loss point. Fault draws are keyed
-// by (seed, operation index), so results stay byte-identical for any
-// -jobs value. The registered "faults" and "crash" experiments use
-// their own built-in plans, as does "volume-scale", whose matrix
-// drives the workload over multi-disk logical volumes (striping,
-// mirroring, per-member rearrangement, a mirror with one member
-// killed mid-run); its per-member plans are part of the matrix, so
-// -fault-plan does not apply to it.
+// -fault-plan reaches every unit of the paper's single-disk experiments
+// and of "shared". "faults" and "crash" define their own plans, and the
+// matrices built on volumes ("volume-scale", "raid-rebuild",
+// "tenant-scale", "trace-replay") carry per-member plans as part of
+// their rows, so it does not apply to them. -fault-seed and -crash-after
+// are shorthands that override the plan's seed and power-loss point.
 //
-// Tenant scale: the "tenant-scale" experiment puts the multi-tenant
-// server front end (simulated network, per-tenant token buckets,
-// admission control, circuit breaker) over the volume layer; -tenants
-// pins the population, -net-lat/-net-bw shape the simulated link, and
-// -qos forces admission control on or off across the matrix.
-//
-// Parity layouts: the "raid-rebuild" experiment drives the workload
-// over rotating-parity RAID-5 and double-parity RAID-6 volumes —
-// healthy, degraded after a member death, rebuilding onto a hot spare,
-// scrubbing a planted latent sector error, and surviving a double
-// fault. -layout collapses the matrix to one row ("raid5" or "raid6");
-// -spare, -rebuild-rate, and -scrub-interval configure that row.
-//
-// Trace replay: the "trace-replay" experiment replays a captured block
-// trace against a volume — rearrangement off and on, open and closed
-// loop, optionally scaled to heavy traffic. By default it synthesizes
-// the trace from the system workload (tracegen's capture flow);
-// -trace-in replays a real trace file instead (native binary/text,
-// SNIA MSR-Cambridge CSV, or blkparse text, auto-detected), and
-// -replay-mode, -trace-scale, and -trace-shift configure the pacing and
-// the multiplexed scaling of the resulting custom off/on pair.
+// The flags of the tenant-scale, parity-layout and trace-replay sections
+// are ignored at their zero values, so the registered matrices (and
+// their goldens) run unchanged; set, -layout collapses "raid-rebuild" to
+// one custom row and the trace flags collapse "trace-replay" to one
+// custom off/on pair, while the tenant flags resize and override every
+// row of "tenant-scale". A trace file's format (native binary/text, SNIA
+// MSR-Cambridge CSV, blkparse text) is auto-detected.
 package main
 
 import (
@@ -72,7 +41,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -82,118 +54,200 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/tracein"
 	"repro/internal/workload"
 )
 
 func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// flagDecl declares one flag, once: the FlagSet, the grouped -h and the
+// rejections are all made from it. dest is where the value lands (a
+// *string, *int, *int64, *uint64, *float64 or *time.Duration, holding the
+// default) and want the accepted range, in the words a rejection uses:
+// empty accepts anything, atLeast0 holds a number to zero or more, and
+// anything else lists a string flag's values as "a or b".
+type flagDecl struct {
+	name  string
+	dest  any
+	usage string
+	want  string
+}
+
+// atLeast0 is the range of the numeric flags whose zero selects a
+// default: the experiment code reads any value below it as zero too, so
+// an unrejected negative would run the default experiment and exit 0.
+const atLeast0 = "0 or more"
+
+// define registers the flag with its destination's current value as the
+// default.
+func (d flagDecl) define(fs *flag.FlagSet) {
+	switch p := d.dest.(type) {
+	case *string:
+		fs.StringVar(p, d.name, *p, d.usage)
+	case *int:
+		fs.IntVar(p, d.name, *p, d.usage)
+	case *int64:
+		fs.Int64Var(p, d.name, *p, d.usage)
+	case *uint64:
+		fs.Uint64Var(p, d.name, *p, d.usage)
+	case *float64:
+		fs.Float64Var(p, d.name, *p, d.usage)
+	case *time.Duration:
+		fs.DurationVar(p, d.name, *p, d.usage)
+	default:
+		panic(fmt.Sprintf("abrsim: flag -%s: no flag type for %T", d.name, d.dest))
+	}
+}
+
+// accepted reports whether the parsed value is in the declared range.
+func (d flagDecl) accepted() bool {
+	switch v := reflect.ValueOf(d.dest).Elem(); {
+	case d.want == "":
+		return true
+	case v.Kind() == reflect.String:
+		return slices.Contains(strings.Split(d.want, " or "), v.String())
+	case v.CanFloat():
+		return v.Float() >= 0 // false for NaN too
+	default:
+		return v.Int() >= 0
+	}
+}
+
 // cli is the whole command: it parses args, runs the experiment, writes
 // reports to stdout and everything else to stderr, and returns the exit
 // code — 0 on success (and for -h), 1 when the run fails, 2 when the
 // command line is rejected before anything runs.
-func cli(args []string, stdout, stderr io.Writer) int {
+func cli(argv []string, stdout, stderr io.Writer) int {
+	var o experiment.Options
+	exp, metricsFormat := "all", "json"
+	var traceFile, teleFile, metricsFile, pprofAddr, fplan string
+	var hours float64
+	var timeout, sample, scrubInterval time.Duration
+	var faultSeed uint64
+	var crashAfter int64
+	// The command line, by -h section. -qos, -layout and -replay-mode
+	// name choices experiment.Options validates itself, for library
+	// callers too; it is asked below.
+	sections := []struct {
+		title string
+		flags []flagDecl
+	}{
+		{"simulation", []flagDecl{
+			{"exp", &exp, "experiment id (see the list below)", ""},
+			{"days", &o.Days, "override days per run (0 = paper's counts)", atLeast0},
+			{"hours", &hours, "measured hours per day (0 = the paper's 15)", atLeast0},
+			{"seed", &o.Seed, "workload seed (0 = default)", ""},
+			{"jobs", &o.Jobs, "parallel simulation jobs (0 = GOMAXPROCS)", atLeast0},
+			{"timeout", &timeout, "abort the whole run after this long (0 = no limit)", atLeast0},
+		}},
+		{"observability", []flagDecl{
+			{"trace", &traceFile, "write request-lifecycle spans as JSONL to this file", ""},
+			{"sample", &sample, "telemetry sampling period in sim time (0 = off)", atLeast0},
+			{"telemetry", &teleFile, "write sampled time series as CSV to this file (default telemetry.csv when -sample is set)", ""},
+			{"metrics", &metricsFile, "record latency histograms and counters, one snapshot per job, to this file", ""},
+			{"metrics-format", &metricsFormat, `metrics snapshot format: "json" or "prom"`, "json or prom"},
+			{"pprof", &pprofAddr, "serve net/http/pprof on this address (e.g. localhost:6060)", ""},
+		}},
+		{"fault injection", []flagDecl{
+			{"fault-plan", &fplan, `inject device faults per this plan (e.g. "seed=3;twrite=1e-4;bad=40000-40015")`, ""},
+			{"fault-seed", &faultSeed, "override the fault plan's seed (implies an empty plan if -fault-plan is unset)", ""},
+			{"crash-after", &crashAfter, "power loss after this many device operations (adds to the fault plan)", atLeast0},
+		}},
+		{"tenant scale", []flagDecl{
+			{"tenants", &o.Tenants, "tenant-scale: pin the tenant population (0 = the registered sweep)", atLeast0},
+			{"net-lat", &o.NetLatencyMS, "tenant-scale: one-way network latency in ms (0 = default 0.2)", atLeast0},
+			{"net-bw", &o.NetBandwidthMBps, "tenant-scale: network bandwidth in MB/s (0 = default 100, negative = unlimited)", ""},
+			{"qos", &o.QoS, `tenant-scale: force admission control "on" or "off" ("" = per-row setting)`, ""},
+		}},
+		{"parity layouts", []flagDecl{
+			{"layout", &o.RAIDLayout, `raid-rebuild: collapse the matrix to one row of this layout ("raid5" or "raid6")`, ""},
+			{"spare", &o.RAIDSpare, "raid-rebuild: hot spares for the -layout row", atLeast0},
+			{"rebuild-rate", &o.RebuildRate, "raid-rebuild: rebuild/scrub throttle for the -layout row, member blocks per simulated second (0 = default 200)", atLeast0},
+			{"scrub-interval", &scrubInterval, "raid-rebuild: scrub period in sim time for the -layout row (0 = scrub off)", atLeast0},
+		}},
+		{"trace replay", []flagDecl{
+			{"trace-in", &o.TraceIn, "trace-replay: replay this trace file (binary/text/msr/blkparse, auto-detected) instead of the synthesized workload", ""},
+			{"replay-mode", &o.ReplayMode, `trace-replay: replay pacing, "open" (timestamp-faithful) or "closed" (think-time) ("" = the registered matrix)`, ""},
+			{"trace-scale", &o.TraceScale, "trace-replay: multiplex this many address-shifted copies with matching time compression (0 = the registered matrix)", atLeast0},
+			{"trace-shift", &o.TraceShift, "trace-replay: per-copy address shift in blocks for -trace-scale (0 = spread copies evenly)", atLeast0},
+		}},
+	}
 	fs := flag.NewFlagSet("abrsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Usage = func() { usage(fs) }
-	exp := fs.String("exp", "all", "experiment id (see the list below)")
-	days := fs.Int("days", 0, "override days per run (0 = paper's counts)")
-	hours := fs.Float64("hours", 0, "measured hours per day (0 = the paper's 15)")
-	seed := fs.Uint64("seed", 0, "workload seed (0 = default)")
-	jobs := fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	traceFile := fs.String("trace", "", "write request-lifecycle spans as JSONL to this file")
-	sample := fs.Duration("sample", 0, "telemetry sampling period in sim time (0 = off)")
-	teleFile := fs.String("telemetry", "", "write sampled time series as CSV to this file (default telemetry.csv when -sample is set)")
-	metricsFile := fs.String("metrics", "", "record latency histograms and counters, one snapshot per job, to this file")
-	metricsFormat := fs.String("metrics-format", "json", `metrics snapshot format: "json" or "prom"`)
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	faultPlan := fs.String("fault-plan", "", `inject device faults per this plan (e.g. "seed=3;twrite=1e-4;bad=40000-40015")`)
-	faultSeed := fs.Uint64("fault-seed", 0, "override the fault plan's seed (implies an empty plan if -fault-plan is unset)")
-	crashAfter := fs.Int64("crash-after", 0, "power loss after this many device operations (adds to the fault plan)")
-	tenants := fs.Int("tenants", 0, "tenant-scale: pin the tenant population (0 = the registered sweep)")
-	netLat := fs.Float64("net-lat", 0, "tenant-scale: one-way network latency in ms (0 = default 0.2)")
-	netBW := fs.Float64("net-bw", 0, "tenant-scale: network bandwidth in MB/s (0 = default 100, negative = unlimited)")
-	qos := fs.String("qos", "", `tenant-scale: force admission control "on" or "off" ("" = per-row setting)`)
-	traceIn := fs.String("trace-in", "", "trace-replay: replay this trace file (binary/text/msr/blkparse, auto-detected) instead of the synthesized workload")
-	replayMode := fs.String("replay-mode", "", `trace-replay: replay pacing, "open" (timestamp-faithful) or "closed" (think-time) ("" = the registered matrix)`)
-	traceScale := fs.Int("trace-scale", 0, "trace-replay: multiplex this many address-shifted copies with matching time compression (0 = the registered matrix)")
-	traceShift := fs.Int64("trace-shift", 0, "trace-replay: per-copy address shift in blocks for -trace-scale (0 = spread copies evenly)")
-	layout := fs.String("layout", "", `raid-rebuild: collapse the matrix to one row of this layout ("raid5" or "raid6")`)
-	spare := fs.Int("spare", 0, "raid-rebuild: hot spares for the -layout row")
-	rebuildRate := fs.Float64("rebuild-rate", 0, "raid-rebuild: rebuild/scrub throttle for the -layout row, member blocks per simulated second (0 = default 200)")
-	scrubInterval := fs.Duration("scrub-interval", 0, "raid-rebuild: scrub period in sim time for the -layout row (0 = scrub off)")
-	if err := fs.Parse(args); err != nil {
+	for _, sec := range sections {
+		for _, d := range sec.flags {
+			d.define(fs)
+		}
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: abrsim [flags]\n")
+		for _, sec := range sections {
+			fmt.Fprintf(stderr, "\n%s flags:\n", sec.title)
+			for _, d := range sec.flags {
+				printFlag(stderr, fs.Lookup(d.name))
+			}
+		}
+		// From the registry, so the valid ids always match what is
+		// actually registered.
+		fmt.Fprintf(stderr, "\nexperiment ids:\n")
+		for _, s := range experiment.Specs() {
+			fmt.Fprintf(stderr, "  %-14s %s\n", s.ID, s.Description)
+		}
+	}
+	if err := fs.Parse(argv); err != nil {
 		// The flag package has already printed the error and the usage.
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-
-	// 0 selects the default for each of these, and the experiment code
-	// reads any value below 1 as 0: an unrejected negative would run the
-	// default experiment and exit 0.
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{
-		{"days", float64(*days)}, {"hours", *hours}, {"jobs", float64(*jobs)},
-		{"tenants", float64(*tenants)}, {"trace-scale", float64(*traceScale)}, {"spare", float64(*spare)},
-	} {
-		if !(f.value >= 0) { // also catches NaN
-			fmt.Fprintf(stderr, "abrsim: invalid -%s %v (want 0 or more)\n", f.name, f.value)
-			return 2
+	for _, sec := range sections {
+		for _, d := range sec.flags {
+			if !d.accepted() {
+				v := fs.Lookup(d.name).Value.String()
+				if _, ok := d.dest.(*string); ok {
+					v = strconv.Quote(v)
+				}
+				fmt.Fprintf(stderr, "abrsim: invalid -%s %s (want %s)\n", d.name, v, d.want)
+				return 2
+			}
 		}
 	}
-	if *qos != "" && *qos != "on" && *qos != "off" {
-		fmt.Fprintf(stderr, "abrsim: unknown -qos %q (want on or off)\n", *qos)
+	var bad *experiment.OptionError
+	if err := o.Validate(); errors.As(err, &bad) {
+		// Name the flag that set the field, not the field.
+		field := reflect.ValueOf(&o).Elem().FieldByName(bad.Field).Addr().Interface()
+		for _, sec := range sections {
+			for _, d := range sec.flags {
+				if d.dest == field {
+					fmt.Fprintf(stderr, "abrsim: invalid -%s %q (want %s)\n", d.name, bad.Value, bad.Want)
+				}
+			}
+		}
 		return 2
 	}
-	if *layout != "" && *layout != "raid5" && *layout != "raid6" {
-		fmt.Fprintf(stderr, "abrsim: unknown -layout %q (want raid5 or raid6)\n", *layout)
-		return 2
-	}
-	if _, err := tracein.ParseMode(*replayMode); err != nil {
-		fmt.Fprintln(stderr, "abrsim:", err)
-		return 2
-	}
-	if *metricsFormat != "json" && *metricsFormat != "prom" {
-		fmt.Fprintf(stderr, "abrsim: unknown -metrics-format %q (want json or prom)\n", *metricsFormat)
-		return 2
-	}
-	o := experiment.Options{
-		Days: *days, Seed: *seed, Jobs: *jobs,
-		Tenants: *tenants, NetLatencyMS: *netLat, NetBandwidthMBps: *netBW, QoS: *qos,
-		RAIDLayout: *layout, RAIDSpare: *spare, RebuildRate: *rebuildRate,
-		ScrubIntervalMS: scrubInterval.Seconds() * 1000,
-		TraceIn:         *traceIn, ReplayMode: *replayMode,
-		TraceScale: *traceScale, TraceShift: *traceShift,
-	}
-	plan, err := buildFaultPlan(*faultPlan, *faultSeed, *crashAfter)
+	plan, err := buildFaultPlan(fplan, faultSeed, crashAfter)
 	if err != nil {
 		fmt.Fprintln(stderr, "abrsim:", err)
 		return 2
 	}
 	o.Fault = plan
-	if *hours > 0 {
-		o.WindowMS = *hours * workload.HourMS
-	}
+	o.WindowMS = hours * workload.HourMS
+	o.ScrubIntervalMS = scrubInterval.Seconds() * 1000
 	// The collector itself is near-free when spans and sampling are
 	// off, and it carries the per-job engine event counts for the
 	// end-of-run summary, so it is always on.
 	o.Telemetry = &telemetry.Options{
-		Spans:          *traceFile != "",
+		Spans:          traceFile != "",
 		SamplePeriodMS: sample.Seconds() * 1000,
-		Metrics:        *metricsFile != "",
+		Metrics:        metricsFile != "",
 	}
-	if *teleFile == "" && *sample > 0 {
-		*teleFile = "telemetry.csv"
+	if teleFile == "" && sample > 0 {
+		teleFile = "telemetry.csv"
 	}
-	if *pprofAddr != "" {
-		defer servePprof(*pprofAddr, stderr)()
+	if pprofAddr != "" {
+		defer servePprof(pprofAddr, stderr)()
 	}
-	if err := run(stdout, stderr, *exp, o, *jobs, *timeout, *traceFile, *teleFile, *metricsFile, *metricsFormat); err != nil {
+	if err := run(stdout, stderr, exp, o, timeout, traceFile, teleFile, metricsFile, metricsFormat); err != nil {
 		fmt.Fprintln(stderr, "abrsim:", err)
 		return 1
 	}
@@ -257,61 +311,6 @@ func buildFaultPlan(spec string, seed uint64, crashAfter int64) (*fault.Plan, er
 	return plan, nil
 }
 
-// flagGroups orders the -h summary: every flag is registered once with
-// the flag package and listed here under its section. usage appends
-// any flag missing from the groups to a trailing "other flags"
-// section, so adding a flag without updating the groups can never
-// silently drop it from the help text.
-var flagGroups = []struct {
-	title string
-	names []string
-}{
-	{"simulation", []string{"exp", "days", "hours", "seed", "jobs", "timeout"}},
-	{"observability", []string{"trace", "sample", "telemetry", "metrics", "metrics-format", "pprof"}},
-	{"fault injection", []string{"fault-plan", "fault-seed", "crash-after"}},
-	{"tenant scale", []string{"tenants", "net-lat", "net-bw", "qos"}},
-	{"parity layouts", []string{"layout", "spare", "rebuild-rate", "scrub-interval"}},
-	{"trace replay", []string{"trace-in", "replay-mode", "trace-scale", "trace-shift"}},
-}
-
-// usage prints the grouped flag help plus the registry's experiment
-// ids, so the valid ids always match what is actually registered.
-func usage(fs *flag.FlagSet) {
-	out := fs.Output()
-	fmt.Fprintf(out, "usage: abrsim [flags]\n")
-	all := make(map[string]*flag.Flag)
-	var order []string
-	fs.VisitAll(func(f *flag.Flag) {
-		all[f.Name] = f
-		order = append(order, f.Name)
-	})
-	grouped := make(map[string]bool)
-	for _, g := range flagGroups {
-		fmt.Fprintf(out, "\n%s flags:\n", g.title)
-		for _, name := range g.names {
-			if f := all[name]; f != nil {
-				printFlag(out, f)
-			}
-			grouped[name] = true
-		}
-	}
-	first := true
-	for _, name := range order {
-		if grouped[name] {
-			continue
-		}
-		if first {
-			fmt.Fprintf(out, "\nother flags:\n")
-			first = false
-		}
-		printFlag(out, all[name])
-	}
-	fmt.Fprintf(out, "\nexperiment ids:\n")
-	for _, s := range experiment.Specs() {
-		fmt.Fprintf(out, "  %-14s %s\n", s.ID, s.Description)
-	}
-}
-
 // printFlag renders one flag in the style of flag.PrintDefaults.
 func printFlag(out io.Writer, f *flag.Flag) {
 	arg, usage := flag.UnquoteUsage(f)
@@ -329,13 +328,13 @@ func printFlag(out io.Writer, f *flag.Flag) {
 	fmt.Fprintln(out, line)
 }
 
-func run(stdout, stderr io.Writer, exp string, o experiment.Options, jobs int, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
+func run(stdout, stderr io.Writer, exp string, o experiment.Options, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
 	if _, ok := experiment.Lookup(exp); !ok {
 		// Fail before the banner; RunSpec renders the valid-id list.
 		_, err := experiment.RunSpec(context.Background(), exp, o, runner.Config{})
 		return err
 	}
-	workers := jobs
+	workers := o.Jobs
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -343,7 +342,7 @@ func run(stdout, stderr io.Writer, exp string, o experiment.Options, jobs int, t
 
 	start := time.Now()
 	cfg := runner.Config{
-		Workers: jobs,
+		Workers: o.Jobs,
 		Timeout: timeout,
 		OnProgress: func(p runner.Progress) {
 			fmt.Fprintf(stderr, "abrsim: %d/%d jobs, %.1f/%.0f sim-days, %.2f sim-days/sec\n",

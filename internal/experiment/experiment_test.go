@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -23,6 +24,12 @@ var (
 
 func testOpts() Options {
 	return Options{Days: 4, WindowMS: 1 * workload.HourMS}
+}
+
+// rearranged gives the experiment the paper's default rearranger.
+func rearranged(e Experiment) Experiment {
+	e.Rearrange = &Rearrange{}
+	return e
 }
 
 func systemRuns(t *testing.T) *OnOff {
@@ -44,17 +51,22 @@ func usersRuns(t *testing.T) *OnOff {
 }
 
 func TestExecuteValidation(t *testing.T) {
-	if _, err := Execute(context.Background(), Setup{DiskName: "ibm"}); err == nil {
-		t.Error("unknown disk accepted")
-	}
-	if _, err := Execute(context.Background(), Setup{FSName: "scratch"}); err == nil {
-		t.Error("unknown fs accepted")
-	}
-	if _, err := Execute(context.Background(), Setup{Policy: "random"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := Execute(context.Background(), Setup{Sched: "elevator"}); err == nil {
-		t.Error("unknown scheduler accepted")
+	for what, e := range map[string]Experiment{
+		"unknown disk":                 {Devices: Devices{Disk: "ibm"}},
+		"unknown workload source":      {Workload: Workload{Source: "scratch"}},
+		"unknown policy":               {Rearrange: &Rearrange{Policy: "random"}},
+		"unknown scheduler":            {Devices: Devices{Sched: "elevator"}},
+		"two disks and no layout":      {Devices: Devices{Disks: 2}},
+		"two file systems on a volume": {Devices: Devices{Layout: volume.Stripe, Disks: 2}, Workload: Workload{Source: SystemAndUsers}},
+		"a scheduler on a volume":      {Devices: Devices{Layout: volume.Mirror, Disks: 2, Sched: "scan"}},
+		"a shared bounded hot list":    {Devices: Devices{Layout: volume.Mirror, Disks: 2}, Rearrange: &Rearrange{HotlistSize: 64}},
+		"saturating users":             {Workload: Workload{Source: Users, Saturate: true}},
+		"a front end for a trace":      {Server: &Frontend{}, Workload: Workload{Source: Trace}},
+		"tenants with no population":   {Workload: Workload{Source: Tenants}},
+	} {
+		if _, err := Execute(context.Background(), e); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
 }
 
@@ -62,30 +74,30 @@ func TestExecuteBasics(t *testing.T) {
 	res := systemRuns(t)
 	for _, run := range []*Run{res.Toshiba, res.Fujitsu} {
 		if len(run.Days) != 4 {
-			t.Fatalf("%s: %d days", run.Setup.DiskName, len(run.Days))
+			t.Fatalf("%s: %d days", run.Experiment.Devices.Disk, len(run.Days))
 		}
 		if run.WorkloadErrors != 0 {
-			t.Errorf("%s: %d workload errors", run.Setup.DiskName, run.WorkloadErrors)
+			t.Errorf("%s: %d workload errors", run.Experiment.Devices.Disk, run.WorkloadErrors)
 		}
 		// Alternation: day 0 off, day 1 on, ...
 		for i, d := range run.Days {
 			if d.On != (i%2 == 1) {
-				t.Errorf("%s day %d: on=%v", run.Setup.DiskName, i, d.On)
+				t.Errorf("%s day %d: on=%v", run.Experiment.Devices.Disk, i, d.On)
 			}
 			if d.Stats.All().Count() == 0 {
-				t.Errorf("%s day %d: no requests measured", run.Setup.DiskName, i)
+				t.Errorf("%s day %d: no requests measured", run.Experiment.Devices.Disk, i)
 			}
 			if len(d.AccessDist) == 0 || len(d.ReadDist) == 0 {
-				t.Errorf("%s day %d: missing access distributions", run.Setup.DiskName, i)
+				t.Errorf("%s day %d: missing access distributions", run.Experiment.Devices.Disk, i)
 			}
 		}
 		// Rearrangements installed blocks on each on-day.
 		if len(run.Installed) == 0 {
-			t.Fatalf("%s: no rearrangements recorded", run.Setup.DiskName)
+			t.Fatalf("%s: no rearrangements recorded", run.Experiment.Devices.Disk)
 		}
 		for _, n := range run.Installed {
 			if n < 500 {
-				t.Errorf("%s: only %d blocks installed", run.Setup.DiskName, n)
+				t.Errorf("%s: only %d blocks installed", run.Experiment.Devices.Disk, n)
 			}
 		}
 	}
@@ -101,15 +113,15 @@ func TestSystemSeekReduction(t *testing.T) {
 		on := Summarize(run.OnDays(), run.Curve, AllRequests)
 		if on.Seek.Avg() >= 0.4*off.Seek.Avg() {
 			t.Errorf("%s: seek %.2f -> %.2f ms, want >=60%% reduction",
-				run.Setup.DiskName, off.Seek.Avg(), on.Seek.Avg())
+				run.Experiment.Devices.Disk, off.Seek.Avg(), on.Seek.Avg())
 		}
 		if on.Service.Avg() >= off.Service.Avg() {
 			t.Errorf("%s: service did not improve (%.2f -> %.2f ms)",
-				run.Setup.DiskName, off.Service.Avg(), on.Service.Avg())
+				run.Experiment.Devices.Disk, off.Service.Avg(), on.Service.Avg())
 		}
 		if on.Wait.Avg() >= off.Wait.Avg() {
 			t.Errorf("%s: waiting did not improve (%.2f -> %.2f ms)",
-				run.Setup.DiskName, off.Wait.Avg(), on.Wait.Avg())
+				run.Experiment.Devices.Disk, off.Wait.Avg(), on.Wait.Avg())
 		}
 	}
 }
@@ -123,7 +135,7 @@ func TestZeroSeekFractionJumps(t *testing.T) {
 		onM := on.Metrics(run.Curve, AllRequests)
 		if onM.ZeroSeekPct < offM.ZeroSeekPct+20 {
 			t.Errorf("%s: zero-seeks %.0f%% -> %.0f%%, want a large jump",
-				run.Setup.DiskName, offM.ZeroSeekPct, onM.ZeroSeekPct)
+				run.Experiment.Devices.Disk, offM.ZeroSeekPct, onM.ZeroSeekPct)
 		}
 	}
 }
@@ -260,11 +272,11 @@ func TestDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeat run in -short mode")
 	}
-	run1, err := Execute(context.Background(), Setup{Days: 2, WindowMS: 30 * 60 * 1000})
+	run1, err := Execute(context.Background(), rearranged(Experiment{Days: 2, WindowMS: 30 * 60 * 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run2, err := Execute(context.Background(), Setup{Days: 2, WindowMS: 30 * 60 * 1000})
+	run2, err := Execute(context.Background(), rearranged(Experiment{Days: 2, WindowMS: 30 * 60 * 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +293,8 @@ func TestBoundedHotlistStillWorks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra run in -short mode")
 	}
-	run, err := Execute(context.Background(), Setup{
-		Days: 2, WindowMS: 30 * 60 * 1000, HotlistSize: 256,
+	run, err := Execute(context.Background(), Experiment{
+		Days: 2, WindowMS: 30 * 60 * 1000, Rearrange: &Rearrange{HotlistSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +311,8 @@ func TestCylinderPolicyRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra run in -short mode")
 	}
-	run, err := Execute(context.Background(), Setup{
-		Days: 2, WindowMS: 30 * 60 * 1000, Policy: "cylinder",
+	run, err := Execute(context.Background(), Experiment{
+		Days: 2, WindowMS: 30 * 60 * 1000, Rearrange: &Rearrange{Policy: "cylinder"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +329,8 @@ func TestSerialPolicyWorse(t *testing.T) {
 	// Table 7's ordering on a single disk: serial placement leaves far
 	// more seek time on the table than organ-pipe.
 	seekOf := func(policy string) float64 {
-		run, err := Execute(context.Background(), Setup{
-			Policy: policy, Days: 2, WindowMS: 45 * 60 * 1000,
+		run, err := Execute(context.Background(), Experiment{
+			Rearrange: &Rearrange{Policy: policy}, Days: 2, WindowMS: 45 * 60 * 1000,
 			OnPattern: func(day int) bool { return day > 0 },
 		})
 		if err != nil {
@@ -342,8 +354,8 @@ func TestCylinderGranularityWorse(t *testing.T) {
 	// rearrangement at the same data volume beats nothing but loses to
 	// block granularity.
 	seekOf := func(policy string) (on, off float64) {
-		run, err := Execute(context.Background(), Setup{
-			Policy: policy, Days: 2, WindowMS: 45 * 60 * 1000,
+		run, err := Execute(context.Background(), Experiment{
+			Rearrange: &Rearrange{Policy: policy}, Days: 2, WindowMS: 45 * 60 * 1000,
 			OnPattern: func(day int) bool { return day > 0 },
 		})
 		if err != nil {
@@ -368,14 +380,13 @@ func TestSharedDiskExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra runs in -short mode")
 	}
-	res, err := RunShared(context.Background(), Options{Days: 4, WindowMS: 45 * 60 * 1000})
+	run, err := Execute(context.Background(), sharedConfigs(Options{Days: 4, WindowMS: 45 * 60 * 1000})[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SystemErrors != 0 || res.UsersErrors != 0 {
-		t.Errorf("workload errors: sys=%d usr=%d", res.SystemErrors, res.UsersErrors)
+	if run.WorkloadErrors != 0 {
+		t.Errorf("%d workload errors", run.WorkloadErrors)
 	}
-	run := res.Run
 	if len(run.Days) != 4 {
 		t.Fatalf("%d days", len(run.Days))
 	}
@@ -387,7 +398,7 @@ func TestSharedDiskExtension(t *testing.T) {
 	if len(run.Installed) == 0 || run.Installed[0] < 500 {
 		t.Errorf("installed = %v", run.Installed)
 	}
-	if rep := SharedReport(res); len(rep.Rows) != 3 {
+	if rep := SharedReport(run); len(rep.Rows) != 3 {
 		t.Errorf("report rows = %d", len(rep.Rows))
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/fault/crashcheck"
 )
 
-// This file registers the fault-tolerance extension experiments — runs
+// This file holds the fault-tolerance extension experiments — runs
 // the paper never measures, but which the Section 4.1.2 crash argument
 // and any real deployment of the driver imply:
 //
@@ -23,88 +23,45 @@ import (
 // sweep of the "faults" experiment. Zero is the clean baseline.
 var DefaultFaultRates = []float64{0, 1e-4, 1e-3, 5e-3, 2e-2}
 
-// FaultPoint is the outcome of one run of the fault-rate sweep.
-type FaultPoint struct {
-	// Rate is the per-operation transient failure probability (both
-	// directions).
-	Rate float64
-	// ServiceMS and WaitMS are the mean service and queueing times over
-	// all measured days; service time includes retry backoff.
-	ServiceMS float64
-	WaitMS    float64
-	// Faults..Unrecovered are the driver's lifetime fault counters.
-	Faults      int64
-	Retries     int64
-	Remaps      int64
-	Unrecovered int64
-	// WorkloadErrors counts file operations that failed outright.
-	WorkloadErrors int64
-}
-
-// faultUnits decomposes the fault-rate sweep into one independent run
-// per rate. All runs share one workload seed and one fault seed, so the
-// sweep isolates the rate.
-func faultUnits(o Options) []unit {
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var rows []Setup
+// faultConfigs is the fault-rate sweep, one row per rate. All rows share
+// one workload seed and one fault seed, so the sweep isolates the rate.
+func faultConfigs(o Options) []Experiment {
+	var rows []Experiment
 	for _, rate := range DefaultFaultRates {
-		s := o.setup("toshiba", "system", 2)
-		s.OnPattern = everyDayAfterWarmup
-		s.Fault = &fault.Plan{Seed: seed, TransientRead: rate, TransientWrite: rate}
-		rows = append(rows, s)
+		e := o.paper(fmt.Sprintf("%g", rate), "toshiba", System, 2)
+		e.OnPattern = everyDayAfterWarmup
+		e.Devices.Faults = []*fault.Plan{{Seed: o.seed(), TransientRead: rate, TransientWrite: rate}}
+		rows = append(rows, e)
 	}
-	return matrixUnits(rows,
-		func(s Setup) (string, float64) {
-			return fmt.Sprintf("faults/%g", s.Fault.TransientRead), float64(s.Days)
-		},
-		func(ctx context.Context, s Setup) (FaultPoint, error) {
-			run, err := Execute(ctx, s)
-			if err != nil {
-				return FaultPoint{}, err
-			}
-			sum := Summarize(run.Days, run.Curve, AllRequests)
-			c := run.Counters
-			return FaultPoint{
-				Rate:           s.Fault.TransientRead,
-				ServiceMS:      sum.Service.Avg(),
-				WaitMS:         sum.Wait.Avg(),
-				Faults:         c.Faults,
-				Retries:        c.Retries,
-				Remaps:         c.Remaps,
-				Unrecovered:    c.Unrecovered,
-				WorkloadErrors: run.WorkloadErrors,
-			}, nil
-		},
-		func(rs *ResultSet, _ Setup, p FaultPoint) { rs.Faults = append(rs.Faults, p) })
+	return rows
 }
 
 // FaultsReport renders the fault-rate sweep with the clean baseline's
-// response times alongside for the degradation comparison.
-func FaultsReport(points []FaultPoint) *Report {
+// response times alongside for the degradation comparison. Service time
+// includes retry backoff.
+func FaultsReport(runs []*Run) *Report {
 	rep := &Report{
 		ID:      "faults",
 		Title:   "Extension: response time vs transient device fault rate (Toshiba, system FS)",
 		Columns: []string{"Fault rate", "Faults", "Retries", "Unrecovered", "Service (ms)", "Wait (ms)", "FS errors"},
 	}
-	var base FaultPoint
-	for _, p := range points {
-		if p.Rate == 0 {
-			base = p
+	var base, worst, worstRate float64
+	for _, run := range runs {
+		rate := run.Experiment.Devices.Faults[0].TransientRead
+		sum := Summarize(run.Days, run.Curve, AllRequests)
+		c := run.Counters
+		rep.AddRow(fmt.Sprintf("%g", rate),
+			fmt.Sprintf("%d", c.Faults), fmt.Sprintf("%d", c.Retries),
+			fmt.Sprintf("%d", c.Unrecovered),
+			f2(sum.Service.Avg()), f2(sum.Wait.Avg()), fmt.Sprintf("%d", run.WorkloadErrors))
+		if rate == 0 {
+			base = sum.Service.Avg()
 		}
+		worst, worstRate = sum.Service.Avg(), rate
 	}
-	for _, p := range points {
-		rep.AddRow(fmt.Sprintf("%g", p.Rate),
-			fmt.Sprintf("%d", p.Faults), fmt.Sprintf("%d", p.Retries),
-			fmt.Sprintf("%d", p.Unrecovered),
-			f2(p.ServiceMS), f2(p.WaitMS), fmt.Sprintf("%d", p.WorkloadErrors))
-	}
-	if base.ServiceMS > 0 {
-		worst := points[len(points)-1]
+	if base > 0 {
 		rep.AddNote("service-time degradation at rate %g: %+.1f%% vs the clean baseline (retry backoff counts toward service time)",
-			worst.Rate, (worst.ServiceMS/base.ServiceMS-1)*100)
+			worstRate, (worst/base-1)*100)
 	}
 	rep.AddNote("transient faults are retried with exponential sim-time backoff (up to 3 attempts); the paper does not model faults — this validates the fault-tolerance extension")
 	return rep
@@ -116,13 +73,10 @@ type CrashPoint struct {
 	Scenario string
 	// Plan is the fault plan's string form, reusable with -fault-plan.
 	Plan string
-	// Ops is the device-operation count at the power loss; Moves and
-	// AckedWrites the committed rearrangements and acknowledged writes.
-	Ops         int64
-	Moves       int
-	AckedWrites int
-	// Entries is the recovered block-table size.
-	Entries int
+	// Result is what the harness counted: the device operations at the
+	// power loss, the committed rearrangements and acknowledged writes,
+	// the recovered block-table size.
+	crashcheck.Result
 	// Err is empty when every crash invariant held after recovery.
 	Err string
 }
@@ -147,7 +101,7 @@ var crashScenarios = []crashScenario{
 // crashUnits wraps each crash scenario as one independent job. An
 // invariant violation is reported in the point, not as a job error, so
 // one bad scenario does not mask the others' results.
-func crashUnits(Options) []unit {
+func crashUnits() []unit {
 	return matrixUnits(crashScenarios,
 		func(sc crashScenario) (string, float64) { return "crash/" + sc.name, 1 },
 		func(ctx context.Context, sc crashScenario) (CrashPoint, error) {
@@ -160,11 +114,10 @@ func crashUnits(Options) []unit {
 				p.Err = err.Error()
 				return p, nil
 			}
-			p.Ops, p.Moves, p.AckedWrites, p.Entries =
-				res.Ops, res.Moves, res.AckedWrites, res.Entries
+			p.Result = *res
 			return p, nil
 		},
-		func(rs *ResultSet, _ crashScenario, p CrashPoint) { rs.Crash = append(rs.Crash, p) })
+		func(rs *ResultSet, p CrashPoint) { rs.Crash = append(rs.Crash, p) })
 }
 
 // CrashReport renders the crash-recovery battery.
@@ -184,22 +137,4 @@ func CrashReport(points []CrashPoint) *Report {
 	}
 	rep.AddNote("checked invariants: the block table decodes with every entry dirty, no block is lost or aliased, every block remains readable, and acknowledged writes read back exactly")
 	return rep
-}
-
-// registerFaults registers the fault-tolerance extension experiments.
-func registerFaults() {
-	Register(Spec{
-		ID: "faults", Description: "extension: response-time degradation under transient device faults",
-		Needs: []Need{NeedFaults},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{FaultsReport(rs.Faults)}
-		},
-	})
-	Register(Spec{
-		ID: "crash", Description: "extension: crash-recovery invariant checks after power loss",
-		Needs: []Need{NeedCrash},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{CrashReport(rs.Crash)}
-		},
-	})
 }

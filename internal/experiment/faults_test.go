@@ -57,18 +57,19 @@ func TestFaultSweepInjectsFaults(t *testing.T) {
 	if len(rs.Faults) != len(DefaultFaultRates) {
 		t.Fatalf("%d fault points, want %d", len(rs.Faults), len(DefaultFaultRates))
 	}
-	for i, p := range rs.Faults {
-		if p.Rate != DefaultFaultRates[i] {
-			t.Errorf("point %d: rate %g, want %g (job-order assembly broken)", i, p.Rate, DefaultFaultRates[i])
+	for i, run := range rs.Faults {
+		rate, faults := run.Experiment.Devices.Faults[0].TransientRead, run.Counters.Faults
+		if rate != DefaultFaultRates[i] {
+			t.Errorf("point %d: rate %g, want %g (job-order assembly broken)", i, rate, DefaultFaultRates[i])
 		}
-		if p.Rate == 0 && p.Faults != 0 {
-			t.Errorf("clean baseline recorded %d faults", p.Faults)
+		if rate == 0 && faults != 0 {
+			t.Errorf("clean baseline recorded %d faults", faults)
 		}
-		if p.Rate >= 1e-3 && p.Faults == 0 {
-			t.Errorf("rate %g injected no faults", p.Rate)
+		if rate >= 1e-3 && faults == 0 {
+			t.Errorf("rate %g injected no faults", rate)
 		}
-		if p.ServiceMS <= 0 {
-			t.Errorf("rate %g: no service time measured", p.Rate)
+		if sum := Summarize(run.Days, run.Curve, AllRequests); sum.Service.Avg() <= 0 {
+			t.Errorf("rate %g: no service time measured", rate)
 		}
 	}
 }
@@ -110,7 +111,7 @@ func TestFaultProbesGatedOnInjector(t *testing.T) {
 	}
 	run := func(plan *fault.Plan) string {
 		col := telemetry.NewCollector("probe-test", telemetry.Options{SamplePeriodMS: 60 * 1000})
-		s := Setup{Days: 1, WindowMS: 5 * 60 * 1000, Fault: plan}
+		s := Experiment{Days: 1, WindowMS: 5 * 60 * 1000, Devices: Devices{Faults: []*fault.Plan{plan}}}
 		if _, err := Execute(telemetry.NewContext(context.Background(), col), s); err != nil {
 			t.Fatal(err)
 		}

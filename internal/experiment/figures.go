@@ -131,7 +131,15 @@ var DefaultSweepBlocks = []int{25, 50, 100, 200, 400, 600, 800, 1018}
 // (o.Jobs workers). Points come back in the order of counts regardless
 // of scheduling.
 func RunBlockSweep(ctx context.Context, o Options, counts []int) ([]SweepPoint, error) {
-	rs, err := runUnits(ctx, sweepUnits(o, counts), o, runner.Config{Workers: o.Jobs})
+	if len(counts) == 0 {
+		counts = DefaultSweepBlocks
+	}
+	nd := needTable[NeedSweep]
+	units, err := experimentUnits(nd.prefix, sweepConfigs(o, counts), nd.apply)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := runUnits(ctx, units, o, runner.Config{Workers: o.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -156,16 +164,6 @@ func Figure8(points []SweepPoint) *Report {
 	}
 	rep.AddNote("paper shape: steep knee - the marginal benefit beyond ~100 blocks is small (the 100 hottest blocks absorb ~90 percent of requests)")
 	return rep
-}
-
-// Figure4Chart renders the Figure 4 service-time CDFs as an ASCII chart.
-func Figure4Chart(res *OnOff) plot.Chart {
-	return cdfChart("Figure 4: service time CDF, system fs, Fujitsu", res.Fujitsu)
-}
-
-// Figure6Chart renders the Figure 6 users-fs CDFs.
-func Figure6Chart(res *OnOff) plot.Chart {
-	return cdfChart("Figure 6: service time CDF, users fs, Fujitsu", res.Fujitsu)
 }
 
 func cdfChart(title string, run *Run) plot.Chart {
@@ -198,16 +196,6 @@ func cdfChart(title string, run *Run) plot.Chart {
 	}
 }
 
-// Figure5Chart renders the Figure 5 block-access distribution (log-x).
-func Figure5Chart(res *OnOff) plot.Chart {
-	return accessChart("Figure 5: block access distribution, system fs (Toshiba)", res.Toshiba)
-}
-
-// Figure7Chart renders the Figure 7 users-fs distribution.
-func Figure7Chart(res *OnOff) plot.Chart {
-	return accessChart("Figure 7: block access distribution, users fs (Toshiba)", res.Toshiba)
-}
-
 func accessChart(title string, run *Run) plot.Chart {
 	off, _ := detailDays(run)
 	mk := func(dist []hotlist.BlockCount) ([]float64, []float64) {
@@ -222,7 +210,7 @@ func accessChart(title string, run *Run) plot.Chart {
 		for i, bc := range dist {
 			cum += bc.Count
 			// Sample ranks logarithmically to keep point counts sane.
-			if i < 10 || (i+1)%max1(len(dist)/128) == 0 {
+			if i < 10 || (i+1)%max(1, len(dist)/128) == 0 {
 				xs = append(xs, float64(i+1))
 				ys = append(ys, float64(cum)/float64(total))
 			}
@@ -262,52 +250,4 @@ func Figure8Chart(points []SweepPoint) plot.Chart {
 			{Name: "reads", X: xs, Y: reads, Mark: 'o'},
 		},
 	}
-}
-
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
-// registerFigures registers the paper's figures with the experiment
-// registry. Each figure id emits its table form followed by its ASCII
-// chart.
-func registerFigures() {
-	Register(Spec{
-		ID: "fig4", Description: "service-time CDF, system fs, Fujitsu",
-		Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure4(rs.System), Figure4Chart(rs.System)}
-		},
-	})
-	Register(Spec{
-		ID: "fig5", Description: "block-access distribution, system fs",
-		Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure5(rs.System), Figure5Chart(rs.System)}
-		},
-	})
-	Register(Spec{
-		ID: "fig6", Description: "service-time CDF, users fs, Fujitsu",
-		Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure6(rs.Users), Figure6Chart(rs.Users)}
-		},
-	})
-	Register(Spec{
-		ID: "fig7", Description: "block-access distribution, users fs",
-		Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure7(rs.Users), Figure7Chart(rs.Users)}
-		},
-	})
-	Register(Spec{
-		ID: "fig8", Description: "seek reduction vs rearranged blocks (Toshiba)",
-		Needs: []Need{NeedSweep},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure8(rs.Sweep), Figure8Chart(rs.Sweep)}
-		},
-	})
 }

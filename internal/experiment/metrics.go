@@ -53,7 +53,6 @@ type Side func(*driver.Stats) *driver.Side
 var (
 	AllRequests Side = func(s *driver.Stats) *driver.Side { return s.All() }
 	ReadsOnly   Side = func(s *driver.Stats) *driver.Side { return s.ReadSide }
-	WritesOnly  Side = func(s *driver.Stats) *driver.Side { return s.WriteSide }
 )
 
 // Metrics derives the day's metrics for the selected side.

@@ -8,13 +8,13 @@ import (
 	"repro/internal/workload"
 )
 
-// This file registers the parity-layout extension: the system workload
+// This file is the parity-layout extension: the system workload
 // driven over RAID-5 and RAID-6 volumes, measuring the parity layouts
 // end to end — healthy small-write cost, degraded operation after
 // member death, throttled hot-spare rebuild under foreground load, the
 // double-fault budget of P+Q, and the scrub daemon repairing a planted
-// latent sector error. The rows reuse the VolumeSetup/ExecuteVolume
-// machinery; only the configurations differ.
+// latent sector error. The rows are volume-scale's kind of experiment;
+// only the devices differ.
 
 // killPlan builds an n-member fault list whose member m crashes after
 // ops device operations.
@@ -31,7 +31,11 @@ func killPlan(n, m int, ops int64) []*fault.Plan {
 // anything the day's files reach, so only the scrub pass ever touches
 // it.
 func latentBadRange(layout volume.Layout, disks, unit int) []fault.SectorRange {
-	v, err := volume.New(volume.Options{Layout: layout, Disks: disks, StripeUnit: unit, ReservedCyls: 48})
+	e, err := Experiment{Devices: Devices{Layout: layout, Disks: disks, StripeUnit: unit}}.withDefaults()
+	if err != nil {
+		panic("experiment: latent-error scout volume: " + err.Error())
+	}
+	v, err := volume.New(e.volumeOptions())
 	if err != nil {
 		panic("experiment: latent-error scout volume: " + err.Error())
 	}
@@ -52,18 +56,15 @@ func latentBadRange(layout volume.Layout, disks, unit int) []fault.SectorRange {
 // collapses it to one custom row built from the RAID* option fields;
 // with the flag unset those fields are ignored, so the committed
 // matrix (and its golden) is untouched by the flags' zero values.
-func raidConfigs(o Options) []VolumeSetup {
+func raidConfigs(o Options) []Experiment {
 	// One day per row: unlike volume-scale there is no rearrangement in
 	// the matrix (nothing needs an on-day after a baseline day), and
 	// every demonstration — the kill, the rebuild, the scrub passes —
 	// completes inside day 0, so a second day would only double the
 	// battery's wall clock.
-	days := o.days(1)
-	base := func(cfg string, layout volume.Layout, disks int) VolumeSetup {
-		return VolumeSetup{
-			Config: cfg, Layout: layout, Disks: disks, StripeUnit: 16,
-			Days: days, WindowMS: o.WindowMS, Seed: o.Seed,
-		}
+	row := func(name string, layout volume.Layout, disks int, d Devices) Experiment {
+		d.Layout, d.Disks, d.StripeUnit = layout, disks, 16
+		return o.saturated(name, 1, d)
 	}
 	if o.RAIDLayout != "" {
 		layout := volume.Layout(o.RAIDLayout)
@@ -71,50 +72,31 @@ func raidConfigs(o Options) []VolumeSetup {
 		if layout == volume.RAID6 {
 			disks = 5
 		}
-		s := base("custom-"+o.RAIDLayout, layout, disks)
-		s.Spare = o.RAIDSpare
-		s.RebuildRate = o.RebuildRate
-		s.ScrubIntervalMS = o.ScrubIntervalMS
 		// Member 1 dies a few thousand operations into day 0, so the
 		// custom row always demonstrates degraded service — and, when a
 		// spare was requested, the rebuild.
-		s.Faults = killPlan(disks+s.Spare, 1, 4000)
-		return []VolumeSetup{s}
+		return []Experiment{row("custom-"+o.RAIDLayout, layout, disks, Devices{
+			Spare: o.RAIDSpare, RebuildRate: o.RebuildRate, ScrubIntervalMS: o.ScrubIntervalMS,
+			Faults: killPlan(disks+o.RAIDSpare, 1, 4000),
+		})}
 	}
-	degraded := base("raid5-degraded", volume.RAID5, 4)
-	degraded.Faults = killPlan(4, 1, 4000)
-	rebuild := base("raid5-rebuild", volume.RAID5, 4)
-	rebuild.Spare = 1
-	rebuild.RebuildRate = 2000
-	rebuild.Faults = killPlan(5, 1, 4000)
-	scrub := base("raid5-scrub", volume.RAID5, 4)
-	scrub.RebuildRate = 2000
-	scrub.ScrubIntervalMS = 6 * workload.HourMS
-	scrub.Faults = []*fault.Plan{{Seed: 11, Bad: latentBadRange(volume.RAID5, 4, 16)}}
-	double := base("raid6-double", volume.RAID6, 5)
-	double.Faults = killPlan(5, 1, 4000)
-	double.Faults[2] = &fault.Plan{Seed: 7, CrashAfterOps: 9000}
-	return []VolumeSetup{
-		base("raid5-4", volume.RAID5, 4),
-		degraded,
-		rebuild,
-		scrub,
-		base("raid6-6", volume.RAID6, 6),
-		double,
+	double := killPlan(5, 1, 4000)
+	double[2] = &fault.Plan{Seed: 7, CrashAfterOps: 9000}
+	return []Experiment{
+		row("raid5-4", volume.RAID5, 4, Devices{}),
+		row("raid5-degraded", volume.RAID5, 4, Devices{Faults: killPlan(4, 1, 4000)}),
+		row("raid5-rebuild", volume.RAID5, 4, Devices{Spare: 1, RebuildRate: 2000, Faults: killPlan(5, 1, 4000)}),
+		row("raid5-scrub", volume.RAID5, 4, Devices{
+			RebuildRate: 2000, ScrubIntervalMS: 6 * workload.HourMS,
+			Faults: []*fault.Plan{{Seed: 11, Bad: latentBadRange(volume.RAID5, 4, 16)}},
+		}),
+		row("raid6-6", volume.RAID6, 6, Devices{}),
+		row("raid6-double", volume.RAID6, 5, Devices{Faults: double}),
 	}
-}
-
-// raidUnits decomposes the parity matrix into one independent run per
-// configuration.
-func raidUnits(o Options) []unit {
-	return matrixUnits(raidConfigs(o),
-		func(s VolumeSetup) (string, float64) { return "raid/" + s.Config, float64(s.Days) },
-		ExecuteVolume,
-		func(rs *ResultSet, _ VolumeSetup, pt *VolumePoint) { rs.RAID = append(rs.RAID, *pt) })
 }
 
 // RAIDReport renders the parity-layout matrix.
-func RAIDReport(points []VolumePoint) *Report {
+func RAIDReport(points []*Run) *Report {
 	rep := &Report{
 		ID:    "raid-rebuild",
 		Title: "Extension: RAID-5/6 parity layouts — degraded reads, hot-spare rebuild, latent-error scrub",
@@ -122,38 +104,29 @@ func RAIDReport(points []VolumePoint) *Report {
 			"Degr reads", "Parity RW", "Rebuilt", "Rebuild (s)", "Scrub fix", "Dead", "FS errors"},
 	}
 	for _, p := range points {
-		rep.AddRow(p.Config, p.Layout, fmt.Sprintf("%d", p.Disks), fmt.Sprintf("%d", p.SparesLeft),
-			fmt.Sprintf("%d", p.Requests), f1(p.Throughput), f2(p.MeanRespMS),
-			fmt.Sprintf("%d", p.RAID.DegradedReads), fmt.Sprintf("%d", p.RAID.ParityRecomputes),
-			fmt.Sprintf("%d", p.RAID.RebuiltBlocks), f1(p.RAID.RebuildMS/1000),
-			fmt.Sprintf("%d", p.RAID.ScrubRepairs),
-			fmt.Sprintf("%d", p.DeadMembers), fmt.Sprintf("%d", p.WorkloadErrors))
+		e, v := p.Experiment, p.Volume
+		rep.AddRow(e.Name, string(e.Devices.Layout), fmt.Sprintf("%d", e.Devices.Disks), fmt.Sprintf("%d", v.SparesLeft),
+			fmt.Sprintf("%d", v.Requests), f1(v.Throughput), f2(v.MeanRespMS),
+			fmt.Sprintf("%d", v.RAID.DegradedReads), fmt.Sprintf("%d", v.RAID.ParityRecomputes),
+			fmt.Sprintf("%d", v.RAID.RebuiltBlocks), f1(v.RAID.RebuildMS/1000),
+			fmt.Sprintf("%d", v.RAID.ScrubRepairs),
+			fmt.Sprintf("%d", v.DeadMembers), fmt.Sprintf("%d", p.WorkloadErrors))
 	}
 	for _, p := range points {
-		if p.RAID.RebuildsDone > 0 {
+		name, v := p.Experiment.Name, p.Volume
+		if v.RAID.RebuildsDone > 0 {
 			rep.AddNote("%s: %d member death(s) absorbed — rebuild copied %d blocks onto the hot spare in %.0f s of simulated time while the workload kept running",
-				p.Config, p.DeadMembers, p.RAID.RebuiltBlocks, p.RAID.RebuildMS/1000)
+				name, v.DeadMembers, v.RAID.RebuiltBlocks, v.RAID.RebuildMS/1000)
 		}
-		if p.RAID.ScrubRepairs > 0 {
+		if v.RAID.ScrubRepairs > 0 {
 			rep.AddNote("%s: scrub completed %d pass(es) and repaired %d latent sector error(s) before any foreground read hit them",
-				p.Config, p.RAID.ScrubPasses, p.RAID.ScrubRepairs)
+				name, v.RAID.ScrubPasses, v.RAID.ScrubRepairs)
 		}
-		if p.RAID.Unrecoverable > 0 {
+		if v.RAID.Unrecoverable > 0 {
 			rep.AddNote("%s: %d block(s) were unrecoverable (losses exceeded the parity budget)",
-				p.Config, p.RAID.Unrecoverable)
+				name, v.RAID.Unrecoverable)
 		}
 	}
 	rep.AddNote("every write pays the parity read-modify-write; degraded reads reconstruct from the survivors, so a dead member costs latency but no data")
 	return rep
-}
-
-// registerRAID registers the parity-layout extension experiment.
-func registerRAID() {
-	Register(Spec{
-		ID: "raid-rebuild", Description: "extension: RAID-5/6 parity layouts (degraded reads, hot-spare rebuild, scrub)",
-		Needs: []Need{NeedRAID},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{RAIDReport(rs.RAID)}
-		},
-	})
 }

@@ -27,39 +27,40 @@ func TestRAIDRebuildEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCfg := make(map[string]VolumePoint, len(rs.RAID))
+	byCfg := make(map[string]*Run, len(rs.RAID))
 	for _, p := range rs.RAID {
-		byCfg[p.Config] = p
+		byCfg[p.Experiment.Name] = p
 	}
-	get := func(cfg string) VolumePoint {
+	// get returns a row's volume measurements and failed file operations.
+	get := func(cfg string) (*VolumePoint, int64) {
 		p, ok := byCfg[cfg]
 		if !ok {
 			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(rs.RAID))
 		}
-		return p
+		return p.Volume, p.WorkloadErrors
 	}
 
 	// Healthy baseline: every foreground write paid for parity.
-	if h := get("raid5-4"); h.RAID.ParityRecomputes == 0 {
+	if h, _ := get("raid5-4"); h.RAID.ParityRecomputes == 0 {
 		t.Errorf("raid5-4: ParityRecomputes = 0, want > 0")
 	}
 
 	// Degraded service: the member died, reads were reconstructed from
 	// survivors + parity, and no file operation failed.
-	d := get("raid5-degraded")
+	d, dErrs := get("raid5-degraded")
 	if d.DeadMembers != 1 {
 		t.Errorf("raid5-degraded: DeadMembers = %d, want 1", d.DeadMembers)
 	}
 	if d.RAID.DegradedReads == 0 {
 		t.Errorf("raid5-degraded: DegradedReads = 0, want > 0")
 	}
-	if d.WorkloadErrors != 0 {
-		t.Errorf("raid5-degraded: WorkloadErrors = %d, want 0", d.WorkloadErrors)
+	if dErrs != 0 {
+		t.Errorf("raid5-degraded: WorkloadErrors = %d, want 0", dErrs)
 	}
 
 	// Rebuild: the throttled copy finished onto the spare (consuming
 	// it) while the foreground workload kept running.
-	r := get("raid5-rebuild")
+	r, rErrs := get("raid5-rebuild")
 	if r.RAID.RebuildsDone < 1 {
 		t.Errorf("raid5-rebuild: RebuildsDone = %d, want >= 1", r.RAID.RebuildsDone)
 	}
@@ -70,33 +71,33 @@ func TestRAIDRebuildEvidence(t *testing.T) {
 	if r.SparesLeft != 0 {
 		t.Errorf("raid5-rebuild: SparesLeft = %d, want 0 (spare consumed)", r.SparesLeft)
 	}
-	if r.Requests == 0 || r.WorkloadErrors != 0 {
+	if r.Requests == 0 || rErrs != 0 {
 		t.Errorf("raid5-rebuild: Requests = %d, WorkloadErrors = %d, want load and no errors",
-			r.Requests, r.WorkloadErrors)
+			r.Requests, rErrs)
 	}
 
 	// Scrub: a pass found the planted latent sector error and rewrote
 	// the block; the foreground never saw it (no degraded reads).
-	s := get("raid5-scrub")
+	s, sErrs := get("raid5-scrub")
 	if s.RAID.ScrubPasses == 0 {
 		t.Errorf("raid5-scrub: ScrubPasses = 0, want > 0")
 	}
 	if s.RAID.ScrubRepairs == 0 {
 		t.Errorf("raid5-scrub: ScrubRepairs = 0, want > 0 (planted latent error not repaired)")
 	}
-	if s.RAID.DegradedReads != 0 || s.WorkloadErrors != 0 {
+	if s.RAID.DegradedReads != 0 || sErrs != 0 {
 		t.Errorf("raid5-scrub: DegradedReads = %d, WorkloadErrors = %d, want 0 (scrub should beat the foreground to the error)",
-			s.RAID.DegradedReads, s.WorkloadErrors)
+			s.RAID.DegradedReads, sErrs)
 	}
 
 	// Double fault: P+Q absorbs two member deaths with no data loss.
-	db := get("raid6-double")
+	db, dbErrs := get("raid6-double")
 	if db.DeadMembers != 2 {
 		t.Errorf("raid6-double: DeadMembers = %d, want 2", db.DeadMembers)
 	}
-	if db.WorkloadErrors != 0 || db.RAID.Unrecoverable != 0 {
+	if dbErrs != 0 || db.RAID.Unrecoverable != 0 {
 		t.Errorf("raid6-double: WorkloadErrors = %d, Unrecoverable = %d, want 0",
-			db.WorkloadErrors, db.RAID.Unrecoverable)
+			dbErrs, db.RAID.Unrecoverable)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestRAIDConfigsCustomRow(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("-layout matrix: %d rows, want 1", len(rows))
 	}
-	s := rows[0]
+	s := rows[0].Devices
 	if s.Layout != volume.RAID6 || s.Disks != 5 {
 		t.Errorf("custom row: layout %v disks %d, want raid6/5", s.Layout, s.Disks)
 	}

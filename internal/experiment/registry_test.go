@@ -86,7 +86,7 @@ func TestGatherDedupsNeeds(t *testing.T) {
 func TestExecuteCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Execute(ctx, Setup{}); !errors.Is(err, context.Canceled) {
+	if _, err := Execute(ctx, Experiment{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

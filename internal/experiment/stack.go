@@ -19,8 +19,8 @@ import (
 )
 
 // This file is the one place an experiment's model stack is assembled,
-// observed and driven: an executor describes its stack, makes its
-// workload on it and says what to collect. The type sits here rather
+// observed and driven: Execute describes its stack, makes its workload
+// on it and says what to collect. The type sits here rather
 // than in internal/rig because volume imports rig — what can hold
 // either is above both — and stack_test.go fails a second assembly site.
 
@@ -69,6 +69,8 @@ type stack struct {
 	fs      []*fs.FS // by partition
 	srv     *server.Server
 	rears   []*core.Rearranger // by member
+	// sampling is set once the sampler runs.
+	sampling bool
 	// otherEvents is the event count of any other engine the job ran
 	// (a trace capture), added to this engine's in the job's total.
 	otherEvents int64
@@ -253,12 +255,13 @@ func (s *stack) observe(extra ...metricsBinder) {
 }
 
 // startSampler registers the probe columns of this shape of stack, in
-// CSV column order, and starts the sampler: observe's first half, apart
-// for the one experiment whose time series begins before populate.
+// CSV column order, and starts the sampler, once: observe's first half,
+// apart for the one experiment whose time series begins before populate.
 func (s *stack) startSampler() {
-	if s.col.SamplePeriodMS() <= 0 {
+	if s.col.SamplePeriodMS() <= 0 || s.sampling {
 		return
 	}
+	s.sampling = true
 	switch {
 	case s.srv != nil:
 		registerTenantProbes(s.col, s.eng, s.members, s.srv)
@@ -321,7 +324,7 @@ func (s *stack) bindMetrics(extra ...metricsBinder) {
 }
 
 // finish records the job's engine event count and disarms the volume's
-// scrub ticker. Executors defer it.
+// scrub ticker. Execute defers it.
 func (s *stack) finish() {
 	s.col.SetEngineEvents(s.otherEvents + s.eng.Dispatched())
 	if s.vol != nil {

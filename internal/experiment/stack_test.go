@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,7 +15,9 @@ import (
 // driven in one place: outside stack.go no non-test file may call the
 // constructors of the layers a stack is made of, start the sampler,
 // report engine events, or drive an engine by hand. A new experiment
-// is a stackSpec handed to newStack, not another hand-wired executor.
+// is an Experiment value handed to Execute, not another executor: only
+// Execute and CaptureDay call newStack, and the package has one
+// withDefaults.
 func TestOneAssemblySite(t *testing.T) {
 	// Package-qualified constructors, and methods by name whatever the
 	// receiver expression.
@@ -39,16 +43,23 @@ func TestOneAssemblySite(t *testing.T) {
 	if len(files) < 10 {
 		t.Fatalf("parsed %d files of the package, expected the whole of it", len(files))
 	}
+	var stackBuilders, defaulters []string
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
+			if fn.Name.Name == "withDefaults" {
+				defaulters = append(defaulters, fset.Position(fn.Pos()).String())
+			}
 			ast.Inspect(fn, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "newStack" {
+					stackBuilders = append(stackBuilders, fn.Name.Name)
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
 				if !ok {
@@ -68,5 +79,12 @@ func TestOneAssemblySite(t *testing.T) {
 				return true
 			})
 		}
+	}
+	sort.Strings(stackBuilders)
+	if want := []string{"CaptureDay", "Execute"}; !reflect.DeepEqual(stackBuilders, want) {
+		t.Errorf("newStack is called by %v, want %v: describe the experiment and let Execute run it", stackBuilders, want)
+	}
+	if len(defaulters) != 1 {
+		t.Errorf("withDefaults is declared %d times (%v), want once: the description has one set of defaults", len(defaulters), defaulters)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
+	"repro/internal/tracein"
+	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -79,21 +81,59 @@ func (o Options) days(def int) int {
 	return def
 }
 
-// setup scales one Execute run by the options: the day count unless
-// overridden, the window, the seed and the fault plan.
-func (o Options) setup(diskName, fsName string, days int) Setup {
-	return Setup{
-		DiskName: diskName, FSName: fsName,
-		Days: o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,
-		Fault: o.Fault,
+func (o Options) seed() uint64 {
+	if o.Seed != 0 {
+		return o.Seed
 	}
+	return defaultSeed
+}
+
+// paper is one of Section 5's single-disk experiments scaled by the
+// options: the day count unless overridden, the window, the seed and the
+// fault plan. SCAN is named, so that observed runs count its queue.
+func (o Options) paper(name, diskName string, src Source, days int) Experiment {
+	return Experiment{
+		Name:      name,
+		Devices:   Devices{Disk: diskName, Sched: "scan", Faults: []*fault.Plan{o.Fault}},
+		Workload:  Workload{Source: src},
+		Rearrange: &Rearrange{},
+		Days:      o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,
+	}
+}
+
+// OptionError reports an Options field whose value no experiment
+// accepts.
+type OptionError struct {
+	Field string // the Options field, e.g. "QoS"
+	Value string
+	Want  string // the accepted values, in words
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("experiment: invalid Options.%s %q (want %s)", e.Field, e.Value, e.Want)
+}
+
+// Validate checks the fields that name one of a fixed set of choices;
+// Gather runs it before anything else, so a misspelt choice fails the
+// run instead of silently selecting a default. The error is an
+// *OptionError.
+func (o Options) Validate() error {
+	switch {
+	case o.QoS != "" && o.QoS != "on" && o.QoS != "off":
+		return &OptionError{"QoS", o.QoS, "on or off"}
+	case o.RAIDLayout != "" && o.RAIDLayout != string(volume.RAID5) && o.RAIDLayout != string(volume.RAID6):
+		return &OptionError{"RAIDLayout", o.RAIDLayout, "raid5 or raid6"}
+	}
+	if _, err := tracein.ParseMode(o.ReplayMode); err != nil {
+		return &OptionError{"ReplayMode", o.ReplayMode, "open or closed"}
+	}
+	return nil
 }
 
 // OnOff holds the paired on/off runs of one file system on both disks —
 // the experiments behind Tables 2, 3, 4 (system) and 5, 6 (users) and
 // Figures 4–7.
 type OnOff struct {
-	FSName  string
 	Toshiba *Run
 	Fujitsu *Run
 }
@@ -102,11 +142,18 @@ type OnOff struct {
 // on both disks, running the two per-disk simulations in parallel on
 // the job runner (o.Jobs workers).
 func RunOnOff(ctx context.Context, fsname string, o Options) (*OnOff, error) {
-	rs, err := runUnits(ctx, onOffUnits(fsname, o), o, runner.Config{Workers: o.Jobs})
+	need, ok := map[string]Need{"system": NeedSystem, "users": NeedUsers}[fsname]
+	if !ok {
+		return nil, fmt.Errorf("experiment: unknown file system %q (valid: system, users)", fsname)
+	}
+	rs, err := Gather(ctx, []Need{need}, o, runner.Config{Workers: o.Jobs})
 	if err != nil {
 		return nil, err
 	}
-	return ensureOnOff(rs, fsname), nil
+	if need == NeedUsers {
+		return rs.Users, nil
+	}
+	return rs.System, nil
 }
 
 // paperOnOff holds one paper row of an on/off summary table:
@@ -219,6 +266,22 @@ func detailDays(run *Run) (off, on DayResult) {
 	return off, on
 }
 
+// detailRows are the rows of the day-detail tables (3, 8 and 9), in the
+// order the paper's value arrays list them.
+var detailRows = []struct {
+	name string
+	get  func(Metrics) float64
+	fmt  func(float64) string
+}{
+	{"FCFS Mean Seek Dist (cyln)", func(m Metrics) float64 { return m.FCFSDist }, f0},
+	{"Mean Seek Distance (cyln)", func(m Metrics) float64 { return m.Dist }, f0},
+	{"Zero-length Seeks (%)", func(m Metrics) float64 { return m.ZeroSeekPct }, f0},
+	{"FCFS Mean Seek Time (ms)", func(m Metrics) float64 { return m.FCFSSeekMS }, f2},
+	{"Mean Seek Time (ms)", func(m Metrics) float64 { return m.SeekMS }, f2},
+	{"Mean Service Time (ms)", func(m Metrics) float64 { return m.ServiceMS }, f2},
+	{"Mean Waiting Time (ms)", func(m Metrics) float64 { return m.WaitMS }, f2},
+}
+
 // paperTable3 holds Table 3's columns for each disk/day:
 // FCFS dist, dist, zero%, FCFS seek, seek, service, waiting.
 var paperTable3 = map[string][7]float64{
@@ -250,20 +313,7 @@ func Table3(res *OnOff) *Report {
 		paperTable3["toshiba/off"], paperTable3["toshiba/on"],
 		paperTable3["fujitsu/off"], paperTable3["fujitsu/on"],
 	}
-	rows := []struct {
-		name string
-		get  func(Metrics) float64
-		fmt  func(float64) string
-	}{
-		{"FCFS Mean Seek Dist (cyln)", func(m Metrics) float64 { return m.FCFSDist }, f0},
-		{"Mean Seek Distance (cyln)", func(m Metrics) float64 { return m.Dist }, f0},
-		{"Zero-length Seeks (%)", func(m Metrics) float64 { return m.ZeroSeekPct }, f0},
-		{"FCFS Mean Seek Time (ms)", func(m Metrics) float64 { return m.FCFSSeekMS }, f2},
-		{"Mean Seek Time (ms)", func(m Metrics) float64 { return m.SeekMS }, f2},
-		{"Mean Service Time (ms)", func(m Metrics) float64 { return m.ServiceMS }, f2},
-		{"Mean Waiting Time (ms)", func(m Metrics) float64 { return m.WaitMS }, f2},
-	}
-	for ri, row := range rows {
+	for ri, row := range detailRows {
 		cells := []string{row.name}
 		for i := range ms {
 			cells = append(cells, row.fmt(row.get(ms[i])), row.fmt(papers[i][ri]))
@@ -287,7 +337,7 @@ var PolicyNames = []string{"organ-pipe", "interleaved", "serial"}
 // applied every day after a warm-up day — running the six independent
 // configurations in parallel on the job runner (o.Jobs workers).
 func RunPolicies(ctx context.Context, o Options) (*Policies, error) {
-	rs, err := runUnits(ctx, policiesUnits(o), o, runner.Config{Workers: o.Jobs})
+	rs, err := Gather(ctx, []Need{NeedPolicies}, o, runner.Config{Workers: o.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -370,20 +420,7 @@ func policyDetailTable(id, title, diskName string, res *Policies) *Report {
 	for _, c := range cols {
 		rep.Columns = append(rep.Columns, c.policy+"/"+c.side, "(paper)")
 	}
-	rows := []struct {
-		name string
-		get  func(Metrics) float64
-		fmt  func(float64) string
-	}{
-		{"FCFS Mean Seek Dist (cyln)", func(m Metrics) float64 { return m.FCFSDist }, f0},
-		{"Mean Seek Distance (cyln)", func(m Metrics) float64 { return m.Dist }, f0},
-		{"Zero-length Seeks (%)", func(m Metrics) float64 { return m.ZeroSeekPct }, f0},
-		{"FCFS Mean Seek Time (ms)", func(m Metrics) float64 { return m.FCFSSeekMS }, f2},
-		{"Mean Seek Time (ms)", func(m Metrics) float64 { return m.SeekMS }, f2},
-		{"Mean Service Time (ms)", func(m Metrics) float64 { return m.ServiceMS }, f2},
-		{"Mean Waiting Time (ms)", func(m Metrics) float64 { return m.WaitMS }, f2},
-	}
-	for ri, row := range rows {
+	for ri, row := range detailRows {
 		cells := []string{row.name}
 		for _, c := range cols {
 			run := res.Runs[diskName][c.policy]
@@ -459,58 +496,3 @@ func Table1() *Report {
 
 // FullWindowMS is the paper's measured window length (7am–10pm).
 const FullWindowMS = workload.DayEndMS - workload.DayStartMS
-
-// registerTables registers the paper's tables with the experiment
-// registry.
-func registerTables() {
-	one := func(r Renderable) []Renderable { return []Renderable{r} }
-	Register(Spec{
-		ID: "table1", Description: "specifications of the disks (model validation)",
-		Report: func(*ResultSet) []Renderable { return one(Table1()) },
-	})
-	Register(Spec{
-		ID: "table2", Description: "on/off summary, system file system",
-		Needs:  []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table2(rs.System)) },
-	})
-	Register(Spec{
-		ID: "table3", Description: "off day vs on day detail, system file system",
-		Needs:  []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table3(rs.System)) },
-	})
-	Register(Spec{
-		ID: "table4", Description: "on/off summary, system fs, reads only",
-		Needs:  []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table4(rs.System)) },
-	})
-	Register(Spec{
-		ID: "table5", Description: "on/off summary, users file system",
-		Needs:  []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable { return one(Table5(rs.Users)) },
-	})
-	Register(Spec{
-		ID: "table6", Description: "on/off summary, users fs, reads only",
-		Needs:  []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable { return one(Table6(rs.Users)) },
-	})
-	Register(Spec{
-		ID: "table7", Description: "seek-time reduction per placement policy",
-		Needs:  []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table7(rs.Policies)) },
-	})
-	Register(Spec{
-		ID: "table8", Description: "placement policies on the Toshiba disk",
-		Needs:  []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table8(rs.Policies)) },
-	})
-	Register(Spec{
-		ID: "table9", Description: "placement policies on the Fujitsu disk",
-		Needs:  []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table9(rs.Policies)) },
-	})
-	Register(Spec{
-		ID: "table10", Description: "placement policies vs rotational delays",
-		Needs:  []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table10(rs.Policies)) },
-	})
-}

@@ -23,16 +23,16 @@ func TestTraceReplayEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCfg := make(map[string]TracePoint, len(rs.Trace))
+	byCfg := make(map[string]*Run, len(rs.Trace))
 	for _, p := range rs.Trace {
-		byCfg[p.Config] = p
+		byCfg[p.Experiment.Name] = p
 	}
-	get := func(cfg string) TracePoint {
+	get := func(cfg string) *TracePoint {
 		p, ok := byCfg[cfg]
 		if !ok {
 			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(rs.Trace))
 		}
-		return p
+		return p.Replay
 	}
 
 	base := get("open-1x")
@@ -53,15 +53,15 @@ func TestTraceReplayEvidence(t *testing.T) {
 	if sc.Records != 4*base.Records {
 		t.Errorf("open-4x-stripe4: Records = %d, want %d (4 copies)", sc.Records, 4*base.Records)
 	}
-	if sc.Disks != 4 {
-		t.Errorf("open-4x-stripe4: Disks = %d, want 4", sc.Disks)
+	if d := byCfg["open-4x-stripe4"].Experiment.Devices; d.Disks != 4 {
+		t.Errorf("open-4x-stripe4: Disks = %d, want 4", d.Disks)
 	}
 
 	// Rearrangement on the replayed trace: blocks moved, seeks cut —
 	// the paper's claim, demonstrated on trace-driven load.
 	for _, cfg := range []string{"open-1x", "open-4x-stripe4"} {
 		off, on := get(cfg), get(cfg+"-rearr")
-		if on.Installed == 0 {
+		if byCfg[cfg+"-rearr"].installed() == 0 {
 			t.Errorf("%s-rearr: Installed = 0, want > 0", cfg)
 		}
 		if on.SeekMS >= off.SeekMS {
@@ -91,18 +91,18 @@ func TestTraceConfigsCustomRow(t *testing.T) {
 		t.Fatalf("flag matrix: %d rows, want 2", len(rows))
 	}
 	off, on := rows[0], rows[1]
-	if off.Rearrange || !on.Rearrange {
+	if off.Rearrange != nil || on.Rearrange == nil {
 		t.Errorf("want an off/on pair, got %v/%v", off.Rearrange, on.Rearrange)
 	}
 	for _, s := range rows {
-		if s.TracePath != o.TraceIn || s.Mode != tracein.ClosedLoop {
-			t.Errorf("custom row dropped -trace-in/-replay-mode: %+v", s)
+		if w := s.Workload; w.TracePath != o.TraceIn || w.Mode != tracein.ClosedLoop {
+			t.Errorf("custom row dropped -trace-in/-replay-mode: %+v", w)
 		}
-		if s.Copies != 4 || s.Compress != 4 || s.ShiftBlocks != 1000 {
-			t.Errorf("custom row dropped -trace-scale/-trace-shift: %+v", s)
+		if w := s.Workload; w.Copies != 4 || w.ShiftBlocks != 1000 {
+			t.Errorf("custom row dropped -trace-scale/-trace-shift: %+v", w)
 		}
-		if s.Layout != volume.Stripe || s.Disks != 4 {
-			t.Errorf("scaled custom row: layout %v disks %d, want stripe/4", s.Layout, s.Disks)
+		if d := s.Devices; d.Layout != volume.Stripe || d.Disks != 4 {
+			t.Errorf("scaled custom row: layout %v disks %d, want stripe/4", d.Layout, d.Disks)
 		}
 	}
 
@@ -113,8 +113,8 @@ func TestTraceConfigsCustomRow(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("bare -replay-mode: %d rows, want 2", len(rows))
 	}
-	if s := rows[0].withDefaults(); s.Disks != 1 || s.Layout != volume.Concat {
-		t.Fatalf("bare -replay-mode: want a concat-1 pair, got %+v", s)
+	if s, err := rows[0].withDefaults(); err != nil || s.Devices.Disks != 1 || s.Devices.Layout != volume.Concat {
+		t.Fatalf("bare -replay-mode: want a concat-1 pair, got %+v, %v", s.Devices, err)
 	}
 }
 

@@ -54,22 +54,47 @@ const (
 	needCount
 )
 
-// needTable names each need and expands it into its simulation units.
+// needTable names each need and gives its table of experiments: the
+// prefix that, before a row's name, names the row's job, the rows, and
+// the step that installs a completed row. The crash battery runs on the
+// crashcheck harness, not on a stack, and brings its own units.
 var needTable = [needCount]struct {
-	name  string
-	units func(Options) []unit
+	name   string
+	prefix string
+	rows   func(Options) []Experiment
+	apply  func(*ResultSet, *Run)
+	crash  func() []unit
 }{
-	NeedSystem:   {"onoff-system", func(o Options) []unit { return onOffUnits("system", o) }},
-	NeedUsers:    {"onoff-users", func(o Options) []unit { return onOffUnits("users", o) }},
-	NeedPolicies: {"policies", policiesUnits},
-	NeedSweep:    {"sweep", func(o Options) []unit { return sweepUnits(o, nil) }},
-	NeedShared:   {"shared", sharedUnits},
-	NeedFaults:   {"faults", faultUnits},
-	NeedCrash:    {"crash", crashUnits},
-	NeedVolume:   {"volume", volumeUnits},
-	NeedTenants:  {"tenants", tenantUnits},
-	NeedRAID:     {"raid", raidUnits},
-	NeedTrace:    {"trace", traceUnits},
+	NeedSystem: {name: "onoff-system", prefix: "onoff/system/",
+		rows: func(o Options) []Experiment { return onOffConfigs(System, o) }, apply: applyOnOff},
+	NeedUsers: {name: "onoff-users", prefix: "onoff/users/",
+		rows: func(o Options) []Experiment { return onOffConfigs(Users, o) }, apply: applyOnOff},
+	NeedPolicies: {name: "policies", prefix: "policies/", rows: policiesConfigs, apply: applyPolicy},
+	NeedSweep: {name: "sweep", prefix: "sweep/",
+		rows:  func(o Options) []Experiment { return sweepConfigs(o, DefaultSweepBlocks) },
+		apply: func(rs *ResultSet, run *Run) { rs.Sweep = append(rs.Sweep, sweepPoint(run)) }},
+	NeedShared: {name: "shared", rows: sharedConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.Shared = run }},
+	NeedFaults: {name: "faults", prefix: "faults/", rows: faultConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.Faults = append(rs.Faults, run) }},
+	NeedCrash: {name: "crash", crash: crashUnits},
+	NeedVolume: {name: "volume", prefix: "volume/", rows: volumeConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.Volume = append(rs.Volume, run) }},
+	NeedTenants: {name: "tenants", prefix: "tenants/", rows: tenantConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.Tenants = append(rs.Tenants, run) }},
+	NeedRAID: {name: "raid", prefix: "raid/", rows: raidConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.RAID = append(rs.RAID, run) }},
+	NeedTrace: {name: "trace", prefix: "trace/", rows: traceConfigs,
+		apply: func(rs *ResultSet, run *Run) { rs.Trace = append(rs.Trace, run) }},
+}
+
+// units expands the need into its simulation units.
+func (n Need) units(o Options) ([]unit, error) {
+	nd := needTable[n]
+	if nd.crash != nil {
+		return nd.crash(), nil
+	}
+	return experimentUnits(nd.prefix, nd.rows(o), nd.apply)
 }
 
 // String names the need for errors and job labels.
@@ -88,13 +113,13 @@ type ResultSet struct {
 	Users    *OnOff
 	Policies *Policies
 	Sweep    []SweepPoint
-	Shared   *SharedResult
-	Faults   []FaultPoint
+	Shared   *Run
+	Faults   []*Run
 	Crash    []CrashPoint
-	Volume   []VolumePoint
-	Tenants  []TenantPoint
-	RAID     []VolumePoint
-	Trace    []TracePoint
+	Volume   []*Run
+	Tenants  []*Run
+	RAID     []*Run
+	Trace    []*Run
 
 	// Collectors holds each simulation job's telemetry collector in
 	// job order when Options.Telemetry was set; nil otherwise.
@@ -121,7 +146,7 @@ type unit struct {
 // (a failure is wrapped with the job's name) and apply installs its
 // result, in row order.
 func matrixUnits[S, R any](rows []S, label func(S) (name string, units float64),
-	run func(context.Context, S) (R, error), apply func(*ResultSet, S, R)) []unit {
+	run func(context.Context, S) (R, error), apply func(*ResultSet, R)) []unit {
 	units := make([]unit, 0, len(rows))
 	for _, row := range rows {
 		name, n := label(row)
@@ -137,123 +162,115 @@ func matrixUnits[S, R any](rows []S, label func(S) (name string, units float64),
 					return res, nil
 				},
 			},
-			apply: func(rs *ResultSet, v any) { apply(rs, row, v.(R)) },
+			apply: func(rs *ResultSet, v any) { apply(rs, v.(R)) },
 		})
 	}
 	return units
 }
 
-// onOffUnits decomposes one file system's on/off experiment into its
-// two independent per-disk runs. The paper ran 10 days (5 on, 5 off)
-// for the system file system, and 12 (Toshiba) / 10 (Fujitsu) days for
-// the users file system.
-func onOffUnits(fsname string, o Options) []unit {
-	daysTosh, daysFuji := 10, 10
-	if fsname == "users" {
-		daysTosh = 12
-	}
-	return matrixUnits([]Setup{o.setup("toshiba", fsname, daysTosh), o.setup("fujitsu", fsname, daysFuji)},
-		func(s Setup) (string, float64) { return "onoff/" + fsname + "/" + s.DiskName, float64(s.Days) },
-		Execute,
-		func(rs *ResultSet, s Setup, run *Run) {
-			res := ensureOnOff(rs, fsname)
-			if s.DiskName == "toshiba" {
-				res.Toshiba = run
-			} else {
-				res.Fujitsu = run
-			}
-		})
-}
-
-func ensureOnOff(rs *ResultSet, fsname string) *OnOff {
-	slot := &rs.System
-	if fsname == "users" {
-		slot = &rs.Users
-	}
-	if *slot == nil {
-		*slot = &OnOff{FSName: fsname}
-	}
-	return *slot
-}
-
-// everyDayAfterWarmup is the on-pattern of the experiments that
-// rearrange after every day but the first.
-func everyDayAfterWarmup(day int) bool { return day > 0 }
-
-// policiesUnits decomposes the placement-policy experiments into their
-// six independent runs (system file system, each disk × each policy,
-// rearrangement applied every day after a warm-up day).
-func policiesUnits(o Options) []unit {
-	var rows []Setup
-	for _, d := range []string{"toshiba", "fujitsu"} {
-		for _, p := range PolicyNames {
-			s := o.setup(d, "system", 4)
-			s.Policy, s.OnPattern = p, everyDayAfterWarmup
-			rows = append(rows, s)
+// experimentUnits makes one unit per row of a table of experiments: the
+// job is named prefix + the row's name and weighed in simulated days, and
+// apply installs the completed run. A row that does not validate fails
+// the whole table, before any job exists.
+func experimentUnits(prefix string, rows []Experiment, apply func(*ResultSet, *Run)) ([]unit, error) {
+	for i, e := range rows {
+		var err error
+		if rows[i], err = e.withDefaults(); err != nil {
+			return nil, fmt.Errorf("%s%s: %w", prefix, e.Name, err)
 		}
 	}
 	return matrixUnits(rows,
-		func(s Setup) (string, float64) { return "policies/" + s.DiskName + "/" + s.Policy, float64(s.Days) },
-		Execute,
-		func(rs *ResultSet, s Setup, run *Run) {
-			if rs.Policies == nil {
-				rs.Policies = &Policies{Runs: make(map[string]map[string]*Run)}
-			}
-			if rs.Policies.Runs[s.DiskName] == nil {
-				rs.Policies.Runs[s.DiskName] = make(map[string]*Run)
-			}
-			rs.Policies.Runs[s.DiskName][s.Policy] = run
-		})
+		func(e Experiment) (string, float64) { return prefix + e.Name, e.simDays() },
+		Execute, apply), nil
 }
 
-// sweepUnits decomposes the Figure 8 sweep into one independent run per
-// block count. Each job computes its SweepPoint; apply steps append in
-// job order, so the sweep comes out sorted as given.
-func sweepUnits(o Options, counts []int) []unit {
-	if len(counts) == 0 {
-		counts = DefaultSweepBlocks
+// onOffConfigs is one file system's on/off experiment: one run per disk.
+// The paper ran 10 days (5 on, 5 off) for the system file system, and 12
+// (Toshiba) / 10 (Fujitsu) days for the users file system.
+func onOffConfigs(src Source, o Options) []Experiment {
+	daysTosh := 10
+	if src == Users {
+		daysTosh = 12
 	}
-	var rows []Setup
+	return []Experiment{o.paper("toshiba", "toshiba", src, daysTosh), o.paper("fujitsu", "fujitsu", src, 10)}
+}
+
+func applyOnOff(rs *ResultSet, run *Run) {
+	slot := &rs.System
+	if run.Experiment.Workload.Source == Users {
+		slot = &rs.Users
+	}
+	if *slot == nil {
+		*slot = &OnOff{}
+	}
+	if run.Experiment.Devices.Disk == "toshiba" {
+		(*slot).Toshiba = run
+	} else {
+		(*slot).Fujitsu = run
+	}
+}
+
+// policiesConfigs is the placement-policy matrix: the system file
+// system, each disk × each policy, rearrangement applied every day
+// after a warm-up day.
+func policiesConfigs(o Options) []Experiment {
+	var rows []Experiment
+	for _, d := range []string{"toshiba", "fujitsu"} {
+		for _, p := range PolicyNames {
+			e := o.paper(d+"/"+p, d, System, 4)
+			e.Rearrange.Policy, e.OnPattern = p, everyDayAfterWarmup
+			rows = append(rows, e)
+		}
+	}
+	return rows
+}
+
+func applyPolicy(rs *ResultSet, run *Run) {
+	if rs.Policies == nil {
+		rs.Policies = &Policies{Runs: make(map[string]map[string]*Run)}
+	}
+	d := run.Experiment.Devices.Disk
+	if rs.Policies.Runs[d] == nil {
+		rs.Policies.Runs[d] = make(map[string]*Run)
+	}
+	rs.Policies.Runs[d][run.Experiment.Rearrange.Policy] = run
+}
+
+// sweepConfigs is the Figure 8 sweep: one run per block count, in the
+// order given.
+func sweepConfigs(o Options, counts []int) []Experiment {
+	var rows []Experiment
 	for _, n := range counts {
-		s := o.setup("toshiba", "system", 2)
-		s.Blocks, s.OnPattern = n, everyDayAfterWarmup
-		rows = append(rows, s)
+		e := o.paper(strconv.Itoa(n), "toshiba", System, 2)
+		e.Rearrange.Blocks, e.OnPattern = n, everyDayAfterWarmup
+		rows = append(rows, e)
 	}
-	return matrixUnits(rows,
-		func(s Setup) (string, float64) { return "sweep/" + strconv.Itoa(s.Blocks), float64(s.Days) },
-		func(ctx context.Context, s Setup) (SweepPoint, error) {
-			run, err := Execute(ctx, s)
-			if err != nil {
-				return SweepPoint{}, err
-			}
-			_, on := detailDays(run)
-			all := on.Metrics(run.Curve, AllRequests)
-			reads := on.Metrics(run.Curve, ReadsOnly)
-			return SweepPoint{
-				Blocks:         s.Blocks,
-				DistRedPct:     DistReductionPct(all),
-				TimeRedPct:     SeekReductionPct(all),
-				ReadDistRedPct: DistReductionPct(reads),
-				ReadTimeRedPct: SeekReductionPct(reads),
-			}, nil
-		},
-		func(rs *ResultSet, _ Setup, p SweepPoint) { rs.Sweep = append(rs.Sweep, p) })
+	return rows
 }
 
-// sharedUnits wraps the shared-disk extension. Its two workloads drive
-// one rig and one engine, so it is a single job.
-func sharedUnits(o Options) []unit {
-	return matrixUnits([]Options{o},
-		func(o Options) (string, float64) { return "shared", float64(o.days(4)) },
-		RunShared,
-		func(rs *ResultSet, _ Options, res *SharedResult) { rs.Shared = res })
+// sweepPoint summarizes one run of the sweep from its last on-day.
+func sweepPoint(run *Run) SweepPoint {
+	_, on := detailDays(run)
+	all := on.Metrics(run.Curve, AllRequests)
+	reads := on.Metrics(run.Curve, ReadsOnly)
+	return SweepPoint{
+		Blocks:         run.Experiment.Rearrange.Blocks,
+		DistRedPct:     DistReductionPct(all),
+		TimeRedPct:     SeekReductionPct(all),
+		ReadDistRedPct: DistReductionPct(reads),
+		ReadTimeRedPct: SeekReductionPct(reads),
+	}
 }
 
 // Gather simulates the given needs on the parallel runner and assembles
 // the results. Needs are deduplicated and expanded in canonical order,
 // and results are installed in job order, so the assembled set — and
-// everything rendered from it — is identical for any worker count.
+// everything rendered from it — is identical for any worker count. The
+// options and every row are validated before the first job starts.
 func Gather(ctx context.Context, needs []Need, o Options, cfg runner.Config) (*ResultSet, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err // before the rows are built from them
+	}
 	requested := make([]bool, needCount)
 	for _, n := range needs {
 		if n < 0 || n >= needCount {
@@ -263,9 +280,14 @@ func Gather(ctx context.Context, needs []Need, o Options, cfg runner.Config) (*R
 	}
 	var units []unit
 	for n := Need(0); n < needCount; n++ {
-		if requested[n] {
-			units = append(units, needTable[n].units(o)...)
+		if !requested[n] {
+			continue
 		}
+		us, err := n.units(o)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, us...)
 	}
 	return runUnits(ctx, units, o, cfg)
 }

@@ -18,9 +18,9 @@ import (
 // harness run, and the acceptance bar is that enabling spans costs only
 // the encoding of its own output.
 func benchExecute(b *testing.B, opts *telemetry.Options) {
-	s := experiment.Setup{
-		DiskName: "toshiba", FSName: "system",
-		Days: 1, WindowMS: 5 * 60 * 1000,
+	s := experiment.Experiment{
+		Rearrange: &experiment.Rearrange{},
+		Days:      1, WindowMS: 5 * 60 * 1000,
 	}
 	for i := 0; i < b.N; i++ {
 		ctx := context.Background()
