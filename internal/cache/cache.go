@@ -12,7 +12,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/driver"
@@ -57,8 +56,21 @@ type Cache struct {
 	part int
 	cfg  Config
 
-	entries map[int64]*list.Element // block number -> *entry element
-	lru     *list.List              // front = most recently used
+	// slab holds every entry, linked by slot number into one circular
+	// recency list whose sentinel is slot 0: slab[0].next is the most
+	// recently used entry, slab[0].prev the least. Freed slots are
+	// chained through next from freeSlot (0 = none) and reused before the
+	// slab grows, so a warm cache inserts without allocating.
+	slab     []entry
+	freeSlot int32
+	n        int // cached blocks
+	// index maps a block of the partition to its slot, 0 = not cached:
+	// the hit path is one indexed load, no hashing. Four bytes per
+	// partition block, sized once in New. outside does the same for
+	// block numbers the partition does not have (the device refuses
+	// them, but a write to one is cached until it gets there).
+	index   []int32
+	outside map[int64]int32
 
 	// In-flight block reads, so concurrent misses on one block issue a
 	// single disk request.
@@ -131,9 +143,10 @@ func (c *Cache) deliverWrite(done func(error)) {
 }
 
 type entry struct {
-	block int64
-	data  []byte
-	dirty bool
+	block      int64
+	data       []byte
+	dirty      bool
+	prev, next int32
 }
 
 // New returns a cache over the given partition.
@@ -147,23 +160,82 @@ func New(eng *sim.Engine, drv driver.BlockDevice, part int, cfg Config) *Cache {
 	if cfg.PressurePeriodMS > 0 && cfg.PressureFrac <= 0 {
 		cfg.PressureFrac = defaultPressureFrac
 	}
+	var blocks int64
+	if p, err := drv.Label().Partition(part); err == nil {
+		blocks = p.Size / int64(drv.BlockSize().Sectors())
+	}
 	return &Cache{
 		eng:      eng,
 		drv:      drv,
 		part:     part,
 		cfg:      cfg,
 		rnd:      sim.NewRand(cfg.Seed ^ 0xCAC4E),
-		entries:  make(map[int64]*list.Element),
-		lru:      list.New(),
+		slab:     make([]entry, 1), // the sentinel, linked to itself
+		index:    make([]int32, blocks),
 		inflight: make(map[int64][]func([]byte, error)),
 	}
+}
+
+// slot returns the slab slot caching block, 0 if it is not cached.
+func (c *Cache) slot(block int64) int32 {
+	if uint64(block) < uint64(len(c.index)) {
+		return c.index[block]
+	}
+	return c.outside[block]
+}
+
+// setSlot records that block is cached in slot s (0: no longer cached).
+func (c *Cache) setSlot(block int64, s int32) {
+	switch {
+	case uint64(block) < uint64(len(c.index)):
+		c.index[block] = s
+	case s == 0:
+		delete(c.outside, block)
+	default:
+		if c.outside == nil {
+			c.outside = make(map[int64]int32)
+		}
+		c.outside[block] = s
+	}
+}
+
+// unlink takes slot s out of the recency list.
+func (c *Cache) unlink(s int32) {
+	e := &c.slab[s]
+	c.slab[e.prev].next = e.next
+	c.slab[e.next].prev = e.prev
+}
+
+// pushFront links slot s in as the most recently used.
+func (c *Cache) pushFront(s int32) {
+	first := c.slab[0].next
+	c.slab[s].prev, c.slab[s].next = 0, first
+	c.slab[first].prev = s
+	c.slab[0].next = s
+}
+
+// touch makes slot s the most recently used.
+func (c *Cache) touch(s int32) {
+	if c.slab[0].next != s {
+		c.unlink(s)
+		c.pushFront(s)
+	}
+}
+
+// remove drops slot s from the cache without writing it back.
+func (c *Cache) remove(s int32) {
+	c.unlink(s)
+	c.setSlot(c.slab[s].block, 0)
+	c.slab[s] = entry{next: c.freeSlot} // drops the data reference
+	c.freeSlot = s
+	c.n--
 }
 
 // applyPressure drops a random fraction of the clean cached blocks.
 func (c *Cache) applyPressure() {
 	var victims []int64
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
+		e := &c.slab[s]
 		if !e.dirty && c.rnd.Bool(c.cfg.PressureFrac) {
 			victims = append(victims, e.block)
 		}
@@ -189,13 +261,13 @@ func (c *Cache) BindMetrics(reg *metrics.Registry, name string, labels ...metric
 }
 
 // Len returns the number of cached blocks.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return c.n }
 
 // DirtyLen returns the number of dirty cached blocks.
 func (c *Cache) DirtyLen() int {
 	var n int
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		if e.Value.(*entry).dirty {
+	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
+		if c.slab[s].dirty {
 			n++
 		}
 	}
@@ -206,10 +278,10 @@ func (c *Cache) DirtyLen() int {
 // otherwise from disk. The returned slice is the cache's copy; callers
 // must not modify it (use Write).
 func (c *Cache) Read(block int64, done func(data []byte, err error)) {
-	if el, ok := c.entries[block]; ok {
+	if s := c.slot(block); s != 0 {
 		c.hits++
-		c.lru.MoveToFront(el)
-		c.deliverRead(el.Value.(*entry).data, done)
+		c.touch(s)
+		c.deliverRead(c.slab[s].data, done)
 		return
 	}
 	if waiters, ok := c.inflight[block]; ok {
@@ -223,7 +295,14 @@ func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 		waiters := c.inflight[block]
 		delete(c.inflight, block)
 		if err == nil {
-			c.insert(block, data, false)
+			if s := c.slot(block); s != 0 {
+				// Written while the read was in flight: the cache's
+				// copy is the newer one and stays (with its dirty
+				// flag); the fill only counts as a use.
+				c.touch(s)
+			} else {
+				c.insert(block, data, false)
+			}
 		}
 		for _, w := range waiters {
 			if w != nil {
@@ -239,15 +318,6 @@ func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 // a private copy of data; callers that can hand their buffer over
 // should use WriteOwned instead.
 func (c *Cache) Write(block int64, data []byte, done func(err error)) {
-	if len(data) != c.drv.BlockSize().Bytes() {
-		c.eng.After(0, func() {
-			if done != nil {
-				done(fmt.Errorf("cache: write of %d bytes, block size is %d",
-					len(data), c.drv.BlockSize().Bytes()))
-			}
-		})
-		return
-	}
 	c.WriteOwned(block, append([]byte(nil), data...), done)
 }
 
@@ -260,23 +330,10 @@ func (c *Cache) Write(block int64, data []byte, done func(err error)) {
 // never write to a block once encoded; handing the buffer over skips
 // Write's defensive copy of every written block.
 func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
-	if len(data) != c.drv.BlockSize().Bytes() {
-		c.eng.After(0, func() {
-			if done != nil {
-				done(fmt.Errorf("cache: write of %d bytes, block size is %d",
-					len(data), c.drv.BlockSize().Bytes()))
-			}
-		})
+	if c.wrongSize(data, done) {
 		return
 	}
-	if el, ok := c.entries[block]; ok {
-		e := el.Value.(*entry)
-		e.data = data
-		e.dirty = true
-		c.lru.MoveToFront(el)
-	} else {
-		c.insert(block, data, true)
-	}
+	c.install(block, data, true)
 	c.deliverWrite(done)
 }
 
@@ -287,15 +344,6 @@ func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 // copy of data; see WriteThroughOwned for the ownership-transfer
 // variant.
 func (c *Cache) WriteThrough(block int64, data []byte, done func(err error)) {
-	if len(data) != c.drv.BlockSize().Bytes() {
-		c.eng.After(0, func() {
-			if done != nil {
-				done(fmt.Errorf("cache: write of %d bytes, block size is %d",
-					len(data), c.drv.BlockSize().Bytes()))
-			}
-		})
-		return
-	}
 	c.WriteThroughOwned(block, append([]byte(nil), data...), done)
 }
 
@@ -304,23 +352,10 @@ func (c *Cache) WriteThrough(block int64, data []byte, done func(err error)) {
 // for the synchronous disk write), so the caller must not modify the
 // buffer after the call; as with WriteOwned, nothing below does either.
 func (c *Cache) WriteThroughOwned(block int64, data []byte, done func(err error)) {
-	if len(data) != c.drv.BlockSize().Bytes() {
-		c.eng.After(0, func() {
-			if done != nil {
-				done(fmt.Errorf("cache: write of %d bytes, block size is %d",
-					len(data), c.drv.BlockSize().Bytes()))
-			}
-		})
+	if c.wrongSize(data, done) {
 		return
 	}
-	if el, ok := c.entries[block]; ok {
-		e := el.Value.(*entry)
-		e.data = data
-		e.dirty = false
-		c.lru.MoveToFront(el)
-	} else {
-		c.insert(block, data, false)
-	}
+	c.install(block, data, false)
 	c.writebacks++
 	c.drv.WriteBlock(c.part, block, data, func(_ []byte, err error) {
 		if done != nil {
@@ -329,34 +364,63 @@ func (c *Cache) WriteThroughOwned(block int64, data []byte, done func(err error)
 	})
 }
 
-// insert adds a block to the cache, evicting (and writing back) as
-// needed.
-func (c *Cache) insert(block int64, data []byte, dirty bool) {
-	if el, ok := c.entries[block]; ok {
-		e := el.Value.(*entry)
-		e.data = data
-		e.dirty = e.dirty || dirty
-		c.lru.MoveToFront(el)
+// wrongSize reports whether data is not exactly one block long, in
+// which case it has scheduled done with the error.
+func (c *Cache) wrongSize(data []byte, done func(error)) bool {
+	want := c.drv.BlockSize().Bytes()
+	if len(data) == want {
+		return false
+	}
+	err := fmt.Errorf("cache: write of %d bytes, block size is %d", len(data), want)
+	c.eng.After(0, func() {
+		if done != nil {
+			done(err)
+		}
+	})
+	return true
+}
+
+// install makes data the cache's copy of block, most recently used, with
+// the given dirty flag.
+func (c *Cache) install(block int64, data []byte, dirty bool) {
+	s := c.slot(block)
+	if s == 0 {
+		c.insert(block, data, dirty)
 		return
 	}
-	for c.lru.Len() >= c.cfg.CapacityBlocks {
+	c.slab[s].data, c.slab[s].dirty = data, dirty
+	c.touch(s)
+}
+
+// insert adds a block that is not cached, evicting (and writing back) as
+// needed.
+func (c *Cache) insert(block int64, data []byte, dirty bool) {
+	for c.n >= c.cfg.CapacityBlocks {
 		c.evictOne()
 	}
-	el := c.lru.PushFront(&entry{block: block, data: data, dirty: dirty})
-	c.entries[block] = el
+	s := c.freeSlot
+	if s != 0 {
+		c.freeSlot = c.slab[s].next
+	} else {
+		s = int32(len(c.slab))
+		c.slab = append(c.slab, entry{})
+	}
+	c.slab[s] = entry{block: block, data: data, dirty: dirty}
+	c.pushFront(s)
+	c.setSlot(block, s)
+	c.n++
 }
 
 // evictOne removes the least recently used block, writing it back first
 // if dirty. The write-back is asynchronous; the cache slot is released
 // immediately (the data lives on in the driver's request).
 func (c *Cache) evictOne() {
-	el := c.lru.Back()
-	if el == nil {
+	s := c.slab[0].prev
+	if s == 0 {
 		return
 	}
-	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.entries, e.block)
+	e := c.slab[s]
+	c.remove(s)
 	if e.dirty {
 		c.writebacks++
 		c.drv.WriteBlock(c.part, e.block, e.data, nil)
@@ -366,10 +430,10 @@ func (c *Cache) evictOne() {
 // Sync writes every dirty block to disk, as the update daemon does. done
 // fires when all write-backs have completed.
 func (c *Cache) Sync(done func(err error)) {
-	var dirty []*entry
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.dirty {
-			dirty = append(dirty, e)
+	var dirty []int32
+	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
+		if c.slab[s].dirty {
+			dirty = append(dirty, s)
 		}
 	}
 	if len(dirty) == 0 {
@@ -378,8 +442,8 @@ func (c *Cache) Sync(done func(err error)) {
 	}
 	remaining := len(dirty)
 	var firstErr error
-	for _, e := range dirty {
-		e := e
+	for _, s := range dirty {
+		e := &c.slab[s]
 		e.dirty = false
 		c.writebacks++
 		c.drv.WriteBlock(c.part, e.block, e.data, func(_ []byte, err error) {
@@ -434,8 +498,7 @@ func (c *Cache) StopSyncDaemon() {
 // Invalidate drops a block from the cache without writing it back. The
 // file system uses it when freeing blocks.
 func (c *Cache) Invalidate(block int64) {
-	if el, ok := c.entries[block]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, block)
+	if s := c.slot(block); s != 0 {
+		c.remove(s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rig"
+	"repro/internal/sim"
 )
 
 func newRig(t *testing.T) (*rig.Rig, *Cache) {
@@ -162,6 +163,92 @@ func TestConcurrentMissesShareOneDiskRead(t *testing.T) {
 	}
 	if n := r.Driver.PeekStats().ReadSide.Count(); n != 1 {
 		t.Errorf("%d disk reads for 5 concurrent misses", n)
+	}
+}
+
+// A write that arrives while a miss on the same block is in flight is
+// newer than what the disk returns: the fill must leave it — contents
+// and dirty flag — alone, or the next sync writes the stale image over
+// it. The miss's own waiters still get what the device read.
+func TestFillKeepsNewerWrite(t *testing.T) {
+	for _, through := range []bool{false, true} {
+		r, c := newRig(t)
+		want := block(r, 0xAB)
+		var missed []byte
+		c.Read(10, func(data []byte, err error) {
+			if err != nil {
+				t.Errorf("read: %v", err)
+			}
+			missed = data
+		})
+		if through {
+			c.WriteThroughOwned(10, want, nil)
+		} else {
+			c.WriteOwned(10, want, nil)
+		}
+		r.Eng.Run()
+		if missed == nil || missed[0] != 0 {
+			t.Fatalf("through=%v: the miss delivered %v, want the disk's zero block", through, missed[:1])
+		}
+		var got []byte
+		c.Read(10, func(data []byte, _ error) { got = data })
+		r.Eng.Run()
+		if !bytes.Equal(got, want) {
+			t.Errorf("through=%v: cache holds %#x after fill, want the written 0xAB", through, got[0])
+		}
+		if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
+			t.Errorf("through=%v: hits=%d misses=%d, want 1 and 1", through, hits, misses)
+		}
+		wantDirty := 1
+		if through {
+			wantDirty = 0
+		}
+		if c.DirtyLen() != wantDirty {
+			t.Errorf("through=%v: DirtyLen = %d after fill, want %d", through, c.DirtyLen(), wantDirty)
+		}
+		// And the disk ends up with the write, not the image read before it.
+		c.Sync(nil)
+		r.Eng.Run()
+		c.Invalidate(10)
+		c.Read(10, func(data []byte, _ error) { got = data })
+		r.Eng.Run()
+		if !bytes.Equal(got, want) {
+			t.Errorf("through=%v: disk holds %#x after sync, want the written 0xAB", through, got[0])
+		}
+	}
+}
+
+// A block number the partition does not have is outside the direct
+// index, and behaves as it always has: a read of it fails at the device
+// and caches nothing; a write of it is cached, served from the cache,
+// and refused by the device when it gets there.
+func TestBlockOutsidePartition(t *testing.T) {
+	r, c := newRig(t)
+	for _, outside := range []int64{int64(len(c.index)), 1 << 40, -1} {
+		var rerr error
+		c.Read(outside, func(_ []byte, err error) { rerr = err })
+		r.Eng.Run()
+		if rerr == nil || c.Len() != 0 {
+			t.Fatalf("block %d: read err = %v with %d cached, want a device error and nothing cached", outside, rerr, c.Len())
+		}
+		data := block(r, 0x5A)
+		c.WriteOwned(outside, data, nil)
+		var got []byte
+		c.Read(outside, func(d []byte, _ error) { got = d })
+		r.Eng.Run()
+		if !bytes.Equal(got, data) || c.Len() != 1 || c.DirtyLen() != 1 {
+			t.Errorf("block %d: written block not served from the cache (len=%d dirty=%d)", outside, c.Len(), c.DirtyLen())
+		}
+		var serr error
+		c.Sync(func(err error) { serr = err })
+		r.Eng.Run()
+		if serr == nil {
+			t.Errorf("block %d: the device accepted the write-back", outside)
+		}
+		c.Invalidate(outside)
+		if c.Len() != 0 || len(c.outside) != 0 {
+			t.Errorf("block %d: still cached after Invalidate (len=%d, outside=%d)", outside, c.Len(), len(c.outside))
+		}
 	}
 }
 
@@ -412,4 +499,39 @@ func TestOwnedPayloadNeverModified(t *testing.T) {
 		r.Eng.Run()
 	}
 	check("after reading the blocks back from disk")
+}
+
+// BenchmarkReadHit is the path most events of a cached file system take:
+// a full 1024-block cache, reads that all hit, blocks picked by the
+// file-popularity Zipf the system workload uses, so the recency list is
+// reordered on almost every one.
+func BenchmarkReadHit(b *testing.B) {
+	r, err := rig.New(rig.Options{ReservedCyls: 48})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const blocks = 1024
+	c := New(r.Eng, r.Driver, 0, Config{CapacityBlocks: blocks})
+	for i := int64(0); i < blocks; i++ {
+		c.Read(i*7, nil) // spread over the partition, as files are
+	}
+	r.Eng.Run()
+	rnd, zipf := sim.NewRand(1), sim.NewZipf(blocks, 1.9)
+	picks := make([]int64, 1<<14)
+	for i := range picks {
+		picks[i] = int64(zipf.Rank(rnd)) * 7
+	}
+	done := func([]byte, error) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(picks[i&(len(picks)-1)], done)
+		if i%32 == 31 {
+			r.Eng.Run()
+		}
+	}
+	r.Eng.Run()
+	if hits, misses, _ := c.Stats(); misses != blocks || hits != int64(b.N) {
+		b.Fatalf("hits=%d misses=%d, want %d and %d", hits, misses, b.N, blocks)
+	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // Allocation regression tests: the whole point of the inlined heap and
 // the Caller variant is that steady-state scheduling stays off the
@@ -73,6 +76,63 @@ func TestEverySteadyStateZeroAllocs(t *testing.T) {
 	}
 	if ticks < 10 {
 		t.Fatalf("ticker only fired %d times", ticks)
+	}
+}
+
+// Zero-delay events take the lane, not the heap; its ring is reused
+// like the heap's backing slice.
+func TestZeroDelaySteadyStateZeroAllocs(t *testing.T) {
+	e := warmEngine()
+	c := &callCounter{}
+	fn := func() {}
+	burst := func() {
+		for i := 0; i < 2*laneMinCap; i++ {
+			e.AfterCall(0, c)
+			e.At(e.Now(), fn)
+		}
+		e.RunUntil(e.Now())
+	}
+	burst() // grow the ring once
+	if n := testing.AllocsPerRun(1000, burst); n != 0 {
+		t.Errorf("steady-state zero-delay burst: %v allocs, want 0", n)
+	}
+	if c.n == 0 || e.Pending() != 0 {
+		t.Fatalf("fired %d, %d still pending", c.n, e.Pending())
+	}
+}
+
+// chainLink is a zero-delay event that schedules itself again: the cache
+// hit's completion, which is most of what a cached file system fires.
+type chainLink struct {
+	e    *Engine
+	left int
+}
+
+func (c *chainLink) Call() {
+	if c.left--; c.left > 0 {
+		c.e.AfterCall(0, c)
+	}
+}
+
+// BenchmarkZeroDelayChain fires a chain of zero-delay events while a
+// standing population of future events (disk completions, think times,
+// daemons) waits on the heap.
+func BenchmarkZeroDelayChain(b *testing.B) {
+	for _, pending := range []int{64, 4096} {
+		b.Run(strconv.Itoa(pending), func(b *testing.B) {
+			e := NewEngine()
+			rnd := NewRand(1)
+			for i := 0; i < pending; i++ {
+				e.After(1000+rnd.Exp(5), func() {})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.AfterCall(0, &chainLink{e: e, left: b.N})
+			e.RunUntil(1)
+			if e.Pending() != pending {
+				b.Fatalf("%d pending, want the %d future events", e.Pending(), pending)
+			}
+		})
 	}
 }
 

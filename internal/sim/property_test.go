@@ -10,8 +10,9 @@ import (
 // reference implementation: a sorted-slice queue whose correctness is
 // obvious by inspection. Randomly generated event programs — At/After
 // scheduling (with deliberate ties on time), Every tickers, cancels
-// (before the first fire, inside the callback, and doubled), Stop, and
-// the interrupt hook — run on both engines; the full dispatch trace
+// (before the first fire, inside the callback, and doubled), Stop,
+// scheduling at Now() from outside any callback, horizons behind the
+// clock, and the interrupt hook — run on both engines; the full dispatch trace
 // (which event fired at which clock reading, plus queue depth and
 // dispatch count at every observation point) must match byte for byte.
 // A failing seed is logged so the exact program can be replayed.
@@ -242,6 +243,27 @@ func runProgram(e engineAPI, seed uint64) string {
 		if len(s.lives) > 0 && s.rnd.Bool(0.4) {
 			s.lives[s.rnd.Intn(len(s.lives))]()
 		}
+		// Schedule at the current instant from outside any callback. The
+		// segment ended at its horizon, or at a Stop that may have left
+		// events due at this same instant unfired — which were scheduled
+		// first and must still fire first.
+		if s.rnd.Bool(0.5) {
+			for n := 1 + s.rnd.Intn(3); n > 0; n-- {
+				id := s.id()
+				if s.rnd.Bool(0.5) {
+					e.At(e.Now(), func() { s.fire(e, id) })
+				} else {
+					e.After(0, func() { s.fire(e, id) })
+				}
+			}
+			// A horizon behind the clock: nothing is due, whatever is
+			// queued for now, and the clock stays.
+			if s.rnd.Bool(0.5) {
+				e.RunUntil(e.Now() - float64(1+s.rnd.Intn(3)))
+				fmt.Fprintf(&s.trace, "|back:now=%g,pend=%d,disp=%d;",
+					e.Now(), e.Pending(), e.Dispatched())
+			}
+		}
 	}
 	// Cancel everything recurring, stop the program making new ones,
 	// and drain. (Without both, a ticker started during the drain
@@ -307,5 +329,80 @@ func TestEngineMatchesReferenceInterrupt(t *testing.T) {
 	want := run(newRefEngine())
 	if got != want {
 		t.Fatalf("interrupt trace diverges\nengine:    %s\nreference: %s", got, want)
+	}
+}
+
+// TestEngineMatchesReferenceZeroDelayInterrupt runs a chain of
+// zero-delay events — each link schedules the next for the instant it
+// fires at — that is longer than two interrupt strides, starts beside
+// events already queued for the same instant, and twice bursts more
+// same-instant events than the production engine's lane first holds.
+// The hook trips inside the chain, twice; the halted engine is scheduled
+// on from outside, driven to a horizon behind its clock, and resumed.
+// Every side event records how far the chain had got when it fired, so
+// the trace pins the interleaving, not just the totals.
+func TestEngineMatchesReferenceZeroDelayInterrupt(t *testing.T) {
+	const chain = 2*interruptStride + 100
+	run := func(e engineAPI) string {
+		var trace strings.Builder
+		observe := func(what string) {
+			fmt.Fprintf(&trace, "|%s:now=%g,pend=%d,disp=%d;", what, e.Now(), e.Pending(), e.Dispatched())
+		}
+		links := 0
+		side := func(id int) func() {
+			return func() { fmt.Fprintf(&trace, "s%d@%g/%d;", id, e.Now(), links) }
+		}
+		var link func()
+		link = func() {
+			links++
+			if links == chain {
+				return
+			}
+			e.After(0, link)
+			// Bursts wider than laneMinCap, begun with the ring's head
+			// off slot zero, so it grows while wrapped.
+			switch links {
+			case 5:
+				for i := 0; i < 3*laneMinCap; i++ {
+					e.After(0, side(100+i))
+				}
+			case interruptStride - 50:
+				for i := 0; i < 9*laneMinCap; i++ {
+					e.At(e.Now()-1, side(1000+i)) // the past is now
+				}
+			}
+		}
+		e.At(5, link)
+		// Queued for the chain's instant before it began: they fire
+		// after the first link, before the second.
+		e.At(5, side(1))
+		e.At(5, side(2))
+		e.At(9, side(3))
+		e.SetInterrupt(func() bool { return e.Dispatched() >= interruptStride })
+		e.Run()
+		observe("trip")
+		e.At(e.Now(), side(4))
+		e.After(0, side(5))
+		e.RunUntil(e.Now() - 1)
+		observe("back")
+		// Resumed with the lane loaded, tripped again before it empties.
+		e.SetInterrupt(func() bool { return e.Dispatched() >= 2*interruptStride })
+		e.Run()
+		observe("trip2")
+		e.SetInterrupt(nil)
+		e.RunUntil(7)
+		observe("seven")
+		e.Run()
+		observe("end")
+		return trace.String()
+	}
+	got := run(NewEngine())
+	want := run(newRefEngine())
+	if got != want {
+		t.Fatalf("zero-delay interrupt trace diverges\nengine:    %s\nreference: %s", got, want)
+	}
+	// Tripped at the first poll, mid-chain, with the second burst queued.
+	if trip := fmt.Sprintf("|trip:now=5,pend=%d,disp=%d;", 1+9*laneMinCap+1, interruptStride); !strings.Contains(got, trip) {
+		t.Errorf("trace lacks %q: the hook did not trip inside the chain\n%s", trip, got)
 	}
 }

@@ -8,7 +8,9 @@
 //
 // The event queue is engineered for the hot path: an inlined 4-ary
 // min-heap over a reusable backing slice (no container/heap, so no
-// per-Push boxing of events into interface values), and a Caller-based
+// per-Push boxing of events into interface values), a FIFO lane beside
+// it for events due at the current instant (most events of a cached
+// file system: they never enter the heap), and a Caller-based
 // scheduling variant (AtCall/AfterCall) that lets long-lived request
 // records schedule their own completion without allocating a closure
 // per event. Steady-state scheduling performs zero allocations.
@@ -24,26 +26,48 @@ type Caller interface {
 	Call()
 }
 
-// event is one queued entry. Exactly one of fn and call is set; events
-// with equal times fire in scheduling (seq) order, which is what makes
-// simulations deterministic and byte-for-bit reproducible.
-type event struct {
-	time float64
-	seq  int64
+// action is what an event runs. Exactly one of fn and call is set.
+type action struct {
 	fn   func()
 	call Caller
 }
 
+// event is one heap entry. Events with equal times fire in scheduling
+// (seq) order, which is what makes simulations deterministic and
+// byte-for-bit reproducible.
+type event struct {
+	time float64
+	seq  int64
+	action
+}
+
 // Engine is a discrete-event simulator. Events scheduled at the same
 // time fire in scheduling order.
+//
+// Events live in one of two places. An event due later than now goes on
+// the heap. An event due now (zero delay, or a time in the past) goes on
+// the lane, a FIFO that is drained before the clock moves. Firing "the
+// heap entries due now, then the lane in order, then the next heap
+// entry" is exactly (time, seq) order: every lane entry is due at now;
+// a heap entry due at T was scheduled while now < T (at now == T it
+// would have gone to the lane), so it was scheduled before — has a
+// lower seq than — every lane entry scheduled while now == T; and the
+// clock only moves once the lane is empty. Lane entries therefore need
+// neither a time nor a seq.
 type Engine struct {
 	now       float64
 	seq       int64
-	heap      []event // 4-ary min-heap ordered by (time, seq)
+	heap      []event  // 4-ary min-heap ordered by (time, seq); every time ≥ now
+	lane      []action // ring of the events due at now, oldest at laneHead; len is a power of two
+	laneHead  int
+	laneLen   int
 	stopped   bool
 	interrupt func() bool
 	dispatch  int64
 }
+
+// laneMinCap is the lane's first capacity; it doubles when full.
+const laneMinCap = 16
 
 // interruptStride is how many events fire between interrupt polls: large
 // enough that polling cost is negligible, small enough that a cancelled
@@ -121,13 +145,45 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// schedule clamps t to the present, stamps the event, and enqueues it.
+// growLane doubles the full ring, unwrapping it. It is kept out of
+// line so that schedule, which every event passes through, stays the
+// size it was before there was a lane.
+//
+//go:noinline
+func (e *Engine) growLane() {
+	grown := make([]action, max(laneMinCap, 2*len(e.lane)))
+	n := copy(grown, e.lane[e.laneHead:])
+	copy(grown[n:], e.lane[:e.laneHead])
+	e.lane, e.laneHead = grown, 0
+}
+
+// pushLane appends a to the lane.
+func (e *Engine) pushLane(a action) {
+	if e.laneLen == len(e.lane) {
+		e.growLane()
+	}
+	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = a
+	e.laneLen++
+}
+
+// popLane removes and returns the oldest lane entry.
+func (e *Engine) popLane() action {
+	a := e.lane[e.laneHead]
+	e.lane[e.laneHead] = action{} // release fn/call for the GC
+	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
+	e.laneLen--
+	return a
+}
+
+// schedule enqueues the event: on the lane when it is due now (a time
+// in the past is clamped to the present), stamped on the heap otherwise.
 func (e *Engine) schedule(t float64, fn func(), call Caller) {
-	if t < e.now {
-		t = e.now
+	if t <= e.now {
+		e.pushLane(action{fn: fn, call: call})
+		return
 	}
 	e.seq++
-	e.push(event{time: t, seq: e.seq, fn: fn, call: call})
+	e.push(event{time: t, seq: e.seq, action: action{fn: fn, call: call}})
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past runs
@@ -191,7 +247,7 @@ func (t *ticker) stop() { t.stopped = true }
 func (e *Engine) Dispatched() int64 { return e.dispatch }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
 // SetInterrupt installs fn, polled periodically during Run and RunUntil
 // (every few thousand events). When fn returns true the running loop
@@ -206,34 +262,67 @@ func (e *Engine) interrupted() bool {
 	return e.dispatch%interruptStride == 0 && e.interrupt != nil && e.interrupt()
 }
 
-// fire dispatches one popped event.
-func (ev *event) fire() {
-	if ev.call != nil {
-		ev.call.Call()
+// fire dispatches one dequeued event.
+func (a *action) fire() {
+	if a.call != nil {
+		a.call.Call()
 		return
 	}
-	ev.fn()
+	a.fn()
+}
+
+// drainNow fires everything due at the current instant: heap entries
+// first (they were scheduled before the clock got here, so they precede
+// the whole lane), then the lane in order, until the lane is empty or
+// Stop is called. It reports false if the interrupt hook fired.
+func (e *Engine) drainNow() bool {
+	for e.laneLen > 0 && !e.stopped {
+		if len(e.heap) > 0 && e.heap[0].time <= e.now {
+			ev := e.pop()
+			ev.fire()
+		} else {
+			a := e.popLane()
+			a.fire()
+		}
+		if e.interrupted() {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes events until the queue is empty, Stop is called, or the
 // interrupt hook fires.
+//
+// The loop (here and in RunUntil) is the heap-only loop plus one integer
+// compare per event: the lane is drained by a call made only when it
+// holds something — never, on a stack with no zero-delay events. (A
+// prototype that routed both sources through one "next event" helper
+// measured 6 % on such a run.)
 func (e *Engine) Run() {
 	e.stopped = false
+	if !e.drainNow() {
+		return
+	}
 	for len(e.heap) > 0 && !e.stopped {
 		ev := e.pop()
 		e.now = ev.time
 		ev.fire()
-		if e.interrupted() {
+		if e.interrupted() || (e.laneLen > 0 && !e.drainNow()) {
 			break
 		}
 	}
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled beyond t remain queued. A Stop or interrupt leaves
-// the clock at the last fired event rather than advancing it to t.
+// Events scheduled beyond t remain queued — all of them when t is
+// behind the clock, where nothing is due. A Stop or interrupt leaves the
+// clock at the last fired event rather than advancing it to t.
 func (e *Engine) RunUntil(t float64) {
 	e.stopped = false
+	if e.now > t || !e.drainNow() {
+		return
+	}
 	for len(e.heap) > 0 && !e.stopped {
 		if e.heap[0].time > t {
 			break
@@ -241,13 +330,14 @@ func (e *Engine) RunUntil(t float64) {
 		ev := e.pop()
 		e.now = ev.time
 		ev.fire()
-		if e.interrupted() {
+		if e.interrupted() || (e.laneLen > 0 && !e.drainNow()) {
 			return
 		}
 	}
 	if e.stopped {
 		return
 	}
+	// Not stopped, so drainNow ran the lane empty: the clock may move.
 	if e.now < t {
 		e.now = t
 	}
