@@ -73,8 +73,9 @@ type Cache struct {
 	outside map[int64]int32
 
 	// In-flight block reads, so concurrent misses on one block issue a
-	// single disk request.
-	inflight map[int64][]func([]byte, error)
+	// single disk request. Finished records wait on freeMiss.
+	inflight map[int64]*miss
+	freeMiss *miss
 
 	syncing bool
 	syncSeq int
@@ -143,10 +144,38 @@ func (c *Cache) deliverWrite(done func(error)) {
 }
 
 type entry struct {
-	block      int64
-	data       []byte
-	dirty      bool
+	block int64
+	data  []byte
+	dirty bool
+	// fill: data was delivered by a device read, so the cache is its
+	// only owner besides the readers counted in lends. A buffer a writer
+	// handed in is the writer's to share (the file system installs one
+	// inode-block image many times over) and is never recycled.
+	fill bool
+	// lends counts the Reads that were given data and have not called
+	// Release. A reader that never does leaves it above zero for good.
+	lends      int32
 	prev, next int32
+}
+
+// letGo is called when the cache drops its reference to e's buffer: a
+// device fill nobody has on loan goes back to the read pool; anything
+// else is left to the collector (DESIGN.md "Payload path").
+func (e *entry) letGo() {
+	if e.fill && !e.dirty && e.lends == 0 {
+		driver.Recycle(e.data)
+	}
+}
+
+// miss is one device read in flight and the Reads waiting for it.
+// Records are pooled like deliveries, with the completion callback
+// built once, so a miss allocates nothing in the cache itself.
+type miss struct {
+	c       *Cache
+	next    *miss
+	block   int64
+	waiters []func([]byte, error)
+	filled  driver.DoneFunc
 }
 
 // New returns a cache over the given partition.
@@ -172,7 +201,7 @@ func New(eng *sim.Engine, drv driver.BlockDevice, part int, cfg Config) *Cache {
 		rnd:      sim.NewRand(cfg.Seed ^ 0xCAC4E),
 		slab:     make([]entry, 1), // the sentinel, linked to itself
 		index:    make([]int32, blocks),
-		inflight: make(map[int64][]func([]byte, error)),
+		inflight: make(map[int64]*miss),
 	}
 }
 
@@ -226,6 +255,7 @@ func (c *Cache) touch(s int32) {
 func (c *Cache) remove(s int32) {
 	c.unlink(s)
 	c.setSlot(c.slab[s].block, 0)
+	c.slab[s].letGo()
 	c.slab[s] = entry{next: c.freeSlot} // drops the data reference
 	c.freeSlot = s
 	c.n--
@@ -275,41 +305,84 @@ func (c *Cache) DirtyLen() int {
 }
 
 // Read returns the block's contents, from the cache if present,
-// otherwise from disk. The returned slice is the cache's copy; callers
-// must not modify it (use Write).
+// otherwise from disk. The slice handed to done is the cache's copy, on
+// loan: the caller must not modify it (use Write), and may call Release
+// once it no longer looks at it. A caller that never does loses nothing
+// but the reuse of that one buffer.
 func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 	if s := c.slot(block); s != 0 {
 		c.hits++
 		c.touch(s)
+		if done != nil {
+			c.slab[s].lends++
+		}
 		c.deliverRead(c.slab[s].data, done)
 		return
 	}
-	if waiters, ok := c.inflight[block]; ok {
-		c.misses++
-		c.inflight[block] = append(waiters, done)
+	c.misses++
+	if m := c.inflight[block]; m != nil {
+		m.waiters = append(m.waiters, done)
 		return
 	}
-	c.misses++
-	c.inflight[block] = append([]func([]byte, error){}, done)
-	c.drv.ReadBlock(c.part, block, func(data []byte, err error) {
-		waiters := c.inflight[block]
-		delete(c.inflight, block)
-		if err == nil {
-			if s := c.slot(block); s != 0 {
-				// Written while the read was in flight: the cache's
-				// copy is the newer one and stays (with its dirty
-				// flag); the fill only counts as a use.
-				c.touch(s)
-			} else {
-				c.insert(block, data, false)
+	m := c.freeMiss
+	if m == nil {
+		m = &miss{c: c}
+		m.filled = m.complete
+	} else {
+		c.freeMiss = m.next
+	}
+	m.block = block
+	m.waiters = append(m.waiters, done)
+	c.inflight[block] = m
+	c.drv.ReadBlock(c.part, block, m.filled)
+}
+
+// complete installs what the device read and hands it to the waiters,
+// one lend each.
+func (m *miss) complete(data []byte, err error) {
+	c, block := m.c, m.block
+	delete(c.inflight, block)
+	if err == nil {
+		if s := c.slot(block); s != 0 {
+			// Written while the read was in flight: the cache's
+			// copy is the newer one and stays (with its dirty
+			// flag); the fill only counts as a use. The waiters get
+			// the device's buffer, which the cache keeps no
+			// reference to (their Release of it matches nothing).
+			c.touch(s)
+		} else {
+			s = c.insert(block, data, false)
+			e := &c.slab[s]
+			e.fill = true
+			for _, w := range m.waiters {
+				if w != nil {
+					e.lends++
+				}
 			}
 		}
-		for _, w := range waiters {
-			if w != nil {
-				w(data, err)
-			}
+	}
+	for i, w := range m.waiters {
+		m.waiters[i] = nil
+		if w != nil {
+			w(data, err)
 		}
-	})
+	}
+	m.waiters = m.waiters[:0]
+	m.next, c.freeMiss = c.freeMiss, m
+}
+
+// Release ends one loan of data, the slice a Read of block delivered.
+// It is matched by buffer identity: if the cache has since dropped or
+// replaced that buffer (an eviction, an Invalidate, a write), or every
+// loan of it has already ended, the call does nothing.
+func (c *Cache) Release(block int64, data []byte) {
+	s := c.slot(block)
+	if s == 0 || len(data) == 0 {
+		return
+	}
+	if e := &c.slab[s]; e.lends > 0 && &e.data[0] == &data[0] {
+		e.lends--
+	}
 }
 
 // Write updates the block in the cache and marks it dirty; the disk
@@ -388,13 +461,15 @@ func (c *Cache) install(block int64, data []byte, dirty bool) {
 		c.insert(block, data, dirty)
 		return
 	}
-	c.slab[s].data, c.slab[s].dirty = data, dirty
+	e := &c.slab[s]
+	e.letGo()
+	e.data, e.dirty, e.fill, e.lends = data, dirty, false, 0
 	c.touch(s)
 }
 
 // insert adds a block that is not cached, evicting (and writing back) as
-// needed.
-func (c *Cache) insert(block int64, data []byte, dirty bool) {
+// needed, and returns its slot.
+func (c *Cache) insert(block int64, data []byte, dirty bool) int32 {
 	for c.n >= c.cfg.CapacityBlocks {
 		c.evictOne()
 	}
@@ -409,6 +484,7 @@ func (c *Cache) insert(block int64, data []byte, dirty bool) {
 	c.pushFront(s)
 	c.setSlot(block, s)
 	c.n++
+	return s
 }
 
 // evictOne removes the least recently used block, writing it back first

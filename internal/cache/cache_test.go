@@ -501,6 +501,101 @@ func TestOwnedPayloadNeverModified(t *testing.T) {
 	check("after reading the blocks back from disk")
 }
 
+// The loan rule (DESIGN.md "Payload path"), one way of losing a block at
+// a time: a device fill the cache lets go of goes back to the read pool
+// — it is poisoned at once — unless a reader still has it on loan, in
+// which case it is left alone, however the block went.
+func TestLetGoRespectsLoans(t *testing.T) {
+	poisoned := func(data []byte) bool { return bytes.Count(data, []byte{0xDB}) == len(data) }
+	for _, tc := range []struct {
+		name string
+		lose func(r *rig.Rig, c *Cache)
+	}{
+		{"eviction", func(r *rig.Rig, c *Cache) {
+			for b := int64(100); b < 108; b++ { // the cache holds 8
+				c.Read(b, nil)
+			}
+		}},
+		{"invalidate", func(r *rig.Rig, c *Cache) { c.Invalidate(10) }},
+		{"pressure", func(r *rig.Rig, c *Cache) {
+			c.cfg.PressureFrac = 1
+			c.applyPressure()
+		}},
+		{"write", func(r *rig.Rig, c *Cache) { c.WriteOwned(10, block(r, 0x5A), nil) }},
+		{"write-through", func(r *rig.Rig, c *Cache) { c.WriteThroughOwned(10, block(r, 0x5A), nil) }},
+	} {
+		for _, released := range []bool{false, true} {
+			r, c := newRig(t)
+			c.Write(10, block(r, 0xA1), nil)
+			c.Sync(nil)
+			r.Eng.Run()
+			c.Invalidate(10) // the next read is a device fill
+			var loan []byte
+			for i := 0; i < 2; i++ { // a miss, then a hit: two loans of one buffer
+				c.Read(10, func(data []byte, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					loan = data
+					if released {
+						c.Release(10, data)
+					}
+				})
+				r.Eng.Run()
+			}
+			if released {
+				c.Release(10, loan) // one too many: must not count
+			}
+			tc.lose(r, c)
+			r.Eng.Run()
+			switch {
+			case released && !poisoned(loan):
+				t.Errorf("%s: a fill with every loan ended was not recycled", tc.name)
+			case !released && !bytes.Equal(loan, block(r, 0xA1)):
+				t.Errorf("%s: a fill still on loan was recycled or modified", tc.name)
+			}
+			if !released {
+				c.Release(10, loan) // stale: the cache no longer holds that buffer
+				c.Read(10, func(data []byte, err error) {
+					if err != nil || poisoned(data) {
+						t.Errorf("%s: block 10 reads back wrong after a stale Release (err=%v)", tc.name, err)
+					}
+				})
+				r.Eng.Run()
+			}
+		}
+	}
+}
+
+// A full cache that misses, with readers that give their loans back,
+// runs on the buffers it already has: the block it evicts is the buffer
+// the device reads the next miss into, and the miss record, its waiter
+// list and its completion callback are pooled.
+func TestMissEvictSteadyStateZeroAllocs(t *testing.T) {
+	r, c := newRig(t) // 8 blocks
+	next := int64(0)
+	release := func(data []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release(next, data)
+	}
+	op := func() {
+		next = (next + 1) % 16
+		c.Read(next, release)
+		r.Eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("miss + evict round trip on a full cache: %v allocs, want 0", n)
+	}
+	if hits, _, _ := c.Stats(); hits != 0 {
+		t.Fatalf("%d hits: the round robin was meant to miss every time", hits)
+	}
+}
+
 // BenchmarkReadHit is the path most events of a cached file system take:
 // a full 1024-block cache, reads that all hit, blocks picked by the
 // file-popularity Zipf the system workload uses, so the recency list is

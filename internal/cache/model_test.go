@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/driver"
 	"repro/internal/geom"
 	"repro/internal/label"
@@ -22,6 +23,18 @@ import (
 // order at each observation point, the requests each issued to its
 // device and the final contents must match. A failing seed is logged so
 // the exact program can be replayed.
+//
+// The programs are also what checks the loan rule (DESIGN.md "Payload
+// path"). Every reader is a borrower: it holds what Read delivered for
+// a while — across the evictions, invalidations, pressure drops and
+// overwrites of that block the rest of the program makes — then says
+// what it holds and calls Release, or never does. The reference never
+// recycles anything, so its borrowers always hold the block's bytes; the
+// cache's hold 0xDB, or the next read's data (the fake device takes its
+// buffers from the read pool), the moment it recycles a buffer on loan.
+// Written payloads, some handed in for two blocks the way the file
+// system shares an inode-block image, are checked the same way at the
+// end of the run.
 
 // cacheAPI is the surface a program drives.
 type cacheAPI interface {
@@ -29,6 +42,7 @@ type cacheAPI interface {
 	WriteOwned(block int64, data []byte, done func(error))
 	WriteThroughOwned(block int64, data []byte, done func(error))
 	Invalidate(block int64)
+	Release(block int64, data []byte)
 	Sync(done func(error))
 	applyPressure()
 	Len() int
@@ -64,8 +78,10 @@ type fakeDev struct {
 	log    strings.Builder
 }
 
+// The block size is the one the read pool keeps, or nothing the cache
+// recycled would ever come back.
 const (
-	fakeBlock   = geom.BlockSize(geom.SectorSize)
+	fakeBlock   = geom.Block8K
 	fakeDelayMS = 2
 )
 
@@ -90,8 +106,8 @@ func (d *fakeDev) ReadBlock(_ int, blk int64, done driver.DoneFunc) {
 			done(nil, errOutside)
 			return
 		}
-		data := make([]byte, fakeBlock.Bytes())
-		copy(data, d.store[blk])
+		data := disk.Buffer(fakeBlock.Bytes())
+		clear(data[copy(data, d.store[blk]):])
 		done(data, nil)
 	})
 }
@@ -214,6 +230,10 @@ func (m *modelCache) Invalidate(block int64) {
 	}
 }
 
+// Release does nothing: the reference leaves every buffer to the
+// collector.
+func (m *modelCache) Release(int64, []byte) {}
+
 func (m *modelCache) Sync(done func(error)) {
 	var dirty []int
 	for i := range m.lru {
@@ -298,8 +318,23 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		}
 		return int64(rnd.Intn(hotBlocks))
 	}
+	// held says what a buffer that should be all one byte holds now.
+	held := func(data []byte) string {
+		if bytes.Count(data, data[:1]) != len(data) {
+			return "torn"
+		}
+		return fmt.Sprintf("%02x", data[0])
+	}
+	// Payloads are all one byte, never the pool's poison (0xDB), and are
+	// all kept to be looked at again when the program is over.
+	var payloads [][]byte
 	fill := func() []byte {
-		return bytes.Repeat([]byte{byte(1 + rnd.Intn(250))}, fakeBlock.Bytes())
+		if len(payloads) > 0 && rnd.Bool(0.15) {
+			return payloads[len(payloads)-1] // one buffer, two blocks
+		}
+		p := bytes.Repeat([]byte{byte(1 + rnd.Intn(200))}, fakeBlock.Bytes())
+		payloads = append(payloads, p)
+		return p
 	}
 	observe := func() {
 		h, m, w := c.Stats()
@@ -310,12 +345,29 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		switch op := rnd.Intn(16); {
 		case op < 7:
 			b := pick()
+			// How long this reader keeps the loan: not at all, for a
+			// few device requests' time, or for ever.
+			hold, forget := 6*rnd.Float64(), rnd.Bool(0.2)
+			if rnd.Bool(0.3) {
+				hold = 0
+			}
 			c.Read(b, func(data []byte, err error) {
 				if err != nil {
 					fmt.Fprintf(&trace, "r%d:%v@%g;", b, err, eng.Now())
 					return
 				}
-				fmt.Fprintf(&trace, "r%d=%02x@%g;", b, data[0], eng.Now())
+				fmt.Fprintf(&trace, "r%d=%s@%g;", b, held(data), eng.Now())
+				release := func() {
+					fmt.Fprintf(&trace, "rel%d=%s@%g;", b, held(data), eng.Now())
+					if !forget {
+						c.Release(b, data)
+					}
+				}
+				if hold == 0 {
+					release()
+				} else {
+					eng.After(hold, release)
+				}
 			})
 		case op < 10:
 			b := pick()
@@ -342,6 +394,9 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 	eng.Run()
 	observe()
 	fmt.Fprintf(&trace, "device: %s\n", dev.log.String())
+	for _, p := range payloads {
+		fmt.Fprintf(&trace, "%s ", held(p))
+	}
 	for b := int64(0); b < partBlocks; b++ {
 		if data := dev.store[b]; data != nil {
 			fmt.Fprintf(&trace, "disk %d=%02x ", b, data[0])

@@ -36,10 +36,14 @@ var poisonPage = func() (p [bufBytes]byte) {
 // every engine the harness runs side by side. A buffered channel keeps
 // it goroutine-safe and bounded: Recycle drops what does not fit, so a
 // consumer that hands back buffers no disk read ever takes (a device
-// that allocates its own) cannot grow the process. A buffer lives from
-// the disk's service of a read to its delivery, so the population in
-// flight is a few per spindle, or a stripe row's width per parity
-// request; 256 (2 MB) covers 48 clients on RAID-6 with room to spare.
+// that allocates its own) cannot grow the process. A buffer a consumer
+// drops at once lives from the disk's service of a read to its
+// delivery, so the population in flight is a few per spindle, or a
+// stripe row's width per parity request; 256 (2 MB) covers 48 clients
+// on RAID-6 with room to spare. A buffer cache keeps what its misses
+// read for as long as the block stays cached, but hands back one
+// buffer per eviction, which a miss — a read that takes one — caused;
+// only a pressure drop returns a batch, and what overflows is garbage.
 var freeBufs = make(chan *[bufBytes]byte, 256)
 
 // takeBuf returns an n-byte buffer and whether it has been used before.

@@ -52,7 +52,7 @@ func (f *FS) freeInode(ino Ino) {
 		g.inodeUsed[idx] = false
 		g.freeIno++
 	}
-	delete(f.inodes, ino)
+	f.inodes[ino] = nil
 	f.inodeChanged(ino)
 }
 

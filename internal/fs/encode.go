@@ -156,7 +156,7 @@ func (f *FS) inodeChanged(ino Ino) {
 }
 
 // buildInodeBlock serializes all inode slots of the given inode-table
-// block from the in-memory inode map.
+// block from the in-memory inode table.
 func (f *FS) buildInodeBlock(blk int64) []byte {
 	buf := make([]byte, f.blockBytes)
 	gi := f.groupOf(blk)
@@ -169,8 +169,8 @@ func (f *FS) buildInodeBlock(blk int64) []byte {
 			continue
 		}
 		ino := f.inoOf(gi, idx)
-		nd, ok := f.inodes[ino]
-		if !ok {
+		nd := f.inodes[ino]
+		if nd == nil {
 			continue
 		}
 		o := slot * InodeSize

@@ -150,8 +150,12 @@ type FS struct {
 	blocksPerGp int64
 	totalBlocks int64
 
-	groups   []*group
-	inodes   map[Ino]*inode
+	groups []*group
+	// inodes is the in-memory inode table, indexed by inode number (nil:
+	// free slot). Inode numbers are dense — group-major, every group's
+	// table the same size — so it is sized once in prepare; read it
+	// through inode, which checks the number.
+	inodes   []*inode
 	readOnly bool
 	dirRotor uint64 // new-directory spread rotor (see allocInode)
 
@@ -230,6 +234,7 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 	if metaCfg.SyncPeriodMS <= 0 {
 		metaCfg.SyncPeriodMS = prm.Cache.SyncPeriodMS
 	}
+	inosPerBlk := bs.Bytes() / InodeSize
 	f := &FS{
 		eng:         eng,
 		drv:         drv,
@@ -239,10 +244,10 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 		prm:         prm,
 		blockBytes:  bs.Bytes(),
 		ptrsPerBlk:  bs.Bytes() / 8,
-		inosPerBlk:  bs.Bytes() / InodeSize,
+		inosPerBlk:  inosPerBlk,
 		blocksPerGp: blocksPerGp,
 		totalBlocks: ngroups * blocksPerGp,
-		inodes:      make(map[Ino]*inode),
+		inodes:      make([]*inode, int(ngroups)*prm.InodeBlocksPerGroup*inosPerBlk),
 		inoImages:   make([][]byte, int(ngroups)*prm.InodeBlocksPerGroup),
 	}
 	for gi := int64(0); gi < ngroups; gi++ {
@@ -329,6 +334,15 @@ func (f *FS) Sync(done func(error)) {
 		}
 		f.cache.Sync(done)
 	})
+}
+
+// inode returns the in-memory inode numbered ino, nil if that slot is
+// free or ino lies outside the inode table.
+func (f *FS) inode(ino Ino) *inode {
+	if uint(ino) < uint(len(f.inodes)) {
+		return f.inodes[ino]
+	}
+	return nil
 }
 
 // groupOf returns the index of the group containing partition block b.

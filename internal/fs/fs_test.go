@@ -3,9 +3,10 @@ package fs
 import (
 	"bytes"
 	"errors"
-	"runtime"
+	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/rig"
 )
 
@@ -97,11 +98,18 @@ func mustWrite(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) {
 	checkImages(t, h.f)
 }
 
+// mustRead returns copies: what ReadAt hands its callback is borrowed
+// until the callback returns.
 func mustRead(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) [][]byte {
 	t.Helper()
 	var data [][]byte
 	var rerr error
-	h.ReadAt(idx, n, func(d [][]byte, err error) { data, rerr = d, err })
+	h.ReadAt(idx, n, func(d [][]byte, err error) {
+		rerr = err
+		for _, blk := range d {
+			data = append(data, bytes.Clone(blk))
+		}
+	})
 	r.Eng.Run()
 	if rerr != nil {
 		t.Fatalf("read: %v", rerr)
@@ -762,13 +770,106 @@ func TestFreeBlocksNeverNegative(t *testing.T) {
 	}
 }
 
-// A fully cached single-block read must cost exactly one allocation:
-// the result slice handed to done. The walk record and its callbacks are
-// pooled (see readReq), and the cache's hit delivery is pooled one layer
-// down — this is the floor that keeps read-heavy simulated workloads out
-// of the garbage collector. It holds with access times on as well: the
-// touch hands the cache the inode block's held image, so it neither
-// allocates nor encodes a block (the bytes bound is far below one).
+// OpenIno checks the number it is given: the inode table is a slice, and
+// a number outside it is a missing file, not a panic.
+func TestOpenInoOutsideTable(t *testing.T) {
+	r, f := newFS(t)
+	ino := mustCreate(t, r, f, "/here")
+	if _, err := f.OpenIno(ino); err != nil {
+		t.Fatalf("OpenIno(%d): %v", ino, err)
+	}
+	for _, bad := range []Ino{-1, math.MinInt32, ino + 1, Ino(len(f.inodes)), math.MaxInt32} {
+		h, err := f.OpenIno(bad)
+		if !errors.Is(err, ErrNotFound) || h != nil {
+			t.Errorf("OpenIno(%d) = %v, %v; want ErrNotFound", bad, h, err)
+		}
+	}
+	// A handle that outlives its file, or never had one, answers the same.
+	stale := &Handle{f: f, ino: math.MaxInt32}
+	if stale.IsDir() || stale.SizeBlocks() != 0 {
+		t.Error("a handle on an inode number outside the table claims a file")
+	}
+	var rerr error
+	stale.ReadAt(0, 1, func(_ [][]byte, err error) { rerr = err })
+	r.Eng.Run()
+	if !errors.Is(rerr, ErrNotFound) {
+		t.Errorf("ReadAt through it: %v, want ErrNotFound", rerr)
+	}
+}
+
+// What ReadAt hands done is on loan from the data cache until done
+// returns (see readReq.finish). Here the cache holds four blocks and the
+// walks are eight long and overlap, so every walk has its earlier blocks
+// evicted — by itself and by the others — long before it finishes; had
+// the cache recycled them then, or the walk released them before calling
+// done, done would find 0xDB or another block's data where the file's
+// should be.
+func TestReadAtBlocksValidUntilDoneReturns(t *testing.T) {
+	r, f := newFSWith(t, rig.Options{ReservedCyls: 48},
+		Params{NoAtime: true, Cache: cache.Config{CapacityBlocks: 4}})
+	var hs []*Handle
+	for _, name := range []string{"/a", "/b", "/c"} {
+		mustCreate(t, r, f, name)
+		h := mustOpen(t, r, f, name)
+		mustWrite(t, r, h, 0, 8)
+		hs = append(hs, h)
+	}
+	f.Sync(nil)
+	r.Eng.Run()
+	walks := 0
+	for round := 0; round < 3; round++ {
+		for i, h := range hs {
+			from := int64((i + round) % 3)
+			h.ReadAt(from, 8-from, func(out [][]byte, err error) {
+				if err != nil || int64(len(out)) != 8-from {
+					t.Fatalf("read [%d,8) of %d: %d blocks, err %v", from, h.Ino(), len(out), err)
+				}
+				for k, blk := range out {
+					if !f.CheckPattern(blk, h.Ino(), from+int64(k)) {
+						t.Errorf("read [%d,8) of inode %d: block %d is not the file's inside done", from, h.Ino(), from+int64(k))
+					}
+				}
+				walks++
+			})
+		}
+		r.Eng.Run()
+	}
+	if walks != 9 {
+		t.Fatalf("%d of 9 walks completed", walks)
+	}
+	// And "until done returns" means to the end of done: removing the
+	// file invalidates its cached blocks on the spot, with done still
+	// looking at them.
+	h := hs[0]
+	h.ReadAt(5, 3, func(out [][]byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Remove("/a", nil)
+		for k, blk := range out {
+			if !f.CheckPattern(blk, h.Ino(), 5+int64(k)) {
+				t.Errorf("block %d changed under done when the file was removed", 5+k)
+			}
+		}
+		walks++
+	})
+	r.Eng.Run()
+	if walks != 10 {
+		t.Fatal("the last walk did not complete")
+	}
+	if _, misses, _ := f.Cache().Stats(); misses < 9*5 {
+		t.Fatalf("only %d data-cache misses: the walks were meant to evict each other's blocks", misses)
+	}
+}
+
+// A fully cached single-block read allocates nothing: the walk record,
+// its callbacks and the result slice handed to done are pooled (see
+// readReq), and the cache's hit delivery is pooled one layer down — this
+// is the floor that keeps read-heavy simulated workloads out of the
+// garbage collector. It holds with access times on as well: the touch
+// hands the cache the inode block's held image, so it neither allocates
+// nor encodes a block. (The test keeps the name it had when the result
+// slice was the one allocation left; the floor is zero.)
 func TestReadAtWarmOneAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -794,18 +895,8 @@ func TestReadAtWarmOneAlloc(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				op()
 			}
-			if n := testing.AllocsPerRun(200, op); n > 1 {
-				t.Errorf("warm ReadAt round trip: %v allocs, want at most 1 (the result slice)", n)
-			}
-			const runs = 200
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				op()
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
-				t.Errorf("warm ReadAt round trip: %d bytes allocated per read, want under 1024 (no block buffer)", per)
+			if n := testing.AllocsPerRun(200, op); n != 0 {
+				t.Errorf("warm ReadAt round trip: %v allocs, want 0", n)
 			}
 		})
 	}

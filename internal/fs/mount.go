@@ -134,18 +134,15 @@ func (f *FS) mountInodes(done func(*FS, error)) {
 
 // mountContents reads indirect blocks and directory contents.
 func (f *FS) mountContents(done func(*FS, error)) {
-	if _, ok := f.inodes[RootIno]; !ok {
+	if f.inodes[RootIno] == nil {
 		f.mountFail(done, fmt.Errorf("fs mount: no root directory"))
 		return
 	}
+	// In inode order, which is the table's.
 	var nodes []*inode
 	for _, nd := range f.inodes {
-		nodes = append(nodes, nd)
-	}
-	// Deterministic order.
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j].ino < nodes[j-1].ino; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+		if nd != nil {
+			nodes = append(nodes, nd)
 		}
 	}
 	var run func(i int)

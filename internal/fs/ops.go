@@ -22,14 +22,14 @@ func (h *Handle) Ino() Ino { return h.ino }
 
 // IsDir reports whether the handle is a directory.
 func (h *Handle) IsDir() bool {
-	nd, ok := h.f.inodes[h.ino]
-	return ok && nd.dir
+	nd := h.f.inode(h.ino)
+	return nd != nil && nd.dir
 }
 
 // SizeBlocks returns the file's size in blocks (0 for directories).
 func (h *Handle) SizeBlocks() int64 {
-	nd, ok := h.f.inodes[h.ino]
-	if !ok || nd.dir {
+	nd := h.f.inode(h.ino)
+	if nd == nil || nd.dir {
 		return 0
 	}
 	return nd.size
@@ -80,7 +80,7 @@ func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rs
 			}
 			return nil, "", nil, rsteps, fmt.Errorf("%w: %q", ErrNotFound, path)
 		}
-		next := f.inodes[cur.entries[comp]]
+		next := f.inode(cur.entries[comp])
 		if next == nil {
 			return nil, "", nil, rsteps, fmt.Errorf("%w: %q (dangling entry)", ErrNotFound, path)
 		}
@@ -133,7 +133,7 @@ func (f *FS) touchWalk(path string) {
 		if !ok {
 			return
 		}
-		nd := f.inodes[next]
+		nd := f.inode(next)
 		if nd == nil || !nd.dir {
 			return
 		}
@@ -160,7 +160,7 @@ func (f *FS) Open(path string, done func(*Handle, error)) {
 // OpenIno returns a handle for a known inode number without any I/O
 // (the analogue of holding an open file descriptor).
 func (f *FS) OpenIno(ino Ino) (*Handle, error) {
-	if _, ok := f.inodes[ino]; !ok {
+	if f.inode(ino) == nil {
 		return nil, fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
 	return &Handle{f: f, ino: ino}, nil
@@ -308,7 +308,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 		f.fail1(done, ErrReadOnly)
 		return
 	}
-	nd := f.inodes[h.ino]
+	nd := f.inode(h.ino)
 	if nd == nil {
 		f.fail1(done, fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
 		return
@@ -432,9 +432,13 @@ func (h *Handle) Append(n int64, done func(error)) {
 // slice per block. Unless the file system was created with NoAtime, the
 // read dirties the file's inode block (the access-time bookkeeping that
 // generates write traffic even on read-only mounts).
+//
+// The result is borrowed: the slice and the blocks in it belong to the
+// buffer cache, are not to be modified, and are valid until done
+// returns. A caller that keeps any of it copies it inside done.
 func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	f := h.f
-	nd := f.inodes[h.ino]
+	nd := f.inode(h.ino)
 	fail := func(err error) {
 		f.eng.After(0, func() {
 			if done != nil {
@@ -460,7 +464,6 @@ func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	}
 	r.nd, r.ino, r.idx, r.n, r.b = nd, h.ino, idx, n, idx
 	r.done = done
-	r.out = make([][]byte, 0, n)
 	r.meta[0] = f.inodeBlockOf(h.ino)
 	r.mn, r.mi = 1, 0
 	if idx+n > NDirect {
@@ -474,9 +477,9 @@ func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 // cache read per completion; building that walk from closures
 // allocated a fresh chain per call — the hottest allocation site in
 // the whole stack, per the volume-scale profile. The record carries
-// the walk state with two prebuilt callbacks instead, so only the
-// result slice (whose ownership transfers to done) is still allocated
-// per read.
+// the walk state with two prebuilt callbacks instead, and the result
+// slice as well: every block of it stays on loan from the cache until
+// done has returned (see finish), so nothing is allocated per read.
 type readReq struct {
 	f      *FS
 	next   *readReq
@@ -487,7 +490,8 @@ type readReq struct {
 	// startMS is the walk's start time, set only while read-latency
 	// metrics are bound.
 	startMS float64
-	out     [][]byte
+	out     [][]byte // the data blocks read so far, in file order
+	blks    []int64  // blks[i] is the partition block out[i] is a loan of
 	done    func([][]byte, error)
 	meta    [2]int64 // metadata prelude: inode block, then indirect
 	mi, mn  int
@@ -501,9 +505,12 @@ func (f *FS) getRead() *readReq {
 	r := f.freeRead
 	if r == nil {
 		r = &readReq{f: f}
-		r.metaCB = func(_ []byte, err error) {
+		r.metaCB = func(data []byte, err error) {
+			// The walk looks at no byte of a metadata block, so that
+			// loan ends at once.
+			r.f.meta.Release(r.meta[r.mi], data)
 			if err != nil {
-				r.finish(nil, err)
+				r.finish(err)
 				return
 			}
 			if r.mi++; r.mi < r.mn {
@@ -514,7 +521,7 @@ func (f *FS) getRead() *readReq {
 		}
 		r.dataCB = func(data []byte, err error) {
 			if err != nil {
-				r.finish(nil, err)
+				r.finish(err)
 				return
 			}
 			r.out = append(r.out, data)
@@ -536,24 +543,38 @@ func (r *readReq) step() {
 			ib := f.inodeBlockOf(r.ino)
 			f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
 		}
-		r.finish(r.out, nil)
+		r.finish(nil)
 		return
 	}
-	r.f.cache.Read(r.f.blockOf(r.nd, r.b), r.dataCB)
+	blk := r.f.blockOf(r.nd, r.b)
+	r.blks = append(r.blks, blk)
+	r.f.cache.Read(blk, r.dataCB)
 }
 
-// finish recycles the record before the completion callback runs, so
-// the callback can issue a new read that reuses it.
-func (r *readReq) finish(out [][]byte, err error) {
-	f, done := r.f, r.done
+// finish completes the walk: done sees the blocks read (nil with an
+// error), and only when it has returned do their loans end and the
+// record go back to the pool — a block the cache evicted during the walk
+// was kept out of the read pool for exactly this long. A read that done
+// itself issues therefore takes another record.
+func (r *readReq) finish(err error) {
+	f := r.f
 	if f.mxRead != nil {
 		f.mxRead.Record(f.eng.Now() - r.startMS)
 	}
-	r.nd, r.done, r.out = nil, nil, nil
-	r.next, f.freeRead = f.freeRead, r
-	if done != nil {
-		done(out, err)
+	if r.done != nil {
+		out := r.out
+		if err != nil {
+			out = nil
+		}
+		r.done(out, err)
 	}
+	for i, data := range r.out {
+		f.cache.Release(r.blks[i], data)
+		r.out[i] = nil
+	}
+	r.out, r.blks = r.out[:0], r.blks[:0]
+	r.nd, r.done = nil, nil
+	r.next, f.freeRead = f.freeRead, r
 }
 
 // Remove deletes a file or an empty directory, freeing its blocks.

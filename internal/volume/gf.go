@@ -16,6 +16,8 @@ package volume
 // 8 KB block is two table lookups plus an XOR per byte, with no
 // allocation.
 
+import "crypto/subtle"
+
 var (
 	gfExp [512]byte // g^i, doubled so products index without a mod
 	gfLog [256]byte // log_g, gfLog[0] unused
@@ -57,12 +59,11 @@ func gfDiv(a, b byte) byte {
 // gfPow returns g^e for a column exponent e >= 0.
 func gfPow(e int) byte { return gfExp[e%255] }
 
-// xorInto accumulates src into dst: dst ^= src, byte-wise.
+// xorInto accumulates src into dst: dst[i] ^= src[i] for every byte of
+// src, a word (or a vector) at a time. It panics if dst is the shorter.
 func xorInto(dst, src []byte) {
-	_ = dst[len(src)-1]
-	for i, s := range src {
-		dst[i] ^= s
-	}
+	n := len(src)
+	subtle.XORBytes(dst[:n], dst[:n], src)
 }
 
 // gfMulAddInto accumulates a scaled block: dst ^= coef·src.

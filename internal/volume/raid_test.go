@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/rig"
 	"repro/internal/seek"
+	"repro/internal/sim"
 )
 
 // tinyDisk is a deliberately small drive model (~340 member blocks)
@@ -101,6 +102,42 @@ func TestGFField(t *testing.T) {
 			t.Fatalf("distributivity fails for %v", tr)
 		}
 	}
+}
+
+// TestXorIntoMatchesByteLoop compares xorInto with the byte loop it
+// replaced, over odd lengths and unaligned starts of both operands, and
+// checks that it touches nothing past len(src) and still refuses a short
+// destination.
+func TestXorIntoMatchesByteLoop(t *testing.T) {
+	rnd := sim.NewRand(5)
+	backing := func() []byte {
+		b := make([]byte, 300)
+		for i := range b {
+			b[i] = byte(rnd.Intn(256))
+		}
+		return b
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 64, 127, 255} {
+		for dOff := 0; dOff < 9; dOff++ {
+			for sOff := 0; sOff < 9; sOff += 3 {
+				dst, src := backing(), backing()
+				want := bytes.Clone(dst)
+				for i := 0; i < n; i++ {
+					want[dOff+i] ^= src[sOff+i]
+				}
+				xorInto(dst[dOff:], src[sOff:sOff+n])
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("n=%d dst+%d src+%d: differs from the byte loop", n, dOff, sOff)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("xorInto into a shorter destination did not panic")
+		}
+	}()
+	xorInto(make([]byte, 7), make([]byte, 8))
 }
 
 func TestSolveRowAllErasures(t *testing.T) {

@@ -250,7 +250,7 @@ func (w *System) RunDay(day int, done func(error)) {
 			// blocks of different files come to alternate in the disk's
 			// request stream (Section 1.1 of the paper).
 			exec := w.pick(0)
-			refs := []fileRef{exec}
+			refs := append(make([]fileRef, 0, 1+w.cfg.Libs), exec)
 			for l := 0; l < w.cfg.Libs; l++ {
 				refs = append(refs, w.pick(0.1))
 			}
@@ -278,7 +278,7 @@ func (w *System) runJob(refs []fileRef, next func()) {
 		pos  int64
 		size int64
 	}
-	var cur []*cursor
+	cur := make([]cursor, 0, len(refs))
 	for _, ref := range refs {
 		h, err := w.f.OpenIno(ref.ino)
 		if err != nil {
@@ -286,7 +286,7 @@ func (w *System) runJob(refs []fileRef, next func()) {
 			continue
 		}
 		if n := h.SizeBlocks(); n > 0 {
-			cur = append(cur, &cursor{h: h, size: n})
+			cur = append(cur, cursor{h: h, size: n})
 		}
 	}
 	if len(cur) == 0 {
@@ -312,7 +312,7 @@ func (w *System) runJob(refs []fileRef, next func()) {
 			// Find the next file with blocks remaining, round-robin.
 			var c *cursor
 			for n := 0; n < len(cur); n++ {
-				cand := cur[(i+n)%len(cur)]
+				cand := &cur[(i+n)%len(cur)]
 				if cand.pos < cand.size {
 					c = cand
 					i = (i + n + 1) % len(cur)
