@@ -6,8 +6,13 @@
 // Usage:
 //
 //	abrreport -trace day.trace [-disk toshiba|fujitsu] [-sched scan]
-//	          [-rearrange N] [-policy organ-pipe] [-telemetry FILE]
-//	          [-metrics FILE] [-chrome IN [-chrome-out OUT]]
+//	          [-format binary|text|msr|blkparse|auto] [-rearrange N]
+//	          [-policy organ-pipe] [-telemetry FILE] [-metrics FILE]
+//	          [-chrome IN [-chrome-out OUT]]
+//
+// The trace is read by internal/tracein, the reader abrsim -trace-in
+// uses: tracegen's binary and text encodings, SNIA MSR-Cambridge CSV
+// and blkparse text, or -format auto to detect which.
 //
 // With -rearrange N, the trace is replayed twice: once to learn the N
 // hottest blocks, then again after rearranging them, and both
@@ -52,7 +57,6 @@ import (
 	"repro/internal/rig"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/tracein"
 )
 
@@ -62,7 +66,7 @@ func main() {
 	schedName := flag.String("sched", "scan", "head scheduling: scan, fcfs, cscan, sstf")
 	rearrange := flag.Int("rearrange", 0, "rearrange the N hottest blocks between two replays")
 	policy := flag.String("policy", "organ-pipe", "placement policy for -rearrange")
-	format := flag.String("format", "binary", "trace format: binary or text")
+	format := flag.String("format", "binary", "trace format: binary, text, msr, blkparse, or auto (detect)")
 	timeout := flag.Duration("timeout", 0, "abort the replay after this long (0 = no limit)")
 	teleFile := flag.String("telemetry", "", "summarize a telemetry CSV written by abrsim -sample")
 	metricsFile := flag.String("metrics", "", "print latency percentile tables from a metrics JSON snapshot written by abrsim -metrics")
@@ -102,7 +106,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, *traceFile, *diskName, *schedName, *policy, *format, *rearrange); err != nil {
+	if err := run(ctx, os.Stdout, *traceFile, *diskName, *schedName, *policy, *format, *rearrange); err != nil {
 		fmt.Fprintln(os.Stderr, "abrreport:", err)
 		os.Exit(1)
 	}
@@ -330,24 +334,20 @@ func convertChrome(inPath, outPath string) error {
 	return nil
 }
 
-func run(ctx context.Context, traceFile, diskName, schedName, policyName, format string, rearrange int) error {
+// run replays the trace and prints the measurement report to w — twice,
+// around a rearrangement of the hottest blocks, when rearrange > 0.
+func run(ctx context.Context, w io.Writer, traceFile, diskName, schedName, policyName, format string, rearrange int) error {
 	if traceFile == "" {
 		return fmt.Errorf("-trace is required")
 	}
-	f, err := os.Open(traceFile)
+	if rearrange < 0 {
+		return fmt.Errorf("-rearrange %d: a negative count of blocks cannot be rearranged; want 0 (replay once, no rearrangement) or the number of hottest blocks to move", rearrange)
+	}
+	tf, err := tracein.ParseFormat(format)
 	if err != nil {
-		return err
+		return fmt.Errorf("-format: %w", err)
 	}
-	defer f.Close()
-	var recs []trace.Record
-	switch format {
-	case "binary":
-		recs, err = trace.ReadBinary(f)
-	case "text":
-		recs, err = trace.ReadText(f)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
+	recs, _, err := tracein.ReadFile(traceFile, tf, tracein.Options{})
 	if err != nil {
 		return err
 	}
@@ -396,15 +396,15 @@ func run(ctx context.Context, traceFile, diskName, schedName, policyName, format
 	}
 
 	report := func(label string, s *driver.Side) {
-		fmt.Printf("%s:\n", label)
-		fmt.Printf("  requests:             %d\n", s.Count())
-		fmt.Printf("  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n",
+		fmt.Fprintf(w, "%s:\n", label)
+		fmt.Fprintf(w, "  requests:             %d\n", s.Count())
+		fmt.Fprintf(w, "  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n",
 			s.FCFSDist.MeanDist(), s.FCFSMeanSeekMS(model.Seek))
-		fmt.Printf("  mean seek distance:   %.0f cylinders (%.2f ms)\n",
+		fmt.Fprintf(w, "  mean seek distance:   %.0f cylinders (%.2f ms)\n",
 			s.SchedDist.MeanDist(), s.MeanSeekMS(model.Seek))
-		fmt.Printf("  zero-length seeks:    %.0f%%\n", s.SchedDist.ZeroFrac()*100)
-		fmt.Printf("  mean service time:    %.2f ms\n", s.MeanServiceMS())
-		fmt.Printf("  mean waiting time:    %.2f ms\n", s.MeanQueueingMS())
+		fmt.Fprintf(w, "  zero-length seeks:    %.0f%%\n", s.SchedDist.ZeroFrac()*100)
+		fmt.Fprintf(w, "  mean service time:    %.2f ms\n", s.MeanServiceMS())
+		fmt.Fprintf(w, "  mean waiting time:    %.2f ms\n", s.MeanQueueingMS())
 	}
 
 	side, err := replay("replay 1")
@@ -437,7 +437,7 @@ func run(ctx context.Context, traceFile, diskName, schedName, policyName, format
 		if rerr != nil {
 			return rerr
 		}
-		fmt.Printf("\nrearranged %d blocks (%s placement)\n\n", installed, policyName)
+		fmt.Fprintf(w, "\nrearranged %d blocks (%s placement)\n\n", installed, policyName)
 		r.Driver.ReadStats() // discard movement-era stats
 		side, err := replay("replay 2")
 		if err != nil {

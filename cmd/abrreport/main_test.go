@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // A two-section sampler CSV as abrsim -sample writes for a mixed run:
@@ -185,5 +190,107 @@ func TestConvertChrome(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no complete read event in output\n%s", data)
+	}
+}
+
+// replayRecords is a few hundred requests with a hot set worth
+// rearranging: two in three go to eight blocks spread over the disk,
+// the rest wander. Times are whole milliseconds from 0, which all three
+// encodings below carry exactly (MSR rebases its first event to 0).
+func replayRecords() []trace.Record {
+	hot := []int64{40, 2900, 5100, 7700, 9300, 11000, 12800, 14100}
+	recs := make([]trace.Record, 300)
+	for i := range recs {
+		blk := hot[i*7%len(hot)]
+		if i%3 == 0 {
+			blk = int64(i) * 997 % 15000
+		}
+		recs[i] = trace.Record{TimeMS: float64(5 * i), Write: i%5 == 0, Block: blk}
+	}
+	return recs
+}
+
+// The replay path end to end: the same records written as binary, text
+// and MSR CSV must read back — by name or by detection — to the same
+// report, and -rearrange must move blocks and report a second replay.
+func TestRunSameReportFromEveryEncoding(t *testing.T) {
+	recs := replayRecords()
+	var bin, text, msr bytes.Buffer
+	if err := trace.WriteBinary(&bin, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteText(&text, recs); err != nil {
+		t.Fatal(err)
+	}
+	msr.WriteString("Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n")
+	for _, r := range recs {
+		typ := "Read"
+		if r.Write {
+			typ = "Write"
+		}
+		fmt.Fprintf(&msr, "%d,host,0,%s,%d,8192,0\n", 128166372000000000+int64(r.TimeMS)*10_000, typ, r.Block*8192)
+	}
+	dir := t.TempDir()
+	encodings := []struct {
+		format string
+		data   []byte
+	}{{"binary", bin.Bytes()}, {"text", text.Bytes()}, {"msr", msr.Bytes()}}
+	for _, enc := range encodings {
+		if err := os.WriteFile(filepath.Join(dir, "t."+enc.format), enc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rearranged := regexp.MustCompile(`\nrearranged ([0-9]+) blocks \(organ-pipe placement\)\n\nrearranged layout \(scan\):\n  requests:             300\n`)
+	for _, rearrange := range []int{0, 50} {
+		var want string
+		for _, enc := range encodings {
+			path := filepath.Join(dir, "t."+enc.format)
+			for _, format := range []string{enc.format, "auto"} {
+				var out bytes.Buffer
+				if err := run(context.Background(), &out, path, "toshiba", "scan", "organ-pipe", format, rearrange); err != nil {
+					t.Fatalf("%s as -format %s, -rearrange %d: %v", enc.format, format, rearrange, err)
+				}
+				if want == "" {
+					want = out.String()
+				}
+				if out.String() != want {
+					t.Errorf("%s as -format %s, -rearrange %d: report differs from binary's\n%s\nwant\n%s",
+						enc.format, format, rearrange, out.String(), want)
+				}
+			}
+		}
+		if !strings.HasPrefix(want, "original layout (scan):\n  requests:             300\n") {
+			t.Errorf("-rearrange %d: report does not open with the first replay\n%s", rearrange, want)
+		}
+		m := rearranged.FindStringSubmatch(want)
+		switch {
+		case rearrange == 0 && m != nil:
+			t.Errorf("-rearrange 0 rearranged\n%s", want)
+		case rearrange > 0 && (m == nil || m[1] == "0"):
+			t.Errorf("-rearrange %d: no non-zero \"rearranged N blocks\" line followed by a second report\n%s", rearrange, want)
+		}
+	}
+}
+
+func TestRunRejects(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.text")
+	if err := os.WriteFile(path, []byte("0 R 0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, trace, format string
+		rearrange           int
+		want                string
+	}{
+		{"no trace", "", "binary", 0, "-trace is required"},
+		{"negative rearrange", path, "text", -1, "-rearrange -1: a negative count"},
+		{"unknown format", path, "ascii", 0, `-format: tracein: unknown trace format "ascii" (want binary, text, msr, blkparse, or auto)`},
+		{"wrong format", path, "binary", 0, "bad header"},
+	} {
+		err := run(context.Background(), io.Discard, c.trace, "toshiba", "scan", "organ-pipe", c.format, c.rearrange)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -39,7 +39,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config carries driver tunables.
+// Config carries the driver tunables some caller varies (rig.New fills
+// it from rig.Options); the histogram range and the retry ladder are
+// the constants below.
 type Config struct {
 	// Sched is the head-scheduling policy; nil selects SCAN.
 	Sched sched.Scheduler
@@ -49,21 +51,23 @@ type Config struct {
 	// fills before being read, recording is suspended (Section 4.1.4).
 	// Zero selects 65536 entries.
 	RequestTableSize int
-	// HistMaxMS is the bucket range of the time histograms in
-	// milliseconds; zero selects 4000.
-	HistMaxMS int
 	// Faults, when non-nil, is the fault injector shared with the disk.
 	// Attaching it switches the driver into fault-tolerant mode: retries
 	// with backoff, bad-block remapping, and crash-safe dual-slot block
 	// table writes.
 	Faults *fault.Injector
-	// MaxRetries bounds re-issues of a transiently failing operation;
-	// zero selects 3.
-	MaxRetries int
-	// RetryBaseMS is the first retry backoff in simulated milliseconds;
-	// each further attempt doubles it. Zero selects 2 ms.
-	RetryBaseMS float64
 }
+
+const (
+	// histMaxMS is the bucket range of the time histograms in
+	// milliseconds.
+	histMaxMS = 4000
+	// maxRetries bounds re-issues of a transiently failing operation.
+	maxRetries = 3
+	// retryBaseMS is the first retry backoff in simulated milliseconds;
+	// each further attempt doubles it.
+	retryBaseMS = 2.0
+)
 
 func (c Config) withDefaults() Config {
 	if c.Sched == nil {
@@ -74,15 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTableSize == 0 {
 		c.RequestTableSize = 65536
-	}
-	if c.HistMaxMS == 0 {
-		c.HistMaxMS = 4000
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBaseMS == 0 {
-		c.RetryBaseMS = 2.0
 	}
 	return c
 }
@@ -234,7 +229,7 @@ func Attach(eng *sim.Engine, dsk *disk.Disk, cfg Config, recover bool) (*Driver,
 		cfg:    cfg,
 		moving: make(map[int64][]*pendingStrategy),
 		mon:    newMonitor(cfg.RequestTableSize),
-		stats:  newStats(cfg.HistMaxMS),
+		stats:  newStats(),
 		inj:    cfg.Faults,
 		remaps: make(map[int64]int64),
 		spares: make(map[int64]bool),
@@ -763,11 +758,11 @@ func (d *Driver) handleError(r *ioreq, err error) {
 			}
 		})
 	case fault.Transient:
-		if r.attempt < d.cfg.MaxRetries {
+		if r.attempt < maxRetries {
 			r.attempt++
 			d.cum.Retries++
 			d.emitFault(r, fe, "retry")
-			backoff := d.cfg.RetryBaseMS * float64(int64(1)<<(r.attempt-1))
+			backoff := retryBaseMS * float64(int64(1)<<(r.attempt-1))
 			d.cum.BackoffMS += backoff
 			d.eng.After(backoff, func() { d.issue(r) })
 			return

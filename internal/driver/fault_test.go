@@ -77,9 +77,9 @@ func TestTransientErrorsRetryAndRecover(t *testing.T) {
 	if c.Unrecovered != 0 {
 		t.Errorf("unrecovered = %d", c.Unrecovered)
 	}
-	// Every retry waits at least RetryBaseMS, so the cumulative backoff
+	// Every retry waits at least retryBaseMS, so the cumulative backoff
 	// is bounded below by one base delay per retry.
-	if min := float64(c.Retries) * drv.cfg.RetryBaseMS; c.BackoffMS < min {
+	if min := float64(c.Retries) * retryBaseMS; c.BackoffMS < min {
 		t.Errorf("BackoffMS = %v, want >= %v for %d retries", c.BackoffMS, min, c.Retries)
 	}
 	var retryEvents int

@@ -74,7 +74,7 @@ type Side struct {
 	Redirected int64
 }
 
-func newSide(histMaxMS int) *Side {
+func newSide() *Side {
 	return &Side{
 		FCFSDist:  stats.NewDistHist(),
 		SchedDist: stats.NewDistHist(),
@@ -114,8 +114,8 @@ func (s *Side) MeanRotTransferMS() float64 {
 func (s *Side) merge(other *Side) {
 	s.FCFSDist.Merge(other.FCFSDist)
 	s.SchedDist.Merge(other.SchedDist)
-	// Histograms share a bucket range within one driver; a mismatch is a
-	// programming error surfaced by Merge's error (ignored: same config).
+	// Every time histogram has the one bucket range, histMaxMS, so Merge
+	// has no mismatch to report.
 	_ = s.Service.Merge(other.Service)
 	_ = s.Queueing.Merge(other.Queueing)
 	s.SeekMS += other.SeekMS
@@ -130,15 +130,10 @@ func (s *Side) merge(other *Side) {
 type Stats struct {
 	ReadSide  *Side
 	WriteSide *Side
-	histMaxMS int
 }
 
-func newStats(histMaxMS int) *Stats {
-	return &Stats{
-		ReadSide:  newSide(histMaxMS),
-		WriteSide: newSide(histMaxMS),
-		histMaxMS: histMaxMS,
-	}
+func newStats() *Stats {
+	return &Stats{ReadSide: newSide(), WriteSide: newSide()}
 }
 
 func (s *Stats) side(write bool) *Side {
@@ -151,7 +146,7 @@ func (s *Stats) side(write bool) *Side {
 // All returns a merged view of both directions. The result is a fresh
 // copy; mutating it does not affect the driver.
 func (s *Stats) All() *Side {
-	out := newSide(s.histMaxMS)
+	out := newSide()
 	out.merge(s.ReadSide)
 	out.merge(s.WriteSide)
 	return out
@@ -161,7 +156,7 @@ func (s *Stats) All() *Side {
 // performance-monitoring ioctl, which also clears the table.
 func (d *Driver) ReadStats() *Stats {
 	out := d.stats
-	d.stats = newStats(d.cfg.HistMaxMS)
+	d.stats = newStats()
 	// Arrival-order tracking restarts with the new window.
 	d.haveFCFSPrev = false
 	return out

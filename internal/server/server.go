@@ -110,7 +110,9 @@ func DefaultClasses() []ClassConfig {
 	}
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. An experiment sets Tenants, Net and
+// QoSOff; the rest are the seams the tests use to reach shedding and
+// the breaker with small numbers (DESIGN.md "Configuration surface").
 type Config struct {
 	// Tenants is the tenant population; each tenant owns one token
 	// bucket. Zero selects 1.
@@ -128,18 +130,22 @@ type Config struct {
 	// QueueCap bounds the accept queue behind the in-flight window;
 	// requests beyond it are shed with ErrOverload. Zero selects 256.
 	QueueCap int
-	// MaxRetries and RetryBaseMS shape the RPC-layer retry ladder,
-	// mirroring the driver's: up to MaxRetries re-issues with backoff
-	// RetryBaseMS * 2^(attempt-1). Zeros select 3 and 2.0; negative
-	// MaxRetries disables retries.
-	MaxRetries  int
-	RetryBaseMS float64
+	// MaxRetries bounds the RPC-layer retry ladder, which mirrors the
+	// driver's: up to MaxRetries re-issues with backoff retryBaseMS *
+	// 2^(attempt-1). Zero selects 3; negative disables retries.
+	MaxRetries int
 	// Breaker parameterizes the backend circuit breaker.
 	Breaker BreakerConfig
-	// HeaderBytes is the request/response envelope size put on the
-	// wire in addition to block payloads; zero selects 128.
-	HeaderBytes int
 }
+
+const (
+	// retryBaseMS is the first backoff of the RPC-layer retry ladder,
+	// in simulated milliseconds; each further attempt doubles it.
+	retryBaseMS = 2.0
+	// headerBytes is the request/response envelope size put on the
+	// wire in addition to block payloads.
+	headerBytes = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.Tenants <= 0 {
@@ -159,12 +165,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 3
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBaseMS <= 0 {
-		c.RetryBaseMS = 2.0
-	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = 128
 	}
 	return c
 }
@@ -377,7 +377,7 @@ func (s *Server) submit(tenant, class int, write bool, blk int64, done driver.Do
 	r.tenant, r.class, r.write, r.blk = tenant, class, write, blk
 	r.submitMS = s.eng.Now()
 	r.done = done
-	bytes := s.cfg.HeaderBytes
+	bytes := headerBytes
 	if write {
 		bytes += len(s.wbuf)
 	}
@@ -458,7 +458,7 @@ func (s *Server) issue(r *sreq) {
 func (s *Server) backendDone(r *sreq, data []byte, err error) {
 	now := s.eng.Now()
 	if err != nil && r.attempt < s.cfg.MaxRetries {
-		backoff := s.cfg.RetryBaseMS * float64(int64(1)<<r.attempt)
+		backoff := retryBaseMS * float64(int64(1)<<r.attempt)
 		if now+backoff < r.deadlineMS {
 			r.attempt++
 			s.cnt.Retries++
@@ -527,7 +527,7 @@ func (s *Server) finish(r *sreq, data []byte, err error, missed bool) {
 // rejection). Read payloads pay serialization delay on the way back.
 func (s *Server) respond(r *sreq, data []byte, err error) {
 	r.data, r.err = data, err
-	bytes := s.cfg.HeaderBytes + len(data)
+	bytes := headerBytes + len(data)
 	s.eng.AfterCall(s.cfg.Net.DelayMS(bytes), &r.respondC)
 }
 

@@ -26,7 +26,6 @@
 package telemetry
 
 import (
-	"io"
 	"strconv"
 )
 
@@ -290,47 +289,3 @@ func appendBool(b []byte, v bool) []byte {
 	}
 	return append(b, '0')
 }
-
-// WriterSink encodes every event as JSONL into an io.Writer through an
-// internal buffer. It is for streaming single-run capture; parallel
-// harness jobs use Collectors instead so output stays deterministic.
-type WriterSink struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// writerSinkFlushBytes is the buffered threshold before writing through.
-const writerSinkFlushBytes = 32 * 1024
-
-// NewWriterSink returns a sink writing JSONL to w.
-func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
-
-// Event implements Sink.
-func (s *WriterSink) Event(e *Event) {
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendJSONL(s.buf, e)
-	if len(s.buf) >= writerSinkFlushBytes {
-		s.flush()
-	}
-}
-
-func (s *WriterSink) flush() {
-	if len(s.buf) == 0 || s.err != nil {
-		return
-	}
-	_, s.err = s.w.Write(s.buf)
-	s.buf = s.buf[:0]
-}
-
-// Flush writes any buffered bytes through and reports the first write
-// error encountered.
-func (s *WriterSink) Flush() error {
-	s.flush()
-	return s.err
-}
-
-// Close flushes; it exists so the sink satisfies io.Closer in pipelines.
-func (s *WriterSink) Close() error { return s.Flush() }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 
@@ -98,44 +97,6 @@ func TestMulti(t *testing.T) {
 	m.Event(&Event{})
 	if a != 2 || b != 1 {
 		t.Errorf("fan-out counts a=%d b=%d, want 2, 1", a, b)
-	}
-}
-
-func TestWriterSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewWriterSink(&buf)
-	for i := 0; i < 4; i++ {
-		s.Event(spanEvent())
-	}
-	if buf.Len() != 0 {
-		t.Error("events written through before flush threshold")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 4 {
-		t.Errorf("flushed %d lines, want 4", lines)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
-
-func TestWriterSinkError(t *testing.T) {
-	s := NewWriterSink(failWriter{})
-	s.Event(spanEvent())
-	if err := s.Flush(); err == nil {
-		t.Error("Flush should report the write error")
-	}
-	// Subsequent events are dropped, not accumulated.
-	s.Event(spanEvent())
-	if len(s.buf) != 0 {
-		t.Error("sink kept buffering after a write error")
 	}
 }
 

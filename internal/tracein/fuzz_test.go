@@ -11,7 +11,7 @@ import (
 // Fuzz targets for the trace parsers: arbitrary input must either
 // parse or fail with this package's typed errors — never panic, never
 // loop, and never emit unbounded output from a bounded input. CI runs
-// these alongside FuzzParsePlan/FuzzParseConfig.
+// these alongside FuzzParsePlan.
 
 // fuzzEmit caps the records a fuzz input may produce, so a short input
 // claiming a huge span can't turn the fuzzer into a memory test.

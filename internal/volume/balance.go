@@ -19,11 +19,10 @@ type Device interface {
 	Outstanding() int
 }
 
-// A Balancer orders the live members a redundant read should try.
-// The built-in policies are selected by Options.ReadPolicy;
-// Options.Balancer installs a custom implementation. Order is called
-// once per balanced read and must be deterministic: any state it keeps (cursors, histories) may only
-// depend on the sequence of Order calls.
+// A Balancer orders the live members a redundant read should try; the
+// two policies are selected by Options.ReadPolicy. Order is called once
+// per balanced read and must be deterministic: any state it keeps
+// (cursors, histories) may only depend on the sequence of Order calls.
 type Balancer interface {
 	// Order appends the member indices to try, best candidate first,
 	// to order and returns it. Only live members may appear. The
@@ -78,15 +77,12 @@ func (shortestQueue) Order(v *Volume, order []int) []int {
 	return order
 }
 
-// newBalancer maps a ReadPolicy onto its built-in Balancer.
-func newBalancer(p ReadPolicy) (Balancer, error) {
-	switch p {
-	case RoundRobin:
-		return &roundRobin{}, nil
-	case ShortestQueue:
-		return shortestQueue{}, nil
+// newBalancer maps a ReadPolicy New has validated onto its Balancer.
+func newBalancer(p ReadPolicy) Balancer {
+	if p == ShortestQueue {
+		return shortestQueue{}
 	}
-	return nil, fmt.Errorf("volume: unknown read policy %q", p)
+	return &roundRobin{}
 }
 
 // placement routes one logical-block request for a layout family. The

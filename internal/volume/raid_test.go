@@ -586,52 +586,3 @@ func TestRAIDValidation(t *testing.T) {
 		t.Error("mirror armed a scrub")
 	}
 }
-
-func TestParseConfigRoundTrip(t *testing.T) {
-	cases := []struct {
-		spec string
-		want Config
-	}{
-		{"concat", Config{Layout: Concat}},
-		{"stripe:disks=4,unit=16", Config{Layout: Stripe, Disks: 4, StripeUnit: 16}},
-		{"mirror:disks=2,policy=shortest-queue", Config{Layout: Mirror, Disks: 2, ReadPolicy: ShortestQueue}},
-		{"raid5:disks=4,spare=1,rebuild-rate=400,scrub-interval=600000",
-			Config{Layout: RAID5, Disks: 4, Spare: 1, RebuildRate: 400, ScrubIntervalMS: 600000}},
-		{"raid6:disks=6;unit=8", Config{Layout: RAID6, Disks: 6, StripeUnit: 8}},
-		{" raid5 : disks=3 , unit=1 ", Config{Layout: RAID5, Disks: 3, StripeUnit: 1}},
-	}
-	for _, c := range cases {
-		got, err := ParseConfig(c.spec)
-		if err != nil {
-			t.Fatalf("ParseConfig(%q): %v", c.spec, err)
-		}
-		if got != c.want {
-			t.Fatalf("ParseConfig(%q) = %+v, want %+v", c.spec, got, c.want)
-		}
-		back, err := ParseConfig(got.String())
-		if err != nil || back != got {
-			t.Fatalf("round-trip of %q via %q: %+v, %v", c.spec, got.String(), back, err)
-		}
-		// The expanded options must construct (sizing aside).
-		o := got.Options()
-		o.Disk = tinyDisk()
-		if o.Disks == 0 {
-			continue
-		}
-		v, err := New(o)
-		if err != nil {
-			t.Fatalf("New(ParseConfig(%q).Options()): %v", c.spec, err)
-		}
-		v.Close()
-	}
-	for _, bad := range []string{
-		"", "raid7", "raid5:disks=2", "raid6:disks=65", "stripe:spare=1",
-		"mirror:scrub-interval=5", "concat:rebuild-rate=7", "raid5:unit=9999",
-		"raid5:disks", "raid5:what=ever", "raid5:rebuild-rate=nan",
-		"raid5:spare=9", "stripe:disks=-1",
-	} {
-		if _, err := ParseConfig(bad); err == nil {
-			t.Errorf("ParseConfig(%q) accepted", bad)
-		}
-	}
-}

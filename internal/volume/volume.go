@@ -55,7 +55,6 @@ import (
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -95,7 +94,9 @@ const DefaultStripeUnit = 16
 // blocks per simulated second, when Options.RebuildRate is zero.
 const DefaultRebuildRate = 200
 
-// Options configures a volume.
+// Options configures a volume. What no volume varies is not here: every
+// member is built with rig.New's defaults, 8 KB blocks and a SCAN queue,
+// and mirror reads are balanced by one of the two ReadPolicy values.
 type Options struct {
 	// Ctx, when non-nil, cancels the shared engine once done.
 	Ctx context.Context
@@ -111,9 +112,6 @@ type Options struct {
 	// ReadPolicy balances mirror reads; the zero value selects
 	// round-robin.
 	ReadPolicy ReadPolicy
-	// Balancer overrides ReadPolicy with a custom read-balancing
-	// implementation.
-	Balancer Balancer
 	// Spare adds this many hot-spare members (parity layouts only).
 	// Spares idle until a member dies, then receive its reconstructed
 	// contents block by block.
@@ -132,10 +130,6 @@ type Options struct {
 	// ReservedCyls hides this many middle cylinders of every member as
 	// its reserved region, enabling per-member adaptive rearrangement.
 	ReservedCyls int
-	// BlockSize is the file system block size; zero selects 8 KB.
-	BlockSize geom.BlockSize
-	// Sched is the per-member head-scheduling policy; nil selects SCAN.
-	Sched sched.Scheduler
 	// RequestTableSize overrides each member driver's monitoring table.
 	RequestTableSize int
 	// Faults lists per-member fault plans by member index (spares
@@ -299,8 +293,6 @@ func New(opts Options) (*Volume, error) {
 			Eng:              eng,
 			Disk:             opts.Disk,
 			ReservedCyls:     opts.ReservedCyls,
-			BlockSize:        opts.BlockSize,
-			Sched:            opts.Sched,
 			RequestTableSize: opts.RequestTableSize,
 			Fault:            plan,
 		})
@@ -388,15 +380,7 @@ func New(opts Options) (*Volume, error) {
 		v.ra = ra
 	}
 
-	v.balancer = opts.Balancer
-	if v.balancer == nil {
-		b, err := newBalancer(v.policy)
-		if err != nil {
-			v.Close()
-			return nil, err
-		}
-		v.balancer = b
-	}
+	v.balancer = newBalancer(v.policy)
 	switch v.layout {
 	case Mirror:
 		v.place = mirrored{v}

@@ -8,47 +8,19 @@ import (
 	"repro/internal/sim"
 )
 
-// SystemConfig parameterizes the system file system workload.
+// SystemConfig carries what callers vary about the system file system
+// workload: its size, its load, its window and its seed. The shape of
+// the generator is the constants below.
 type SystemConfig struct {
 	// Files is the number of executables and libraries; zero selects
 	// 600.
 	Files int
-	// Dirs is the number of top-level directories (/bin, /lib,
-	// /local/bin, man page directories, ...); zero selects 24, which
-	// spreads the tree — and its per-group inode blocks — across the
-	// disk as a grown installation would.
-	Dirs int
 	// Clients is the number of NFS client workstations issuing jobs;
 	// zero selects the paper's 14.
 	Clients int
 	// ThinkMeanMS is a client's mean pause between job launches; zero
 	// selects 15 s.
 	ThinkMeanMS float64
-	// Theta is the Zipf skew of file popularity; zero selects 1.9
-	// (calibrated, together with a deliberately small server buffer
-	// cache, so the 100 hottest blocks absorb ~85-90% of disk requests
-	// and fewer than ~2000 distinct blocks are touched — Figure 5).
-	Theta float64
-	// Libs is the number of shared-library files drawn on every job
-	// launch in addition to the executable; zero selects 3.
-	Libs int
-	// Parallel is the number of outstanding block reads a job keeps in
-	// flight (the NFS client's biod daemons can issue concurrent
-	// requests). Zero selects 1: serial demand paging, which matches
-	// the paper's low read waiting times.
-	Parallel int
-	// SizeMu, SizeSigma parameterize the lognormal file size in blocks;
-	// zeros select (1.1, 0.8): median ~3 blocks, tail to dozens.
-	SizeMu, SizeSigma float64
-	// DriftProb is the per-day probability of adjacent popularity-rank
-	// swaps; zero selects 0.05 (slowly changing, per the paper).
-	DriftProb float64
-	// CronPeriodMS is the period of the housekeeping sweep (the hourly
-	// cron find/updatedb pass every 1990s UNIX server ran): it lists
-	// every directory and reads a sample of cold files, generating the
-	// long-seek reads and metadata write bursts of real servers. Zero
-	// selects one hour; negative disables the sweep.
-	CronPeriodMS float64
 	// WindowMS shortens the active window for tests; zero selects the
 	// full 7am–10pm window.
 	WindowMS float64
@@ -56,39 +28,45 @@ type SystemConfig struct {
 	Seed uint64
 }
 
+// The generator's shape: constants, because no caller varies them.
+// ROADMAP 4(d) is to fit them to trace data, not to expose them.
+const (
+	// systemDirs is the number of top-level directories (/bin, /lib,
+	// /local/bin, man page directories, ...): 24 spreads the tree — and
+	// its per-group inode blocks — across the disk as a grown
+	// installation would.
+	systemDirs = 24
+	// systemTheta is the Zipf skew of file popularity (calibrated,
+	// together with a deliberately small server buffer cache, so the
+	// 100 hottest blocks absorb ~85-90% of disk requests and fewer than
+	// ~2000 distinct blocks are touched — Figure 5).
+	systemTheta = 1.9
+	// systemLibs is the number of shared-library files drawn on every
+	// job launch in addition to the executable.
+	systemLibs = 3
+	// systemSizeMu, systemSizeSigma parameterize the lognormal file
+	// size in blocks: median ~3 blocks, tail to dozens.
+	systemSizeMu, systemSizeSigma = 1.1, 0.8
+	// systemDriftProb is the per-day probability of adjacent
+	// popularity-rank swaps (slowly changing, per the paper).
+	systemDriftProb = 0.05
+	// systemCronPeriodMS is the period of the housekeeping sweep (the
+	// hourly cron find/updatedb pass every 1990s UNIX server ran): it
+	// lists every directory and reads a sample of cold files,
+	// generating the long-seek reads and metadata write bursts of real
+	// servers.
+	systemCronPeriodMS = HourMS
+)
+
 func (c SystemConfig) withDefaults() SystemConfig {
 	if c.Files <= 0 {
 		c.Files = 600
-	}
-	if c.Dirs <= 0 {
-		c.Dirs = 24
 	}
 	if c.Clients <= 0 {
 		c.Clients = 14
 	}
 	if c.ThinkMeanMS <= 0 {
 		c.ThinkMeanMS = 15_000
-	}
-	if c.Theta == 0 {
-		c.Theta = 1.9
-	}
-	if c.Libs <= 0 {
-		c.Libs = 3
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = 1
-	}
-	if c.SizeMu == 0 {
-		c.SizeMu = 1.1
-	}
-	if c.SizeSigma == 0 {
-		c.SizeSigma = 0.8
-	}
-	if c.DriftProb == 0 {
-		c.DriftProb = 0.05
-	}
-	if c.CronPeriodMS == 0 {
-		c.CronPeriodMS = HourMS
 	}
 	if c.WindowMS <= 0 {
 		c.WindowMS = DayEndMS - DayStartMS
@@ -124,7 +102,7 @@ func NewSystem(eng *sim.Engine, f *fs.FS, cfg SystemConfig) *System {
 		f:    f,
 		cfg:  cfg,
 		rnd:  sim.NewRand(cfg.Seed),
-		zipf: sim.NewZipf(cfg.Files, cfg.Theta),
+		zipf: sim.NewZipf(cfg.Files, systemTheta),
 	}
 }
 
@@ -148,7 +126,7 @@ func (w *System) Files() int { return len(w.files) }
 // the file system read-only and starts the update daemon — the state of
 // a freshly-installed NFS server.
 func (w *System) Populate(done func(error)) {
-	dirs := make([]string, w.cfg.Dirs)
+	dirs := make([]string, systemDirs)
 	for i := range dirs {
 		dirs[i] = "/" + nameOf("dir", i)
 	}
@@ -187,7 +165,7 @@ func (w *System) populateFiles(dirs []string, i int, done func(error)) {
 		return
 	}
 	path := dirs[i%len(dirs)] + "/" + nameOf("f", i)
-	blocks := sizeBlocks(w.rnd, w.cfg.SizeMu, w.cfg.SizeSigma, w.f.MaxFileBlocks())
+	blocks := sizeBlocks(w.rnd, systemSizeMu, systemSizeSigma, w.f.MaxFileBlocks())
 	w.f.Create(path, func(ino fs.Ino, err error) {
 		if err != nil {
 			done(fmt.Errorf("workload system: creating %s: %w", path, err))
@@ -226,16 +204,13 @@ func (w *System) pick(topFrac float64) fileRef {
 // across the request stream (Section 1.1).
 func (w *System) RunDay(day int, done func(error)) {
 	for w.day < day {
-		drift(w.rnd, w.perm, w.cfg.DriftProb)
+		drift(w.rnd, w.perm, systemDriftProb)
 		w.day++
 	}
 	start := float64(day)*DayMS + DayStartMS
 	end := start + w.cfg.WindowMS
-	if w.cfg.CronPeriodMS > 0 {
-		for t := start + w.cfg.CronPeriodMS/2; t < end; t += w.cfg.CronPeriodMS {
-			t := t
-			w.eng.At(t, func() { w.cronSweep() })
-		}
+	for t := start + systemCronPeriodMS/2; t < end; t += systemCronPeriodMS {
+		w.eng.At(t, w.cronSweep)
 	}
 	pool := &clientPool{
 		eng:   w.eng,
@@ -244,19 +219,22 @@ func (w *System) RunDay(day int, done func(error)) {
 		think: w.cfg.ThinkMeanMS,
 		hist:  w.hist,
 		job: func(_ int, next func()) {
-			// One job: the executable plus Libs shared libraries. The
+			// One job: the executable plus systemLibs shared libraries. The
 			// process demand-pages them together, so the block reads of
 			// the different files interleave — which is exactly how hot
 			// blocks of different files come to alternate in the disk's
 			// request stream (Section 1.1 of the paper).
 			exec := w.pick(0)
-			refs := append(make([]fileRef, 0, 1+w.cfg.Libs), exec)
-			for l := 0; l < w.cfg.Libs; l++ {
+			refs := append(make([]fileRef, 0, 1+systemLibs), exec)
+			for l := 0; l < systemLibs; l++ {
 				refs = append(refs, w.pick(0.1))
 			}
-			// The exec itself is found by a path walk (dirtying
-			// directory access times); the libraries are reached via
-			// the client's cached handles.
+			// populateFiles keeps no path in its fileRefs, so exec.path
+			// is "" and this Open resolves to the root: each job reads
+			// and atime-dirties the root's inode block and no other
+			// directory. The intended path walk to the exec is missing
+			// (EXPERIMENTS.md D5; fixing it moves every system golden).
+			// The files themselves are reached via cached handles.
 			w.f.Open(exec.path, func(_ *fs.Handle, err error) {
 				if err != nil {
 					w.errs++
@@ -268,10 +246,11 @@ func (w *System) RunDay(day int, done func(error)) {
 	pool.run(start, end, done)
 }
 
-// runJob demand-pages a set of files concurrently: single-block reads
-// round-robin across the files, keeping up to cfg.Parallel requests in
-// flight (the NFS client's biod daemons), until every file is fully
-// read.
+// runJob demand-pages a set of files together: single-block reads
+// round-robin across the files, one outstanding at a time, until every
+// file is fully read. (The NFS client's biod daemons could keep several
+// in flight; serial demand paging is what matches the paper's low read
+// waiting times.)
 func (w *System) runJob(refs []fileRef, next func()) {
 	type cursor struct {
 		h    *fs.Handle
@@ -289,50 +268,33 @@ func (w *System) runJob(refs []fileRef, next func()) {
 			cur = append(cur, cursor{h: h, size: n})
 		}
 	}
-	if len(cur) == 0 {
-		next()
-		return
-	}
 	i := 0
-	inflight := 0
-	finished := false
-	var fill func()
+	var onRead func([][]byte, error)
+	// readNext reads one block of the next file, round-robin from i,
+	// that has blocks remaining; with none left the job is over.
+	readNext := func() {
+		for n := 0; n < len(cur); n++ {
+			c := &cur[(i+n)%len(cur)]
+			if c.pos < c.size {
+				i = (i + n + 1) % len(cur)
+				pos := c.pos
+				c.pos++
+				c.h.ReadAt(pos, 1, onRead)
+				return
+			}
+		}
+		next()
+	}
 	// One completion callback for every read of the job: it captures no
 	// per-read state, so allocating it per ReadAt (tens per job) would
 	// only make garbage.
-	onRead := func(_ [][]byte, err error) {
+	onRead = func(_ [][]byte, err error) {
 		if err != nil {
 			w.errs++
 		}
-		inflight--
-		fill()
+		readNext()
 	}
-	fill = func() {
-		for inflight < w.cfg.Parallel {
-			// Find the next file with blocks remaining, round-robin.
-			var c *cursor
-			for n := 0; n < len(cur); n++ {
-				cand := &cur[(i+n)%len(cur)]
-				if cand.pos < cand.size {
-					c = cand
-					i = (i + n + 1) % len(cur)
-					break
-				}
-			}
-			if c == nil {
-				if inflight == 0 && !finished {
-					finished = true
-					next()
-				}
-				return
-			}
-			pos := c.pos
-			c.pos++
-			inflight++
-			c.h.ReadAt(pos, 1, onRead)
-		}
-	}
-	fill()
+	readNext()
 }
 
 // cronSweep is one housekeeping pass: it lists every directory and reads

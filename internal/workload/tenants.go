@@ -38,17 +38,9 @@ type TenantConfig struct {
 	// simulated disk's random-I/O capacity, so the healthy baseline
 	// stays clearly below saturation.
 	RatePerSec float64
-	// Theta is the Zipf skew of tenant popularity; zero selects 1.1
-	// (heavy-tailed but not degenerate: the top tenant takes a few
-	// percent of the traffic).
-	Theta float64
 	// ReadFrac is the fraction of requests that are reads; zero
 	// selects 0.8.
 	ReadFrac float64
-	// FootprintBlocks is each tenant's working-set span; requests pick
-	// a block within the tenant's own region, itself Zipf-skewed. Zero
-	// selects 128.
-	FootprintBlocks int64
 	// Noisy adds a flooding stream from tenant NoisyTenant at
 	// NoisyRatePerSec, in addition to the aggregate stream — the
 	// noisy-neighbor scenario. NoisyRatePerSec zero selects 200.
@@ -58,6 +50,17 @@ type TenantConfig struct {
 	// Seed seeds the workload's private generator.
 	Seed uint64
 }
+
+// The stream's shape, which no caller varies.
+const (
+	// tenantTheta is the Zipf skew of tenant popularity (heavy-tailed
+	// but not degenerate: the top tenant takes a few percent of the
+	// traffic).
+	tenantTheta = 1.1
+	// tenantFootprintBlocks is each tenant's working-set span; requests
+	// pick a block within the tenant's own region, itself Zipf-skewed.
+	tenantFootprintBlocks = 128
+)
 
 func (c TenantConfig) withDefaults() TenantConfig {
 	if c.Tenants <= 0 {
@@ -69,14 +72,8 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	if c.RatePerSec <= 0 {
 		c.RatePerSec = 20
 	}
-	if c.Theta == 0 {
-		c.Theta = 1.1
-	}
 	if c.ReadFrac == 0 {
 		c.ReadFrac = 0.8
-	}
-	if c.FootprintBlocks <= 0 {
-		c.FootprintBlocks = 128
 	}
 	if c.NoisyRatePerSec <= 0 {
 		c.NoisyRatePerSec = 200
@@ -127,8 +124,8 @@ func NewTenants(eng *sim.Engine, srv BlockServer, blocks int64, cfg TenantConfig
 		cfg:    cfg,
 		rnd:    rnd,
 		nrnd:   rnd.Split(),
-		zipf:   sim.NewZipf(cfg.Tenants, cfg.Theta),
-		fzipf:  sim.NewZipf(int(cfg.FootprintBlocks), 1.2),
+		zipf:   sim.NewZipf(cfg.Tenants, tenantTheta),
+		fzipf:  sim.NewZipf(tenantFootprintBlocks, 1.2),
 	}
 	w.onDone = func(data []byte, err error) {
 		// A tenant keeps nothing of what it read.

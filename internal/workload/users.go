@@ -8,7 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// UsersConfig parameterizes the users (home directories) workload.
+// UsersConfig carries what callers vary about the users (home
+// directories) workload: its size, its window and its seed. The shape
+// of the generator is the constants below.
 type UsersConfig struct {
 	// Users is the number of home directories; zero selects 10 (the
 	// paper's Toshiba configuration; 20 on the Fujitsu).
@@ -16,33 +18,6 @@ type UsersConfig struct {
 	// FilesPerUser is the initial file count per home directory; zero
 	// selects 40.
 	FilesPerUser int
-	// SubdirsPerUser is the number of project subdirectories in each
-	// home directory; zero selects 4. FFS spreads directories across
-	// cylinder groups, so a user's files span several disk regions, as
-	// grown home directories do.
-	SubdirsPerUser int
-	// ThinkMeanMS is a user's mean pause between operations; zero
-	// selects 90 s (the users disk is much more lightly loaded than
-	// the system disk — Table 5's waiting times are small).
-	ThinkMeanMS float64
-	// Theta is the Zipf skew of a user's file popularity; zero selects
-	// 1.25 — a user works mostly in a current project's files, but the
-	// aggregate stream is still much flatter than the system file
-	// system's (Figure 7).
-	Theta float64
-	// ActiveProb is the probability a user is active on a given day;
-	// zero selects 0.7.
-	ActiveProb float64
-	// DriftProb and Jumps control day-to-day drift: adjacent-rank swap
-	// probability and random rank relocations per user per day. Zeros
-	// select 0.10 and 2 — heavier drift than the system workload (whose
-	// predictions the paper found more reliable, Section 5.3), but slow
-	// enough that one day still predicts the next usefully.
-	DriftProb float64
-	Jumps     int
-	// SizeMu, SizeSigma parameterize the lognormal file size; zeros
-	// select (0.9, 0.7).
-	SizeMu, SizeSigma float64
 	// WindowMS shortens the active window for tests; zero selects the
 	// full 7am–10pm window.
 	WindowMS float64
@@ -50,36 +25,42 @@ type UsersConfig struct {
 	Seed uint64
 }
 
+// The generator's shape: constants, like the system workload's.
+const (
+	// usersSubdirs is the number of project subdirectories in each home
+	// directory. FFS spreads directories across cylinder groups, so a
+	// user's files span several disk regions, as grown home directories
+	// do.
+	usersSubdirs = 4
+	// usersThinkMeanMS is a user's mean pause between operations: 90 s
+	// (the users disk is much more lightly loaded than the system disk
+	// — Table 5's waiting times are small).
+	usersThinkMeanMS = 90_000.0
+	// usersTheta is the Zipf skew of a user's file popularity — a user
+	// works mostly in a current project's files, but the aggregate
+	// stream is still much flatter than the system file system's
+	// (Figure 7).
+	usersTheta = 1.25
+	// usersActiveProb is the probability a user is active on a given
+	// day.
+	usersActiveProb = 0.7
+	// usersDriftProb and usersJumps control day-to-day drift:
+	// adjacent-rank swap probability and random rank relocations per
+	// user per day — heavier drift than the system workload (whose
+	// predictions the paper found more reliable, Section 5.3), but slow
+	// enough that one day still predicts the next usefully.
+	usersDriftProb = 0.10
+	usersJumps     = 2
+	// usersSizeMu, usersSizeSigma parameterize the lognormal file size.
+	usersSizeMu, usersSizeSigma = 0.9, 0.7
+)
+
 func (c UsersConfig) withDefaults() UsersConfig {
 	if c.Users <= 0 {
 		c.Users = 10
 	}
 	if c.FilesPerUser <= 0 {
 		c.FilesPerUser = 40
-	}
-	if c.SubdirsPerUser <= 0 {
-		c.SubdirsPerUser = 4
-	}
-	if c.ThinkMeanMS <= 0 {
-		c.ThinkMeanMS = 90_000
-	}
-	if c.Theta == 0 {
-		c.Theta = 1.25
-	}
-	if c.ActiveProb == 0 {
-		c.ActiveProb = 0.7
-	}
-	if c.DriftProb == 0 {
-		c.DriftProb = 0.10
-	}
-	if c.Jumps == 0 {
-		c.Jumps = 2
-	}
-	if c.SizeMu == 0 {
-		c.SizeMu = 0.9
-	}
-	if c.SizeSigma == 0 {
-		c.SizeSigma = 0.7
 	}
 	if c.WindowMS <= 0 {
 		c.WindowMS = DayEndMS - DayStartMS
@@ -122,7 +103,7 @@ func NewUsers(eng *sim.Engine, f *fs.FS, cfg UsersConfig) *Users {
 		f:    f,
 		cfg:  cfg,
 		rnd:  sim.NewRand(cfg.Seed),
-		zipf: sim.NewZipf(cfg.FilesPerUser, cfg.Theta),
+		zipf: sim.NewZipf(cfg.FilesPerUser, usersTheta),
 	}
 }
 
@@ -182,7 +163,7 @@ func (w *Users) Populate(done func(error)) {
 
 // populateSubdirs creates a user's project subdirectories.
 func (w *Users) populateSubdirs(usr *user, i int, done func(error), next func()) {
-	if i == w.cfg.SubdirsPerUser {
+	if i == usersSubdirs {
 		next()
 		return
 	}
@@ -203,7 +184,7 @@ func (w *Users) populateUserFiles(usr *user, i int, done func(error)) {
 		return
 	}
 	path := usr.subdirs[i%len(usr.subdirs)] + "/" + nameOf("f", i)
-	blocks := sizeBlocks(w.rnd, w.cfg.SizeMu, w.cfg.SizeSigma, w.f.MaxFileBlocks())
+	blocks := sizeBlocks(w.rnd, usersSizeMu, usersSizeSigma, w.f.MaxFileBlocks())
 	w.f.Create(path, func(ino fs.Ino, err error) {
 		if err != nil {
 			done(fmt.Errorf("workload users: creating %s: %w", path, err))
@@ -234,14 +215,14 @@ func (w *Users) pickFile(usr *user) fileRef {
 func (w *Users) RunDay(day int, done func(error)) {
 	for w.day < day {
 		for _, usr := range w.users {
-			drift(w.rnd, usr.perm, w.cfg.DriftProb)
-			jump(w.rnd, usr.perm, w.cfg.Jumps)
+			drift(w.rnd, usr.perm, usersDriftProb)
+			jump(w.rnd, usr.perm, usersJumps)
 		}
 		w.day++
 	}
 	var actives []*user
 	for _, usr := range w.users {
-		usr.active = w.rnd.Bool(w.cfg.ActiveProb)
+		usr.active = w.rnd.Bool(usersActiveProb)
 		if usr.active {
 			actives = append(actives, usr)
 		}
@@ -255,7 +236,7 @@ func (w *Users) RunDay(day int, done func(error)) {
 		eng:   w.eng,
 		rnd:   w.rnd.Split(),
 		n:     len(actives),
-		think: w.cfg.ThinkMeanMS,
+		think: usersThinkMeanMS,
 		hist:  w.hist,
 		job: func(c int, next func()) {
 			w.session(actives[c], next)
@@ -315,7 +296,7 @@ func (w *Users) session(usr *user, next func()) {
 	case p < 0.95: // create a new file and write it
 		usr.created++
 		path := usr.subdirs[w.rnd.Intn(len(usr.subdirs))] + "/" + nameOf("n", usr.created)
-		blocks := sizeBlocks(w.rnd, w.cfg.SizeMu, w.cfg.SizeSigma, w.f.MaxFileBlocks())
+		blocks := sizeBlocks(w.rnd, usersSizeMu, usersSizeSigma, w.f.MaxFileBlocks())
 		w.f.Create(path, func(ino fs.Ino, err error) {
 			if err != nil {
 				errf(err)

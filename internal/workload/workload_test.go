@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/driver"
 	"repro/internal/fs"
 	"repro/internal/hotlist"
 	"repro/internal/rig"
@@ -285,5 +289,100 @@ func TestUsersInactiveDays(t *testing.T) {
 	}
 	if active == 0 || active == len(w.users) {
 		t.Errorf("active users = %d of %d; expected a strict subset on most seeds", active, len(w.users))
+	}
+}
+
+// dataReads is the rig's driver with an ear on it: it notes, in
+// completion order, which (file, block) each data-block read returned.
+// A data block's content names its inode and index (fs.dataPattern);
+// metadata reads carry another magic and are skipped.
+type dataReads struct {
+	driver.BlockDevice
+	got []string
+	on  bool
+}
+
+func (d *dataReads) ReadBlock(part int, blk int64, done driver.DoneFunc) {
+	d.BlockDevice.ReadBlock(part, blk, func(data []byte, err error) {
+		if d.on && err == nil && string(data[:4]) == "DATA" {
+			be := binary.BigEndian
+			d.got = append(d.got, fmt.Sprintf("%d:%d", be.Uint32(data[4:]), be.Uint64(data[8:])))
+		}
+		done(data, err)
+	})
+}
+
+// runJob reads its files one block at a time, round-robin, skipping the
+// files already read to the end — the interleaving Section 1.1 is about,
+// and what every system golden depends on. The expected orders are
+// written out by hand; a two-block data cache makes every read a miss,
+// so the device sees each one.
+func TestRunJobReadsRoundRobin(t *testing.T) {
+	r, err := rig.New(rig.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &dataReads{BlockDevice: r.Driver}
+	f, err := fs.Newfs(r.Eng, dev, 0, fs.Params{Cache: cache.Config{CapacityBlocks: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Eng.Run()
+	mkfile := func(name string, blocks int64) fileRef {
+		ref := fileRef{blocks: blocks}
+		f.Create("/"+name, func(ino fs.Ino, err error) {
+			if err != nil {
+				t.Fatalf("create %s: %v", name, err)
+			}
+			ref.ino = ino
+			h, _ := f.OpenIno(ino)
+			h.WriteAt(0, blocks, func(err error) {
+				if err != nil {
+					t.Fatalf("write %s: %v", name, err)
+				}
+			})
+		})
+		r.Eng.Run()
+		return ref
+	}
+	w := NewSystem(r.Eng, f, SystemConfig{})
+	for _, c := range []struct {
+		sizes []int64
+		want  string // file index . block, in the order read
+	}{
+		{[]int64{3}, "0.0 0.1 0.2"},
+		{[]int64{2, 5}, "0.0 1.0 0.1 1.1 1.2 1.3 1.4"},
+		{[]int64{4, 1, 3, 2}, "0.0 1.0 2.0 3.0 0.1 2.1 3.1 0.2 2.2 0.3"},
+	} {
+		var refs []fileRef
+		name := map[string]string{}
+		for i, n := range c.sizes {
+			ref := mkfile(fmt.Sprintf("j%d-%d", len(c.sizes), i), n)
+			refs = append(refs, ref)
+			name[fmt.Sprint(ref.ino)] = fmt.Sprint(i)
+		}
+		// Push the job's own last-written blocks out of the cache.
+		mkfile(fmt.Sprintf("j%d-flush", len(c.sizes)), 2)
+		done := false
+		f.Sync(func(error) {
+			dev.got, dev.on = nil, true
+			w.runJob(refs, func() { done = true })
+		})
+		r.Eng.Run()
+		dev.on = false
+		if !done {
+			t.Fatalf("%d-file job did not finish", len(c.sizes))
+		}
+		var got []string
+		for _, g := range dev.got {
+			ino, idx, _ := strings.Cut(g, ":")
+			got = append(got, name[ino]+"."+idx)
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%d-file job, sizes %v: read\n  %s\nwant\n  %s", len(c.sizes), c.sizes, s, c.want)
+		}
+	}
+	if w.Errors() != 0 {
+		t.Errorf("%d workload errors", w.Errors())
 	}
 }
