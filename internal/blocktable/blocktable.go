@@ -50,17 +50,26 @@ type Entry struct {
 
 // Table is the in-memory block table. It is not safe for concurrent use;
 // the driver serializes access as the kernel would.
+//
+// The table keeps its own encoding. The driver forces the table to disk
+// after every block it moves in or out, so re-serializing and
+// re-checksumming every entry per write made installing n blocks cost
+// O(n²) entries of host work. Instead img holds the entries exactly as
+// the on-disk image lays them out, sorted by original address, and sum
+// and wsum hold the two sums the checksum is built from, each mutation
+// patching what it changed: EncodeTo is a header, one copy and a few
+// multiplications (see checksum).
 type Table struct {
 	blockSectors int
-	byOrig       map[int64]*Entry
-	byNew        map[int64]*Entry
+	byOrig       map[int64]int64 // original address -> reserved slot
+	byNew        map[int64]int64 // reserved slot -> original address
 
-	// order holds the entries sorted by original address, maintained
-	// incrementally by Add/Remove. The driver serializes (and the
-	// arranger diffs) the table once per block movement, so keeping the
-	// order sorted at mutation time turns every Entries/Encode call from
-	// an O(n log n) reflection sort into a straight copy.
-	order []*Entry
+	// img is the encoded entries, entrySize bytes each, sorted by
+	// original address; the dirty bit lives only here. sums[k] is the
+	// byte sum of entry k. sum is Σ img[j] and wsum Σ j·img[j].
+	img       []byte
+	sums      []uint16
+	sum, wsum uint64
 
 	// Gen is the table's generation stamp. The driver increments it on
 	// every committed table write; recovery picks the on-disk slot with
@@ -73,8 +82,8 @@ type Table struct {
 func New(bs geom.BlockSize) *Table {
 	return &Table{
 		blockSectors: bs.Sectors(),
-		byOrig:       make(map[int64]*Entry),
-		byNew:        make(map[int64]*Entry),
+		byOrig:       make(map[int64]int64),
+		byNew:        make(map[int64]int64),
 	}
 }
 
@@ -98,99 +107,164 @@ func (t *Table) Add(orig, new int64) error {
 	if _, ok := t.byNew[new]; ok {
 		return fmt.Errorf("blocktable: reserved slot %d is already occupied", new)
 	}
-	e := &Entry{Orig: orig, New: new}
-	t.byOrig[orig] = e
-	t.byNew[new] = e
-	// Insert into the sorted order: binary search for the position.
-	lo, hi := 0, len(t.order)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.order[mid].Orig < orig {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	t.order = append(t.order, nil)
-	copy(t.order[lo+1:], t.order[lo:])
-	t.order[lo] = e
+	t.byOrig[orig] = new
+	t.byNew[new] = orig
+
+	var rec [entrySize]byte
+	binary.BigEndian.PutUint64(rec[0:], uint64(orig))
+	binary.BigEndian.PutUint64(rec[8:], uint64(new))
+	s, w := recordSums(rec[:])
+	k := t.index(orig)
+	// Every later entry moves up one place: entrySize more weight on
+	// each of its bytes.
+	t.wsum += entrySize * t.sumFrom(k)
+	t.sum += s
+	t.wsum += uint64(entrySize*k)*s + w
+	t.img = append(t.img, rec[:]...)
+	copy(t.img[(k+1)*entrySize:], t.img[k*entrySize:])
+	copy(t.img[k*entrySize:], rec[:])
+	t.sums = append(t.sums, 0)
+	copy(t.sums[k+1:], t.sums[k:])
+	t.sums[k] = uint16(s)
 	return nil
 }
 
 // Remove deletes the mapping for the block at orig. It returns the
-// removed entry and whether it existed.
+// removed entry and whether it existed. Removing the lowest address —
+// the order Clean empties the table in — moves no other entry.
 func (t *Table) Remove(orig int64) (Entry, bool) {
-	e, ok := t.byOrig[orig]
+	new, ok := t.byOrig[orig]
 	if !ok {
 		return Entry{}, false
 	}
 	delete(t.byOrig, orig)
-	delete(t.byNew, e.New)
-	lo, hi := 0, len(t.order)
+	delete(t.byNew, new)
+	k := t.index(orig)
+	rec := t.img[k*entrySize : (k+1)*entrySize]
+	e := Entry{Orig: orig, New: new, Dirty: rec[entrySize-1]&flagDirty != 0}
+	s, w := recordSums(rec)
+	t.sum -= s
+	t.wsum -= uint64(entrySize*k)*s + w
+	if k == 0 {
+		t.img, t.sums = t.img[entrySize:], t.sums[1:]
+	} else {
+		copy(t.img[k*entrySize:], t.img[(k+1)*entrySize:])
+		t.img = t.img[:len(t.img)-entrySize]
+		copy(t.sums[k:], t.sums[k+1:])
+		t.sums = t.sums[:len(t.sums)-1]
+	}
+	// Every later entry moved down one place.
+	t.wsum -= entrySize * t.sumFrom(k)
+	return e, true
+}
+
+// index returns the position of orig in img, or where it would be
+// inserted.
+func (t *Table) index(orig int64) int {
+	lo, hi := 0, len(t.sums)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.order[mid].Orig < orig {
+		if int64(binary.BigEndian.Uint64(t.img[mid*entrySize:])) < orig {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	copy(t.order[lo:], t.order[lo+1:])
-	t.order[len(t.order)-1] = nil
-	t.order = t.order[:len(t.order)-1]
-	return *e, true
+	return lo
+}
+
+// sumFrom returns the byte sum of entries k onward, adding up whichever
+// side of k is shorter.
+func (t *Table) sumFrom(k int) uint64 {
+	var part uint64
+	if k < len(t.sums)/2 {
+		for _, s := range t.sums[:k] {
+			part += uint64(s)
+		}
+		return t.sum - part
+	}
+	for _, s := range t.sums[k:] {
+		part += uint64(s)
+	}
+	return part
+}
+
+// recordSums returns the byte sum of rec and its sum weighted by each
+// byte's offset in rec.
+func recordSums(rec []byte) (s, w uint64) {
+	for j, c := range rec {
+		s += uint64(c)
+		w += uint64(j) * uint64(c)
+	}
+	return s, w
 }
 
 // Lookup returns the reserved-region address of the block at orig, if it
 // has been rearranged.
 func (t *Table) Lookup(orig int64) (int64, bool) {
-	e, ok := t.byOrig[orig]
-	if !ok {
-		return 0, false
-	}
-	return e.New, true
+	new, ok := t.byOrig[orig]
+	return new, ok
 }
 
 // ReverseLookup returns the original address of the block occupying the
 // reserved slot new, if any.
 func (t *Table) ReverseLookup(new int64) (int64, bool) {
-	e, ok := t.byNew[new]
-	if !ok {
-		return 0, false
-	}
-	return e.Orig, true
+	orig, ok := t.byNew[new]
+	return orig, ok
 }
 
 // MarkDirty sets the dirty bit of the block at orig. It reports whether
 // the block is in the table.
 func (t *Table) MarkDirty(orig int64) bool {
-	e, ok := t.byOrig[orig]
-	if ok {
-		e.Dirty = true
+	if _, ok := t.byOrig[orig]; !ok {
+		return false
 	}
-	return ok
+	t.setDirty(t.index(orig))
+	return true
+}
+
+// setDirty sets the dirty bit of entry k: the last byte of its flags
+// goes from 0 to 1, adding 1 to the sum and the byte's offset to the
+// weighted sum.
+func (t *Table) setDirty(k int) {
+	at := (k+1)*entrySize - 1
+	if t.img[at]&flagDirty != 0 {
+		return
+	}
+	t.img[at] |= flagDirty
+	t.sums[k]++
+	t.sum++
+	t.wsum += uint64(at)
 }
 
 // IsDirty reports the dirty bit of the block at orig.
 func (t *Table) IsDirty(orig int64) bool {
-	e, ok := t.byOrig[orig]
-	return ok && e.Dirty
+	if _, ok := t.byOrig[orig]; !ok {
+		return false
+	}
+	return t.img[(t.index(orig)+1)*entrySize-1]&flagDirty != 0
 }
 
 // MarkAllDirty sets every entry's dirty bit. Recovery uses this so that
 // updates to repositioned blocks survive a crash even if the on-disk
 // dirty bits were stale.
 func (t *Table) MarkAllDirty() {
-	for _, e := range t.byOrig {
-		e.Dirty = true
+	for k := range t.sums {
+		t.setDirty(k)
 	}
 }
 
 // Entries returns the table contents sorted by original address.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, len(t.order))
-	for i, e := range t.order {
-		out[i] = *e
+	out := make([]Entry, len(t.sums))
+	be := binary.BigEndian
+	for i := range out {
+		rec := t.img[i*entrySize:]
+		out[i] = Entry{
+			Orig:  int64(be.Uint64(rec)),
+			New:   int64(be.Uint64(rec[8:])),
+			Dirty: rec[entrySize-1]&flagDirty != 0,
+		}
 	}
 	return out
 }
@@ -242,11 +316,10 @@ func (t *Table) Encode() []byte { return t.EncodeTo(nil) }
 // dst may hold bytes from a previous encoding; every byte of the
 // returned image is written, including the sector padding. The driver
 // reuses one scratch buffer across its block-table writes, which would
-// otherwise allocate and zero tens of KB per block movement.
+// otherwise allocate tens of KB per block movement.
 func (t *Table) EncodeTo(dst []byte) []byte {
-	entries := t.order
-	used := headerSize + len(entries)*entrySize
-	n := EncodedSectors(len(entries)) * geom.SectorSize
+	used := headerSize + len(t.img)
+	n := EncodedSectors(len(t.sums)) * geom.SectorSize
 	var buf []byte
 	if cap(dst) >= n {
 		buf = dst[:n]
@@ -260,20 +333,29 @@ func (t *Table) EncodeTo(dst []byte) []byte {
 	be.PutUint32(buf[offHdrMagic:], Magic)
 	be.PutUint16(buf[offHdrVersion:], Version)
 	be.PutUint16(buf[offHdrBlkSec:], uint16(t.blockSectors))
-	be.PutUint32(buf[offHdrCount:], uint32(len(entries)))
+	be.PutUint32(buf[offHdrCount:], uint32(len(t.sums)))
 	be.PutUint64(buf[offHdrGen:], t.Gen)
-	for i, e := range entries {
-		o := headerSize + i*entrySize
-		be.PutUint64(buf[o:], uint64(e.Orig))
-		be.PutUint64(buf[o+8:], uint64(e.New))
-		var flags uint16
-		if e.Dirty {
-			flags |= flagDirty
-		}
-		be.PutUint16(buf[o+16:], flags)
-	}
-	be.PutUint32(buf[offHdrCksum:], crc(buf[offHdrGen:used]))
+	copy(buf[headerSize:], t.img)
+	be.PutUint32(buf[offHdrCksum:], t.checksum())
 	return buf
+}
+
+// checksum returns crc over the generation stamp and the entries —
+// what EncodeTo stores — from the kept sums. Over bytes d_0…d_{L-1},
+// crc's a is 1 + Σd and its b is Σ (L−j)·d_j + L = L + L·S − W, where
+// S = Σd and W = Σ j·d_j; both reduce mod 65521 only at the end, which
+// leaves the residues the running form computes. The entries sit after
+// the 8 generation bytes, so their weighted sum gains 8 per byte.
+func (t *Table) checksum() uint32 {
+	var gen [8]byte
+	binary.BigEndian.PutUint64(gen[:], t.Gen)
+	gs, gw := recordSums(gen[:])
+	s := gs + t.sum
+	w := gw + 8*t.sum + t.wsum
+	l := uint64(len(gen) + len(t.img))
+	a := (1 + s) % 65521
+	b := (l + l*s - w) % 65521
+	return uint32(b<<16 | a)
 }
 
 // Decode parses an encoded table image. The image may be longer than the
@@ -335,8 +417,9 @@ func RecoverDecode(buf []byte) (*Table, error) {
 // The modulo is deferred across runs of up to 5552 bytes — the largest
 // run for which the b accumulator provably cannot overflow uint32 (the
 // same bound Adler-32 uses) — which produces the exact residues of the
-// per-byte form at a fraction of the cost. The driver checksums the
-// whole table image once per block movement, so this is warm code.
+// per-byte form. Only Decode sums an image in full (at attach and
+// recovery); EncodeTo derives the same value from the table's kept sums
+// (checksum).
 func crc(data []byte) uint32 {
 	var a, b uint32 = 1, 0
 	for len(data) > 0 {

@@ -58,12 +58,16 @@ type Cache struct {
 
 	// slab holds every entry, linked by slot number into one circular
 	// recency list whose sentinel is slot 0: slab[0].next is the most
-	// recently used entry, slab[0].prev the least. Freed slots are
-	// chained through next from freeSlot (0 = none) and reused before the
-	// slab grows, so a warm cache inserts without allocating.
+	// recently used entry, slab[0].prev the least. The dirty entries are
+	// threaded on a second circular list through dnext/dprev, with the
+	// same sentinel, in the same recency order, so the update daemon
+	// walks only what it writes back. Freed slots are chained through
+	// next from freeSlot (0 = none) and reused before the slab grows, so
+	// a warm cache inserts without allocating.
 	slab     []entry
 	freeSlot int32
 	n        int // cached blocks
+	ndirty   int // entries on the dirty list
 	// index maps a block of the partition to its slot, 0 = not cached:
 	// the hit path is one indexed load, no hashing. Four bytes per
 	// partition block, sized once in New. outside does the same for
@@ -156,6 +160,8 @@ type entry struct {
 	// Release. A reader that never does leaves it above zero for good.
 	lends      int32
 	prev, next int32
+	// dprev, dnext link a dirty entry into the dirty list.
+	dprev, dnext int32
 }
 
 // letGo is called when the cache drops its reference to e's buffer: a
@@ -243,16 +249,43 @@ func (c *Cache) pushFront(s int32) {
 	c.slab[0].next = s
 }
 
-// touch makes slot s the most recently used.
+// touch makes slot s the most recently used. A dirty entry moves to the
+// front of the dirty list too: it is now the most recently used of them.
+// (An entry already at the front of the recency list is at the front of
+// the dirty list, if on it.)
 func (c *Cache) touch(s int32) {
 	if c.slab[0].next != s {
 		c.unlink(s)
 		c.pushFront(s)
+		if c.slab[s].dirty {
+			c.dunlink(s)
+			c.dpushFront(s)
+		}
 	}
+}
+
+// dpushFront links slot s in at the front of the dirty list.
+func (c *Cache) dpushFront(s int32) {
+	first := c.slab[0].dnext
+	c.slab[s].dprev, c.slab[s].dnext = 0, first
+	c.slab[first].dprev = s
+	c.slab[0].dnext = s
+	c.ndirty++
+}
+
+// dunlink takes slot s out of the dirty list.
+func (c *Cache) dunlink(s int32) {
+	e := &c.slab[s]
+	c.slab[e.dprev].dnext = e.dnext
+	c.slab[e.dnext].dprev = e.dprev
+	c.ndirty--
 }
 
 // remove drops slot s from the cache without writing it back.
 func (c *Cache) remove(s int32) {
+	if c.slab[s].dirty {
+		c.dunlink(s)
+	}
 	c.unlink(s)
 	c.setSlot(c.slab[s].block, 0)
 	c.slab[s].letGo()
@@ -294,15 +327,7 @@ func (c *Cache) BindMetrics(reg *metrics.Registry, name string, labels ...metric
 func (c *Cache) Len() int { return c.n }
 
 // DirtyLen returns the number of dirty cached blocks.
-func (c *Cache) DirtyLen() int {
-	var n int
-	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
-		if c.slab[s].dirty {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyLen() int { return c.ndirty }
 
 // Read returns the block's contents, from the cache if present,
 // otherwise from disk. The slice handed to done is the cache's copy, on
@@ -463,6 +488,12 @@ func (c *Cache) install(block int64, data []byte, dirty bool) {
 	}
 	e := &c.slab[s]
 	e.letGo()
+	switch {
+	case e.dirty && !dirty:
+		c.dunlink(s)
+	case !e.dirty && dirty:
+		c.dpushFront(s) // right, once touch makes it the most recent
+	}
 	e.data, e.dirty, e.fill, e.lends = data, dirty, false, 0
 	c.touch(s)
 }
@@ -482,6 +513,9 @@ func (c *Cache) insert(block int64, data []byte, dirty bool) int32 {
 	}
 	c.slab[s] = entry{block: block, data: data, dirty: dirty}
 	c.pushFront(s)
+	if dirty {
+		c.dpushFront(s)
+	}
 	c.setSlot(block, s)
 	c.n++
 	return s
@@ -503,24 +537,23 @@ func (c *Cache) evictOne() {
 	}
 }
 
-// Sync writes every dirty block to disk, as the update daemon does. done
-// fires when all write-backs have completed.
+// Sync writes every dirty block to disk, most recently used first, as
+// the update daemon does. done fires when all write-backs have
+// completed. It visits the dirty entries only: a Sync with nothing
+// dirty — most ticks of the daemon over an idle night — costs one event.
 func (c *Cache) Sync(done func(err error)) {
-	var dirty []int32
-	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
-		if c.slab[s].dirty {
-			dirty = append(dirty, s)
-		}
-	}
-	if len(dirty) == 0 {
+	if c.ndirty == 0 {
 		c.deliverWrite(done)
 		return
 	}
-	remaining := len(dirty)
+	remaining := c.ndirty
 	var firstErr error
-	for _, s := range dirty {
+	for s := c.slab[0].dnext; s != 0; {
 		e := &c.slab[s]
+		next := e.dnext
+		c.dunlink(s)
 		e.dirty = false
+		s = next
 		c.writebacks++
 		c.drv.WriteBlock(c.part, e.block, e.data, func(_ []byte, err error) {
 			if err != nil && firstErr == nil {

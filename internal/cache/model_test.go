@@ -68,6 +68,35 @@ func (c *Cache) order() string {
 	return b.String()
 }
 
+// dirtyListFault checks the dirty list against the recency list: it must
+// hold exactly the dirty entries, in recency order, linked both ways,
+// and DirtyLen must count them. It returns what is wrong, or "".
+func (c *Cache) dirtyListFault() string {
+	var want, got []int32
+	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
+		if c.slab[s].dirty {
+			want = append(want, s)
+		}
+	}
+	prev := int32(0)
+	for s := c.slab[0].dnext; s != 0 && len(got) <= len(c.slab); s = c.slab[s].dnext {
+		if c.slab[s].dprev != prev {
+			return fmt.Sprintf("slot %d's dprev is %d, follows %d", s, c.slab[s].dprev, prev)
+		}
+		got, prev = append(got, s), s
+	}
+	if c.slab[0].dprev != prev {
+		return fmt.Sprintf("dirty list ends at %d, sentinel's dprev is %d", prev, c.slab[0].dprev)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Sprintf("dirty list %v, dirty entries in recency order %v", got, want)
+	}
+	if c.DirtyLen() != len(want) {
+		return fmt.Sprintf("DirtyLen %d, %d dirty entries", c.DirtyLen(), len(want))
+	}
+	return ""
+}
+
 // fakeDev is a block device that answers every request after a fixed
 // delay, in issue order, and logs what it was asked.
 type fakeDev struct {
@@ -336,6 +365,16 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		payloads = append(payloads, p)
 		return p
 	}
+	// After every operation (and every stretch of time) the cache's
+	// dirty list must be its recency list filtered to dirty entries; a
+	// fault lands in the trace, which the model's never has.
+	checkDirty := func(i int) {
+		if ck, ok := c.(interface{ dirtyListFault() string }); ok {
+			if fault := ck.dirtyListFault(); fault != "" {
+				fmt.Fprintf(&trace, "|step %d: %s\n", i, fault)
+			}
+		}
+	}
 	observe := func() {
 		h, m, w := c.Stats()
 		fmt.Fprintf(&trace, "|t=%g len=%d dirty=%d h=%d m=%d w=%d: %s\n",
@@ -382,16 +421,19 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		case op == 14:
 			c.applyPressure()
 		}
+		checkDirty(i)
 		// Let some time pass, usually less than a device request takes,
 		// so misses overlap.
 		if rnd.Bool(0.6) {
 			eng.RunUntil(eng.Now() + 1.5*rnd.Float64())
+			checkDirty(i)
 		}
 		if i%20 == 19 {
 			observe()
 		}
 	}
 	eng.Run()
+	checkDirty(steps)
 	observe()
 	fmt.Fprintf(&trace, "device: %s\n", dev.log.String())
 	for _, p := range payloads {
@@ -434,4 +476,38 @@ func firstDifference(got, want string) string {
 		}
 	}
 	return fmt.Sprintf(": %d lines against %d", len(g), len(w))
+}
+
+// A Sync with nothing dirty visits no slot: with every recency link of a
+// full, clean cache broken, it must still just deliver its completion.
+// (A Sync that walked the recency list would index out of the slab.)
+func TestSyncIdleVisitsNoSlot(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := newFakeDev(eng, 64)
+	c := New(eng, dev, 0, Config{CapacityBlocks: 32})
+	for b := int64(0); b < 32; b++ {
+		c.Read(b, nil)
+	}
+	c.WriteOwned(40, make([]byte, fakeBlock.Bytes()), nil)
+	eng.Run()
+	c.Sync(nil)
+	eng.Run()
+	if c.DirtyLen() != 0 || c.Len() != 32 {
+		t.Fatalf("after Sync: %d cached, %d dirty; want 32 clean", c.Len(), c.DirtyLen())
+	}
+	saved := append([]entry(nil), c.slab...)
+	for s := 1; s < len(c.slab); s++ {
+		c.slab[s].next, c.slab[s].prev = -1, -1
+	}
+	c.slab[0].next, c.slab[0].prev = -1, -1
+	synced := false
+	c.Sync(func(err error) { synced = err == nil })
+	eng.Run()
+	copy(c.slab, saved)
+	if !synced {
+		t.Fatal("idle Sync did not complete")
+	}
+	if got := dev.log.String(); strings.Count(got, "W") != 1 {
+		t.Fatalf("device saw %q, want the one write-back of the first Sync", got)
+	}
 }

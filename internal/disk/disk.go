@@ -327,20 +327,25 @@ func (d *Disk) Read(nowMS float64, sector int64, count int) ([]byte, Timing, err
 	return d.readData(sector, count), t, nil
 }
 
-// Write services a write of data (len(data) must be count*SectorSize)
-// starting at sector, beginning at time nowMS.
+// Write services a write of count sectors starting at sector, beginning
+// at time nowMS. data is the payload's head: a whole number of sectors,
+// no more than count; the rest of the extent is written as zeros. The
+// service time is that of the whole extent either way — a caller whose
+// extent is mostly zeros (the block table's fixed on-disk slot) need not
+// build and hand over the zeros, and the store need not compare them.
 func (d *Disk) Write(nowMS float64, sector int64, count int, data []byte) (Timing, error) {
 	if err := d.validateRange(sector, count); err != nil {
 		return Timing{}, err
 	}
-	if len(data) != count*geom.SectorSize {
-		return Timing{}, fmt.Errorf("disk: write of %d sectors with %d bytes of data", count, len(data))
+	if len(data) > count*geom.SectorSize || len(data)%geom.SectorSize != 0 {
+		return Timing{}, fmt.Errorf("disk: write of %d sectors with %d bytes of data (want whole sectors, at most %d bytes)",
+			count, len(data), count*geom.SectorSize)
 	}
 	if fe := d.faults.BeginOp(true, sector, count); fe != nil {
 		if fe.Class == fault.Crash {
 			// Power died with the write in flight: a deterministic
 			// prefix of the data reached the media.
-			d.tearWrite(sector, data)
+			d.tearWrite(sector, count, data)
 		}
 		return Timing{}, fe
 	}
@@ -348,6 +353,8 @@ func (d *Disk) Write(nowMS float64, sector int64, count int, data []byte) (Timin
 	d.invalidateBufferRange(sector, count)
 	t := d.mechanicalService(nowMS, sector, count)
 	d.writeData(sector, data)
+	head := len(data) / geom.SectorSize
+	d.zeroData(sector+int64(head), count-head)
 	return t, nil
 }
 
@@ -424,6 +431,25 @@ func (d *Disk) writeData(sector int64, data []byte) {
 	}
 }
 
+// zeroData stores count sectors of zeros starting at sector. A page
+// never materialized stays absent, a page the range covers whole is
+// dropped, and only a partly covered page is cleared — so zeroing costs
+// nothing per sector of the store that is already empty.
+func (d *Disk) zeroData(sector int64, count int) {
+	for count > 0 {
+		key, off, n := pageRun(sector, count)
+		sector, count = sector+int64(n), count-n
+		page, ok := d.pages[key]
+		switch {
+		case !ok:
+		case n == pageSectors:
+			delete(d.pages, key)
+		default:
+			clear(page[off : off+n*geom.SectorSize])
+		}
+	}
+}
+
 // zeroPage is what writeData compares a run against to see that it
 // holds only zeros (bytes.Equal compares words, not bytes).
 var zeroPage [pageSectors * geom.SectorSize]byte
@@ -459,23 +485,30 @@ func (d *Disk) SetFaults(in *fault.Injector) { d.faults = in }
 // Faults returns the attached injector, or nil.
 func (d *Disk) Faults() *fault.Injector { return d.faults }
 
-// tearWrite applies the prefix of data that made it to the media before
-// power was lost: a run of complete sectors plus a partial overlay of
-// the next sector, with the split point drawn deterministically from
-// the fault plan.
-func (d *Disk) tearWrite(sector int64, data []byte) {
-	n := d.faults.TornBytes(len(data))
+// tearWrite applies the prefix of a count-sector write that made it to
+// the media before power was lost: a run of complete sectors plus a
+// partial overlay of the next sector, with the split point drawn
+// deterministically from the fault plan over the whole extent. Past
+// data's end the payload is the zeros Write would have stored.
+func (d *Disk) tearWrite(sector int64, count int, data []byte) {
+	n := d.faults.TornBytes(count * geom.SectorSize)
 	full := n / geom.SectorSize
-	if full > 0 {
-		d.writeData(sector, data[:full*geom.SectorSize])
+	head := min(full, len(data)/geom.SectorSize)
+	if head > 0 {
+		d.writeData(sector, data[:head*geom.SectorSize])
 	}
+	d.zeroData(sector+int64(head), full-head)
 	if rem := n % geom.SectorSize; rem > 0 {
 		s := sector + int64(full)
 		old := d.readData(s, 1)
-		copy(old[:rem], data[full*geom.SectorSize:full*geom.SectorSize+rem])
+		if at := full * geom.SectorSize; at < len(data) {
+			copy(old[:rem], data[at:at+rem])
+		} else {
+			clear(old[:rem])
+		}
 		d.writeData(s, old)
 	}
-	d.invalidateBufferRange(sector, len(data)/geom.SectorSize)
+	d.invalidateBufferRange(sector, count)
 }
 
 // ParkHead moves the head to the given cylinder with no timing effects.

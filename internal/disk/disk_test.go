@@ -2,10 +2,13 @@ package disk
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/seek"
 )
@@ -103,8 +106,125 @@ func TestRangeValidation(t *testing.T) {
 	if _, _, err := d.Read(0, 0, 0); err == nil {
 		t.Error("zero-length read accepted")
 	}
-	if _, err := d.Write(0, 0, 2, make([]byte, geom.SectorSize)); err == nil {
-		t.Error("write with short data accepted")
+	if _, err := d.Write(0, 0, 2, make([]byte, 3*geom.SectorSize)); err == nil {
+		t.Error("write with data longer than its extent accepted")
+	}
+	if _, err := d.Write(0, 0, 2, make([]byte, geom.SectorSize+1)); err == nil {
+		t.Error("write with data not a whole number of sectors accepted")
+	}
+	// A payload shorter than the extent is its head; the rest is zeros.
+	for _, n := range []int{0, 1} {
+		if _, err := d.Write(0, 0, 2, make([]byte, n*geom.SectorSize)); err != nil {
+			t.Errorf("write of 2 sectors with %d sectors of data: %v", n, err)
+		}
+	}
+}
+
+// A write whose payload is shorter than its extent stores zeros over the
+// rest: a page never materialized stays absent, a page the tail covers
+// whole is dropped, a partly covered one is cleared — and the service
+// time is the whole extent's. Pages 10 and 12 hold data beforehand,
+// pages 11 and 13 were never written.
+func TestShortPayloadZeroesTail(t *testing.T) {
+	const page = pageSectors
+	for _, tc := range []struct {
+		name      string
+		sector    int64   // the write's first sector
+		count     int     // the write's extent
+		head      int     // sectors of payload
+		wantPages []int64 // materialized afterwards, of 10..13
+	}{
+		{"no payload", 10 * page, 4 * page, 0, nil},
+		{"head ends mid-page", 10 * page, 4 * page, page + 5, []int64{10, 11}},
+		{"head ends on a page boundary", 10 * page, 4 * page, page, []int64{10}},
+		{"unaligned extent", 10*page + 7, 2 * page, 3, []int64{10, 12}},
+		{"tail inside one page", 12*page + 2, 5, 1, []int64{10, 12}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := MustNew(Fujitsu())
+			for _, key := range []int64{10, 12} {
+				if err := d.PokeData(key*page, bytes.Repeat([]byte{0x5A}, page*geom.SectorSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			payload := bytes.Repeat([]byte{0xC3}, tc.head*geom.SectorSize)
+			want := d.PeekData(0, 14*page)
+			start := tc.sector * geom.SectorSize
+			clear(want[start : start+int64(tc.count)*geom.SectorSize])
+			copy(want[start:], payload)
+
+			twin := MustNew(Fujitsu()) // the same write with the zeros spelt out
+			full := make([]byte, tc.count*geom.SectorSize)
+			copy(full, payload)
+			tShort, err := d.Write(0, tc.sector, tc.count, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tFull, err := twin.Write(0, tc.sector, tc.count, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tShort != tFull {
+				t.Errorf("short payload timing %+v, full payload %+v", tShort, tFull)
+			}
+			if got := d.PeekData(0, 14*page); !bytes.Equal(got, want) {
+				t.Error("read back differs from the payload followed by zeros")
+			}
+			var pages []int64
+			for key := int64(10); key <= 13; key++ {
+				if _, ok := d.pages[key]; ok {
+					pages = append(pages, key)
+				}
+			}
+			if fmt.Sprint(pages) != fmt.Sprint(tc.wantPages) {
+				t.Errorf("materialized pages %v, want %v", pages, tc.wantPages)
+			}
+		})
+	}
+}
+
+// Under fault.Crash a short-payload write tears exactly as the same
+// write with its zeros spelt out: the split point is drawn over the
+// whole extent with the same TornBytes argument, and the media ends up
+// holding the same bytes.
+func TestCrashTearsShortPayloadLikeFull(t *testing.T) {
+	const count = 3 * pageSectors
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, head := range []int{0, 5, pageSectors, count - 1} {
+			short, full := MustNew(Toshiba()), MustNew(Toshiba())
+			for _, d := range []*Disk{short, full} {
+				if err := d.PokeData(0, sectorFill(0x11, count+pageSectors)); err != nil {
+					t.Fatal(err)
+				}
+				d.SetFaults(fault.NewInjector(fault.Plan{Seed: seed, CrashAfterOps: 1}))
+			}
+			payload := sectorFill(0x22, head)
+			ext := make([]byte, count*geom.SectorSize)
+			copy(ext, payload)
+			if _, err := short.Write(0, 0, count, payload); !errors.Is(err, fault.ErrCrash) {
+				t.Fatalf("seed %d: crashing short write returned %v", seed, err)
+			}
+			torn := short.faults.TornBytes(count * geom.SectorSize)
+			if _, err := full.Write(0, 0, count, ext); !errors.Is(err, fault.ErrCrash) {
+				t.Fatalf("seed %d: crashing full write returned %v", seed, err)
+			}
+			short.SetFaults(nil)
+			full.SetFaults(nil)
+			got, want := short.PeekData(0, count+pageSectors), full.PeekData(0, count+pageSectors)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, head %d sectors: media after the torn short write differs from the full write's (torn at %d)",
+					seed, head, torn)
+			}
+			for i, b := range got[:count*geom.SectorSize] {
+				w := byte(0x11)
+				if i < torn {
+					w = ext[i]
+				}
+				if b != w {
+					t.Fatalf("seed %d, head %d: byte %d = %#x, want %#x (torn at %d)", seed, head, i, b, w, torn)
+				}
+			}
+		}
 	}
 }
 

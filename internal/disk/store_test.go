@@ -40,21 +40,36 @@ func (r *refStore) read(sector int64, count int) []byte {
 	return out
 }
 
-// tear mirrors tearWrite: n bytes reach the media, the last sector
-// partially, over whatever it held.
-func (r *refStore) tear(sector int64, data []byte, n int) {
+// tear mirrors tearWrite: n bytes of the count-sector extent reach the
+// media, the last sector partially, over whatever it held; past data's
+// end the extent holds zeros.
+func (r *refStore) tear(sector int64, count int, data []byte, n int) {
+	ext := make([]byte, count*geom.SectorSize)
+	copy(ext, data)
 	full := n / geom.SectorSize
-	r.write(sector, data[:full*geom.SectorSize])
+	r.writeExtent(sector, full, ext[:min(len(data), full*geom.SectorSize)])
 	if rem := n % geom.SectorSize; rem > 0 {
 		old := r.read(sector+int64(full), 1)
-		copy(old[:rem], data[full*geom.SectorSize:n])
+		copy(old[:rem], ext[full*geom.SectorSize:n])
 		r.write(sector+int64(full), old)
 	}
 }
 
-// Seeded random programs of writes, reads and torn writes over
-// unaligned ranges that straddle pages, against the per-sector
-// reference: same bytes back, same pages materialized. Every read
+// writeExtent mirrors a write of count sectors whose payload is data
+// followed by zeros: the zero tail leaves absent pages absent and drops
+// every page it covers whole.
+func (r *refStore) writeExtent(sector int64, count int, data []byte) {
+	r.write(sector, data)
+	tail := sector + int64(len(data)/geom.SectorSize)
+	r.write(tail, make([]byte, (sector+int64(count)-tail)*geom.SectorSize))
+	for key := (tail + pageSectors - 1) / pageSectors; (key+1)*pageSectors <= sector+int64(count); key++ {
+		delete(r.pages, key)
+	}
+}
+
+// Seeded random programs of writes (some with a short payload), reads
+// and torn writes over unaligned ranges that straddle pages, against
+// the per-sector reference: same bytes back, same pages materialized. Every read
 // buffer is recycled once checked, and one read in three is of exactly
 // one block, so the program runs on poisoned buffers taken back from
 // the pool.
@@ -85,18 +100,26 @@ func TestSparseStoreMatchesReference(t *testing.T) {
 			for op := 0; op < 600; op++ {
 				count := 1 + rnd.Intn(2*pageSectors+8)
 				sector := int64(rnd.Intn(span - count))
+				// A write's payload is the whole extent or, one time in
+				// three, a head of it with the rest left to be zeroed.
+				head := count
+				if rnd.Intn(3) == 0 {
+					head = rnd.Intn(count + 1)
+				}
 				switch p := rnd.Intn(10); {
 				case p < 5:
-					data := payload(count)
-					d.writeData(sector, data)
-					ref.write(sector, data)
+					data := payload(count)[:head*geom.SectorSize]
+					if _, err := d.Write(0, sector, count, data); err != nil {
+						t.Fatal(err)
+					}
+					ref.writeExtent(sector, count, data)
 				case p < 7:
-					data := payload(count)
+					data := payload(count)[:head*geom.SectorSize]
 					d.SetFaults(fault.NewInjector(fault.Plan{Seed: uint64(rnd.Int63())}))
-					n := d.faults.TornBytes(len(data))
-					d.tearWrite(sector, data)
+					n := d.faults.TornBytes(count * geom.SectorSize)
+					d.tearWrite(sector, count, data)
 					d.SetFaults(nil)
-					ref.tear(sector, data, n)
+					ref.tear(sector, count, data, n)
 				default:
 					if p == 9 { // one block at any alignment: the pooled size
 						count = pageSectors

@@ -162,11 +162,9 @@ type Driver struct {
 	cands   []sched.Cylindered
 
 	// tableBuf is the reusable encoding buffer for block-table writes
-	// (see writeTable); tableBufUsed tracks how much of it the previous
-	// image occupied, and tableBufBusy guards the window where a queued
+	// (see writeTable); tableBufBusy guards the window where a queued
 	// table write still references it.
 	tableBuf     []byte
-	tableBufUsed int
 	tableBufBusy bool
 
 	// Blocks currently being moved by BCopy/Clean; requests targeting

@@ -209,37 +209,30 @@ func (d *Driver) writeTable(done ErrFunc) {
 		sectors = slotSectors(d.cfg.BlockSize)
 		at += int64(d.bt.Gen%2) * int64(sectors)
 	}
-	// The write covers the whole slot so stale tails are overwritten.
-	// The image is encoded into a per-driver scratch buffer: table
-	// writes serialize through their completion chains, so the scratch
-	// is almost always free; if a second write does overlap the first
-	// (tableBufBusy), it falls back to a fresh allocation. The disk
-	// model copies the data when the request is dispatched, and the
-	// busy flag is held until completion, which covers that window.
-	size := sectors * geom.SectorSize
-	var full []byte
-	usedScratch := false
-	if !d.tableBufBusy {
-		if cap(d.tableBuf) < size {
-			d.tableBuf = make([]byte, size)
-			d.tableBufUsed = 0
+	// The write covers the whole slot so stale tails are overwritten,
+	// but carries only the image: the disk writes the rest of the extent
+	// as zeros (disk.Write), so the simulated write is the slot's while
+	// the host builds and stores only the table. The image is encoded
+	// into a per-driver scratch buffer: table writes serialize through
+	// their completion chains, so the scratch is almost always free; if
+	// a second write does overlap the first (tableBufBusy), it encodes
+	// into a fresh buffer. The disk model copies the data when the
+	// request is dispatched, and the busy flag is held until completion,
+	// which covers that window. The scratch grows by doubling, as the
+	// table does one entry at a time.
+	var img []byte
+	usedScratch := !d.tableBufBusy
+	if usedScratch {
+		if n := blocktable.EncodedSectors(d.bt.Len()) * geom.SectorSize; cap(d.tableBuf) < n {
+			d.tableBuf = make([]byte, 0, 2*n)
 		}
-		img := d.bt.EncodeTo(d.tableBuf[:0])
-		// The buffer beyond the previous image is still zero; clear
-		// only the stale bytes a shrinking table leaves behind.
-		if d.tableBufUsed > len(img) {
-			clear(d.tableBuf[len(img):d.tableBufUsed])
-		}
-		d.tableBufUsed = len(img)
-		d.tableBufBusy = true
-		usedScratch = true
-		full = d.tableBuf[:size]
+		img = d.bt.EncodeTo(d.tableBuf[:0])
+		d.tableBuf, d.tableBufBusy = img, true
 	} else {
-		full = make([]byte, size)
-		copy(full, d.bt.Encode())
+		img = d.bt.Encode()
 	}
 	d.enqueue(&ioreq{internal: true, write: true, phase: "table-write", orig: at, sector: at,
-		count: size / geom.SectorSize, data: full,
+		count: sectors, data: img,
 		arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(at),
 		done: func(_ []byte, err error) {
 			if usedScratch {

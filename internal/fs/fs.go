@@ -155,7 +155,11 @@ type FS struct {
 	// free slot). Inode numbers are dense — group-major, every group's
 	// table the same size — so it is sized once in prepare; read it
 	// through inode, which checks the number.
-	inodes   []*inode
+	inodes []*inode
+	// inoBlock[ino] is the partition block holding inode ino, filled in
+	// prepare: every ReadAt and every access-time touch asks, and the
+	// group arithmetic costs three divisions.
+	inoBlock []int64
 	readOnly bool
 	dirRotor uint64 // new-directory spread rotor (see allocInode)
 
@@ -248,6 +252,7 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 		blocksPerGp: blocksPerGp,
 		totalBlocks: ngroups * blocksPerGp,
 		inodes:      make([]*inode, int(ngroups)*prm.InodeBlocksPerGroup*inosPerBlk),
+		inoBlock:    make([]int64, int(ngroups)*prm.InodeBlocksPerGroup*inosPerBlk),
 		inoImages:   make([][]byte, int(ngroups)*prm.InodeBlocksPerGroup),
 	}
 	for gi := int64(0); gi < ngroups; gi++ {
@@ -261,6 +266,13 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 			inodeUsed: make([]bool, prm.InodeBlocksPerGroup*f.inosPerBlk),
 			dataUsed:  make([]bool, end-dataStart),
 		})
+	}
+	// Inode numbers are group-major, each group's table a run of inode
+	// blocks right after its descriptor.
+	for ino := range f.inoBlock {
+		k := int64(ino / inosPerBlk) // inode-table block, counted across groups
+		gi := k / int64(prm.InodeBlocksPerGroup)
+		f.inoBlock[ino] = gi*blocksPerGp + 1 + k%int64(prm.InodeBlocksPerGroup)
 	}
 	return f, nil
 }
@@ -349,11 +361,7 @@ func (f *FS) inode(ino Ino) *inode {
 func (f *FS) groupOf(b int64) int { return int(b / f.blocksPerGp) }
 
 // inodeBlockOf returns the partition block holding ino's on-disk inode.
-func (f *FS) inodeBlockOf(ino Ino) int64 {
-	g := f.groups[int(ino)/len(f.groups[0].inodeUsed)]
-	idx := int(ino) % len(f.groups[0].inodeUsed)
-	return g.base + 1 + int64(idx/f.inosPerBlk)
-}
+func (f *FS) inodeBlockOf(ino Ino) int64 { return f.inoBlock[ino] }
 
 // inoOf returns the inode number for slot idx of group gi.
 func (f *FS) inoOf(gi, idx int) Ino {

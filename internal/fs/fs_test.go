@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/geom"
 	"repro/internal/rig"
 )
 
@@ -897,6 +898,55 @@ func TestReadAtWarmOneAlloc(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(200, op); n != 0 {
 				t.Errorf("warm ReadAt round trip: %v allocs, want 0", n)
+			}
+		})
+	}
+}
+
+// inodeBlockOf is a lookup built in prepare; it must give the group
+// arithmetic's answer — group ino/perGroup, that group's descriptor,
+// then the (ino%perGroup)/inosPerBlk-th inode block — for every inode
+// number, on a freshly made and on a mounted file system, across block
+// sizes and group shapes.
+func TestInodeBlockOfMatchesGroupArithmetic(t *testing.T) {
+	check := func(t *testing.T, f *FS) {
+		t.Helper()
+		perGroup := len(f.groups[0].inodeUsed)
+		if len(f.inodes) != perGroup*len(f.groups) {
+			t.Fatalf("%d inode numbers, %d groups of %d", len(f.inodes), len(f.groups), perGroup)
+		}
+		for ino := range f.inodes {
+			g := f.groups[ino/perGroup]
+			want := g.base + 1 + int64(ino%perGroup/f.inosPerBlk)
+			if got := f.inodeBlockOf(Ino(ino)); got != want {
+				t.Fatalf("inodeBlockOf(%d) = %d, group arithmetic gives %d", ino, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts rig.Options
+		prm  Params
+	}{
+		{"defaults", rig.Options{ReservedCyls: 48}, Params{}},
+		{"4K blocks, 3 inode blocks, 5-cylinder groups", rig.Options{BlockSize: geom.Block4K},
+			Params{CylsPerGroup: 5, InodeBlocksPerGroup: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, f := newFSWith(t, tc.opts, tc.prm)
+			check(t, f)
+			f.Sync(nil)
+			r.Eng.Run()
+			var m *FS
+			var merr error
+			Mount(r.Eng, r.Driver, 0, Params{}, func(mf *FS, err error) { m, merr = mf, err })
+			r.Eng.Run()
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			check(t, m)
+			if len(m.inodes) != len(f.inodes) {
+				t.Fatalf("mounted: %d inode numbers, made with %d", len(m.inodes), len(f.inodes))
 			}
 		})
 	}

@@ -252,12 +252,8 @@ func (w *System) RunDay(day int, done func(error)) {
 // in flight; serial demand paging is what matches the paper's low read
 // waiting times.)
 func (w *System) runJob(refs []fileRef, next func()) {
-	type cursor struct {
-		h    *fs.Handle
-		pos  int64
-		size int64
-	}
-	cur := make([]cursor, 0, len(refs))
+	j := &jobReads{w: w, next: next}
+	j.cur = j.buf[:0]
 	for _, ref := range refs {
 		h, err := w.f.OpenIno(ref.ino)
 		if err != nil {
@@ -265,36 +261,63 @@ func (w *System) runJob(refs []fileRef, next func()) {
 			continue
 		}
 		if n := h.SizeBlocks(); n > 0 {
-			cur = append(cur, cursor{h: h, size: n})
+			j.cur = append(j.cur, cursor{h: h, size: n})
 		}
 	}
-	i := 0
-	var onRead func([][]byte, error)
-	// readNext reads one block of the next file, round-robin from i,
-	// that has blocks remaining; with none left the job is over.
-	readNext := func() {
-		for n := 0; n < len(cur); n++ {
-			c := &cur[(i+n)%len(cur)]
-			if c.pos < c.size {
-				i = (i + n + 1) % len(cur)
-				pos := c.pos
-				c.pos++
-				c.h.ReadAt(pos, 1, onRead)
-				return
-			}
-		}
-		next()
-	}
-	// One completion callback for every read of the job: it captures no
-	// per-read state, so allocating it per ReadAt (tens per job) would
+	// One completion callback for every read of the job: it carries no
+	// per-read state, so building it per ReadAt (tens per job) would
 	// only make garbage.
-	onRead = func(_ [][]byte, err error) {
-		if err != nil {
-			w.errs++
-		}
-		readNext()
+	j.onRead = j.readDone
+	j.readNext()
+}
+
+// jobReads is one runJob in flight. Its state lives in one record, so a
+// job costs the record and its callback, not a heap cell per variable
+// its closures would share.
+type jobReads struct {
+	w    *System
+	next func()
+	// cur holds the files with blocks left, in job order; i is the one
+	// read next. A file leaves cur with its last read, so each read is
+	// one step and the order is the round-robin over all the files.
+	cur    []cursor
+	i      int
+	buf    [1 + systemLibs]cursor // cur's storage for a job of the usual size
+	onRead func([][]byte, error)
+}
+
+// cursor is one file of a job and how far it has been read.
+type cursor struct {
+	h    *fs.Handle
+	pos  int64
+	size int64
+}
+
+// readNext reads the next block round-robin, or ends the job when every
+// file is read.
+func (j *jobReads) readNext() {
+	if len(j.cur) == 0 {
+		j.next()
+		return
 	}
-	readNext()
+	c := &j.cur[j.i]
+	h, pos := c.h, c.pos
+	if c.pos++; c.pos == c.size {
+		j.cur = append(j.cur[:j.i], j.cur[j.i+1:]...)
+	} else {
+		j.i++
+	}
+	if j.i == len(j.cur) {
+		j.i = 0
+	}
+	h.ReadAt(pos, 1, j.onRead)
+}
+
+func (j *jobReads) readDone(_ [][]byte, err error) {
+	if err != nil {
+		j.w.errs++
+	}
+	j.readNext()
 }
 
 // cronSweep is one housekeeping pass: it lists every directory and reads

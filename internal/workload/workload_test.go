@@ -335,6 +335,9 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 				t.Fatalf("create %s: %v", name, err)
 			}
 			ref.ino = ino
+			if blocks == 0 {
+				return
+			}
 			h, _ := f.OpenIno(ino)
 			h.WriteAt(0, blocks, func(err error) {
 				if err != nil {
@@ -346,23 +349,31 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 		return ref
 	}
 	w := NewSystem(r.Eng, f, SystemConfig{})
-	for _, c := range []struct {
+	// A job that reads past a file's end fails every read at once and,
+	// never running out, would spin at one instant for ever: stop the
+	// engine at the first error instead.
+	r.Eng.SetInterrupt(func() bool { return w.Errors() > 0 })
+	for ci, c := range []struct {
 		sizes []int64
 		want  string // file index . block, in the order read
 	}{
 		{[]int64{3}, "0.0 0.1 0.2"},
 		{[]int64{2, 5}, "0.0 1.0 0.1 1.1 1.2 1.3 1.4"},
 		{[]int64{4, 1, 3, 2}, "0.0 1.0 2.0 3.0 0.1 2.1 3.1 0.2 2.2 0.3"},
+		// The file at the wrap point runs out first, then the new last.
+		{[]int64{3, 2, 1}, "0.0 1.0 2.0 0.1 1.1 0.2"},
+		// An empty first file is never read.
+		{[]int64{0, 2, 1}, "1.0 2.0 1.1"},
 	} {
 		var refs []fileRef
 		name := map[string]string{}
 		for i, n := range c.sizes {
-			ref := mkfile(fmt.Sprintf("j%d-%d", len(c.sizes), i), n)
+			ref := mkfile(fmt.Sprintf("j%d-%d", ci, i), n)
 			refs = append(refs, ref)
 			name[fmt.Sprint(ref.ino)] = fmt.Sprint(i)
 		}
 		// Push the job's own last-written blocks out of the cache.
-		mkfile(fmt.Sprintf("j%d-flush", len(c.sizes)), 2)
+		mkfile(fmt.Sprintf("j%d-flush", ci), 2)
 		done := false
 		f.Sync(func(error) {
 			dev.got, dev.on = nil, true
