@@ -148,29 +148,12 @@ func (c *Cache) deliverWrite(done func(error)) {
 }
 
 type entry struct {
-	block int64
-	data  []byte
-	dirty bool
-	// fill: data was delivered by a device read, so the cache is its
-	// only owner besides the readers counted in lends. A buffer a writer
-	// handed in is the writer's to share (the file system installs one
-	// inode-block image many times over) and is never recycled.
-	fill bool
-	// lends counts the Reads that were given data and have not called
-	// Release. A reader that never does leaves it above zero for good.
-	lends      int32
+	block      int64
+	data       []byte
+	dirty      bool
 	prev, next int32
 	// dprev, dnext link a dirty entry into the dirty list.
 	dprev, dnext int32
-}
-
-// letGo is called when the cache drops its reference to e's buffer: a
-// device fill nobody has on loan goes back to the read pool; anything
-// else is left to the collector (DESIGN.md "Payload path").
-func (e *entry) letGo() {
-	if e.fill && !e.dirty && e.lends == 0 {
-		driver.Recycle(e.data)
-	}
 }
 
 // miss is one device read in flight and the Reads waiting for it.
@@ -288,7 +271,6 @@ func (c *Cache) remove(s int32) {
 	}
 	c.unlink(s)
 	c.setSlot(c.slab[s].block, 0)
-	c.slab[s].letGo()
 	c.slab[s] = entry{next: c.freeSlot} // drops the data reference
 	c.freeSlot = s
 	c.n--
@@ -330,17 +312,14 @@ func (c *Cache) Len() int { return c.n }
 func (c *Cache) DirtyLen() int { return c.ndirty }
 
 // Read returns the block's contents, from the cache if present,
-// otherwise from disk. The slice handed to done is the cache's copy, on
-// loan: the caller must not modify it (use Write), and may call Release
-// once it no longer looks at it. A caller that never does loses nothing
-// but the reuse of that one buffer.
+// otherwise from disk. The slice handed to done is the cache's copy,
+// read-only and shared like every block payload (driver.DoneFunc): the
+// caller must not modify it (use Write), and may keep it for as long as
+// it likes — the cache never changes or reuses it.
 func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 	if s := c.slot(block); s != 0 {
 		c.hits++
 		c.touch(s)
-		if done != nil {
-			c.slab[s].lends++
-		}
 		c.deliverRead(c.slab[s].data, done)
 		return
 	}
@@ -362,8 +341,7 @@ func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 	c.drv.ReadBlock(c.part, block, m.filled)
 }
 
-// complete installs what the device read and hands it to the waiters,
-// one lend each.
+// complete installs what the device read and hands it to the waiters.
 func (m *miss) complete(data []byte, err error) {
 	c, block := m.c, m.block
 	delete(c.inflight, block)
@@ -372,18 +350,10 @@ func (m *miss) complete(data []byte, err error) {
 			// Written while the read was in flight: the cache's
 			// copy is the newer one and stays (with its dirty
 			// flag); the fill only counts as a use. The waiters get
-			// the device's buffer, which the cache keeps no
-			// reference to (their Release of it matches nothing).
+			// what the device read.
 			c.touch(s)
 		} else {
-			s = c.insert(block, data, false)
-			e := &c.slab[s]
-			e.fill = true
-			for _, w := range m.waiters {
-				if w != nil {
-					e.lends++
-				}
-			}
+			c.insert(block, data, false)
 		}
 	}
 	for i, w := range m.waiters {
@@ -396,20 +366,6 @@ func (m *miss) complete(data []byte, err error) {
 	m.next, c.freeMiss = c.freeMiss, m
 }
 
-// Release ends one loan of data, the slice a Read of block delivered.
-// It is matched by buffer identity: if the cache has since dropped or
-// replaced that buffer (an eviction, an Invalidate, a write), or every
-// loan of it has already ended, the call does nothing.
-func (c *Cache) Release(block int64, data []byte) {
-	s := c.slot(block)
-	if s == 0 || len(data) == 0 {
-		return
-	}
-	if e := &c.slab[s]; e.lends > 0 && &e.data[0] == &data[0] {
-		e.lends--
-	}
-}
-
 // Write updates the block in the cache and marks it dirty; the disk
 // write is deferred to the update policy (or eviction). done fires once
 // the block is in the cache — not when it reaches disk. The cache takes
@@ -420,13 +376,14 @@ func (c *Cache) Write(block int64, data []byte, done func(err error)) {
 }
 
 // WriteOwned is Write with ownership transfer: the cache installs data
-// directly as its copy of the block, so the caller must not modify the
-// buffer after the call. Nor does the cache, or the device it writes
-// back to: the buffer stays byte for byte what was handed over, so a
-// caller may hand the same buffer over again (the file system does,
-// with its inode-block images). The file system's serialization paths
-// never write to a block once encoded; handing the buffer over skips
-// Write's defensive copy of every written block.
+// directly as its copy of the block — and the device it writes back to
+// may keep it as its stored copy — so the caller must never modify the
+// buffer after the call. Nor does the cache, or the device: the buffer
+// stays byte for byte what was handed over, so a caller may hand the
+// same buffer over again (the file system does, with its inode-block
+// images). The file system's serialization paths never write to a block
+// once encoded; handing the buffer over skips Write's defensive copy of
+// every written block.
 func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 	if c.wrongSize(data, done) {
 		return
@@ -487,20 +444,19 @@ func (c *Cache) install(block int64, data []byte, dirty bool) {
 		return
 	}
 	e := &c.slab[s]
-	e.letGo()
 	switch {
 	case e.dirty && !dirty:
 		c.dunlink(s)
 	case !e.dirty && dirty:
 		c.dpushFront(s) // right, once touch makes it the most recent
 	}
-	e.data, e.dirty, e.fill, e.lends = data, dirty, false, 0
+	e.data, e.dirty = data, dirty
 	c.touch(s)
 }
 
 // insert adds a block that is not cached, evicting (and writing back) as
-// needed, and returns its slot.
-func (c *Cache) insert(block int64, data []byte, dirty bool) int32 {
+// needed.
+func (c *Cache) insert(block int64, data []byte, dirty bool) {
 	for c.n >= c.cfg.CapacityBlocks {
 		c.evictOne()
 	}
@@ -518,7 +474,6 @@ func (c *Cache) insert(block int64, data []byte, dirty bool) int32 {
 	}
 	c.setSlot(block, s)
 	c.n++
-	return s
 }
 
 // evictOne removes the least recently used block, writing it back first

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/disk"
 	"repro/internal/driver"
 	"repro/internal/geom"
 	"repro/internal/label"
@@ -24,17 +23,16 @@ import (
 // device and the final contents must match. A failing seed is logged so
 // the exact program can be replayed.
 //
-// The programs are also what checks the loan rule (DESIGN.md "Payload
-// path"). Every reader is a borrower: it holds what Read delivered for
+// The programs are also what checks that payloads are immutable
+// (DESIGN.md "Payload path"). Every reader holds what Read delivered for
 // a while — across the evictions, invalidations, pressure drops and
 // overwrites of that block the rest of the program makes — then says
-// what it holds and calls Release, or never does. The reference never
-// recycles anything, so its borrowers always hold the block's bytes; the
-// cache's hold 0xDB, or the next read's data (the fake device takes its
-// buffers from the read pool), the moment it recycles a buffer on loan.
-// Written payloads, some handed in for two blocks the way the file
-// system shares an inode-block image, are checked the same way at the
-// end of the run.
+// what it holds. The fake device, like the disk store, keeps what it is
+// written and hands that very buffer to later readers, so a cache that
+// wrote into any buffer it had delivered, been handed or read would
+// show it there. Written payloads, some handed in for two blocks the
+// way the file system shares an inode-block image, are checked the same
+// way at the end of the run.
 
 // cacheAPI is the surface a program drives.
 type cacheAPI interface {
@@ -42,7 +40,6 @@ type cacheAPI interface {
 	WriteOwned(block int64, data []byte, done func(error))
 	WriteThroughOwned(block int64, data []byte, done func(error))
 	Invalidate(block int64)
-	Release(block int64, data []byte)
 	Sync(done func(error))
 	applyPressure()
 	Len() int
@@ -98,7 +95,9 @@ func (c *Cache) dirtyListFault() string {
 }
 
 // fakeDev is a block device that answers every request after a fixed
-// delay, in issue order, and logs what it was asked.
+// delay, in issue order, and logs what it was asked. It keeps what it is
+// written and reads it back shared, a block never written as one zero
+// block, as the disk store does.
 type fakeDev struct {
 	eng    *sim.Engine
 	lbl    *label.Label
@@ -107,12 +106,12 @@ type fakeDev struct {
 	log    strings.Builder
 }
 
-// The block size is the one the read pool keeps, or nothing the cache
-// recycled would ever come back.
 const (
 	fakeBlock   = geom.Block8K
 	fakeDelayMS = 2
 )
+
+var fakeZero = make([]byte, fakeBlock.Bytes())
 
 var errOutside = errors.New("fakeDev: block outside the partition")
 
@@ -135,8 +134,10 @@ func (d *fakeDev) ReadBlock(_ int, blk int64, done driver.DoneFunc) {
 			done(nil, errOutside)
 			return
 		}
-		data := disk.Buffer(fakeBlock.Bytes())
-		clear(data[copy(data, d.store[blk]):])
+		data := d.store[blk]
+		if data == nil {
+			data = fakeZero
+		}
 		done(data, nil)
 	})
 }
@@ -259,10 +260,6 @@ func (m *modelCache) Invalidate(block int64) {
 	}
 }
 
-// Release does nothing: the reference leaves every buffer to the
-// collector.
-func (m *modelCache) Release(int64, []byte) {}
-
 func (m *modelCache) Sync(done func(error)) {
 	var dirty []int
 	for i := range m.lru {
@@ -354,8 +351,8 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		}
 		return fmt.Sprintf("%02x", data[0])
 	}
-	// Payloads are all one byte, never the pool's poison (0xDB), and are
-	// all kept to be looked at again when the program is over.
+	// Payloads are all one byte, never zero, and are all kept to be
+	// looked at again when the program is over.
 	var payloads [][]byte
 	fill := func() []byte {
 		if len(payloads) > 0 && rnd.Bool(0.15) {
@@ -384,9 +381,9 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 		switch op := rnd.Intn(16); {
 		case op < 7:
 			b := pick()
-			// How long this reader keeps the loan: not at all, for a
-			// few device requests' time, or for ever.
-			hold, forget := 6*rnd.Float64(), rnd.Bool(0.2)
+			// How long this reader holds what it read before it looks
+			// again: not at all, or for a few device requests' time.
+			hold := 6 * rnd.Float64()
 			if rnd.Bool(0.3) {
 				hold = 0
 			}
@@ -396,16 +393,11 @@ func runCacheProgram(seed uint64, mk func(*sim.Engine, driver.BlockDevice, Confi
 					return
 				}
 				fmt.Fprintf(&trace, "r%d=%s@%g;", b, held(data), eng.Now())
-				release := func() {
-					fmt.Fprintf(&trace, "rel%d=%s@%g;", b, held(data), eng.Now())
-					if !forget {
-						c.Release(b, data)
-					}
-				}
+				look := func() { fmt.Fprintf(&trace, "look%d=%s@%g;", b, held(data), eng.Now()) }
 				if hold == 0 {
-					release()
+					look()
 				} else {
-					eng.After(hold, release)
+					eng.After(hold, look)
 				}
 			})
 		case op < 10:

@@ -97,8 +97,24 @@ func (t Timing) TotalMS() float64 {
 	return t.OverheadMS + t.SeekMS + t.RotMS + t.TransferMS
 }
 
-// pageShift sizes the sparse store pages: 16 sectors = 8 KB per page.
-const pageSectors = 16
+// pageSectors sizes the sparse store pages: 16 sectors = 8 KB per page,
+// one file system block.
+const (
+	pageSectors = 16
+	pageBytes   = pageSectors * geom.SectorSize
+)
+
+// page is one page of the sparse store: b is pageBytes long. shared
+// marks a page that is not the store's alone — it was lent to a reader,
+// or it is a writer's payload kept as it was handed over — so it is
+// never written in place again: a write that changes part of it
+// replaces it with a copy. The bit lives here, beside the slice, so the
+// page stays exactly 8 KB; and a read lends b without touching the
+// page's memory.
+type page struct {
+	b      []byte
+	shared bool
+}
 
 // Disk is a single disk drive instance with mechanical state (head
 // position, rotation) and sparse data storage.
@@ -114,7 +130,7 @@ type Disk struct {
 	seekMS   *seek.Table
 	oneCylMS float64
 
-	pages map[int64][]byte // sparse sector storage, keyed by sector/pageSectors
+	pages map[int64]page // sparse sector storage, keyed by sector/pageSectors
 
 	// Read-ahead buffer state: the half-open sector range currently held
 	// in the drive buffer, and the time at which read-ahead stopped
@@ -147,7 +163,7 @@ func New(m Model) (*Disk, error) {
 	}
 	d := &Disk{
 		model: m,
-		pages: make(map[int64][]byte),
+		pages: make(map[int64]page),
 	}
 	d.seekMS = seek.NewTable(m.Seek, m.Geom.Cylinders-1)
 	d.oneCylMS = d.seekMS.SeekMS(1)
@@ -301,8 +317,11 @@ func (d *Disk) invalidateBufferRange(sector int64, count int) {
 
 // Read services a read of count sectors starting at sector, beginning at
 // time nowMS. It returns the data and the service-time breakdown, and
-// updates the head position and buffer state. The data buffer is the
-// caller's; its last owner may hand it to Recycle.
+// updates the head position and buffer state. The data is read-only and
+// may be shared: a read of exactly one page-aligned block returns the
+// store's own page (the static zero page if it was never written), which
+// the store never changes once lent. The caller must not modify it; it
+// stays valid for as long as the caller keeps it.
 func (d *Disk) Read(nowMS float64, sector int64, count int) ([]byte, Timing, error) {
 	if err := d.validateRange(sector, count); err != nil {
 		return nil, Timing{}, err
@@ -320,11 +339,11 @@ func (d *Disk) Read(nowMS float64, sector int64, count int) ([]byte, Timing, err
 		}
 		// The mechanism keeps reading ahead during the bus transfer.
 		d.advanceBuffer(nowMS + t.TotalMS())
-		return d.readData(sector, count), t, nil
+		return d.lend(sector, count), t, nil
 	}
 	t := d.mechanicalService(nowMS, sector, count)
 	d.resetBufferAfterRead(sector, count, nowMS+t.TotalMS())
-	return d.readData(sector, count), t, nil
+	return d.lend(sector, count), t, nil
 }
 
 // Write services a write of count sectors starting at sector, beginning
@@ -333,7 +352,21 @@ func (d *Disk) Read(nowMS float64, sector int64, count int) ([]byte, Timing, err
 // service time is that of the whole extent either way — a caller whose
 // extent is mostly zeros (the block table's fixed on-disk slot) need not
 // build and hand over the zeros, and the store need not compare them.
+// The store copies data; the caller may reuse it once Write returns.
 func (d *Disk) Write(nowMS float64, sector int64, count int, data []byte) (Timing, error) {
+	return d.write(nowMS, sector, count, data, false)
+}
+
+// WriteOwned is Write with ownership transfer: the store keeps every
+// whole page of data as that page itself instead of copying it, so the
+// caller must never modify data again. Nor does the store, which treats
+// a kept page as shared. The block writes of the driver take this path:
+// their payloads are the buffer cache's immutable copies of the blocks.
+func (d *Disk) WriteOwned(nowMS float64, sector int64, count int, data []byte) (Timing, error) {
+	return d.write(nowMS, sector, count, data, true)
+}
+
+func (d *Disk) write(nowMS float64, sector int64, count int, data []byte, keep bool) (Timing, error) {
 	if err := d.validateRange(sector, count); err != nil {
 		return Timing{}, err
 	}
@@ -352,7 +385,7 @@ func (d *Disk) Write(nowMS float64, sector int64, count int, data []byte) (Timin
 	d.nWrites++
 	d.invalidateBufferRange(sector, count)
 	t := d.mechanicalService(nowMS, sector, count)
-	d.writeData(sector, data)
+	d.writeData(sector, data, keep)
 	head := len(data) / geom.SectorSize
 	d.zeroData(sector+int64(head), count-head)
 	return t, nil
@@ -390,18 +423,35 @@ func pageRun(sector int64, count int) (key int64, off, n int) {
 	return key, in * geom.SectorSize, n
 }
 
+// lend returns count sectors of stored data starting at sector for Read.
+// One whole page is lent as it is — the page itself, marked shared, or
+// the zero page if it was never materialized — and anything else is
+// copied into a fresh buffer.
+func (d *Disk) lend(sector int64, count int) []byte {
+	if count != pageSectors || sector%pageSectors != 0 {
+		return d.readData(sector, count)
+	}
+	key := sector / pageSectors
+	p, ok := d.pages[key]
+	if !ok {
+		return zeroPage[:]
+	}
+	if !p.shared {
+		p.shared = true
+		d.pages[key] = p
+	}
+	return p.b
+}
+
 // readData copies count sectors of stored data starting at sector into
-// a buffer from the pool (bufpool.go). Unwritten sectors read as zeros,
-// which a recycled buffer does not hold: every byte is overwritten.
+// a fresh buffer; unwritten sectors read as zeros.
 func (d *Disk) readData(sector int64, count int) []byte {
-	out, used := takeBuf(count * geom.SectorSize)
+	out := make([]byte, count*geom.SectorSize)
 	for rest := out; count > 0; {
 		key, off, n := pageRun(sector, count)
 		run := rest[:n*geom.SectorSize]
-		if page, ok := d.pages[key]; ok {
-			copy(run, page[off:])
-		} else if used {
-			clear(run)
+		if p, ok := d.pages[key]; ok {
+			copy(run, p.b[off:])
 		}
 		rest, sector, count = rest[len(run):], sector+int64(n), count-n
 	}
@@ -413,22 +463,38 @@ func (d *Disk) readData(sector int64, count int) []byte {
 // materialized is a no-op: the store is sparse and unwritten sectors
 // already read as zeros, so a whole-device pass (a RAID rebuild copying
 // a mostly empty member onto a spare) does not materialize the empty
-// regions.
-func (d *Disk) writeData(sector int64, data []byte) {
+// regions. With keep, a run that covers a whole page becomes the page,
+// shared with the writer; every other run is copied, into a copy of the
+// page if the page is shared.
+func (d *Disk) writeData(sector int64, data []byte, keep bool) {
 	for count := len(data) / geom.SectorSize; count > 0; {
 		key, off, n := pageRun(sector, count)
 		run := data[:n*geom.SectorSize]
 		data, sector, count = data[len(run):], sector+int64(n), count-n
-		page, ok := d.pages[key]
-		if !ok {
-			if bytes.Equal(run, zeroPage[:len(run)]) {
-				continue
-			}
-			page = make([]byte, len(zeroPage))
-			d.pages[key] = page
+		p, ok := d.pages[key]
+		if !ok && bytes.Equal(run, zeroPage[:len(run)]) {
+			continue
 		}
-		copy(page[off:], run)
+		switch {
+		case keep && n == pageSectors:
+			d.pages[key] = page{b: run[:pageBytes:pageBytes], shared: true}
+			continue
+		case !ok:
+			p = page{b: make([]byte, pageBytes)}
+			d.pages[key] = p
+		case p.shared:
+			p = d.unshare(key, p)
+		}
+		copy(p.b[off:], run)
 	}
+}
+
+// unshare replaces the shared page at key with a private copy and
+// returns it.
+func (d *Disk) unshare(key int64, p page) page {
+	p = page{b: bytes.Clone(p.b)}
+	d.pages[key] = p
+	return p
 }
 
 // zeroData stores count sectors of zeros starting at sector. A page
@@ -439,30 +505,35 @@ func (d *Disk) zeroData(sector int64, count int) {
 	for count > 0 {
 		key, off, n := pageRun(sector, count)
 		sector, count = sector+int64(n), count-n
-		page, ok := d.pages[key]
+		p, ok := d.pages[key]
 		switch {
 		case !ok:
 		case n == pageSectors:
 			delete(d.pages, key)
 		default:
-			clear(page[off : off+n*geom.SectorSize])
+			if p.shared {
+				p = d.unshare(key, p)
+			}
+			clear(p.b[off : off+n*geom.SectorSize])
 		}
 	}
 }
 
-// zeroPage is what writeData compares a run against to see that it
-// holds only zeros (bytes.Equal compares words, not bytes).
-var zeroPage [pageSectors * geom.SectorSize]byte
+// zeroPage is what an unwritten page reads as, lent to every reader of
+// one, and what writeData compares a run against to see that it holds
+// only zeros (bytes.Equal compares words, not bytes). Nothing writes it.
+var zeroPage [pageBytes]byte
 
-// PeekData returns the stored contents of a sector range without
-// advancing the mechanical model. It is intended for tests and tools.
+// PeekData returns a copy of the stored contents of a sector range
+// without advancing the mechanical model. It is intended for tests and
+// tools.
 func (d *Disk) PeekData(sector int64, count int) []byte {
 	return d.readData(sector, count)
 }
 
-// PokeData stores data at the given sector without any timing effects.
-// It is intended for initialization (e.g. writing a label from a tool)
-// and tests.
+// PokeData stores a copy of data at the given sector without any timing
+// effects. It is intended for initialization (e.g. writing a label from
+// a tool) and tests.
 func (d *Disk) PokeData(sector int64, data []byte) error {
 	if len(data)%geom.SectorSize != 0 {
 		return fmt.Errorf("disk: poke of %d bytes is not sector-aligned", len(data))
@@ -471,7 +542,7 @@ func (d *Disk) PokeData(sector int64, data []byte) error {
 	if err := d.validateRange(sector, count); err != nil {
 		return err
 	}
-	d.writeData(sector, data)
+	d.writeData(sector, data, false)
 	d.invalidateBufferRange(sector, count)
 	return nil
 }
@@ -489,13 +560,14 @@ func (d *Disk) Faults() *fault.Injector { return d.faults }
 // the media before power was lost: a run of complete sectors plus a
 // partial overlay of the next sector, with the split point drawn
 // deterministically from the fault plan over the whole extent. Past
-// data's end the payload is the zeros Write would have stored.
+// data's end the payload is the zeros Write would have stored. The
+// prefix is always copied: a shared page it reaches is replaced.
 func (d *Disk) tearWrite(sector int64, count int, data []byte) {
 	n := d.faults.TornBytes(count * geom.SectorSize)
 	full := n / geom.SectorSize
 	head := min(full, len(data)/geom.SectorSize)
 	if head > 0 {
-		d.writeData(sector, data[:head*geom.SectorSize])
+		d.writeData(sector, data[:head*geom.SectorSize], false)
 	}
 	d.zeroData(sector+int64(head), full-head)
 	if rem := n % geom.SectorSize; rem > 0 {
@@ -506,7 +578,7 @@ func (d *Disk) tearWrite(sector int64, count int, data []byte) {
 		} else {
 			clear(old[:rem])
 		}
-		d.writeData(s, old)
+		d.writeData(s, old, false)
 	}
 	d.invalidateBufferRange(sector, count)
 }

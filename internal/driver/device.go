@@ -11,15 +11,21 @@ import (
 // volume.Volume implements it for a logical volume composed of several
 // disks, so the layers above are indifferent to how many spindles sit
 // underneath.
+//
+// Block payloads are immutable in both directions, so one block's bytes
+// are stored once and passed on by reference at every layer.
 type BlockDevice interface {
 	// ReadBlock issues a read of one file system block of the given
-	// partition; done fires at completion in simulated time.
+	// partition; done fires at completion in simulated time. What done
+	// is handed is read-only and shared (see DoneFunc): the device never
+	// changes or reuses it, and the receiver must not modify it.
 	ReadBlock(part int, blk int64, done DoneFunc)
 	// WriteBlock issues a write of one file system block. data must be
-	// exactly one block long. The device holds the buffer until the
-	// write completes and only ever reads it, and the caller must not
-	// modify it in that time; callers may therefore pass one unchanging
-	// buffer to any number of writes (devtest checks this).
+	// exactly one block long, and is read-only from the call on: the
+	// device may keep the buffer as its stored copy of the block and
+	// hand it to later readers, so the caller must never modify it
+	// again. Callers may pass one unchanging buffer to any number of
+	// writes (devtest checks this).
 	WriteBlock(part int, blk int64, data []byte, done DoneFunc)
 	// BlockSize returns the device's file system block size.
 	BlockSize() geom.BlockSize

@@ -20,13 +20,13 @@
 //     by the write, nor by later reads, a member death, a degraded
 //     write or a rebuild — so a caller may keep sharing it (the file
 //     system hands the same inode-block image to write after write);
-//   - read ownership: the buffer a read delivers is the receiver's. The
-//     device keeps no reference to it (read-owned: scribbling on it
-//     changes no later read), and nothing the device did recycles it, so
-//     the receiver may hand it to driver.Recycle and every later read —
-//     served from recycled buffers, several in flight at once, across a
-//     member death, degraded writes and a rebuild — still returns what
-//     was written (read-recycled);
+//   - shared reads: the buffer a read delivers is read-only and may be
+//     shared — with the device's store, with other readers — but the
+//     device never changes it. Every buffer delivered stays
+//     byte-identical to what it held on delivery across overwrites of
+//     the same blocks, a member death, degraded writes, a rebuild onto a
+//     spare, a scrub, a single driver's block moves and a torn write,
+//     while re-reads return the new bytes (read-shared);
 //   - death: after the harness's Kill hook, requests either fail with
 //     driver.ErrDead (unwrapping to fault.ErrCrash) or, for redundant
 //     devices, keep succeeding with the data intact; and once the
@@ -74,6 +74,18 @@ type Harness struct {
 	// it runs, requests to DeadBlock must fail with driver.ErrDead
 	// unwrapping to fault.ErrCrash, like any fatal device.
 	Overwhelm func()
+	// Churn, when non-nil, reworks the device's storage beneath blks
+	// and calls during while it does; afterwards every block still reads
+	// as what was last written to it. A single driver moves the blocks
+	// into its reserved region, runs during (whose writes land on the
+	// moved copies) and cleans them back out; a parity volume runs
+	// during and then a scrub pass.
+	Churn func(blks []int64, during func())
+	// Tear, when non-nil, writes data to blk and cuts the power while
+	// the write is on the media, so that some of it lands, then reboots
+	// the device, setting Dev to the rebooted one. blk holds a mix of
+	// its old and new bytes afterwards.
+	Tear func(blk int64, data []byte)
 }
 
 // Builder constructs a fresh device harness. kill is true when the
@@ -96,16 +108,10 @@ func TestDevice(t *testing.T, build Builder) {
 			testPayloadImmutableDead(t, h)
 		}
 	})
-	t.Run("read-owned", func(t *testing.T) {
-		testReadOwned(t, build(t, false))
+	t.Run("read-shared", func(t *testing.T) {
+		testReadShared(t, build(t, false))
 		if h := build(t, true); h.Kill != nil {
-			testReadOwned(t, h)
-		}
-	})
-	t.Run("read-recycled", func(t *testing.T) {
-		testReadRecycled(t, build(t, false))
-		if h := build(t, true); h.Kill != nil {
-			testReadRecycledDead(t, h)
+			testReadShared(t, h)
 		}
 	})
 	t.Run("dead", func(t *testing.T) {
@@ -323,10 +329,6 @@ func testPayloadImmutable(t *testing.T, h *Harness) {
 		if !bytes.Equal(got, p.want[i]) {
 			t.Fatalf("read block %d: data differs from what was written", blk)
 		}
-		// Scribbling on what a read delivered must not reach a payload.
-		for j := range got {
-			got[j] = 0xFF
-		}
 	}
 	p.check(t, "after reading the blocks back")
 	// Rewriting one block from a payload the device has already seen.
@@ -424,8 +426,8 @@ func (s *shadow) check(t *testing.T, when string, blk int64, got []byte, err err
 
 // readHeld reads every block of blks with all the reads in flight at
 // once and checks them only after the last has completed, the caller
-// still holding every buffer: two reads that were handed the same
-// buffer (one recycled twice) cannot both be right.
+// still holding every buffer: two reads that were handed one buffer the
+// device reused cannot both be right.
 func (s *shadow) readHeld(t *testing.T, when string, blks []int64) [][]byte {
 	t.Helper()
 	bufs := make([][]byte, len(blks))
@@ -445,100 +447,80 @@ func (s *shadow) readHeld(t *testing.T, when string, blks []int64) [][]byte {
 	return bufs
 }
 
-// storm starts, for every block of blks, a chain of depth reads: each
-// completion checks what it was given, hands the buffer back and issues
-// the next read, so recycled buffers are retaken while other requests —
-// the other chains, and whatever the caller issues before Run — are in
-// flight. The blocks must not be written until the chains have run out.
-func (s *shadow) storm(t *testing.T, when string, blks []int64, depth int) {
-	for _, blk := range blks {
-		blk, left := blk, depth
-		var next driver.DoneFunc
-		next = func(d []byte, err error) {
-			s.check(t, when, blk, d, err)
-			driver.Recycle(d)
-			if left--; left > 0 {
-				s.h.Dev.ReadBlock(0, blk, next)
-			}
+// snapshots holds every buffer reads delivered, each with a copy of what
+// it held on delivery.
+type snapshots struct {
+	bufs, want [][]byte
+	when       []string
+}
+
+func (p *snapshots) add(when string, bufs [][]byte) {
+	for _, b := range bufs {
+		if b != nil {
+			p.bufs = append(p.bufs, b)
+			p.want = append(p.want, bytes.Clone(b))
+			p.when = append(p.when, when)
 		}
-		s.h.Dev.ReadBlock(0, blk, next)
 	}
 }
 
-// testReadOwned: what a read delivers belongs to the receiver. With a
-// kill hook the re-reads come from the degraded (or rebuilt) device.
-func testReadOwned(t *testing.T, h *Harness) {
+func (p *snapshots) check(t *testing.T) {
+	t.Helper()
+	for i := range p.bufs {
+		if !bytes.Equal(p.bufs[i], p.want[i]) {
+			t.Fatalf("a buffer delivered by the %s changed after delivery", p.when[i])
+		}
+	}
+}
+
+// testReadShared: what a read delivers, the device never changes. Every
+// delivered buffer is held to the end of the test and compared with a
+// copy taken on delivery, after the blocks have been overwritten — and,
+// as the harness allows, past a member death and degraded writes (with
+// a rebuild onto a spare), a scrub or a single driver's block moves,
+// and a torn write with a reboot — while every re-read must return the
+// new bytes.
+func testReadShared(t *testing.T, h *Harness) {
 	s, blks := newShadow(h), h.spread()
+	if h.Kill != nil {
+		// Few blocks: harnesses arm lazier fault plans on further
+		// members for the Overwhelm hook, which this traffic must not
+		// trip.
+		blks = blks[:4]
+	}
+	var held snapshots
+	read := func(when string, blks []int64) { held.add(when, s.readHeld(t, when, blks)) }
 	for _, blk := range blks {
 		s.write(t, blk)
 	}
+	read("first read", blks)
+	for _, blk := range blks {
+		s.write(t, blk)
+	}
+	read("re-read after overwrites", blks)
 	if h.Kill != nil {
 		h.Kill()
-	}
-	for _, buf := range s.readHeld(t, "first read", blks) {
-		for j := range buf {
-			buf[j] = 0xFF
+		all := append([]int64{h.DeadBlock}, blks...)
+		for _, blk := range all {
+			s.write(t, blk)
 		}
+		read("read past the kill", all)
 	}
-	// Other I/O, then the same blocks again: a device that kept the
-	// delivered buffer (as a cache line, a parity operand, a rebuild
-	// source) would now serve the scribble.
-	s.write(t, blks[0])
-	s.readHeld(t, "unrelated read", []int64{h.Blocks / 3})
-	s.readHeld(t, "re-read after scribbling on the first read's buffers", blks)
-}
-
-// testReadRecycled: the receiver may recycle what a read delivered.
-func testReadRecycled(t *testing.T, h *Harness) {
-	s, blks := newShadow(h), h.spread()
-	unwritten := []int64{h.Blocks / 3, h.Blocks/3 + 1}
-	for _, blk := range blks {
-		s.write(t, blk)
+	if h.Churn != nil {
+		h.Churn(blks, func() {
+			for _, blk := range blks[:len(blks)/2] {
+				s.write(t, blk)
+			}
+			read("read mid-churn", blks)
+		})
+		read("read after churn", blks)
 	}
-	// Recycled buffers come back poisoned: reads of written and of
-	// never-written blocks alike must overwrite every byte.
-	s.storm(t, "read, recycle, read", append(unwritten, blks...), 4)
-	h.Run()
-	for _, buf := range s.readHeld(t, "reads in flight together", blks) {
-		driver.Recycle(buf)
+	if h.Tear != nil {
+		h.Tear(blks[0], h.pattern(0xEE))
+		s.write(t, blks[0]) // whole again, so the shadow knows it
+		read("read after the torn write", blks)
 	}
-	// Writes to one half of the blocks while the other half is read and
-	// recycled: the device's own use of recycled buffers (parity
-	// read-modify-write operands) meets the caller's.
-	half := len(blks) / 2
-	s.storm(t, "reads beside writes", blks[half:], 4)
-	for _, blk := range blks[:half] {
-		s.write(t, blk)
-	}
-	for _, buf := range s.readHeld(t, "final re-read", append(unwritten, blks...)) {
-		driver.Recycle(buf)
-	}
-}
-
-// testReadRecycledDead repeats it across the Kill hook: chains of
-// recycling reads are in flight when the doomed part takes its first
-// operation, through the degraded write that follows, and — on a
-// harness with a hot spare — while the rebuild copies rows with the
-// same pool's buffers.
-func testReadRecycledDead(t *testing.T, h *Harness) {
-	// Few blocks and short chains: harnesses arm lazier fault plans on
-	// further members for the Overwhelm hook, which this traffic must
-	// not trip.
-	s, blks := newShadow(h), h.spread()[:4]
-	quiet := []int64{h.Blocks / 3, h.Blocks/3 + 1}
-	s.storm(t, "reads across the kill", quiet, 6)
-	s.write(t, h.DeadBlock)
-	h.Kill()
-	for _, blk := range blks {
-		s.write(t, blk)
-	}
-	s.write(t, h.DeadBlock)
-	all := append(append([]int64{h.DeadBlock}, quiet...), blks...)
-	s.storm(t, "read, recycle, read past the kill", all, 2)
-	h.Run()
-	for _, buf := range s.readHeld(t, "final re-read past the kill", all) {
-		driver.Recycle(buf)
-	}
+	held.check(t)
 }
 
 func testDead(t *testing.T, h *Harness) {

@@ -3,16 +3,19 @@
 package devtest
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/rig"
 	"repro/internal/volume"
 )
 
 // driverHarness builds the single-disk device: a full rig with a
-// centered reserved region, like the paper's deployment.
+// centered reserved region, like the paper's deployment. Without a kill
+// plan it churns by BCopy and Clean and tears a write.
 func driverHarness(t *testing.T, kill bool) *Harness {
 	t.Helper()
 	opts := rig.Options{ReservedCyls: 48}
@@ -43,9 +46,58 @@ func driverHarness(t *testing.T, kill bool) *Harness {
 				t.Fatal("kill hook did not kill the driver")
 			}
 		}
+		return h
+	}
+	h.Churn = func(blks []int64, during func()) {
+		drv := h.Dev.(*driver.Driver)
+		var slots []int64
+		for _, cyl := range drv.ReservedSlots() {
+			slots = append(slots, cyl...)
+		}
+		ctl := func(what string) func(error) {
+			return func(err error) {
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+		}
+		for i, blk := range blks {
+			drv.BCopy(drv.Label().MapVirtual(p.Start+blk*int64(drv.BlockSize().Sectors())), slots[i], ctl("bcopy"))
+		}
+		r.Eng.Run()
+		if drv.BlockTableLen() != len(blks) {
+			t.Fatalf("%d blocks moved, want %d", drv.BlockTableLen(), len(blks))
+		}
+		during()
+		drv.Clean(ctl("clean"))
+		r.Eng.Run()
+	}
+	h.Tear = func(blk int64, data []byte) {
+		before, err := h.read(t, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first operation under the plan cuts the power; the rest of
+		// the rig knows nothing of it until the reboot re-attaches.
+		r.Disk.SetFaults(fault.NewInjector(fault.Plan{CrashAfterOps: 1}))
+		h.Dev.WriteBlock(0, blk, data, nil)
+		r.Eng.Run()
+		r.Disk.SetFaults(nil)
+		rebooted, err := driver.Attach(r.Eng, r.Disk, driver.Config{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Dev = rebooted
+		if after, err := h.read(t, blk); err != nil || bytes.Equal(after, before) || bytes.Equal(after, data) {
+			t.Fatalf("the write to block %d did not tear (err %v)", blk, err)
+		}
 	}
 	return h
 }
+
+// scrubEveryMS is the scrub period of the parity harnesses without a
+// kill plan, whose Churn runs one pass.
+const scrubEveryMS = 1000
 
 // volumeHarness builds a volume device harness. The kill plan crashes
 // member 1 on its first device operation; deadBlk locates a block that
@@ -54,25 +106,42 @@ func driverHarness(t *testing.T, kill bool) *Harness {
 // lazier crash plans the normal battery traffic cannot trip.
 func volumeHarness(t *testing.T, opts volume.Options, kill bool, deadBlk func(v *volume.Volume) int64, overwhelm ...int) *Harness {
 	t.Helper()
+	parity := opts.Layout == volume.RAID5 || opts.Layout == volume.RAID6
 	if kill {
 		opts.Faults = make([]*fault.Plan, opts.Disks)
 		opts.Faults[1] = &fault.Plan{CrashAfterOps: 1}
 		for _, m := range overwhelm {
 			opts.Faults[m] = &fault.Plan{CrashAfterOps: 64}
 		}
+	} else if parity {
+		opts.ScrubIntervalMS = scrubEveryMS
 	}
 	v, err := volume.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(v.Close)
-	redundant := opts.Layout == volume.Mirror ||
-		opts.Layout == volume.RAID5 || opts.Layout == volume.RAID6
 	h := &Harness{
 		Dev:         v,
 		Run:         v.Run,
 		Blocks:      v.Blocks(),
-		DeadIsFatal: !redundant,
+		DeadIsFatal: !parity && opts.Layout != volume.Mirror,
+	}
+	if !kill && parity {
+		h.Churn = func(_ []int64, during func()) {
+			during()
+			// One tick starts a pass; with the ticker disarmed, Run
+			// drains the pass to its end.
+			if !v.StartScrub() {
+				t.Fatal("StartScrub refused")
+			}
+			v.RunUntil(v.Now() + scrubEveryMS)
+			v.Close()
+			v.Run()
+			if v.RAID().ScrubPasses != 1 {
+				t.Fatalf("%d scrub passes, want 1", v.RAID().ScrubPasses)
+			}
+		}
 	}
 	if kill {
 		h.DeadBlock = deadBlk(v)

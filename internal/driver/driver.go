@@ -94,19 +94,12 @@ var (
 var ErrDead = fmt.Errorf("driver: device is dead: %w", fault.ErrCrash)
 
 // DoneFunc is the completion callback of an asynchronous request. For
-// reads, data holds the returned bytes; for writes data is nil. The
-// receiver owns data: no device keeps a reference to a buffer it has
-// delivered, so the receiver may modify it, keep it, pass it on — or,
-// as its last owner, hand it back with Recycle.
+// reads, data holds the returned bytes; for writes data is nil. data is
+// read-only and shared: it may be the disk store's own page of the
+// block, the static zero page, or a buffer another reader holds too.
+// The receiver may keep it for as long as it likes and pass it on —
+// nothing ever changes or reuses it — but must never modify it.
 type DoneFunc func(data []byte, err error)
-
-// Recycle hands a read buffer back to the pool the next block read is
-// served from (disk.Recycle). Only the buffer's last owner may call it
-// — whoever a DoneFunc delivered it to and who passed it to nobody —
-// and must not touch the buffer afterwards: it is overwritten with a
-// poison byte at once and will carry another read's data soon. Not
-// recycling is always correct; the garbage collector takes the buffer.
-func Recycle(buf []byte) { disk.Recycle(buf) }
 
 // ioreq is one queued device operation. Records are pooled: the
 // completion path returns them to the driver's free list, so the
@@ -116,6 +109,7 @@ func Recycle(buf []byte) { disk.Recycle(buf) }
 type ioreq struct {
 	d          *Driver // owner; set at enqueue, used by Call
 	write      bool
+	keep       bool  // write: the disk may keep data's pages (disk.WriteOwned)
 	internal   bool  // driver-generated (block movement, table writes)
 	redirected bool  // sent to the reserved region by the block table
 	orig       int64 // pre-redirect physical sector (monitoring identity)
@@ -202,6 +196,7 @@ type Driver struct {
 // pendingStrategy is a request delayed behind an in-flight block move.
 type pendingStrategy struct {
 	write bool
+	keep  bool
 	vsec  int64
 	count int
 	data  []byte
@@ -383,7 +378,7 @@ func (d *Driver) blockIO(write bool, part int, blk int64, data []byte, done Done
 		d.sink.Event(&d.ev)
 	}
 	vsec := p.Start + blk*bsec
-	d.strategy(write, vsec, int(bsec), data, done)
+	d.strategy(write, write, vsec, int(bsec), data, done) // a block write is kept
 }
 
 // SetSink attaches a telemetry sink to the driver's event stream: one
@@ -511,13 +506,12 @@ func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done 
 		if write {
 			wdata = data[pcOff : pcOff+pc.count*geom.SectorSize]
 		}
-		d.strategy(write, pc.vsec, pc.count, wdata, func(rdata []byte, err error) {
+		d.strategy(write, false, pc.vsec, pc.count, wdata, func(rdata []byte, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if !write && err == nil {
 				copy(out[pcOff:], rdata)
-				Recycle(rdata)
 			}
 			remaining--
 			if remaining == 0 && done != nil {
@@ -531,7 +525,10 @@ func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done 
 // strategy is the heart of the driver (Section 4.1.2): it maps the
 // virtual address to a physical address, redirects through the block
 // table, records the request in the monitoring table, and enqueues it.
-func (d *Driver) strategy(write bool, vsec int64, count int, data []byte, done DoneFunc) {
+// keep says whether the disk may keep a write's payload as its pages: a
+// block write's is immutable from the call on (BlockDevice.WriteBlock);
+// a raw write's is a piece of the caller's buffer, so it is copied.
+func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, done DoneFunc) {
 	psec := d.lbl.MapVirtual(vsec)
 
 	// Identify the containing block in original physical coordinates;
@@ -543,7 +540,7 @@ func (d *Driver) strategy(write bool, vsec int64, count int, data []byte, done D
 	// (Section 4.1.3) and re-run when the move completes.
 	if waiters, ok := d.moving[blockStart]; ok {
 		d.moving[blockStart] = append(waiters, &pendingStrategy{
-			write: write, vsec: vsec, count: count, data: data, done: done,
+			write: write, keep: keep, vsec: vsec, count: count, data: data, done: done,
 		})
 		return
 	}
@@ -568,6 +565,7 @@ func (d *Driver) strategy(write bool, vsec int64, count int, data []byte, done D
 	d.recordArrival(blockStart, write)
 	r := d.getReq()
 	r.write = write
+	r.keep = keep
 	r.redirected = redirected
 	r.orig = blockStart
 	r.sector = target
@@ -709,9 +707,12 @@ func (d *Driver) issue(r *ioreq) {
 	var t disk.Timing
 	var rdata []byte
 	var err error
-	if r.write {
+	switch {
+	case r.write && r.keep:
+		t, err = d.dsk.WriteOwned(now, r.sector, r.count, r.data)
+	case r.write:
 		t, err = d.dsk.Write(now, r.sector, r.count, r.data)
-	} else {
+	default:
 		rdata, t, err = d.dsk.Read(now, r.sector, r.count)
 	}
 	if err != nil {

@@ -41,7 +41,7 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 		waiters := d.moving[orig]
 		delete(d.moving, orig)
 		for _, w := range waiters {
-			d.strategy(w.write, w.vsec, w.count, w.data, w.done)
+			d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
 		}
 		if done != nil {
 			done(err)
@@ -55,8 +55,10 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 				finish(fmt.Errorf("driver bcopy: reading original: %w", err))
 				return
 			}
-			// 2: write it to the reserved slot.
-			d.enqueue(&ioreq{internal: true, write: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
+			// 2: write it to the reserved slot. The read lent the
+			// original's page, and the reserved copy keeps that very
+			// page: a second address, not a second copy of the bytes.
+			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
 				arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(dst),
 				done: func(_ []byte, err error) {
 					if err != nil {
@@ -156,7 +158,7 @@ func (d *Driver) cleanNext(entries []blocktable.Entry, i int, done ErrFunc) {
 		waiters := d.moving[e.Orig]
 		delete(d.moving, e.Orig)
 		for _, w := range waiters {
-			d.strategy(w.write, w.vsec, w.count, w.data, w.done)
+			d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
 		}
 		if err != nil {
 			if done != nil {
@@ -183,7 +185,7 @@ func (d *Driver) cleanNext(entries []blocktable.Entry, i int, done ErrFunc) {
 				step(fmt.Errorf("driver clean: reading reserved copy: %w", err))
 				return
 			}
-			d.enqueue(&ioreq{internal: true, write: true, phase: "clean-write", orig: e.Orig, sector: e.Orig, count: bsec, data: data,
+			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "clean-write", orig: e.Orig, sector: e.Orig, count: bsec, data: data,
 				arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(e.Orig),
 				done: func(_ []byte, err error) {
 					if err != nil {

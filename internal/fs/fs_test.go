@@ -99,8 +99,8 @@ func mustWrite(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) {
 	checkImages(t, h.f)
 }
 
-// mustRead returns copies: what ReadAt hands its callback is borrowed
-// until the callback returns.
+// mustRead returns copies of the blocks: they are the cache's read-only
+// copies, which a test must not hand on to code that may modify them.
 func mustRead(t *testing.T, r *rig.Rig, h *Handle, idx, n int64) [][]byte {
 	t.Helper()
 	var data [][]byte
@@ -798,13 +798,12 @@ func TestOpenInoOutsideTable(t *testing.T) {
 	}
 }
 
-// What ReadAt hands done is on loan from the data cache until done
-// returns (see readReq.finish). Here the cache holds four blocks and the
-// walks are eight long and overlap, so every walk has its earlier blocks
-// evicted — by itself and by the others — long before it finishes; had
-// the cache recycled them then, or the walk released them before calling
-// done, done would find 0xDB or another block's data where the file's
-// should be.
+// What ReadAt hands done stays the file's however the cache moves on.
+// Here the cache holds four blocks and the walks are eight long and
+// overlap, so every walk has its earlier blocks evicted — by itself and
+// by the others — long before it finishes; a cache or device that
+// reused a buffer it had delivered would show another block's data
+// where the file's should be.
 func TestReadAtBlocksValidUntilDoneReturns(t *testing.T) {
 	r, f := newFSWith(t, rig.Options{ReservedCyls: 48},
 		Params{NoAtime: true, Cache: cache.Config{CapacityBlocks: 4}})

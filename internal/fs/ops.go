@@ -433,9 +433,10 @@ func (h *Handle) Append(n int64, done func(error)) {
 // read dirties the file's inode block (the access-time bookkeeping that
 // generates write traffic even on read-only mounts).
 //
-// The result is borrowed: the slice and the blocks in it belong to the
-// buffer cache, are not to be modified, and are valid until done
-// returns. A caller that keeps any of it copies it inside done.
+// The blocks in the result are the buffer cache's read-only copies:
+// not to be modified, and valid for as long as the caller keeps them.
+// The slice holding them is the walk's own and is valid until done
+// returns; a caller that keeps it copies the slice (not the blocks).
 func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	f := h.f
 	nd := f.inode(h.ino)
@@ -478,8 +479,8 @@ func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 // allocated a fresh chain per call — the hottest allocation site in
 // the whole stack, per the volume-scale profile. The record carries
 // the walk state with two prebuilt callbacks instead, and the result
-// slice as well: every block of it stays on loan from the cache until
-// done has returned (see finish), so nothing is allocated per read.
+// slice as well, reused once done has returned (see finish), so nothing
+// is allocated per read.
 type readReq struct {
 	f      *FS
 	next   *readReq
@@ -491,7 +492,6 @@ type readReq struct {
 	// metrics are bound.
 	startMS float64
 	out     [][]byte // the data blocks read so far, in file order
-	blks    []int64  // blks[i] is the partition block out[i] is a loan of
 	done    func([][]byte, error)
 	meta    [2]int64 // metadata prelude: inode block, then indirect
 	mi, mn  int
@@ -505,10 +505,7 @@ func (f *FS) getRead() *readReq {
 	r := f.freeRead
 	if r == nil {
 		r = &readReq{f: f}
-		r.metaCB = func(data []byte, err error) {
-			// The walk looks at no byte of a metadata block, so that
-			// loan ends at once.
-			r.f.meta.Release(r.meta[r.mi], data)
+		r.metaCB = func(_ []byte, err error) {
 			if err != nil {
 				r.finish(err)
 				return
@@ -546,16 +543,13 @@ func (r *readReq) step() {
 		r.finish(nil)
 		return
 	}
-	blk := r.f.blockOf(r.nd, r.b)
-	r.blks = append(r.blks, blk)
-	r.f.cache.Read(blk, r.dataCB)
+	r.f.cache.Read(r.f.blockOf(r.nd, r.b), r.dataCB)
 }
 
 // finish completes the walk: done sees the blocks read (nil with an
-// error), and only when it has returned do their loans end and the
-// record go back to the pool — a block the cache evicted during the walk
-// was kept out of the read pool for exactly this long. A read that done
-// itself issues therefore takes another record.
+// error), and only when it has returned does the record, with its result
+// slice, go back to the pool. A read that done itself issues therefore
+// takes another record.
 func (r *readReq) finish(err error) {
 	f := r.f
 	if f.mxRead != nil {
@@ -568,11 +562,8 @@ func (r *readReq) finish(err error) {
 		}
 		r.done(out, err)
 	}
-	for i, data := range r.out {
-		f.cache.Release(r.blks[i], data)
-		r.out[i] = nil
-	}
-	r.out, r.blks = r.out[:0], r.blks[:0]
+	clear(r.out)
+	r.out = r.out[:0]
 	r.nd, r.done = nil, nil
 	r.next, f.freeRead = f.freeRead, r
 }

@@ -474,7 +474,6 @@ func (s *Server) backendDone(r *sreq, data []byte, err error) {
 		if err == nil {
 			// The backend answered, but the client has given up: the
 			// response is discarded and the request fails late.
-			driver.Recycle(data)
 			data, err = nil, ErrDeadline
 		}
 	}

@@ -11,8 +11,7 @@ import (
 // budget is no allocation per replayed request, read or write: the
 // arrival cursor and closed-loop clients are sim.Caller values, the
 // completion DoneFuncs live on pooled inflight slots, writes reuse one
-// shared zero block, and the buffer a read delivers goes straight back
-// to the pool the device's next read takes it from (driver.Recycle).
+// shared zero block, and a read is handed the page the device lends.
 // What is measured is the replayer's fixed per-pass setup, amortized
 // across the trace.
 
@@ -59,7 +58,6 @@ func TestOpenLoopWriteAllocs(t *testing.T) {
 }
 
 func TestOpenLoopReadAllocs(t *testing.T) {
-	// The device's data buffer is handed back on completion.
 	if per := replayAllocs(t, 512, false, OpenLoop); per > 0.25 {
 		t.Errorf("open-loop read replay: %.3f allocs/request, want <= 0.25", per)
 	}

@@ -188,10 +188,7 @@ func (r *Replayer) Start(done func(Result)) {
 		for i := 0; i < n; i++ {
 			c := &clClient{r: r, rnd: rnd.Split()}
 			c.inf.r = r
-			c.inf.done = func(data []byte, err error) {
-				driver.Recycle(data)
-				c.complete(err)
-			}
+			c.inf.done = func(_ []byte, err error) { c.complete(err) }
 			// Stagger client starts by one think time draw each, so the
 			// population doesn't arrive as a single burst.
 			r.eng.AfterCall(c.rnd.Exp(r.o.ThinkMS), c)
@@ -225,10 +222,7 @@ func (r *Replayer) getInflight() *inflight {
 		return inf
 	}
 	inf := &inflight{r: r}
-	inf.done = func(data []byte, err error) {
-		driver.Recycle(data)
-		inf.r.complete(inf, err)
-	}
+	inf.done = func(_ []byte, err error) { inf.r.complete(inf, err) }
 	return inf
 }
 

@@ -66,6 +66,26 @@ func xorInto(dst, src []byte) {
 	subtle.XORBytes(dst[:n], dst[:n], src)
 }
 
+// xor3 sets dst = a ⊕ b ⊕ c.
+func xor3(dst, a, b, c []byte) {
+	subtle.XORBytes(dst, a, b)
+	xorInto(dst, c)
+}
+
+// gfMulAddDelta sets dst = base ⊕ coef·(a ⊕ b): a parity block updated
+// for a data column that changed from a to b, with the delta computed
+// byte by byte instead of into a buffer of its own. coef is nonzero.
+func gfMulAddDelta(dst, base []byte, coef byte, a, b []byte) {
+	lc := int(gfLog[coef])
+	_, _, _ = dst[len(base)-1], a[len(base)-1], b[len(base)-1]
+	for i, p := range base {
+		if d := a[i] ^ b[i]; d != 0 {
+			p ^= gfExp[lc+int(gfLog[d])]
+		}
+		dst[i] = p
+	}
+}
+
 // gfMulAddInto accumulates a scaled block: dst ^= coef·src.
 func gfMulAddInto(dst []byte, coef byte, src []byte) {
 	if coef == 0 {

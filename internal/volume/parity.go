@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/disk"
 	"repro/internal/driver"
 	"repro/internal/fault"
 )
@@ -54,6 +53,11 @@ type raid struct {
 	freeReq *rreq
 	locks   map[int64]*rowLock
 	rowFree *rowLock
+
+	// free holds block-size scratch buffers for parity math that never
+	// leaves the volume (see scratch); a buffer that does leave is
+	// handed off and never comes back.
+	free [][]byte
 
 	rebuild     *rebuildState
 	copyFn      func()
@@ -213,22 +217,48 @@ func (ra *raid) errLost(blk int64, missing int) error {
 		blk, missing, ra.npar, driver.ErrDead)
 }
 
-// scratch draws a block-size buffer for parity math from the pool the
-// member reads come from (its contents are unspecified: every use
-// below starts with a whole-block copy) and notes it in *pool, which
-// recycleAll hands back at request end.
+// scratch takes a block-size buffer for parity math off the volume's
+// free list (its contents are unspecified: every use below starts with
+// a whole-block copy) and notes it in *pool, which release returns at
+// request end. Member reads are never written to — they are shared
+// with the member's store — so every result is computed into scratch
+// or into a fresh buffer.
 func (ra *raid) scratch(pool *[][]byte) []byte {
-	buf := disk.Buffer(ra.v.bs.Bytes())
+	var buf []byte
+	if n := len(ra.free); n > 0 {
+		buf = ra.free[n-1]
+		ra.free[n-1] = nil
+		ra.free = ra.free[:n-1]
+	} else {
+		buf = make([]byte, ra.v.bs.Bytes())
+	}
 	*pool = append(*pool, buf)
 	return buf
 }
 
-// recycleAll hands back member-read results the volume consumed itself
-// and scratch buffers, nil entries skipped. Nothing in bufs may have
-// been delivered upward: a buffer has exactly one recycler.
-func recycleAll(bufs [][]byte) {
-	for _, b := range bufs {
-		driver.Recycle(b)
+// release returns the scratch noted in *pool to the free list and
+// clears every slot, so what is done with the pool references no
+// buffer.
+func (ra *raid) release(pool *[][]byte) {
+	for i, b := range *pool {
+		if b != nil {
+			ra.free = append(ra.free, b)
+		}
+		(*pool)[i] = nil
+	}
+	*pool = (*pool)[:0]
+}
+
+// handOff takes buf out of pool for good: it leaves the volume —
+// delivered to the reader, or written to a member, whose store may keep
+// it — so it must never be reused as scratch. A buf pool does not hold
+// (a member read) is left alone.
+func handOff(pool [][]byte, buf []byte) {
+	for i, b := range pool {
+		if b != nil && &b[0] == &buf[0] {
+			pool[i] = nil
+			return
+		}
 	}
 }
 
@@ -299,6 +329,26 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 	return unknown
 }
 
+// parityP sets dst to the P parity of the row's data columns (every
+// entry of colv set) and returns it.
+func (ra *raid) parityP(dst []byte, colv [][]byte) []byte {
+	copy(dst, colv[0])
+	for c := 1; c < ra.ndata; c++ {
+		xorInto(dst, colv[c])
+	}
+	return dst
+}
+
+// parityQ sets dst to the Q syndrome of the row's data columns and
+// returns it.
+func (ra *raid) parityQ(dst []byte, colv [][]byte) []byte {
+	copy(dst, colv[0]) // g^0 = 1
+	for c := 1; c < ra.ndata; c++ {
+		gfMulAddInto(dst, gfPow(c), colv[c])
+	}
+	return dst
+}
+
 // rreq is the parity layout's pooled request record: one per
 // foreground read or write, holding the row-read fan-in buffers and
 // the completion callbacks handed to member drivers, prebuilt once
@@ -326,10 +376,10 @@ type rreq struct {
 	degraded   bool
 	lockHeld   bool
 
-	bufs [][]byte // row-read results, by slot (owned here, recycled in putReq)
+	bufs [][]byte // row-read results, by slot (read-only, shared)
 	errs []error  // row-read errors, by slot
 	colv [][]byte // per-column data values for parity math
-	pool [][]byte // scratch buffers (recycled in putReq)
+	pool [][]byte // scratch buffers (released in putReq)
 
 	newP, newQ []byte
 
@@ -366,20 +416,15 @@ func (ra *raid) newReq() *rreq {
 	return r
 }
 
-// putReq retires a record. Every member read it fanned in was consumed
-// by parity math and every write that referenced one has completed, so
-// the row buffers and the scratch go back to the pool; a direct read's
-// buffer went to the caller and never entered bufs.
+// putReq retires a record. Its scratch goes back to the free list, and
+// every buffer reference it holds is cleared — the row reads, the
+// columns, the pool's slots, the new parity — so a pooled record pins
+// no block.
 func (ra *raid) putReq(r *rreq) {
-	recycleAll(r.bufs)
-	recycleAll(r.pool)
-	for i := range r.bufs {
-		r.bufs[i], r.errs[i] = nil, nil
-	}
-	for i := range r.colv {
-		r.colv[i] = nil
-	}
-	r.pool = r.pool[:0]
+	ra.release(&r.pool)
+	clear(r.bufs)
+	clear(r.errs)
+	clear(r.colv)
 	r.newP, r.newQ = nil, nil
 	r.data, r.done, r.wErr = nil, nil, nil
 	r.write, r.degraded, r.lockHeld = false, false, false
@@ -580,15 +625,14 @@ func (r *rreq) rmwDone() {
 		return
 	}
 	// The 4-I/O small write: both new parities follow from the data
-	// delta, computed in place in the buffers the reads handed over.
-	oldD, oldP := r.bufs[r.dslot], r.bufs[r.pslot]
-	xorInto(oldD, r.data) // oldD becomes the delta
-	xorInto(oldP, oldD)   // oldP becomes the new P
-	r.newP = oldP
+	// delta, folded into fresh buffers — the members keep what they are
+	// written, and the old blocks the reads lent are never changed.
+	oldD := r.bufs[r.dslot]
+	r.newP = make([]byte, len(r.data))
+	xor3(r.newP, r.bufs[r.pslot], oldD, r.data)
 	if ra.dbl {
-		oldQ := r.bufs[r.qslot]
-		gfMulAddInto(oldQ, gfPow(r.col), oldD)
-		r.newQ = oldQ
+		r.newQ = make([]byte, len(r.data))
+		gfMulAddDelta(r.newQ, r.bufs[r.qslot], gfPow(r.col), oldD, r.data)
 	}
 	ra.cum.ParityRecomputes++
 	r.beginWrites()
@@ -624,21 +668,13 @@ func (r *rreq) rowWriteDone() {
 	}
 	r.colv[r.col] = r.data
 	rb := ra.rebuild
+	// The new parities are written, so they are fresh buffers, not
+	// scratch.
 	if ra.alive(r.pslot) || (rb != nil && rb.slot == r.pslot && r.mb < rb.cursor) {
-		pb := ra.scratch(&r.pool)
-		copy(pb, r.colv[0])
-		for c := 1; c < ra.ndata; c++ {
-			xorInto(pb, r.colv[c])
-		}
-		r.newP = pb
+		r.newP = ra.parityP(make([]byte, len(r.data)), r.colv)
 	}
 	if ra.dbl && (ra.alive(r.qslot) || (rb != nil && rb.slot == r.qslot && r.mb < rb.cursor)) {
-		qb := ra.scratch(&r.pool)
-		copy(qb, r.colv[0]) // g^0 = 1
-		for c := 1; c < ra.ndata; c++ {
-			gfMulAddInto(qb, gfPow(c), r.colv[c])
-		}
-		r.newQ = qb
+		r.newQ = ra.parityQ(make([]byte, len(r.data)), r.colv)
 	}
 	ra.cum.ParityRecomputes++
 	r.beginWrites()
@@ -729,10 +765,10 @@ func (r *rreq) finishRecon() {
 		r.finishUnlock(nil, ra.errLost(r.blk, left))
 		return
 	}
-	// The caller gets a buffer of its own: colv[col] is recycled with
-	// the rest of the row when the record retires.
-	out := disk.Buffer(len(r.colv[r.col]))
-	copy(out, r.colv[r.col])
+	// The caller gets the solved column itself, which therefore leaves
+	// the scratch the record releases.
+	out := r.colv[r.col]
+	handOff(r.pool, out)
 	ra.cum.DegradedReads++
 	r.finishUnlock(out, nil)
 }

@@ -140,6 +140,37 @@ func TestXorIntoMatchesByteLoop(t *testing.T) {
 	xorInto(make([]byte, 7), make([]byte, 8))
 }
 
+// The read-modify-write folds of a data column's change, against their
+// definitions byte by byte: newP = P ⊕ old ⊕ new, and newQ = Q ⊕
+// coef·(old ⊕ new) for every column coefficient, the identity included.
+func TestParityDeltaFolds(t *testing.T) {
+	rnd := sim.NewRand(7)
+	block := func() []byte {
+		b := make([]byte, 512)
+		for i := range b {
+			if rnd.Intn(4) > 0 { // leave zero bytes, and equal old/new bytes, in
+				b[i] = byte(rnd.Intn(256))
+			}
+		}
+		return b
+	}
+	for _, coef := range []byte{1, 2, gfPow(5), 0x8e} {
+		base, a, b := block(), block(), block()
+		copy(b[:64], a[:64]) // an unchanged stretch: zero delta
+		gotP, gotQ := make([]byte, len(base)), make([]byte, len(base))
+		xor3(gotP, base, a, b)
+		gfMulAddDelta(gotQ, base, coef, a, b)
+		for i := range base {
+			if want := base[i] ^ a[i] ^ b[i]; gotP[i] != want {
+				t.Fatalf("xor3 byte %d: %#x, want %#x", i, gotP[i], want)
+			}
+			if want := base[i] ^ gfMul(coef, a[i]^b[i]); gotQ[i] != want {
+				t.Fatalf("gfMulAddDelta coef %#x byte %d: %#x, want %#x", coef, i, gotQ[i], want)
+			}
+		}
+	}
+}
+
 func TestSolveRowAllErasures(t *testing.T) {
 	v := mustNew(t, Options{Layout: RAID6, Disks: 5, Disk: tinyDisk()})
 	ra := v.ra
@@ -170,7 +201,7 @@ func TestSolveRowAllErasures(t *testing.T) {
 				}
 			}
 		}
-		recycleAll(pool)
+		ra.release(&pool)
 	}
 	cols := func(erase ...int) [][]byte {
 		colv := make([][]byte, ra.ndata)

@@ -149,38 +149,26 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 		if qs >= 0 && qs != rb.slot && errs[qs] == nil {
 			q = bufs[qs]
 		}
+		// What the spare is written it keeps: a parity block is computed
+		// into a fresh buffer, a solved data column leaves the scratch.
 		var pool [][]byte
 		var val []byte
 		if ra.solveRow(colv, p, q, &pool) == 0 {
 			switch rb.slot {
 			case ps:
-				buf := ra.scratch(&pool)
-				copy(buf, colv[0])
-				for c := 1; c < ra.ndata; c++ {
-					xorInto(buf, colv[c])
-				}
-				val = buf
+				val = ra.parityP(make([]byte, ra.v.bs.Bytes()), colv)
 			case qs:
-				buf := ra.scratch(&pool)
-				copy(buf, colv[0]) // g^0 = 1
-				for c := 1; c < ra.ndata; c++ {
-					gfMulAddInto(buf, gfPow(c), colv[c])
-				}
-				val = buf
+				val = ra.parityQ(make([]byte, ra.v.bs.Bytes()), colv)
 			default:
 				val = colv[ra.colOfSlot(row, rb.slot)]
+				handOff(pool, val)
 			}
 		}
-		// The survivors' blocks were read for this copy alone.
-		release := func() {
-			recycleAll(bufs)
-			recycleAll(pool)
-		}
+		ra.release(&pool)
 		if val == nil {
 			// This row lost more than parity covers; its data is gone
 			// regardless, so skip the block and keep rebuilding the rest.
 			ra.cum.Unrecoverable++
-			release()
 			ra.unlock(row)
 			rb.cursor++
 			ra.v.Eng.After(ra.stepDelay(), ra.copyFn)
@@ -188,7 +176,6 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 		}
 		ra.v.stats.PerDisk[rb.rig]++
 		ra.v.devs[rb.rig].WriteBlock(0, mb, val, func(_ []byte, err error) {
-			release()
 			ra.unlock(row)
 			if err != nil {
 				ra.noteErr(err)
@@ -322,9 +309,8 @@ func (ra *raid) scrubBlock(mb, row int64) {
 			q = bufs[qs]
 		}
 		var pool [][]byte
+		defer ra.release(&pool)
 		finish := func() {
-			recycleAll(bufs)
-			recycleAll(pool)
 			ra.unlock(row)
 			ra.v.Eng.After(ra.stepDelay(), func() { ra.scrubStep(mb + 1) })
 		}
@@ -340,18 +326,10 @@ func (ra *raid) scrubBlock(mb, row int64) {
 			finish()
 			return
 		}
-		expP := ra.scratch(&pool)
-		copy(expP, colv[0])
-		for c := 1; c < ra.ndata; c++ {
-			xorInto(expP, colv[c])
-		}
+		expP := ra.parityP(ra.scratch(&pool), colv)
 		var expQ []byte
 		if ra.dbl {
-			expQ = ra.scratch(&pool)
-			copy(expQ, colv[0])
-			for c := 1; c < ra.ndata; c++ {
-				gfMulAddInto(expQ, gfPow(c), colv[c])
-			}
+			expQ = ra.parityQ(ra.scratch(&pool), colv)
 		}
 		type repair struct {
 			slot int
@@ -375,6 +353,7 @@ func (ra *raid) scrubBlock(mb, row int64) {
 		}
 		wpending := len(reps)
 		for _, rp := range reps {
+			handOff(pool, rp.val) // the member keeps what it is written
 			rig := ra.slotRig[rp.slot]
 			ra.v.stats.PerDisk[rig]++
 			ra.v.devs[rig].WriteBlock(0, mb, rp.val, func(_ []byte, err error) {

@@ -127,9 +127,7 @@ func NewTenants(eng *sim.Engine, srv BlockServer, blocks int64, cfg TenantConfig
 		zipf:   sim.NewZipf(cfg.Tenants, tenantTheta),
 		fzipf:  sim.NewZipf(tenantFootprintBlocks, 1.2),
 	}
-	w.onDone = func(data []byte, err error) {
-		// A tenant keeps nothing of what it read.
-		driver.Recycle(data)
+	w.onDone = func(_ []byte, err error) {
 		w.responded++
 		if err != nil {
 			w.failed++
