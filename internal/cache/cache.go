@@ -314,7 +314,7 @@ func (c *Cache) DirtyLen() int { return c.ndirty }
 // Read returns the block's contents, from the cache if present,
 // otherwise from disk. The slice handed to done is the cache's copy,
 // read-only and shared like every block payload (driver.DoneFunc): the
-// caller must not modify it (use Write), and may keep it for as long as
+// caller must not modify it (use WriteOwned), and may keep it for as long as
 // it likes — the cache never changes or reuses it.
 func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 	if s := c.slot(block); s != 0 {
@@ -366,24 +366,15 @@ func (m *miss) complete(data []byte, err error) {
 	m.next, c.freeMiss = c.freeMiss, m
 }
 
-// Write updates the block in the cache and marks it dirty; the disk
+// WriteOwned updates the block in the cache and marks it dirty; the disk
 // write is deferred to the update policy (or eviction). done fires once
-// the block is in the cache — not when it reaches disk. The cache takes
-// a private copy of data; callers that can hand their buffer over
-// should use WriteOwned instead.
-func (c *Cache) Write(block int64, data []byte, done func(err error)) {
-	c.WriteOwned(block, append([]byte(nil), data...), done)
-}
-
-// WriteOwned is Write with ownership transfer: the cache installs data
-// directly as its copy of the block — and the device it writes back to
-// may keep it as its stored copy — so the caller must never modify the
-// buffer after the call. Nor does the cache, or the device: the buffer
-// stays byte for byte what was handed over, so a caller may hand the
-// same buffer over again (the file system does, with its inode-block
-// images). The file system's serialization paths never write to a block
-// once encoded; handing the buffer over skips Write's defensive copy of
-// every written block.
+// the block is in the cache — not when it reaches disk. The cache
+// installs data directly as its copy of the block — and the device it
+// writes back to may keep it as its stored copy — so the caller must
+// never modify the buffer after the call. Nor does the cache, or the
+// device: the buffer stays byte for byte what was handed over, so a
+// caller may hand the same buffer over again (the file system does, with
+// its inode-block images and its file data pages).
 func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 	if c.wrongSize(data, done) {
 		return
@@ -392,20 +383,13 @@ func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 	c.deliverWrite(done)
 }
 
-// WriteThrough updates the block in the cache (kept clean) and writes it
-// to disk immediately; done fires when the disk write completes. NFS2
-// servers wrote client data synchronously, so the users-workload
-// experiments use this path for file data. The cache takes a private
-// copy of data; see WriteThroughOwned for the ownership-transfer
-// variant.
-func (c *Cache) WriteThrough(block int64, data []byte, done func(err error)) {
-	c.WriteThroughOwned(block, append([]byte(nil), data...), done)
-}
-
-// WriteThroughOwned is WriteThrough with ownership transfer: data
-// becomes the cache's copy of the block (and is handed to the driver
-// for the synchronous disk write), so the caller must not modify the
-// buffer after the call; as with WriteOwned, nothing below does either.
+// WriteThroughOwned updates the block in the cache (kept clean) and
+// writes it to disk immediately; done fires when the disk write
+// completes. NFS2 servers wrote client data synchronously, so the
+// users-workload experiments use this path for file data. data becomes
+// the cache's copy of the block (and is handed to the driver for the
+// synchronous disk write), so the caller must not modify the buffer
+// after the call; as with WriteOwned, nothing below does either.
 func (c *Cache) WriteThroughOwned(block int64, data []byte, done func(err error)) {
 	if c.wrongSize(data, done) {
 		return

@@ -64,7 +64,7 @@ func TestHitIsFasterThanMiss(t *testing.T) {
 func TestWriteIsDeferred(t *testing.T) {
 	r, c := newRig(t)
 	data := block(r, 0xAB)
-	c.Write(5, data, nil)
+	c.WriteOwned(5, data, nil)
 	r.Eng.Run()
 	// Nothing on disk yet.
 	st := r.Driver.PeekStats()
@@ -100,7 +100,7 @@ func TestWriteIsDeferred(t *testing.T) {
 func TestWriteThenReadFromCache(t *testing.T) {
 	r, c := newRig(t)
 	data := block(r, 0x31)
-	c.Write(7, data, nil)
+	c.WriteOwned(7, data, nil)
 	var got []byte
 	c.Read(7, func(d []byte, err error) { got = d })
 	r.Eng.Run()
@@ -112,7 +112,7 @@ func TestWriteThenReadFromCache(t *testing.T) {
 func TestWriteSizeValidation(t *testing.T) {
 	r, c := newRig(t)
 	var got error
-	c.Write(1, []byte{1, 2, 3}, func(err error) { got = err })
+	c.WriteOwned(1, []byte{1, 2, 3}, func(err error) { got = err })
 	r.Eng.Run()
 	if got == nil {
 		t.Error("short write accepted")
@@ -122,7 +122,7 @@ func TestWriteSizeValidation(t *testing.T) {
 func TestEvictionWritesBackDirty(t *testing.T) {
 	r, c := newRig(t) // capacity 8
 	data := block(r, 0x66)
-	c.Write(0, data, nil)
+	c.WriteOwned(0, data, nil)
 	r.Eng.Run()
 	// Fill the cache well past capacity with reads.
 	for i := int64(100); i < 120; i++ {
@@ -255,7 +255,7 @@ func TestBlockOutsidePartition(t *testing.T) {
 func TestSyncDaemonFlushesPeriodically(t *testing.T) {
 	r, c := newRig(t) // sync period 1000 ms
 	c.StartSyncDaemon()
-	c.Write(3, block(r, 1), nil)
+	c.WriteOwned(3, block(r, 1), nil)
 	r.Eng.RunUntil(500)
 	if n := r.Driver.PeekStats().WriteSide.Count(); n != 0 {
 		t.Errorf("flushed before the period elapsed (%d writes)", n)
@@ -265,13 +265,13 @@ func TestSyncDaemonFlushesPeriodically(t *testing.T) {
 		t.Errorf("daemon flushed %d writes, want 1", n)
 	}
 	// Dirty again; daemon keeps running.
-	c.Write(4, block(r, 2), nil)
+	c.WriteOwned(4, block(r, 2), nil)
 	r.Eng.RunUntil(2500)
 	if n := r.Driver.PeekStats().WriteSide.Count(); n != 2 {
 		t.Errorf("second flush: %d writes", n)
 	}
 	c.StopSyncDaemon()
-	c.Write(5, block(r, 3), nil)
+	c.WriteOwned(5, block(r, 3), nil)
 	r.Eng.RunUntil(10000)
 	if n := r.Driver.PeekStats().WriteSide.Count(); n != 2 {
 		t.Errorf("daemon still flushing after stop (%d writes)", n)
@@ -287,7 +287,7 @@ func TestSyncProducesWriteBurst(t *testing.T) {
 	}
 	c := New(r.Eng, r.Driver, 0, Config{CapacityBlocks: 64, SyncPeriodMS: 60000})
 	for i := int64(0); i < 40; i++ {
-		c.Write(i*50, block(r, byte(i)), nil)
+		c.WriteOwned(i*50, block(r, byte(i)), nil)
 	}
 	r.Eng.Run()
 	c.Sync(nil)
@@ -333,7 +333,7 @@ func TestWriteThrough(t *testing.T) {
 	r, c := newRig(t)
 	data := block(r, 0x77)
 	var werr error
-	c.WriteThrough(9, data, func(err error) { werr = err })
+	c.WriteThroughOwned(9, data, func(err error) { werr = err })
 	r.Eng.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -357,7 +357,7 @@ func TestWriteThrough(t *testing.T) {
 func TestWriteThroughSizeValidation(t *testing.T) {
 	r, c := newRig(t)
 	var werr error
-	c.WriteThrough(1, []byte{1}, func(err error) { werr = err })
+	c.WriteThroughOwned(1, []byte{1}, func(err error) { werr = err })
 	r.Eng.Run()
 	if werr == nil {
 		t.Error("short write-through accepted")
@@ -404,7 +404,7 @@ func TestPressureSparesDirtyBlocks(t *testing.T) {
 		Seed:             7,
 	})
 	blockData := make([]byte, r.Driver.BlockSize().Bytes())
-	c.Write(5, blockData, nil)
+	c.WriteOwned(5, blockData, nil)
 	r.Eng.Run()
 	c.StartSyncDaemon()
 	r.Eng.RunUntil(r.Eng.Now() + 2500)
@@ -482,7 +482,7 @@ func TestOwnedPayloadNeverModified(t *testing.T) {
 	// it back while the slot is reused.
 	c.WriteOwned(1, shared, nil)
 	for b := int64(100); b < 120; b++ {
-		c.Write(b, block(r, byte(b)), nil)
+		c.WriteOwned(b, block(r, byte(b)), nil)
 	}
 	r.Eng.Run()
 	if _, _, wb := c.Stats(); wb < 3 {
@@ -526,7 +526,7 @@ func TestLetGoRespectsLoans(t *testing.T) {
 		{"write-through", func(r *rig.Rig, c *Cache) { c.WriteThroughOwned(10, block(r, 0x5A), nil) }, 0x5A},
 	} {
 		r, c := newRig(t)
-		c.Write(10, block(r, 0xA1), nil)
+		c.WriteOwned(10, block(r, 0xA1), nil)
 		c.Sync(nil)
 		r.Eng.Run()
 		c.Invalidate(10) // the next read is a device fill
@@ -564,7 +564,7 @@ func TestMissEvictSteadyStateZeroAllocs(t *testing.T) {
 	r, c := newRig(t) // 8 blocks
 	// Half the blocks are written, half never: misses of both kinds.
 	for b := int64(0); b < 16; b += 2 {
-		c.WriteThrough(b, block(r, byte(b+1)), nil)
+		c.WriteThroughOwned(b, block(r, byte(b+1)), nil)
 		c.Invalidate(b)
 	}
 	r.Eng.Run()

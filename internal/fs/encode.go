@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -295,7 +296,8 @@ func trimNul(b []byte) string {
 
 // dataPattern generates the deterministic content of a file data block.
 // The pattern lets tests verify, byte for byte, that block rearrangement
-// never corrupts file contents.
+// never corrupts file contents. It returns a fresh page; WriteAt calls it
+// once per (inode, file block) and keeps the result in inode.pages.
 func (f *FS) dataPattern(ino Ino, idx int64) []byte {
 	buf := make([]byte, f.blockBytes)
 	be := binary.BigEndian
@@ -313,16 +315,9 @@ func (f *FS) dataPattern(ino Ino, idx int64) []byte {
 }
 
 // CheckPattern reports whether data is the expected content of block idx
-// of file ino.
+// of file ino. It builds the expected bytes from scratch and never looks
+// at the pages the inode keeps: it is the reference those kept pages are
+// checked against, so it must not share their mistakes.
 func (f *FS) CheckPattern(data []byte, ino Ino, idx int64) bool {
-	want := f.dataPattern(ino, idx)
-	if len(data) != len(want) {
-		return false
-	}
-	for i := range data {
-		if data[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(data, f.dataPattern(ino, idx))
 }

@@ -204,6 +204,19 @@ func TestDataPatternProperties(t *testing.T) {
 	if f.CheckPattern(a[:100], 5, 3) {
 		t.Error("short buffer verified")
 	}
+
+	// CheckPattern is the reference the pages an inode keeps are checked
+	// against, so it must not consult them: a wrong page kept for a block
+	// must fail it.
+	r, f := newFS(t)
+	ino := mustCreate(t, r, f, "/p")
+	h, _ := f.OpenIno(ino)
+	mustWrite(t, r, h, 0, 2)
+	nd := f.inodes[ino]
+	nd.pages[0] = nd.pages[1]
+	if f.CheckPattern(nd.pages[0], ino, 0) {
+		t.Error("block 1's page verified as block 0: CheckPattern trusts the kept pages")
+	}
 }
 
 func TestBitmapHelpers(t *testing.T) {

@@ -121,6 +121,11 @@ type inode struct {
 	iblock   []int64 // in-memory copy of the indirect block pointers
 	entries  map[string]Ino
 	order    []string // directory entry order (on-disk slot order)
+	// pages[b] is the page WriteAt built for file block b (dataPattern),
+	// nil until then; only blocks below size have one. A block's content
+	// is a pure function of (ino, b) and payloads are immutable, so every
+	// overwrite hands the same page down. The pages leave with the inode.
+	pages [][]byte
 }
 
 // group is the in-memory state of one cylinder group.

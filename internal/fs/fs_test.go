@@ -30,9 +30,29 @@ func newFSWith(t *testing.T, opts rig.Options, prm Params) (*rig.Rig, *FS) {
 	return r, f
 }
 
-// checkImages is the oracle for the inode-block images: every image
-// the file system holds must equal a fresh full encode of its block. A
-// mutation site that forgot inodeChanged fails here.
+// patterns holds the reference content of every (block size, inode, file
+// block) checkImages has compared a kept page with. It is built by
+// dataPattern, never taken from the pages under test; building it again
+// for every kept page after every operation made the model test forty
+// times slower.
+var patterns = map[[3]int64][]byte{}
+
+func pattern(f *FS, ino Ino, b int64) []byte {
+	k := [3]int64{int64(f.blockBytes), int64(ino), b}
+	p, ok := patterns[k]
+	if !ok {
+		p = f.dataPattern(ino, b)
+		patterns[k] = p
+	}
+	return p
+}
+
+// checkImages is the oracle for what the file system keeps built: every
+// inode-block image must equal a fresh full encode of its block — a
+// mutation site that forgot inodeChanged fails here — and every data
+// page an inode keeps must be its block's pattern byte for byte, with
+// none kept at or past the file's size (the whole backing array is
+// looked at: a later grow reslices over it).
 func checkImages(t *testing.T, f *FS) {
 	t.Helper()
 	for gi, g := range f.groups {
@@ -41,6 +61,20 @@ func checkImages(t *testing.T, f *FS) {
 			img := f.inoImages[f.imageIndex(blk)]
 			if img != nil && !bytes.Equal(img, f.buildInodeBlock(blk)) {
 				t.Fatalf("stale image of inode block %d (group %d): an inode changed without inodeChanged", blk, gi)
+			}
+		}
+	}
+	for _, nd := range f.inodes {
+		if nd == nil {
+			continue
+		}
+		for b, p := range nd.pages[:cap(nd.pages)] {
+			switch {
+			case p == nil:
+			case int64(b) >= nd.size:
+				t.Fatalf("inode %d keeps a page for block %d, at or past its size %d", nd.ino, b, nd.size)
+			case !bytes.Equal(p, pattern(f, nd.ino, int64(b))):
+				t.Fatalf("inode %d: the page kept for block %d is not that block's pattern", nd.ino, b)
 			}
 		}
 	}

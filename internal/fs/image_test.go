@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/rig"
@@ -158,5 +159,143 @@ func TestWriteNoSpaceRollsBack(t *testing.T) {
 		if !f2.CheckPattern(blk, victim, int64(i)) {
 			t.Errorf("remounted block %d corrupt", i)
 		}
+	}
+}
+
+// A data block's page is built by the first write of that file block and
+// handed down by every overwrite: the cache, and once flushed the disk,
+// hold the very array the first write built. The pages leave with the
+// inode — a file created on a reused inode number, and a file system
+// mounted afresh, build their own — and a write that runs out of space
+// keeps none past the old size.
+func TestOverwriteHandsSamePage(t *testing.T) {
+	// One cylinder group, so the out-of-space write at the end is near.
+	r, f := newFSWith(t, rig.Options{ReservedCyls: 48, PartitionBlocks: []int64{340}}, Params{})
+	const n = NDirect + 2 // through the indirect block
+	// cached returns the data cache's copy of file block b.
+	cached := func(f *FS, ino Ino, b int64) []byte {
+		t.Helper()
+		var got []byte
+		f.Cache().Read(f.blockOf(f.inodes[ino], b), func(data []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = data
+		})
+		r.Eng.Run()
+		return got
+	}
+	verify := func(f *FS, ino Ino, when string) {
+		t.Helper()
+		h, _ := f.OpenIno(ino)
+		for b, blk := range mustRead(t, r, h, 0, h.SizeBlocks()) {
+			if !f.CheckPattern(blk, ino, int64(b)) {
+				t.Fatalf("%s: block %d corrupt", when, b)
+			}
+		}
+	}
+
+	ino := mustCreate(t, r, f, "/a")
+	h, _ := f.OpenIno(ino)
+	mustWrite(t, r, h, 0, n)
+	first := make([][]byte, n) // held: no later page can take their address
+	for b := range first {
+		first[b] = cached(f, ino, int64(b))
+	}
+	mustWrite(t, r, h, 0, n)
+	mustWrite(t, r, h, 1, 1)
+	for b := range first {
+		if got := cached(f, ino, int64(b)); &got[0] != &first[b][0] {
+			t.Errorf("overwrite of block %d handed down another page than the first write built", b)
+		}
+	}
+	f.Sync(nil)
+	r.Eng.Run()
+	blk := f.blockOf(f.inodes[ino], 1)
+	r.Driver.ReadBlock(0, blk, func(data []byte, err error) {
+		if err != nil || &data[0] != &first[1][0] {
+			t.Errorf("the disk does not hold the page the write built (err=%v)", err)
+		}
+	})
+	r.Eng.Run()
+
+	// The inode number is reused; its pages are not.
+	mustRemove(t, r, f, "/a")
+	if again := mustCreate(t, r, f, "/b"); again != ino {
+		t.Fatalf("the new file got inode %d, want the freed %d", again, ino)
+	}
+	mustWrite(t, r, h, 0, n)
+	for b := range first {
+		if got := cached(f, ino, int64(b)); &got[0] == &first[b][0] {
+			t.Errorf("a file on a reused inode number was handed the removed file's page for block %d", b)
+		}
+	}
+	verify(f, ino, "re-created")
+
+	// A mounted file system starts with no pages and builds its own.
+	f.Sync(nil)
+	r.Eng.Run()
+	var f2 *FS
+	Mount(r.Eng, r.Driver, 0, Params{}, func(m *FS, err error) {
+		if err != nil {
+			t.Fatalf("mount: %v", err)
+		}
+		f2 = m
+	})
+	r.Eng.Run()
+	before := cached(f, ino, 0)
+	h2, _ := f2.OpenIno(ino)
+	mustWrite(t, r, h2, 0, 1)
+	if got := cached(f2, ino, 0); &got[0] == &before[0] {
+		t.Error("the mounted file system's first write handed down the old instance's page")
+	}
+	verify(f2, ino, "remounted")
+
+	// Out of space part way: no page is kept past the old size.
+	fill := mustCreate(t, r, f2, "/fill")
+	hf, _ := f2.OpenIno(fill)
+	mustWrite(t, r, hf, 0, f2.FreeBlocks()-1-20)
+	var werr error
+	h2.WriteAt(n-1, 25, func(err error) { werr = err })
+	r.Eng.Run()
+	if !errors.Is(werr, ErrNoSpace) {
+		t.Fatalf("overfull write: %v, want ErrNoSpace", werr)
+	}
+	checkImages(t, f2)
+	if nd := f2.inodes[ino]; len(nd.pages) != n {
+		t.Errorf("after the failed write the inode keeps %d page slots for a %d-block file", len(nd.pages), n)
+	}
+	verify(f2, ino, "after the failed write")
+}
+
+// An overwrite builds nothing: it hands down the page the first write
+// built, so overwriting a written block allocates less than one block's
+// bytes per call — what is left is the write's steps and completions —
+// while the first write of a block still builds its page.
+func TestOverwriteAllocatesNoPage(t *testing.T) {
+	r, f := newFS(t)
+	ino := mustCreate(t, r, f, "/w")
+	h, _ := f.OpenIno(ino)
+	mustWrite(t, r, h, 0, 1)
+	overwrite := func() {
+		h.WriteAt(0, 1, nil)
+		r.Eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		overwrite()
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		overwrite()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= uint64(f.blockBytes) {
+		t.Errorf("an overwrite allocates %d bytes, want less than one %d-byte block", per, f.blockBytes)
+	}
+	mustWrite(t, r, h, 1, 1)
+	if p := f.inodes[ino].pages; len(p) != 2 || p[1] == nil {
+		t.Fatalf("the first write of block 1 kept no page (%d slots)", len(p))
 	}
 }

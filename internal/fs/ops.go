@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -301,7 +302,9 @@ func (f *FS) ReadDir(path string, done func([]string, error)) {
 // WriteAt writes (or overwrites) n blocks of the file starting at file
 // block idx. Writing may extend the file, but not leave holes: idx must
 // not exceed the current size. Block contents are the deterministic
-// per-block pattern, so later reads can be integrity-checked.
+// per-block pattern, so later reads can be integrity-checked; a block's
+// page is built on its first write and handed down again on every
+// overwrite (inode.pages).
 func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	f := h.f
 	if f.readOnly {
@@ -339,7 +342,9 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	perGroup := len(f.groups[0].inodeUsed)
 	gi := int(h.ino) / perGroup
 	dirty := map[int]bool{}
-	steps := []step{{block: f.inodeBlockOf(h.ino), meta: true}} // read inode first
+	// Sized once for the data blocks, the inode and indirect steps and a
+	// descriptor or two; the inode is read first.
+	steps := append(make([]step, 0, n+6), step{block: f.inodeBlockOf(h.ino), meta: true})
 	indirectTouched := false
 	indirectRead := false
 
@@ -359,6 +364,8 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			}
 		}
 		nd.iblock = nd.iblock[:oldIblockLen] // files have no holes: new entries were appended
+		clear(nd.pages[nd.size:])            // a later grow reslices over them
+		nd.pages = nd.pages[:nd.size]
 		if nd.indirect != oldIndirect {
 			f.freeData(nd.indirect)
 			nd.indirect = oldIndirect
@@ -367,6 +374,9 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 		f.fail1(done, err)
 	}
 
+	if end := int(idx + n); end > len(nd.pages) {
+		nd.pages = slices.Grow(nd.pages, end-len(nd.pages))[:end]
+	}
 	for b := idx; b < idx+n; b++ {
 		if b >= NDirect && nd.indirect < 0 {
 			ib, err := f.allocData(gi, -1)
@@ -408,7 +418,10 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 				indirectTouched = true
 			}
 		}
-		steps = append(steps, step{block: blk, data: f.dataPattern(h.ino, b)})
+		if nd.pages[b] == nil {
+			nd.pages[b] = f.dataPattern(h.ino, b)
+		}
+		steps = append(steps, step{block: blk, data: nd.pages[b]})
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
