@@ -20,12 +20,14 @@
 //
 // With -telemetry FILE, a time-series CSV written by abrsim -sample is
 // summarized as a queue-depth-over-time table per job, plus the final
-// fault-tolerance counters (faults, retries, remaps, unrecovered) when
-// the run sampled them (abrsim -fault-plan). Volume runs sample those
-// counters per member disk (disk0_faults, disk1_faults, ...); every
-// sampled disk gets its own counter line, not just the first. Files
-// without fault columns are summarized without the fault lines. The
-// flag works alone or alongside -trace.
+// fault-tolerance counters. The columns are the run's metrics registry,
+// under the names -metrics uses: the queue depth is the sum of the
+// driver_queue_len columns over every disk label, and the counters are
+// driver_faults, driver_retries, driver_remaps and driver_unrecovered,
+// one line per disk label (a volume's members are disk="0", disk="1",
+// ...). A disk whose four counters are all zero — every disk of a run
+// without abrsim -fault-plan — gets no line. The flag works alone or
+// alongside -trace.
 //
 // With -metrics FILE, a metrics JSON snapshot written by abrsim
 // -metrics is printed as one latency-percentile table per job: every
@@ -41,13 +43,14 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -148,8 +151,8 @@ func summarizeTelemetry(w io.Writer, f io.Reader, path string) error {
 
 	for _, job := range jobs {
 		rs := byJob[job]
-		if _, ok := rs[0].Values["queue_depth"]; !ok {
-			fmt.Fprintf(w, "%s: no queue_depth column in %d samples\n", job, len(rs))
+		if _, ok := queueDepth(rs[0]); !ok {
+			fmt.Fprintf(w, "%s: no driver_queue_len column in %d samples\n", job, len(rs))
 			printFaultCounters(w, rs)
 			fmt.Fprintln(w)
 			continue
@@ -179,7 +182,7 @@ func summarizeTelemetry(w io.Writer, f io.Reader, path string) error {
 			if i >= buckets {
 				i = buckets - 1
 			}
-			qd := r.Values["queue_depth"]
+			qd, _ := queueDepth(r)
 			bs[i].n++
 			bs[i].sum += qd
 			if qd > bs[i].max {
@@ -206,41 +209,63 @@ func summarizeTelemetry(w io.Writer, f io.Reader, path string) error {
 	return nil
 }
 
-// printFaultCounters prints the job's final fault-tolerance counters.
-// The columns exist only when the run sampled with an active fault plan
-// (they are cumulative, so the last sample holds the totals); files
-// without them are silently summarized without these lines. Volume runs
-// tag the counters per member disk (disk<i>_faults, ...); one line is
-// printed for every sampled disk — members without a fault plan are
-// not sampled, so the indices need not be contiguous.
+// queueDepth sums a sample's driver_queue_len columns over every disk
+// label; ok is false when the sample has none.
+func queueDepth(r telemetry.SampleRow) (qd float64, ok bool) {
+	for name, v := range r.Values {
+		if base, _ := splitName(name); base == "driver_queue_len" {
+			qd, ok = qd+v, true
+		}
+	}
+	return qd, ok
+}
+
+// printFaultCounters prints the job's final fault-tolerance counters
+// from its last sample (they are cumulative, so it holds the totals):
+// one line per disk label, "fault counters" for a lone disk's unlabelled
+// counters and "disk i fault counters" for member i of a volume, in
+// disk order. A disk whose four counters are all zero gets no line.
 func printFaultCounters(w io.Writer, rs []telemetry.SampleRow) {
-	last := rs[len(rs)-1].Values
-	if _, ok := last["faults"]; ok {
-		fmt.Fprintf(w, "  fault counters: %.0f faults, %.0f retries, %.0f remaps, %.0f unrecovered\n",
-			last["faults"], last["retries"], last["remaps"], last["unrecovered"])
-	}
-	var disks []int
-	for k := range last {
-		rest, ok := strings.CutPrefix(k, "disk")
-		if !ok {
+	byDisk := map[string]*[4]float64{}
+	for name, v := range rs[len(rs)-1].Values {
+		base, disk := splitName(name)
+		i := slices.Index([]string{"driver_faults", "driver_retries", "driver_remaps", "driver_unrecovered"}, base)
+		if i < 0 {
 			continue
 		}
-		num, ok := strings.CutSuffix(rest, "_faults")
-		if !ok {
-			continue
+		if byDisk[disk] == nil {
+			byDisk[disk] = new([4]float64)
 		}
-		i, err := strconv.Atoi(num)
-		if err != nil || i < 0 {
-			continue
+		byDisk[disk][i] = v
+	}
+	var disks []string
+	for d, c := range byDisk {
+		if *c != [4]float64{} {
+			disks = append(disks, d)
 		}
-		disks = append(disks, i)
 	}
-	sort.Ints(disks)
-	for _, i := range disks {
-		p := fmt.Sprintf("disk%d_", i)
-		fmt.Fprintf(w, "  disk %d fault counters: %.0f faults, %.0f retries, %.0f remaps, %.0f unrecovered\n",
-			i, last[p+"faults"], last[p+"retries"], last[p+"remaps"], last[p+"unrecovered"])
+	// Shorter first: "" (a lone disk), then the indices in numeric order.
+	slices.SortFunc(disks, func(a, b string) int { return cmp.Or(len(a)-len(b), strings.Compare(a, b)) })
+	for _, d := range disks {
+		c, what := byDisk[d], "fault counters"
+		if d != "" {
+			what = "disk " + d + " " + what
+		}
+		fmt.Fprintf(w, "  %s: %.0f faults, %.0f retries, %.0f remaps, %.0f unrecovered\n", what, c[0], c[1], c[2], c[3])
 	}
+}
+
+// splitName splits a registry name into its base and the value of its
+// disk label: driver_faults{disk="1"} is ("driver_faults", "1"), and a
+// name without a disk label has disk "".
+func splitName(name string) (base, disk string) {
+	base, labels, _ := strings.Cut(name, "{")
+	for _, pair := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+		if v, ok := strings.CutPrefix(pair, `disk="`); ok {
+			return base, strings.TrimSuffix(v, `"`)
+		}
+	}
+	return base, ""
 }
 
 // reportMetrics reads a metrics JSON snapshot and prints one latency-

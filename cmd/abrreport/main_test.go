@@ -18,16 +18,16 @@ import (
 )
 
 // A two-section sampler CSV as abrsim -sample writes for a mixed run:
-// a single-disk job sampling the aggregate fault counters, then a
-// volume job whose fault-injected members sample per-disk counters
-// (member 0 has no fault plan, so only disk1_* columns exist — the
-// indices are not contiguous).
-const mixedCSV = `job,t_ms,queue_depth,faults,retries,remaps,unrecovered
-onoff/system/toshiba,1000,3,2,2,0,0
-onoff/system/toshiba,2000,5,7,8,1,0
-job,t_ms,queue_depth,disk0_qd,disk1_qd,disk1_faults,disk1_retries,disk1_remaps,disk1_unrecovered
-volume/mirror-degraded,1000,4,2,2,1,1,0,0
-volume/mirror-degraded,2000,6,3,3,9,11,2,1
+// a single-disk job, whose unlabelled counters are the disk's own, with
+// a two-label cache column quoted the RFC 4180 way, then a volume job
+// whose counters carry a disk label per member (member 0 has no fault
+// plan, so its counters stay zero).
+const mixedCSV = `job,t_ms,driver_faults,driver_retries,driver_remaps,driver_unrecovered,driver_queue_len,"cache_hits{cache=""data"",fs=""sys""}"
+onoff/system/toshiba,1000,2,2,0,0,3,40
+onoff/system/toshiba,2000,7,8,1,0,5,90
+job,t_ms,"driver_faults{disk=""0""}","driver_retries{disk=""0""}","driver_remaps{disk=""0""}","driver_unrecovered{disk=""0""}","driver_queue_len{disk=""0""}","driver_faults{disk=""1""}","driver_retries{disk=""1""}","driver_remaps{disk=""1""}","driver_unrecovered{disk=""1""}","driver_queue_len{disk=""1""}"
+volume/mirror-degraded,1000,0,0,0,0,2,1,1,0,0,2
+volume/mirror-degraded,2000,0,0,0,0,3,9,11,2,1,3
 `
 
 func TestSummarizeTelemetryPerDiskCounters(t *testing.T) {
@@ -49,8 +49,8 @@ func TestSummarizeTelemetryPerDiskCounters(t *testing.T) {
 			t.Errorf("output missing %q\n\n%s", want, out)
 		}
 	}
-	// The volume job sampled no aggregate counters and member 0 no
-	// per-disk ones: neither line may be fabricated for them.
+	// The volume job has no unlabelled counters and member 0 counted
+	// nothing: neither line may be fabricated for them.
 	volPart := out[strings.Index(out, "volume/mirror-degraded"):]
 	if strings.Contains(volPart, "  fault counters:") {
 		t.Errorf("volume job got an aggregate fault line it never sampled\n\n%s", volPart)
@@ -61,7 +61,7 @@ func TestSummarizeTelemetryPerDiskCounters(t *testing.T) {
 }
 
 func TestSummarizeTelemetryNoFaultColumns(t *testing.T) {
-	const plain = "job,t_ms,queue_depth\nonoff/system/toshiba,1000,3\n"
+	const plain = "job,t_ms,driver_queue_len,driver_faults,driver_retries,driver_remaps,driver_unrecovered\nonoff/system/toshiba,1000,3,0,0,0,0\n"
 	var sb strings.Builder
 	if err := summarizeTelemetry(&sb, strings.NewReader(plain), "plain.csv"); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/hotlist"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -78,9 +79,32 @@ func New(eng *sim.Engine, drv *driver.Driver, cfg Config) (*Rearranger, error) {
 // Policy returns the placement policy in use.
 func (r *Rearranger) Policy() Policy { return r.cfg.Policy }
 
-// Counter returns the reference counter in use, for inspection of the
-// accumulated block-access distribution.
-func (r *Rearranger) Counter() hotlist.Counter { return r.cfg.Counter }
+// BindMetrics registers the analyzer's hot-list gauges in reg under the
+// given labels (a volume labels each member disk="i"): core_hot_tracked,
+// how many blocks the reference counter tracks, and core_hot_churn, how
+// many of the 64 hottest blocks were not among the 64 hottest when it
+// was last read — the paper's Figure 5 convergence signal at sampler
+// resolution. Reading core_hot_churn advances it: each read keeps the
+// set it saw for the next, so the sampler's ticks and the end-of-run
+// snapshot each take a turn.
+func (r *Rearranger) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
+	reg.GaugeFunc("core_hot_tracked", func() float64 { return float64(r.cfg.Counter.Len()) }, labels...)
+	const topK = 64
+	prev := map[int64]bool{}
+	reg.GaugeFunc("core_hot_churn", func() float64 {
+		top := r.cfg.Counter.Top(topK)
+		next := make(map[int64]bool, len(top))
+		churn := 0
+		for _, bc := range top {
+			next[bc.Block] = true
+			if !prev[bc.Block] {
+				churn++
+			}
+		}
+		prev = next
+		return float64(churn)
+	}, labels...)
+}
 
 // StartMonitoring begins periodic polling of the driver's request table,
 // as the reference stream analyzer process does while the system runs.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hotlist"
+	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/sim"
 )
@@ -24,6 +25,37 @@ func TestNewRequiresRearrangedDisk(t *testing.T) {
 	}
 	if _, err := New(r.Eng, r.Driver, Config{}); err == nil {
 		t.Fatal("rearranger accepted a non-rearranged disk")
+	}
+}
+
+// core_hot_churn counts the top blocks new since its last read, so a
+// second read with no new references reads 0.
+func TestBindMetricsHotList(t *testing.T) {
+	r := newRig(t)
+	ra, err := New(r.Eng, r.Driver, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	ra.BindMetrics(reg, metrics.Label{Key: "disk", Value: "1"})
+	read := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, m := range reg.Snapshot().Metrics {
+			got[m.Name] = m.Value
+		}
+		return got
+	}
+	for _, blk := range []int64{42, 42, 99, 7} {
+		r.Driver.ReadBlock(0, blk, nil)
+	}
+	r.Eng.Run()
+	ra.Poll()
+	first := read()
+	if first[`core_hot_tracked{disk="1"}`] != 3 || first[`core_hot_churn{disk="1"}`] != 3 {
+		t.Errorf("first read %v, want 3 tracked, 3 new", first)
+	}
+	if again := read(); again[`core_hot_churn{disk="1"}`] != 0 {
+		t.Errorf("second read churn = %v, want 0", again[`core_hot_churn{disk="1"}`])
 	}
 }
 

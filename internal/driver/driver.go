@@ -433,7 +433,9 @@ type driverMetrics struct {
 // given labels (a volume labels each member disk="i"): per-request
 // service/queue/seek-time and queue-depth histograms, recorded from the
 // moment of binding, plus func-backed counters over the lifetime
-// Counters, resolved at snapshot time. Bind after populate so the
+// Counters and the disk's cumulative head travel, and gauges of the
+// queue, the requests outstanding and the block table's length, all
+// resolved when read. Bind after populate so the
 // distributions cover only the measured window. Like every driver entry
 // point, call it from the goroutine driving the simulation.
 func (d *Driver) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
@@ -451,6 +453,10 @@ func (d *Driver) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.CounterFunc("driver_remaps", func() int64 { return d.cum.Remaps }, labels...)
 	reg.CounterFunc("driver_unrecovered", func() int64 { return d.cum.Unrecovered }, labels...)
 	reg.GaugeFunc("driver_backoff_ms", func() float64 { return d.cum.BackoffMS }, labels...)
+	reg.GaugeFunc("driver_queue_len", func() float64 { return float64(d.QueueLen()) }, labels...)
+	reg.GaugeFunc("driver_outstanding", func() float64 { return float64(d.Outstanding()) }, labels...)
+	reg.GaugeFunc("driver_block_table_len", func() float64 { return float64(d.BlockTableLen()) }, labels...)
+	reg.CounterFunc("driver_seek_cylinders", func() int64 { return d.dsk.SeekCylinders() }, labels...)
 }
 
 // Outstanding returns the number of requests in the driver: queued

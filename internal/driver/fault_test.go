@@ -115,6 +115,14 @@ func TestTransientErrorsRetryAndRecover(t *testing.T) {
 	if got["driver_backoff_ms"] != c.BackoffMS {
 		t.Errorf("driver_backoff_ms = %v, want %v", got["driver_backoff_ms"], c.BackoffMS)
 	}
+	if got["driver_seek_cylinders"] != float64(drv.Disk().SeekCylinders()) {
+		t.Errorf("driver_seek_cylinders = %v, want %d", got["driver_seek_cylinders"], drv.Disk().SeekCylinders())
+	}
+	for _, idle := range []string{"driver_queue_len", "driver_outstanding", "driver_block_table_len"} {
+		if v, ok := got[idle]; !ok || v != 0 {
+			t.Errorf("%s = %v (registered %v), want 0 on an idle driver", idle, v, ok)
+		}
+	}
 }
 
 func TestTransientBackoffAddsSimTime(t *testing.T) {

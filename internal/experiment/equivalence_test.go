@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +53,8 @@ var equivSpecs = []struct {
 	days  int  // override equivOptions().Days when > 0
 	// metrics marks a spec TestMetricsDeterminism locks as well. Its
 	// three simulations are shared between the two tests: plain jobs=1,
-	// metrics-on jobs=1 and metrics-on jobs=8, instead of a plain and a
-	// metrics-on pair each.
+	// observed (metrics and sampler on) jobs=1 and observed jobs=8,
+	// instead of a plain and an observed pair each.
 	metrics bool
 }{
 	{id: "table2", short: true, metrics: true},
@@ -75,21 +77,24 @@ var equivSpecs = []struct {
 }
 
 // specRun is what one run of a spec wrote: the reports exactly as
-// abrsim prints them and, for a metrics-on run, the per-job snapshot
-// document as abrsim -metrics writes it.
-type specRun struct{ stdout, snapshot string }
+// abrsim prints them and, for an observed run, the per-job snapshot
+// document as abrsim -metrics writes it and the time series as abrsim
+// -sample writes it.
+type specRun struct{ stdout, snapshot, csv string }
 
 // runSpec gathers one spec on the given worker count. days > 0
-// overrides the fixed day count; withMetrics turns the histograms on
-// and fails the test if any job's snapshot is empty.
-func runSpec(t *testing.T, id string, days, workers int, withMetrics bool) specRun {
+// overrides the fixed day count; observed turns the metrics and a
+// one-minute sampler on, and fails the test if any job's snapshot is
+// empty or its sampler columns are not its registry's counters and
+// gauges, in registration order.
+func runSpec(t *testing.T, id string, days, workers int, observed bool) specRun {
 	t.Helper()
 	o := equivOptions()
 	if days > 0 {
 		o.Days = days
 	}
-	if withMetrics {
-		o.Telemetry = &telemetry.Options{Metrics: true}
+	if observed {
+		o.Telemetry = &telemetry.Options{Metrics: true, SamplePeriodMS: 60_000}
 	}
 	reports, rs, err := RunSpecFull(context.Background(), id, o,
 		runner.Config{Workers: workers})
@@ -103,29 +108,56 @@ func runSpec(t *testing.T, id string, days, workers int, withMetrics bool) specR
 		sb.WriteByte('\n')
 	}
 	run.stdout = sb.String()
-	if withMetrics {
+	if observed {
 		jobs := telemetry.MetricsSnapshots(rs.Collectors)
-		if len(jobs) == 0 {
-			t.Fatalf("%s: no metrics snapshots collected", id)
+		if len(jobs) != len(rs.Collectors) {
+			t.Fatalf("%s: %d metrics snapshots for %d jobs", id, len(jobs), len(rs.Collectors))
 		}
-		for _, j := range jobs {
+		for i, j := range jobs {
 			if len(j.Metrics) == 0 {
 				t.Errorf("%s: job %s bound no metrics", id, j.Job)
 			}
+			checkSamplerColumns(t, rs.Collectors[i], j)
 		}
 		sb.Reset()
 		if err := metrics.WriteJSON(&sb, jobs); err != nil {
 			t.Fatal(err)
 		}
 		run.snapshot = sb.String()
+		sb.Reset()
+		if err := telemetry.WriteCSV(&sb, rs.Collectors); err != nil {
+			t.Fatal(err)
+		}
+		run.csv = sb.String()
 	}
 	return run
 }
 
-// metricsRuns memoizes the metrics-on runs the two tests share.
+// checkSamplerColumns fails the test unless the job's sampler header
+// names, after job and t_ms, exactly the counters and gauges of its
+// snapshot, in order: every column is a view of the registry.
+func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.JobSnapshot) {
+	t.Helper()
+	header, err := csv.NewReader(strings.NewReader(col.CSVHeader())).Read()
+	if err != nil {
+		t.Errorf("job %s: sampler header %q: %v", job.Job, col.CSVHeader(), err)
+		return
+	}
+	var want []string
+	for _, m := range job.Metrics {
+		if m.Hist == nil {
+			want = append(want, m.Name)
+		}
+	}
+	if len(header) < 2 || !slices.Equal(header[2:], want) {
+		t.Errorf("job %s: sampler columns\n%q\nare not the registry's counters and gauges\n%q", job.Job, header, want)
+	}
+}
+
+// metricsRuns memoizes the observed runs the two tests share.
 var metricsRuns = map[string]specRun{}
 
-// metricsRun returns the spec's metrics-on run at the given worker
+// metricsRun returns the spec's observed run at the given worker
 // count, simulating it the first time either test asks.
 func metricsRun(t *testing.T, id string, workers int) specRun {
 	t.Helper()
@@ -172,7 +204,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			// sequential one — the runner's ordering contract, re-checked
 			// here because the pooled engine must stay job-private. Where
 			// TestMetricsDeterminism runs the spec at jobs=8 anyway, that
-			// run stands in: stdout is the same with or without -metrics.
+			// run stands in: stdout is the same observed or not.
 			var par string
 			if spec.metrics {
 				par = metricsRun(t, spec.id, 8).stdout
@@ -188,10 +220,11 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 
 // TestMetricsDeterminism pins the metrics core's determinism contract
 // end to end: the JSON snapshot — every bucket count, sum, and
-// quantile input — must be byte-identical for any harness worker
-// count, no job's snapshot may be empty, and turning metrics on must
-// not move a byte of stdout (checked against the golden, where the
-// spec has one).
+// quantile input — and the sampler's time series must be
+// byte-identical for any harness worker count, no job's snapshot may
+// be empty, and observing — metrics and sampler both on — must not
+// move a byte of stdout (checked against the golden, where the spec
+// has one).
 func TestMetricsDeterminism(t *testing.T) {
 	type row struct {
 		id            string
@@ -215,6 +248,9 @@ func TestMetricsDeterminism(t *testing.T) {
 			if par.snapshot != base.snapshot {
 				t.Errorf("%s: jobs=8 metrics snapshot differs from jobs=1", spec.id)
 			}
+			if base.csv == "" || par.csv != base.csv {
+				t.Errorf("%s: jobs=8 time series differs from jobs=1 (%d vs %d bytes)", spec.id, len(par.csv), len(base.csv))
+			}
 			if !spec.golden {
 				return
 			}
@@ -224,7 +260,7 @@ func TestMetricsDeterminism(t *testing.T) {
 			}
 			for jobs, run := range map[int]specRun{1: base, 8: par} {
 				if run.stdout != string(want) {
-					t.Errorf("%s: stdout with metrics on (jobs=%d) differs from the golden", spec.id, jobs)
+					t.Errorf("%s: stdout observed (jobs=%d) differs from the golden", spec.id, jobs)
 				}
 			}
 		})

@@ -162,11 +162,8 @@ func (st *stack) measureDays(run *Run) error {
 	var ws []fileWorkload
 	if e.Workload.Source == SystemAndUsers {
 		usr.Seed++
+		// The two workloads share one workload_job_ms distribution.
 		ws = []fileWorkload{newFileWorkload(st, 0, System, sys, usr), newFileWorkload(st, 1, Users, sys, usr)}
-		// This experiment's time series has always covered populate; the
-		// distributions, as everywhere, only measured traffic. Its two
-		// workloads share one workload_job_ms distribution.
-		st.startSampler()
 	} else {
 		ws = []fileWorkload{newFileWorkload(st, 0, e.Workload.Source, sys, usr)}
 	}

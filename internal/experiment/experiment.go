@@ -122,9 +122,9 @@ type Devices struct {
 	// bad-block remapping and crash-safe table writes.
 	Faults []*fault.Plan
 	// Sched names a single disk's head-scheduling policy ("scan", "fcfs",
-	// "cscan", "sstf"); a named policy is also observed (the sampler's
-	// sched_mean_qlen column, the scheduler's metrics). Empty leaves the
-	// driver's own SCAN in place, unobserved.
+	// "cscan", "sstf"); a named policy is also observed (the scheduler's
+	// sched_queue_len histogram and sched_mean_queue_len gauge). Empty
+	// leaves the driver's own SCAN in place, unobserved.
 	Sched string
 	// ReservedFirstCyl places a single disk's reserved region at this
 	// first cylinder instead of the center (the reserved-location

@@ -25,8 +25,7 @@ import (
 // either is above both — and stack_test.go fails a second assembly site.
 
 // mount is one file system of a stack. A name tells the mounts of a
-// multi-partition stack apart: it prefixes the mount's sampler column
-// and labels its metrics fs="name".
+// multi-partition stack apart: it labels the mount's metrics fs="name".
 type mount struct {
 	name   string
 	params fs.Params
@@ -36,8 +35,8 @@ type mount struct {
 type stackSpec struct {
 	// Exactly one of rig and volume describes the devices; the stack
 	// fills their Ctx and Telemetry. A rig's Sched, when set, is wrapped
-	// in a sched.Counting for observed runs; nil is the driver's own
-	// SCAN and is not counted.
+	// in a sched.Counting when the job has a metrics registry; nil is the
+	// driver's own SCAN and is not counted.
 	rig    *rig.Options
 	volume *volume.Options
 	// mounts lists one file system per partition, in partition order;
@@ -69,8 +68,6 @@ type stack struct {
 	fs      []*fs.FS // by partition
 	srv     *server.Server
 	rears   []*core.Rearranger // by member
-	// sampling is set once the sampler runs.
-	sampling bool
 	// otherEvents is the event count of any other engine the job ran
 	// (a trace capture), added to this engine's in the job's total.
 	otherEvents int64
@@ -90,7 +87,7 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 	if d.rig != nil {
 		o := *d.rig
 		o.Ctx, o.Telemetry = ctx, s.col
-		if o.Sched != nil && (s.col.SamplePeriodMS() > 0 || s.col.MetricsEnabled()) {
+		if o.Sched != nil && s.col.MetricsEnabled() {
 			s.sched = sched.NewCounting(o.Sched)
 			o.Sched = s.sched
 		}
@@ -246,51 +243,15 @@ func (s *stack) runDays(days int, windowMS float64, on func(day int) bool,
 // metricsBinder is a workload or replayer with instruments of its own.
 type metricsBinder interface{ BindMetrics(*metrics.Registry) }
 
-// observe turns on what the job's collector asked for, sampler and
-// metrics. Call it after populate, so the distributions cover only
-// measured traffic.
+// observe turns on what the job's collector asked for: it binds the
+// job's registry, then starts the sampler, whose columns are the
+// registry's counters and gauges. Call it after populate, so the
+// distributions and the time series cover only measured traffic.
+//
+// The registry is bound top down — server, device, file systems, the
+// extra binders — and then, under a volume, every member's driver and
+// rearranger under a disk="i" label in member-index order.
 func (s *stack) observe(extra ...metricsBinder) {
-	s.startSampler()
-	s.bindMetrics(extra...)
-}
-
-// startSampler registers the probe columns of this shape of stack, in
-// CSV column order, and starts the sampler, once: observe's first half,
-// apart for the one experiment whose time series begins before populate.
-func (s *stack) startSampler() {
-	if s.col.SamplePeriodMS() <= 0 || s.sampling {
-		return
-	}
-	s.sampling = true
-	switch {
-	case s.srv != nil:
-		registerTenantProbes(s.col, s.eng, s.members, s.srv)
-	case s.vol != nil:
-		registerVolumeProbes(s.col, s.members)
-	default:
-		registerStackProbes(s.col, s.rig, s.sched)
-		for i, f := range s.fs {
-			if name := s.mounts[i].name; name != "" {
-				registerCacheProbes(s.col, name+"_cache", f.Cache())
-			} else {
-				registerCacheProbes(s.col, "cache", f.Cache())
-				registerCacheProbes(s.col, "meta", f.MetaCache())
-			}
-		}
-		if len(s.rears) > 0 {
-			registerRearrangerProbes(s.col, s.rears[0])
-		}
-		if s.rig.Faults != nil {
-			registerFaultProbes(s.col, "", s.rig.Driver)
-		}
-	}
-	s.col.StartSampler(s.eng)
-}
-
-// bindMetrics binds the registry top down — server, device, file
-// systems, the extra binders — and then, under a volume, every member
-// driver under a disk="i" label in member-index order.
-func (s *stack) bindMetrics(extra ...metricsBinder) {
 	if !s.col.MetricsEnabled() {
 		return
 	}
@@ -305,6 +266,9 @@ func (s *stack) bindMetrics(extra ...metricsBinder) {
 		if s.sched != nil {
 			s.sched.BindMetrics(reg)
 		}
+		for _, rear := range s.rears {
+			rear.BindMetrics(reg)
+		}
 	}
 	for i, f := range s.fs {
 		if name := s.mounts[i].name; name != "" {
@@ -318,9 +282,14 @@ func (s *stack) bindMetrics(extra ...metricsBinder) {
 	}
 	if s.vol != nil {
 		for i, m := range s.members {
-			m.Driver.BindMetrics(reg, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
+			disk := metrics.Label{Key: "disk", Value: strconv.Itoa(i)}
+			m.Driver.BindMetrics(reg, disk)
+			if s.rears != nil {
+				s.rears[i].BindMetrics(reg, disk)
+			}
 		}
 	}
+	s.col.StartSampler(s.eng)
 }
 
 // finish records the job's engine event count and disarms the volume's

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/rig"
 	"repro/internal/server"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
 
@@ -31,29 +28,6 @@ type TenantPoint struct {
 	Server  server.Counters
 	Breaker server.BreakerCounts
 	Classes []server.ClassStat
-}
-
-// registerTenantProbes registers the sampler columns of the server
-// stack: accept-queue state, breaker position, and shed counts.
-func registerTenantProbes(col *telemetry.Collector, eng *sim.Engine, members []*rig.Rig, srv *server.Server) {
-	col.AddProbe("accept_queue", func() float64 { return float64(srv.QueueLen()) })
-	col.AddProbe("inflight", func() float64 { return float64(srv.InFlight()) })
-	col.AddProbe("breaker_state", func() float64 { return float64(srv.Breaker().State(eng.Now())) })
-	col.AddProbe("throttled", func() float64 { return float64(srv.Counters().Throttled) })
-	col.AddProbe("shed", func() float64 {
-		c := srv.Counters()
-		return float64(c.Overloaded + c.BreakerRejects)
-	})
-	col.AddProbe("deadline_miss", func() float64 {
-		c := srv.Counters()
-		return float64(c.DeadlineMiss + c.Expired)
-	})
-	for i, m := range members {
-		drv := m.Driver
-		col.AddProbe(fmt.Sprintf("disk%d_qd", i), func() float64 {
-			return float64(drv.QueueLen())
-		})
-	}
 }
 
 // tenantConfigs is the tenant-scale matrix: the population sweep, the

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/rig"
-	"repro/internal/telemetry"
 	"repro/internal/volume"
 )
 
@@ -59,36 +57,6 @@ func (p *VolumePoint) finish(v *volume.Volume, simSec float64) {
 	p.DeadMembers = v.DeadMembers()
 	p.RAID = v.RAID()
 	p.SparesLeft = v.Spares()
-}
-
-// registerVolumeProbes registers the volume stack's sampler columns:
-// aggregate queue state, then per-member queue depth and — on members
-// with a fault injector — per-disk fault counters, the columns
-// abrreport -telemetry reports per disk.
-func registerVolumeProbes(col *telemetry.Collector, members []*rig.Rig) {
-	col.AddProbe("queue_depth", func() float64 {
-		var n int
-		for _, m := range members {
-			n += m.Driver.QueueLen()
-		}
-		return float64(n)
-	})
-	col.AddProbe("outstanding", func() float64 {
-		var n int
-		for _, m := range members {
-			n += m.Driver.Outstanding()
-		}
-		return float64(n)
-	})
-	for i, m := range members {
-		drv := m.Driver
-		col.AddProbe(fmt.Sprintf("disk%d_qd", i), func() float64 {
-			return float64(drv.QueueLen())
-		})
-		if m.Faults != nil {
-			registerFaultProbes(col, fmt.Sprintf("disk%d_", i), drv)
-		}
-	}
 }
 
 // saturated is one row of a volume matrix: the saturating system

@@ -237,6 +237,35 @@ func TestRegistryBasics(t *testing.T) {
 	}
 }
 
+// Each visits every metric in registration order and reads a
+// func-backed value only when asked to.
+func TestRegistryEachReadsLazily(t *testing.T) {
+	r := NewRegistry()
+	reads := 0
+	r.GaugeFunc("g", func() float64 { reads++; return 1.5 })
+	r.Histogram("h", HistogramOpts{}).Record(2)
+	r.Counter("c", Label{"disk", "0"}).Add(3)
+	var names []string
+	r.Each(func(m Metric) { names = append(names, m.Name()+":"+m.Kind().String()) })
+	if reads != 0 {
+		t.Errorf("visiting names read the gauge %d times", reads)
+	}
+	want := []string{"g:gauge", "h:histogram", `c{disk="0"}:counter`}
+	if len(names) != len(want) {
+		t.Fatalf("visited %v, want %v", names, want)
+	}
+	for i := range want {
+		if names[i] != want[i] {
+			t.Errorf("visit %d = %s, want %s", i, names[i], want[i])
+		}
+	}
+	var values []float64
+	r.Each(func(m Metric) { values = append(values, m.Value()) })
+	if reads != 1 || values[0] != 1.5 || values[1] != 0 || values[2] != 3 {
+		t.Errorf("values %v after %d reads, want [1.5 0 3] after 1", values, reads)
+	}
+}
+
 func TestRegistryLabels(t *testing.T) {
 	r := NewRegistry()
 	c0 := r.Counter("faults", Label{"disk", "0"})

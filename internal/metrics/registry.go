@@ -117,22 +117,48 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	e.gaugeFn = fn
 }
 
+// Metric is one registered metric as Each visits it: a handle onto the
+// registry's entry, read in place.
+type Metric struct{ e *metricEntry }
+
+// Name returns the metric's canonical name, labels included.
+func (m Metric) Name() string { return m.e.name }
+
+// Kind returns the metric's kind.
+func (m Metric) Kind() Kind { return m.e.kind }
+
+// Value reads a counter or gauge now, calling a func-backed one's
+// function; a histogram reads 0.
+func (m Metric) Value() float64 {
+	switch m.e.kind {
+	case KindCounter:
+		return float64(m.e.counterValue())
+	case KindGauge:
+		return m.e.gaugeValue()
+	}
+	return 0
+}
+
+// Each calls fn with every metric in registration order. It allocates
+// nothing, and reads no value fn does not ask for, so a periodic reader
+// that keeps one fn pays only for the values it reads.
+func (r *Registry) Each(fn func(Metric)) {
+	for _, e := range r.order {
+		fn(Metric{e})
+	}
+}
+
 // Snapshot renders every metric to pure data, in registration order.
 // Func-backed metrics are evaluated now, so take the snapshot at a
 // deterministic point — the end of a run.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Metrics: make([]MetricSnap, 0, len(r.order))}
-	for _, e := range r.order {
-		m := MetricSnap{Name: e.name, Kind: e.kind.String()}
-		switch e.kind {
-		case KindCounter:
-			m.Value = float64(e.counterValue())
-		case KindGauge:
-			m.Value = e.gaugeValue()
-		case KindHistogram:
-			m.Hist = e.hist.snapshot()
+	r.Each(func(m Metric) {
+		ms := MetricSnap{Name: m.Name(), Kind: m.Kind().String(), Value: m.Value()}
+		if m.Kind() == KindHistogram {
+			ms.Hist = m.e.hist.snapshot()
 		}
-		s.Metrics = append(s.Metrics, m)
-	}
+		s.Metrics = append(s.Metrics, ms)
+	})
 	return s
 }

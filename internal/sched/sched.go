@@ -166,7 +166,7 @@ func abs(x int) int {
 // Counting wraps a Scheduler and counts its dispatch decisions — how
 // many picks it made and how long the pending queue was at each pick.
 // The wrapped policy's choices are unchanged, so instrumenting a run
-// cannot perturb it. Telemetry probes read the counters.
+// cannot perturb it. BindMetrics exposes the counts.
 type Counting struct {
 	inner  Scheduler
 	picks  int64
@@ -190,16 +190,15 @@ func (c *Counting) Pick(headCyl int, pending []Cylindered) int {
 	return c.inner.Pick(headCyl, pending)
 }
 
-// BindMetrics registers the pending-queue-length distribution in reg:
-// one observation per dispatch decision from the moment of binding.
-// Queue lengths are small integers, so the histogram uses single-unit
-// precision at the bottom of its range.
+// BindMetrics registers the pending-queue-length distribution in reg —
+// one observation per dispatch decision from the moment of binding —
+// and the MeanQueue gauge, over every pick. Queue lengths are small
+// integers, so the histogram uses single-unit precision at the bottom
+// of its range.
 func (c *Counting) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	c.hist = reg.Histogram("sched_queue_len", metrics.HistogramOpts{MinExp: -1, MaxExp: 20}, labels...)
+	reg.GaugeFunc("sched_mean_queue_len", c.MeanQueue, labels...)
 }
-
-// Picks returns the number of dispatch decisions made.
-func (c *Counting) Picks() int64 { return c.picks }
 
 // MeanQueue returns the mean pending-queue length over all picks.
 func (c *Counting) MeanQueue() float64 {

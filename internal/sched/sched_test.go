@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 type req int
@@ -161,17 +163,28 @@ func TestCounting(t *testing.T) {
 	if c.Name() != "fcfs" {
 		t.Errorf("Name = %q, want the wrapped policy's", c.Name())
 	}
-	if c.Picks() != 0 || c.MeanQueue() != 0 {
+	if c.picks != 0 || c.MeanQueue() != 0 {
 		t.Error("fresh counter should read zero")
 	}
 	if i := c.Pick(0, cyls(5, 9)); i != 0 {
 		t.Errorf("Pick = %d, want the wrapped FCFS choice 0", i)
 	}
 	c.Pick(5, cyls(9, 2, 7, 1))
-	if c.Picks() != 2 {
-		t.Errorf("Picks = %d, want 2", c.Picks())
+	if c.picks != 2 {
+		t.Errorf("Picks = %d, want 2", c.picks)
 	}
 	if got, want := c.MeanQueue(), 3.0; got != want {
 		t.Errorf("MeanQueue = %v, want %v (2 then 4 pending)", got, want)
+	}
+	reg := metrics.NewRegistry()
+	c.BindMetrics(reg)
+	got := -1.0
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "sched_mean_queue_len" {
+			got = m.Value
+		}
+	}
+	if got != 3 {
+		t.Errorf("sched_mean_queue_len = %v, want 3", got)
 	}
 }

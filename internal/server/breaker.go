@@ -122,7 +122,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // State returns the breaker's position as of now, applying a pending
-// open→half-open cooldown expiry first.
+// open→half-open cooldown expiry first. It is a transition, not a read:
+// the expiry it applies is counted and resets the probe budget, so no
+// observer may call it — the server_breaker_state gauge reads the field.
 func (b *Breaker) State(now float64) BreakerState {
 	if b.state == BreakerOpen && now >= b.reopenAt {
 		b.state = BreakerHalfOpen

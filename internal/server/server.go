@@ -291,12 +291,6 @@ func (s *Server) Counters() Counters { return s.cnt }
 // Breaker returns the backend circuit breaker, for probes and tests.
 func (s *Server) Breaker() *Breaker { return s.breaker }
 
-// InFlight returns the number of backend requests outstanding.
-func (s *Server) InFlight() int { return s.inflight }
-
-// QueueLen returns the accept queue's depth.
-func (s *Server) QueueLen() int { return s.qlen }
-
 // ClassStats summarizes every class from the always-on histograms.
 func (s *Server) ClassStats() []ClassStat {
 	out := make([]ClassStat, len(s.classes))
@@ -322,8 +316,9 @@ func (s *Server) ClassStats() []ClassStat {
 // labels: one end-to-end latency histogram per tenant class
 // (server_req_ms{class="..."}, recorded for answered admitted requests
 // from the moment of binding), per-class arrival/throttle counters, the
-// admission/deadline/retry counters, and the breaker's state gauge and
-// transition counters.
+// admission/deadline/retry counters, the breaker's state gauge and
+// transition counters, and gauges of the accept queue and the backend
+// requests in flight.
 func (s *Server) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	for i := range s.classes {
 		c := &s.classes[i]
@@ -347,6 +342,8 @@ func (s *Server) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.CounterFunc("server_breaker_half_opened", func() int64 { return s.breaker.counts.HalfOpened }, labels...)
 	reg.CounterFunc("server_breaker_closed", func() int64 { return s.breaker.counts.Closed }, labels...)
 	reg.GaugeFunc("server_breaker_state", func() float64 { return float64(s.breaker.state) }, labels...)
+	reg.GaugeFunc("server_accept_queue_len", func() float64 { return float64(s.qlen) }, labels...)
+	reg.GaugeFunc("server_inflight", func() float64 { return float64(s.inflight) }, labels...)
 }
 
 // Read submits one tenant block read. done fires on the client side of

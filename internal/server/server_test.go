@@ -99,8 +99,8 @@ func TestServerReadWriteRoundTrip(t *testing.T) {
 	if st[0].Completed != 1 || st[0].P50 < dev.serviceMS {
 		t.Errorf("class gold stats: %+v", st[0])
 	}
-	if srv.InFlight() != 0 || srv.QueueLen() != 0 {
-		t.Errorf("idle server holds inflight=%d queue=%d", srv.InFlight(), srv.QueueLen())
+	if srv.inflight != 0 || srv.qlen != 0 {
+		t.Errorf("idle server holds inflight=%d queue=%d", srv.inflight, srv.qlen)
 	}
 }
 
@@ -361,6 +361,8 @@ func TestServerBindMetrics(t *testing.T) {
 		`server_breaker_half_opened`:           0,
 		`server_breaker_closed`:                0,
 		`server_breaker_state`:                 0,
+		`server_accept_queue_len`:              0,
+		`server_inflight`:                      0,
 		`server_class_submitted{class="gold"}`: float64(srv.ClassStats()[0].Submitted),
 	}
 	if c.Retries == 0 || c.BackoffMS == 0 {

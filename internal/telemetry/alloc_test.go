@@ -4,18 +4,23 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // TestSamplerSteadyStateAllocs locks the sampler's steady state: a
-// sample appends CSV bytes to a growing buffer, so after warmup the
-// amortized allocation rate must be essentially zero (the buffer may
-// still double capacity occasionally, hence the epsilon rather than an
-// exact 0). Mirrors internal/sim/alloc_test.go.
+// sample walks the registry and appends CSV bytes to a growing buffer,
+// so after warmup the amortized allocation rate must be essentially
+// zero (the buffer may still double capacity occasionally, hence the
+// epsilon rather than an exact 0). Mirrors internal/sim/alloc_test.go.
 func TestSamplerSteadyStateAllocs(t *testing.T) {
 	c := NewCollector("job", Options{SamplePeriodMS: 1})
+	reg := c.Metrics()
 	v := 0.0
-	c.AddProbe("qd", func() float64 { return v })
-	c.AddProbe("hits", func() float64 { return 2 * v })
+	reg.GaugeFunc("qd", func() float64 { return v }, metrics.Label{Key: "disk", Value: "0"})
+	reg.CounterFunc("hits", func() int64 { return int64(2 * v) })
+	reg.Histogram("lat_ms", metrics.HistogramOpts{}).Record(1)
+	reg.Gauge("dead").Set(1)
+	c.StartSampler(sim.NewEngine())
 	// Warm the CSV buffer well past the measured window.
 	now := 0.0
 	for i := 0; i < 20000; i++ {

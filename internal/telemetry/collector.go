@@ -1,8 +1,9 @@
 package telemetry
 
 import (
-	"bufio"
 	"context"
+	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,7 +19,8 @@ type Options struct {
 	// Spans enables capture of the request/span event stream.
 	Spans bool
 	// SamplePeriodMS, when positive, starts the periodic sampler at
-	// this simulated-time interval.
+	// this simulated-time interval. The sampler reads the job's
+	// registry, so it gives the collector one as Metrics does.
 	SamplePeriodMS float64
 	// Metrics gives the collector a metrics.Registry, which the
 	// experiment harness binds into the simulated stack (driver, sched,
@@ -38,10 +40,8 @@ type Collector struct {
 	trace  []byte // encoded JSONL event stream
 	events int64  // events observed (even when span capture is off)
 
-	probes    []probe
 	csvHeader []byte
 	csv       []byte
-	sampling  bool
 	samples   int64
 
 	engineEvents int64
@@ -49,22 +49,17 @@ type Collector struct {
 	reg *metrics.Registry
 }
 
-type probe struct {
-	name string
-	fn   func() float64
-}
-
 // NewCollector returns a collector for the named job.
 func NewCollector(name string, opts Options) *Collector {
 	c := &Collector{name: name, opts: opts}
-	if opts.Metrics {
+	if opts.Metrics || opts.SamplePeriodMS > 0 {
 		c.reg = metrics.NewRegistry()
 	}
 	return c
 }
 
 // Metrics returns the job's metric registry, nil unless Options.Metrics
-// was set.
+// or Options.SamplePeriodMS was set.
 func (c *Collector) Metrics() *metrics.Registry {
 	if c == nil {
 		return nil
@@ -80,17 +75,9 @@ func (c *Collector) MetricsEnabled() bool { return c != nil && c.reg != nil }
 func (c *Collector) Name() string { return c.name }
 
 // SpansEnabled reports whether the event stream is being captured.
-// Like MetricsEnabled, SamplePeriodMS and SetEngineEvents it is safe on
-// a nil collector, so code holding FromContext's result needs no guard.
+// Like MetricsEnabled and SetEngineEvents it is safe on a nil
+// collector, so code holding FromContext's result needs no guard.
 func (c *Collector) SpansEnabled() bool { return c != nil && c.opts.Spans }
-
-// SamplePeriodMS returns the sampler period (0 = sampling disabled).
-func (c *Collector) SamplePeriodMS() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.opts.SamplePeriodMS
-}
 
 // Event implements Sink: it counts the event and, when span capture is
 // enabled, appends its JSONL encoding to the trace buffer.
@@ -107,43 +94,61 @@ func (c *Collector) Events() int64 { return c.events }
 // TraceJSONL returns the buffered event stream (empty unless Spans).
 func (c *Collector) TraceJSONL() []byte { return c.trace }
 
-// AddProbe registers a named probe sampled on every sampler tick.
-// Probes must be registered before StartSampler and in a deterministic
-// order — the CSV column order is the registration order.
-func (c *Collector) AddProbe(name string, fn func() float64) {
-	c.probes = append(c.probes, probe{name: name, fn: fn})
-}
-
-// StartSampler begins periodic sampling on the engine, one row per
-// SamplePeriodMS of simulated time. It is a no-op when sampling is
-// disabled or no probes are registered. Call it only once the engine's
-// event loop is driven by bounded RunUntil horizons (a self-scheduling
-// sampler would keep a bare Run() alive forever).
+// StartSampler begins periodic sampling on the engine: one CSV column
+// per counter and gauge of the job's registry, in registration order
+// and under the registry's names, and one row per SamplePeriodMS of
+// simulated time. The header is fixed here, so register every metric
+// first. It is a no-op when sampling is disabled, already started, or
+// the registry holds no counter or gauge. Call it only once the
+// engine's event loop is driven by bounded RunUntil horizons (a
+// self-scheduling sampler would keep a bare Run() alive forever).
 func (c *Collector) StartSampler(eng *sim.Engine) {
-	if c.opts.SamplePeriodMS <= 0 || c.sampling || len(c.probes) == 0 {
+	if c.opts.SamplePeriodMS <= 0 || c.csvHeader != nil {
 		return
 	}
-	c.sampling = true
-	c.csvHeader = append(c.csvHeader, "job,t_ms"...)
-	for _, p := range c.probes {
-		c.csvHeader = append(c.csvHeader, ',')
-		c.csvHeader = append(c.csvHeader, p.name...)
+	header := []byte("job,t_ms")
+	c.reg.Each(func(m metrics.Metric) {
+		if m.Kind() != metrics.KindHistogram {
+			header = append(header, ',')
+			header = appendCell(header, m.Name())
+		}
+	})
+	if len(header) == len("job,t_ms") {
+		return
 	}
-	c.csvHeader = append(c.csvHeader, '\n')
+	c.csvHeader = append(header, '\n')
 	eng.Every(c.opts.SamplePeriodMS, func() { c.sample(eng.Now()) })
 }
 
-// sample appends one CSV row of probe values at simulated time nowMS.
+// sample appends one CSV row of the registry's counters and gauges at
+// simulated time nowMS.
 func (c *Collector) sample(nowMS float64) {
 	c.samples++
-	c.csv = append(c.csv, c.name...)
+	c.csv = appendCell(c.csv, c.name)
 	c.csv = append(c.csv, ',')
 	c.csv = appendFloat(c.csv, nowMS)
-	for _, p := range c.probes {
-		c.csv = append(c.csv, ',')
-		c.csv = appendFloat(c.csv, p.fn())
-	}
+	c.reg.Each(c.appendValue)
 	c.csv = append(c.csv, '\n')
+}
+
+// appendValue is the sampler's visitor: one cell per counter and gauge.
+func (c *Collector) appendValue(m metrics.Metric) {
+	if m.Kind() != metrics.KindHistogram {
+		c.csv = append(c.csv, ',')
+		c.csv = appendFloat(c.csv, m.Value())
+	}
+}
+
+// appendCell appends s as one CSV cell, quoted RFC 4180 style when it
+// holds a comma, a quote or a line break — as a labelled registry name
+// such as cache_hits{cache="data",fs="sys"} does.
+func appendCell(b []byte, s string) []byte {
+	if !strings.ContainsAny(s, ",\"\r\n") {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	b = append(b, strings.ReplaceAll(s, `"`, `""`)...)
+	return append(b, '"')
 }
 
 // Samples returns the number of sampler rows recorded.
@@ -203,7 +208,7 @@ func WriteTrace(w io.Writer, cols []*Collector) error {
 
 // WriteCSV concatenates the collectors' sampler output in order,
 // emitting a header line whenever it differs from the previous
-// collector's (jobs with identical probe sets share one header).
+// collector's (jobs with identical column sets share one header).
 func WriteCSV(w io.Writer, cols []*Collector) error {
 	prevHeader := ""
 	for _, c := range cols {
@@ -246,30 +251,35 @@ type SampleRow struct {
 	Job string
 	// TimeMS is the sample's simulated time.
 	TimeMS float64
-	// Values maps probe name to sampled value.
+	// Values maps metric name to sampled value.
 	Values map[string]float64
 }
 
-// ReadCSV parses a sampler time series produced by WriteCSV. Header
-// lines (starting "job,t_ms") may appear anywhere and switch the
-// column set for subsequent rows. It returns an error — never panics —
-// on malformed input, naming the offending line.
+// ReadCSV parses a sampler time series produced by WriteCSV, quoted
+// cells included. Header lines (starting "job,t_ms") may appear
+// anywhere and switch the column set for subsequent rows. It returns an
+// error — never panics — on malformed input, naming the offending line.
 func ReadCSV(r io.Reader) ([]SampleRow, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var cols []string // probe names of the current section
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // each header sets its own width
+	var cols []string       // metric names of the current section
 	var rows []SampleRow
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	for {
+		fields, err := cr.Read()
+		if err == io.EOF {
+			break
 		}
-		fields := strings.Split(text, ",")
+		var perr *csv.ParseError
+		if errors.As(err, &perr) {
+			return nil, fmt.Errorf("telemetry: line %d: %w", perr.StartLine, perr.Err)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: reading CSV: %w", err)
+		}
+		line, _ := cr.FieldPos(0)
 		if fields[0] == "job" {
 			if len(fields) < 2 || fields[1] != "t_ms" {
-				return nil, fmt.Errorf("telemetry: line %d: malformed header %q", line, text)
+				return nil, fmt.Errorf("telemetry: line %d: malformed header %q", line, strings.Join(fields, ","))
 			}
 			cols = fields[2:]
 			continue
@@ -293,9 +303,6 @@ func ReadCSV(r io.Reader) ([]SampleRow, error) {
 			row.Values[name] = v
 		}
 		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: reading CSV: %w", err)
 	}
 	return rows, nil
 }

@@ -28,10 +28,11 @@ func TestGoldenFixtures(t *testing.T) {
 	r := rig.MustNew(rig.Options{ReservedCyls: 48, Telemetry: col})
 	drv, eng := r.Driver, r.Eng
 
-	col.AddProbe("queue_depth", func() float64 { return float64(drv.QueueLen()) })
-	col.AddProbe("outstanding", func() float64 { return float64(drv.Outstanding()) })
-	col.AddProbe("completed", func() float64 { return float64(drv.Counters().Requests) })
-	col.AddProbe("redirected", func() float64 { return float64(drv.Counters().Redirected) })
+	reg := col.Metrics()
+	reg.GaugeFunc("queue_depth", func() float64 { return float64(drv.QueueLen()) })
+	reg.GaugeFunc("outstanding", func() float64 { return float64(drv.Outstanding()) })
+	reg.CounterFunc("completed", func() int64 { return drv.Counters().Requests })
+	reg.CounterFunc("redirected", func() int64 { return drv.Counters().Redirected })
 	col.StartSampler(eng)
 
 	fail := func(data []byte, err error) {

@@ -14,7 +14,8 @@
 //     queue exit (dispatch), seek, rotation, transfer, completion — in
 //     simulated time.
 //   - A Collector buffers one job's stream in memory as JSONL and its
-//     sampler output as CSV rows. Jobs on the parallel runner each own
+//     sampler output as CSV rows: every tick, one row of the current
+//     values of the counters and gauges in the job's metrics registry. Jobs on the parallel runner each own
 //     a private Collector; concatenating buffers in job order makes the
 //     combined output byte-identical for any worker count.
 //
@@ -148,10 +149,6 @@ func (m multiSink) Event(e *Event) {
 		s.Event(e)
 	}
 }
-
-// Discard is a Sink that drops every event. It keeps the emission path
-// fully exercised (encoding excluded) — useful for overhead tests.
-var Discard Sink = SinkFunc(func(*Event) {})
 
 // Ring is a fixed-capacity sink retaining the most recent events, for
 // tests and interactive inspection.

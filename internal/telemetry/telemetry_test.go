@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -113,23 +114,30 @@ func TestCollectorSpansOff(t *testing.T) {
 	}
 }
 
-// Code holding telemetry.FromContext's result calls these four without
-// a nil guard; the nil collector must read as "everything off".
+// Code holding telemetry.FromContext's result calls these without a
+// nil guard; the nil collector must read as "everything off".
 func TestNilCollectorAccessors(t *testing.T) {
 	var c *Collector
-	if c.SpansEnabled() || c.MetricsEnabled() || c.SamplePeriodMS() != 0 {
-		t.Errorf("nil collector reports spans=%v metrics=%v period=%v, want all off",
-			c.SpansEnabled(), c.MetricsEnabled(), c.SamplePeriodMS())
+	if c.SpansEnabled() || c.MetricsEnabled() || c.Metrics() != nil {
+		t.Errorf("nil collector reports spans=%v metrics=%v, want both off",
+			c.SpansEnabled(), c.MetricsEnabled())
 	}
 	c.SetEngineEvents(42) // must not panic
 }
 
+// The sampler's columns are the registry's counters and gauges, in
+// registration order; histograms have none.
 func TestCollectorSampler(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewCollector("j1", Options{SamplePeriodMS: 10})
-	n := 0.0
-	c.AddProbe("n", func() float64 { n++; return n })
-	c.AddProbe("t", eng.Now)
+	if !c.MetricsEnabled() {
+		t.Fatal("sampling did not give the collector a registry")
+	}
+	reg := c.Metrics()
+	n := int64(0)
+	reg.CounterFunc("n", func() int64 { n++; return n })
+	reg.Histogram("lat_ms", metrics.HistogramOpts{}).Record(1)
+	reg.GaugeFunc("t", eng.Now)
 	c.StartSampler(eng)
 	eng.RunUntil(35)
 	if c.Samples() != 3 {
@@ -158,14 +166,13 @@ func TestCollectorSampler(t *testing.T) {
 	}
 }
 
-// WriteCSV re-emits the header only when the probe set changes.
+// WriteCSV re-emits the header only when the column set changes.
 func TestWriteCSVHeaderPerSection(t *testing.T) {
 	eng := sim.NewEngine()
-	mk := func(name string, probes ...string) *Collector {
+	mk := func(name string, gauges ...string) *Collector {
 		c := NewCollector(name, Options{SamplePeriodMS: 10})
-		for _, p := range probes {
-			p := p
-			c.AddProbe(p, func() float64 { return float64(len(p)) })
+		for _, g := range gauges {
+			c.Metrics().Gauge(g).Set(float64(len(g)))
 		}
 		c.StartSampler(eng)
 		return c
@@ -202,6 +209,7 @@ func TestReadCSVMalformed(t *testing.T) {
 		{"field count", "job,t_ms,x\nj,10\n", "fields"},
 		{"bad time", "job,t_ms,x\nj,zebra,1\n", "bad time"},
 		{"bad value", "job,t_ms,x\nj,10,zebra\n", "bad value"},
+		{"unterminated quote", "job,t_ms,\"x{a=\"\"1\"\"}\nj,10,1\n", "line 1: extraneous or missing \" in quoted-field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,6 +221,37 @@ func TestReadCSVMalformed(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Labelled names carry quotes, and two labels a comma: the header quotes
+// them, and ReadCSV reads them back under the registry's names.
+func TestCSVQuotedNamesRoundTrip(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewCollector(`shared,"odd"`, Options{SamplePeriodMS: 10})
+	two := []metrics.Label{{Key: "fs", Value: "sys"}, {Key: "cache", Value: "data"}}
+	c.Metrics().Counter("cache_hits", two...).Add(7)
+	c.Metrics().Gauge("driver_queue_len", metrics.Label{Key: "disk", Value: "2"}).Set(3)
+	c.StartSampler(eng)
+	eng.RunUntil(15)
+	want := "job,t_ms,\"cache_hits{cache=\"\"data\"\",fs=\"\"sys\"\"}\",\"driver_queue_len{disk=\"\"2\"\"}\"\n"
+	if got := c.CSVHeader(); got != want {
+		t.Errorf("header %q, want %q", got, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, []*Collector{c}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("parsed %d rows, want 1", len(rows))
+	}
+	r := rows[0]
+	if r.Job != `shared,"odd"` || r.Values[`cache_hits{cache="data",fs="sys"}`] != 7 || r.Values[`driver_queue_len{disk="2"}`] != 3 {
+		t.Errorf("row %+v lost a quoted cell", r)
 	}
 }
 
