@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -19,8 +20,9 @@ import (
 // testdata/equiv were rendered before the sim engine's event queue was
 // rewritten (PR 4), and every simulation result the harness emits must
 // stay byte-identical across that rewrite. The specs cover the two
-// experiment families whose numbers the paper's tables quote (table2:
-// on/off, table7: placement policies), the two fault-tolerance
+// experiment families whose numbers the paper's tables quote (table2
+// and table5: on/off on the system and the users file systems, table7:
+// placement policies), the two fault-tolerance
 // extensions ("faults", "crash"), whose retry/backoff timing is the
 // most sensitive to event-ordering changes, the multi-disk volume
 // matrix ("volume-scale"), whose fan-out/fan-in ordering across member
@@ -29,7 +31,9 @@ import (
 // event traffic on top of the volume fan-in, and the parity matrix
 // ("raid-rebuild"), whose degraded reconstruction, background rebuild,
 // and scrub traffic interleave with foreground requests through the
-// row locks.
+// row locks. Every run of a spec is also the allocation gate
+// (allocCeilings below), so the suite that locks the events also
+// locks what dispatching them costs in heap allocations.
 //
 // Regenerate with UPDATE_EQUIV_GOLDEN=1 go test ./internal/experiment
 // -run TestEngineEquivalenceGolden — but only when an intentional
@@ -43,25 +47,49 @@ func equivOptions() Options {
 	return Options{Days: 2, WindowMS: 30 * 60 * 1000}
 }
 
-// equivSpecs lists the locked experiment ids. "table7" and
-// "volume-scale" are skipped in -short mode (they simulate the 3x2
-// policy matrix and the 10-configuration volume matrix); the other
-// three always run, including under -race in CI.
-var equivSpecs = []struct {
-	id    string
-	short bool // runs in -short mode too
-	days  int  // override equivOptions().Days when > 0
+// equivSpec is one locked experiment id and the window it runs at.
+type equivSpec struct {
+	id       string
+	short    bool    // runs in -short mode too
+	days     int     // overrides equivOptions().Days when > 0
+	windowMS float64 // overrides equivOptions().WindowMS when > 0
 	// metrics marks a spec TestMetricsDeterminism locks as well. Its
 	// three simulations are shared between the two tests: plain jobs=1,
 	// observed (metrics and sampler on) jobs=1 and observed jobs=8,
 	// instead of a plain and an observed pair each.
 	metrics bool
-}{
+}
+
+// options is equivOptions with the spec's overrides.
+func (s equivSpec) options() Options {
+	o := equivOptions()
+	if s.days > 0 {
+		o.Days = s.days
+	}
+	if s.windowMS > 0 {
+		o.WindowMS = s.windowMS
+	}
+	return o
+}
+
+// equivSpecs lists the locked experiment ids. The short ones always
+// run, including under -race in CI; the others simulate matrices (the
+// 3x2 policy matrix, the volume, tenant, parity and replay matrices)
+// and are skipped in -short mode.
+var equivSpecs = []equivSpec{
 	{id: "table2", short: true, metrics: true},
+	// The users file system: NFS write-through, file creation and
+	// growth, the inode's kept data pages — the write path table2's
+	// read-mostly system file system barely takes.
+	{id: "table5", short: true, metrics: true},
 	{id: "faults", short: true, metrics: true},
 	{id: "crash", short: true},
 	{id: "table7"},
-	{id: "volume-scale", metrics: true},
+	// A 15-minute window, not 30: the ten rows are the battery's
+	// longest simulations, and a quarter hour still saturates every
+	// member, kills the degraded mirror's member and rearranges
+	// disks-4-rearr on day 1.
+	{id: "volume-scale", windowMS: 15 * 60 * 1000, metrics: true},
 	{id: "tenant-scale", metrics: true},
 	// One day, not two: the parity matrix has no rearrangement (nothing
 	// distinguishes day 1 from day 0) and six rows at full fan-out, so
@@ -82,25 +110,29 @@ var equivSpecs = []struct {
 // -sample writes it.
 type specRun struct{ stdout, snapshot, csv string }
 
-// runSpec gathers one spec on the given worker count. days > 0
-// overrides the fixed day count; observed turns the metrics and a
-// one-minute sampler on, and fails the test if any job's snapshot is
-// empty or its sampler columns are not its registry's counters and
-// gauges, in registration order.
-func runSpec(t *testing.T, id string, days, workers int, observed bool) specRun {
+// runSpec gathers one spec on the given worker count and fails the
+// test if the run allocated more per engine event than allocCeilings
+// allows. A plain run carries the collector abrsim always passes;
+// observed turns the metrics and a one-minute sampler on, and fails the
+// test if a collector still holds its registry after the run, if any
+// job's snapshot is empty, or if its sampler columns are not its
+// registry's counters and gauges, in registration order.
+func runSpec(t *testing.T, spec equivSpec, workers int, observed bool) specRun {
 	t.Helper()
-	o := equivOptions()
-	if days > 0 {
-		o.Days = days
-	}
+	o := spec.options()
+	o.Telemetry = &telemetry.Options{}
 	if observed {
 		o.Telemetry = &telemetry.Options{Metrics: true, SamplePeriodMS: 60_000}
 	}
-	reports, rs, err := RunSpecFull(context.Background(), id, o,
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reports, rs, err := RunSpecFull(context.Background(), spec.id, o,
 		runner.Config{Workers: workers})
+	runtime.ReadMemStats(&after)
 	if err != nil {
-		t.Fatalf("%s (jobs=%d): %v", id, workers, err)
+		t.Fatalf("%s (jobs=%d): %v", spec.id, workers, err)
 	}
+	checkAllocs(t, spec.id, observed, workers, after.Mallocs-before.Mallocs, rs.Collectors)
 	var run specRun
 	var sb strings.Builder
 	for _, r := range reports {
@@ -109,13 +141,18 @@ func runSpec(t *testing.T, id string, days, workers int, observed bool) specRun 
 	}
 	run.stdout = sb.String()
 	if observed {
+		for _, c := range rs.Collectors {
+			if c.Metrics() != nil {
+				t.Errorf("%s: job %s still holds its registry after the run", spec.id, c.Name())
+			}
+		}
 		jobs := telemetry.MetricsSnapshots(rs.Collectors)
 		if len(jobs) != len(rs.Collectors) {
-			t.Fatalf("%s: %d metrics snapshots for %d jobs", id, len(jobs), len(rs.Collectors))
+			t.Fatalf("%s: %d metrics snapshots for %d jobs", spec.id, len(jobs), len(rs.Collectors))
 		}
 		for i, j := range jobs {
 			if len(j.Metrics) == 0 {
-				t.Errorf("%s: job %s bound no metrics", id, j.Job)
+				t.Errorf("%s: job %s bound no metrics", spec.id, j.Job)
 			}
 			checkSamplerColumns(t, rs.Collectors[i], j)
 		}
@@ -154,17 +191,68 @@ func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.Job
 	}
 }
 
+// allocCeilings is the allocation gate: the most heap allocations per
+// engine event each spec may make, plain and observed, counted by
+// runtime.MemStats.Mallocs around RunSpecFull — setup, simulation and
+// report rendering of every job, divided by the events the jobs
+// dispatched. The counts repeat to within a few dozen allocations
+// across runs, worker counts and GOMAXPROCS, so each ceiling is the
+// measured value × 1.02 + 0.0002: the relative term absorbs the race
+// detector's own allocations (0.7 to 1.4 % on the -short specs), the
+// absolute one the hundred or so it adds where the rate is near zero
+// (tenant-scale). A change that lowers a row lowers its ceiling in the
+// same commit; one that raises it says why there. The comments hold
+// the measured values; 0 marks a mode the spec is never run in.
+var allocCeilings = map[string]struct{ plain, observed float64 }{
+	"table2":       {0.28157, 0.29110}, // 0.2759, 0.2852
+	"table5":       {0.96278, 1.00455}, // 0.9437, 0.9847
+	"faults":       {0.26209, 0.27176}, // 0.2567, 0.2662
+	"table7":       {0.28138, 0},       // 0.2757
+	"volume-scale": {0.24570, 0.24594}, // 0.2407, 0.2409
+	"tenant-scale": {0.00174, 0.00250}, // 0.0015, 0.0022
+	"raid-rebuild": {0.23843, 0},       // 0.2336
+	"trace-replay": {0.36204, 0.36545}, // 0.3547, 0.3581
+	"shared":       {0, 0.31793},       // observed 0.3115
+}
+
+// checkAllocs fails the test if the run made more heap allocations per
+// engine event than its ceiling. A run that dispatches no event (the
+// crash battery runs on the crashcheck harness, not an engine) is not
+// gated.
+func checkAllocs(t *testing.T, id string, observed bool, workers int, mallocs uint64, cols []*telemetry.Collector) {
+	t.Helper()
+	var events int64
+	for _, c := range cols {
+		events += c.EngineEvents()
+	}
+	if events == 0 {
+		return
+	}
+	mode, ceiling := "plain", allocCeilings[id].plain
+	if observed {
+		mode, ceiling = "observed", allocCeilings[id].observed
+	}
+	got := float64(mallocs) / float64(events)
+	t.Logf("%s %s (jobs=%d): %d allocs / %d events = %.5f allocs/event", id, mode, workers, mallocs, events, got)
+	switch {
+	case ceiling == 0:
+		t.Errorf("%s %s (jobs=%d): %.5f allocs/event and no ceiling in allocCeilings", id, mode, workers, got)
+	case got > ceiling:
+		t.Errorf("%s %s (jobs=%d): %.5f allocs/event exceeds the ceiling %.5f", id, mode, workers, got, ceiling)
+	}
+}
+
 // metricsRuns memoizes the observed runs the two tests share.
 var metricsRuns = map[string]specRun{}
 
 // metricsRun returns the spec's observed run at the given worker
 // count, simulating it the first time either test asks.
-func metricsRun(t *testing.T, id string, workers int) specRun {
+func metricsRun(t *testing.T, spec equivSpec, workers int) specRun {
 	t.Helper()
-	key := fmt.Sprintf("%s/jobs=%d", id, workers)
+	key := fmt.Sprintf("%s/jobs=%d", spec.id, workers)
 	run, ok := metricsRuns[key]
 	if !ok {
-		run = runSpec(t, id, 0, workers, true)
+		run = runSpec(t, spec, workers, true)
 		metricsRuns[key] = run
 	}
 	return run
@@ -179,7 +267,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			if testing.Short() && !spec.short {
 				t.Skip("policy matrix simulation in -short mode")
 			}
-			got := runSpec(t, spec.id, spec.days, 1, false).stdout
+			got := runSpec(t, spec, 1, false).stdout
 			path := goldenPath(spec.id)
 			if os.Getenv("UPDATE_EQUIV_GOLDEN") != "" {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -207,9 +295,9 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			// run stands in: stdout is the same observed or not.
 			var par string
 			if spec.metrics {
-				par = metricsRun(t, spec.id, 8).stdout
+				par = metricsRun(t, spec, 8).stdout
 			} else {
-				par = runSpec(t, spec.id, spec.days, 8, false).stdout
+				par = runSpec(t, spec, 8, false).stdout
 			}
 			if par != got {
 				t.Errorf("%s: jobs=8 output differs from jobs=1", spec.id)
@@ -227,15 +315,15 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 // has one).
 func TestMetricsDeterminism(t *testing.T) {
 	type row struct {
-		id            string
-		short, golden bool
+		equivSpec
+		golden bool
 	}
 	// "shared" has no golden; it is here because it is the experiment
 	// that once bound no metrics at all.
-	rows := []row{{id: "shared", short: true}}
+	rows := []row{{equivSpec: equivSpec{id: "shared", short: true}}}
 	for _, spec := range equivSpecs {
 		if spec.metrics {
-			rows = append(rows, row{spec.id, spec.short, true})
+			rows = append(rows, row{spec, true})
 		}
 	}
 	for _, spec := range rows {
@@ -244,7 +332,7 @@ func TestMetricsDeterminism(t *testing.T) {
 			if testing.Short() && !spec.short {
 				t.Skip("volume matrix simulation in -short mode")
 			}
-			base, par := metricsRun(t, spec.id, 1), metricsRun(t, spec.id, 8)
+			base, par := metricsRun(t, spec.equivSpec, 1), metricsRun(t, spec.equivSpec, 8)
 			if par.snapshot != base.snapshot {
 				t.Errorf("%s: jobs=8 metrics snapshot differs from jobs=1", spec.id)
 			}

@@ -295,7 +295,9 @@ func Gather(ctx context.Context, needs []Need, o Options, cfg runner.Config) (*R
 // runUnits runs units' jobs on the pool and applies results in order.
 // When telemetry is requested, each job gets a private collector,
 // injected through the job's context so simulation code can pick it up
-// with telemetry.FromContext; collectors are assembled in job order.
+// with telemetry.FromContext, and frozen when the job body returns, so
+// no finished job's stack stays reachable through its registry;
+// collectors are assembled in job order.
 func runUnits(ctx context.Context, units []unit, o Options, cfg runner.Config) (*ResultSet, error) {
 	jobs := make([]runner.Job, len(units))
 	var cols []*telemetry.Collector
@@ -309,6 +311,7 @@ func runUnits(ctx context.Context, units []unit, o Options, cfg runner.Config) (
 			cols[i] = col
 			inner := u.job.Run
 			jobs[i].Run = func(ctx context.Context) (any, error) {
+				defer col.Freeze()
 				return inner(telemetry.NewContext(ctx, col))
 			}
 		}

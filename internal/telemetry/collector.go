@@ -47,6 +47,9 @@ type Collector struct {
 	engineEvents int64
 
 	reg *metrics.Registry
+	// snap is the registry's snapshot, taken by Freeze when the job
+	// ended (non-nil, if empty); reg is nil from then on.
+	snap []metrics.MetricSnap
 }
 
 // NewCollector returns a collector for the named job.
@@ -59,7 +62,8 @@ func NewCollector(name string, opts Options) *Collector {
 }
 
 // Metrics returns the job's metric registry, nil unless Options.Metrics
-// or Options.SamplePeriodMS was set.
+// or Options.SamplePeriodMS was set, and nil once the collector is
+// frozen.
 func (c *Collector) Metrics() *metrics.Registry {
 	if c == nil {
 		return nil
@@ -172,6 +176,17 @@ func (c *Collector) SetEngineEvents(n int64) {
 // EngineEvents returns the recorded engine event count.
 func (c *Collector) EngineEvents() int64 { return c.engineEvents }
 
+// Freeze takes the registry's snapshot and drops the registry. Every
+// func-backed metric closes over its layer, so a registry kept until
+// the end of the run keeps the job's whole stack alive with it; call
+// Freeze when the job has finished. It is a no-op without a registry.
+func (c *Collector) Freeze() {
+	if c.reg != nil {
+		c.snap = c.reg.Snapshot().Metrics
+		c.reg = nil
+	}
+}
+
 // ctxKey keys the collector in a context.
 type ctxKey struct{}
 
@@ -228,19 +243,23 @@ func WriteCSV(w io.Writer, cols []*Collector) error {
 	return nil
 }
 
-// MetricsSnapshots renders each collector's registry in job order —
-// the metrics analogue of WriteTrace/WriteCSV concatenation, and
-// byte-identical for any worker count for the same reason.
-// Snapshot resolves func-backed metrics against live model state, so
-// call this only after every job has completed. Collectors without a
-// registry are skipped.
+// MetricsSnapshots returns each collector's registry snapshot in job
+// order — the metrics analogue of WriteTrace/WriteCSV concatenation,
+// and byte-identical for any worker count for the same reason. A
+// collector not yet frozen is frozen here: the snapshot resolves
+// func-backed metrics against live model state, so call this only
+// after every job has completed. Collectors that never had a registry
+// are skipped.
 func MetricsSnapshots(cols []*Collector) []metrics.JobSnapshot {
 	var out []metrics.JobSnapshot
 	for _, c := range cols {
-		if c == nil || c.reg == nil {
+		if c == nil {
 			continue
 		}
-		out = append(out, metrics.JobSnapshot{Job: c.name, Metrics: c.reg.Snapshot().Metrics})
+		c.Freeze()
+		if c.snap != nil {
+			out = append(out, metrics.JobSnapshot{Job: c.name, Metrics: c.snap})
+		}
 	}
 	return out
 }

@@ -125,6 +125,32 @@ func TestNilCollectorAccessors(t *testing.T) {
 	c.SetEngineEvents(42) // must not panic
 }
 
+// Freeze reads each func-backed metric once, drops the registry, and
+// MetricsSnapshots then returns what it read; a collector that never had
+// a registry yields no snapshot.
+func TestFreezeDropsRegistry(t *testing.T) {
+	c := NewCollector("j1", Options{Metrics: true})
+	reads := int64(0)
+	c.Metrics().CounterFunc("reads", func() int64 { reads++; return reads })
+	c.Metrics().Gauge("g").Set(2)
+	c.Freeze()
+	c.Freeze() // idempotent
+	if c.Metrics() != nil || c.MetricsEnabled() {
+		t.Fatal("the collector still holds its registry after Freeze")
+	}
+	cols := []*Collector{c, nil, NewCollector("plain", Options{})}
+	for i := 0; i < 2; i++ {
+		jobs := MetricsSnapshots(cols)
+		if len(jobs) != 1 || jobs[0].Job != "j1" || len(jobs[0].Metrics) != 2 ||
+			jobs[0].Metrics[0].Value != 1 || jobs[0].Metrics[1].Value != 2 {
+			t.Fatalf("snapshots %+v, want j1's reads=1 and g=2", jobs)
+		}
+	}
+	if reads != 1 {
+		t.Errorf("the func-backed metric was read %d times, want once", reads)
+	}
+}
+
 // The sampler's columns are the registry's counters and gauges, in
 // registration order; histograms have none.
 func TestCollectorSampler(t *testing.T) {
