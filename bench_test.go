@@ -11,7 +11,7 @@ package repro_test
 
 import (
 	"context"
-
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -20,6 +20,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/hotlist"
 	"repro/internal/rig"
+	"repro/internal/runner"
 	"repro/internal/seek"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -31,20 +32,42 @@ func benchOpts() experiment.Options {
 	return experiment.Options{Days: 4, WindowMS: 1 * workload.HourMS}
 }
 
-func reportOnOff(b *testing.B, res *experiment.OnOff, side experiment.Side, prefix string) {
+// gather simulates one need and returns its runs in row order.
+func gather(b *testing.B, n experiment.Need, o experiment.Options) []*experiment.Run {
 	b.Helper()
-	for _, dr := range []struct {
-		name string
-		run  *experiment.Run
-	}{{"tosh", res.Toshiba}, {"fuji", res.Fujitsu}} {
-		offSum := experiment.Summarize(dr.run.OffDays(), dr.run.Curve, side)
-		onSum := experiment.Summarize(dr.run.OnDays(), dr.run.Curve, side)
-		b.ReportMetric(offSum.Seek.Avg(), prefix+dr.name+"_seekOff_ms")
-		b.ReportMetric(onSum.Seek.Avg(), prefix+dr.name+"_seekOn_ms")
-		b.ReportMetric(offSum.Service.Avg(), prefix+dr.name+"_svcOff_ms")
-		b.ReportMetric(onSum.Service.Avg(), prefix+dr.name+"_svcOn_ms")
-		b.ReportMetric(offSum.Wait.Avg(), prefix+dr.name+"_waitOff_ms")
-		b.ReportMetric(onSum.Wait.Avg(), prefix+dr.name+"_waitOn_ms")
+	rs, err := experiment.Gather(context.Background(), []experiment.Need{n}, o, runner.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs.Runs(n)
+}
+
+// named returns the run of the row with the given name.
+func named(b *testing.B, runs []*experiment.Run, name string) *experiment.Run {
+	b.Helper()
+	for _, run := range runs {
+		if run.Experiment.Name == name {
+			return run
+		}
+	}
+	b.Fatalf("no run named %q", name)
+	return nil
+}
+
+// reportOnOff reports each disk's on/off daily means, the disk named by
+// its first four letters.
+func reportOnOff(b *testing.B, runs []*experiment.Run, side experiment.Side, prefix string) {
+	b.Helper()
+	for _, run := range runs {
+		name := prefix + run.Experiment.Name[:4]
+		offSum := experiment.Summarize(run.OffDays(), run.Curve, side)
+		onSum := experiment.Summarize(run.OnDays(), run.Curve, side)
+		b.ReportMetric(offSum.Seek.Avg(), name+"_seekOff_ms")
+		b.ReportMetric(onSum.Seek.Avg(), name+"_seekOn_ms")
+		b.ReportMetric(offSum.Service.Avg(), name+"_svcOff_ms")
+		b.ReportMetric(onSum.Service.Avg(), name+"_svcOn_ms")
+		b.ReportMetric(offSum.Wait.Avg(), name+"_waitOff_ms")
+		b.ReportMetric(onSum.Wait.Avg(), name+"_waitOn_ms")
 	}
 }
 
@@ -70,11 +93,8 @@ func BenchmarkTable1SeekCurves(b *testing.B) {
 // (Toshiba), ~8.1 -> ~0.9 ms (Fujitsu).
 func BenchmarkTable2OnOffSystem(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "system", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportOnOff(b, res, experiment.AllRequests, "")
+		runs := gather(b, experiment.NeedSystem, benchOpts())
+		reportOnOff(b, runs, experiment.AllRequests, "")
 	}
 }
 
@@ -83,15 +103,12 @@ func BenchmarkTable2OnOffSystem(b *testing.B) {
 // seeks jump from ~25% to 76-88%.
 func BenchmarkTable3DayDetail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "system", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := experiment.Table3(res)
+		runs := gather(b, experiment.NeedSystem, benchOpts())
+		rep := experiment.Table3(runs)
 		if len(rep.Rows) == 0 {
 			b.Fatal("empty table")
 		}
-		for _, dr := range []*experiment.Run{res.Toshiba, res.Fujitsu} {
+		for _, dr := range runs {
 			offs, ons := dr.OffDays(), dr.OnDays()
 			off := offs[len(offs)-1].Metrics(dr.Curve, experiment.AllRequests)
 			on := ons[len(ons)-1].Metrics(dr.Curve, experiment.AllRequests)
@@ -106,11 +123,8 @@ func BenchmarkTable3DayDetail(b *testing.B) {
 // restricted to reads. Paper: reads improve less than the full workload.
 func BenchmarkTable4ReadsOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "system", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportOnOff(b, res, experiment.ReadsOnly, "rd_")
+		runs := gather(b, experiment.NeedSystem, benchOpts())
+		reportOnOff(b, runs, experiment.ReadsOnly, "rd_")
 	}
 }
 
@@ -118,22 +132,16 @@ func BenchmarkTable4ReadsOnly(b *testing.B) {
 // Paper: seek reductions only ~30-35%.
 func BenchmarkTable5OnOffUsers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "users", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportOnOff(b, res, experiment.AllRequests, "")
+		runs := gather(b, experiment.NeedUsers, benchOpts())
+		reportOnOff(b, runs, experiment.AllRequests, "")
 	}
 }
 
 // BenchmarkTable6UsersReads regenerates Table 6: users, reads only.
 func BenchmarkTable6UsersReads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "users", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportOnOff(b, res, experiment.ReadsOnly, "rd_")
+		runs := gather(b, experiment.NeedUsers, benchOpts())
+		reportOnOff(b, runs, experiment.ReadsOnly, "rd_")
 	}
 }
 
@@ -146,19 +154,14 @@ func policyOpts() experiment.Options {
 // serial on both disks.
 func BenchmarkTable7Policies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPolicies(context.Background(), policyOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for d, runs := range res.Runs {
-			for p, run := range runs {
-				ons := run.OnDays()
-				var sum float64
-				for _, day := range ons {
-					sum += experiment.SeekReductionPct(day.Metrics(run.Curve, experiment.AllRequests))
-				}
-				b.ReportMetric(sum/float64(len(ons)), d+"_"+p+"_redPct")
+		runs := gather(b, experiment.NeedPolicies, policyOpts())
+		for _, run := range runs {
+			ons := run.OnDays()
+			var sum float64
+			for _, day := range ons {
+				sum += experiment.SeekReductionPct(day.Metrics(run.Curve, experiment.AllRequests))
 			}
+			b.ReportMetric(sum/float64(len(ons)), strings.ReplaceAll(run.Experiment.Name, "/", "_")+"_redPct")
 		}
 	}
 }
@@ -177,11 +180,9 @@ func BenchmarkTable9PolicyFujitsu(b *testing.B) {
 func benchmarkPolicyDetail(b *testing.B, diskName string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPolicies(context.Background(), policyOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p, run := range res.Runs[diskName] {
+		runs := gather(b, experiment.NeedPolicies, policyOpts())
+		for _, p := range experiment.PolicyNames {
+			run := named(b, runs, diskName+"/"+p)
 			ons := run.OnDays()
 			on := ons[len(ons)-1].Metrics(run.Curve, experiment.AllRequests)
 			b.ReportMetric(on.ZeroSeekPct, p+"_zero_pct")
@@ -196,14 +197,12 @@ func benchmarkPolicyDetail(b *testing.B, diskName string) {
 // and serial add ~1 ms vs no rearrangement; interleaved preserves it.
 func BenchmarkTable10Rotational(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPolicies(context.Background(), policyOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		orgRun := res.Runs["toshiba"]["organ-pipe"]
+		runs := gather(b, experiment.NeedPolicies, policyOpts())
+		orgRun := named(b, runs, "toshiba/organ-pipe")
 		off := orgRun.OffDays()
 		b.ReportMetric(off[len(off)-1].Metrics(orgRun.Curve, experiment.ReadsOnly).RotTransferMS, "none_ms")
-		for p, run := range res.Runs["toshiba"] {
+		for _, p := range experiment.PolicyNames {
+			run := named(b, runs, "toshiba/"+p)
 			ons := run.OnDays()
 			on := ons[len(ons)-1].Metrics(run.Curve, experiment.ReadsOnly)
 			b.ReportMetric(on.RotTransferMS, p+"_ms")
@@ -216,11 +215,9 @@ func BenchmarkTable10Rotational(b *testing.B) {
 // off ~0.50, on ~0.85.
 func BenchmarkFigure4ServiceCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "system", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		offs, ons := res.Fujitsu.OffDays(), res.Fujitsu.OnDays()
+		runs := gather(b, experiment.NeedSystem, benchOpts())
+		fuji := named(b, runs, "fujitsu")
+		offs, ons := fuji.OffDays(), fuji.OnDays()
 		off := offs[len(offs)-1].Stats.All().Service
 		on := ons[len(ons)-1].Stats.All().Service
 		b.ReportMetric(off.FracBelow(20), "offAt20ms_frac")
@@ -233,11 +230,8 @@ func BenchmarkFigure4ServiceCDF(b *testing.B) {
 // of requests; fewer than 2000 distinct blocks are touched.
 func BenchmarkFigure5AccessDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "system", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		offs := res.Toshiba.OffDays()
+		runs := gather(b, experiment.NeedSystem, benchOpts())
+		offs := named(b, runs, "toshiba").OffDays()
 		dist := offs[len(offs)-1].AccessDist
 		b.ReportMetric(share(dist, 100), "top100_frac")
 		b.ReportMetric(float64(len(dist)), "distinctBlocks")
@@ -247,11 +241,9 @@ func BenchmarkFigure5AccessDist(b *testing.B) {
 // BenchmarkFigure6UsersCDF regenerates Figure 6: users-fs service CDFs.
 func BenchmarkFigure6UsersCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "users", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		offs, ons := res.Fujitsu.OffDays(), res.Fujitsu.OnDays()
+		runs := gather(b, experiment.NeedUsers, benchOpts())
+		fuji := named(b, runs, "fujitsu")
+		offs, ons := fuji.OffDays(), fuji.OnDays()
 		off := offs[len(offs)-1].Stats.All().Service
 		on := ons[len(ons)-1].Stats.All().Service
 		b.ReportMetric(off.FracBelow(20), "offAt20ms_frac")
@@ -263,11 +255,8 @@ func BenchmarkFigure6UsersCDF(b *testing.B) {
 // system's flatter distribution.
 func BenchmarkFigure7UsersAccessDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunOnOff(context.Background(), "users", benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		offs := res.Toshiba.OffDays()
+		runs := gather(b, experiment.NeedUsers, benchOpts())
+		offs := named(b, runs, "toshiba").OffDays()
 		dist := offs[len(offs)-1].AccessDist
 		b.ReportMetric(share(dist, 100), "top100_frac")
 		b.ReportMetric(float64(len(dist)), "distinctBlocks")
@@ -277,15 +266,18 @@ func BenchmarkFigure7UsersAccessDist(b *testing.B) {
 // BenchmarkFigure8BlockSweep regenerates Figure 8: seek reduction vs the
 // number of rearranged blocks. Paper: a steep knee near ~100 blocks.
 func BenchmarkFigure8BlockSweep(b *testing.B) {
-	counts := []int{25, 100, 400, 1018}
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.RunBlockSweep(context.Background(),
-			experiment.Options{Days: 2, WindowMS: 1 * workload.HourMS}, counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range points {
-			b.ReportMetric(p.TimeRedPct, nameOfInt(p.Blocks)+"blocks_redPct")
+		for _, n := range []int{25, 100, 400, 1018} {
+			run, err := experiment.Execute(context.Background(), experiment.Experiment{
+				Rearrange: &experiment.Rearrange{Blocks: n}, Days: 2, WindowMS: 1 * workload.HourMS,
+				OnPattern: func(day int) bool { return day > 0 },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ons := run.OnDays()
+			m := ons[len(ons)-1].Metrics(run.Curve, experiment.AllRequests)
+			b.ReportMetric(experiment.SeekReductionPct(m), nameOfInt(n)+"blocks_redPct")
 		}
 	}
 }

@@ -123,6 +123,7 @@ func cli(argv []string, stdout, stderr io.Writer) int {
 	var hours float64
 	var timeout, sample, scrubInterval time.Duration
 	var faultSeed uint64
+	var jobs int
 	var crashAfter int64
 	// The command line, by -h section. -qos, -layout and -replay-mode
 	// name choices experiment.Options validates itself, for library
@@ -136,7 +137,7 @@ func cli(argv []string, stdout, stderr io.Writer) int {
 			{"days", &o.Days, "override days per run (0 = paper's counts)", atLeast0},
 			{"hours", &hours, "measured hours per day (0 = the paper's 15)", atLeast0},
 			{"seed", &o.Seed, "workload seed (0 = default)", ""},
-			{"jobs", &o.Jobs, "parallel simulation jobs (0 = GOMAXPROCS)", atLeast0},
+			{"jobs", &jobs, "parallel simulation jobs (0 = GOMAXPROCS)", atLeast0},
 			{"timeout", &timeout, "abort the whole run after this long (0 = no limit)", atLeast0},
 		}},
 		{"observability", []flagDecl{
@@ -247,7 +248,7 @@ func cli(argv []string, stdout, stderr io.Writer) int {
 	if pprofAddr != "" {
 		defer servePprof(pprofAddr, stderr)()
 	}
-	if err := run(stdout, stderr, exp, o, timeout, traceFile, teleFile, metricsFile, metricsFormat); err != nil {
+	if err := run(stdout, stderr, exp, o, jobs, timeout, traceFile, teleFile, metricsFile, metricsFormat); err != nil {
 		fmt.Fprintln(stderr, "abrsim:", err)
 		return 1
 	}
@@ -328,13 +329,13 @@ func printFlag(out io.Writer, f *flag.Flag) {
 	fmt.Fprintln(out, line)
 }
 
-func run(stdout, stderr io.Writer, exp string, o experiment.Options, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
+func run(stdout, stderr io.Writer, exp string, o experiment.Options, jobs int, timeout time.Duration, traceFile, teleFile, metricsFile, metricsFormat string) error {
 	if _, ok := experiment.Lookup(exp); !ok {
 		// Fail before the banner; RunSpec renders the valid-id list.
 		_, err := experiment.RunSpec(context.Background(), exp, o, runner.Config{})
 		return err
 	}
-	workers := o.Jobs
+	workers := jobs
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -342,7 +343,7 @@ func run(stdout, stderr io.Writer, exp string, o experiment.Options, timeout tim
 
 	start := time.Now()
 	cfg := runner.Config{
-		Workers: o.Jobs,
+		Workers: jobs,
 		Timeout: timeout,
 		OnProgress: func(p runner.Progress) {
 			fmt.Fprintf(stderr, "abrsim: %d/%d jobs, %.1f/%.0f sim-days, %.2f sim-days/sec\n",

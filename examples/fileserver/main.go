@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"repro/internal/experiment"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -25,14 +26,15 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("simulating %d days x %.1f h of the system file system on both disks...\n\n", *days, *hours)
-	res, err := experiment.RunOnOff(context.Background(), "system", experiment.Options{
+	rs, err := experiment.Gather(context.Background(), []experiment.Need{experiment.NeedSystem}, experiment.Options{
 		Days:     *days,
 		WindowMS: *hours * workload.HourMS,
-	})
+	}, runner.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(experiment.Table2(res).Render())
-	fmt.Println(experiment.Table3(res).Render())
-	fmt.Println(experiment.Figure5(res).Render())
+	runs := rs.Runs(experiment.NeedSystem)
+	fmt.Println(experiment.Table2(runs).Render())
+	fmt.Println(experiment.Table3(runs).Render())
+	fmt.Println(experiment.Figure5(runs)[0].Render()) // the table; [1] is its chart
 }

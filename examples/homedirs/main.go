@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"repro/internal/experiment"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -22,14 +23,15 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("simulating %d days x %.1f h of the users file system on both disks...\n\n", *days, *hours)
-	res, err := experiment.RunOnOff(context.Background(), "users", experiment.Options{
+	rs, err := experiment.Gather(context.Background(), []experiment.Need{experiment.NeedUsers}, experiment.Options{
 		Days:     *days,
 		WindowMS: *hours * workload.HourMS,
-	})
+	}, runner.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(experiment.Table5(res).Render())
-	fmt.Println(experiment.Table6(res).Render())
-	fmt.Println(experiment.Figure7(res).Render())
+	runs := rs.Runs(experiment.NeedUsers)
+	fmt.Println(experiment.Table5(runs).Render())
+	fmt.Println(experiment.Table6(runs).Render())
+	fmt.Println(experiment.Figure7(runs)[0].Render()) // the table; [1] is its chart
 }

@@ -1,4 +1,4 @@
-// Policies compares the three block placement policies of Section 4.2 —
+// Command policies compares the three block placement policies of Section 4.2 —
 // organ-pipe, interleaved, and serial — on the same workload, using the
 // public facade directly (no experiment harness): it shows how to drive
 // the analyzer and arranger by hand.

@@ -234,16 +234,16 @@ func (d *Disk) rotationalDelayMS(nowMS float64, sector int64) float64 {
 // seeks when the transfer crosses a cylinder boundary.
 func (d *Disk) transferMS(sector int64, count int) float64 {
 	g := d.model.Geom
-	t := float64(count) * d.sectorTimeMS()
+	t := float64(float64(count) * d.sectorTimeMS())
 	first, last := sector, sector+int64(count)-1
 	trackSwitches := (last / int64(g.SectorsPerTrack)) - (first / int64(g.SectorsPerTrack))
 	cylSwitches := int64(g.CylinderOf(last)) - int64(g.CylinderOf(first))
 	trackSwitches -= cylSwitches
 	if trackSwitches > 0 {
-		t += float64(trackSwitches) * d.model.HeadSwitchMS
+		t += float64(float64(trackSwitches) * d.model.HeadSwitchMS)
 	}
 	if cylSwitches > 0 {
-		t += float64(cylSwitches) * d.oneCylMS
+		t += float64(float64(cylSwitches) * d.oneCylMS)
 	}
 	return t
 }

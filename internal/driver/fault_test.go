@@ -56,8 +56,8 @@ func TestTransientErrorsRetryAndRecover(t *testing.T) {
 	// At p=0.2 with 3 retries, an operation fails outright only if four
 	// consecutive draws fail (p=0.0016); with this seed none do.
 	eng, _, drv := newFaultRig(t, fault.Plan{Seed: 5, TransientWrite: 0.2, TransientRead: 0.2})
-	ring := telemetry.NewRing(256)
-	drv.SetSink(ring)
+	var events []telemetry.Event
+	drv.SetSink(telemetry.SinkFunc(func(e *telemetry.Event) { events = append(events, *e) }))
 	var failed int
 	for b := int64(0); b < 30; b++ {
 		drv.WriteBlock(0, b*40, blockOf(byte(b)), func(_ []byte, err error) {
@@ -83,7 +83,7 @@ func TestTransientErrorsRetryAndRecover(t *testing.T) {
 		t.Errorf("BackoffMS = %v, want >= %v for %d retries", c.BackoffMS, min, c.Retries)
 	}
 	var retryEvents int
-	for _, e := range ring.Events() {
+	for _, e := range events {
 		if e.Kind == telemetry.KindFault {
 			if e.Class != "transient" || e.Action != "retry" {
 				t.Errorf("fault event %+v", e)

@@ -20,9 +20,11 @@ import (
 // testdata/equiv were rendered before the sim engine's event queue was
 // rewritten (PR 4), and every simulation result the harness emits must
 // stay byte-identical across that rewrite. The specs cover the two
-// experiment families whose numbers the paper's tables quote (table2
-// and table5: on/off on the system and the users file systems, table7:
-// placement policies), the two fault-tolerance
+// experiment families whose numbers the paper's tables quote, each
+// through the group that renders every table and figure read off the
+// same runs ("onoff-system" and "onoff-users": on/off on the system and
+// the users file systems, Tables 2-6 and Figures 4-7; "policies":
+// placement policies, Tables 7-10), the two fault-tolerance
 // extensions ("faults", "crash"), whose retry/backoff timing is the
 // most sensitive to event-ordering changes, the multi-disk volume
 // matrix ("volume-scale"), whose fan-out/fan-in ordering across member
@@ -77,14 +79,14 @@ func (s equivSpec) options() Options {
 // 3x2 policy matrix, the volume, tenant, parity and replay matrices)
 // and are skipped in -short mode.
 var equivSpecs = []equivSpec{
-	{id: "table2", short: true, metrics: true},
+	{id: "onoff-system", short: true, metrics: true},
 	// The users file system: NFS write-through, file creation and
-	// growth, the inode's kept data pages — the write path table2's
+	// growth, the inode's kept data pages — the write path the
 	// read-mostly system file system barely takes.
-	{id: "table5", short: true, metrics: true},
+	{id: "onoff-users", short: true, metrics: true},
 	{id: "faults", short: true, metrics: true},
 	{id: "crash", short: true},
-	{id: "table7"},
+	{id: "policies"},
 	// A 15-minute window, not 30: the ten rows are the battery's
 	// longest simulations, and a quarter hour still saturates every
 	// member, kills the degraded mirror's member and rearranges
@@ -204,10 +206,10 @@ func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.Job
 // same commit; one that raises it says why there. The comments hold
 // the measured values; 0 marks a mode the spec is never run in.
 var allocCeilings = map[string]struct{ plain, observed float64 }{
-	"table2":       {0.28157, 0.29110}, // 0.2759, 0.2852
-	"table5":       {0.96278, 1.00455}, // 0.9437, 0.9847
+	"onoff-system": {0.28252, 0.29202}, // 0.2768, 0.2861
+	"onoff-users":  {0.96601, 1.00783}, // 0.9469, 0.9879
 	"faults":       {0.26209, 0.27176}, // 0.2567, 0.2662
-	"table7":       {0.28138, 0},       // 0.2757
+	"policies":     {0.28164, 0},       // 0.2759
 	"volume-scale": {0.24570, 0.24594}, // 0.2407, 0.2409
 	"tenant-scale": {0.00174, 0.00250}, // 0.0015, 0.0022
 	"raid-rebuild": {0.23843, 0},       // 0.2336

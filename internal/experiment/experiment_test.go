@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/volume"
 	"repro/internal/workload"
 )
@@ -14,11 +15,11 @@ import (
 // expensive simulations execute once per test binary.
 var (
 	onceSys sync.Once
-	resSys  *OnOff
+	resSys  []*Run
 	errSys  error
 
 	onceUsr sync.Once
-	resUsr  *OnOff
+	resUsr  []*Run
 	errUsr  error
 )
 
@@ -32,18 +33,27 @@ func rearranged(e Experiment) Experiment {
 	return e
 }
 
-func systemRuns(t *testing.T) *OnOff {
+// gatherRuns simulates one need at testOpts and returns its runs.
+func gatherRuns(n Need) ([]*Run, error) {
+	rs, err := Gather(context.Background(), []Need{n}, testOpts(), runner.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Runs(n), nil
+}
+
+func systemRuns(t *testing.T) []*Run {
 	t.Helper()
-	onceSys.Do(func() { resSys, errSys = RunOnOff(context.Background(), "system", testOpts()) })
+	onceSys.Do(func() { resSys, errSys = gatherRuns(NeedSystem) })
 	if errSys != nil {
 		t.Fatal(errSys)
 	}
 	return resSys
 }
 
-func usersRuns(t *testing.T) *OnOff {
+func usersRuns(t *testing.T) []*Run {
 	t.Helper()
-	onceUsr.Do(func() { resUsr, errUsr = RunOnOff(context.Background(), "users", testOpts()) })
+	onceUsr.Do(func() { resUsr, errUsr = gatherRuns(NeedUsers) })
 	if errUsr != nil {
 		t.Fatal(errUsr)
 	}
@@ -71,8 +81,7 @@ func TestExecuteValidation(t *testing.T) {
 }
 
 func TestExecuteBasics(t *testing.T) {
-	res := systemRuns(t)
-	for _, run := range []*Run{res.Toshiba, res.Fujitsu} {
+	for _, run := range systemRuns(t) {
 		if len(run.Days) != 4 {
 			t.Fatalf("%s: %d days", run.Experiment.Devices.Disk, len(run.Days))
 		}
@@ -107,8 +116,7 @@ func TestSystemSeekReduction(t *testing.T) {
 	// The headline result (Table 2): rearrangement cuts seek times
 	// heavily on both disks — the paper measures ~90%; we require >=60%
 	// under the compressed test window.
-	res := systemRuns(t)
-	for _, run := range []*Run{res.Toshiba, res.Fujitsu} {
+	for _, run := range systemRuns(t) {
 		off := Summarize(run.OffDays(), run.Curve, AllRequests)
 		on := Summarize(run.OnDays(), run.Curve, AllRequests)
 		if on.Seek.Avg() >= 0.4*off.Seek.Avg() {
@@ -128,8 +136,7 @@ func TestSystemSeekReduction(t *testing.T) {
 
 func TestZeroSeekFractionJumps(t *testing.T) {
 	// Table 3: rearrangement dramatically increases zero-length seeks.
-	res := systemRuns(t)
-	for _, run := range []*Run{res.Toshiba, res.Fujitsu} {
+	for _, run := range systemRuns(t) {
 		off, on := detailDays(run)
 		offM := off.Metrics(run.Curve, AllRequests)
 		onM := on.Metrics(run.Curve, AllRequests)
@@ -143,9 +150,9 @@ func TestZeroSeekFractionJumps(t *testing.T) {
 func TestSCANBeatsFCFSOnOffDays(t *testing.T) {
 	// Table 3's highlighted rows: even without rearrangement, SCAN's
 	// scheduled distances are below arrival-order distances.
-	res := systemRuns(t)
-	off, _ := detailDays(res.Toshiba)
-	m := off.Metrics(res.Toshiba.Curve, AllRequests)
+	tosh := named(systemRuns(t), "toshiba")
+	off, _ := detailDays(tosh)
+	m := off.Metrics(tosh.Curve, AllRequests)
 	if m.Dist >= m.FCFSDist {
 		t.Errorf("scheduled dist %.0f >= FCFS dist %.0f", m.Dist, m.FCFSDist)
 	}
@@ -153,8 +160,7 @@ func TestSCANBeatsFCFSOnOffDays(t *testing.T) {
 
 func TestSystemAccessDistributionShape(t *testing.T) {
 	// Figure 5: heavy skew, bounded footprint.
-	res := systemRuns(t)
-	off, _ := detailDays(res.Toshiba)
+	off, _ := detailDays(named(systemRuns(t), "toshiba"))
 	if got := cumShare(off.AccessDist, 100); got < 0.75 {
 		t.Errorf("top-100 share = %.2f, want >= 0.75 (paper ~0.90)", got)
 	}
@@ -177,8 +183,8 @@ func TestUsersImproveLessThanSystem(t *testing.T) {
 		}
 		return 1 - on/off
 	}
-	sysRed := reduction(sys.Toshiba)
-	usrRed := reduction(usr.Toshiba)
+	sysRed := reduction(named(sys, "toshiba"))
+	usrRed := reduction(named(usr, "toshiba"))
 	if usrRed >= sysRed {
 		t.Errorf("users reduction %.2f >= system reduction %.2f", usrRed, sysRed)
 	}
@@ -188,8 +194,8 @@ func TestUsersFlatterDistribution(t *testing.T) {
 	// Figure 7 vs Figure 5.
 	sys := systemRuns(t)
 	usr := usersRuns(t)
-	sOff, _ := detailDays(sys.Toshiba)
-	uOff, _ := detailDays(usr.Toshiba)
+	sOff, _ := detailDays(named(sys, "toshiba"))
+	uOff, _ := detailDays(named(usr, "toshiba"))
 	if s, u := cumShare(sOff.AccessDist, 100), cumShare(uOff.AccessDist, 100); u >= s {
 		t.Errorf("users top-100 share %.2f not flatter than system %.2f", u, s)
 	}
@@ -198,8 +204,7 @@ func TestUsersFlatterDistribution(t *testing.T) {
 func TestServiceCDFOnDominatesOff(t *testing.T) {
 	// Figure 4: the rearranged day's service-time CDF dominates at the
 	// 20 ms anchor.
-	res := systemRuns(t)
-	off, on := detailDays(res.Fujitsu)
+	off, on := detailDays(named(systemRuns(t), "fujitsu"))
 	offAt20 := off.Stats.All().Service.FracBelow(20)
 	onAt20 := on.Stats.All().Service.FracBelow(20)
 	if onAt20 <= offAt20 {
@@ -216,7 +221,9 @@ func TestReportsRender(t *testing.T) {
 	reports := []*Report{
 		Table1(), Table2(sys), Table3(sys), Table4(sys),
 		Table5(usr), Table6(usr),
-		Figure4(sys), Figure5(sys), Figure6(usr), Figure7(usr),
+	}
+	for _, fig := range [][]Renderable{Figure4(sys), Figure5(sys), Figure6(usr), Figure7(usr)} {
+		reports = append(reports, fig[0].(*Report))
 	}
 	for _, rep := range reports {
 		out := rep.Render()
@@ -257,8 +264,7 @@ func TestSeekReductionPct(t *testing.T) {
 }
 
 func TestCumShare(t *testing.T) {
-	res := systemRuns(t)
-	off, _ := detailDays(res.Toshiba)
+	off, _ := detailDays(named(systemRuns(t), "toshiba"))
 	full := cumShare(off.AccessDist, len(off.AccessDist))
 	if full < 0.999 {
 		t.Errorf("full share = %v", full)
@@ -398,7 +404,7 @@ func TestSharedDiskExtension(t *testing.T) {
 	if len(run.Installed) == 0 || run.Installed[0] < 500 {
 		t.Errorf("installed = %v", run.Installed)
 	}
-	if rep := SharedReport(run); len(rep.Rows) != 3 {
+	if rep := SharedReport([]*Run{run}); len(rep.Rows) != 3 {
 		t.Errorf("report rows = %d", len(rep.Rows))
 	}
 }

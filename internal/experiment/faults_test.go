@@ -54,10 +54,11 @@ func TestFaultSweepInjectsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Faults) != len(DefaultFaultRates) {
-		t.Fatalf("%d fault points, want %d", len(rs.Faults), len(DefaultFaultRates))
+	runs := rs.Runs(NeedFaults)
+	if len(runs) != len(DefaultFaultRates) {
+		t.Fatalf("%d fault points, want %d", len(runs), len(DefaultFaultRates))
 	}
-	for i, run := range rs.Faults {
+	for i, run := range runs {
 		rate, faults := run.Experiment.Devices.Faults[0].TransientRead, run.Counters.Faults
 		if rate != DefaultFaultRates[i] {
 			t.Errorf("point %d: rate %g, want %g (job-order assembly broken)", i, rate, DefaultFaultRates[i])

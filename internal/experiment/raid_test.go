@@ -27,15 +27,16 @@ func TestRAIDRebuildEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCfg := make(map[string]*Run, len(rs.RAID))
-	for _, p := range rs.RAID {
+	runs := rs.Runs(NeedRAID)
+	byCfg := make(map[string]*Run, len(runs))
+	for _, p := range runs {
 		byCfg[p.Experiment.Name] = p
 	}
 	// get returns a row's volume measurements and failed file operations.
 	get := func(cfg string) (*VolumePoint, int64) {
 		p, ok := byCfg[cfg]
 		if !ok {
-			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(rs.RAID))
+			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(runs))
 		}
 		return p.Volume, p.WorkloadErrors
 	}

@@ -29,7 +29,16 @@ type Spec struct {
 	Report func(rs *ResultSet) []Renderable
 }
 
-func one(r Renderable) []Renderable { return []Renderable{r} }
+// runsSpec makes the spec of an id that reports from one need's runs.
+func runsSpec(id, desc string, n Need, report func([]*Run) []Renderable) Spec {
+	return Spec{ID: id, Description: desc, Needs: []Need{n},
+		Report: func(rs *ResultSet) []Renderable { return report(rs.Runs(n)) }}
+}
+
+// tableSpec is runsSpec for an id whose report is one table.
+func tableSpec(id, desc string, n Need, report func([]*Run) *Report) Spec {
+	return runsSpec(id, desc, n, func(runs []*Run) []Renderable { return []Renderable{report(runs)} })
+}
 
 // specs is the registry, in display order: the paper's tables, its
 // figures (each id emits its table form followed by its ASCII chart),
@@ -37,57 +46,29 @@ func one(r Renderable) []Renderable { return []Renderable{r} }
 // the groups.
 var specs = []Spec{
 	{ID: "table1", Description: "specifications of the disks (model validation)",
-		Report: func(*ResultSet) []Renderable { return one(Table1()) }},
-	{ID: "table2", Description: "on/off summary, system file system", Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table2(rs.System)) }},
-	{ID: "table3", Description: "off day vs on day detail, system file system", Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table3(rs.System)) }},
-	{ID: "table4", Description: "on/off summary, system fs, reads only", Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable { return one(Table4(rs.System)) }},
-	{ID: "table5", Description: "on/off summary, users file system", Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable { return one(Table5(rs.Users)) }},
-	{ID: "table6", Description: "on/off summary, users fs, reads only", Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable { return one(Table6(rs.Users)) }},
-	{ID: "table7", Description: "seek-time reduction per placement policy", Needs: []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table7(rs.Policies)) }},
-	{ID: "table8", Description: "placement policies on the Toshiba disk", Needs: []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table8(rs.Policies)) }},
-	{ID: "table9", Description: "placement policies on the Fujitsu disk", Needs: []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table9(rs.Policies)) }},
-	{ID: "table10", Description: "placement policies vs rotational delays", Needs: []Need{NeedPolicies},
-		Report: func(rs *ResultSet) []Renderable { return one(Table10(rs.Policies)) }},
-	{ID: "fig4", Description: "service-time CDF, system fs, Fujitsu", Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure4(rs.System), cdfChart("Figure 4: service time CDF, system fs, Fujitsu", rs.System.Fujitsu)}
-		}},
-	{ID: "fig5", Description: "block-access distribution, system fs", Needs: []Need{NeedSystem},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure5(rs.System), accessChart("Figure 5: block access distribution, system fs (Toshiba)", rs.System.Toshiba)}
-		}},
-	{ID: "fig6", Description: "service-time CDF, users fs, Fujitsu", Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure6(rs.Users), cdfChart("Figure 6: service time CDF, users fs, Fujitsu", rs.Users.Fujitsu)}
-		}},
-	{ID: "fig7", Description: "block-access distribution, users fs", Needs: []Need{NeedUsers},
-		Report: func(rs *ResultSet) []Renderable {
-			return []Renderable{Figure7(rs.Users), accessChart("Figure 7: block access distribution, users fs (Toshiba)", rs.Users.Toshiba)}
-		}},
-	{ID: "fig8", Description: "seek reduction vs rearranged blocks (Toshiba)", Needs: []Need{NeedSweep},
-		Report: func(rs *ResultSet) []Renderable { return []Renderable{Figure8(rs.Sweep), Figure8Chart(rs.Sweep)} }},
-	{ID: "shared", Description: "extension: both file systems sharing one disk", Needs: []Need{NeedShared},
-		Report: func(rs *ResultSet) []Renderable { return one(SharedReport(rs.Shared)) }},
-	{ID: "faults", Description: "extension: response-time degradation under transient device faults", Needs: []Need{NeedFaults},
-		Report: func(rs *ResultSet) []Renderable { return one(FaultsReport(rs.Faults)) }},
+		Report: func(*ResultSet) []Renderable { return []Renderable{Table1()} }},
+	tableSpec("table2", "on/off summary, system file system", NeedSystem, Table2),
+	tableSpec("table3", "off day vs on day detail, system file system", NeedSystem, Table3),
+	tableSpec("table4", "on/off summary, system fs, reads only", NeedSystem, Table4),
+	tableSpec("table5", "on/off summary, users file system", NeedUsers, Table5),
+	tableSpec("table6", "on/off summary, users fs, reads only", NeedUsers, Table6),
+	tableSpec("table7", "seek-time reduction per placement policy", NeedPolicies, Table7),
+	tableSpec("table8", "placement policies on the Toshiba disk", NeedPolicies, Table8),
+	tableSpec("table9", "placement policies on the Fujitsu disk", NeedPolicies, Table9),
+	tableSpec("table10", "placement policies vs rotational delays", NeedPolicies, Table10),
+	runsSpec("fig4", "service-time CDF, system fs, Fujitsu", NeedSystem, Figure4),
+	runsSpec("fig5", "block-access distribution, system fs", NeedSystem, Figure5),
+	runsSpec("fig6", "service-time CDF, users fs, Fujitsu", NeedUsers, Figure6),
+	runsSpec("fig7", "block-access distribution, users fs", NeedUsers, Figure7),
+	runsSpec("fig8", "seek reduction vs rearranged blocks (Toshiba)", NeedSweep, Figure8),
+	tableSpec("shared", "extension: both file systems sharing one disk", NeedShared, SharedReport),
+	tableSpec("faults", "extension: response-time degradation under transient device faults", NeedFaults, FaultsReport),
 	{ID: "crash", Description: "extension: crash-recovery invariant checks after power loss", Needs: []Need{NeedCrash},
-		Report: func(rs *ResultSet) []Renderable { return one(CrashReport(rs.Crash)) }},
-	{ID: "volume-scale", Description: "extension: throughput and response time scaling across multi-disk volumes", Needs: []Need{NeedVolume},
-		Report: func(rs *ResultSet) []Renderable { return one(VolumeReport(rs.Volume)) }},
-	{ID: "tenant-scale", Description: "extension: multi-tenant server front end — QoS, admission control, circuit breaker", Needs: []Need{NeedTenants},
-		Report: func(rs *ResultSet) []Renderable { return TenantReport(rs.Tenants) }},
-	{ID: "raid-rebuild", Description: "extension: RAID-5/6 parity layouts (degraded reads, hot-spare rebuild, scrub)", Needs: []Need{NeedRAID},
-		Report: func(rs *ResultSet) []Renderable { return one(RAIDReport(rs.RAID)) }},
-	{ID: "trace-replay", Description: "extension: real-trace ingestion and scaled deterministic replay (tracein)", Needs: []Need{NeedTrace},
-		Report: func(rs *ResultSet) []Renderable { return one(TraceReport(rs.Trace)) }},
+		Report: func(rs *ResultSet) []Renderable { return []Renderable{CrashReport(rs.Crash)} }},
+	tableSpec("volume-scale", "extension: throughput and response time scaling across multi-disk volumes", NeedVolume, VolumeReport),
+	runsSpec("tenant-scale", "extension: multi-tenant server front end — QoS, admission control, circuit breaker", NeedTenants, TenantReport),
+	tableSpec("raid-rebuild", "extension: RAID-5/6 parity layouts (degraded reads, hot-spare rebuild, scrub)", NeedRAID, RAIDReport),
+	tableSpec("trace-replay", "extension: real-trace ingestion and scaled deterministic replay (tracein)", NeedTrace, TraceReport),
 }
 
 // Lookup returns the spec registered under id.

@@ -136,3 +136,30 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Errorf("onoff-system output missing expected reports:\n%s", seq)
 	}
 }
+
+// TestEveryIDRendersOneDay renders every registered id from one gather
+// of every need at one day of one minute: a run too short to have an on
+// day must say so in its reports, not crash them.
+func TestEveryIDRendersOneDay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every need simulated in -short mode")
+	}
+	var needs []Need
+	for n := Need(0); n < needCount; n++ {
+		needs = append(needs, n)
+	}
+	rs, err := Gather(context.Background(), needs, Options{Days: 1, WindowMS: 60_000}, runner.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Specs() {
+		for _, r := range s.Report(rs) {
+			if r.Render() == "" {
+				t.Errorf("%s: empty render", s.ID)
+			}
+		}
+	}
+	if out := Table3(rs.Runs(NeedSystem)).Render(); !strings.Contains(out, "insufficient days") {
+		t.Errorf("table3 of a one-day run does not say it lacks an on day:\n%s", out)
+	}
+}

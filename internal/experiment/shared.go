@@ -17,7 +17,8 @@ func sharedConfigs(o Options) []Experiment {
 }
 
 // SharedReport renders the extension experiment's summary.
-func SharedReport(run *Run) *Report {
+func SharedReport(runs []*Run) *Report {
+	run := named(runs, "shared")
 	rep := &Report{
 		ID:      "shared",
 		Title:   "Extension: both file systems sharing one disk and one reserved region (Toshiba)",

@@ -214,7 +214,7 @@ func (s *stack) runDays(days int, windowMS float64, on func(day int) bool,
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		dayStart := float64(day)*workload.DayMS + workload.DayStartMS
+		dayStart := float64(float64(day)*workload.DayMS) + workload.DayStartMS
 		s.eng.RunUntil(dayStart)
 		before(day)
 		err := s.monitored(fmt.Sprintf("day %d", day), dayStart+windowMS+30*60*1000,

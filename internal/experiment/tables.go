@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/tracein"
 	"repro/internal/volume"
@@ -23,15 +21,11 @@ type Options struct {
 	WindowMS float64
 	// Seed changes the workload seed.
 	Seed uint64
-	// Jobs is the worker count used when this Options value drives the
-	// parallel runner directly (RunOnOff, RunPolicies, RunBlockSweep);
-	// 0 selects GOMAXPROCS. Results are identical for any value.
-	Jobs int
 	// Telemetry, when non-nil, gives every simulation job a private
 	// telemetry collector: span capture and/or periodic sampling per
 	// the options. The collectors land in ResultSet.Collectors in job
-	// order, so concatenated output is byte-identical for any Jobs
-	// value. nil (the default) is the zero-cost path.
+	// order, so concatenated output is byte-identical for any worker
+	// count. nil (the default) is the zero-cost path.
 	Telemetry *telemetry.Options
 	// Fault, when non-nil and active, injects device faults per the
 	// plan into every simulation unit (abrsim -fault-plan). The fault
@@ -130,32 +124,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// OnOff holds the paired on/off runs of one file system on both disks —
-// the experiments behind Tables 2, 3, 4 (system) and 5, 6 (users) and
-// Figures 4–7.
-type OnOff struct {
-	Toshiba *Run
-	Fujitsu *Run
-}
-
-// RunOnOff executes the alternating-days experiment for one file system
-// on both disks, running the two per-disk simulations in parallel on
-// the job runner (o.Jobs workers).
-func RunOnOff(ctx context.Context, fsname string, o Options) (*OnOff, error) {
-	need, ok := map[string]Need{"system": NeedSystem, "users": NeedUsers}[fsname]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown file system %q (valid: system, users)", fsname)
-	}
-	rs, err := Gather(ctx, []Need{need}, o, runner.Config{Workers: o.Jobs})
-	if err != nil {
-		return nil, err
-	}
-	if need == NeedUsers {
-		return rs.Users, nil
-	}
-	return rs.System, nil
-}
-
 // paperOnOff holds one paper row of an on/off summary table:
 // {seek, service, wait} × {min, avg, max}.
 type paperOnOff struct {
@@ -191,28 +159,26 @@ var (
 )
 
 // onOffTable renders an on/off summary table in the paper's layout,
-// interleaving the measured rows with the paper's rows.
-func onOffTable(id, title string, res *OnOff, side Side, paper map[string]paperOnOff) *Report {
+// interleaving the measured rows, one pair per disk, with the paper's.
+func onOffTable(id, title string, runs []*Run, side Side, paper map[string]paperOnOff) *Report {
 	rep := &Report{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"Disk", "On/Off", "Source", "Seek min/avg/max", "Service min/avg/max", "Waiting min/avg/max"},
 	}
-	for _, dr := range []struct {
-		name string
-		run  *Run
-	}{{"toshiba", res.Toshiba}, {"fujitsu", res.Fujitsu}} {
+	for _, run := range runs {
+		name := run.Experiment.Name
 		for _, on := range []bool{false, true} {
-			days := dr.run.OffDays()
+			days := run.OffDays()
 			label := "Off"
 			if on {
-				days = dr.run.OnDays()
+				days = run.OnDays()
 				label = "On"
 			}
-			sum := Summarize(days, dr.run.Curve, side)
-			rep.AddRow(dr.name, label, "measured", sum.Seek.String(), sum.Service.String(), sum.Wait.String())
-			if p, ok := paper[dr.name+"/"+key(on)]; ok {
-				rep.AddRow(dr.name, label, "paper", triple(p.seek), triple(p.service), triple(p.wait))
+			sum := Summarize(days, run.Curve, side)
+			rep.AddRow(name, label, "measured", sum.Seek.String(), sum.Service.String(), sum.Wait.String())
+			if p, ok := paper[name+"/"+key(on)]; ok {
+				rep.AddRow(name, label, "paper", triple(p.seek), triple(p.service), triple(p.wait))
 			}
 		}
 	}
@@ -230,31 +196,41 @@ func key(on bool) string {
 func triple(v [3]float64) string { return fmt.Sprintf("%.2f/%.2f/%.2f", v[0], v[1], v[2]) }
 
 // Table2 renders Table 2: on/off daily means for the system file system.
-func Table2(res *OnOff) *Report {
+func Table2(runs []*Run) *Report {
 	return onOffTable("table2", "Summary of Results of On/Off Experiments (system file system)",
-		res, AllRequests, paperTable2)
+		runs, AllRequests, paperTable2)
 }
 
 // Table4 renders Table 4: the same experiment, read requests only.
-func Table4(res *OnOff) *Report {
+func Table4(runs []*Run) *Report {
 	return onOffTable("table4", "Summary of Results of On/Off Experiments (system fs, read requests only)",
-		res, ReadsOnly, paperTable4)
+		runs, ReadsOnly, paperTable4)
 }
 
 // Table5 renders Table 5: on/off daily means for the users file system.
-func Table5(res *OnOff) *Report {
+func Table5(runs []*Run) *Report {
 	return onOffTable("table5", "Summary of Results of On/Off Experiments (users file system)",
-		res, AllRequests, paperTable5)
+		runs, AllRequests, paperTable5)
 }
 
 // Table6 renders Table 6: the users experiment, read requests only.
-func Table6(res *OnOff) *Report {
+func Table6(runs []*Run) *Report {
 	return onOffTable("table6", "Summary of Results of On/Off Experiments (users fs, read requests only)",
-		res, ReadsOnly, paperTable6)
+		runs, ReadsOnly, paperTable6)
+}
+
+// named returns the run of the row with the given name.
+func named(runs []*Run, name string) *Run {
+	for _, run := range runs {
+		if run.Experiment.Name == name {
+			return run
+		}
+	}
+	panic("experiment: no run named " + name)
 }
 
 // detailDays picks the representative consecutive off/on pair used by
-// the day-detail tables: the last off day and the last on day.
+// the day-detail reports: the last off day and the last on day.
 func detailDays(run *Run) (off, on DayResult) {
 	offs, ons := run.OffDays(), run.OnDays()
 	if len(offs) > 0 {
@@ -264,6 +240,18 @@ func detailDays(run *Run) (off, on DayResult) {
 		on = ons[len(ons)-1]
 	}
 	return off, on
+}
+
+// lacksDay reports whether any of the days was not measured — a one-day
+// run has no on day — and if so says so in a note on rep.
+func lacksDay(rep *Report, days ...DayResult) bool {
+	for _, d := range days {
+		if d.Stats == nil {
+			rep.AddNote("insufficient days: the run measured no on day")
+			return true
+		}
+	}
+	return false
 }
 
 // detailRows are the rows of the day-detail tables (3, 8 and 9), in the
@@ -291,9 +279,21 @@ var paperTable3 = map[string][7]float64{
 	"fujitsu/on":  {413, 27, 76, 9.73, 1.16, 14.08, 35.65},
 }
 
+// addDetailRows fills a day-detail table (3, 8 or 9): one row per entry
+// of detailRows, each column's measured value followed by the paper's.
+func addDetailRows(rep *Report, ms []Metrics, papers [][7]float64) {
+	for ri, row := range detailRows {
+		cells := []string{row.name}
+		for i, m := range ms {
+			cells = append(cells, row.fmt(row.get(m)), row.fmt(papers[i][ri]))
+		}
+		rep.AddRow(cells...)
+	}
+}
+
 // Table3 renders Table 3: detailed results from an off day and an on day
 // of the system file system experiment on each disk.
-func Table3(res *OnOff) *Report {
+func Table3(runs []*Run) *Report {
 	rep := &Report{
 		ID:    "table3",
 		Title: "Experimental results for system file system (off day vs on day)",
@@ -301,48 +301,23 @@ func Table3(res *OnOff) *Report {
 			"Tosh off", "Tosh off (paper)", "Tosh on", "Tosh on (paper)",
 			"Fuji off", "Fuji off (paper)", "Fuji on", "Fuji on (paper)"},
 	}
-	tOff, tOn := detailDays(res.Toshiba)
-	fOff, fOn := detailDays(res.Fujitsu)
-	ms := []Metrics{
-		tOff.Metrics(res.Toshiba.Curve, AllRequests),
-		tOn.Metrics(res.Toshiba.Curve, AllRequests),
-		fOff.Metrics(res.Fujitsu.Curve, AllRequests),
-		fOn.Metrics(res.Fujitsu.Curve, AllRequests),
-	}
-	papers := [][7]float64{
-		paperTable3["toshiba/off"], paperTable3["toshiba/on"],
-		paperTable3["fujitsu/off"], paperTable3["fujitsu/on"],
-	}
-	for ri, row := range detailRows {
-		cells := []string{row.name}
-		for i := range ms {
-			cells = append(cells, row.fmt(row.get(ms[i])), row.fmt(papers[i][ri]))
+	var ms []Metrics
+	var papers [][7]float64
+	for _, d := range []string{"toshiba", "fujitsu"} {
+		run := named(runs, d)
+		off, on := detailDays(run)
+		if lacksDay(rep, off, on) {
+			return rep
 		}
-		rep.AddRow(cells...)
+		ms = append(ms, off.Metrics(run.Curve, AllRequests), on.Metrics(run.Curve, AllRequests))
+		papers = append(papers, paperTable3[d+"/off"], paperTable3[d+"/on"])
 	}
+	addDetailRows(rep, ms, papers)
 	return rep
-}
-
-// Policies holds the placement-policy runs behind Tables 7–10, keyed
-// [disk][policy].
-type Policies struct {
-	Runs map[string]map[string]*Run
 }
 
 // PolicyNames lists the three placement policies in the paper's order.
 var PolicyNames = []string{"organ-pipe", "interleaved", "serial"}
-
-// RunPolicies executes the placement-policy experiments — the system
-// file system on each disk under each policy, with rearrangement
-// applied every day after a warm-up day — running the six independent
-// configurations in parallel on the job runner (o.Jobs workers).
-func RunPolicies(ctx context.Context, o Options) (*Policies, error) {
-	rs, err := Gather(ctx, []Need{NeedPolicies}, o, runner.Config{Workers: o.Jobs})
-	if err != nil {
-		return nil, err
-	}
-	return rs.Policies, nil
-}
 
 // paperTable7 holds Table 7's percentages: [disk][policy]{all, reads}.
 var paperTable7 = map[string]map[string][2]float64{
@@ -352,7 +327,7 @@ var paperTable7 = map[string]map[string][2]float64{
 
 // Table7 renders Table 7: percentage reduction in daily mean seek time
 // versus FCFS arrival order with no rearrangement, per placement policy.
-func Table7(res *Policies) *Report {
+func Table7(runs []*Run) *Report {
 	rep := &Report{
 		ID:    "table7",
 		Title: "Summary of results of placement policy experiments (system file system)",
@@ -368,7 +343,7 @@ func Table7(res *Policies) *Report {
 			cells := []string{d, side.name, "measured"}
 			paperCells := []string{d, side.name, "paper"}
 			for _, p := range PolicyNames {
-				run := res.Runs[d][p]
+				run := named(runs, d+"/"+p)
 				var sum float64
 				ons := run.OnDays()
 				for _, day := range ons {
@@ -402,46 +377,43 @@ var paperTable89 = map[string]map[string]map[string][7]float64{
 	},
 }
 
-// policyDetailTable renders Table 8 (Toshiba) or Table 9 (Fujitsu).
-func policyDetailTable(id, title, diskName string, res *Policies) *Report {
+// policyDetailTable renders Table 8 (Toshiba) or Table 9 (Fujitsu) from
+// each policy's last on day.
+func policyDetailTable(id, title, diskName string, runs []*Run) *Report {
 	rep := &Report{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"Metric"},
 	}
-	type col struct {
-		policy, side string
-		sel          Side
-	}
-	var cols []col
+	var ms []Metrics
+	var papers [][7]float64
 	for _, p := range PolicyNames {
-		cols = append(cols, col{p, "all", AllRequests}, col{p, "reads", ReadsOnly})
-	}
-	for _, c := range cols {
-		rep.Columns = append(rep.Columns, c.policy+"/"+c.side, "(paper)")
-	}
-	for ri, row := range detailRows {
-		cells := []string{row.name}
-		for _, c := range cols {
-			run := res.Runs[diskName][c.policy]
-			_, on := detailDays(run)
-			m := on.Metrics(run.Curve, c.sel)
-			cells = append(cells, row.fmt(row.get(m)),
-				row.fmt(paperTable89[diskName][c.policy][c.side][ri]))
+		run := named(runs, diskName+"/"+p)
+		_, on := detailDays(run)
+		if lacksDay(rep, on) {
+			return rep
 		}
-		rep.AddRow(cells...)
+		for _, side := range []struct {
+			name string
+			sel  Side
+		}{{"all", AllRequests}, {"reads", ReadsOnly}} {
+			rep.Columns = append(rep.Columns, p+"/"+side.name, "(paper)")
+			ms = append(ms, on.Metrics(run.Curve, side.sel))
+			papers = append(papers, paperTable89[diskName][p][side.name])
+		}
 	}
+	addDetailRows(rep, ms, papers)
 	return rep
 }
 
 // Table8 renders Table 8: placement policies on the Toshiba disk.
-func Table8(res *Policies) *Report {
-	return policyDetailTable("table8", "Experiments with placement policies on Toshiba disk", "toshiba", res)
+func Table8(runs []*Run) *Report {
+	return policyDetailTable("table8", "Experiments with placement policies on Toshiba disk", "toshiba", runs)
 }
 
 // Table9 renders Table 9: placement policies on the Fujitsu disk.
-func Table9(res *Policies) *Report {
-	return policyDetailTable("table9", "Experiments with placement policies on Fuji disk", "fujitsu", res)
+func Table9(runs []*Run) *Report {
+	return policyDetailTable("table9", "Experiments with placement policies on Fuji disk", "fujitsu", runs)
 }
 
 // paperTable10 holds Table 10: mean rotational latency + transfer time
@@ -456,19 +428,22 @@ var paperTable10 = map[string]float64{
 // Table10 renders Table 10: effects of placement policies on rotational
 // delays (Toshiba, read requests). "none" uses the warm-up (off) day of
 // the organ-pipe run.
-func Table10(res *Policies) *Report {
+func Table10(runs []*Run) *Report {
 	rep := &Report{
 		ID:      "table10",
 		Title:   "Effects of placement policies on rotational delays (Toshiba, reads)",
 		Columns: []string{"Placement", "Rot+Transfer (ms)", "Paper (ms)"},
 	}
-	orgRun := res.Runs["toshiba"]["organ-pipe"]
+	orgRun := named(runs, "toshiba/organ-pipe")
 	off, _ := detailDays(orgRun)
 	rep.AddRow("Without Rearrangement",
 		f2(off.Metrics(orgRun.Curve, ReadsOnly).RotTransferMS), f2(paperTable10["none"]))
 	for _, p := range []string{"organ-pipe", "serial", "interleaved"} {
-		run := res.Runs["toshiba"][p]
+		run := named(runs, "toshiba/"+p)
 		_, on := detailDays(run)
+		if lacksDay(rep, on) {
+			return rep
+		}
 		rep.AddRow(p, f2(on.Metrics(run.Curve, ReadsOnly).RotTransferMS), f2(paperTable10[p]))
 	}
 	rep.AddNote("measured directly from the disk model's rotational and transfer components; the paper infers the same quantity as service - seek time")

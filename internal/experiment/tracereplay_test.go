@@ -23,14 +23,15 @@ func TestTraceReplayEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCfg := make(map[string]*Run, len(rs.Trace))
-	for _, p := range rs.Trace {
+	runs := rs.Runs(NeedTrace)
+	byCfg := make(map[string]*Run, len(runs))
+	for _, p := range runs {
 		byCfg[p.Experiment.Name] = p
 	}
 	get := func(cfg string) *TracePoint {
 		p, ok := byCfg[cfg]
 		if !ok {
-			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(rs.Trace))
+			t.Fatalf("matrix has no %q row (got %d rows)", cfg, len(runs))
 		}
 		return p.Replay
 	}

@@ -55,37 +55,28 @@ const (
 )
 
 // needTable names each need and gives its table of experiments: the
-// prefix that, before a row's name, names the row's job, the rows, and
-// the step that installs a completed row. The crash battery runs on the
-// crashcheck harness, not on a stack, and brings its own units.
+// prefix that, before a row's name, names the row's job, and the rows.
+// The crash battery runs on the crashcheck harness, not on a stack, and
+// brings its own units.
 var needTable = [needCount]struct {
 	name   string
 	prefix string
 	rows   func(Options) []Experiment
-	apply  func(*ResultSet, *Run)
 	crash  func() []unit
 }{
 	NeedSystem: {name: "onoff-system", prefix: "onoff/system/",
-		rows: func(o Options) []Experiment { return onOffConfigs(System, o) }, apply: applyOnOff},
+		rows: func(o Options) []Experiment { return onOffConfigs(System, o) }},
 	NeedUsers: {name: "onoff-users", prefix: "onoff/users/",
-		rows: func(o Options) []Experiment { return onOffConfigs(Users, o) }, apply: applyOnOff},
-	NeedPolicies: {name: "policies", prefix: "policies/", rows: policiesConfigs, apply: applyPolicy},
-	NeedSweep: {name: "sweep", prefix: "sweep/",
-		rows:  func(o Options) []Experiment { return sweepConfigs(o, DefaultSweepBlocks) },
-		apply: func(rs *ResultSet, run *Run) { rs.Sweep = append(rs.Sweep, sweepPoint(run)) }},
-	NeedShared: {name: "shared", rows: sharedConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.Shared = run }},
-	NeedFaults: {name: "faults", prefix: "faults/", rows: faultConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.Faults = append(rs.Faults, run) }},
-	NeedCrash: {name: "crash", crash: crashUnits},
-	NeedVolume: {name: "volume", prefix: "volume/", rows: volumeConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.Volume = append(rs.Volume, run) }},
-	NeedTenants: {name: "tenants", prefix: "tenants/", rows: tenantConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.Tenants = append(rs.Tenants, run) }},
-	NeedRAID: {name: "raid", prefix: "raid/", rows: raidConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.RAID = append(rs.RAID, run) }},
-	NeedTrace: {name: "trace", prefix: "trace/", rows: traceConfigs,
-		apply: func(rs *ResultSet, run *Run) { rs.Trace = append(rs.Trace, run) }},
+		rows: func(o Options) []Experiment { return onOffConfigs(Users, o) }},
+	NeedPolicies: {name: "policies", prefix: "policies/", rows: policiesConfigs},
+	NeedSweep:    {name: "sweep", prefix: "sweep/", rows: sweepConfigs},
+	NeedShared:   {name: "shared", rows: sharedConfigs},
+	NeedFaults:   {name: "faults", prefix: "faults/", rows: faultConfigs},
+	NeedCrash:    {name: "crash", crash: crashUnits},
+	NeedVolume:   {name: "volume", prefix: "volume/", rows: volumeConfigs},
+	NeedTenants:  {name: "tenants", prefix: "tenants/", rows: tenantConfigs},
+	NeedRAID:     {name: "raid", prefix: "raid/", rows: raidConfigs},
+	NeedTrace:    {name: "trace", prefix: "trace/", rows: traceConfigs},
 }
 
 // units expands the need into its simulation units.
@@ -94,7 +85,7 @@ func (n Need) units(o Options) ([]unit, error) {
 	if nd.crash != nil {
 		return nd.crash(), nil
 	}
-	return experimentUnits(nd.prefix, nd.rows(o), nd.apply)
+	return experimentUnits(n, nd.rows(o))
 }
 
 // String names the need for errors and job labels.
@@ -106,20 +97,11 @@ func (n Need) String() string {
 }
 
 // ResultSet holds the assembled simulation products the registered
-// experiments report from. Only the fields for gathered needs are
-// populated.
+// experiments report from: each gathered need's runs, in row order, and
+// the crash battery's points.
 type ResultSet struct {
-	System   *OnOff
-	Users    *OnOff
-	Policies *Policies
-	Sweep    []SweepPoint
-	Shared   *Run
-	Faults   []*Run
-	Crash    []CrashPoint
-	Volume   []*Run
-	Tenants  []*Run
-	RAID     []*Run
-	Trace    []*Run
+	runs  [needCount][]*Run
+	Crash []CrashPoint
 
 	// Collectors holds each simulation job's telemetry collector in
 	// job order when Options.Telemetry was set; nil otherwise.
@@ -131,6 +113,10 @@ type ResultSet struct {
 	// wall-clock, units) in job order.
 	Metrics []runner.Metric
 }
+
+// Runs returns the need's completed runs in the order of its rows; nil
+// for a need that was not gathered.
+func (rs *ResultSet) Runs(n Need) []*Run { return rs.runs[n] }
 
 // unit pairs one independent simulation job with the step that installs
 // its result into a ResultSet. Apply steps run sequentially in job
@@ -168,11 +154,12 @@ func matrixUnits[S, R any](rows []S, label func(S) (name string, units float64),
 	return units
 }
 
-// experimentUnits makes one unit per row of a table of experiments: the
-// job is named prefix + the row's name and weighed in simulated days, and
-// apply installs the completed run. A row that does not validate fails
-// the whole table, before any job exists.
-func experimentUnits(prefix string, rows []Experiment, apply func(*ResultSet, *Run)) ([]unit, error) {
+// experimentUnits makes one unit per row of the need's table: the job is
+// named the need's prefix + the row's name and weighed in simulated days,
+// and its completed run is appended to the need's runs. A row that does
+// not validate fails the whole table, before any job exists.
+func experimentUnits(n Need, rows []Experiment) ([]unit, error) {
+	prefix := needTable[n].prefix
 	for i, e := range rows {
 		var err error
 		if rows[i], err = e.withDefaults(); err != nil {
@@ -181,7 +168,7 @@ func experimentUnits(prefix string, rows []Experiment, apply func(*ResultSet, *R
 	}
 	return matrixUnits(rows,
 		func(e Experiment) (string, float64) { return prefix + e.Name, e.simDays() },
-		Execute, apply), nil
+		Execute, func(rs *ResultSet, run *Run) { rs.runs[n] = append(rs.runs[n], run) }), nil
 }
 
 // onOffConfigs is one file system's on/off experiment: one run per disk.
@@ -193,21 +180,6 @@ func onOffConfigs(src Source, o Options) []Experiment {
 		daysTosh = 12
 	}
 	return []Experiment{o.paper("toshiba", "toshiba", src, daysTosh), o.paper("fujitsu", "fujitsu", src, 10)}
-}
-
-func applyOnOff(rs *ResultSet, run *Run) {
-	slot := &rs.System
-	if run.Experiment.Workload.Source == Users {
-		slot = &rs.Users
-	}
-	if *slot == nil {
-		*slot = &OnOff{}
-	}
-	if run.Experiment.Devices.Disk == "toshiba" {
-		(*slot).Toshiba = run
-	} else {
-		(*slot).Fujitsu = run
-	}
 }
 
 // policiesConfigs is the placement-policy matrix: the system file
@@ -225,41 +197,20 @@ func policiesConfigs(o Options) []Experiment {
 	return rows
 }
 
-func applyPolicy(rs *ResultSet, run *Run) {
-	if rs.Policies == nil {
-		rs.Policies = &Policies{Runs: make(map[string]map[string]*Run)}
-	}
-	d := run.Experiment.Devices.Disk
-	if rs.Policies.Runs[d] == nil {
-		rs.Policies.Runs[d] = make(map[string]*Run)
-	}
-	rs.Policies.Runs[d][run.Experiment.Rearrange.Policy] = run
-}
+// sweepBlocks are the Figure 8 sweep sizes (the Toshiba reserved region
+// holds at most 1018 blocks).
+var sweepBlocks = []int{25, 50, 100, 200, 400, 600, 800, 1018}
 
-// sweepConfigs is the Figure 8 sweep: one run per block count, in the
-// order given.
-func sweepConfigs(o Options, counts []int) []Experiment {
+// sweepConfigs is the Figure 8 sweep: the system file system on the
+// Toshiba, one run per rearranged-block count.
+func sweepConfigs(o Options) []Experiment {
 	var rows []Experiment
-	for _, n := range counts {
+	for _, n := range sweepBlocks {
 		e := o.paper(strconv.Itoa(n), "toshiba", System, 2)
 		e.Rearrange.Blocks, e.OnPattern = n, everyDayAfterWarmup
 		rows = append(rows, e)
 	}
 	return rows
-}
-
-// sweepPoint summarizes one run of the sweep from its last on-day.
-func sweepPoint(run *Run) SweepPoint {
-	_, on := detailDays(run)
-	all := on.Metrics(run.Curve, AllRequests)
-	reads := on.Metrics(run.Curve, ReadsOnly)
-	return SweepPoint{
-		Blocks:         run.Experiment.Rearrange.Blocks,
-		DistRedPct:     DistReductionPct(all),
-		TimeRedPct:     SeekReductionPct(all),
-		ReadDistRedPct: DistReductionPct(reads),
-		ReadTimeRedPct: SeekReductionPct(reads),
-	}
 }
 
 // Gather simulates the given needs on the parallel runner and assembles

@@ -55,9 +55,9 @@ func (p Piecewise) SeekMS(d int) float64 {
 	fd := float64(d)
 	long := d > p.Knee || (p.KneeInclusive && d == p.Knee)
 	if long {
-		return p.F + p.G*fd
+		return p.F + float64(p.G*fd)
 	}
-	return p.A + p.B*math.Sqrt(fd) + p.C*math.Cbrt(fd) + p.E*math.Log(fd)
+	return p.A + float64(p.B*math.Sqrt(fd)) + float64(p.C*math.Cbrt(fd)) + float64(p.E*math.Log(fd))
 }
 
 // String renders the curve in the notation of Table 1.
@@ -110,7 +110,7 @@ func (l Linear) SeekMS(d int) float64 {
 	if d == 0 {
 		return 0
 	}
-	return l.StartupMS + l.PerCylMS*float64(d)
+	return l.StartupMS + float64(l.PerCylMS*float64(d))
 }
 
 // MeanMS returns the mean seek time of the curve over a distance
@@ -134,7 +134,7 @@ func MeanMS(c Curve, hist map[int]int64) float64 {
 			continue
 		}
 		n += cnt
-		sum += float64(cnt) * c.SeekMS(d)
+		sum += float64(float64(cnt) * c.SeekMS(d))
 	}
 	if n == 0 {
 		return 0

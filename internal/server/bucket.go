@@ -25,7 +25,7 @@ func NewTokenBucket(rate, burst, now float64) TokenBucket {
 // refill accrues tokens up to simulated time now (milliseconds).
 func (b *TokenBucket) refill(now float64) {
 	if now > b.last {
-		b.tokens += (now - b.last) / 1000 * b.Rate
+		b.tokens += float64((now - b.last) / 1000 * b.Rate)
 		if b.tokens > b.Burst {
 			b.tokens = b.Burst
 		}

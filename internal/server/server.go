@@ -80,7 +80,7 @@ func (l LinkConfig) withDefaults() LinkConfig {
 func (l LinkConfig) DelayMS(bytes int) float64 {
 	d := l.LatencyMS
 	if l.BandwidthMBps > 0 {
-		d += float64(bytes) / (l.BandwidthMBps * 1e6) * 1000
+		d += float64(float64(bytes) / (l.BandwidthMBps * 1e6) * 1000)
 	}
 	return d
 }

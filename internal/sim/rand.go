@@ -34,9 +34,10 @@ func (r *Rand) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Float64 returns a uniform variate in [0, 1).
+// Float64 returns a uniform variate in [0, 1). The outer conversion
+// keeps an inlined caller from fusing the scaling into its own addition.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -72,13 +73,13 @@ func (r *Rand) Exp(mean float64) float64 {
 func (r *Rand) Norm(mean, stddev float64) float64 {
 	if r.haveGauss {
 		r.haveGauss = false
-		return mean + stddev*r.gauss
+		return mean + float64(stddev*r.gauss)
 	}
 	var u, v, s float64
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -86,7 +87,7 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	f := math.Sqrt(-2 * math.Log(s) / s)
 	r.gauss = v * f
 	r.haveGauss = true
-	return mean + stddev*u*f
+	return mean + float64(stddev*u*f)
 }
 
 // LogNormal returns a log-normal variate whose underlying normal has the

@@ -190,8 +190,9 @@ func (e *Engine) schedule(t float64, fn func(), call Caller) {
 // the event at the current time.
 func (e *Engine) At(t float64, fn func()) { e.schedule(t, fn, nil) }
 
-// After schedules fn to run d milliseconds from now.
-func (e *Engine) After(d float64, fn func()) { e.schedule(e.now+d, fn, nil) }
+// After schedules fn to run d milliseconds from now. The conversion
+// rounds d, so a caller's product is never fused into this addition.
+func (e *Engine) After(d float64, fn func()) { e.schedule(e.now+float64(d), fn, nil) }
 
 // AtCall schedules c.Call to run at absolute time t. It is the
 // allocation-free variant of At: the queue stores c's interface value

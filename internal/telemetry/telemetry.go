@@ -150,44 +150,6 @@ func (m multiSink) Event(e *Event) {
 	}
 }
 
-// Ring is a fixed-capacity sink retaining the most recent events, for
-// tests and interactive inspection.
-type Ring struct {
-	buf   []Event
-	next  int
-	total int64
-}
-
-// NewRing returns a ring sink holding the last n events.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, 0, n)}
-}
-
-// Event implements Sink.
-func (r *Ring) Event(e *Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, *e)
-		return
-	}
-	r.buf[r.next] = *e
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-// Total returns how many events were observed (including evicted ones).
-func (r *Ring) Total() int64 { return r.total }
-
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // AppendJSONL appends the one-line JSON encoding of e (with trailing
 // newline) to b and returns the extended slice. The encoding is
 // deterministic: fixed key order, shortest round-trip floats, booleans

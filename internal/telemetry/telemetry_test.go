@@ -61,25 +61,6 @@ func TestAppendJSONLParseable(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	for i := int64(0); i < 5; i++ {
-		r.Event(&Event{Kind: KindRequest, Block: i})
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
-	}
-	got := r.Events()
-	if len(got) != 3 {
-		t.Fatalf("retained %d events, want 3", len(got))
-	}
-	for i, e := range got {
-		if want := int64(i + 2); e.Block != want {
-			t.Errorf("event %d: Block = %d, want %d (oldest first)", i, e.Block, want)
-		}
-	}
-}
-
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Error("Multi of no live sinks should be nil")

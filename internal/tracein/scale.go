@@ -77,7 +77,7 @@ func (s Scale) Apply(recs []trace.Record) []trace.Record {
 		t := r.TimeMS / compress
 		for c := 0; c < copies; c++ {
 			rc := r
-			rc.TimeMS = t + float64(c)*s.PhaseMS
+			rc.TimeMS = t + float64(float64(c)*s.PhaseMS)
 			if s.ShiftBlocks != 0 {
 				rc.Block += int64(c) * s.ShiftBlocks
 				if s.WrapBlocks > 0 {

@@ -207,7 +207,7 @@ func (w *System) RunDay(day int, done func(error)) {
 		drift(w.rnd, w.perm, systemDriftProb)
 		w.day++
 	}
-	start := float64(day)*DayMS + DayStartMS
+	start := float64(float64(day)*DayMS) + DayStartMS
 	end := start + w.cfg.WindowMS
 	for t := start + systemCronPeriodMS/2; t < end; t += systemCronPeriodMS {
 		w.eng.At(t, w.cronSweep)

@@ -230,7 +230,7 @@ func (w *Users) RunDay(day int, done func(error)) {
 	if len(actives) == 0 {
 		actives = w.users[:1]
 	}
-	start := float64(day)*DayMS + DayStartMS
+	start := float64(float64(day)*DayMS) + DayStartMS
 	end := start + w.cfg.WindowMS
 	pool := &clientPool{
 		eng:   w.eng,
