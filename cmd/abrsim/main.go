@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -246,7 +247,12 @@ func cli(argv []string, stdout, stderr io.Writer) int {
 		teleFile = "telemetry.csv"
 	}
 	if pprofAddr != "" {
-		defer servePprof(pprofAddr, stderr)()
+		beforeExit, err := servePprof(pprofAddr, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "abrsim: pprof:", err)
+			return 1
+		}
+		defer beforeExit()
 	}
 	if err := run(stdout, stderr, exp, o, jobs, timeout, traceFile, teleFile, metricsFile, metricsFormat); err != nil {
 		fmt.Fprintln(stderr, "abrsim:", err)
@@ -256,13 +262,19 @@ func cli(argv []string, stdout, stderr io.Writer) int {
 }
 
 // servePprof serves net/http/pprof on addr and returns what to call
-// before exiting. A CPU profile is a window of wall time (one second,
-// the way bench/ asks), and a run shorter than the window used to exit
-// under the request and never be profiled at all; so if no CPU profile
-// has been delivered yet, the one being taken is allowed to finish. A
-// run that has delivered one exits at once, as it always did, cutting
-// the slice in flight.
-func servePprof(addr string, stderr io.Writer) (beforeExit func()) {
+// before exiting. It binds addr before it returns, so a profile request
+// made as soon as the run starts finds a listener, and a bind error is
+// reported before anything is simulated. A CPU profile is a window of
+// wall time (one second, the way bench/ asks), and a run shorter than
+// the window used to exit under the request and never be profiled at
+// all; so if no CPU profile has been delivered yet, the one being taken
+// is allowed to finish. A run that has delivered one exits at once, as
+// it always did, cutting the slice in flight.
+func servePprof(addr string, stderr io.Writer) (beforeExit func(), err error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
 	var delivered atomic.Bool
 	mux := http.NewServeMux()
 	mux.Handle("/", http.DefaultServeMux) // where net/http/pprof registers
@@ -270,9 +282,9 @@ func servePprof(addr string, stderr io.Writer) (beforeExit func()) {
 		pprof.Profile(w, r)
 		delivered.Store(true)
 	})
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Handler: mux}
 	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(stderr, "abrsim: pprof:", err)
 		}
 	}()
@@ -285,7 +297,7 @@ func servePprof(addr string, stderr io.Writer) (beforeExit func()) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx) // exiting either way
-	}
+	}, nil
 }
 
 // buildFaultPlan assembles the fault plan from the CLI flags: the plan

@@ -146,3 +146,24 @@ func TestPprofOutlivesShortRun(t *testing.T) {
 		t.Errorf("the run took %v: it should wait for one profile, not more", elapsed)
 	}
 }
+
+// TestPprofBindError: an address that cannot be bound is refused
+// before anything is simulated.
+func TestPprofBindError(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback listener:", err)
+	}
+	defer l.Close()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "tenant-scale", "-tenants", "100", "-hours", "0.02", "-pprof", l.Addr().String()}
+	if code := cli(args, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "abrsim: pprof:") {
+		t.Errorf("stderr does not report the bind error:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("simulated despite the bind error:\n%s", stdout.String())
+	}
+}

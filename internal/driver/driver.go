@@ -563,7 +563,6 @@ func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, 
 		}
 	}
 	if redirected {
-		d.stats.side(write).Redirected++
 		d.cum.Redirected++
 	}
 
@@ -872,14 +871,10 @@ func (d *Driver) interrupt(r *ioreq, rdata []byte, t disk.Timing, startMS float6
 		now := d.eng.Now()
 		side := d.stats.side(r.write)
 		side.SchedDist.Add(t.SeekDist)
-		side.SeekMS += t.SeekMS
 		side.RotMS += t.RotMS
 		side.TransferMS += t.TransferMS
 		side.Service.Add(now - startMS)
 		side.Queueing.Add(startMS - r.arriveMS)
-		if t.BufferHit {
-			side.BufferHits++
-		}
 		if mx := d.mx; mx != nil {
 			mx.service.Record(now - startMS)
 			mx.queueing.Record(startMS - r.arriveMS)

@@ -62,16 +62,10 @@ type Side struct {
 	// resolution with full-resolution cumulative sums.
 	Service  *stats.TimeHist
 	Queueing *stats.TimeHist
-	// SeekMS, RotMS and TransferMS are full-resolution cumulative
-	// components of the measured service times.
-	SeekMS     float64
+	// RotMS and TransferMS are full-resolution cumulative components of
+	// the measured service times.
 	RotMS      float64
 	TransferMS float64
-	// BufferHits counts reads satisfied by the drive's read-ahead buffer.
-	BufferHits int64
-	// Redirected counts requests that were redirected into the reserved
-	// region by the block table.
-	Redirected int64
 }
 
 func newSide() *Side {
@@ -118,11 +112,8 @@ func (s *Side) merge(other *Side) {
 	// has no mismatch to report.
 	_ = s.Service.Merge(other.Service)
 	_ = s.Queueing.Merge(other.Queueing)
-	s.SeekMS += other.SeekMS
 	s.RotMS += other.RotMS
 	s.TransferMS += other.TransferMS
-	s.BufferHits += other.BufferHits
-	s.Redirected += other.Redirected
 }
 
 // Stats is the driver's performance-statistics table, kept separately

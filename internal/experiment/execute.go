@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/hotlist"
-	"repro/internal/metrics"
 	"repro/internal/seek"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -182,8 +181,8 @@ func (st *stack) measureDays(run *Run) error {
 	// the access distributions, on a volume its request statistics.
 	var before, after func(day int)
 	if st.rig == nil {
-		before = func(int) { st.vol.ResetStats() } // discard overnight / populate traffic
-		after = func(int) { run.Volume.add(st.vol.Stats()) }
+		before = func(int) { run.Volume.start(st.vol) } // discard overnight / populate traffic
+		after = func(int) { run.Volume.add(st.vol) }
 	} else {
 		drv := st.rig.Driver
 		// The per-day access distributions consume the same event stream
@@ -284,7 +283,7 @@ func (st *stack) measureWindow(run *Run) error {
 		Breaker: st.srv.Breaker().Counts(),
 		Classes: st.srv.ClassStats(),
 	}
-	run.Volume.add(st.vol.Stats())
+	run.Volume.add(st.vol)
 	run.Volume.finish(st.vol, e.WindowMS/1000)
 	return nil
 }
@@ -362,7 +361,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	// Discard everything measured so far — populate-analogue traffic,
 	// the learning pass, the rearrangement moves — so the measured pass
 	// starts from clean statistics on every member.
-	v.ResetStats()
+	run.Volume.start(v)
 	for _, m := range v.Members {
 		m.Driver.ReadStats()
 	}
@@ -370,12 +369,6 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	rep, err := tracein.NewReplayer(st.eng, v, scaled, ropts)
 	if err != nil {
 		return fmt.Errorf("experiment: trace %s replayer: %w", e.Name, err)
-	}
-	// The replayer always gets a latency histogram (P99 is a report
-	// column); when the job carries a metrics collector the instruments
-	// land there instead, alongside the volume's and per-member drivers'.
-	if !st.col.MetricsEnabled() {
-		rep.BindMetrics(metrics.NewRegistry())
 	}
 	st.observe(rep)
 	var res tracein.Result
@@ -388,7 +381,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		return err
 	}
 
-	run.Volume.add(v.Stats())
+	run.Volume.add(v)
 	run.Volume.finish(v, res.ElapsedMS/1000)
 	pt := &TracePoint{
 		Records:   len(scaled),

@@ -106,37 +106,6 @@ func TestRunSpecTimeoutWindsDownPromptly(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the determinism regression test for
-// the runner's ordering contract: the same experiment gathered with 1
-// worker and with 8 workers must render byte-identical reports.
-func TestParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repeat runs in -short mode")
-	}
-	render := func(workers int) string {
-		reports, err := RunSpec(context.Background(), "onoff-system",
-			Options{Days: 2, WindowMS: 30 * 60 * 1000},
-			runner.Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, r := range reports {
-			sb.WriteString(r.Render())
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Errorf("parallel output differs from sequential:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "table2") || !strings.Contains(seq, "fig5") {
-		t.Errorf("onoff-system output missing expected reports:\n%s", seq)
-	}
-}
-
 // TestEveryIDRendersOneDay renders every registered id from one gather
 // of every need at one day of one minute: a run too short to have an on
 // day must say so in its reports, not crash them.

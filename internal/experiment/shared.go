@@ -9,11 +9,7 @@ package experiment
 // blocks with the users' working set. Otherwise it is the paper's Toshiba
 // setup — its window, caches, reserved region and alternating on-days.
 func sharedConfigs(o Options) []Experiment {
-	e := o.paper("shared", "toshiba", SystemAndUsers, 4)
-	// This stack has always run the driver's own SCAN, so its telemetry
-	// has no scheduler column and its snapshots no scheduler metrics.
-	e.Devices.Sched = ""
-	return []Experiment{e}
+	return []Experiment{o.paper("shared", "toshiba", SystemAndUsers, 4)}
 }
 
 // SharedReport renders the extension experiment's summary.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -34,9 +33,7 @@ type mount struct {
 // stackSpec describes a stack, bottom up.
 type stackSpec struct {
 	// Exactly one of rig and volume describes the devices; the stack
-	// fills their Ctx and Telemetry. A rig's Sched, when set, is wrapped
-	// in a sched.Counting when the job has a metrics registry; nil is the
-	// driver's own SCAN and is not counted.
+	// fills their Ctx and Telemetry.
 	rig    *rig.Options
 	volume *volume.Options
 	// mounts lists one file system per partition, in partition order;
@@ -63,7 +60,6 @@ type stack struct {
 	rig     *rig.Rig
 	vol     *volume.Volume
 	members []*rig.Rig
-	sched   *sched.Counting // nil unless counted, see stackSpec.rig
 	mounts  []mount
 	fs      []*fs.FS // by partition
 	srv     *server.Server
@@ -87,10 +83,6 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 	if d.rig != nil {
 		o := *d.rig
 		o.Ctx, o.Telemetry = ctx, s.col
-		if o.Sched != nil && s.col.MetricsEnabled() {
-			s.sched = sched.NewCounting(o.Sched)
-			o.Sched = s.sched
-		}
 		r, err := rig.New(o)
 		if err != nil {
 			return nil, err
@@ -263,9 +255,6 @@ func (s *stack) observe(extra ...metricsBinder) {
 		s.vol.BindMetrics(reg)
 	} else {
 		s.rig.Driver.BindMetrics(reg)
-		if s.sched != nil {
-			s.sched.BindMetrics(reg)
-		}
 		for _, rear := range s.rears {
 			rear.BindMetrics(reg)
 		}

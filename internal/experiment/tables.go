@@ -88,7 +88,7 @@ func (o Options) seed() uint64 {
 func (o Options) paper(name, diskName string, src Source, days int) Experiment {
 	return Experiment{
 		Name:      name,
-		Devices:   Devices{Disk: diskName, Sched: "scan", Faults: []*fault.Plan{o.Fault}},
+		Devices:   Devices{Disk: diskName, Faults: []*fault.Plan{o.Fault}},
 		Workload:  Workload{Source: src},
 		Rearrange: &Rearrange{},
 		Days:      o.days(days), WindowMS: o.WindowMS, Seed: o.Seed,

@@ -36,13 +36,23 @@ type VolumePoint struct {
 	SparesLeft int
 
 	respMSSum float64
+	degraded0 int64 // the volume's lifetime Degraded when the window opened
 }
 
-// add accumulates one measured window's statistics.
-func (p *VolumePoint) add(vs volume.Stats) {
+// start opens a measured window: the volume's statistics restart and
+// its lifetime degraded count is marked.
+func (p *VolumePoint) start(v *volume.Volume) {
+	v.ResetStats()
+	p.degraded0 = v.Degraded()
+}
+
+// add accumulates the window since start — since the volume was built,
+// when no window was opened.
+func (p *VolumePoint) add(v *volume.Volume) {
+	vs := v.Stats()
 	p.Requests += vs.Requests
 	p.respMSSum += vs.RespMSSum
-	p.Degraded += vs.Degraded
+	p.Degraded += v.Degraded() - p.degraded0
 }
 
 // finish derives the means over simSec measured seconds and reads the

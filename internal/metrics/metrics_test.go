@@ -218,9 +218,16 @@ func TestRegistryBasics(t *testing.T) {
 	lifetime := int64(7)
 	r.CounterFunc("fn_count", func() int64 { return lifetime })
 	r.GaugeFunc("fn_gauge", func() float64 { return 0.25 })
+	own := NewHistogram(HistogramOpts{})
+	own.Record(2)
+	own.Record(4)
+	r.AdoptHistogram("adopted", own)
+	if r.Histogram("adopted", HistogramOpts{}) != own {
+		t.Error("an adopted histogram should be the one the registry returns")
+	}
 
 	s := r.Snapshot()
-	wantNames := []string{"reqs", "depth", "lat", "fn_count", "fn_gauge"}
+	wantNames := []string{"reqs", "depth", "lat", "fn_count", "fn_gauge", "adopted"}
 	if len(s.Metrics) != len(wantNames) {
 		t.Fatalf("snapshot has %d metrics, want %d", len(s.Metrics), len(wantNames))
 	}
@@ -234,6 +241,9 @@ func TestRegistryBasics(t *testing.T) {
 	}
 	if s.Metrics[2].Hist == nil || s.Metrics[2].Hist.Count != 1 {
 		t.Errorf("histogram snapshot = %+v", s.Metrics[2].Hist)
+	}
+	if s.Metrics[5].Hist == nil || s.Metrics[5].Hist.Count != 2 {
+		t.Errorf("adopted histogram snapshot = %+v", s.Metrics[5].Hist)
 	}
 }
 
@@ -298,6 +308,8 @@ func TestRegistryPanics(t *testing.T) {
 	expectPanic("CounterFunc re-register", func() { r.CounterFunc("cf", func() int64 { return 0 }) })
 	r.GaugeFunc("gf", func() float64 { return 0 })
 	expectPanic("gauge over func", func() { r.Gauge("gf") })
+	r.Histogram("h", HistogramOpts{})
+	expectPanic("AdoptHistogram re-register", func() { r.AdoptHistogram("h", NewHistogram(HistogramOpts{})) })
 	expectPanic("GaugeFunc re-register", func() { r.GaugeFunc("gf", func() float64 { return 0 }) })
 }
 

@@ -107,6 +107,18 @@ func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {
 	e.counterFn = fn
 }
 
+// AdoptHistogram registers h, a histogram the caller already records
+// into, under the given name — the histogram counterpart of
+// CounterFunc, for layers that keep an always-on distribution of their
+// own. The name must be unused.
+func (r *Registry) AdoptHistogram(name string, h *Histogram, labels ...Label) {
+	e, ok := r.entry(Name(name, labels...), KindHistogram)
+	if ok {
+		panic("metrics: AdoptHistogram re-registers " + e.name)
+	}
+	e.hist = h
+}
+
 // GaugeFunc registers a gauge whose value is read from fn at snapshot
 // time. The name must be unused.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {

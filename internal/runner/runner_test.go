@@ -222,12 +222,16 @@ func TestManyJobsFewWorkers(t *testing.T) {
 
 func TestRunWithMetrics(t *testing.T) {
 	boom := errors.New("boom")
+	// bad fails only once ok has started, so its cancel cannot skip ok.
+	started := make(chan struct{})
 	jobs := []Job{
 		{Name: "ok", Units: 3, Run: func(context.Context) (any, error) {
+			close(started)
 			time.Sleep(2 * time.Millisecond)
 			return 1, nil
 		}},
 		{Name: "bad", Units: 2, Run: func(context.Context) (any, error) {
+			<-started
 			return nil, boom
 		}},
 	}

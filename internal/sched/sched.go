@@ -12,11 +12,7 @@
 // benchmarks quantify that claim.
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // Cylindered is anything with a target cylinder — the only property a
 // head scheduler needs.
@@ -161,49 +157,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// Counting wraps a Scheduler and counts its dispatch decisions — how
-// many picks it made and how long the pending queue was at each pick.
-// The wrapped policy's choices are unchanged, so instrumenting a run
-// cannot perturb it. BindMetrics exposes the counts.
-type Counting struct {
-	inner  Scheduler
-	picks  int64
-	queued int64 // sum of pending-queue lengths at pick time
-	hist   *metrics.Histogram
-}
-
-// NewCounting returns a counting wrapper around inner.
-func NewCounting(inner Scheduler) *Counting { return &Counting{inner: inner} }
-
-// Name implements Scheduler, passing the wrapped policy's name through.
-func (c *Counting) Name() string { return c.inner.Name() }
-
-// Pick implements Scheduler.
-func (c *Counting) Pick(headCyl int, pending []Cylindered) int {
-	c.picks++
-	c.queued += int64(len(pending))
-	if c.hist != nil {
-		c.hist.Record(float64(len(pending)))
-	}
-	return c.inner.Pick(headCyl, pending)
-}
-
-// BindMetrics registers the pending-queue-length distribution in reg —
-// one observation per dispatch decision from the moment of binding —
-// and the MeanQueue gauge, over every pick. Queue lengths are small
-// integers, so the histogram uses single-unit precision at the bottom
-// of its range.
-func (c *Counting) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	c.hist = reg.Histogram("sched_queue_len", metrics.HistogramOpts{MinExp: -1, MaxExp: 20}, labels...)
-	reg.GaugeFunc("sched_mean_queue_len", c.MeanQueue, labels...)
-}
-
-// MeanQueue returns the mean pending-queue length over all picks.
-func (c *Counting) MeanQueue() float64 {
-	if c.picks == 0 {
-		return 0
-	}
-	return float64(c.queued) / float64(c.picks)
 }

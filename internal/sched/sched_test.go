@@ -3,8 +3,6 @@ package sched
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/metrics"
 )
 
 type req int
@@ -155,36 +153,5 @@ func TestSCANDrainsAllRequests(t *testing.T) {
 	}
 	if travel > 2*1500 {
 		t.Errorf("SCAN travel = %d cylinders, want <= %d", travel, 2*1500)
-	}
-}
-
-func TestCounting(t *testing.T) {
-	c := NewCounting(FCFS{})
-	if c.Name() != "fcfs" {
-		t.Errorf("Name = %q, want the wrapped policy's", c.Name())
-	}
-	if c.picks != 0 || c.MeanQueue() != 0 {
-		t.Error("fresh counter should read zero")
-	}
-	if i := c.Pick(0, cyls(5, 9)); i != 0 {
-		t.Errorf("Pick = %d, want the wrapped FCFS choice 0", i)
-	}
-	c.Pick(5, cyls(9, 2, 7, 1))
-	if c.picks != 2 {
-		t.Errorf("Picks = %d, want 2", c.picks)
-	}
-	if got, want := c.MeanQueue(), 3.0; got != want {
-		t.Errorf("MeanQueue = %v, want %v (2 then 4 pending)", got, want)
-	}
-	reg := metrics.NewRegistry()
-	c.BindMetrics(reg)
-	got := -1.0
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Name == "sched_mean_queue_len" {
-			got = m.Value
-		}
-	}
-	if got != 3 {
-		t.Errorf("sched_mean_queue_len = %v, want 3", got)
 	}
 }

@@ -172,7 +172,8 @@ func (c Config) withDefaults() Config {
 // Counters are the server's lifetime counters, in request units unless
 // noted. Accepted + Throttled + Overloaded + BreakerRejects = arrivals;
 // Completed + Failed + Expired + DeadlineMiss = accepted requests that
-// have been answered.
+// have been answered. Submitted, Throttled and Completed are the sums
+// of the per-class counts.
 type Counters struct {
 	// Submitted counts client submissions; Accepted counts those that
 	// passed admission (breaker, token bucket, queue bound).
@@ -211,14 +212,15 @@ type ClassStat struct {
 	P50, P99, P999 float64
 }
 
-// classState is the per-class hot state.
+// classState is the per-class hot state: the class's share of the
+// Submitted, Throttled and Completed counters, and its latency
+// histogram, always on (it feeds ClassStats; BindMetrics adopts it).
 type classState struct {
 	cfg       ClassConfig
 	submitted int64
 	throttled int64
 	completed int64
-	hist      *metrics.Histogram // always on: feeds ClassStats
-	mx        *metrics.Histogram // registry copy, nil until BindMetrics
+	hist      *metrics.Histogram
 }
 
 // call adapts a closure to sim.Caller so pooled records can schedule
@@ -246,6 +248,8 @@ type Server struct {
 	free *sreq
 	wbuf []byte // shared write payload; content is never read back
 
+	// cnt holds every counter but the three kept per class;
+	// Counters adds their class sums.
 	cnt Counters
 }
 
@@ -286,7 +290,16 @@ func New(eng *sim.Engine, dev driver.BlockDevice, cfg Config) (*Server, error) {
 }
 
 // Counters returns the lifetime counters.
-func (s *Server) Counters() Counters { return s.cnt }
+func (s *Server) Counters() Counters {
+	c := s.cnt
+	for i := range s.classes {
+		cl := &s.classes[i]
+		c.Submitted += cl.submitted
+		c.Throttled += cl.throttled
+		c.Completed += cl.completed
+	}
+	return c
+}
 
 // Breaker returns the backend circuit breaker, for probes and tests.
 func (s *Server) Breaker() *Breaker { return s.breaker }
@@ -313,9 +326,9 @@ func (s *Server) ClassStats() []ClassStat {
 }
 
 // BindMetrics registers the server's instruments in reg under the given
-// labels: one end-to-end latency histogram per tenant class
-// (server_req_ms{class="..."}, recorded for answered admitted requests
-// from the moment of binding), per-class arrival/throttle counters, the
+// labels: each tenant class's end-to-end latency histogram
+// (server_req_ms{class="..."}, answered admitted requests since the
+// server was built), per-class arrival/throttle counters, the
 // admission/deadline/retry counters, the breaker's state gauge and
 // transition counters, and gauges of the accept queue and the backend
 // requests in flight.
@@ -323,20 +336,20 @@ func (s *Server) BindMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	for i := range s.classes {
 		c := &s.classes[i]
 		cl := append(append([]metrics.Label(nil), labels...), metrics.Label{Key: "class", Value: c.cfg.Name})
-		c.mx = reg.Histogram("server_req_ms", metrics.HistogramOpts{}, cl...)
+		reg.AdoptHistogram("server_req_ms", c.hist, cl...)
 		reg.CounterFunc("server_class_submitted", func() int64 { return c.submitted }, cl...)
 		reg.CounterFunc("server_class_throttled", func() int64 { return c.throttled }, cl...)
 	}
-	reg.CounterFunc("server_submitted", func() int64 { return s.cnt.Submitted }, labels...)
+	reg.CounterFunc("server_submitted", func() int64 { return s.Counters().Submitted }, labels...)
 	reg.CounterFunc("server_accepted", func() int64 { return s.cnt.Accepted }, labels...)
-	reg.CounterFunc("server_throttled", func() int64 { return s.cnt.Throttled }, labels...)
+	reg.CounterFunc("server_throttled", func() int64 { return s.Counters().Throttled }, labels...)
 	reg.CounterFunc("server_overloaded", func() int64 { return s.cnt.Overloaded }, labels...)
 	reg.CounterFunc("server_breaker_rejects", func() int64 { return s.cnt.BreakerRejects }, labels...)
 	reg.CounterFunc("server_expired", func() int64 { return s.cnt.Expired }, labels...)
 	reg.CounterFunc("server_deadline_miss", func() int64 { return s.cnt.DeadlineMiss }, labels...)
 	reg.CounterFunc("server_retries", func() int64 { return s.cnt.Retries }, labels...)
 	reg.GaugeFunc("server_backoff_ms", func() float64 { return s.cnt.BackoffMS }, labels...)
-	reg.CounterFunc("server_completed", func() int64 { return s.cnt.Completed }, labels...)
+	reg.CounterFunc("server_completed", func() int64 { return s.Counters().Completed }, labels...)
 	reg.CounterFunc("server_failed", func() int64 { return s.cnt.Failed }, labels...)
 	reg.CounterFunc("server_breaker_opened", func() int64 { return s.breaker.counts.Opened }, labels...)
 	reg.CounterFunc("server_breaker_half_opened", func() int64 { return s.breaker.counts.HalfOpened }, labels...)
@@ -368,7 +381,6 @@ func (s *Server) submit(tenant, class int, write bool, blk int64, done driver.Do
 	if class < 0 || class >= len(s.classes) {
 		panic(fmt.Sprintf("server: class %d out of range [0, %d)", class, len(s.classes)))
 	}
-	s.cnt.Submitted++
 	s.classes[class].submitted++
 	r := s.getReq()
 	r.tenant, r.class, r.write, r.blk = tenant, class, write, blk
@@ -408,7 +420,6 @@ func (s *Server) arrive(r *sreq) {
 				s.breaker.ProbeAborted()
 				r.probe = false
 			}
-			s.cnt.Throttled++
 			s.classes[r.class].throttled++
 			s.respond(r, nil, ErrThrottled)
 			return
@@ -510,7 +521,6 @@ func (s *Server) drain() {
 // back over the link.
 func (s *Server) finish(r *sreq, data []byte, err error, missed bool) {
 	if err == nil {
-		s.cnt.Completed++
 		s.classes[r.class].completed++
 	} else if !missed {
 		s.cnt.Failed++
@@ -531,12 +541,7 @@ func (s *Server) respond(r *sreq, data []byte, err error) {
 // admitted requests, then hand the result to the caller's done.
 func (s *Server) deliver(r *sreq) {
 	if r.record {
-		c := &s.classes[r.class]
-		lat := s.eng.Now() - r.submitMS
-		c.hist.Record(lat)
-		if c.mx != nil {
-			c.mx.Record(lat)
-		}
+		s.classes[r.class].hist.Record(s.eng.Now() - r.submitMS)
 	}
 	done, data, err := r.done, r.data, r.err
 	s.putReq(r)

@@ -101,7 +101,7 @@ type Replayer struct {
 	clients int // live closed-loop clients
 	res     Result
 	onDone  func(Result)
-	hist    *metrics.Histogram // optional latency histogram
+	hist    *metrics.Histogram // per-request latency, always on
 	reqs    int64              // lifetime issued requests (for metrics)
 }
 
@@ -124,6 +124,7 @@ func NewReplayer(eng *sim.Engine, dev driver.BlockDevice, recs []trace.Record, o
 		recs: recs,
 		o:    o,
 		zero: make([]byte, dev.BlockSize().Bytes()),
+		hist: metrics.NewHistogram(metrics.HistogramOpts{}),
 	}, nil
 }
 
@@ -157,14 +158,15 @@ func Validate(dev driver.BlockDevice, recs []trace.Record) error {
 }
 
 // BindMetrics registers the replayer's instruments on a metrics
-// registry: the per-request latency histogram (which also feeds P99 in
-// the experiment report) and a lifetime request counter.
+// registry: the per-request latency histogram Latency returns, and a
+// lifetime request counter.
 func (r *Replayer) BindMetrics(reg *metrics.Registry) {
-	r.hist = reg.Histogram("replay_latency_ms", metrics.HistogramOpts{})
+	reg.AdoptHistogram("replay_latency_ms", r.hist)
 	reg.CounterFunc("replay_requests", func() int64 { return r.reqs })
 }
 
-// Latency returns the bound latency histogram, nil before BindMetrics.
+// Latency returns the per-request latency histogram (issue to
+// completion, simulated ms), recorded whether or not BindMetrics ran.
 func (r *Replayer) Latency() *metrics.Histogram { return r.hist }
 
 // Start schedules the replay beginning at the engine's current time;
@@ -229,9 +231,7 @@ func (r *Replayer) getInflight() *inflight {
 // complete is the shared completion path: record the latency, recycle
 // the slot, and finish the replay when the last request lands.
 func (r *Replayer) complete(inf *inflight, err error) {
-	if r.hist != nil {
-		r.hist.Record(r.eng.Now() - inf.issueMS)
-	}
+	r.hist.Record(r.eng.Now() - inf.issueMS)
 	if err != nil {
 		r.res.Errors++
 	} else {
@@ -303,9 +303,7 @@ func (c *clClient) Call() {
 // next pull after a think time.
 func (c *clClient) complete(err error) {
 	r := c.r
-	if r.hist != nil {
-		r.hist.Record(r.eng.Now() - c.inf.issueMS)
-	}
+	r.hist.Record(r.eng.Now() - c.inf.issueMS)
 	if err != nil {
 		r.res.Errors++
 	} else {

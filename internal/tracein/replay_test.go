@@ -137,8 +137,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestReplayMetrics checks the metrics binding: the latency histogram
-// sees every request and the lifetime counter matches.
+// TestReplayMetrics checks the metrics binding: the registry's
+// replay_latency_ms is the replayer's own histogram, adopted, so its
+// count is every finished request, and the lifetime counter matches.
 func TestReplayMetrics(t *testing.T) {
 	r := rig.MustNew(rig.Options{})
 	recs := testTrace(100, r.PartitionBlocks(0))
@@ -148,26 +149,51 @@ func TestReplayMetrics(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	rep.BindMetrics(reg)
+	var res Result
+	rep.Start(func(got Result) { res = got })
+	r.Eng.Run()
+	if reg.Histogram("replay_latency_ms", metrics.HistogramOpts{}) != rep.Latency() {
+		t.Error("the registry holds a copy of the latency histogram, not the replayer's own")
+	}
+	for _, m := range reg.Snapshot().Metrics {
+		switch m.Name {
+		case "replay_latency_ms":
+			if want := int64(res.Completed + res.Errors); m.Hist.Count != want {
+				t.Errorf("replay_latency_ms count %d, want completed+errors %d", m.Hist.Count, want)
+			}
+		case "replay_requests":
+			if m.Value != float64(len(recs)) {
+				t.Errorf("replay_requests %v, want %d", m.Value, len(recs))
+			}
+		}
+	}
+	if p99 := rep.Latency().Quantile(0.99); p99 <= 0 {
+		t.Errorf("p99 latency %.3f ms, want > 0", p99)
+	}
+}
+
+// TestReplayLatencyUnbound checks that the latency histogram records
+// every request without BindMetrics: the experiment report's P99 reads
+// it from runs that collect no metrics.
+func TestReplayLatencyUnbound(t *testing.T) {
+	r := rig.MustNew(rig.Options{})
+	recs := testTrace(100, r.PartitionBlocks(0))
+	rep, err := NewReplayer(r.Eng, r.Driver, recs, ReplayOptions{Mode: ClosedLoop})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep.Start(nil)
 	r.Eng.Run()
-	h := rep.Latency()
-	if h == nil {
-		t.Fatal("no latency histogram after BindMetrics")
-	}
-	if h.Count() != int64(len(recs)) {
-		t.Errorf("histogram count %d, want %d", h.Count(), len(recs))
-	}
-	if p99 := h.Quantile(0.99); p99 <= 0 {
-		t.Errorf("p99 latency %.3f ms, want > 0", p99)
+	if h := rep.Latency(); h.Count() != int64(len(recs)) {
+		t.Errorf("unbound histogram count %d, want %d", h.Count(), len(recs))
 	}
 }
 
 // TestReplayScaledDeterminism locks the property the experiment golden
 // depends on: replaying the same scaled, multiplexed trace twice on
-// fresh rigs yields identical results and identical driver seek
-// statistics.
+// fresh rigs yields identical results and identical head travel.
 func TestReplayScaledDeterminism(t *testing.T) {
-	run := func() (Result, float64) {
+	run := func() (Result, int64) {
 		r := rig.MustNew(rig.Options{})
 		blocks := r.PartitionBlocks(0)
 		base := testTrace(100, blocks/8)
@@ -179,8 +205,7 @@ func TestReplayScaledDeterminism(t *testing.T) {
 		var res Result
 		rep.Start(func(got Result) { res = got })
 		r.Eng.Run()
-		st := r.Driver.ReadStats()
-		return res, st.ReadSide.SeekMS + st.WriteSide.SeekMS
+		return res, r.Disk.SeekCylinders()
 	}
 	r1, s1 := run()
 	r2, s2 := run()
@@ -188,7 +213,7 @@ func TestReplayScaledDeterminism(t *testing.T) {
 		t.Errorf("results differ across identical runs: %+v vs %+v", r1, r2)
 	}
 	if s1 != s2 {
-		t.Errorf("seek sums differ across identical runs: %v vs %v", s1, s2)
+		t.Errorf("head travel differs across identical runs: %d vs %d cylinders", s1, s2)
 	}
 	if r1.Completed != 400 {
 		t.Errorf("completed %d, want 400 (100 records x 4 copies)", r1.Completed)

@@ -106,7 +106,6 @@ func (l linear) read(blk int64, done driver.DoneFunc) {
 	r.start = v.Eng.Now()
 	r.done = done
 	i, mblk := v.locate(blk)
-	v.stats.PerDisk[i]++
 	v.devs[i].ReadBlock(0, mblk, r.finishCB)
 }
 
@@ -116,7 +115,6 @@ func (l linear) write(blk int64, data []byte, done driver.DoneFunc) {
 	r.start = v.Eng.Now()
 	r.done = done
 	i, mblk := v.locate(blk)
-	v.stats.PerDisk[i]++
 	v.devs[i].WriteBlock(0, mblk, data, r.finishCB)
 }
 
@@ -137,12 +135,10 @@ func (m mirrored) read(blk int64, done driver.DoneFunc) {
 		return
 	}
 	if len(r.order) < len(v.Members) {
-		v.stats.Degraded++
-		v.cumDegraded++
+		v.degraded++
 	}
 	r.blk = blk
 	i := r.order[0]
-	v.stats.PerDisk[i]++
 	v.devs[i].ReadBlock(0, blk, r.readCB)
 }
 
@@ -167,12 +163,10 @@ func (m mirrored) write(blk int64, data []byte, done driver.DoneFunc) {
 		return
 	}
 	if len(targets) < len(v.Members) {
-		v.stats.Degraded++
-		v.cumDegraded++
+		v.degraded++
 	}
 	r.pending = len(targets)
 	for _, i := range targets {
-		v.stats.PerDisk[i]++
 		// Members may not mutate or retain the buffer (the cache hands
 		// its own copy to WriteThroughOwned under the same contract),
 		// so all replicas share one data slice.

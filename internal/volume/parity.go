@@ -482,14 +482,12 @@ func (ra *raid) write(blk int64, data []byte, done driver.DoneFunc) {
 
 func (ra *raid) issueRead(r *rreq, slot int) {
 	rig := ra.slotRig[slot]
-	ra.v.stats.PerDisk[rig]++
 	r.pending++
 	ra.v.devs[rig].ReadBlock(0, r.mb, r.readCBs[slot])
 }
 
 func (ra *raid) issueWrite(r *rreq, slot int, data []byte) {
 	rig := ra.slotRig[slot]
-	ra.v.stats.PerDisk[rig]++
 	r.pending++
 	ra.v.devs[rig].WriteBlock(0, r.mb, data, r.writeCB)
 }
@@ -499,8 +497,7 @@ func (r *rreq) markDegraded() {
 		return
 	}
 	r.degraded = true
-	r.ra.v.stats.Degraded++
-	r.ra.v.cumDegraded++
+	r.ra.v.degraded++
 }
 
 // locked runs once the row lock is held.
@@ -707,7 +704,6 @@ func (r *rreq) beginWrites() {
 			val = r.newQ
 		}
 		if val != nil {
-			ra.v.stats.PerDisk[rb.rig]++
 			r.pending++
 			ra.v.devs[rb.rig].WriteBlock(0, r.mb, val, r.writeCB)
 		}
@@ -794,9 +790,6 @@ func (r *rreq) finish(data []byte, err error) {
 	v.stats.RespMSSum += resp
 	if v.mxResp != nil {
 		v.mxResp.Record(resp)
-	}
-	if err != nil {
-		v.stats.Errors++
 	}
 	done := r.done
 	ra.putReq(r)

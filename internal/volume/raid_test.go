@@ -287,7 +287,7 @@ func TestRAID5DegradedReadReconstructs(t *testing.T) {
 	if v.RAID().DegradedReads == 0 {
 		t.Error("no degraded reads counted")
 	}
-	if v.Stats().Degraded == 0 {
+	if v.Degraded() == 0 {
 		t.Error("no degraded requests counted")
 	}
 }

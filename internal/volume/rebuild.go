@@ -120,7 +120,6 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 			continue
 		}
 		rig := ra.slotRig[s]
-		ra.v.stats.PerDisk[rig]++
 		pending++
 		ra.v.devs[rig].ReadBlock(0, mb, rd(s))
 	}
@@ -174,7 +173,6 @@ func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
 			ra.v.Eng.After(ra.stepDelay(), ra.copyFn)
 			return
 		}
-		ra.v.stats.PerDisk[rb.rig]++
 		ra.v.devs[rb.rig].WriteBlock(0, mb, val, func(_ []byte, err error) {
 			ra.unlock(row)
 			if err != nil {
@@ -281,7 +279,6 @@ func (ra *raid) scrubBlock(mb, row int64) {
 			continue
 		}
 		rig := ra.slotRig[s]
-		ra.v.stats.PerDisk[rig]++
 		pending++
 		ra.v.devs[rig].ReadBlock(0, mb, rd(s))
 	}
@@ -355,7 +352,6 @@ func (ra *raid) scrubBlock(mb, row int64) {
 		for _, rp := range reps {
 			handOff(pool, rp.val) // the member keeps what it is written
 			rig := ra.slotRig[rp.slot]
-			ra.v.stats.PerDisk[rig]++
 			ra.v.devs[rig].WriteBlock(0, mb, rp.val, func(_ []byte, err error) {
 				if err != nil {
 					ra.noteErr(err)

@@ -144,26 +144,15 @@ type Options struct {
 }
 
 // Stats are volume-level request statistics, accumulated since the last
-// ResetStats.
+// ResetStats. Member operations are counted by each member's driver
+// (driver.Counters), degraded requests by Degraded.
 type Stats struct {
-	// Requests, Reads and Writes count volume-level block requests.
+	// Requests counts volume-level block requests.
 	Requests int64
-	Reads    int64
-	Writes   int64
 	// RespMSSum accumulates volume-level response times (request entry
 	// to fan-in completion) in simulated milliseconds; RespMSSum /
 	// Requests is the mean response time.
 	RespMSSum float64
-	// Errors counts volume requests that completed with an error.
-	Errors int64
-	// Degraded counts redundant-layout requests served with at least
-	// one relevant member dead or unreadable (mirror: any member;
-	// parity: a member of the request's stripe row).
-	Degraded int64
-	// PerDisk counts member operations issued, by member index
-	// (spares included, after the data members). A mirror write
-	// increments every live member's slot.
-	PerDisk []int64
 }
 
 // Volume is a logical volume over member rigs. Like the rest of the
@@ -203,10 +192,8 @@ type Volume struct {
 	targets []int
 
 	stats Stats
-	// cumDegraded counts degraded mirror requests over the volume's
-	// lifetime, unaffected by ResetStats — the feed for the
-	// volume_degraded metric.
-	cumDegraded int64
+	// degraded is the lifetime count Degraded returns.
+	degraded int64
 	// mxResp, when non-nil, receives one volume-level response time
 	// per completed request. Bound by BindMetrics.
 	mxResp *metrics.Histogram
@@ -283,7 +270,6 @@ func New(opts Options) (*Volume, error) {
 		ctx:    opts.Ctx,
 	}
 	nrigs := opts.Disks + opts.Spare
-	v.stats.PerDisk = make([]int64, nrigs)
 	for i := 0; i < nrigs; i++ {
 		var plan *fault.Plan
 		if i < len(opts.Faults) {
@@ -492,22 +478,23 @@ func (v *Volume) Err() error {
 	return v.ctx.Err()
 }
 
-// Stats returns a snapshot of the volume-level statistics.
-func (v *Volume) Stats() Stats {
-	s := v.stats
-	s.PerDisk = append([]int64(nil), v.stats.PerDisk...)
-	return s
-}
+// Stats returns the volume-level statistics.
+func (v *Volume) Stats() Stats { return v.stats }
+
+// Degraded returns the number of redundant-layout requests served with
+// at least one relevant member dead or unreadable (mirror: any member;
+// parity: a member of the request's stripe row), over the volume's
+// lifetime: ResetStats leaves it alone.
+func (v *Volume) Degraded() int64 { return v.degraded }
 
 // BindMetrics registers the volume-level instruments in reg: the
 // response-time distribution (request entry to fan-in completion, one
 // observation per request from the moment of binding), the lifetime
-// count of degraded mirror requests, and the current number of dead
-// members. Per-member driver metrics are bound separately on each
-// member.
+// count of degraded requests, and the current number of dead members.
+// Per-member driver metrics are bound separately on each member.
 func (v *Volume) BindMetrics(reg *metrics.Registry) {
 	v.mxResp = reg.Histogram("volume_resp_ms", metrics.HistogramOpts{})
-	reg.CounterFunc("volume_degraded", func() int64 { return v.cumDegraded })
+	reg.CounterFunc("volume_degraded", v.Degraded)
 	reg.GaugeFunc("volume_dead_members", func() float64 { return float64(v.DeadMembers()) })
 	if ra := v.ra; ra != nil {
 		reg.CounterFunc("volume_degraded_reads", func() int64 { return ra.cum.DegradedReads })
@@ -520,13 +507,7 @@ func (v *Volume) BindMetrics(reg *metrics.Registry) {
 
 // ResetStats clears the volume-level statistics (member drivers keep
 // their own counters).
-func (v *Volume) ResetStats() {
-	per := v.stats.PerDisk
-	for i := range per {
-		per[i] = 0
-	}
-	v.stats = Stats{PerDisk: per}
-}
+func (v *Volume) ResetStats() { v.stats = Stats{} }
 
 // locate maps a logical block to (member index, member-relative block)
 // for the concat and stripe layouts.
@@ -563,7 +544,6 @@ func (v *Volume) check(part int, blk int64) error {
 // fail reports an error asynchronously, preserving the rule that
 // completion callbacks never run inside the issuing call.
 func (v *Volume) fail(done driver.DoneFunc, err error) {
-	v.stats.Errors++
 	v.Eng.After(0, func() {
 		if done != nil {
 			done(nil, err)
@@ -610,9 +590,6 @@ func (v *Volume) getReq() *vreq {
 			if vol.mxResp != nil {
 				vol.mxResp.Record(resp)
 			}
-			if err != nil {
-				vol.stats.Errors++
-			}
 			done := r.done
 			vol.putReq(r)
 			if done != nil {
@@ -624,11 +601,9 @@ func (v *Volume) getReq() *vreq {
 				// Fail over to the next replica; the dead or erroring
 				// member is out of rotation once Dead() reports it.
 				vol := r.v
-				vol.stats.Degraded++
-				vol.cumDegraded++
+				vol.degraded++
 				r.k++
 				i := r.order[r.k]
-				vol.stats.PerDisk[i]++
 				vol.Members[i].Driver.ReadBlock(0, r.blk, r.readCB)
 				return
 			}
@@ -677,7 +652,6 @@ func (v *Volume) ReadBlock(part int, blk int64, done driver.DoneFunc) {
 		return
 	}
 	v.stats.Requests++
-	v.stats.Reads++
 	v.place.read(blk, done)
 }
 
@@ -704,6 +678,5 @@ func (v *Volume) WriteBlock(part int, blk int64, data []byte, done driver.DoneFu
 		return
 	}
 	v.stats.Requests++
-	v.stats.Writes++
 	v.place.write(blk, data, done)
 }

@@ -115,7 +115,7 @@ func TestRoundTripAllLayouts(t *testing.T) {
 			}
 		}
 		s := v.Stats()
-		if s.Requests != int64(2*len(blks)) || s.Reads != int64(len(blks)) {
+		if s.Requests != int64(2*len(blks)) {
 			t.Errorf("%s: stats = %+v, want %d requests", opts.Layout, s, 2*len(blks))
 		}
 		if s.RespMSSum <= 0 {
@@ -129,12 +129,13 @@ func TestRoundTripAllLayouts(t *testing.T) {
 // member.
 func TestStripeDistributesUnits(t *testing.T) {
 	v := mustNew(t, Options{Layout: Stripe, Disks: 4, StripeUnit: 2})
+	base := memberRequests(v)
 	for u := int64(0); u < 4; u++ {
 		if err := write(t, v, u*2, blockOf(byte(u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, n := range v.Stats().PerDisk {
+	for i, n := range memberRequestsSince(v, base) {
 		if n != 1 {
 			t.Errorf("disk %d saw %d requests, want 1", i, n)
 		}
@@ -143,10 +144,11 @@ func TestStripeDistributesUnits(t *testing.T) {
 
 func TestMirrorWritesFanOut(t *testing.T) {
 	v := mustNew(t, Options{Layout: Mirror, Disks: 3})
+	base := memberRequests(v)
 	if err := write(t, v, 7, blockOf(0xAB)); err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range v.Stats().PerDisk {
+	for i, n := range memberRequestsSince(v, base) {
 		if n != 1 {
 			t.Errorf("member %d saw %d writes, want 1", i, n)
 		}
@@ -173,13 +175,13 @@ func TestMirrorRoundRobinAlternates(t *testing.T) {
 	if err := write(t, v, 0, blockOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	v.ResetStats()
+	base := memberRequests(v)
 	for k := 0; k < 6; k++ {
 		if _, err := read(t, v, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	per := v.Stats().PerDisk
+	per := memberRequestsSince(v, base)
 	if per[0] != 3 || per[1] != 3 {
 		t.Errorf("round-robin reads split %v, want [3 3]", per)
 	}
@@ -190,17 +192,19 @@ func TestMirrorShortestQueuePrefersIdle(t *testing.T) {
 	if err := write(t, v, 0, blockOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	v.ResetStats()
+	base := memberRequests(v)
 	// Load member 0 with raw traffic, then issue volume reads without
 	// draining: they must all pick the idle member 1.
-	for k := 0; k < 8; k++ {
+	const raw = 8
+	for k := 0; k < raw; k++ {
 		v.Members[0].Driver.ReadBlock(0, int64(k)*100, nil)
 	}
 	for k := 0; k < 4; k++ {
 		v.ReadBlock(0, 0, nil)
 	}
-	per := v.Stats().PerDisk
 	v.Eng.Run()
+	per := memberRequestsSince(v, base)
+	per[0] -= raw // member 0 carries the raw reads
 	if per[0] != 0 || per[1] != 4 {
 		t.Errorf("shortest-queue reads split %v, want [0 4]", per)
 	}
@@ -235,7 +239,7 @@ func TestMirrorSurvivesDeadMember(t *testing.T) {
 			t.Fatalf("degraded read %d: wrong data", k)
 		}
 	}
-	if v.Stats().Degraded == 0 {
+	if v.Degraded() == 0 {
 		t.Error("no degraded operations counted")
 	}
 }
@@ -310,4 +314,24 @@ func TestLabelCoversVolume(t *testing.T) {
 			t.Errorf("%s: label %d sectors cannot hold partition", opts.Layout, got)
 		}
 	}
+}
+
+// memberRequests returns each member driver's lifetime count of
+// completed requests, in member order.
+func memberRequests(v *Volume) []int64 {
+	out := make([]int64, len(v.Members))
+	for i, m := range v.Members {
+		out[i] = m.Driver.Counters().Requests
+	}
+	return out
+}
+
+// memberRequestsSince returns the requests each member completed since
+// base was taken.
+func memberRequestsSince(v *Volume, base []int64) []int64 {
+	out := memberRequests(v)
+	for i := range out {
+		out[i] -= base[i]
+	}
+	return out
 }
