@@ -212,7 +212,7 @@ var allocCeilings = map[string]struct{ plain, observed float64 }{
 	"policies":     {0.28164, 0},       // 0.2759
 	"volume-scale": {0.24570, 0.24594}, // 0.2407, 0.2409
 	"tenant-scale": {0.00173, 0.00248}, // 0.0015, 0.0022
-	"raid-rebuild": {0.23843, 0},       // 0.2336
+	"raid-rebuild": {0.23279, 0},       // 0.2280
 	"trace-replay": {0.36201, 0.36544}, // 0.3547, 0.3581
 	"shared":       {0, 0.31793},       // observed 0.3115
 }

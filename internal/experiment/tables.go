@@ -84,7 +84,7 @@ func (o Options) seed() uint64 {
 
 // paper is one of Section 5's single-disk experiments scaled by the
 // options: the day count unless overridden, the window, the seed and the
-// fault plan. SCAN is named, so that observed runs count its queue.
+// fault plan. The scheduler is the driver's default, SCAN.
 func (o Options) paper(name, diskName string, src Source, days int) Experiment {
 	return Experiment{
 		Name:      name,

@@ -260,3 +260,78 @@ func TestRetiredRecordHoldsNoBuffer(t *testing.T) {
 		t.Fatal("no retired records to check")
 	}
 }
+
+// Background repair allocates only what the members keep. A rebuild
+// step allocates the one block the spare keeps — a recomputed parity,
+// or the solved column handed off the scratch list — and a scrub step
+// over a clean row allocates nothing: the record, its callbacks, the
+// row lock and the expected-parity scratch are pooled, and the next
+// step's callback is prebuilt. Both chains run on the engine, so a
+// step is measured as the engine time until its mark moves.
+func backgroundSteps(t *testing.T, v *Volume, mark func() int64, by int64, running func() bool) float64 {
+	t.Helper()
+	step := func() {
+		n := mark()
+		for mark() < n+by {
+			if !running() {
+				t.Fatal("the pass ended inside the measurement")
+			}
+			v.RunUntil(v.Now() + 1)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(100, step)
+}
+
+func TestRebuildStepAllocFloor(t *testing.T) {
+	v := mustNew(t, Options{Layout: RAID5, Disks: 3, Spare: 1, StripeUnit: 1, Disk: tinyDisk(),
+		Faults: []*fault.Plan{nil, {CrashAfterOps: 10}}})
+	// The writes kill member 1; the rebuild starts as one of them
+	// observes the death.
+	for k := int64(0); k < 40; k++ {
+		v.WriteBlock(0, k, blockOf(byte(k+1)), nil)
+	}
+	for !v.Rebuilding() {
+		v.RunUntil(v.Now() + 1)
+	}
+	rebuilt := func() int64 { return v.RAID().RebuiltBlocks }
+	n := backgroundSteps(t, v, rebuilt, 1, v.Rebuilding)
+	t.Logf("rebuild step: %v allocs", n)
+	if n > 1 {
+		t.Errorf("rebuild step: %v allocs, want at most 1 (the block the spare keeps)", n)
+	}
+}
+
+func TestScrubCleanRowZeroAllocs(t *testing.T) {
+	v := mustNew(t, Options{Layout: RAID5, Disks: 3, StripeUnit: 1, Disk: tinyDisk(),
+		ScrubIntervalMS: 1000})
+	defer v.Close()
+	for k := int64(0); k < 40; k++ {
+		if err := write(t, v, k, blockOf(byte(k+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !v.StartScrub() {
+		t.Fatal("StartScrub refused")
+	}
+	for !v.ra.scrubbing {
+		v.RunUntil(v.Now() + 1)
+	}
+	// A clean scrub step reads every member once.
+	reads := func() (n int64) {
+		for _, m := range v.Members {
+			n += m.Driver.Counters().Requests
+		}
+		return n
+	}
+	n := backgroundSteps(t, v, reads, int64(len(v.Members)), func() bool { return v.ra.scrubbing })
+	t.Logf("clean scrub step: %v allocs", n)
+	if n != 0 {
+		t.Errorf("clean scrub step: %v allocs, want 0", n)
+	}
+	if st := v.RAID(); st.ScrubPasses == 0 || st.ScrubRepairs != 0 {
+		t.Fatalf("scrub counters %+v: want a pass over clean rows", st)
+	}
+}

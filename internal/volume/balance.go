@@ -6,28 +6,14 @@ import (
 	"repro/internal/driver"
 )
 
-// Device is the member seam: everything the volume needs from one
-// member besides the raw BlockDevice I/O entry points — liveness for
-// degraded-mode routing and queue depth for read balancing. A rig's
-// *driver.Driver satisfies it; so does any future device model
-// (ROADMAP item 4) that wants to sit under a volume layout.
-type Device interface {
-	driver.BlockDevice
-	// Dead reports whether the member has failed permanently.
-	Dead() bool
-	// Outstanding is the number of requests queued or in service.
-	Outstanding() int
-}
-
-// A Balancer orders the live members a redundant read should try; the
-// two policies are selected by Options.ReadPolicy. Order is called once
-// per balanced read and must be deterministic: any state it keeps
-// (cursors, histories) may only depend on the sequence of Order calls.
-type Balancer interface {
-	// Order appends the member indices to try, best candidate first,
-	// to order and returns it. Only live members may appear. The
-	// caller passes a reused backing slice, so implementations should
-	// append rather than allocate.
+// A balancer orders the live members a mirror read should try; the two
+// policies are selected by Options.ReadPolicy. Order is called once per
+// balanced read and must be deterministic: any state it keeps (cursors,
+// histories) may only depend on the sequence of Order calls. It appends
+// the member indices to try, best candidate first, to order and returns
+// it; only live members may appear, and the caller passes a reused
+// backing slice.
+type balancer interface {
 	Order(v *Volume, order []int) []int
 }
 
@@ -43,7 +29,7 @@ func (b *roundRobin) Order(v *Volume, order []int) []int {
 	b.cursor++
 	for j := 0; j < n; j++ {
 		i := (first + j) % n
-		if !v.devs[i].Dead() {
+		if !v.Members[i].Driver.Dead() {
 			order = append(order, i)
 		}
 	}
@@ -56,7 +42,7 @@ type shortestQueue struct{}
 
 func (shortestQueue) Order(v *Volume, order []int) []int {
 	for i := range v.Members {
-		if !v.devs[i].Dead() {
+		if !v.Members[i].Driver.Dead() {
 			order = append(order, i)
 		}
 	}
@@ -66,8 +52,8 @@ func (shortestQueue) Order(v *Volume, order []int) []int {
 	// is the same.
 	for a := 1; a < len(order); a++ {
 		for b := a; b > 0; b-- {
-			qa := v.devs[order[b-1]].Outstanding()
-			qb := v.devs[order[b]].Outstanding()
+			qa := v.Members[order[b-1]].Driver.Outstanding()
+			qb := v.Members[order[b]].Driver.Outstanding()
 			if qa < qb || (qa == qb && order[b-1] < order[b]) {
 				break
 			}
@@ -77,8 +63,8 @@ func (shortestQueue) Order(v *Volume, order []int) []int {
 	return order
 }
 
-// newBalancer maps a ReadPolicy New has validated onto its Balancer.
-func newBalancer(p ReadPolicy) Balancer {
+// newBalancer maps a ReadPolicy New has validated onto its balancer.
+func newBalancer(p ReadPolicy) balancer {
 	if p == ShortestQueue {
 		return shortestQueue{}
 	}
@@ -87,9 +73,8 @@ func newBalancer(p ReadPolicy) Balancer {
 
 // placement routes one logical-block request for a layout family. The
 // three built-in families — linear (concat/stripe), mirrored, and
-// parity (raid5/raid6) — all speak this interface, so a layout
-// composes with any Device and the volume's entry points stay
-// layout-blind. Implementations must never invoke done inside the
+// parity (raid5/raid6) — all speak this interface, so the volume's
+// entry points stay layout-blind. Implementations must never invoke done inside the
 // routing call itself.
 type placement interface {
 	read(blk int64, done driver.DoneFunc)
@@ -106,7 +91,7 @@ func (l linear) read(blk int64, done driver.DoneFunc) {
 	r.start = v.Eng.Now()
 	r.done = done
 	i, mblk := v.locate(blk)
-	v.devs[i].ReadBlock(0, mblk, r.finishCB)
+	v.Members[i].Driver.ReadBlock(0, mblk, r.finishCB)
 }
 
 func (l linear) write(blk int64, data []byte, done driver.DoneFunc) {
@@ -115,7 +100,7 @@ func (l linear) write(blk int64, data []byte, done driver.DoneFunc) {
 	r.start = v.Eng.Now()
 	r.done = done
 	i, mblk := v.locate(blk)
-	v.devs[i].WriteBlock(0, mblk, data, r.finishCB)
+	v.Members[i].Driver.WriteBlock(0, mblk, data, r.finishCB)
 }
 
 // mirrored replicates every block on every member: reads pick one
@@ -128,7 +113,7 @@ func (m mirrored) read(blk int64, done driver.DoneFunc) {
 	r := v.getReq()
 	r.start = v.Eng.Now()
 	r.done = done
-	r.order = v.appendReadOrder(r.order[:0])
+	r.order = v.bal.Order(v, r.order[:0])
 	if len(r.order) == 0 {
 		v.putReq(r)
 		v.fail(done, fmt.Errorf("volume: every mirror member is dead: %w", driver.ErrDead))
@@ -139,7 +124,7 @@ func (m mirrored) read(blk int64, done driver.DoneFunc) {
 	}
 	r.blk = blk
 	i := r.order[0]
-	v.devs[i].ReadBlock(0, blk, r.readCB)
+	v.Members[i].Driver.ReadBlock(0, blk, r.readCB)
 }
 
 func (m mirrored) write(blk int64, data []byte, done driver.DoneFunc) {
@@ -152,7 +137,7 @@ func (m mirrored) write(blk int64, data []byte, done driver.DoneFunc) {
 	// volume-level backing array is reused across requests.
 	targets := v.targets[:0]
 	for i := range v.Members {
-		if !v.devs[i].Dead() {
+		if !v.Members[i].Driver.Dead() {
 			targets = append(targets, i)
 		}
 	}
@@ -170,6 +155,6 @@ func (m mirrored) write(blk int64, data []byte, done driver.DoneFunc) {
 		// Members may not mutate or retain the buffer (the cache hands
 		// its own copy to WriteThroughOwned under the same contract),
 		// so all replicas share one data slice.
-		v.devs[i].WriteBlock(0, blk, data, r.writeCB)
+		v.Members[i].Driver.WriteBlock(0, blk, data, r.writeCB)
 	}
 }

@@ -33,7 +33,9 @@ import (
 // sector error they fall back to a row-locked reconstruction. Every
 // row-mutating path (either write form, reconstruction reads, rebuild
 // copies, scrub steps) serializes on a per-row lock so no request can
-// observe a torn data/parity pair.
+// observe a torn data/parity pair, and every row access — direct,
+// recon, RMW, row-write, rebuild and scrub — is one pooled rreq record
+// stepping through the modes below.
 type raid struct {
 	v            *Volume
 	dbl          bool // RAID-6: maintain the Q syndrome too
@@ -59,10 +61,14 @@ type raid struct {
 	// handed off and never comes back.
 	free [][]byte
 
+	// copyFn and scrubFn are the prebuilt next-step callbacks of the
+	// rebuild and scrub chains; scrubMB is the scrub pass's cursor.
 	rebuild     *rebuildState
 	copyFn      func()
+	scrubFn     func()
 	scrubCancel func()
 	scrubbing   bool
+	scrubMB     int64
 
 	cum RAIDStats
 }
@@ -93,12 +99,17 @@ type RAIDStats struct {
 }
 
 // request modes: which state the row machinery is in when member
-// completions fan back in.
+// completions fan back in. The last two are background steps, set up
+// from a member block rather than a logical one: they have no data
+// slot and no caller, and they finish without the volume's
+// response-time accounting.
 const (
 	mDirect   = iota + 1 // healthy read, no lock
 	mRecon               // read via row reconstruction (locked)
 	mRMW                 // small-write: old data + parity reads in flight
 	mRowWrite            // reconstruct-write: row reads in flight
+	mRebuild             // rebuild copy: the row's survivors in flight
+	mScrub               // scrub step: every live slot in flight
 )
 
 // rowLock serializes the mutating paths of one stripe row; waiters
@@ -155,18 +166,21 @@ func (ra *raid) addr(blk int64) (row int64, col int, mb int64) {
 	return
 }
 
-// pslot and qslot are row r's parity positions on the slot ring.
-func (ra *raid) pslot(row int64) int { return ra.nslots - 1 - int(row%int64(ra.nslots)) }
-func (ra *raid) qslot(row int64) int { return (ra.pslot(row) + 1) % ra.nslots }
+// parSlots are row r's parity positions on the slot ring: P on
+// nslots-1-(r mod nslots) and, on RAID-6, Q on the next slot (-1 on
+// RAID-5).
+func (ra *raid) parSlots(row int64) (p, q int) {
+	p, q = ra.nslots-1-int(row%int64(ra.nslots)), -1
+	if ra.dbl {
+		q = (p + 1) % ra.nslots
+	}
+	return p, q
+}
 
 // dataSlot maps a data column to its slot: the columns occupy the
 // non-parity slots of the row in index order.
 func (ra *raid) dataSlot(row int64, col int) int {
-	p := ra.pslot(row)
-	q := -1
-	if ra.dbl {
-		q = ra.qslot(row)
-	}
+	p, q := ra.parSlots(row)
 	c := 0
 	for s := 0; s < ra.nslots; s++ {
 		if s == p || s == q {
@@ -182,11 +196,7 @@ func (ra *raid) dataSlot(row int64, col int) int {
 
 // colOfSlot inverts dataSlot; parity slots map to -1.
 func (ra *raid) colOfSlot(row int64, slot int) int {
-	p := ra.pslot(row)
-	q := -1
-	if ra.dbl {
-		q = ra.qslot(row)
-	}
+	p, q := ra.parSlots(row)
 	if slot == p || slot == q {
 		return -1
 	}
@@ -201,7 +211,7 @@ func (ra *raid) colOfSlot(row int64, slot int) int {
 
 // alive reports whether a row slot's current rig (member or spliced-in
 // spare) is serving requests.
-func (ra *raid) alive(slot int) bool { return !ra.v.devs[ra.slotRig[slot]].Dead() }
+func (ra *raid) alive(slot int) bool { return !ra.v.Members[ra.slotRig[slot]].Driver.Dead() }
 
 // noteErr watches member completions for deaths so a hot spare is
 // drafted as soon as any request observes the failure — detection is
@@ -349,11 +359,12 @@ func (ra *raid) parityQ(dst []byte, colv [][]byte) []byte {
 	return dst
 }
 
-// rreq is the parity layout's pooled request record: one per
-// foreground read or write, holding the row-read fan-in buffers and
-// the completion callbacks handed to member drivers, prebuilt once
-// per record so the steady-state hot paths (healthy direct read,
-// healthy read-modify-write) allocate nothing at the volume layer.
+// rreq is the parity layout's pooled request record: one per row
+// access — a foreground read or write, a rebuild copy or a scrub step —
+// holding the row-read fan-in buffers and the completion callbacks
+// handed to member drivers, prebuilt once per record so the
+// steady-state paths (healthy direct read, healthy read-modify-write,
+// clean scrub row) allocate nothing at the volume layer.
 type rreq struct {
 	ra   *raid
 	next *rreq
@@ -441,11 +452,7 @@ func (r *rreq) setup(blk int64) {
 	r.start = ra.v.Eng.Now()
 	r.row, r.col, r.mb = ra.addr(blk)
 	r.dslot = ra.dataSlot(r.row, r.col)
-	r.pslot = ra.pslot(r.row)
-	r.qslot = -1
-	if ra.dbl {
-		r.qslot = ra.qslot(r.row)
-	}
+	r.pslot, r.qslot = ra.parSlots(r.row)
 }
 
 // read implements placement: healthy reads go straight to the data
@@ -480,16 +487,29 @@ func (ra *raid) write(blk int64, data []byte, done driver.DoneFunc) {
 	ra.lock(r.row, r.lockedFn)
 }
 
-func (ra *raid) issueRead(r *rreq, slot int) {
-	rig := ra.slotRig[slot]
-	r.pending++
-	ra.v.devs[rig].ReadBlock(0, r.mb, r.readCBs[slot])
+// background starts a rebuild copy or a scrub step of member block mb
+// under its row lock. The row is read whole — every live slot; the
+// slot being rebuilt is dead, so it is never read — and the step
+// finishes in copyDone or scrubDone.
+func (ra *raid) background(mode int, mb int64) {
+	r := ra.getReq()
+	r.mode = mode
+	r.mb, r.row = mb, mb/ra.unit
+	r.col, r.dslot = -1, -1
+	r.pslot, r.qslot = ra.parSlots(r.row)
+	ra.lock(r.row, r.lockedFn)
 }
 
-func (ra *raid) issueWrite(r *rreq, slot int, data []byte) {
-	rig := ra.slotRig[slot]
+func (ra *raid) issueRead(r *rreq, slot int) {
 	r.pending++
-	ra.v.devs[rig].WriteBlock(0, r.mb, data, r.writeCB)
+	ra.v.Members[ra.slotRig[slot]].Driver.ReadBlock(0, r.mb, r.readCBs[slot])
+}
+
+// issueWrite writes data to rig's block r.mb: a row slot's current rig,
+// or the spare a rebuild is filling.
+func (ra *raid) issueWrite(r *rreq, rig int, data []byte) {
+	r.pending++
+	ra.v.Members[rig].Driver.WriteBlock(0, r.mb, data, r.writeCB)
 }
 
 func (r *rreq) markDegraded() {
@@ -507,28 +527,32 @@ func (r *rreq) locked() {
 		r.startWrite()
 		return
 	}
-	r.beginRowReads(false)
-	if r.pending == 0 {
-		r.ra.v.Eng.After(0, func() { r.rowDone() })
-	}
+	r.readRow(false)
 }
 
-// beginRowReads issues reads for every live, not-yet-attempted slot of
-// the row; the target data slot joins only on write paths (its old
-// value can be needed to solve another missing column).
-func (r *rreq) beginRowReads(includeTarget bool) {
+// readRow issues reads for every live, not-yet-attempted slot of the
+// row; the target data slot joins only on write paths (its old value
+// can be needed to solve another missing column). With nothing to read
+// a foreground request still completes in a later event, while a
+// background pass stands down at once: no live member means every row
+// is beyond parity.
+func (r *rreq) readRow(includeTarget bool) {
 	ra := r.ra
 	for s := 0; s < ra.nslots; s++ {
 		if !includeTarget && s == r.dslot {
-			continue
-		}
-		if s == r.qslot && !ra.dbl {
 			continue
 		}
 		if r.bufs[s] != nil || r.errs[s] != nil || !ra.alive(s) {
 			continue
 		}
 		ra.issueRead(r, s)
+	}
+	switch {
+	case r.pending > 0:
+	case r.mode >= mRebuild:
+		r.halt()
+	default:
+		ra.v.Eng.After(0, func() { r.rowDone() })
 	}
 }
 
@@ -564,10 +588,7 @@ func (r *rreq) startWrite() {
 		}
 	}
 	r.mode = mRowWrite
-	r.beginRowReads(true)
-	if r.pending == 0 {
-		ra.v.Eng.After(0, func() { r.rowDone() })
-	}
+	r.readRow(true)
 }
 
 func (r *rreq) readDone(slot int, data []byte, err error) {
@@ -604,7 +625,29 @@ func (r *rreq) rowDone() {
 		r.rmwDone()
 	case mRowWrite:
 		r.rowWriteDone()
+	case mRebuild:
+		r.copyDone()
+	case mScrub:
+		r.scrubDone()
 	}
+}
+
+// gather loads colv with the row's data columns and returns its P and
+// Q blocks, leaving nil wherever a slot was not read or its read
+// failed. live also drops the slots whose member has died since: a
+// scrub only trusts what is still on a live member.
+func (r *rreq) gather(live bool) (p, q []byte) {
+	ra := r.ra
+	got := func(s int) []byte {
+		if s < 0 || r.errs[s] != nil || (live && !ra.alive(s)) {
+			return nil
+		}
+		return r.bufs[s]
+	}
+	for c := range r.colv {
+		r.colv[c] = got(ra.dataSlot(r.row, c))
+	}
+	return got(r.pslot), got(r.qslot)
 }
 
 func (r *rreq) rmwDone() {
@@ -615,10 +658,7 @@ func (r *rreq) rmwDone() {
 		// whatever read cleanly.
 		r.markDegraded()
 		r.mode = mRowWrite
-		r.beginRowReads(true)
-		if r.pending == 0 {
-			ra.v.Eng.After(0, func() { r.rowDone() })
-		}
+		r.readRow(true)
 		return
 	}
 	// The 4-I/O small write: both new parities follow from the data
@@ -637,21 +677,7 @@ func (r *rreq) rmwDone() {
 
 func (r *rreq) rowWriteDone() {
 	ra := r.ra
-	for c := 0; c < ra.ndata; c++ {
-		s := ra.dataSlot(r.row, c)
-		if r.errs[s] == nil && r.bufs[s] != nil {
-			r.colv[c] = r.bufs[s]
-		} else {
-			r.colv[c] = nil
-		}
-	}
-	var p, q []byte
-	if r.errs[r.pslot] == nil {
-		p = r.bufs[r.pslot]
-	}
-	if ra.dbl && r.errs[r.qslot] == nil {
-		q = r.bufs[r.qslot]
-	}
+	p, q := r.gather(false)
 	if left := ra.solveRow(r.colv, p, q, &r.pool); left > 0 {
 		// Unsolved old values are fatal only off the target column:
 		// the column being overwritten never needs its old data.
@@ -685,15 +711,15 @@ func (r *rreq) beginWrites() {
 	r.okW, r.failW, r.wErr = 0, 0, nil
 	r.pending = 0
 	if ra.alive(r.dslot) {
-		ra.issueWrite(r, r.dslot, r.data)
+		ra.issueWrite(r, ra.slotRig[r.dslot], r.data)
 	}
 	if r.newP != nil && ra.alive(r.pslot) {
-		ra.issueWrite(r, r.pslot, r.newP)
+		ra.issueWrite(r, ra.slotRig[r.pslot], r.newP)
 	}
 	if r.newQ != nil && ra.alive(r.qslot) {
-		ra.issueWrite(r, r.qslot, r.newQ)
+		ra.issueWrite(r, ra.slotRig[r.qslot], r.newQ)
 	}
-	if rb := ra.rebuild; rb != nil && r.mb < rb.cursor && !ra.v.devs[rb.rig].Dead() {
+	if rb := ra.rebuild; rb != nil && r.mb < rb.cursor && !ra.v.Members[rb.rig].Driver.Dead() {
 		var val []byte
 		switch rb.slot {
 		case r.dslot:
@@ -704,8 +730,7 @@ func (r *rreq) beginWrites() {
 			val = r.newQ
 		}
 		if val != nil {
-			r.pending++
-			ra.v.devs[rb.rig].WriteBlock(0, r.mb, val, r.writeCB)
+			ra.issueWrite(r, rb.rig, val)
 		}
 	}
 	if r.pending == 0 {
@@ -717,45 +742,47 @@ func (r *rreq) beginWrites() {
 }
 
 func (r *rreq) writeDone(err error) {
+	ra := r.ra
 	if err != nil {
-		r.ra.noteErr(err)
+		ra.noteErr(err)
 		r.failW++
 		if r.wErr == nil {
 			r.wErr = err
 		}
 	} else {
 		r.okW++
+		if r.mode == mScrub {
+			ra.cum.ScrubRepairs++
+		}
 	}
 	r.pending--
 	if r.pending > 0 {
 		return
 	}
-	// A write survives failures within the parity budget as long as
-	// some member accepted its block: the row stays reconstructable.
-	var ferr error
-	if r.failW > 0 && (r.okW == 0 || r.failW > r.ra.npar) {
-		ferr = r.wErr
+	switch r.mode {
+	case mRebuild:
+		if r.failW > 0 {
+			r.halt() // the spare died under the copy
+			return
+		}
+		ra.cum.RebuiltBlocks++
+		r.stepOn()
+	case mScrub:
+		r.stepOn()
+	default:
+		// A write survives failures within the parity budget as long as
+		// some member accepted its block: the row stays reconstructable.
+		var ferr error
+		if r.failW > 0 && (r.okW == 0 || r.failW > ra.npar) {
+			ferr = r.wErr
+		}
+		r.finishUnlock(nil, ferr)
 	}
-	r.finishUnlock(nil, ferr)
 }
 
 func (r *rreq) finishRecon() {
 	ra := r.ra
-	for c := 0; c < ra.ndata; c++ {
-		s := ra.dataSlot(r.row, c)
-		if r.errs[s] == nil && r.bufs[s] != nil {
-			r.colv[c] = r.bufs[s]
-		} else {
-			r.colv[c] = nil
-		}
-	}
-	var p, q []byte
-	if r.errs[r.pslot] == nil {
-		p = r.bufs[r.pslot]
-	}
-	if ra.dbl && r.errs[r.qslot] == nil {
-		q = r.bufs[r.qslot]
-	}
+	p, q := r.gather(false)
 	if left := ra.solveRow(r.colv, p, q, &r.pool); left > 0 || r.colv[r.col] == nil {
 		ra.cum.Unrecoverable++
 		r.finishUnlock(nil, ra.errLost(r.blk, left))
@@ -775,11 +802,16 @@ func (r *rreq) failAsync(err error) {
 	r.ra.v.Eng.After(0, func() { r.finishUnlock(nil, err) })
 }
 
-func (r *rreq) finishUnlock(data []byte, err error) {
+// unlock releases the row lock if the record holds it.
+func (r *rreq) unlock() {
 	if r.lockHeld {
 		r.lockHeld = false
 		r.ra.unlock(r.row)
 	}
+}
+
+func (r *rreq) finishUnlock(data []byte, err error) {
+	r.unlock()
 	r.finish(data, err)
 }
 

@@ -45,14 +45,10 @@ func TestRAIDAddressing(t *testing.T) {
 		// Parity rotates over every slot; data slots fill the rest.
 		seenP := make(map[int]bool)
 		for row := int64(0); row < int64(2*ra.nslots); row++ {
-			p := ra.pslot(row)
+			p, q := ra.parSlots(row)
 			seenP[p] = true
-			q := -1
-			if ra.dbl {
-				q = ra.qslot(row)
-				if q == p {
-					t.Fatalf("%s row %d: q slot collides with p", opts.Layout, row)
-				}
+			if q == p || (q >= 0) != ra.dbl {
+				t.Fatalf("%s row %d: q slot %d, p slot %d", opts.Layout, row, q, p)
 			}
 			for c := 0; c < ra.ndata; c++ {
 				s := ra.dataSlot(row, c)
@@ -528,69 +524,105 @@ func memberPhysSector(t *testing.T, m *rig.Rig, mb int64) int64 {
 
 // The acceptance scenario: a planted latent sector error (a bad range
 // never touched by foreground writes) is found by a scrub pass,
-// reconstructed from parity, and repaired via the driver's remap path.
+// reconstructed or recomputed, and repaired via the driver's remap
+// path — on a data slot, and on each parity slot, whose repair is a
+// recomputation rather than a reconstruction.
 func TestScrubRepairsLatentSectorError(t *testing.T) {
-	// 8 reserved cylinders: enough for the on-disk block table plus the
-	// spare slots the media-error remap path allocates from.
-	opts := Options{
-		Layout: RAID5, Disks: 3, StripeUnit: 1, Disk: tinyDisk(),
-		ReservedCyls: 8, RebuildRate: 2000, ScrubIntervalMS: 60_000,
+	// Member block 9 sits in row 9 (unit 1). With 3 disks the row's P is
+	// on slot 2; with 4 (RAID-6) P is on slot 2 and Q on slot 3. Slots 0
+	// and 1 hold data columns 0 and 1 — logical blocks 18 and 19, which
+	// the test never writes, so the bad range stays latent.
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		disks  int
+		member int   // the member carrying the latent error
+		recons int64 // degraded reads a pre-scrub read of block 18 costs
+	}{
+		{"data", RAID5, 3, 0, 1},
+		{"p", RAID5, 3, 2, 0},
+		{"q", RAID6, 4, 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 8 reserved cylinders: enough for the on-disk block table plus
+			// the spare slots the media-error remap path allocates from.
+			opts := Options{
+				Layout: tc.layout, Disks: tc.disks, StripeUnit: 1, Disk: tinyDisk(),
+				ReservedCyls: 8, RebuildRate: 2000, ScrubIntervalMS: 60_000,
+			}
+			scout := mustNew(t, opts)
+			bad := memberPhysSector(t, scout.Members[tc.member], 9)
+			bsec := int64(geom.Block8K.Sectors())
+			opts.Faults = make([]*fault.Plan, tc.disks)
+			opts.Faults[tc.member] = &fault.Plan{Bad: []fault.SectorRange{{Start: bad, End: bad + bsec}}}
+			v := mustNew(t, opts)
+			defer v.Close()
+			for k := int64(0); k < 16; k++ {
+				if err := write(t, v, k, blockOf(byte(k+5))); err != nil {
+					t.Fatalf("write %d: %v", k, err)
+				}
+			}
+			// settle reads the latent member block straight off its member.
+			settle := func() error {
+				var rerr error
+				fired := false
+				v.Members[tc.member].Driver.ReadBlock(0, 9, func(_ []byte, err error) { rerr, fired = err, true })
+				v.RunUntil(v.Now() + 30_000)
+				if !fired {
+					t.Fatal("member read never completed")
+				}
+				return rerr
+			}
+			// readRow reads the row's data blocks through the volume and
+			// returns how many of them reconstructed.
+			readRow := func() int64 {
+				before := v.RAID().DegradedReads
+				for _, blk := range []int64{18, 19} {
+					var data []byte
+					var rerr error
+					fired := false
+					v.ReadBlock(0, blk, func(d []byte, err error) { data, rerr, fired = d, err, true })
+					v.RunUntil(v.Now() + 30_000)
+					if !fired || rerr != nil || !bytes.Equal(data, make([]byte, v.bs.Bytes())) {
+						t.Fatalf("read of block %d: fired=%v err=%v, or wrong data", blk, fired, rerr)
+					}
+				}
+				return v.RAID().DegradedReads - before
+			}
+			// Before the scrub the error is still on the media: a data slot
+			// reconstructs on every read, a parity slot goes unnoticed.
+			if settle() == nil {
+				t.Fatal("planted latent error reads clean before the scrub")
+			}
+			if n := readRow(); n != tc.recons {
+				t.Fatalf("pre-scrub reads reconstructed %d times, want %d", n, tc.recons)
+			}
+			if !v.StartScrub() {
+				t.Fatal("StartScrub refused")
+			}
+			if v.StartScrub() {
+				t.Fatal("StartScrub armed twice")
+			}
+			// One interval to the first tick, then the pass itself.
+			v.RunUntil(v.Now() + 120_000)
+			st := v.RAID()
+			if st.ScrubPasses == 0 {
+				t.Fatal("no scrub pass ran")
+			}
+			if st.ScrubRepairs != 1 {
+				t.Fatalf("ScrubRepairs = %d, want exactly the planted error", st.ScrubRepairs)
+			}
+			// The repair went through the remap path: the block now reads
+			// clean from its member, and the row reads without
+			// reconstruction.
+			if err := settle(); err != nil {
+				t.Fatalf("post-scrub member read: %v", err)
+			}
+			if n := readRow(); n != 0 {
+				t.Errorf("post-scrub reads still reconstructing (%d)", n)
+			}
+		})
 	}
-	// Member block 9 sits in row 9 (unit 1), whose parity is on slot 2;
-	// member 0 holds data column 0 there — logical block 18, which the
-	// test never writes, so the bad range stays latent.
-	scout := mustNew(t, opts)
-	bad := memberPhysSector(t, scout.Members[0], 9)
-	bsec := int64(geom.Block8K.Sectors())
-	opts.Faults = []*fault.Plan{{Bad: []fault.SectorRange{{Start: bad, End: bad + bsec}}}}
-	v := mustNew(t, opts)
-	for k := int64(0); k < 16; k++ {
-		if err := write(t, v, k, blockOf(byte(k+5))); err != nil {
-			t.Fatalf("write %d: %v", k, err)
-		}
-	}
-	// Before the scrub: reading the latent block forces a degraded
-	// reconstruction every time — the error is still on the media.
-	got, err := read(t, v, 18)
-	if err != nil || !bytes.Equal(got, make([]byte, v.bs.Bytes())) {
-		t.Fatalf("pre-scrub read of latent block: %v", err)
-	}
-	if v.RAID().DegradedReads != 1 {
-		t.Fatalf("latent read did not reconstruct: %+v", v.RAID())
-	}
-	if !v.StartScrub() {
-		t.Fatal("StartScrub refused")
-	}
-	if v.StartScrub() {
-		t.Fatal("StartScrub armed twice")
-	}
-	// One interval to the first tick, then the pass itself.
-	v.RunUntil(v.Now() + 120_000)
-	st := v.RAID()
-	if st.ScrubPasses == 0 {
-		t.Fatal("no scrub pass ran")
-	}
-	if st.ScrubRepairs != 1 {
-		t.Fatalf("ScrubRepairs = %d, want exactly the planted error", st.ScrubRepairs)
-	}
-	// The repair went through the remap path: the block now reads clean
-	// directly from member 0, no reconstruction.
-	before := st.DegradedReads
-	var data []byte
-	var rerr error
-	fired := false
-	v.ReadBlock(0, 18, func(d []byte, err error) { data, rerr, fired = d, err, true })
-	v.RunUntil(v.Now() + 30_000)
-	if !fired || rerr != nil {
-		t.Fatalf("post-scrub read: fired=%v err=%v", fired, rerr)
-	}
-	if !bytes.Equal(data, make([]byte, v.bs.Bytes())) {
-		t.Fatal("post-scrub read returned wrong data")
-	}
-	if v.RAID().DegradedReads != before {
-		t.Error("post-scrub read still reconstructing")
-	}
-	v.Close()
 }
 
 func TestRAIDValidation(t *testing.T) {

@@ -1,10 +1,6 @@
 package volume
 
-import (
-	"bytes"
-
-	"repro/internal/driver"
-)
+import "bytes"
 
 // Background repair for the parity layouts: rebuild copies a dead
 // member's contents onto a hot spare one block at a time, scrub
@@ -12,7 +8,8 @@ import (
 // whatever disagrees. Both run as chains of simulated-time events —
 // there is no daemon goroutine and no timer while the volume is
 // healthy and scrub is unarmed, so Run() still quiesces exactly when
-// the foreground work drains.
+// the foreground work drains. Each step is one row access on the
+// pooled rreq record of parity.go, in mode mRebuild or mScrub.
 //
 // Failure detection is I/O-driven: every completion that reports a
 // member crash calls checkRebuild, so the spare is drafted the moment
@@ -48,7 +45,7 @@ func (ra *raid) checkRebuild() {
 		return
 	}
 	for i, rig := range ra.spareRigs {
-		if ra.v.devs[rig].Dead() {
+		if ra.v.Members[rig].Driver.Dead() {
 			continue
 		}
 		ra.spareRigs = append(ra.spareRigs[:i], ra.spareRigs[i+1:]...)
@@ -66,7 +63,7 @@ func (ra *raid) checkRebuild() {
 func (ra *raid) stepDelay() float64 {
 	load := 0
 	for s := 0; s < ra.nslots; s++ {
-		d := ra.v.devs[ra.slotRig[s]]
+		d := ra.v.Members[ra.slotRig[s]].Driver
 		if !d.Dead() {
 			load += d.Outstanding()
 		}
@@ -83,7 +80,7 @@ func (ra *raid) copyStep() {
 	if rb == nil {
 		return
 	}
-	if ra.v.devs[rb.rig].Dead() {
+	if ra.v.Members[rb.rig].Driver.Dead() {
 		ra.abortRebuild()
 		return
 	}
@@ -91,100 +88,66 @@ func (ra *raid) copyStep() {
 		ra.finishRebuild()
 		return
 	}
-	mb := rb.cursor
-	row := mb / ra.unit
-	ra.lock(row, func() { ra.copyBlock(rb, mb, row) })
+	ra.background(mRebuild, rb.cursor)
 }
 
-// copyBlock regenerates member block mb of the rebuilt slot from the
-// row's survivors and writes it to the spare, all under the row lock.
-func (ra *raid) copyBlock(rb *rebuildState, mb, row int64) {
-	bufs := make([][]byte, ra.nslots)
-	errs := make([]error, ra.nslots)
-	pending := 0
-	var fanIn func()
-	rd := func(s int) driver.DoneFunc {
-		return func(data []byte, err error) {
-			if err != nil {
-				ra.noteErr(err)
-			}
-			bufs[s], errs[s] = data, err
-			pending--
-			if pending == 0 {
-				fanIn()
-			}
+// copyDone regenerates the rebuilt slot's block from the row's
+// survivors and writes it to the spare, still under the row lock.
+func (r *rreq) copyDone() {
+	ra := r.ra
+	rb := ra.rebuild
+	p, q := r.gather(false)
+	// What the spare is written it keeps: a parity block is computed
+	// into a fresh buffer, a solved data column leaves the scratch.
+	var val []byte
+	if ra.solveRow(r.colv, p, q, &r.pool) == 0 {
+		switch rb.slot {
+		case r.pslot:
+			val = ra.parityP(make([]byte, ra.v.bs.Bytes()), r.colv)
+		case r.qslot:
+			val = ra.parityQ(make([]byte, ra.v.bs.Bytes()), r.colv)
+		default:
+			val = r.colv[ra.colOfSlot(r.row, rb.slot)]
+			handOff(r.pool, val)
 		}
 	}
-	for s := 0; s < ra.nslots; s++ {
-		if s == rb.slot || !ra.alive(s) {
-			continue
-		}
-		rig := ra.slotRig[s]
-		pending++
-		ra.v.devs[rig].ReadBlock(0, mb, rd(s))
+	if val == nil {
+		// This row lost more than parity covers; its data is gone
+		// regardless, so skip the block and keep rebuilding the rest.
+		ra.cum.Unrecoverable++
+		r.stepOn()
+		return
 	}
-	if pending == 0 {
-		// No live sources at all: the row is beyond parity, and so is
-		// every other row. Stand down.
-		ra.unlock(row)
+	ra.issueWrite(r, rb.rig, val)
+}
+
+// stepOn ends a background step: it releases the row, advances its
+// pass past the block and schedules the next step after the throttle.
+func (r *rreq) stepOn() {
+	ra, mode := r.ra, r.mode
+	r.unlock()
+	ra.putReq(r)
+	if mode == mRebuild {
+		ra.rebuild.cursor++
+		ra.v.Eng.After(ra.stepDelay(), ra.copyFn)
+		return
+	}
+	ra.scrubMB++
+	ra.v.Eng.After(ra.stepDelay(), ra.scrubFn)
+}
+
+// halt ends a background pass at this step: the rebuild stands down
+// (its spare, or every source, died), the scrub stops until its next
+// tick.
+func (r *rreq) halt() {
+	ra, mode := r.ra, r.mode
+	r.unlock()
+	ra.putReq(r)
+	if mode == mRebuild {
 		ra.abortRebuild()
 		return
 	}
-	fanIn = func() {
-		ps, qs := ra.pslot(row), -1
-		if ra.dbl {
-			qs = ra.qslot(row)
-		}
-		colv := make([][]byte, ra.ndata)
-		for c := 0; c < ra.ndata; c++ {
-			if s := ra.dataSlot(row, c); s != rb.slot && errs[s] == nil && bufs[s] != nil {
-				colv[c] = bufs[s]
-			}
-		}
-		var p, q []byte
-		if ps != rb.slot && errs[ps] == nil {
-			p = bufs[ps]
-		}
-		if qs >= 0 && qs != rb.slot && errs[qs] == nil {
-			q = bufs[qs]
-		}
-		// What the spare is written it keeps: a parity block is computed
-		// into a fresh buffer, a solved data column leaves the scratch.
-		var pool [][]byte
-		var val []byte
-		if ra.solveRow(colv, p, q, &pool) == 0 {
-			switch rb.slot {
-			case ps:
-				val = ra.parityP(make([]byte, ra.v.bs.Bytes()), colv)
-			case qs:
-				val = ra.parityQ(make([]byte, ra.v.bs.Bytes()), colv)
-			default:
-				val = colv[ra.colOfSlot(row, rb.slot)]
-				handOff(pool, val)
-			}
-		}
-		ra.release(&pool)
-		if val == nil {
-			// This row lost more than parity covers; its data is gone
-			// regardless, so skip the block and keep rebuilding the rest.
-			ra.cum.Unrecoverable++
-			ra.unlock(row)
-			rb.cursor++
-			ra.v.Eng.After(ra.stepDelay(), ra.copyFn)
-			return
-		}
-		ra.v.devs[rb.rig].WriteBlock(0, mb, val, func(_ []byte, err error) {
-			ra.unlock(row)
-			if err != nil {
-				ra.noteErr(err)
-				ra.abortRebuild()
-				return
-			}
-			ra.cum.RebuiltBlocks++
-			rb.cursor++
-			ra.v.Eng.After(ra.stepDelay(), ra.copyFn)
-		})
-	}
+	ra.scrubbing = false
 }
 
 // finishRebuild splices the spare into the dead member's row slot;
@@ -240,129 +203,63 @@ func (ra *raid) scrubTick() {
 	}
 	ra.scrubbing = true
 	ra.cum.ScrubPasses++
-	ra.scrubStep(0)
+	ra.scrubMB = 0
+	ra.scrubStep()
 }
 
-func (ra *raid) scrubStep(mb int64) {
-	if mb >= ra.per {
+func (ra *raid) scrubStep() {
+	if ra.scrubMB >= ra.per {
 		ra.scrubbing = false
 		return
 	}
-	row := mb / ra.unit
-	ra.lock(row, func() { ra.scrubBlock(mb, row) })
+	ra.background(mScrub, ra.scrubMB)
 }
 
-// scrubBlock reads every live copy of member block mb, re-derives the
-// row, and rewrites what disagrees: a latent sector error on a data
-// slot is reconstructed from parity, an unreadable or stale parity
-// block is recomputed from data. Read-back data is ground truth —
-// only unreadable blocks and derived (parity) blocks are rewritten.
-func (ra *raid) scrubBlock(mb, row int64) {
-	bufs := make([][]byte, ra.nslots)
-	errs := make([]error, ra.nslots)
-	pending := 0
-	var fanIn func()
-	rd := func(s int) driver.DoneFunc {
-		return func(data []byte, err error) {
+// scrubDone re-derives the row read at every live slot and rewrites
+// what disagrees: a latent sector error on a data slot is
+// reconstructed from parity, an unreadable or stale parity block is
+// recomputed from data. Read-back data is ground truth — only
+// unreadable blocks and derived (parity) blocks are rewritten.
+func (r *rreq) scrubDone() {
+	ra := r.ra
+	p, q := r.gather(true)
+	if ra.solveRow(r.colv, p, q, &r.pool) != 0 {
+		// Can't re-derive the row; if that hid a latent error the data
+		// is already beyond parity.
+		for _, err := range r.errs {
 			if err != nil {
-				ra.noteErr(err)
-			}
-			bufs[s], errs[s] = data, err
-			pending--
-			if pending == 0 {
-				fanIn()
+				ra.cum.Unrecoverable++
+				break
 			}
 		}
-	}
-	for s := 0; s < ra.nslots; s++ {
-		if !ra.alive(s) {
-			continue
-		}
-		rig := ra.slotRig[s]
-		pending++
-		ra.v.devs[rig].ReadBlock(0, mb, rd(s))
-	}
-	if pending == 0 {
-		ra.unlock(row)
-		ra.scrubbing = false
+		r.stepOn()
 		return
 	}
-	fanIn = func() {
-		ps, qs := ra.pslot(row), -1
-		if ra.dbl {
-			qs = ra.qslot(row)
-		}
-		colv := make([][]byte, ra.ndata)
-		for c := 0; c < ra.ndata; c++ {
-			if s := ra.dataSlot(row, c); ra.alive(s) && errs[s] == nil {
-				colv[c] = bufs[s]
-			}
-		}
-		var p, q []byte
-		if ra.alive(ps) && errs[ps] == nil {
-			p = bufs[ps]
-		}
-		if qs >= 0 && ra.alive(qs) && errs[qs] == nil {
-			q = bufs[qs]
-		}
-		var pool [][]byte
-		defer ra.release(&pool)
-		finish := func() {
-			ra.unlock(row)
-			ra.v.Eng.After(ra.stepDelay(), func() { ra.scrubStep(mb + 1) })
-		}
-		if ra.solveRow(colv, p, q, &pool) != 0 {
-			// Can't re-derive the row; if that hid a latent error the
-			// data is already beyond parity.
-			for s := range errs {
-				if errs[s] != nil {
-					ra.cum.Unrecoverable++
-					break
-				}
-			}
-			finish()
-			return
-		}
-		expP := ra.parityP(ra.scratch(&pool), colv)
-		var expQ []byte
-		if ra.dbl {
-			expQ = ra.parityQ(ra.scratch(&pool), colv)
-		}
-		type repair struct {
-			slot int
-			val  []byte
-		}
-		var reps []repair
-		for c := 0; c < ra.ndata; c++ {
-			if s := ra.dataSlot(row, c); ra.alive(s) && errs[s] != nil {
-				reps = append(reps, repair{s, colv[c]})
-			}
-		}
-		if ra.alive(ps) && (errs[ps] != nil || !bytes.Equal(bufs[ps], expP)) {
-			reps = append(reps, repair{ps, expP})
-		}
-		if qs >= 0 && ra.alive(qs) && (errs[qs] != nil || !bytes.Equal(bufs[qs], expQ)) {
-			reps = append(reps, repair{qs, expQ})
-		}
-		if len(reps) == 0 {
-			finish()
-			return
-		}
-		wpending := len(reps)
-		for _, rp := range reps {
-			handOff(pool, rp.val) // the member keeps what it is written
-			rig := ra.slotRig[rp.slot]
-			ra.v.devs[rig].WriteBlock(0, mb, rp.val, func(_ []byte, err error) {
-				if err != nil {
-					ra.noteErr(err)
-				} else {
-					ra.cum.ScrubRepairs++
-				}
-				wpending--
-				if wpending == 0 {
-					finish()
-				}
-			})
+	expP := ra.parityP(ra.scratch(&r.pool), r.colv)
+	var expQ []byte
+	if ra.dbl {
+		expQ = ra.parityQ(ra.scratch(&r.pool), r.colv)
+	}
+	// A repair write only ever kills its own member, so each slot is
+	// judged and written in turn.
+	for c := 0; c < ra.ndata; c++ {
+		if s := ra.dataSlot(r.row, c); ra.alive(s) && r.errs[s] != nil {
+			r.repair(s, r.colv[c])
 		}
 	}
+	if ra.alive(r.pslot) && (r.errs[r.pslot] != nil || !bytes.Equal(r.bufs[r.pslot], expP)) {
+		r.repair(r.pslot, expP)
+	}
+	if ra.dbl && ra.alive(r.qslot) && (r.errs[r.qslot] != nil || !bytes.Equal(r.bufs[r.qslot], expQ)) {
+		r.repair(r.qslot, expQ)
+	}
+	if r.pending == 0 {
+		r.stepOn()
+	}
+}
+
+// repair rewrites slot with val, which the member keeps.
+func (r *rreq) repair(slot int, val []byte) {
+	handOff(r.pool, val)
+	r.ra.issueWrite(r, r.ra.slotRig[slot], val)
 }

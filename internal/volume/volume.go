@@ -27,8 +27,8 @@
 // periodic scrub (Options.ScrubIntervalMS + StartScrub) that repairs
 // latent sector errors before a second failure can compound them.
 //
-// Layout routing and mirror read balancing are pluggable seams — see
-// the placement and Balancer interfaces in balance.go.
+// Layout routing and mirror read balancing are internal seams — see
+// the placement and balancer interfaces in balance.go.
 //
 // A volume advances in a single simulated timeline and the
 // fan-out/fan-in of mirror requests is fully deterministic: member
@@ -178,13 +178,11 @@ type Volume struct {
 	sizes  []int64 // usable blocks per member under this layout
 	cum    []int64 // concat: cumulative start block per member
 
-	// devs presents the members through the Device seam; place routes
-	// requests for the layout; balancer orders redundant reads; ra is
-	// the parity machinery, nil outside raid5/raid6.
-	devs     []Device
-	place    placement
-	balancer Balancer
-	ra       *raid
+	// place routes requests for the layout; bal orders mirror reads; ra
+	// is the parity machinery, nil outside raid5/raid6.
+	place placement
+	bal   balancer
+	ra    *raid
 
 	// free is the vreq pool; targets is the mirror write fan-out
 	// scratch.
@@ -290,7 +288,6 @@ func New(opts Options) (*Volume, error) {
 			m.Driver.SetSink(telemetry.TagDisk(i, opts.Telemetry))
 		}
 		v.Members = append(v.Members, m)
-		v.devs = append(v.devs, m.Driver)
 	}
 	v.bs = v.Members[0].Driver.BlockSize()
 
@@ -362,11 +359,11 @@ func New(opts Options) (*Volume, error) {
 		for i := 0; i < opts.Spare; i++ {
 			ra.spareRigs = append(ra.spareRigs, opts.Disks+i)
 		}
-		ra.copyFn = ra.copyStep
+		ra.copyFn, ra.scrubFn = ra.copyStep, ra.scrubStep
 		v.ra = ra
 	}
 
-	v.balancer = newBalancer(v.policy)
+	v.bal = newBalancer(v.policy)
 	switch v.layout {
 	case Mirror:
 		v.place = mirrored{v}
@@ -653,14 +650,6 @@ func (v *Volume) ReadBlock(part int, blk int64, done driver.DoneFunc) {
 	}
 	v.stats.Requests++
 	v.place.read(blk, done)
-}
-
-// appendReadOrder appends the member indices a balanced read should
-// try, best candidate first, per the volume's Balancer. Only live
-// members appear. The caller passes a reused backing slice, so the
-// hot path allocates nothing.
-func (v *Volume) appendReadOrder(order []int) []int {
-	return v.balancer.Order(v, order)
 }
 
 // WriteBlock implements driver.BlockDevice: it writes one logical block
