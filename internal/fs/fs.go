@@ -65,8 +65,10 @@ type Params struct {
 	// blocks of a file (1 = contiguous; 2 = the classic one-block
 	// rotational gap). Zero selects 2.
 	Stride int
-	// UpdateAtime controls whether reads dirty the file's inode block
-	// (UNIX access-time bookkeeping). Defaults to true via Newfs.
+	// NoAtime turns off UNIX access-time bookkeeping: when set, reads
+	// (ReadAt) and path walks (Lookup, Open) no longer dirty the inode
+	// blocks of the file and of the directories they pass through, as
+	// on a noatime mount. The zero value keeps access times.
 	NoAtime bool
 	// SyncData makes file data writes synchronous (write-through), as an
 	// NFS2 server's are; metadata keeps the delayed update policy.
@@ -126,6 +128,10 @@ type inode struct {
 	// is a pure function of (ino, b) and payloads are immutable, so every
 	// overwrite hands the same page down. The pages leave with the inode.
 	pages [][]byte
+	// h is the inode's one Handle, which OpenIno and Open hand out (see
+	// handle): a Handle is only (file system, inode number), so every
+	// open of the inode can share it.
+	h Handle
 }
 
 // group is the in-memory state of one cylinder group.
@@ -173,9 +179,11 @@ type FS struct {
 	// change (see encodeInodeBlock). Bounded by the inode table.
 	inoImages [][]byte
 
-	// freeRead heads the pool of ReadAt walk records (see readReq in
-	// ops.go). Single-threaded like the rest of the file system.
+	// freeRead and freeSeq head the pools of ReadAt walk records (see
+	// readReq in ops.go) and of step records (see seqReq).
+	// Single-threaded like the rest of the file system.
 	freeRead *readReq
+	freeSeq  *seqReq
 
 	// mxRead/mxWrite are end-to-end file operation latency histograms,
 	// nil until BindMetrics.
@@ -209,12 +217,12 @@ func Newfs(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS, 
 
 	// Write the initial metadata image: superblock+descriptors and the
 	// root's inode block.
-	var steps []step
+	r := f.getSeq()
 	for gi := range f.groups {
-		steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+		r.steps = append(r.steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
 	}
-	steps = append(steps, step{block: f.inodeBlockOf(RootIno), data: f.encodeInodeBlock(f.inodeBlockOf(RootIno)), meta: true})
-	f.runSeq(steps, nil)
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(RootIno), data: f.encodeInodeBlock(f.inodeBlockOf(RootIno)), meta: true})
+	r.run()
 	return f, nil
 }
 
@@ -362,6 +370,13 @@ func (f *FS) inode(ino Ino) *inode {
 	return nil
 }
 
+// handle returns nd's Handle. It fills the Handle in on every call, so
+// no site that builds an inode has to.
+func (f *FS) handle(nd *inode) *Handle {
+	nd.h = Handle{f: f, ino: nd.ino}
+	return &nd.h
+}
+
 // groupOf returns the index of the group containing partition block b.
 func (f *FS) groupOf(b int64) int { return int(b / f.blocksPerGp) }
 
@@ -390,42 +405,140 @@ func (f *FS) cacheFor(meta bool) *cache.Cache {
 	return f.cache
 }
 
-// runSeq performs the steps strictly in order through the buffer cache
-// and calls done with the first error (if any). It gives every file
-// system operation the same I/O ordering a real kernel implementation
-// would produce: metadata reads before data, one block at a time.
-func (f *FS) runSeq(steps []step, done func(error)) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= len(steps) {
-			if done != nil {
-				done(nil)
-			}
-			return
-		}
-		s := steps[i]
-		c := f.cacheFor(s.meta)
-		next := func(err error) {
-			if err != nil {
-				if done != nil {
-					done(err)
-				}
-				return
-			}
-			run(i + 1)
-		}
-		switch {
-		case s.data == nil:
-			c.Read(s.block, func(_ []byte, err error) { next(err) })
-		case !s.meta && f.prm.SyncData:
-			// Step buffers are never written to once encoded, so the
-			// cache can take them as-is.
-			c.WriteThroughOwned(s.block, s.data, next)
-		default:
-			c.WriteOwned(s.block, s.data, next)
-		}
+// seqReq is one file system operation in flight: the steps it runs
+// strictly in order through the buffer cache — metadata reads before
+// data, one block at a time, the I/O ordering a real kernel
+// implementation would produce — and the completion it owes its caller.
+// Building that chain from closures cost a closure per step and per
+// call, most of what a simulated day allocated; like readReq, the record
+// is pooled instead, with its step buffer reused and its two cache
+// callbacks built once. An operation takes a record (getSeq), sets one
+// done callback, appends its steps and starts them (run), or schedules
+// its failure (fail). Either way the record goes back to the pool only
+// after done has returned, so an operation that done itself starts
+// takes another record.
+type seqReq struct {
+	f     *FS
+	next  *seqReq
+	steps []step
+	i     int   // the step in flight
+	err   error // the failure fail scheduled
+
+	// At most one done callback is set. target, when set, is what the
+	// operation found or made: Lookup and create hand on its number,
+	// Open its handle. names is ReadDir's listing.
+	done    func(error)
+	doneIno func(Ino, error)
+	doneH   func(*Handle, error)
+	doneDir func([]string, error)
+	target  *inode
+	names   []string
+	// walk marks a path lookup (Lookup, Open): when its steps succeed,
+	// the directories along path get their access times dirtied before
+	// done runs.
+	walk bool
+	path string
+	// hist, when set, records the operation's latency from startMS
+	// (WriteAt, while write-latency metrics are bound).
+	hist    *metrics.Histogram
+	startMS float64
+
+	readCB  func([]byte, error)
+	writeCB func(error)
+}
+
+// getSeq pops a step record off the pool, building its callbacks on
+// first use.
+func (f *FS) getSeq() *seqReq {
+	r := f.freeSeq
+	if r == nil {
+		r = &seqReq{f: f}
+		r.writeCB = r.stepDone
+		r.readCB = func(_ []byte, err error) { r.stepDone(err) }
+	} else {
+		f.freeSeq = r.next
 	}
-	run(0)
+	return r
+}
+
+// run starts the record's steps.
+func (r *seqReq) run() {
+	r.i = 0
+	r.issue()
+}
+
+// issue hands the cache the step in flight, or finishes the operation
+// when none is left.
+func (r *seqReq) issue() {
+	if r.i == len(r.steps) {
+		r.finish(nil)
+		return
+	}
+	s := &r.steps[r.i]
+	c := r.f.cacheFor(s.meta)
+	switch {
+	case s.data == nil:
+		c.Read(s.block, r.readCB)
+	case !s.meta && r.f.prm.SyncData:
+		// Step buffers are never written to once encoded, so the
+		// cache can take them as-is.
+		c.WriteThroughOwned(s.block, s.data, r.writeCB)
+	default:
+		c.WriteOwned(s.block, s.data, r.writeCB)
+	}
+}
+
+// stepDone completes one step: the first error ends the operation.
+func (r *seqReq) stepDone(err error) {
+	if err != nil {
+		r.finish(err)
+		return
+	}
+	r.i++
+	r.issue()
+}
+
+// fail completes the operation with err as a zero-delay event — one
+// event, as a failed operation has always taken.
+func (r *seqReq) fail(err error) {
+	r.err = err
+	r.f.eng.AfterCall(0, r)
+}
+
+// Call implements sim.Caller: the failure fail scheduled.
+func (r *seqReq) Call() { r.finish(r.err) }
+
+// finish completes the operation — the latency sample, then a walk's
+// access-time touch, then done — and returns the record to the pool.
+func (r *seqReq) finish(err error) {
+	f := r.f
+	if r.hist != nil {
+		r.hist.Record(f.eng.Now() - r.startMS)
+	}
+	if err == nil && r.walk && !f.prm.NoAtime {
+		f.touchWalk(r.path)
+	}
+	var ino Ino
+	if r.target != nil {
+		ino = r.target.ino
+	}
+	switch {
+	case r.done != nil:
+		r.done(err)
+	case r.doneIno != nil:
+		r.doneIno(ino, err)
+	case r.doneH != nil:
+		if err != nil {
+			r.doneH(nil, err)
+		} else {
+			r.doneH(f.handle(r.target), nil)
+		}
+	case r.doneDir != nil:
+		r.doneDir(r.names, err)
+	}
+	clear(r.steps) // the steps hold pages and images
+	*r = seqReq{f: f, next: f.freeSeq, steps: r.steps[:0], readCB: r.readCB, writeCB: r.writeCB}
+	f.freeSeq = r
 }
 
 func checkName(name string) error {

@@ -936,6 +936,91 @@ func TestReadAtWarmOneAlloc(t *testing.T) {
 	}
 }
 
+// A warm path walk allocates nothing: Lookup and Open run on a pooled
+// step record (seqReq) whose step buffer, callbacks and completion are
+// reused, resolve and touchWalk walk the path in place, and Open hands
+// out the inode's own Handle. That holds with access times on too: the
+// touch hands the cache each directory's held inode-block image.
+func TestLookupOpenWarmZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prm  Params
+	}{
+		{"noatime", Params{NoAtime: true}},
+		{"atime", Params{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, tc.prm)
+			mustMkdir(t, r, f, "/d")
+			want := mustCreate(t, r, f, "/d/f")
+			lookupDone := func(ino Ino, err error) {
+				if err != nil || ino != want {
+					t.Fatal("bad lookup completion")
+				}
+			}
+			openDone := func(h *Handle, err error) {
+				if err != nil || h.Ino() != want {
+					t.Fatal("bad open completion")
+				}
+			}
+			for _, op := range []struct {
+				name string
+				run  func()
+			}{
+				{"Lookup", func() { f.Lookup("/d/f", lookupDone); r.Eng.Run() }},
+				{"Open", func() { f.Open("/d/f", openDone); r.Eng.Run() }},
+			} {
+				for i := 0; i < 16; i++ {
+					op.run()
+				}
+				if n := testing.AllocsPerRun(200, op.run); n != 0 {
+					t.Errorf("warm %s of a two-level path: %v allocs, want 0", op.name, n)
+				}
+			}
+		})
+	}
+}
+
+// OpenIno hands out the inode's own Handle: no allocation, and the same
+// Handle every time.
+func TestOpenInoZeroAllocs(t *testing.T) {
+	r, f := newFS(t)
+	ino := mustCreate(t, r, f, "/f")
+	first, _ := f.OpenIno(ino)
+	if n := testing.AllocsPerRun(200, func() {
+		if h, err := f.OpenIno(ino); err != nil || h != first {
+			t.Fatal("OpenIno handed out another handle")
+		}
+	}); n != 0 {
+		t.Errorf("OpenIno: %v allocs, want 0", n)
+	}
+}
+
+// An overwrite that needs no new block allocates nothing: its steps go
+// into the pooled record's buffer, its pages and the inode block's
+// image are held, and nothing marks a group dirty.
+func TestWriteAtOverwriteZeroAllocs(t *testing.T) {
+	r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, Params{NoAtime: true})
+	ino := mustCreate(t, r, f, "/w")
+	h, _ := f.OpenIno(ino)
+	mustWrite(t, r, h, 0, 2)
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := func() {
+		h.WriteAt(0, 2, done)
+		r.Eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("warm WriteAt overwrite: %v allocs, want 0", n)
+	}
+}
+
 // inodeBlockOf is a lookup built in prepare; it must give the group
 // arithmetic's answer — group ino/perGroup, that group's descriptor,
 // then the (ino%perGroup)/inosPerBlk-th inode block — for every inode

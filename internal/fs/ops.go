@@ -12,7 +12,9 @@ import (
 // buffer cache, in kernel order (metadata lookups first), and completes
 // asynchronously in simulated time.
 
-// Handle is an open file or directory.
+// Handle is an open file or directory: a file system and an inode
+// number, nothing more. OpenIno and Open hand out the inode's own
+// Handle, so every open of a file returns the same pointer.
 type Handle struct {
 	f   *FS
 	ino Ino
@@ -36,32 +38,32 @@ func (h *Handle) SizeBlocks() int64 {
 	return nd.size
 }
 
-// split parses a path into components.
-func split(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
-		if c != "" && c != "." {
-			out = append(out, c)
+// nextComp returns the first component of path, skipping empty and "."
+// components, and the rest of path after it; comp is "" when path has
+// no component left. It walks path in place, so a path walk allocates
+// nothing.
+func nextComp(path string) (comp, rest string) {
+	for path != "" {
+		comp, path, _ = strings.Cut(path, "/")
+		if comp != "" && comp != "." {
+			return comp, path
 		}
 	}
-	return out
+	return "", ""
 }
 
-// resolve walks a path from the root, building the read steps of the
-// walk (inode-table blocks and directory data blocks). It returns the
-// parent directory and the target inode; target is nil when the final
-// component does not exist (parent is still returned so callers can
-// create it).
-func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rsteps []step, err error) {
-	comps := split(path)
+// resolve walks a path from the root, appending the read steps of the
+// walk (inode-table blocks and directory data blocks) to steps. It
+// returns the parent directory and the target inode; target is nil when
+// the final component does not exist (parent is still returned so
+// callers can create it).
+func (f *FS) resolve(path string, steps []step) (parent *inode, name string, target *inode, _ []step, err error) {
 	cur := f.inodes[RootIno]
-	rsteps = append(rsteps, step{block: f.inodeBlockOf(RootIno), meta: true})
-	if len(comps) == 0 {
-		return nil, "", cur, rsteps, nil
-	}
-	for i, comp := range comps {
+	steps = append(steps, step{block: f.inodeBlockOf(RootIno), meta: true})
+	for comp, rest := nextComp(path); comp != ""; {
+		after, rest2 := nextComp(rest) // "" when comp is the final component
 		if !cur.dir {
-			return nil, "", nil, rsteps, fmt.Errorf("%w: %q", ErrNotDir, path)
+			return nil, "", nil, steps, fmt.Errorf("%w: %q", ErrNotDir, path)
 		}
 		slot := indexOf(cur.order, comp)
 		// A real lookup scans directory blocks until the entry (or the
@@ -72,23 +74,24 @@ func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rs
 		}
 		for b := 0; b <= lastBlk; b++ {
 			if blk := f.blockOf(cur, int64(b)); blk >= 0 {
-				rsteps = append(rsteps, step{block: blk, meta: true})
+				steps = append(steps, step{block: blk, meta: true})
 			}
 		}
 		if slot < 0 {
-			if i == len(comps)-1 {
-				return cur, comp, nil, rsteps, nil
+			if after == "" {
+				return cur, comp, nil, steps, nil
 			}
-			return nil, "", nil, rsteps, fmt.Errorf("%w: %q", ErrNotFound, path)
+			return nil, "", nil, steps, fmt.Errorf("%w: %q", ErrNotFound, path)
 		}
 		next := f.inode(cur.entries[comp])
 		if next == nil {
-			return nil, "", nil, rsteps, fmt.Errorf("%w: %q (dangling entry)", ErrNotFound, path)
+			return nil, "", nil, steps, fmt.Errorf("%w: %q (dangling entry)", ErrNotFound, path)
 		}
-		rsteps = append(rsteps, step{block: f.inodeBlockOf(next.ino), meta: true})
+		steps = append(steps, step{block: f.inodeBlockOf(next.ino), meta: true})
 		parent, name, cur = cur, comp, next
+		comp, rest = after, rest2
 	}
-	return parent, name, cur, rsteps, nil
+	return parent, name, cur, steps, nil
 }
 
 func indexOf(xs []string, s string) int {
@@ -105,22 +108,32 @@ func indexOf(xs []string, s string) int {
 // access times of the directories it traverses — bookkeeping writes that
 // occur even on read-only mounts (Section 3.1 of the paper).
 func (f *FS) Lookup(path string, done func(Ino, error)) {
-	_, _, target, rsteps, err := f.resolve(path)
+	r := f.getSeq()
+	r.doneIno = done
+	f.walk(r, path)
+}
+
+// Open resolves a path and returns a handle, with Lookup's I/O and
+// access-time bookkeeping.
+func (f *FS) Open(path string, done func(*Handle, error)) {
+	r := f.getSeq()
+	r.doneH = done
+	f.walk(r, path)
+}
+
+// walk runs Lookup's and Open's path walk on r.
+func (f *FS) walk(r *seqReq, path string) {
+	_, _, target, steps, err := f.resolve(path, r.steps)
+	r.steps = steps
 	if err == nil && target == nil {
 		err = fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
 	if err != nil {
-		f.fail2(done, err)
+		r.fail(err)
 		return
 	}
-	f.runSeq(rsteps, func(serr error) {
-		if serr == nil && !f.prm.NoAtime {
-			f.touchWalk(path)
-		}
-		if done != nil {
-			done(target.ino, serr)
-		}
-	})
+	r.target, r.walk, r.path = target, true, path
+	r.run()
 }
 
 // touchWalk dirties the inode blocks of the directories along a path
@@ -129,7 +142,7 @@ func (f *FS) touchWalk(path string) {
 	cur := f.inodes[RootIno]
 	ib := f.inodeBlockOf(RootIno)
 	f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
-	for _, comp := range split(path) {
+	for comp, rest := nextComp(path); comp != ""; comp, rest = nextComp(rest) {
 		next, ok := cur.entries[comp]
 		if !ok {
 			return
@@ -144,27 +157,14 @@ func (f *FS) touchWalk(path string) {
 	}
 }
 
-// Open resolves a path and returns a handle.
-func (f *FS) Open(path string, done func(*Handle, error)) {
-	f.Lookup(path, func(ino Ino, err error) {
-		if done == nil {
-			return
-		}
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(&Handle{f: f, ino: ino}, nil)
-	})
-}
-
 // OpenIno returns a handle for a known inode number without any I/O
 // (the analogue of holding an open file descriptor).
 func (f *FS) OpenIno(ino Ino) (*Handle, error) {
-	if f.inode(ino) == nil {
+	nd := f.inode(ino)
+	if nd == nil {
 		return nil, fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
-	return &Handle{f: f, ino: ino}, nil
+	return f.handle(nd), nil
 }
 
 // Create creates a regular file.
@@ -174,27 +174,30 @@ func (f *FS) Create(path string, done func(Ino, error)) { f.create(path, false, 
 func (f *FS) Mkdir(path string, done func(Ino, error)) { f.create(path, true, done) }
 
 func (f *FS) create(path string, dir bool, done func(Ino, error)) {
+	r := f.getSeq()
+	r.doneIno = done
 	if f.readOnly {
-		f.fail2(done, ErrReadOnly)
+		r.fail(ErrReadOnly)
 		return
 	}
-	parent, name, target, rsteps, err := f.resolve(path)
+	parent, name, target, steps, err := f.resolve(path, r.steps)
+	r.steps = steps
 	if err != nil {
-		f.fail2(done, err)
+		r.fail(err)
 		return
 	}
 	if target != nil {
-		f.fail2(done, fmt.Errorf("%w: %q", ErrExists, path))
+		r.fail(fmt.Errorf("%w: %q", ErrExists, path))
 		return
 	}
 	if err := checkName(name); err != nil {
-		f.fail2(done, err)
+		r.fail(err)
 		return
 	}
 	perGroup := len(f.groups[0].inodeUsed)
 	ino, err := f.allocInode(int(parent.ino)/perGroup, dir)
 	if err != nil {
-		f.fail2(done, err)
+		r.fail(err)
 		return
 	}
 	nd := &inode{ino: ino, dir: dir, indirect: -1}
@@ -208,31 +211,29 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 	f.inodeChanged(ino)
 
 	dirty := map[int]bool{int(ino) / perGroup: true}
-	wsteps, err := f.addEntry(parent, name, ino, dirty)
+	r.steps, err = f.addEntry(parent, name, ino, dirty, r.steps)
 	if err != nil {
 		f.freeInode(ino)
-		f.fail2(done, err)
+		r.fail(err)
 		return
 	}
-	wsteps = append(wsteps, step{block: f.inodeBlockOf(ino), data: f.encodeInodeBlock(f.inodeBlockOf(ino)), meta: true})
-	wsteps = append(wsteps, f.descSteps(dirty)...)
-	f.runSeq(append(rsteps, wsteps...), func(serr error) {
-		if done != nil {
-			done(ino, serr)
-		}
-	})
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(ino), data: f.encodeInodeBlock(f.inodeBlockOf(ino)), meta: true})
+	r.steps = f.descSteps(dirty, r.steps)
+	r.target = nd
+	r.run()
 }
 
 // addEntry appends a directory entry, allocating a new directory data
-// block when the current last block is full. It returns the write steps.
-func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool) ([]step, error) {
+// block when the current last block is full. It appends the write steps
+// to steps.
+func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool, steps []step) ([]step, error) {
 	per := f.entriesPerBlock()
 	slot := len(parent.order)
 	blkIdx := slot / per
 	if slot%per == 0 {
 		// Need a fresh directory block.
 		if int64(blkIdx) >= int64(NDirect) {
-			return nil, fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
+			return steps, fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
 		}
 		prev := int64(-1)
 		if blkIdx > 0 {
@@ -241,7 +242,7 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool) (
 		perGroup := len(f.groups[0].inodeUsed)
 		b, err := f.allocData(int(parent.ino)/perGroup, prev)
 		if err != nil {
-			return nil, err
+			return steps, err
 		}
 		parent.direct[blkIdx] = b
 		dirty[f.groupOf(b)] = true
@@ -250,28 +251,30 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool) (
 	parent.order = append(parent.order, name)
 	parent.size = int64(len(parent.order))
 	f.inodeChanged(parent.ino)
-	return []step{
-		{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
-		{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
-	}, nil
+	return append(steps,
+		step{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
+		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
+	), nil
 }
 
-// descSteps produces descriptor write-back steps for groups whose
-// bitmaps changed.
-func (f *FS) descSteps(dirty map[int]bool) []step {
-	var out []step
+// descSteps appends descriptor write-back steps for groups whose
+// bitmaps changed to steps.
+func (f *FS) descSteps(dirty map[int]bool, steps []step) []step {
 	for gi := range f.groups {
 		if dirty[gi] {
-			out = append(out, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+			steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
 		}
 	}
-	return out
+	return steps
 }
 
 // ReadDir lists a directory's entries in on-disk order, reading the
 // directory's blocks.
 func (f *FS) ReadDir(path string, done func([]string, error)) {
-	_, _, target, rsteps, err := f.resolve(path)
+	r := f.getSeq()
+	r.doneDir = done
+	_, _, target, steps, err := f.resolve(path, r.steps)
+	r.steps = steps
 	if err == nil && target == nil {
 		err = fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
@@ -279,24 +282,16 @@ func (f *FS) ReadDir(path string, done func([]string, error)) {
 		err = fmt.Errorf("%w: %q", ErrNotDir, path)
 	}
 	if err != nil {
-		f.eng.After(0, func() {
-			if done != nil {
-				done(nil, err)
-			}
-		})
+		r.fail(err)
 		return
 	}
 	for b, n := int64(0), f.nblocksOf(target); b < n; b++ {
 		if blk := f.blockOf(target, b); blk >= 0 {
-			rsteps = append(rsteps, step{block: blk, meta: true})
+			r.steps = append(r.steps, step{block: blk, meta: true})
 		}
 	}
-	names := append([]string(nil), target.order...)
-	f.runSeq(rsteps, func(serr error) {
-		if done != nil {
-			done(names, serr)
-		}
-	})
+	r.names = append([]string(nil), target.order...)
+	r.run()
 }
 
 // WriteAt writes (or overwrites) n blocks of the file starting at file
@@ -307,44 +302,38 @@ func (f *FS) ReadDir(path string, done func([]string, error)) {
 // overwrite (inode.pages).
 func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	f := h.f
+	r := f.getSeq()
+	r.done = done
 	if f.readOnly {
-		f.fail1(done, ErrReadOnly)
+		r.fail(ErrReadOnly)
 		return
 	}
 	nd := f.inode(h.ino)
 	if nd == nil {
-		f.fail1(done, fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
+		r.fail(fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
 		return
 	}
 	if nd.dir {
-		f.fail1(done, ErrIsDir)
+		r.fail(ErrIsDir)
 		return
 	}
 	if idx < 0 || n <= 0 || idx > nd.size {
-		f.fail1(done, fmt.Errorf("%w: write [%d,+%d) of %d-block file", ErrBadRange, idx, n, nd.size))
+		r.fail(fmt.Errorf("%w: write [%d,+%d) of %d-block file", ErrBadRange, idx, n, nd.size))
 		return
 	}
 	if idx+n > f.MaxFileBlocks() {
-		f.fail1(done, ErrFileTooBig)
+		r.fail(ErrFileTooBig)
 		return
 	}
 	if f.mxWrite != nil {
-		start := f.eng.Now()
-		inner := done
-		done = func(err error) {
-			f.mxWrite.Record(f.eng.Now() - start)
-			if inner != nil {
-				inner(err)
-			}
-		}
+		r.hist, r.startMS = f.mxWrite, f.eng.Now()
 	}
 
 	perGroup := len(f.groups[0].inodeUsed)
 	gi := int(h.ino) / perGroup
 	dirty := map[int]bool{}
-	// Sized once for the data blocks, the inode and indirect steps and a
-	// descriptor or two; the inode is read first.
-	steps := append(make([]step, 0, n+6), step{block: f.inodeBlockOf(h.ino), meta: true})
+	// The inode is read first.
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), meta: true})
 	indirectTouched := false
 	indirectRead := false
 
@@ -371,7 +360,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			nd.indirect = oldIndirect
 		}
 		f.inodeChanged(h.ino)
-		f.fail1(done, err)
+		r.fail(err)
 	}
 
 	if end := int(idx + n); end > len(nd.pages) {
@@ -390,7 +379,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			indirectTouched = true
 		}
 		if b >= NDirect && !indirectRead && !indirectTouched {
-			steps = append(steps, step{block: nd.indirect, meta: true})
+			r.steps = append(r.steps, step{block: nd.indirect, meta: true})
 			indirectRead = true
 		}
 		blk := f.blockOf(nd, b)
@@ -421,19 +410,19 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 		if nd.pages[b] == nil {
 			nd.pages[b] = f.dataPattern(h.ino, b)
 		}
-		steps = append(steps, step{block: blk, data: nd.pages[b]})
+		r.steps = append(r.steps, step{block: blk, data: nd.pages[b]})
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
 		f.inodeChanged(h.ino)
 	}
 	if indirectTouched {
-		steps = append(steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
+		r.steps = append(r.steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
 	}
 	// Inode update (size, mtime).
-	steps = append(steps, step{block: f.inodeBlockOf(h.ino), data: f.encodeInodeBlock(f.inodeBlockOf(h.ino)), meta: true})
-	steps = append(steps, f.descSteps(dirty)...)
-	f.runSeq(steps, done)
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), data: f.encodeInodeBlock(f.inodeBlockOf(h.ino)), meta: true})
+	r.steps = f.descSteps(dirty, r.steps)
+	r.run()
 }
 
 // Append extends the file by n blocks.
@@ -583,11 +572,14 @@ func (r *readReq) finish(err error) {
 
 // Remove deletes a file or an empty directory, freeing its blocks.
 func (f *FS) Remove(path string, done func(error)) {
+	r := f.getSeq()
+	r.done = done
 	if f.readOnly {
-		f.fail1(done, ErrReadOnly)
+		r.fail(ErrReadOnly)
 		return
 	}
-	parent, name, target, rsteps, err := f.resolve(path)
+	parent, name, target, steps, err := f.resolve(path, r.steps)
+	r.steps = steps
 	if err == nil && target == nil {
 		err = fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
@@ -598,7 +590,7 @@ func (f *FS) Remove(path string, done func(error)) {
 		err = fmt.Errorf("%w: %q", ErrNotEmpty, path)
 	}
 	if err != nil {
-		f.fail1(done, err)
+		r.fail(err)
 		return
 	}
 
@@ -630,10 +622,9 @@ func (f *FS) Remove(path string, done func(error)) {
 	delete(parent.entries, name)
 	parent.size = int64(len(parent.order))
 
-	var wsteps []step
-	wsteps = append(wsteps, step{block: parent.direct[slot/per], data: f.encodeDirBlock(parent, slot/per), meta: true})
+	r.steps = append(r.steps, step{block: parent.direct[slot/per], data: f.encodeDirBlock(parent, slot/per), meta: true})
 	if last/per != slot/per {
-		wsteps = append(wsteps, step{block: parent.direct[last/per], data: f.encodeDirBlock(parent, last/per), meta: true})
+		r.steps = append(r.steps, step{block: parent.direct[last/per], data: f.encodeDirBlock(parent, last/per), meta: true})
 	}
 	// Free the parent's last directory block if it emptied.
 	if last%per == 0 && last/per > 0 {
@@ -644,26 +635,10 @@ func (f *FS) Remove(path string, done func(error)) {
 		dirty[f.groupOf(freed)] = true
 	}
 	f.inodeChanged(parent.ino)
-	wsteps = append(wsteps,
+	r.steps = append(r.steps,
 		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
 		step{block: targetIB, data: f.encodeInodeBlock(targetIB), meta: true},
 	)
-	wsteps = append(wsteps, f.descSteps(dirty)...)
-	f.runSeq(append(rsteps, wsteps...), done)
-}
-
-func (f *FS) fail1(done func(error), err error) {
-	f.eng.After(0, func() {
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-func (f *FS) fail2(done func(Ino, error), err error) {
-	f.eng.After(0, func() {
-		if done != nil {
-			done(0, err)
-		}
-	})
+	r.steps = f.descSteps(dirty, r.steps)
+	r.run()
 }

@@ -92,6 +92,8 @@ type System struct {
 
 	errs int64
 	hist *metrics.Histogram
+
+	freeJob *job // pool of job records (see job)
 }
 
 // NewSystem returns a system workload over the given file system.
@@ -218,71 +220,59 @@ func (w *System) RunDay(day int, done func(error)) {
 		n:     w.cfg.Clients,
 		think: w.cfg.ThinkMeanMS,
 		hist:  w.hist,
-		job: func(_ int, next func()) {
-			// One job: the executable plus systemLibs shared libraries. The
-			// process demand-pages them together, so the block reads of
-			// the different files interleave — which is exactly how hot
-			// blocks of different files come to alternate in the disk's
-			// request stream (Section 1.1 of the paper).
-			exec := w.pick(0)
-			refs := append(make([]fileRef, 0, 1+systemLibs), exec)
-			for l := 0; l < systemLibs; l++ {
-				refs = append(refs, w.pick(0.1))
-			}
-			// populateFiles keeps no path in its fileRefs, so exec.path
-			// is "" and this Open resolves to the root: each job reads
-			// and atime-dirties the root's inode block and no other
-			// directory. The intended path walk to the exec is missing
-			// (EXPERIMENTS.md D5; fixing it moves every system golden).
-			// The files themselves are reached via cached handles.
-			w.f.Open(exec.path, func(_ *fs.Handle, err error) {
-				if err != nil {
-					w.errs++
-				}
-				w.runJob(refs, next)
-			})
-		},
+		job:   w.launch,
 	}
 	pool.run(start, end, done)
 }
 
-// runJob demand-pages a set of files together: single-block reads
-// round-robin across the files, one outstanding at a time, until every
-// file is fully read. (The NFS client's biod daemons could keep several
-// in flight; serial demand paging is what matches the paper's low read
-// waiting times.)
-func (w *System) runJob(refs []fileRef, next func()) {
-	j := &jobReads{w: w, next: next}
-	j.cur = j.buf[:0]
-	for _, ref := range refs {
-		h, err := w.f.OpenIno(ref.ino)
-		if err != nil {
-			w.errs++
-			continue
-		}
-		if n := h.SizeBlocks(); n > 0 {
-			j.cur = append(j.cur, cursor{h: h, size: n})
-		}
+// launch runs one client job: the executable plus systemLibs shared
+// libraries. The process demand-pages them together, so the block reads
+// of the different files interleave — which is exactly how hot blocks
+// of different files come to alternate in the disk's request stream
+// (Section 1.1 of the paper).
+func (w *System) launch(_ int, next func()) {
+	j := w.getJob()
+	j.next = next
+	j.refs[0] = w.pick(0)
+	for l := 1; l < len(j.refs); l++ {
+		j.refs[l] = w.pick(0.1)
 	}
-	// One completion callback for every read of the job: it carries no
-	// per-read state, so building it per ReadAt (tens per job) would
-	// only make garbage.
-	j.onRead = j.readDone
-	j.readNext()
+	// populateFiles keeps no path in its fileRefs, so the exec's path is
+	// "" and this Open resolves to the root: each job reads and
+	// atime-dirties the root's inode block and no other directory. The
+	// intended path walk to the exec is missing (EXPERIMENTS.md D5;
+	// fixing it moves every system golden). The files themselves are
+	// reached via cached handles.
+	w.f.Open(j.refs[0].path, j.onOpen)
 }
 
-// jobReads is one runJob in flight. Its state lives in one record, so a
-// job costs the record and its callback, not a heap cell per variable
-// its closures would share.
-type jobReads struct {
+// runJob demand-pages a set of files together: single-block reads
+// round-robin across the files, one outstanding at a time, until every
+// file is fully read, then calls next. (The NFS client's biod daemons
+// could keep several in flight; serial demand paging is what matches
+// the paper's low read waiting times.)
+func (w *System) runJob(refs []fileRef, next func()) {
+	j := w.getJob()
+	j.next = next
+	j.start(refs)
+}
+
+// job is one client job in flight: its files and how far each has been
+// read. Jobs are pooled on System with their file list and cursors
+// inline and their two callbacks built once, so launching a job and
+// demand-paging it allocate nothing.
+type job struct {
 	w    *System
+	free *job // pool link
 	next func()
+	refs [1 + systemLibs]fileRef // the files launch picked, exec first
 	// cur holds the files with blocks left, in job order; i is the one
 	// read next. A file leaves cur with its last read, so each read is
 	// one step and the order is the round-robin over all the files.
 	cur    []cursor
 	i      int
 	buf    [1 + systemLibs]cursor // cur's storage for a job of the usual size
+	onOpen func(*fs.Handle, error)
 	onRead func([][]byte, error)
 }
 
@@ -293,11 +283,56 @@ type cursor struct {
 	size int64
 }
 
+// getJob pops a job record off the pool, building its callbacks on
+// first use.
+func (w *System) getJob() *job {
+	j := w.freeJob
+	if j == nil {
+		j = &job{w: w}
+		j.onOpen = func(_ *fs.Handle, err error) {
+			if err != nil {
+				j.w.errs++
+			}
+			j.start(j.refs[:])
+		}
+		j.onRead = func(_ [][]byte, err error) {
+			if err != nil {
+				j.w.errs++
+			}
+			j.readNext()
+		}
+	} else {
+		w.freeJob = j.free
+	}
+	return j
+}
+
+// start opens the job's files and reads the first block.
+func (j *job) start(refs []fileRef) {
+	j.cur, j.i = j.buf[:0], 0
+	for _, ref := range refs {
+		h, err := j.w.f.OpenIno(ref.ino)
+		if err != nil {
+			j.w.errs++
+			continue
+		}
+		if n := h.SizeBlocks(); n > 0 {
+			j.cur = append(j.cur, cursor{h: h, size: n})
+		}
+	}
+	j.readNext()
+}
+
 // readNext reads the next block round-robin, or ends the job when every
-// file is read.
-func (j *jobReads) readNext() {
+// file is read: next runs, and only then does the record go back to
+// the pool.
+func (j *job) readNext() {
 	if len(j.cur) == 0 {
 		j.next()
+		w := j.w
+		clear(j.buf[:])
+		j.cur, j.next = nil, nil
+		j.free, w.freeJob = w.freeJob, j
 		return
 	}
 	c := &j.cur[j.i]
@@ -311,13 +346,6 @@ func (j *jobReads) readNext() {
 		j.i = 0
 	}
 	h.ReadAt(pos, 1, j.onRead)
-}
-
-func (j *jobReads) readDone(_ [][]byte, err error) {
-	if err != nil {
-		j.w.errs++
-	}
-	j.readNext()
 }
 
 // cronSweep is one housekeeping pass: it lists every directory and reads

@@ -397,3 +397,63 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 		t.Errorf("%d workload errors", w.Errors())
 	}
 }
+
+// A warm system job allocates nothing: launch takes a pooled job record
+// with its file list and cursors inline and its callbacks built once,
+// Open walks on the file system's pooled step record, and every read is
+// a cached ReadAt. That holds with access times on as well.
+func TestSystemJobWarmZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prm  fs.Params
+	}{
+		{"noatime", fs.Params{NoAtime: true}},
+		{"atime", fs.Params{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := rig.New(rig.Options{ReservedCyls: 48})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Newfs(r.Eng, r.Driver, 0, tc.prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Eng.Run()
+			const files = 8
+			w := NewSystem(r.Eng, f, SystemConfig{Files: files})
+			for i := 0; i < files; i++ {
+				blocks := int64(1 + i%3)
+				f.Create("/"+nameOf("f", i), func(ino fs.Ino, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					h, _ := f.OpenIno(ino)
+					h.WriteAt(0, blocks, func(err error) {
+						if err != nil {
+							t.Fatal(err)
+						}
+					})
+					w.files = append(w.files, fileRef{ino: ino, blocks: blocks})
+				})
+				r.Eng.Run()
+			}
+			w.perm = identity(files)
+			jobs := 0
+			next := func() { jobs++ }
+			job := func() {
+				w.launch(0, next)
+				r.Eng.Run()
+			}
+			for i := 0; i < 16; i++ {
+				job()
+			}
+			if n := testing.AllocsPerRun(200, job); n != 0 {
+				t.Errorf("warm system job: %v allocs, want 0", n)
+			}
+			if jobs != 16+201 || w.Errors() != 0 {
+				t.Errorf("%d jobs finished, %d errors; want %d and none", jobs, w.Errors(), 16+201)
+			}
+		})
+	}
+}
