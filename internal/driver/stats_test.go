@@ -67,7 +67,11 @@ func TestSeekTimeFromDistribution(t *testing.T) {
 	eng.Run()
 	side := drv.ReadStats().All()
 	curve := seek.ToshibaMK156F
-	want := seek.MeanMS(curve, side.SchedDist.Histogram())
+	var sum float64
+	for d, c := range side.SchedDist.Histogram() {
+		sum += float64(c) * curve.SeekMS(d)
+	}
+	want := sum / float64(side.SchedDist.Count())
 	if got := side.MeanSeekMS(curve); math.Abs(got-want) > 1e-9 {
 		t.Errorf("MeanSeekMS = %v, want %v", got, want)
 	}

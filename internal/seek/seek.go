@@ -16,7 +16,6 @@ package seek
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Curve computes seek time in milliseconds from a distance in cylinders.
@@ -111,33 +110,4 @@ func (l Linear) SeekMS(d int) float64 {
 		return 0
 	}
 	return l.StartupMS + float64(l.PerCylMS*float64(d))
-}
-
-// MeanMS returns the mean seek time of the curve over a distance
-// distribution given as a histogram: hist[d] is the number of seeks of
-// distance d. It returns 0 if the histogram is empty. The paper computes
-// its reported seek times exactly this way, from measured seek-distance
-// distributions and the Table 1 curves.
-func MeanMS(c Curve, hist map[int]int64) float64 {
-	// Sum in sorted key order so the floating-point result is exactly
-	// reproducible (simulations promise bit-for-bit determinism).
-	keys := make([]int, 0, len(hist))
-	for d := range hist {
-		keys = append(keys, d)
-	}
-	sort.Ints(keys)
-	var n int64
-	var sum float64
-	for _, d := range keys {
-		cnt := hist[d]
-		if cnt <= 0 {
-			continue
-		}
-		n += cnt
-		sum += float64(float64(cnt) * c.SeekMS(d))
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -3,7 +3,6 @@ package seek
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestZeroDistanceIsFree(t *testing.T) {
@@ -98,51 +97,6 @@ func TestLinearCurve(t *testing.T) {
 	l := Linear{StartupMS: 3, PerCylMS: 0.02}
 	if got := l.SeekMS(100); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Linear SeekMS(100) = %v, want 5", got)
-	}
-}
-
-func TestMeanMS(t *testing.T) {
-	l := Linear{StartupMS: 1, PerCylMS: 1}
-	hist := map[int]int64{0: 2, 1: 1, 3: 1} // times: 0,0,2,4 -> mean 1.5
-	if got := MeanMS(l, hist); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("MeanMS = %v, want 1.5", got)
-	}
-}
-
-func TestMeanMSEmpty(t *testing.T) {
-	if got := MeanMS(ToshibaMK156F, nil); got != 0 {
-		t.Errorf("MeanMS(empty) = %v, want 0", got)
-	}
-	if got := MeanMS(ToshibaMK156F, map[int]int64{5: 0, 7: -2}); got != 0 {
-		t.Errorf("MeanMS(non-positive counts) = %v, want 0", got)
-	}
-}
-
-func TestMeanMSProperty(t *testing.T) {
-	// The mean over any distribution lies between min and max curve
-	// values over the support.
-	f := func(ds [8]uint16, counts [8]uint8) bool {
-		hist := map[int]int64{}
-		for i, d := range ds {
-			if counts[i] == 0 {
-				continue
-			}
-			hist[int(d%815)] += int64(counts[i])
-		}
-		if len(hist) == 0 {
-			return MeanMS(ToshibaMK156F, hist) == 0
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for d := range hist {
-			v := ToshibaMK156F.SeekMS(d)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		m := MeanMS(ToshibaMK156F, hist)
-		return m >= lo-1e-9 && m <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

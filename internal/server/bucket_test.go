@@ -2,44 +2,47 @@ package server
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
 
 func TestTokenBucketStartsFullAndRefills(t *testing.T) {
-	b := NewTokenBucket(10, 5, 0) // 10 tokens/s, burst 5
+	c := &ClassConfig{TokenRate: 10, TokenBurst: 5} // 10 tokens/s, burst 5
+	b := NewTokenBucket(0, c, 0)
 	for i := 0; i < 5; i++ {
-		if !b.Take(0) {
+		if !b.Take(0, c) {
 			t.Fatalf("take %d from a full burst-5 bucket failed", i)
 		}
 	}
-	if b.Take(0) {
+	if b.Take(0, c) {
 		t.Fatal("take from an empty bucket succeeded")
 	}
 	// 10/s refills one token per 100 ms; at 99 ms there is still none.
-	if b.Take(99) {
+	if b.Take(99, c) {
 		t.Fatal("token available before refill interval elapsed")
 	}
-	if !b.Take(100) {
+	if !b.Take(100, c) {
 		t.Fatal("no token 100 ms after draining a 10/s bucket")
 	}
 	// A long idle stretch caps at the burst, not the elapsed time.
-	if got := b.Tokens(1e9); got != 5 {
+	if got := b.Tokens(1e9, c); got != 5 {
 		t.Fatalf("Tokens after long idle = %v, want burst 5", got)
 	}
 }
 
 func TestTokenBucketClockNeverRunsBackwards(t *testing.T) {
-	b := NewTokenBucket(1000, 1, 0)
-	if !b.Take(10) {
+	c := &ClassConfig{TokenRate: 1000, TokenBurst: 1}
+	b := NewTokenBucket(0, c, 0)
+	if !b.Take(10, c) {
 		t.Fatal("take at t=10 failed")
 	}
 	// An earlier timestamp (out-of-order observation) must not mint
 	// tokens or move the clock backwards.
-	if b.Take(5) {
+	if b.Take(5, c) {
 		t.Fatal("earlier timestamp minted a token")
 	}
-	if !b.Take(11) {
+	if !b.Take(11, c) {
 		t.Fatal("refill after 1 ms at 1000/s failed")
 	}
 }
@@ -52,12 +55,13 @@ func TestTokenBucketDeterminism(t *testing.T) {
 	t.Logf("seed=%#x", seed)
 	run := func() []bool {
 		rnd := sim.NewRand(seed)
-		b := NewTokenBucket(4, 8, 0)
+		c := &ClassConfig{TokenRate: 4, TokenBurst: 8}
+		b := NewTokenBucket(0, c, 0)
 		var out []bool
 		now := 0.0
 		for i := 0; i < 5000; i++ {
 			now += rnd.Exp(50)
-			out = append(out, b.Take(now))
+			out = append(out, b.Take(now, c))
 		}
 		return out
 	}
@@ -76,5 +80,14 @@ func TestTokenBucketDeterminism(t *testing.T) {
 	}
 	if max := 4*(5000*50.0/1000) + 8; float64(granted) > max {
 		t.Errorf("granted %d tokens, rate bound allows at most %.0f", granted, max)
+	}
+}
+
+// TestTokenBucketSize: the server keeps one bucket per tenant, a
+// million of them at tenant-scale's largest row, so the bucket carries
+// its class index, not a copy of the class's contract.
+func TestTokenBucketSize(t *testing.T) {
+	if n := unsafe.Sizeof(TokenBucket{}); n != 24 {
+		t.Errorf("TokenBucket is %d bytes, want 24", n)
 	}
 }

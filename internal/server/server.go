@@ -223,12 +223,6 @@ type classState struct {
 	hist      *metrics.Histogram
 }
 
-// call adapts a closure to sim.Caller so pooled records can schedule
-// events allocation-free.
-type call struct{ fn func() }
-
-func (c *call) Call() { c.fn() }
-
 // Server is the simulated front end. All methods must run on the
 // engine's goroutine; the server is event-driven and lock-free.
 type Server struct {
@@ -282,7 +276,7 @@ func New(eng *sim.Engine, dev driver.BlockDevice, cfg Config) (*Server, error) {
 		now := eng.Now()
 		for i := range s.buckets {
 			// Every tenant starts with a full bucket; the class is only
-			// known per request, so rate/burst are stamped lazily there.
+			// known per request, so the bucket is filled lazily there.
 			s.buckets[i] = TokenBucket{tokens: -1, last: now}
 		}
 	}
@@ -390,7 +384,7 @@ func (s *Server) submit(tenant, class int, write bool, blk int64, done driver.Do
 	if write {
 		bytes += len(s.wbuf)
 	}
-	s.eng.AfterCall(s.cfg.Net.DelayMS(bytes), &r.arriveC)
+	s.eng.After(s.cfg.Net.DelayMS(bytes), r.arriveFn)
 }
 
 // arrive runs admission when the request reaches the server: breaker,
@@ -407,13 +401,12 @@ func (s *Server) arrive(r *sreq) {
 	if s.buckets != nil {
 		b := &s.buckets[r.tenant]
 		if b.tokens < 0 {
-			// First sight of this tenant: stamp its class contract. A
-			// tenant's bucket keeps the contract of its first request's
-			// class (tenants do not change class mid-run).
-			c := s.classes[r.class].cfg
-			b.Rate, b.Burst, b.tokens = c.TokenRate, c.TokenBurst, c.TokenBurst
+			// First sight of this tenant: fill its bucket for its
+			// class. A tenant's bucket keeps the contract of its first
+			// request's class (tenants do not change class mid-run).
+			*b = NewTokenBucket(r.class, &s.classes[r.class].cfg, b.last)
 		}
-		if !b.Take(now) {
+		if !b.Take(now, &s.classes[b.class].cfg) {
 			if r.probe {
 				// The probe never reached the backend: free its slot so
 				// the breaker's recovery cannot deadlock on it.
@@ -471,7 +464,7 @@ func (s *Server) backendDone(r *sreq, data []byte, err error) {
 			r.attempt++
 			s.cnt.Retries++
 			s.cnt.BackoffMS += backoff
-			s.eng.AfterCall(backoff, &r.issueC)
+			s.eng.After(backoff, r.issueFn)
 			return
 		}
 	}
@@ -534,7 +527,7 @@ func (s *Server) finish(r *sreq, data []byte, err error, missed bool) {
 func (s *Server) respond(r *sreq, data []byte, err error) {
 	r.data, r.err = data, err
 	bytes := headerBytes + len(data)
-	s.eng.AfterCall(s.cfg.Net.DelayMS(bytes), &r.respondC)
+	s.eng.After(s.cfg.Net.DelayMS(bytes), r.respondFn)
 }
 
 // deliver runs on the client side: record latency for answered
@@ -573,9 +566,9 @@ type sreq struct {
 	err  error
 	done driver.DoneFunc
 
-	arriveC   call
-	issueC    call
-	respondC  call
+	arriveFn  func()
+	issueFn   func()
+	respondFn func()
 	backendCB driver.DoneFunc
 }
 
@@ -585,9 +578,9 @@ func (s *Server) getReq() *sreq {
 	r := s.free
 	if r == nil {
 		r = &sreq{s: s}
-		r.arriveC = call{fn: func() { r.s.arrive(r) }}
-		r.issueC = call{fn: func() { r.s.issue(r) }}
-		r.respondC = call{fn: func() { r.s.deliver(r) }}
+		r.arriveFn = func() { r.s.arrive(r) }
+		r.issueFn = func() { r.s.issue(r) }
+		r.respondFn = func() { r.s.deliver(r) }
 		r.backendCB = func(data []byte, err error) { r.s.backendDone(r, data, err) }
 		return r
 	}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // Rand is a deterministic pseudo-random number generator (xorshift64*).
@@ -37,7 +37,7 @@ func (r *Rand) Uint64() uint64 {
 // Float64 returns a uniform variate in [0, 1). The outer conversion
 // keeps an inlined caller from fusing the scaling into its own addition.
 func (r *Rand) Float64() float64 {
-	return float64(float64(r.Uint64()>>11) / (1 << 53))
+	return float64(unit(r.Uint64() >> 11))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -113,14 +113,32 @@ func (r *Rand) Split() *Rand {
 // theta > 1 gives the heavy skew typical of block reference streams; the
 // paper's system file system needs roughly "top 100 blocks absorb 90% of
 // requests" (Figure 5), which corresponds to theta well above 1.
+//
+// A draw costs O(1) whatever N is. Rank turns one Uint64 into the 53-bit
+// k behind Float64's u = k/2^53 and looks k's top bits up in a guide
+// table of 2^b ≥ N cells (Chen and Asau's indexed search). Cell j holds
+// the smallest rank whose cumulative probability reaches j/2^b, the
+// least u the cell can hold, so it is a lower bound on the rank of every
+// u in the cell, and cell j+1's entry is an upper bound. An upward scan
+// of the cumulative table between the two returns exactly the rank a
+// binary search for u would. With at least as many cells as ranks the
+// scan averages under one step; a cell that holds many ranks (the far
+// tail of a steep θ) is bisected down to a short scan instead.
 type Zipf struct {
-	cum []float64 // cumulative probabilities, cum[i] for rank i+1
+	cum   []float64 // cumulative probabilities, cum[i] for rank i+1
+	guide []int32   // guide[j] = first i with cum[i] >= j/2^b; guide[2^b] = N-1
+	shift uint      // 53 - b: k>>shift is k's cell
 }
 
-// NewZipf precomputes a Zipf(θ) distribution over ranks 1..n.
+// zipfScanMax is the widest rank range Rank scans linearly; a wider one
+// is bisected down to it first.
+const zipfScanMax = 8
+
+// NewZipf precomputes a Zipf(θ) distribution over ranks 1..n, and its
+// guide table in O(n).
 func NewZipf(n int, theta float64) *Zipf {
-	if n <= 0 {
-		panic("sim: Zipf with non-positive n")
+	if n <= 0 || n > math.MaxInt32 {
+		panic("sim: Zipf needs 1 <= n <= MaxInt32")
 	}
 	cum := make([]float64, n)
 	var total float64
@@ -132,16 +150,50 @@ func NewZipf(n int, theta float64) *Zipf {
 		cum[i] /= total
 	}
 	cum[n-1] = 1 // guard against rounding
-	return &Zipf{cum: cum}
+	b := bits.Len(uint(n - 1))
+	z := &Zipf{cum: cum, guide: make([]int32, 1<<b+1), shift: uint(53 - b)}
+	i := 0
+	for j := range 1 << b {
+		// cum[n-1] = 1 exceeds every cell start, so i stays below n.
+		for cum[i] < unit(uint64(j)<<z.shift) {
+			i++
+		}
+		z.guide[j] = int32(i)
+	}
+	z.guide[1<<b] = int32(n - 1)
+	return z
 }
+
+// unit maps a 53-bit k to [0, 1) exactly as Float64 does.
+func unit(k uint64) float64 { return float64(k) / (1 << 53) }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cum) }
 
-// Rank draws a rank in [0, N) (0 is the most popular).
-func (z *Zipf) Rank(r *Rand) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(z.cum, u)
+// Rank draws a rank in [0, N) (0 is the most popular). It consumes one
+// Uint64 and returns sort.SearchFloat64s(cum, u) for the u that Float64
+// would have drawn.
+func (z *Zipf) Rank(r *Rand) int { return z.rank(r.Uint64() >> 11) }
+
+// rank returns the rank of the 53-bit draw k: the first i with
+// cum[i] >= k/2^53, which lies between the guide entries of k's cell
+// and of the next cell.
+func (z *Zipf) rank(k uint64) int {
+	u := unit(k)
+	c := k >> z.shift
+	i, j := int(z.guide[c]), int(z.guide[c+1])
+	for j-i > zipfScanMax {
+		h := int(uint(i+j) >> 1)
+		if z.cum[h] < u {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	for z.cum[i] < u {
+		i++
+	}
+	return i
 }
 
 // Prob returns the probability of rank i (0-based).

@@ -7,13 +7,21 @@
 // the paper's measurements.
 //
 // The event queue is engineered for the hot path: an inlined 4-ary
-// min-heap over a reusable backing slice (no container/heap, so no
-// per-Push boxing of events into interface values), a FIFO lane beside
-// it for events due at the current instant (most events of a cached
-// file system: they never enter the heap), and a Caller-based
-// scheduling variant (AtCall/AfterCall) that lets long-lived request
-// records schedule their own completion without allocating a closure
-// per event. Steady-state scheduling performs zero allocations.
+// min-heap of 32-byte entries over a reusable backing slice (no
+// container/heap, so no per-Push boxing of events into interface
+// values), a FIFO lane beside it for events due at the current instant
+// (most events of a cached file system: they never enter the heap), and
+// a Caller-based scheduling variant (AtCall/AfterCall) that lets
+// long-lived request records schedule their own completion without
+// allocating a closure per event. Every event is one Caller: a func()
+// is stored as a funcCall, which is pointer-shaped and so boxes into
+// the interface without allocating. Steady-state scheduling performs
+// zero allocations.
+//
+// Zipf draws a rank in O(1) from one Uint64: the top bits of the draw
+// index a guide table that holds, per cell, the first rank the cell can
+// return, and a short upward scan of the cumulative table from there
+// gives exactly the rank a binary search would.
 package sim
 
 // Caller is a pre-allocated event callback: scheduling a Caller with
@@ -26,19 +34,21 @@ type Caller interface {
 	Call()
 }
 
-// action is what an event runs. Exactly one of fn and call is set.
-type action struct {
-	fn   func()
-	call Caller
-}
+// funcCall adapts a func() to Caller. A func value is pointer-shaped,
+// so converting one to a Caller stores it in the interface word itself
+// and allocates nothing.
+type funcCall func()
 
-// event is one heap entry. Events with equal times fire in scheduling
-// (seq) order, which is what makes simulations deterministic and
-// byte-for-bit reproducible.
+// Call implements Caller.
+func (f funcCall) Call() { f() }
+
+// event is one heap entry, 32 bytes. Events with equal times fire in
+// scheduling (seq) order, which is what makes simulations deterministic
+// and byte-for-bit reproducible.
 type event struct {
 	time float64
 	seq  int64
-	action
+	call Caller
 }
 
 // Engine is a discrete-event simulator. Events scheduled at the same
@@ -58,7 +68,7 @@ type Engine struct {
 	now       float64
 	seq       int64
 	heap      []event  // 4-ary min-heap ordered by (time, seq); every time ≥ now
-	lane      []action // ring of the events due at now, oldest at laneHead; len is a power of two
+	lane      []Caller // ring of the events due at now, oldest at laneHead; len is a power of two
 	laneHead  int
 	laneLen   int
 	stopped   bool
@@ -108,7 +118,7 @@ func (e *Engine) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release fn/call for the GC
+	h[n] = event{} // release the callback for the GC
 	h = h[:n]
 	e.heap = h
 	// Sift the relocated root down.
@@ -151,57 +161,57 @@ func less(a, b *event) bool {
 //
 //go:noinline
 func (e *Engine) growLane() {
-	grown := make([]action, max(laneMinCap, 2*len(e.lane)))
+	grown := make([]Caller, max(laneMinCap, 2*len(e.lane)))
 	n := copy(grown, e.lane[e.laneHead:])
 	copy(grown[n:], e.lane[:e.laneHead])
 	e.lane, e.laneHead = grown, 0
 }
 
-// pushLane appends a to the lane.
-func (e *Engine) pushLane(a action) {
+// pushLane appends c to the lane.
+func (e *Engine) pushLane(c Caller) {
 	if e.laneLen == len(e.lane) {
 		e.growLane()
 	}
-	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = a
+	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = c
 	e.laneLen++
 }
 
 // popLane removes and returns the oldest lane entry.
-func (e *Engine) popLane() action {
-	a := e.lane[e.laneHead]
-	e.lane[e.laneHead] = action{} // release fn/call for the GC
+func (e *Engine) popLane() Caller {
+	c := e.lane[e.laneHead]
+	e.lane[e.laneHead] = nil // release the callback for the GC
 	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
 	e.laneLen--
-	return a
+	return c
 }
 
 // schedule enqueues the event: on the lane when it is due now (a time
 // in the past is clamped to the present), stamped on the heap otherwise.
-func (e *Engine) schedule(t float64, fn func(), call Caller) {
+func (e *Engine) schedule(t float64, c Caller) {
 	if t <= e.now {
-		e.pushLane(action{fn: fn, call: call})
+		e.pushLane(c)
 		return
 	}
 	e.seq++
-	e.push(event{time: t, seq: e.seq, action: action{fn: fn, call: call}})
+	e.push(event{time: t, seq: e.seq, call: c})
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past runs
 // the event at the current time.
-func (e *Engine) At(t float64, fn func()) { e.schedule(t, fn, nil) }
+func (e *Engine) At(t float64, fn func()) { e.schedule(t, funcCall(fn)) }
 
 // After schedules fn to run d milliseconds from now. The conversion
 // rounds d, so a caller's product is never fused into this addition.
-func (e *Engine) After(d float64, fn func()) { e.schedule(e.now+float64(d), fn, nil) }
+func (e *Engine) After(d float64, fn func()) { e.schedule(e.now+float64(d), funcCall(fn)) }
 
-// AtCall schedules c.Call to run at absolute time t. It is the
-// allocation-free variant of At: the queue stores c's interface value
-// directly, so callers holding a long-lived record (a pooled request, a
-// daemon) schedule with zero allocations.
-func (e *Engine) AtCall(t float64, c Caller) { e.schedule(t, nil, c) }
+// AtCall schedules c.Call to run at absolute time t. Like At it
+// allocates nothing in steady state; a caller holding a long-lived
+// record (a pooled request, a daemon) schedules the record itself and
+// so needs no closure either.
+func (e *Engine) AtCall(t float64, c Caller) { e.schedule(t, c) }
 
 // AfterCall schedules c.Call to run d milliseconds from now.
-func (e *Engine) AfterCall(d float64, c Caller) { e.schedule(e.now+d, nil, c) }
+func (e *Engine) AfterCall(d float64, c Caller) { e.schedule(e.now+d, c) }
 
 // Every schedules fn to run every period milliseconds, first at
 // now+period, until the returned cancel function is called. Periodic
@@ -263,15 +273,6 @@ func (e *Engine) interrupted() bool {
 	return e.dispatch%interruptStride == 0 && e.interrupt != nil && e.interrupt()
 }
 
-// fire dispatches one dequeued event.
-func (a *action) fire() {
-	if a.call != nil {
-		a.call.Call()
-		return
-	}
-	a.fn()
-}
-
 // drainNow fires everything due at the current instant: heap entries
 // first (they were scheduled before the clock got here, so they precede
 // the whole lane), then the lane in order, until the lane is empty or
@@ -279,11 +280,9 @@ func (a *action) fire() {
 func (e *Engine) drainNow() bool {
 	for e.laneLen > 0 && !e.stopped {
 		if len(e.heap) > 0 && e.heap[0].time <= e.now {
-			ev := e.pop()
-			ev.fire()
+			e.pop().call.Call()
 		} else {
-			a := e.popLane()
-			a.fire()
+			e.popLane().Call()
 		}
 		if e.interrupted() {
 			return false
@@ -308,7 +307,7 @@ func (e *Engine) Run() {
 	for len(e.heap) > 0 && !e.stopped {
 		ev := e.pop()
 		e.now = ev.time
-		ev.fire()
+		ev.call.Call()
 		if e.interrupted() || (e.laneLen > 0 && !e.drainNow()) {
 			break
 		}
@@ -330,7 +329,7 @@ func (e *Engine) RunUntil(t float64) {
 		}
 		ev := e.pop()
 		e.now = ev.time
-		ev.fire()
+		ev.call.Call()
 		if e.interrupted() || (e.laneLen > 0 && !e.drainNow()) {
 			return
 		}

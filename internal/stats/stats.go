@@ -161,26 +161,34 @@ func (h *TimeHist) Reset() {
 }
 
 // DistHist is a seek-distance distribution: counts of seeks by distance
-// in cylinders.
+// in cylinders. The counts are dense, indexed by distance: a distance is
+// bounded by the disk's cylinder count, so the slice stops growing after
+// the first long seeks and Add is an indexed increment.
 type DistHist struct {
-	counts map[int]int64
+	counts []int64 // counts[d] seeks of d cylinders
 	n      int64
 	sum    int64
 }
 
 // NewDistHist returns an empty seek-distance histogram.
-func NewDistHist() *DistHist {
-	return &DistHist{counts: make(map[int]int64)}
-}
+func NewDistHist() *DistHist { return &DistHist{} }
 
 // Add records one seek of distance d cylinders (|d| is used).
 func (h *DistHist) Add(d int) {
 	if d < 0 {
 		d = -d
 	}
+	if d >= len(h.counts) {
+		h.grow(d + 1)
+	}
 	h.counts[d]++
 	h.n++
 	h.sum += int64(d)
+}
+
+// grow extends counts to n distances, keeping Add's common path small.
+func (h *DistHist) grow(n int) {
+	h.counts = append(h.counts, make([]int64, n-len(h.counts))...)
 }
 
 // Count returns the number of seeks recorded.
@@ -204,16 +212,29 @@ func (h *DistHist) ZeroFrac() float64 {
 
 // MeanSeekMS applies a seek-time curve to the distance distribution and
 // returns the mean seek time in milliseconds. This is how the paper
-// derives all of its reported seek times (Section 5.2).
+// derives all of its reported seek times (Section 5.2). The sum runs in
+// ascending distance order, so the result is reproducible to the bit.
 func (h *DistHist) MeanSeekMS(c seek.Curve) float64 {
-	return seek.MeanMS(c, h.counts)
+	if h.n == 0 {
+		return 0
+	}
+	var sum float64
+	for d, cnt := range h.counts {
+		if cnt > 0 {
+			sum += float64(float64(cnt) * c.SeekMS(d))
+		}
+	}
+	return sum / float64(h.n)
 }
 
-// Histogram returns a copy of the raw distance counts.
+// Histogram returns a copy of the raw distance counts, one key per
+// distance seen.
 func (h *DistHist) Histogram() map[int]int64 {
-	out := make(map[int]int64, len(h.counts))
+	out := make(map[int]int64)
 	for d, c := range h.counts {
-		out[d] = c
+		if c > 0 {
+			out[d] = c
+		}
 	}
 	return out
 }
@@ -223,6 +244,9 @@ func (h *DistHist) Merge(other *DistHist) {
 	if other == nil {
 		return
 	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
+	}
 	for d, c := range other.counts {
 		h.counts[d] += c
 	}
@@ -230,9 +254,9 @@ func (h *DistHist) Merge(other *DistHist) {
 	h.sum += other.sum
 }
 
-// Reset clears the histogram.
+// Reset clears the histogram, keeping its capacity.
 func (h *DistHist) Reset() {
-	h.counts = make(map[int]int64)
+	clear(h.counts)
 	h.n, h.sum = 0, 0
 }
 

@@ -2,10 +2,12 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/seek"
+	"repro/internal/sim"
 )
 
 func TestTimeHistMean(t *testing.T) {
@@ -177,6 +179,151 @@ func TestDistHistMergeHistogram(t *testing.T) {
 	hist[1] = 99
 	if a.Histogram()[1] != 2 {
 		t.Error("Histogram exposed internal state")
+	}
+}
+
+// meanMS is the reference for DistHist.MeanSeekMS: the mean seek time
+// of curve c over a distance histogram (hist[d] seeks of distance d),
+// summed in sorted distance order, or 0 for an empty histogram.
+func meanMS(c seek.Curve, hist map[int]int64) float64 {
+	keys := make([]int, 0, len(hist))
+	for d := range hist {
+		keys = append(keys, d)
+	}
+	sort.Ints(keys)
+	var n int64
+	var sum float64
+	for _, d := range keys {
+		cnt := hist[d]
+		if cnt <= 0 {
+			continue
+		}
+		n += cnt
+		sum += float64(float64(cnt) * c.SeekMS(d))
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+func TestMeanMS(t *testing.T) {
+	l := seek.Linear{StartupMS: 1, PerCylMS: 1}
+	hist := map[int]int64{0: 2, 1: 1, 3: 1} // times: 0,0,2,4 -> mean 1.5
+	if got := meanMS(l, hist); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("MeanMS = %v, want 1.5", got)
+	}
+}
+
+func TestMeanMSEmpty(t *testing.T) {
+	if got := meanMS(seek.ToshibaMK156F, nil); got != 0 {
+		t.Errorf("meanMS(empty) = %v, want 0", got)
+	}
+	if got := meanMS(seek.ToshibaMK156F, map[int]int64{5: 0, 7: -2}); got != 0 {
+		t.Errorf("meanMS(non-positive counts) = %v, want 0", got)
+	}
+}
+
+func TestMeanMSProperty(t *testing.T) {
+	// The mean over any distribution lies between min and max curve
+	// values over the support.
+	f := func(ds [8]uint16, counts [8]uint8) bool {
+		hist := map[int]int64{}
+		for i, d := range ds {
+			if counts[i] == 0 {
+				continue
+			}
+			hist[int(d%815)] += int64(counts[i])
+		}
+		if len(hist) == 0 {
+			return meanMS(seek.ToshibaMK156F, hist) == 0
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for d := range hist {
+			v := seek.ToshibaMK156F.SeekMS(d)
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		m := meanMS(seek.ToshibaMK156F, hist)
+		return m >= lo-1e-9 && m <= hi+1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// seekStream adds n seeks of up to maxDist cylinders, in either
+// direction, to h.
+func seekStream(h *DistHist, rnd *sim.Rand, n, maxDist int) {
+	for i := 0; i < n; i++ {
+		d := rnd.Intn(maxDist + 1)
+		if rnd.Bool(0.3) {
+			d = 0 // the rearranged layout's share of zero-length seeks
+		}
+		if rnd.Bool(0.5) {
+			d = -d
+		}
+		h.Add(d)
+	}
+}
+
+// TestDistHistMeanSeekMSBitEqual holds the dense histogram's seek mean
+// to the reference over its Histogram, to the bit: on random streams,
+// after merging histograms of unequal length in both directions, and
+// after a Reset.
+func TestDistHistMeanSeekMSBitEqual(t *testing.T) {
+	curves := []seek.Curve{seek.ToshibaMK156F, seek.FujitsuM2266}
+	check := func(what string, h *DistHist) {
+		t.Helper()
+		for _, c := range curves {
+			if got, want := h.MeanSeekMS(c), meanMS(c, h.Histogram()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MeanSeekMS = %v, reference %v", what, got, want)
+			}
+		}
+	}
+	rnd := sim.NewRand(0x5EEC)
+	for trial := 0; trial < 50; trial++ {
+		short, long := NewDistHist(), NewDistHist()
+		seekStream(short, rnd, 1+rnd.Intn(500), 1+rnd.Intn(60))
+		seekStream(long, rnd, 1+rnd.Intn(5000), 200+rnd.Intn(2000))
+		check("short stream", short)
+		check("long stream", long)
+
+		grown, kept := NewDistHist(), NewDistHist()
+		grown.Merge(short)
+		grown.Merge(long) // grows to long's length
+		kept.Merge(long)
+		kept.Merge(short) // already longer than short
+		check("short+long", grown)
+		check("long+short", kept)
+		kh := kept.Histogram()
+		for d, c := range grown.Histogram() {
+			if kh[d] != c {
+				t.Fatalf("distance %d: %d seeks merged one way, %d the other", d, c, kh[d])
+			}
+		}
+		if grown.Count() != short.Count()+long.Count() || grown.MeanDist() != kept.MeanDist() {
+			t.Fatalf("merge: count %d, want %d", grown.Count(), short.Count()+long.Count())
+		}
+
+		grown.Reset()
+		check("reset", grown)
+		seekStream(grown, rnd, 1+rnd.Intn(500), 1+rnd.Intn(60))
+		check("after reset", grown)
+	}
+}
+
+// TestDistHistAddZeroAllocs: once the counts cover the disk's distances,
+// recording a seek is an indexed increment.
+func TestDistHistAddZeroAllocs(t *testing.T) {
+	h := NewDistHist()
+	h.Add(1500)
+	d := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Add(d % 1501)
+		d += 37
+	}); n != 0 {
+		t.Errorf("Add: %v allocs per seek, want 0", n)
 	}
 }
 
