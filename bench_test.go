@@ -231,8 +231,7 @@ func BenchmarkFigure4ServiceCDF(b *testing.B) {
 func BenchmarkFigure5AccessDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runs := gather(b, experiment.NeedSystem, benchOpts())
-		offs := named(b, runs, "toshiba").OffDays()
-		dist := offs[len(offs)-1].AccessDist
+		dist := named(b, runs, "toshiba").AccessDist
 		b.ReportMetric(share(dist, 100), "top100_frac")
 		b.ReportMetric(float64(len(dist)), "distinctBlocks")
 	}
@@ -256,8 +255,7 @@ func BenchmarkFigure6UsersCDF(b *testing.B) {
 func BenchmarkFigure7UsersAccessDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runs := gather(b, experiment.NeedUsers, benchOpts())
-		offs := named(b, runs, "toshiba").OffDays()
-		dist := offs[len(offs)-1].AccessDist
+		dist := named(b, runs, "toshiba").AccessDist
 		b.ReportMetric(share(dist, 100), "top100_frac")
 		b.ReportMetric(float64(len(dist)), "distinctBlocks")
 	}

@@ -77,9 +77,14 @@ type Cache struct {
 	outside map[int64]int32
 
 	// In-flight block reads, so concurrent misses on one block issue a
-	// single disk request. Finished records wait on freeMiss.
-	inflight map[int64]*miss
+	// single disk request, in no particular order. The list is short —
+	// about one read on the paper's rows, a few dozen at most under
+	// volume-scale's 48 clients — so a scan costs less than hashing.
+	// Finished records wait on freeMiss.
+	inflight []*miss
 	freeMiss *miss
+	// freeBatch heads the pool of write batches (see batch).
+	freeBatch *batch
 
 	syncing bool
 	syncSeq int
@@ -163,6 +168,7 @@ type miss struct {
 	c       *Cache
 	next    *miss
 	block   int64
+	at      int // index in c.inflight
 	waiters []func([]byte, error)
 	filled  driver.DoneFunc
 }
@@ -183,14 +189,13 @@ func New(eng *sim.Engine, drv driver.BlockDevice, part int, cfg Config) *Cache {
 		blocks = p.Size / int64(drv.BlockSize().Sectors())
 	}
 	return &Cache{
-		eng:      eng,
-		drv:      drv,
-		part:     part,
-		cfg:      cfg,
-		rnd:      sim.NewRand(cfg.Seed ^ 0xCAC4E),
-		slab:     make([]entry, 1), // the sentinel, linked to itself
-		index:    make([]int32, blocks),
-		inflight: make(map[int64]*miss),
+		eng:   eng,
+		drv:   drv,
+		part:  part,
+		cfg:   cfg,
+		rnd:   sim.NewRand(cfg.Seed ^ 0xCAC4E),
+		slab:  make([]entry, 1), // the sentinel, linked to itself
+		index: make([]int32, blocks),
 	}
 }
 
@@ -276,17 +281,17 @@ func (c *Cache) remove(s int32) {
 	c.n--
 }
 
-// applyPressure drops a random fraction of the clean cached blocks.
+// applyPressure drops a random fraction of the clean cached blocks. It
+// walks the recency list from the most recent end and removes each
+// victim as it passes it, so the draws and the freed slots come in the
+// list's order.
 func (c *Cache) applyPressure() {
-	var victims []int64
-	for s := c.slab[0].next; s != 0; s = c.slab[s].next {
-		e := &c.slab[s]
-		if !e.dirty && c.rnd.Bool(c.cfg.PressureFrac) {
-			victims = append(victims, e.block)
+	for s := c.slab[0].next; s != 0; {
+		next := c.slab[s].next
+		if !c.slab[s].dirty && c.rnd.Bool(c.cfg.PressureFrac) {
+			c.remove(s)
 		}
-	}
-	for _, b := range victims {
-		c.Invalidate(b)
+		s = next
 	}
 }
 
@@ -324,9 +329,11 @@ func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 		return
 	}
 	c.misses++
-	if m := c.inflight[block]; m != nil {
-		m.waiters = append(m.waiters, done)
-		return
+	for _, m := range c.inflight {
+		if m.block == block {
+			m.waiters = append(m.waiters, done)
+			return
+		}
 	}
 	m := c.freeMiss
 	if m == nil {
@@ -335,16 +342,20 @@ func (c *Cache) Read(block int64, done func(data []byte, err error)) {
 	} else {
 		c.freeMiss = m.next
 	}
-	m.block = block
+	m.block, m.at = block, len(c.inflight)
 	m.waiters = append(m.waiters, done)
-	c.inflight[block] = m
+	c.inflight = append(c.inflight, m)
 	c.drv.ReadBlock(c.part, block, m.filled)
 }
 
 // complete installs what the device read and hands it to the waiters.
 func (m *miss) complete(data []byte, err error) {
 	c, block := m.c, m.block
-	delete(c.inflight, block)
+	last := len(c.inflight) - 1
+	moved := c.inflight[last]
+	c.inflight[m.at], moved.at = moved, m.at
+	c.inflight[last] = nil
+	c.inflight = c.inflight[:last]
 	if err == nil {
 		if s := c.slot(block); s != 0 {
 			// Written while the read was in flight: the cache's
@@ -396,11 +407,7 @@ func (c *Cache) WriteThroughOwned(block int64, data []byte, done func(err error)
 	}
 	c.install(block, data, false)
 	c.writebacks++
-	c.drv.WriteBlock(c.part, block, data, func(_ []byte, err error) {
-		if done != nil {
-			done(err)
-		}
-	})
+	c.drv.WriteBlock(c.part, block, data, c.getBatch(1, done).written)
 }
 
 // wrongSize reports whether data is not exactly one block long, in
@@ -485,8 +492,7 @@ func (c *Cache) Sync(done func(err error)) {
 		c.deliverWrite(done)
 		return
 	}
-	remaining := c.ndirty
-	var firstErr error
+	b := c.getBatch(c.ndirty, done)
 	for s := c.slab[0].dnext; s != 0; {
 		e := &c.slab[s]
 		next := e.dnext
@@ -494,15 +500,50 @@ func (c *Cache) Sync(done func(err error)) {
 		e.dirty = false
 		s = next
 		c.writebacks++
-		c.drv.WriteBlock(c.part, e.block, e.data, func(_ []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(firstErr)
-			}
-		})
+		c.drv.WriteBlock(c.part, e.block, e.data, b.written)
+	}
+}
+
+// batch is a set of device writes in flight — a Sync's write-backs, or
+// a write-through's one write — and the callback that follows the last
+// of them. Records are pooled like misses, with the device completion
+// built once, so neither costs anything per block.
+type batch struct {
+	c         *Cache
+	next      *batch
+	remaining int
+	firstErr  error
+	done      func(error)
+	written   driver.DoneFunc
+}
+
+// getBatch pops a batch record off the pool for n writes and done.
+func (c *Cache) getBatch(n int, done func(error)) *batch {
+	b := c.freeBatch
+	if b == nil {
+		b = &batch{c: c}
+		b.written = b.complete
+	} else {
+		c.freeBatch = b.next
+	}
+	b.remaining, b.done = n, done
+	return b
+}
+
+// complete counts one write; the last returns the record to the pool
+// and calls done with the first error.
+func (b *batch) complete(_ []byte, err error) {
+	if err != nil && b.firstErr == nil {
+		b.firstErr = err
+	}
+	if b.remaining--; b.remaining > 0 {
+		return
+	}
+	c, done, err := b.c, b.done, b.firstErr
+	b.done, b.firstErr = nil, nil
+	b.next, c.freeBatch = c.freeBatch, b
+	if done != nil {
+		done(err)
 	}
 }
 

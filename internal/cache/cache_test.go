@@ -450,6 +450,64 @@ func TestDeferredWriteZeroAllocs(t *testing.T) {
 	}
 }
 
+// A write-through's completion adapter is a pooled record, so once the
+// block's page is in the store a steady stream of them allocates
+// nothing.
+func TestWriteThroughZeroAllocs(t *testing.T) {
+	r, c := newRig(t)
+	data := block(r, 0xA7)
+	next := int64(0)
+	done := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := func() {
+		next = (next + 1) % 4
+		c.WriteThroughOwned(next, data, done)
+		r.Eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("write-through round trip: %v allocs, want 0", n)
+	}
+}
+
+// A Sync takes one pooled record for all its write-backs, not one
+// callback per dirty block: over a warm dirty list it allocates nothing,
+// however many blocks are dirty.
+func TestSyncZeroAllocs(t *testing.T) {
+	for _, dirty := range []int64{1, 4, 8} {
+		r, c := newRig(t) // 8 blocks
+		data := block(r, 0x3C)
+		var synced int
+		done := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			synced++
+		}
+		op := func() {
+			for b := int64(0); b < dirty; b++ {
+				c.WriteOwned(b, data, nil)
+			}
+			c.Sync(done)
+			r.Eng.Run()
+		}
+		for i := 0; i < 16; i++ {
+			op()
+		}
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("Sync of %d dirty blocks: %v allocs, want 0", dirty, n)
+		}
+		if synced != 16+101 {
+			t.Errorf("Sync of %d dirty blocks: done fired %d times, want %d", dirty, synced, 16+101)
+		}
+	}
+}
+
 // One buffer handed to WriteOwned and WriteThroughOwned for several
 // blocks, over and over, as the file system does with an inode-block
 // image: the cache and everything beneath it may only read it. Checked

@@ -97,24 +97,30 @@ func (t Timing) TotalMS() float64 {
 	return t.OverheadMS + t.SeekMS + t.RotMS + t.TransferMS
 }
 
-// pageSectors sizes the sparse store pages: 16 sectors = 8 KB per page,
-// one file system block.
+// pageSectors sizes the store's pages: 16 sectors = 8 KB per page, one
+// file system block. chunkPages sizes the chunks of the page table: 256
+// slots of 16 bytes, one 4 KB chunk, allocated on the first write that
+// materializes a page in it.
 const (
 	pageSectors = 16
 	pageBytes   = pageSectors * geom.SectorSize
+	chunkPages  = 256
 )
 
-// page is one page of the sparse store: b is pageBytes long. shared
-// marks a page that is not the store's alone — it was lent to a reader,
-// or it is a writer's payload kept as it was handed over — so it is
-// never written in place again: a write that changes part of it
-// replaces it with a copy. The bit lives here, beside the slice, so the
-// page stays exactly 8 KB; and a read lends b without touching the
-// page's memory.
+// page is one slot of the store: b is the page's bytes, nil while the
+// page is not materialized (it reads as zeros). shared marks a page that
+// is not the store's alone — it was lent to a reader, or it is a
+// writer's payload kept as it was handed over — so it is never written
+// in place again: a write that changes part of it replaces it with a
+// copy. The bit lives here, beside the pointer, so the page stays
+// exactly 8 KB; and a read lends b without touching the page's memory.
 type page struct {
-	b      []byte
+	b      *[pageBytes]byte
 	shared bool
 }
+
+// chunk is one fixed run of the page table.
+type chunk [chunkPages]page
 
 // Disk is a single disk drive instance with mechanical state (head
 // position, rotation) and sparse data storage.
@@ -130,7 +136,11 @@ type Disk struct {
 	seekMS   *seek.Table
 	oneCylMS float64
 
-	pages map[int64]page // sparse sector storage, keyed by sector/pageSectors
+	// chunks is the page table of the sector store, a two-level table
+	// indexed by page number (sector/pageSectors): chunk key/chunkPages,
+	// slot key%chunkPages. A chunk stays nil until a write materializes a
+	// page in it, so an untouched 2 MB of the disk costs one nil pointer.
+	chunks []*chunk
 
 	// Read-ahead buffer state: the half-open sector range currently held
 	// in the drive buffer, and the time at which read-ahead stopped
@@ -161,9 +171,10 @@ func New(m Model) (*Disk, error) {
 	if m.Seek == nil {
 		return nil, fmt.Errorf("disk: model %q has no seek curve", m.Name)
 	}
+	pages := (m.Geom.TotalSectors() + pageSectors - 1) / pageSectors
 	d := &Disk{
-		model: m,
-		pages: make(map[int64]page),
+		model:  m,
+		chunks: make([]*chunk, (pages+chunkPages-1)/chunkPages),
 	}
 	d.seekMS = seek.NewTable(m.Seek, m.Geom.Cylinders-1)
 	d.oneCylMS = d.seekMS.SeekMS(1)
@@ -423,6 +434,28 @@ func pageRun(sector int64, count int) (key int64, off, n int) {
 	return key, in * geom.SectorSize, n
 }
 
+// slot returns the store's slot for page key, or nil if no page of its
+// chunk was ever materialized (or key is past the disk's end).
+func (d *Disk) slot(key int64) *page {
+	if i := key / chunkPages; uint64(i) < uint64(len(d.chunks)) {
+		if c := d.chunks[i]; c != nil {
+			return &c[key%chunkPages]
+		}
+	}
+	return nil
+}
+
+// slotAlloc returns the store's slot for page key, allocating its chunk
+// if need be. key must be on the disk.
+func (d *Disk) slotAlloc(key int64) *page {
+	c := d.chunks[key/chunkPages]
+	if c == nil {
+		c = new(chunk)
+		d.chunks[key/chunkPages] = c
+	}
+	return &c[key%chunkPages]
+}
+
 // lend returns count sectors of stored data starting at sector for Read.
 // One whole page is lent as it is — the page itself, marked shared, or
 // the zero page if it was never materialized — and anything else is
@@ -431,16 +464,15 @@ func (d *Disk) lend(sector int64, count int) []byte {
 	if count != pageSectors || sector%pageSectors != 0 {
 		return d.readData(sector, count)
 	}
-	key := sector / pageSectors
-	p, ok := d.pages[key]
-	if !ok {
+	p := d.slot(sector / pageSectors)
+	if p == nil || p.b == nil {
 		return zeroPage[:]
 	}
-	if !p.shared {
-		p.shared = true
-		d.pages[key] = p
-	}
-	return p.b
+	// Slicing b, known non-nil, needs no nil check: that check would
+	// load the page's first byte, a cache miss lending never needs.
+	b := p.b
+	p.shared = true
+	return b[:]
 }
 
 // readData copies count sectors of stored data starting at sector into
@@ -450,7 +482,7 @@ func (d *Disk) readData(sector int64, count int) []byte {
 	for rest := out; count > 0; {
 		key, off, n := pageRun(sector, count)
 		run := rest[:n*geom.SectorSize]
-		if p, ok := d.pages[key]; ok {
+		if p := d.slot(key); p != nil && p.b != nil {
 			copy(run, p.b[off:])
 		}
 		rest, sector, count = rest[len(run):], sector+int64(n), count-n
@@ -459,42 +491,43 @@ func (d *Disk) readData(sector int64, count int) []byte {
 }
 
 // writeData stores data starting at sector, one page run at a time,
-// allocating pages as needed. Writing zeros to a page that was never
-// materialized is a no-op: the store is sparse and unwritten sectors
-// already read as zeros, so a whole-device pass (a RAID rebuild copying
-// a mostly empty member onto a spare) does not materialize the empty
-// regions. With keep, a run that covers a whole page becomes the page,
-// shared with the writer; every other run is copied, into a copy of the
-// page if the page is shared.
+// materializing pages (and their chunks) as needed. Writing zeros to a
+// page that was never materialized is a no-op: unwritten sectors already
+// read as zeros, so a whole-device pass (a RAID rebuild copying a mostly
+// empty member onto a spare) materializes nothing in the empty regions.
+// With keep, a run that covers a whole page becomes the page, shared
+// with the writer; every other run is copied, into a copy of the page if
+// the page is shared.
 func (d *Disk) writeData(sector int64, data []byte, keep bool) {
 	for count := len(data) / geom.SectorSize; count > 0; {
 		key, off, n := pageRun(sector, count)
 		run := data[:n*geom.SectorSize]
 		data, sector, count = data[len(run):], sector+int64(n), count-n
-		p, ok := d.pages[key]
-		if !ok && bytes.Equal(run, zeroPage[:len(run)]) {
+		p := d.slot(key)
+		if (p == nil || p.b == nil) && bytes.Equal(run, zeroPage[:len(run)]) {
 			continue
+		}
+		if p == nil {
+			p = d.slotAlloc(key)
 		}
 		switch {
 		case keep && n == pageSectors:
-			d.pages[key] = page{b: run[:pageBytes:pageBytes], shared: true}
+			*p = page{b: (*[pageBytes]byte)(run), shared: true}
 			continue
-		case !ok:
-			p = page{b: make([]byte, pageBytes)}
-			d.pages[key] = p
+		case p.b == nil:
+			p.b = new([pageBytes]byte)
 		case p.shared:
-			p = d.unshare(key, p)
+			p.unshare()
 		}
 		copy(p.b[off:], run)
 	}
 }
 
-// unshare replaces the shared page at key with a private copy and
-// returns it.
-func (d *Disk) unshare(key int64, p page) page {
-	p = page{b: bytes.Clone(p.b)}
-	d.pages[key] = p
-	return p
+// unshare replaces the shared page with a private copy.
+func (p *page) unshare() {
+	b := new([pageBytes]byte)
+	*b = *p.b
+	*p = page{b: b}
 }
 
 // zeroData stores count sectors of zeros starting at sector. A page
@@ -505,14 +538,14 @@ func (d *Disk) zeroData(sector int64, count int) {
 	for count > 0 {
 		key, off, n := pageRun(sector, count)
 		sector, count = sector+int64(n), count-n
-		p, ok := d.pages[key]
+		p := d.slot(key)
 		switch {
-		case !ok:
+		case p == nil || p.b == nil:
 		case n == pageSectors:
-			delete(d.pages, key)
+			*p = page{}
 		default:
 			if p.shared {
-				p = d.unshare(key, p)
+				p.unshare()
 			}
 			clear(p.b[off : off+n*geom.SectorSize])
 		}

@@ -172,7 +172,7 @@ func TestShortPayloadZeroesTail(t *testing.T) {
 			}
 			var pages []int64
 			for key := int64(10); key <= 13; key++ {
-				if _, ok := d.pages[key]; ok {
+				if d.materialized(key) {
 					pages = append(pages, key)
 				}
 			}

@@ -10,6 +10,38 @@ import (
 	"repro/internal/geom"
 )
 
+// materialized reports whether the store holds page key.
+func (d *Disk) materialized(key int64) bool {
+	p := d.slot(key)
+	return p != nil && p.b != nil
+}
+
+// pageCount returns how many pages the store holds.
+func (d *Disk) pageCount() int {
+	n := 0
+	for _, c := range d.chunks {
+		if c != nil {
+			for i := range c {
+				if c[i].b != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// chunkCount returns how many chunks of the page table are allocated.
+func (d *Disk) chunkCount() int {
+	n := 0
+	for _, c := range d.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // refStore is the naive reference for the sparse store: one map entry
 // per written sector, and the set of pages the real store must have
 // materialized — a page exists once a non-zero sector was stored in it.
@@ -81,8 +113,10 @@ type held struct {
 // storeProgram runs a program of up to ops store operations against the
 // per-sector reference, its choices drawn from choose (one of n; false
 // once the choices have run out, which ends the program — the step that
-// asked completes with zeros), over a span of pages small enough that
-// ranges overlap often:
+// asked completes with zeros), each in one of two windows of the disk
+// small enough that ranges overlap often — forty pages straddling the
+// boundary between the page table's first two chunks, and the disk's
+// last forty pages, the last of them partial:
 //
 //   - a write of any range, copied, its payload the whole extent or a
 //     head of it with the rest to be zeroed (which drops or clears the
@@ -100,8 +134,16 @@ type held struct {
 // when made, the final sweep must match it, and the store must have
 // materialized the same pages.
 func storeProgram(t *testing.T, ops int, choose func(n int) (int, bool)) {
-	const span = 40 * pageSectors
 	d := MustNew(Toshiba())
+	total := d.Geom().TotalSectors()
+	lastPage := (total - 1) / pageSectors
+	windows := []struct {
+		base int64
+		span int // sectors
+	}{
+		{(chunkPages - 20) * pageSectors, 40 * pageSectors},
+		{(lastPage - 39) * pageSectors, int(total - (lastPage-39)*pageSectors)},
+	}
 	ref := newRefStore()
 	var keep []held
 	over := false
@@ -136,8 +178,10 @@ func storeProgram(t *testing.T, ops int, choose func(n int) (int, bool)) {
 		return data
 	}
 	for op := 0; op < ops && !over; op++ {
+		w := windows[pick(len(windows))]
+		base, span := w.base, w.span
 		count := 1 + pick(2*pageSectors+8)
-		sector := int64(pick(span - count))
+		sector := base + int64(pick(span-count+1))
 		switch p := pick(10); {
 		case p < 3:
 			head := count
@@ -150,8 +194,8 @@ func storeProgram(t *testing.T, ops int, choose func(n int) (int, bool)) {
 			}
 			ref.writeExtent(sector, count, data)
 		case p < 5:
-			sector = int64(pick(span/pageSectors)) * pageSectors
-			if pick(4) == 0 {
+			sector = base + int64(pick(span/pageSectors))*pageSectors
+			if pick(4) == 0 && sector+2*pageSectors <= base+int64(span) {
 				sector += int64(1 + pick(pageSectors-1))
 			}
 			data := payload(pageSectors)
@@ -173,7 +217,7 @@ func storeProgram(t *testing.T, ops int, choose func(n int) (int, bool)) {
 			ref.tear(sector, count, data, n)
 		default:
 			if p >= 8 { // one page-aligned block: the lending path
-				count, sector = pageSectors, int64(pick(span/pageSectors))*pageSectors
+				count, sector = pageSectors, base+int64(pick(span/pageSectors))*pageSectors
 			}
 			got, _, err := d.Read(0, sector, count)
 			if err != nil {
@@ -191,14 +235,16 @@ func storeProgram(t *testing.T, ops int, choose func(n int) (int, bool)) {
 			t.Fatalf("the store changed a buffer it shared: the %s", h.what)
 		}
 	}
-	if got, want := d.readData(0, span), ref.read(0, span); !bytes.Equal(got, want) {
-		t.Fatal("final sweep differs from the reference")
+	for _, w := range windows {
+		if got, want := d.readData(w.base, w.span), ref.read(w.base, w.span); !bytes.Equal(got, want) {
+			t.Fatalf("final sweep of [%d,+%d) differs from the reference", w.base, w.span)
+		}
 	}
-	if len(d.pages) != len(ref.pages) {
-		t.Fatalf("%d pages materialized, reference says %d", len(d.pages), len(ref.pages))
+	if n := d.pageCount(); n != len(ref.pages) {
+		t.Fatalf("%d pages materialized, reference says %d", n, len(ref.pages))
 	}
 	for key := range ref.pages {
-		if _, ok := d.pages[key]; !ok {
+		if !d.materialized(key) {
 			t.Fatalf("page %d not materialized", key)
 		}
 	}
@@ -257,16 +303,16 @@ func TestSparseStoreZeroDetection(t *testing.T) {
 					base := int64(100 * pageSectors)
 					zeros := make([]byte, size)
 					d.writeData(base+tc.sector, zeros, keep)
-					if len(d.pages) != 0 {
-						t.Fatalf("a write of zeros materialized %d pages", len(d.pages))
+					if n := d.pageCount(); n != 0 {
+						t.Fatalf("a write of zeros materialized %d pages", n)
 					}
 					data := make([]byte, size)
 					data[pos] = 1
 					d.writeData(base+tc.sector, data, keep)
 					wantPage := (base*geom.SectorSize + tc.sector*geom.SectorSize + int64(pos)) / pageBytes
-					if _, ok := d.pages[wantPage]; !ok || len(d.pages) != 1 {
+					if ok, n := d.materialized(wantPage), d.pageCount(); !ok || n != 1 {
 						t.Fatalf("non-zero byte at %d: pages %d materialized (have page %d: %v), want exactly that one",
-							pos, len(d.pages), wantPage, ok)
+							pos, n, wantPage, ok)
 					}
 					if got := d.readData(base+tc.sector, tc.sectors); !bytes.Equal(got, data) {
 						t.Fatalf("non-zero byte at %d: read back differs", pos)
@@ -430,7 +476,7 @@ func TestSharedPageCopyOnWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &got[0] != &zeroPage[0] || len(d.pages) != 0 {
+		if &got[0] != &zeroPage[0] || d.pageCount() != 0 {
 			t.Fatal("a read of an unwritten block did not lend the zero page")
 		}
 	})
@@ -527,7 +573,72 @@ func TestZeroWriteToEmptyPageNoAlloc(t *testing.T) {
 	if n != 0 {
 		t.Errorf("zero write to an unmaterialized page: %v allocs, want 0", n)
 	}
-	if len(d.pages) != 0 {
-		t.Errorf("zero writes materialized %d pages", len(d.pages))
+	if n := d.pageCount(); n != 0 {
+		t.Errorf("zero writes materialized %d pages", n)
+	}
+}
+
+// A write that materializes nothing allocates no chunk of the page
+// table: zeros written into a chunk no page of which is materialized —
+// copied, kept, as a zero tail, poked, or across a chunk boundary —
+// leave every chunk unallocated.
+func TestZeroWriteAllocatesNoChunk(t *testing.T) {
+	const at = 5 * chunkPages * pageSectors // the first sector of chunk 5
+	zeros := make([]byte, 2*pageBytes)
+	for _, tc := range []struct {
+		name  string
+		write func(d *Disk) error
+	}{
+		{"copied", func(d *Disk) error { _, err := d.Write(0, at, 2*pageSectors, zeros); return err }},
+		{"kept", func(d *Disk) error { _, err := d.WriteOwned(0, at, pageSectors, zeros[:pageBytes]); return err }},
+		{"zero tail", func(d *Disk) error { _, err := d.Write(0, at+3, 2*pageSectors, nil); return err }},
+		{"poked", func(d *Disk) error { return d.PokeData(at+1, zeros[:5*geom.SectorSize]) }},
+		{"across a chunk boundary", func(d *Disk) error {
+			_, err := d.Write(0, at-pageSectors-3, 2*pageSectors, zeros)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := MustNew(Fujitsu())
+			if err := tc.write(d); err != nil {
+				t.Fatal(err)
+			}
+			if n := d.chunkCount(); n != 0 {
+				t.Errorf("%d chunks allocated, want 0", n)
+			}
+		})
+	}
+}
+
+// Keeping a payload as a page that is already materialized, and lending
+// a page, only move pointers: neither allocates.
+func TestWriteOwnedAndLendNoAlloc(t *testing.T) {
+	d := MustNew(Toshiba())
+	payloads := [][]byte{pageOf(0x11), pageOf(0x12)}
+	for key := int64(0); key < 4; key++ {
+		if _, err := d.WriteOwned(0, key*pageSectors, pageSectors, payloads[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now, key := 0.0, int64(0)
+	n := testing.AllocsPerRun(200, func() {
+		tm, err := d.WriteOwned(now, key*pageSectors, pageSectors, payloads[key%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		now += tm.TotalMS()
+		key = (key + 1) % 4
+	})
+	if n != 0 {
+		t.Errorf("kept write onto a materialized page: %v allocs, want 0", n)
+	}
+	n = testing.AllocsPerRun(200, func() {
+		if b := d.lend(key*pageSectors, pageSectors); len(b) != pageBytes {
+			t.Fatalf("lent %d bytes", len(b))
+		}
+		key = (key + 1) % 4
+	})
+	if n != 0 {
+		t.Errorf("lend: %v allocs, want 0", n)
 	}
 }

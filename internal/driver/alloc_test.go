@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/blocktable"
@@ -177,5 +178,38 @@ func TestTableWriteCopiesScratch(t *testing.T) {
 	}
 	if _, err := blocktable.Decode(slot); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The request table is double-buffered: once both tables have grown to
+// a poll's worth of records, recording and reading them allocate
+// nothing, and what a read returned stays intact until the next read.
+func TestReadRequestTableZeroAllocs(t *testing.T) {
+	eng, _, drv := newRig(t)
+	poll := func() {
+		for b := int64(0); b < 8; b++ {
+			drv.ReadBlock(0, b*40, nil)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 4; i++ { // warm both tables and the request pool
+		poll()
+		drv.ReadRequestTable()
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		poll()
+		if recs, _ := drv.ReadRequestTable(); len(recs) != 8 {
+			t.Fatalf("%d records, want 8", len(recs))
+		}
+	}); n != 0 {
+		t.Errorf("poll of the request table: %v allocs, want 0", n)
+	}
+	poll()
+	recs, _ := drv.ReadRequestTable()
+	want := append([]ReqRecord(nil), recs...)
+	drv.WriteBlock(0, 7, blockOf(1), nil)
+	eng.Run()
+	if !slices.Equal(recs, want) {
+		t.Error("recording changed the table the last read returned")
 	}
 }

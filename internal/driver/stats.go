@@ -19,9 +19,12 @@ type ReqRecord struct {
 }
 
 // monitor is the fixed-size request table. When it fills before being
-// read, recording is suspended until the next read clears it.
+// read, recording is suspended until the next read clears it. The table
+// is double-buffered: a read hands out records and records on into
+// spare, the table the read before handed out.
 type monitor struct {
 	records   []ReqRecord
+	spare     []ReqRecord
 	capacity  int
 	suspended int64 // requests missed while the table was full
 }
@@ -40,12 +43,14 @@ func (m *monitor) record(sector int64, sectors int, write bool) {
 
 // ReadRequestTable returns the request table contents and the number of
 // requests missed because the table was full, then clears the table and
-// resumes recording — the monitoring ioctl of Section 4.1.4.
+// resumes recording — the monitoring ioctl of Section 4.1.4. The
+// returned slice is the driver's: it is valid until the next call, which
+// records into it again.
 func (d *Driver) ReadRequestTable() ([]ReqRecord, int64) {
-	recs := d.mon.records
-	missed := d.mon.suspended
-	d.mon.records = nil
-	d.mon.suspended = 0
+	m := d.mon
+	recs, missed := m.records, m.suspended
+	m.records, m.spare = m.spare[:0], recs
+	m.suspended = 0
 	return recs, missed
 }
 

@@ -211,15 +211,15 @@ func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.Job
 // the measured values, plain then -race where they differ; 0 marks a
 // mode the spec is never run in.
 var allocCeilings = map[string]struct{ plain, observed float64 }{
-	"onoff-system": {0.09914, 0.10927}, // 0.0948, 0.1047; -race 0.0970, 0.1069
-	"onoff-users":  {0.57094, 0.61689}, // 0.5457, 0.5909; -race 0.5595, 0.6046
-	"faults":       {0.07738, 0.08766}, // 0.0736, 0.0836; -race 0.0757, 0.0857
-	"policies":     {0.09601, 0},       // 0.0939
-	"volume-scale": {0.00310, 0.00337}, // 0.00284, 0.00310
+	"onoff-system": {0.08200, 0.08773}, // 0.0779, 0.0834; -race 0.0802, 0.0858
+	"onoff-users":  {0.45404, 0.47994}, // 0.4302, 0.4542; -race 0.4449, 0.4686
+	"faults":       {0.06030, 0.06614}, // 0.0567, 0.0624; -race 0.0589, 0.0647
+	"policies":     {0.07895, 0},       // 0.0772
+	"volume-scale": {0.00303, 0.00321}, // 0.00277, 0.00295
 	"tenant-scale": {0.00173, 0.00248}, // 0.0015, 0.0022
-	"raid-rebuild": {0.00602, 0},       // 0.00570
-	"trace-replay": {0.10933, 0.11285}, // 0.1070, 0.1104
-	"shared":       {0, 0.11151},       // observed 0.1059; -race 0.1091
+	"raid-rebuild": {0.00596, 0},       // 0.00565
+	"trace-replay": {0.09881, 0.10166}, // 0.0967, 0.0995
+	"shared":       {0, 0.07914},       // observed 0.0740; -race 0.0774
 }
 
 // checkAllocs fails the test if the run made more heap allocations per

@@ -21,11 +21,6 @@ type DayResult struct {
 	On bool
 	// Stats is the driver's full measurement snapshot for the day.
 	Stats *driver.Stats
-	// AccessDist is the day's block-access distribution over all
-	// requests (hottest first) and ReadDist the distribution over read
-	// requests only — the raw material of Figures 5 and 7.
-	AccessDist []hotlist.BlockCount
-	ReadDist   []hotlist.BlockCount
 }
 
 // Run is a completed experiment: the description as run and what each
@@ -40,6 +35,13 @@ type Run struct {
 	Curve seek.Curve
 	// Days holds one entry per measured day.
 	Days []DayResult
+	// AccessDist is the block-access distribution of the run's last off
+	// day (the day detailDays reports) over all requests, hottest first,
+	// and ReadDist the distribution over its read requests only — the
+	// raw material of Figures 5 and 7. Only a single-disk file-system
+	// run counts them.
+	AccessDist []hotlist.BlockCount
+	ReadDist   []hotlist.BlockCount
 	// WorkloadErrors counts failed file operations (0 in a healthy run).
 	WorkloadErrors int64
 	// Installed records how many blocks each rearrangement installed,
@@ -185,11 +187,14 @@ func (st *stack) measureDays(run *Run) error {
 		after = func(int) { run.Volume.add(st.vol) }
 	} else {
 		drv := st.rig.Driver
-		// The per-day access distributions consume the same event stream
-		// telemetry does; compose the counting sink with the collector so
-		// both see every request.
+		// The access distributions consume the same event stream
+		// telemetry does, on one day only: the last off day, the one
+		// the figures read. That day the counting sink is composed with
+		// the collector, so both see every request; every other day
+		// the driver keeps the collector, or no sink at all.
+		countDay := lastOffDay(e)
 		allCnt, readCnt := hotlist.NewExact(), hotlist.NewExact()
-		countSink := telemetry.SinkFunc(func(ev *telemetry.Event) {
+		var countSink telemetry.Sink = telemetry.SinkFunc(func(ev *telemetry.Event) {
 			if ev.Kind != telemetry.KindRequest {
 				return
 			}
@@ -198,24 +203,26 @@ func (st *stack) measureDays(run *Run) error {
 				readCnt.Observe(ev.Block)
 			}
 		})
+		var daySink telemetry.Sink
 		if st.col.SpansEnabled() {
-			drv.SetSink(telemetry.Multi(countSink, st.col))
-		} else {
-			drv.SetSink(countSink)
+			daySink, countSink = st.col, telemetry.Multi(countSink, st.col)
 		}
-		before = func(int) {
+		before = func(day int) {
 			drv.ReadStats() // discard overnight / populate noise
-			allCnt.Reset()
-			readCnt.Reset()
+			if day == countDay {
+				drv.SetSink(countSink)
+			}
 		}
 		after = func(day int) {
 			run.Days = append(run.Days, DayResult{
-				Day:        day,
-				On:         e.OnPattern(day) && day > 0,
-				Stats:      drv.ReadStats(),
-				AccessDist: allCnt.Distribution(),
-				ReadDist:   readCnt.Distribution(),
+				Day:   day,
+				On:    isOnDay(e, day),
+				Stats: drv.ReadStats(),
 			})
+			if day == countDay {
+				drv.SetSink(daySink)
+				run.AccessDist, run.ReadDist = allCnt.Distribution(), readCnt.Distribution()
+			}
 		}
 	}
 	var err error
@@ -247,6 +254,20 @@ func (st *stack) measureDays(run *Run) error {
 		run.Volume.finish(st.vol, float64(e.Days)*e.WindowMS/1000)
 	}
 	return nil
+}
+
+// isOnDay reports whether the disk is rearranged for day: day 0 never
+// is, it is the first the counts are taken from.
+func isOnDay(e Experiment, day int) bool { return e.OnPattern(day) && day > 0 }
+
+// lastOffDay returns the run's last measured off day.
+func lastOffDay(e Experiment) int {
+	for day := e.Days - 1; day > 0; day-- {
+		if !isOnDay(e, day) {
+			return day
+		}
+	}
+	return 0
 }
 
 // measureWindow drives the tenants through the server for one traffic

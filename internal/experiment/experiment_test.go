@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hotlist"
 	"repro/internal/runner"
 	"repro/internal/volume"
 	"repro/internal/workload"
@@ -96,9 +97,26 @@ func TestExecuteBasics(t *testing.T) {
 			if d.Stats.All().Count() == 0 {
 				t.Errorf("%s day %d: no requests measured", run.Experiment.Devices.Disk, i)
 			}
-			if len(d.AccessDist) == 0 || len(d.ReadDist) == 0 {
-				t.Errorf("%s day %d: missing access distributions", run.Experiment.Devices.Disk, i)
+		}
+		// The access distributions are the last off day's: they count
+		// every request that day measured, and its reads.
+		off, _ := detailDays(run)
+		if len(run.AccessDist) == 0 || len(run.ReadDist) == 0 {
+			t.Errorf("%s: missing access distributions", run.Experiment.Devices.Disk)
+		}
+		total := func(dist []hotlist.BlockCount) (n int64) {
+			for _, bc := range dist {
+				n += bc.Count
 			}
+			return n
+		}
+		if got, want := total(run.AccessDist), off.Stats.All().Count(); got != want {
+			t.Errorf("%s: access distribution counts %d requests, day %d measured %d",
+				run.Experiment.Devices.Disk, got, off.Day, want)
+		}
+		if got, want := total(run.ReadDist), off.Stats.ReadSide.Count(); got != want {
+			t.Errorf("%s: read distribution counts %d reads, day %d measured %d",
+				run.Experiment.Devices.Disk, got, off.Day, want)
 		}
 		// Rearrangements installed blocks on each on-day.
 		if len(run.Installed) == 0 {
@@ -160,12 +178,12 @@ func TestSCANBeatsFCFSOnOffDays(t *testing.T) {
 
 func TestSystemAccessDistributionShape(t *testing.T) {
 	// Figure 5: heavy skew, bounded footprint.
-	off, _ := detailDays(named(systemRuns(t), "toshiba"))
-	if got := cumShare(off.AccessDist, 100); got < 0.75 {
+	tosh := named(systemRuns(t), "toshiba")
+	if got := cumShare(tosh.AccessDist, 100); got < 0.75 {
 		t.Errorf("top-100 share = %.2f, want >= 0.75 (paper ~0.90)", got)
 	}
-	if len(off.AccessDist) > 3000 {
-		t.Errorf("%d distinct blocks, want < 3000 (paper < 2000)", len(off.AccessDist))
+	if len(tosh.AccessDist) > 3000 {
+		t.Errorf("%d distinct blocks, want < 3000 (paper < 2000)", len(tosh.AccessDist))
 	}
 }
 
@@ -194,9 +212,8 @@ func TestUsersFlatterDistribution(t *testing.T) {
 	// Figure 7 vs Figure 5.
 	sys := systemRuns(t)
 	usr := usersRuns(t)
-	sOff, _ := detailDays(named(sys, "toshiba"))
-	uOff, _ := detailDays(named(usr, "toshiba"))
-	if s, u := cumShare(sOff.AccessDist, 100), cumShare(uOff.AccessDist, 100); u >= s {
+	sTosh, uTosh := named(sys, "toshiba"), named(usr, "toshiba")
+	if s, u := cumShare(sTosh.AccessDist, 100), cumShare(uTosh.AccessDist, 100); u >= s {
 		t.Errorf("users top-100 share %.2f not flatter than system %.2f", u, s)
 	}
 }
@@ -264,8 +281,8 @@ func TestSeekReductionPct(t *testing.T) {
 }
 
 func TestCumShare(t *testing.T) {
-	off, _ := detailDays(named(systemRuns(t), "toshiba"))
-	full := cumShare(off.AccessDist, len(off.AccessDist))
+	tosh := named(systemRuns(t), "toshiba")
+	full := cumShare(tosh.AccessDist, len(tosh.AccessDist))
 	if full < 0.999 {
 		t.Errorf("full share = %v", full)
 	}

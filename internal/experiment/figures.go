@@ -79,10 +79,10 @@ func cumShare(dist []hotlist.BlockCount, k int) float64 {
 }
 
 // accessFigure renders a block-access distribution (Figures 5 and 7)
-// from a representative off day of each disk (the distribution itself is
-// layout-independent): a table of the cumulative fraction of requests
-// absorbed by the N hottest blocks, for all requests and for reads, then
-// the Toshiba's curves.
+// from each disk's last off day, the one its run counted (the
+// distribution itself is layout-independent): a table of the cumulative
+// fraction of requests absorbed by the N hottest blocks, for all
+// requests and for reads, then the Toshiba's curves.
 func accessFigure(id, title, chartTitle, note string, runs []*Run) []Renderable {
 	rep := &Report{
 		ID:    id,
@@ -90,18 +90,17 @@ func accessFigure(id, title, chartTitle, note string, runs []*Run) []Renderable 
 		Columns: []string{"Hottest N blocks",
 			"Tosh all", "Tosh reads", "Fuji all", "Fuji reads"},
 	}
-	tOff, _ := detailDays(named(runs, "toshiba"))
-	fOff, _ := detailDays(named(runs, "fujitsu"))
+	tosh, fuji := named(runs, "toshiba"), named(runs, "fujitsu")
 	for _, k := range []int{1, 10, 50, 100, 200, 500, 1000, 2000, 5000} {
 		rep.AddRow(fmt.Sprint(k),
-			fmt.Sprintf("%.3f", cumShare(tOff.AccessDist, k)),
-			fmt.Sprintf("%.3f", cumShare(tOff.ReadDist, k)),
-			fmt.Sprintf("%.3f", cumShare(fOff.AccessDist, k)),
-			fmt.Sprintf("%.3f", cumShare(fOff.ReadDist, k)))
+			fmt.Sprintf("%.3f", cumShare(tosh.AccessDist, k)),
+			fmt.Sprintf("%.3f", cumShare(tosh.ReadDist, k)),
+			fmt.Sprintf("%.3f", cumShare(fuji.AccessDist, k)),
+			fmt.Sprintf("%.3f", cumShare(fuji.ReadDist, k)))
 	}
 	rep.AddRow("distinct blocks",
-		fmt.Sprint(len(tOff.AccessDist)), fmt.Sprint(len(tOff.ReadDist)),
-		fmt.Sprint(len(fOff.AccessDist)), fmt.Sprint(len(fOff.ReadDist)))
+		fmt.Sprint(len(tosh.AccessDist)), fmt.Sprint(len(tosh.ReadDist)),
+		fmt.Sprint(len(fuji.AccessDist)), fmt.Sprint(len(fuji.ReadDist)))
 	rep.AddNote(note)
 
 	curve := func(name string, mark byte, dist []hotlist.BlockCount) plot.Series {
@@ -129,7 +128,7 @@ func accessFigure(id, title, chartTitle, note string, runs []*Run) []Renderable 
 		YLabel: "cumulative fraction of requests",
 		LogX:   true,
 		YMin:   0, YMax: 1,
-		Series: []plot.Series{curve("all requests", '*', tOff.AccessDist), curve("reads", 'o', tOff.ReadDist)},
+		Series: []plot.Series{curve("all requests", '*', tosh.AccessDist), curve("reads", 'o', tosh.ReadDist)},
 	}}
 }
 

@@ -162,6 +162,9 @@ type FS struct {
 	totalBlocks int64
 
 	groups []*group
+	// dirty is the per-operation scratch set of changed groups (see
+	// dirtyGroups), one flag per group.
+	dirty []bool
 	// inodes is the in-memory inode table, indexed by inode number (nil:
 	// free slot). Inode numbers are dense — group-major, every group's
 	// table the same size — so it is sized once in prepare; read it
@@ -267,6 +270,7 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 		inodes:      make([]*inode, int(ngroups)*prm.InodeBlocksPerGroup*inosPerBlk),
 		inoBlock:    make([]int64, int(ngroups)*prm.InodeBlocksPerGroup*inosPerBlk),
 		inoImages:   make([][]byte, int(ngroups)*prm.InodeBlocksPerGroup),
+		dirty:       make([]bool, ngroups),
 	}
 	for gi := int64(0); gi < ngroups; gi++ {
 		base := gi * blocksPerGp

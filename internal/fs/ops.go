@@ -210,7 +210,8 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 	f.inodes[ino] = nd
 	f.inodeChanged(ino)
 
-	dirty := map[int]bool{int(ino) / perGroup: true}
+	dirty := f.dirtyGroups()
+	dirty[int(ino)/perGroup] = true
 	r.steps, err = f.addEntry(parent, name, ino, dirty, r.steps)
 	if err != nil {
 		f.freeInode(ino)
@@ -226,7 +227,7 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 // addEntry appends a directory entry, allocating a new directory data
 // block when the current last block is full. It appends the write steps
 // to steps.
-func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool, steps []step) ([]step, error) {
+func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty []bool, steps []step) ([]step, error) {
 	per := f.entriesPerBlock()
 	slot := len(parent.order)
 	blkIdx := slot / per
@@ -257,11 +258,20 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool, s
 	), nil
 }
 
+// dirtyGroups returns the file system's set of cylinder groups whose
+// bitmaps an operation changed, indexed by group, emptied: scratch for
+// one operation, which fills it and hands it to descSteps before it
+// returns.
+func (f *FS) dirtyGroups() []bool {
+	clear(f.dirty)
+	return f.dirty
+}
+
 // descSteps appends descriptor write-back steps for groups whose
-// bitmaps changed to steps.
-func (f *FS) descSteps(dirty map[int]bool, steps []step) []step {
-	for gi := range f.groups {
-		if dirty[gi] {
+// bitmaps changed to steps, in ascending group order.
+func (f *FS) descSteps(dirty []bool, steps []step) []step {
+	for gi, d := range dirty {
+		if d {
 			steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
 		}
 	}
@@ -331,7 +341,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 
 	perGroup := len(f.groups[0].inodeUsed)
 	gi := int(h.ino) / perGroup
-	dirty := map[int]bool{}
+	dirty := f.dirtyGroups()
 	// The inode is read first.
 	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), meta: true})
 	indirectTouched := false
@@ -594,7 +604,7 @@ func (f *FS) Remove(path string, done func(error)) {
 		return
 	}
 
-	dirty := map[int]bool{}
+	dirty := f.dirtyGroups()
 	// Free the target's blocks.
 	for _, b := range f.fileBlocks(target) {
 		f.freeData(b)

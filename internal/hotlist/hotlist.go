@@ -13,7 +13,10 @@
 // by the hot-list-size ablation benchmark.
 package hotlist
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // BlockCount is one block-number/reference-count pair.
 type BlockCount struct {
@@ -51,8 +54,9 @@ func (e *Exact) Observe(block int64) { e.counts[block]++ }
 // Len implements Counter.
 func (e *Exact) Len() int { return len(e.counts) }
 
-// Reset implements Counter.
-func (e *Exact) Reset() { e.counts = make(map[int64]int64) }
+// Reset implements Counter. The map keeps its buckets, so a counter
+// reset every day does not grow them again.
+func (e *Exact) Reset() { clear(e.counts) }
 
 // Top implements Counter.
 func (e *Exact) Top(k int) []BlockCount {
@@ -151,7 +155,7 @@ func (b *Bounded) Len() int { return len(b.counts) }
 
 // Reset implements Counter.
 func (b *Bounded) Reset() {
-	b.counts = make(map[int64]int64, b.capacity)
+	clear(b.counts)
 	b.replaced = 0
 }
 
@@ -172,12 +176,15 @@ func (b *Bounded) Top(k int) []BlockCount {
 	return all
 }
 
+// sortCounts orders xs by descending count, ties by ascending block: a
+// total order on distinct blocks, so the result does not depend on the
+// map order xs was filled in.
 func sortCounts(xs []BlockCount) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Count != xs[j].Count {
-			return xs[i].Count > xs[j].Count
+	slices.SortFunc(xs, func(a, b BlockCount) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return xs[i].Block < xs[j].Block
+		return cmp.Compare(a.Block, b.Block)
 	})
 }
 

@@ -1,6 +1,9 @@
 package hotlist
 
 import (
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +250,70 @@ func TestBoundedReset(t *testing.T) {
 	top := b.Top(1)
 	if len(top) != 1 || top[0].Block != 7 || top[0].Count != 2 {
 		t.Errorf("post-reset Top = %v", top)
+	}
+}
+
+// A counter reset and fed a stream reports exactly what a fresh counter
+// fed the same stream does: Reset keeps the map's buckets, not its
+// counts.
+func TestResetThenObserveMatchesFresh(t *testing.T) {
+	rnd := sim.NewRand(11)
+	stream := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(rnd.Intn(300))
+		}
+		return out
+	}
+	first, second := stream(5000), stream(4000)
+	for _, mk := range []struct {
+		name string
+		new  func() Counter
+	}{
+		{"exact", func() Counter { return NewExact() }},
+		{"bounded", func() Counter { return NewBounded(64, ReplaceMin) }},
+	} {
+		reused, fresh := mk.new(), mk.new()
+		for _, b := range first {
+			reused.Observe(b)
+		}
+		reused.Reset()
+		for _, b := range second {
+			reused.Observe(b)
+			fresh.Observe(b)
+		}
+		if got, want := reused.Top(reused.Len()), fresh.Top(fresh.Len()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Top after Reset differs from a fresh counter's", mk.name)
+		}
+		if e, ok := reused.(*Exact); ok {
+			if got, want := e.Distribution(), fresh.(*Exact).Distribution(); !reflect.DeepEqual(got, want) {
+				t.Errorf("exact: Distribution after Reset differs from a fresh counter's")
+			}
+		}
+	}
+}
+
+// sortCounts gives the order a sort.Slice on (count desc, block asc)
+// gives, on inputs full of count ties.
+func TestSortCountsMatchesSortSlice(t *testing.T) {
+	rnd := sim.NewRand(5)
+	for trial := 0; trial < 200; trial++ {
+		n := rnd.Intn(400)
+		xs := make([]BlockCount, n)
+		for i := range xs { // distinct blocks, as a counter holds
+			xs[i] = BlockCount{Block: int64(i) * 3, Count: int64(rnd.Intn(1 + trial%8))}
+		}
+		rnd.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		want := slices.Clone(xs)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Count != want[j].Count {
+				return want[i].Count > want[j].Count
+			}
+			return want[i].Block < want[j].Block
+		})
+		sortCounts(xs)
+		if !slices.Equal(xs, want) {
+			t.Fatalf("trial %d: sortCounts %v, sort.Slice %v", trial, xs, want)
+		}
 	}
 }

@@ -376,8 +376,16 @@ func (w *System) cronSweep() {
 				}
 				ref1 := w.files[w.rnd.Intn(len(w.files))]
 				ref2 := w.files[w.rnd.Intn(len(w.files))]
-				readWhole(w.f, ref1, func(error) { w.errs++ }, func() {
-					readWhole(w.f, ref2, func(error) { w.errs++ }, sweepDir)
+				readWhole(w.f, ref1, func(_ [][]byte, err error) {
+					if err != nil {
+						w.errs++
+					}
+					readWhole(w.f, ref2, func(_ [][]byte, err error) {
+						if err != nil {
+							w.errs++
+						}
+						sweepDir()
+					})
 				})
 			})
 		})

@@ -93,6 +93,11 @@ type Users struct {
 	day   int
 	errs  int64
 	hist  *metrics.Histogram
+
+	// Pools of session and read-pair records (see session, pair). They
+	// live here, not at package level: jobs run generators concurrently.
+	freeSession *session
+	freePair    *pair
 }
 
 // NewUsers returns a users workload over the given file system.
@@ -245,95 +250,232 @@ func (w *Users) RunDay(day int, done func(error)) {
 	pool.run(start, end, done)
 }
 
+// count counts a failed operation.
+func (w *Users) count(err error) {
+	if err != nil {
+		w.errs++
+	}
+}
+
+// session is one user operation in flight: which user, what it works
+// on, and the continuations of its steps. Sessions are pooled on Users
+// with their continuations built once, like the system workload's jobs,
+// so a session allocates nothing of its own.
+type session struct {
+	w    *Users
+	free *session // pool link
+	usr  *user
+	next func()
+	// h and n are the edited file and its size; ref is the created
+	// file; rank and idx are the deleted file's popularity rank and its
+	// index in usr.files.
+	h         *fs.Handle
+	n         int64
+	ref       fileRef
+	rank, idx int
+	// The continuations, each a method value built once (or a count
+	// of the error, then finish).
+	finishCB    func()
+	overwriteCB func()
+	growCB      func(error)
+	fillCB      func(fs.Ino, error)
+	createdCB   func(error)
+	removedCB   func(error)
+	endCB       func(error)
+	readCB      func([][]byte, error)
+}
+
+// getSession pops a session record off the pool, building its
+// continuations on first use.
+func (w *Users) getSession() *session {
+	s := w.freeSession
+	if s != nil {
+		w.freeSession = s.free
+		return s
+	}
+	s = &session{w: w}
+	s.finishCB, s.overwriteCB, s.growCB = s.finish, s.overwrite, s.grow
+	s.fillCB, s.createdCB, s.removedCB = s.fill, s.created, s.removed
+	s.endCB = func(err error) {
+		s.w.count(err)
+		s.finish()
+	}
+	s.readCB = func(_ [][]byte, err error) {
+		s.w.count(err)
+		s.finish()
+	}
+	return s
+}
+
+// finish ends the session: the record goes back to the pool, and then
+// the client's next runs.
+func (s *session) finish() {
+	w, next := s.w, s.next
+	s.usr, s.next, s.h, s.ref = nil, nil, nil, fileRef{}
+	s.free, w.freeSession = w.freeSession, s
+	next()
+}
+
 // session performs one user operation.
 func (w *Users) session(usr *user, next func()) {
-	errf := func(err error) {
-		if err != nil {
-			w.errs++
-		}
-	}
+	s := w.getSession()
+	s.usr, s.next = usr, next
 	switch p := w.rnd.Float64(); {
 	case p < 0.50: // read session: two files, interleaved (grep, make)
 		a := w.pickFile(usr)
 		if w.rnd.Bool(0.2) {
-			readWhole(w.f, a, errf, next)
+			readWhole(w.f, a, s.readCB)
 			return
 		}
 		b := w.pickFile(usr)
-		readPair(w.f, a, b, errf, next)
+		w.readPair(a, b, s.finishCB)
 	case p < 0.80: // edit: read (with an include), overwrite, maybe grow
 		ref := w.pickFile(usr)
 		h, err := w.f.OpenIno(ref.ino)
 		if err != nil {
-			errf(err)
-			next()
+			w.count(err)
+			s.finish()
 			return
 		}
 		n := h.SizeBlocks()
 		if n == 0 {
-			next()
+			s.finish()
 			return
 		}
 		other := w.pickFile(usr)
-		readPair(w.f, ref, other, errf, func() {
-			span := int64(w.rnd.Intn(int(n))) + 1
-			at := int64(0)
-			if span < n {
-				at = w.rnd.Int63n(n - span + 1)
-			}
-			h.WriteAt(at, span, func(err error) {
-				errf(err)
-				if w.rnd.Bool(0.3) && n < w.f.MaxFileBlocks()-2 {
-					h.Append(1+int64(w.rnd.Intn(2)), func(err error) {
-						errf(err)
-						next()
-					})
-					return
-				}
-				next()
-			})
-		})
+		s.h, s.n = h, n
+		w.readPair(ref, other, s.overwriteCB)
 	case p < 0.95: // create a new file and write it
 		usr.created++
 		path := usr.subdirs[w.rnd.Intn(len(usr.subdirs))] + "/" + nameOf("n", usr.created)
 		blocks := sizeBlocks(w.rnd, usersSizeMu, usersSizeSigma, w.f.MaxFileBlocks())
-		w.f.Create(path, func(ino fs.Ino, err error) {
-			if err != nil {
-				errf(err)
-				next()
-				return
-			}
-			h, _ := w.f.OpenIno(ino)
-			h.WriteAt(0, blocks, func(err error) {
-				errf(err)
-				usr.files = append(usr.files, fileRef{ino: ino, blocks: blocks, path: path})
-				usr.perm = append(usr.perm, len(usr.files)-1)
-				next()
-			})
-		})
+		s.ref = fileRef{blocks: blocks, path: path}
+		w.f.Create(path, s.fillCB)
 	default: // delete the least popular file (keep a floor)
 		if len(usr.files) <= w.cfg.FilesPerUser/2 {
-			next()
+			s.finish()
 			return
 		}
-		victimRank := len(usr.perm) - 1
-		victimIdx := usr.perm[victimRank]
-		ref := usr.files[victimIdx]
-		w.f.Remove(ref.path, func(err error) {
-			errf(err)
-			// Drop the victim from the index structures.
-			usr.perm = append(usr.perm[:victimRank], usr.perm[victimRank+1:]...)
-			last := len(usr.files) - 1
-			if victimIdx != last {
-				usr.files[victimIdx] = usr.files[last]
-				for r, idx := range usr.perm {
-					if idx == last {
-						usr.perm[r] = victimIdx
-					}
-				}
+		s.rank = len(usr.perm) - 1
+		s.idx = usr.perm[s.rank]
+		w.f.Remove(usr.files[s.idx].path, s.removedCB)
+	}
+}
+
+// overwrite writes a random span of the file the edit read.
+func (s *session) overwrite() {
+	w := s.w
+	span := int64(w.rnd.Intn(int(s.n))) + 1
+	at := int64(0)
+	if span < s.n {
+		at = w.rnd.Int63n(s.n - span + 1)
+	}
+	s.h.WriteAt(at, span, s.growCB)
+}
+
+// grow follows the overwrite: sometimes the file grows a block or two.
+func (s *session) grow(err error) {
+	w := s.w
+	w.count(err)
+	if w.rnd.Bool(0.3) && s.n < w.f.MaxFileBlocks()-2 {
+		s.h.Append(1+int64(w.rnd.Intn(2)), s.endCB)
+		return
+	}
+	s.finish()
+}
+
+// fill writes the file the session created.
+func (s *session) fill(ino fs.Ino, err error) {
+	if err != nil {
+		s.w.count(err)
+		s.finish()
+		return
+	}
+	s.ref.ino = ino
+	h, _ := s.w.f.OpenIno(ino)
+	h.WriteAt(0, s.ref.blocks, s.createdCB)
+}
+
+// created adds the written file to its user's files, least popular.
+func (s *session) created(err error) {
+	s.w.count(err)
+	usr := s.usr
+	usr.files = append(usr.files, s.ref)
+	usr.perm = append(usr.perm, len(usr.files)-1)
+	s.finish()
+}
+
+// removed drops the deleted file from its user's index structures.
+func (s *session) removed(err error) {
+	s.w.count(err)
+	usr, rank, idx := s.usr, s.rank, s.idx
+	usr.perm = append(usr.perm[:rank], usr.perm[rank+1:]...)
+	last := len(usr.files) - 1
+	if idx != last {
+		usr.files[idx] = usr.files[last]
+		for r, i := range usr.perm {
+			if i == last {
+				usr.perm[r] = idx
 			}
-			usr.files = usr.files[:last]
-			next()
-		})
+		}
+	}
+	usr.files = usr.files[:last]
+	s.finish()
+}
+
+// pair is one readPair in flight: two files read with their block reads
+// interleaved, and how far each has been read. Records are pooled on
+// Users with the read callback built once.
+type pair struct {
+	w              *Users
+	free           *pair // pool link
+	ha, hb         *fs.Handle
+	na, nb, pa, pb int64
+	next           func()
+	onRead         func([][]byte, error)
+}
+
+// readPair reads two files with their block reads interleaved, the way
+// a tool reading a source file and an include (or make touching two
+// targets) does, then calls next.
+func (w *Users) readPair(a, b fileRef, next func()) {
+	ha, errA := w.f.OpenIno(a.ino)
+	hb, errB := w.f.OpenIno(b.ino)
+	if errA != nil || errB != nil {
+		w.count(errA)
+		w.count(errB)
+		next()
+		return
+	}
+	p := w.freePair
+	if p == nil {
+		p = &pair{w: w}
+		p.onRead = func(_ [][]byte, err error) {
+			p.w.count(err)
+			p.step()
+		}
+	} else {
+		w.freePair = p.free
+	}
+	p.ha, p.hb, p.next = ha, hb, next
+	p.na, p.nb, p.pa, p.pb = ha.SizeBlocks(), hb.SizeBlocks(), 0, 0
+	p.step()
+}
+
+// step reads the next block, from a while it is not ahead of b, or ends
+// the pair: the record goes back to the pool, and then next runs.
+func (p *pair) step() {
+	switch {
+	case p.pa < p.na && (p.pa <= p.pb || p.pb >= p.nb):
+		p.pa++
+		p.ha.ReadAt(p.pa-1, 1, p.onRead)
+	case p.pb < p.nb:
+		p.pb++
+		p.hb.ReadAt(p.pb-1, 1, p.onRead)
+	default:
+		w, next := p.w, p.next
+		p.ha, p.hb, p.next = nil, nil, nil
+		p.free, w.freePair = w.freePair, p
+		next()
 	}
 }

@@ -109,71 +109,20 @@ func (p *clientPool) run(start, end float64, done func(error)) {
 }
 
 // readWhole reads an entire file sequentially via its handle and calls
-// next (errors are counted by the caller via errf).
-func readWhole(f *fs.FS, ref fileRef, errf func(error), next func()) {
+// read with the result: the error of the open or of the read, nil data
+// for an empty file.
+func readWhole(f *fs.FS, ref fileRef, read func([][]byte, error)) {
 	h, err := f.OpenIno(ref.ino)
 	if err != nil {
-		errf(err)
-		next()
+		read(nil, err)
 		return
 	}
 	n := h.SizeBlocks()
 	if n == 0 {
-		next()
+		read(nil, nil)
 		return
 	}
-	h.ReadAt(0, n, func(_ [][]byte, err error) {
-		if err != nil {
-			errf(err)
-		}
-		next()
-	})
-}
-
-// readPair reads two files with their block reads interleaved, the way
-// a tool reading a source file and an include (or make touching two
-// targets) does.
-func readPair(f *fs.FS, a, b fileRef, errf func(error), next func()) {
-	ha, errA := f.OpenIno(a.ino)
-	hb, errB := f.OpenIno(b.ino)
-	if errA != nil || errB != nil {
-		if errA != nil {
-			errf(errA)
-		}
-		if errB != nil {
-			errf(errB)
-		}
-		next()
-		return
-	}
-	na, nb := ha.SizeBlocks(), hb.SizeBlocks()
-	var pa, pb int64
-	var step func()
-	step = func() {
-		switch {
-		case pa < na && (pa <= pb || pb >= nb):
-			p := pa
-			pa++
-			ha.ReadAt(p, 1, func(_ [][]byte, err error) {
-				if err != nil {
-					errf(err)
-				}
-				step()
-			})
-		case pb < nb:
-			p := pb
-			pb++
-			hb.ReadAt(p, 1, func(_ [][]byte, err error) {
-				if err != nil {
-					errf(err)
-				}
-				step()
-			})
-		default:
-			next()
-		}
-	}
-	step()
+	h.ReadAt(0, n, read)
 }
 
 // permute returns the identity permutation of n elements.

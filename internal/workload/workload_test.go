@@ -457,3 +457,73 @@ func TestSystemJobWarmZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// A warm users read pair and edit session run on pooled records: the
+// pair's read callback and the session's continuations are built once,
+// and the NFS write-through below them is pooled too. The edited file
+// is too large to grow, so the session never allocates a new block.
+func TestUsersSessionWarmZeroAllocs(t *testing.T) {
+	r, err := rig.New(rig.Options{ReservedCyls: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Newfs(r.Eng, r.Driver, 0, fs.Params{SyncData: true, Cache: cache.Config{CapacityBlocks: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Eng.Run()
+	w := NewUsers(r.Eng, f, UsersConfig{Users: 1, FilesPerUser: 1, Seed: 3})
+	mkfile := func(name string, blocks int64) fileRef {
+		var ref fileRef
+		f.Create("/"+name, func(ino fs.Ino, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := f.OpenIno(ino)
+			h.WriteAt(0, blocks, func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			ref = fileRef{ino: ino, blocks: blocks, path: "/" + name}
+		})
+		r.Eng.Run()
+		return ref
+	}
+	a, b := mkfile("a", 3), mkfile("b", 5)
+	big := mkfile("big", f.MaxFileBlocks()-2)
+	usr := &user{dir: "/", files: []fileRef{big}, perm: []int{0}}
+
+	var ends int
+	next := func() { ends++ }
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"read pair", func() { w.readPair(a, b, next) }},
+		{"edit session", func() {
+			s := w.getSession()
+			s.usr, s.next = usr, next
+			s.h, _ = f.OpenIno(big.ino)
+			s.n = s.h.SizeBlocks()
+			w.readPair(big, big, s.overwriteCB)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ends = 0
+			op := func() {
+				tc.op()
+				r.Eng.Run()
+			}
+			for i := 0; i < 4; i++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(20, op); n != 0 {
+				t.Errorf("warm %s: %v allocs, want 0", tc.name, n)
+			}
+			if ends != 4+21 || w.Errors() != 0 {
+				t.Errorf("%d sessions ended, %d errors; want %d and none", ends, w.Errors(), 4+21)
+			}
+		})
+	}
+}
