@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/blocktable"
 	"repro/internal/hotlist"
 	"repro/internal/metrics"
 	"repro/internal/rig"
@@ -492,5 +494,85 @@ func TestRearrangeIncrementalPreservesData(t *testing.T) {
 	}
 	if got20[0] != 0xB1 {
 		t.Errorf("evicted dirty block lost its update: %x", got20[0])
+	}
+}
+
+// TestIncrementalCycleCostsLessThanFull measures the incremental-cycle
+// benefit §1.1 credits block granularity with. Two rigs see the same two
+// days of a 400-block hot set that drifts by ten draws overnight. On
+// night 2 one runs a full cycle (clean everything, copy everything), the
+// other the incremental cycle; both must leave the same block table, and
+// the incremental one must cost fewer disk I/Os. The counts are
+// deterministic and pinned: EXPERIMENTS.md quotes them.
+func TestIncrementalCycleCostsLessThanFull(t *testing.T) {
+	type night struct {
+		reads, writes int64
+		moved         int
+		table         []blocktable.Entry
+	}
+	run := func(incremental bool) night {
+		r := newRig(t)
+		ra, err := New(r.Eng, r.Driver, Config{MaxBlocks: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := sim.NewRand(11)
+		nblocks := r.PartitionBlocks(0)
+		hot := make([]int64, 400)
+		for j := range hot {
+			hot[j] = rnd.Int63n(nblocks)
+		}
+		day := func() {
+			for j, blk := range hot {
+				for k := 0; k < 400-j/2; k += 40 {
+					r.Driver.ReadBlock(0, blk, nil)
+				}
+			}
+			r.Eng.Run()
+			ra.Poll()
+		}
+		day()
+		ra.Rearrange(nil)
+		r.Eng.Run()
+		ra.ResetCounts()
+		for j := 0; j < 10; j++ {
+			hot[rnd.Intn(len(hot))] = rnd.Int63n(nblocks)
+		}
+		day()
+		cycle := ra.Rearrange
+		if incremental {
+			cycle = ra.RearrangeIncremental
+		}
+		var n night
+		var cerr error
+		r0, w0, _ := r.Disk.Counters()
+		cycle(func(moved int, err error) { n.moved, cerr = moved, err })
+		r.Eng.Run()
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		r1, w1, _ := r.Disk.Counters()
+		n.reads, n.writes, n.table = r1-r0, w1-w0, r.Driver.BlockTable()
+		return n
+	}
+	full, inc := run(false), run(true)
+	t.Logf("full: %d blocks, %d reads + %d writes; incremental: %d blocks, %d reads + %d writes",
+		full.moved, full.reads, full.writes, inc.moved, inc.reads, inc.writes)
+	if inc.reads+inc.writes >= full.reads+full.writes {
+		t.Errorf("incremental cycle took %d I/Os, full %d", inc.reads+inc.writes, full.reads+full.writes)
+	}
+	if !slices.Equal(inc.table, full.table) {
+		t.Errorf("the two cycles left different block tables (%d vs %d entries)", len(inc.table), len(full.table))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want [3]int64
+	}{
+		{"full", [3]int64{int64(full.moved), full.reads, full.writes}, [3]int64{396, 396, 1188}},
+		{"incremental", [3]int64{int64(inc.moved), inc.reads, inc.writes}, [3]int64{108, 108, 324}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s cycle: {moved, reads, writes} = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

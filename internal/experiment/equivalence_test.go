@@ -104,13 +104,20 @@ var equivSpecs = []equivSpec{
 	// the source trace, and the race step's time budget is spent on the
 	// tracein package's own battery instead.
 	{id: "trace-replay", metrics: true},
+	// An hour's window: EXPERIMENTS.md quotes these numbers. Not in
+	// -short: eleven rows of the rearranged system workload.
+	{id: "ablations", windowMS: 60 * 60 * 1000},
 }
 
 // specRun is what one run of a spec wrote: the reports exactly as
 // abrsim prints them and, for an observed run, the per-job snapshot
 // document as abrsim -metrics writes it and the time series as abrsim
-// -sample writes it.
-type specRun struct{ stdout, snapshot, csv string }
+// -sample writes it. A plain run also keeps the gathered results; an
+// observed one does not, so the memo below holds no job's collectors.
+type specRun struct {
+	stdout, snapshot, csv string
+	rs                    *ResultSet
+}
 
 // runSpec gathers one spec on the given worker count and fails the
 // test if the run allocated more per engine event than allocCeilings
@@ -136,6 +143,9 @@ func runSpec(t *testing.T, spec equivSpec, workers int, observed bool) specRun {
 	}
 	checkAllocs(t, spec.id, observed, workers, after.Mallocs-before.Mallocs, rs.Collectors)
 	var run specRun
+	if !observed {
+		run.rs = rs
+	}
 	var sb strings.Builder
 	for _, r := range reports {
 		sb.WriteString(r.Render())
@@ -219,6 +229,7 @@ var allocCeilings = map[string]struct{ plain, observed float64 }{
 	"tenant-scale": {0.00173, 0.00248}, // 0.0015, 0.0022
 	"raid-rebuild": {0.00596, 0},       // 0.00565
 	"trace-replay": {0.09881, 0.10166}, // 0.0967, 0.0995
+	"ablations":    {0.02984, 0},       // 0.02905
 	"shared":       {0, 0.07914},       // observed 0.0740; -race 0.0774
 }
 
@@ -249,18 +260,18 @@ func checkAllocs(t *testing.T, id string, observed bool, workers int, mallocs ui
 	}
 }
 
-// metricsRuns memoizes the observed runs the two tests share.
-var metricsRuns = map[string]specRun{}
+// specRuns memoizes the runs several tests share.
+var specRuns = map[string]specRun{}
 
-// metricsRun returns the spec's observed run at the given worker
-// count, simulating it the first time either test asks.
-func metricsRun(t *testing.T, spec equivSpec, workers int) specRun {
+// sharedRun returns the spec's run at the given worker count, plain or
+// observed, simulating it the first time a test asks.
+func sharedRun(t *testing.T, spec equivSpec, workers int, observed bool) specRun {
 	t.Helper()
-	key := fmt.Sprintf("%s/jobs=%d", spec.id, workers)
-	run, ok := metricsRuns[key]
+	key := fmt.Sprintf("%s/jobs=%d/observed=%t", spec.id, workers, observed)
+	run, ok := specRuns[key]
 	if !ok {
-		run = runSpec(t, spec, workers, true)
-		metricsRuns[key] = run
+		run = runSpec(t, spec, workers, observed)
+		specRuns[key] = run
 	}
 	return run
 }
@@ -297,16 +308,11 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			}
 			// The parallel gather must agree byte-for-byte with the
 			// sequential one — the runner's ordering contract, re-checked
-			// here because the pooled engine must stay job-private. Where
-			// TestMetricsDeterminism runs the spec at jobs=8 anyway, that
-			// run stands in: stdout is the same observed or not.
-			var par string
-			if spec.metrics {
-				par = metricsRun(t, spec, 8).stdout
-			} else {
-				par = runSpec(t, spec, 8, false).stdout
-			}
-			if par != got {
+			// here because the pooled engine must stay job-private. The
+			// jobs=8 run is shared: TestMetricsDeterminism's observed one
+			// stands in where it exists (stdout is the same observed or
+			// not), and TestAblationRelations reads the plain one.
+			if par := sharedRun(t, spec, 8, spec.metrics).stdout; par != got {
 				t.Errorf("%s: jobs=8 output differs from jobs=1", spec.id)
 			}
 		})
@@ -339,7 +345,7 @@ func TestMetricsDeterminism(t *testing.T) {
 			if testing.Short() && !spec.short {
 				t.Skip("volume matrix simulation in -short mode")
 			}
-			base, par := metricsRun(t, spec.equivSpec, 1), metricsRun(t, spec.equivSpec, 8)
+			base, par := sharedRun(t, spec.equivSpec, 1, true), sharedRun(t, spec.equivSpec, 8, true)
 			if par.snapshot != base.snapshot {
 				t.Errorf("%s: jobs=8 metrics snapshot differs from jobs=1", spec.id)
 			}

@@ -312,39 +312,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestBoundedHotlistStillWorks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("extra run in -short mode")
-	}
-	run, err := Execute(context.Background(), Experiment{
-		Days: 2, WindowMS: 30 * 60 * 1000, Rearrange: &Rearrange{HotlistSize: 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, on := detailDays(run)
-	m := on.Metrics(run.Curve, AllRequests)
-	off := run.Days[0].Metrics(run.Curve, AllRequests)
-	if m.SeekMS >= off.SeekMS {
-		t.Errorf("bounded hot list: seek %.2f -> %.2f, no improvement", off.SeekMS, m.SeekMS)
-	}
-}
-
-func TestCylinderPolicyRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("extra run in -short mode")
-	}
-	run, err := Execute(context.Background(), Experiment{
-		Days: 2, WindowMS: 30 * 60 * 1000, Rearrange: &Rearrange{Policy: "cylinder"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(run.Installed) == 0 || run.Installed[0] == 0 {
-		t.Fatal("cylinder policy installed nothing")
-	}
-}
-
 func TestSerialPolicyWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra runs in -short mode")
@@ -366,36 +333,6 @@ func TestSerialPolicyWorse(t *testing.T) {
 	serial := seekOf("serial")
 	if serial <= organ*1.5 {
 		t.Errorf("serial seek %.2f ms not clearly worse than organ-pipe %.2f ms", serial, organ)
-	}
-}
-
-func TestCylinderGranularityWorse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("extra runs in -short mode")
-	}
-	// The paper's granularity argument (§1.1): whole-cylinder
-	// rearrangement at the same data volume beats nothing but loses to
-	// block granularity.
-	seekOf := func(policy string) (on, off float64) {
-		run, err := Execute(context.Background(), Experiment{
-			Rearrange: &Rearrange{Policy: policy}, Days: 2, WindowMS: 45 * 60 * 1000,
-			OnPattern: func(day int) bool { return day > 0 },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		offDay, onDay := detailDays(run)
-		return onDay.Metrics(run.Curve, AllRequests).SeekMS,
-			offDay.Metrics(run.Curve, AllRequests).SeekMS
-	}
-	blockOn, _ := seekOf("organ-pipe")
-	cylOn, cylOff := seekOf("cylinder")
-	if cylOn >= cylOff {
-		t.Errorf("cylinder granularity did not help at all: %.2f -> %.2f", cylOff, cylOn)
-	}
-	if blockOn >= cylOn {
-		t.Errorf("block granularity (%.2f ms) not better than cylinder granularity (%.2f ms)",
-			blockOn, cylOn)
 	}
 }
 

@@ -69,6 +69,7 @@ var specs = []Spec{
 	runsSpec("tenant-scale", "extension: multi-tenant server front end — QoS, admission control, circuit breaker", NeedTenants, TenantReport),
 	tableSpec("raid-rebuild", "extension: RAID-5/6 parity layouts (degraded reads, hot-spare rebuild, scrub)", NeedRAID, RAIDReport),
 	tableSpec("trace-replay", "extension: real-trace ingestion and scaled deterministic replay (tracein)", NeedTrace, TraceReport),
+	tableSpec("ablations", "design-choice ablations: scheduler, hot-list size, reserved location, poll period, granularity", NeedAblations, AblationsReport),
 }
 
 // Lookup returns the spec registered under id.

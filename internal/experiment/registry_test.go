@@ -16,7 +16,7 @@ func TestRegistryHasAllIDs(t *testing.T) {
 		"table6", "table7", "table8", "table9", "table10",
 		"fig4", "fig5", "fig6", "fig7", "fig8",
 		"shared", "faults", "crash", "volume-scale", "tenant-scale",
-		"raid-rebuild", "trace-replay",
+		"raid-rebuild", "trace-replay", "ablations",
 		"onoff-system", "onoff-users", "policies", "sweep", "all",
 	}
 	ids := IDs()
@@ -128,7 +128,12 @@ func TestEveryIDRendersOneDay(t *testing.T) {
 			}
 		}
 	}
-	if out := Table3(rs.Runs(NeedSystem)).Render(); !strings.Contains(out, "insufficient days") {
-		t.Errorf("table3 of a one-day run does not say it lacks an on day:\n%s", out)
+	for id, rep := range map[string]*Report{
+		"table3":    Table3(rs.Runs(NeedSystem)),
+		"ablations": AblationsReport(rs.Runs(NeedAblations)),
+	} {
+		if out := rep.Render(); !strings.Contains(out, "insufficient days") {
+			t.Errorf("%s of a one-day run does not say it lacks an on day:\n%s", id, out)
+		}
 	}
 }

@@ -45,6 +45,11 @@ var jobNames = map[Need][]string{
 		"trace/open-1x", "trace/open-1x-rearr", "trace/closed-1x", "trace/closed-1x-rearr",
 		"trace/open-4x-stripe4", "trace/open-4x-stripe4-rearr",
 	},
+	NeedAblations: {
+		"ablations/baseline", "ablations/fcfs", "ablations/cscan", "ablations/sstf",
+		"ablations/hotlist-64", "ablations/hotlist-256", "ablations/hotlist-1024",
+		"ablations/reserved-edge", "ablations/poll-30s", "ablations/poll-10m", "ablations/cylinder",
+	},
 }
 
 // TestEveryRowOfEveryNeed holds the tables in shape: under zero Options

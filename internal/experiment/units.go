@@ -51,6 +51,9 @@ const (
 	// configuration (open/closed loop, scale factor, rearrangement
 	// off/on).
 	NeedTrace
+	// NeedAblations is the ablation matrix: the rearranged system
+	// workload with one design choice changed per row.
+	NeedAblations
 	needCount
 )
 
@@ -68,15 +71,16 @@ var needTable = [needCount]struct {
 		rows: func(o Options) []Experiment { return onOffConfigs(System, o) }},
 	NeedUsers: {name: "onoff-users", prefix: "onoff/users/",
 		rows: func(o Options) []Experiment { return onOffConfigs(Users, o) }},
-	NeedPolicies: {name: "policies", prefix: "policies/", rows: policiesConfigs},
-	NeedSweep:    {name: "sweep", prefix: "sweep/", rows: sweepConfigs},
-	NeedShared:   {name: "shared", rows: sharedConfigs},
-	NeedFaults:   {name: "faults", prefix: "faults/", rows: faultConfigs},
-	NeedCrash:    {name: "crash", crash: crashUnits},
-	NeedVolume:   {name: "volume", prefix: "volume/", rows: volumeConfigs},
-	NeedTenants:  {name: "tenants", prefix: "tenants/", rows: tenantConfigs},
-	NeedRAID:     {name: "raid", prefix: "raid/", rows: raidConfigs},
-	NeedTrace:    {name: "trace", prefix: "trace/", rows: traceConfigs},
+	NeedPolicies:  {name: "policies", prefix: "policies/", rows: policiesConfigs},
+	NeedSweep:     {name: "sweep", prefix: "sweep/", rows: sweepConfigs},
+	NeedShared:    {name: "shared", rows: sharedConfigs},
+	NeedFaults:    {name: "faults", prefix: "faults/", rows: faultConfigs},
+	NeedCrash:     {name: "crash", crash: crashUnits},
+	NeedVolume:    {name: "volume", prefix: "volume/", rows: volumeConfigs},
+	NeedTenants:   {name: "tenants", prefix: "tenants/", rows: tenantConfigs},
+	NeedRAID:      {name: "raid", prefix: "raid/", rows: raidConfigs},
+	NeedTrace:     {name: "trace", prefix: "trace/", rows: traceConfigs},
+	NeedAblations: {name: "ablations", prefix: "ablations/", rows: ablationConfigs},
 }
 
 // units expands the need into its simulation units.
