@@ -59,9 +59,6 @@ type Config struct {
 }
 
 const (
-	// histMaxMS is the bucket range of the time histograms in
-	// milliseconds.
-	histMaxMS = 4000
 	// maxRetries bounds re-issues of a transiently failing operation.
 	maxRetries = 3
 	// retryBaseMS is the first retry backoff in simulated milliseconds;
@@ -873,8 +870,8 @@ func (d *Driver) interrupt(r *ioreq, rdata []byte, t disk.Timing, startMS float6
 		side.SchedDist.Add(t.SeekDist)
 		side.RotMS += t.RotMS
 		side.TransferMS += t.TransferMS
-		side.Service.Add(now - startMS)
-		side.Queueing.Add(startMS - r.arriveMS)
+		side.Service.Record(now - startMS)
+		side.QueueMS += startMS - r.arriveMS
 		if mx := d.mx; mx != nil {
 			mx.service.Record(now - startMS)
 			mx.queueing.Record(startMS - r.arriveMS)

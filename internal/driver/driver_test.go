@@ -542,7 +542,7 @@ func TestQueueingUnderBurst(t *testing.T) {
 	if st.ReadSide.MeanQueueingMS() <= 0 {
 		t.Error("burst produced no queueing time")
 	}
-	if st.ReadSide.Queueing.MeanMS() < st.ReadSide.Service.MeanMS() {
+	if st.ReadSide.MeanQueueingMS() < st.ReadSide.MeanServiceMS() {
 		t.Error("burst queueing should exceed single service time on average")
 	}
 }

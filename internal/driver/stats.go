@@ -1,8 +1,8 @@
 package driver
 
 import (
+	"repro/internal/metrics"
 	"repro/internal/seek"
-	"repro/internal/stats"
 )
 
 // This file implements the driver's monitoring functions (Sections 4.1.4
@@ -59,26 +59,30 @@ type Side struct {
 	// FCFSDist is the seek-distance distribution in arrival order, over
 	// original (unrearranged) block addresses: what FCFS service without
 	// rearrangement would have seen.
-	FCFSDist *stats.DistHist
+	FCFSDist *DistHist
 	// SchedDist is the seek-distance distribution in scheduled order:
 	// the head movements that actually occurred.
-	SchedDist *stats.DistHist
-	// Service and Queueing are the time distributions, at 1 ms bucket
-	// resolution with full-resolution cumulative sums.
-	Service  *stats.TimeHist
-	Queueing *stats.TimeHist
-	// RotMS and TransferMS are full-resolution cumulative components of
-	// the measured service times.
+	SchedDist *DistHist
+	// Service is the service-time distribution. Its layout (serviceOpts)
+	// has every whole millisecond up to 128 as a bucket boundary, so
+	// CountBelow answers at §4.1.5's 1 ms resolution, and its sum keeps
+	// full resolution.
+	Service *metrics.Histogram
+	// QueueMS, RotMS and TransferMS are full-resolution cumulative
+	// queueing times and components of the measured service times.
+	QueueMS    float64
 	RotMS      float64
 	TransferMS float64
 }
 
+// serviceOpts is the layout of Side.Service.
+var serviceOpts = metrics.HistogramOpts{SubBits: 6}
+
 func newSide() *Side {
 	return &Side{
-		FCFSDist:  stats.NewDistHist(),
-		SchedDist: stats.NewDistHist(),
-		Service:   stats.NewTimeHist(histMaxMS),
-		Queueing:  stats.NewTimeHist(histMaxMS),
+		FCFSDist:  &DistHist{},
+		SchedDist: &DistHist{},
+		Service:   metrics.NewHistogram(serviceOpts),
 	}
 }
 
@@ -86,10 +90,16 @@ func newSide() *Side {
 func (s *Side) Count() int64 { return s.Service.Count() }
 
 // MeanServiceMS returns the mean measured service time.
-func (s *Side) MeanServiceMS() float64 { return s.Service.MeanMS() }
+func (s *Side) MeanServiceMS() float64 { return s.Service.Mean() }
 
 // MeanQueueingMS returns the mean measured queueing (waiting) time.
-func (s *Side) MeanQueueingMS() float64 { return s.Queueing.MeanMS() }
+func (s *Side) MeanQueueingMS() float64 {
+	n := s.Count()
+	if n == 0 {
+		return 0
+	}
+	return s.QueueMS / float64(n)
+}
 
 // MeanSeekMS computes the mean seek time from the scheduled-order
 // distance distribution and a seek curve, as the paper's tables do.
@@ -113,10 +123,10 @@ func (s *Side) MeanRotTransferMS() float64 {
 func (s *Side) merge(other *Side) {
 	s.FCFSDist.Merge(other.FCFSDist)
 	s.SchedDist.Merge(other.SchedDist)
-	// Every time histogram has the one bucket range, histMaxMS, so Merge
-	// has no mismatch to report.
+	// Every Service has the one layout, serviceOpts, so Merge has no
+	// mismatch to report.
 	_ = s.Service.Merge(other.Service)
-	_ = s.Queueing.Merge(other.Queueing)
+	s.QueueMS += other.QueueMS
 	s.RotMS += other.RotMS
 	s.TransferMS += other.TransferMS
 }
@@ -161,3 +171,79 @@ func (d *Driver) ReadStats() *Stats {
 // PeekStats returns the live statistics without clearing them. Intended
 // for tests and progress displays.
 func (d *Driver) PeekStats() *Stats { return d.stats }
+
+// DistHist is a seek-distance distribution: counts of seeks by distance
+// in cylinders. The counts are dense, indexed by distance: a distance is
+// bounded by the disk's cylinder count, so the slice stops growing after
+// the first long seeks and Add is an indexed increment.
+type DistHist struct {
+	counts []int64 // counts[d] seeks of d cylinders
+	n      int64
+	sum    int64
+}
+
+// Add records one seek of distance d cylinders (|d| is used).
+func (h *DistHist) Add(d int) {
+	if d < 0 {
+		d = -d
+	}
+	if d >= len(h.counts) {
+		h.grow(d + 1)
+	}
+	h.counts[d]++
+	h.n++
+	h.sum += int64(d)
+}
+
+// grow extends counts to n distances, keeping Add's common path small.
+func (h *DistHist) grow(n int) {
+	h.counts = append(h.counts, make([]int64, n-len(h.counts))...)
+}
+
+// Count returns the number of seeks recorded.
+func (h *DistHist) Count() int64 { return h.n }
+
+// MeanDist returns the mean seek distance in cylinders.
+func (h *DistHist) MeanDist() float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.n)
+}
+
+// ZeroFrac returns the fraction of zero-length seeks.
+func (h *DistHist) ZeroFrac() float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.counts[0]) / float64(h.n)
+}
+
+// MeanSeekMS applies a seek-time curve to the distance distribution and
+// returns the mean seek time in milliseconds. This is how the paper
+// derives all of its reported seek times (Section 5.2). The sum runs in
+// ascending distance order, so the result is reproducible to the bit.
+func (h *DistHist) MeanSeekMS(c seek.Curve) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	var sum float64
+	for d, cnt := range h.counts {
+		if cnt > 0 {
+			sum += float64(float64(cnt) * c.SeekMS(d))
+		}
+	}
+	return sum / float64(h.n)
+}
+
+// Merge adds all seeks of other into h.
+func (h *DistHist) Merge(other *DistHist) {
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
+	}
+	for d, c := range other.counts {
+		h.counts[d] += c
+	}
+	h.n += other.n
+	h.sum += other.sum
+}

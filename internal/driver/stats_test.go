@@ -7,8 +7,10 @@ import (
 	"repro/internal/disk"
 	"repro/internal/geom"
 	"repro/internal/label"
+	"repro/internal/metrics"
 	"repro/internal/seek"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestFCFSDistUsesOriginalAddresses checks the key measurement property
@@ -68,7 +70,7 @@ func TestSeekTimeFromDistribution(t *testing.T) {
 	side := drv.ReadStats().All()
 	curve := seek.ToshibaMK156F
 	var sum float64
-	for d, c := range side.SchedDist.Histogram() {
+	for d, c := range side.SchedDist.counts {
 		sum += float64(c) * curve.SeekMS(d)
 	}
 	want := sum / float64(side.SchedDist.Count())
@@ -92,15 +94,16 @@ func TestRotTransferAccounting(t *testing.T) {
 	if rt < 7 || rt > 27 {
 		t.Errorf("mean rot+transfer = %.2f ms, implausible", rt)
 	}
-	// Empty side reports zero.
-	if (&Side{Service: drv.PeekStats().ReadSide.Service}).MeanRotTransferMS() != 0 {
+	// The side ReadStats left behind is empty and reports zero.
+	if drv.PeekStats().ReadSide.MeanRotTransferMS() != 0 {
 		t.Error("empty side should report 0")
 	}
 }
 
-// TestBufferHitsCounted verifies the Fujitsu track buffer shows up in
-// the driver statistics.
-func TestBufferHitsCounted(t *testing.T) {
+// newFujitsuRig is newRig's Fujitsu counterpart: a rearranged Fujitsu
+// with its read-ahead track buffer and one file-system partition.
+func newFujitsuRig(t *testing.T) (*sim.Engine, *disk.Disk, *Driver) {
+	t.Helper()
 	eng := sim.NewEngine()
 	dsk := disk.MustNew(disk.Fujitsu())
 	firstCyl, err := label.AlignedFirstCyl(dsk.Geom(), 16, (dsk.Geom().Cylinders-80)/2)
@@ -121,6 +124,13 @@ func TestBufferHitsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, dsk, drv
+}
+
+// TestBufferHitsCounted verifies the Fujitsu track buffer shows up in
+// the driver statistics.
+func TestBufferHitsCounted(t *testing.T) {
+	eng, dsk, drv := newFujitsuRig(t)
 	// Sequential reads with idle gaps: read-ahead hits.
 	_, _, hits0 := dsk.Counters()
 	var issue func(blk int64)
@@ -145,6 +155,85 @@ func TestBufferHitsCounted(t *testing.T) {
 	}
 	if hits >= st.ReadSide.Count() {
 		t.Error("every read was a buffer hit, including the first")
+	}
+}
+
+// TestSeekArithmetic checks the paper's own arithmetic (Section 5.2)
+// across the driver, the seek curve and the disk, over one measured
+// window on fault-free Toshiba and Fujitsu rigs: the scheduled-order
+// distances add up to the disk's head travel, the disk's seek curve
+// priced over them adds up to the seek times the registry recorded, and
+// the distribution holds every request the registry counted.
+func TestSeekArithmetic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		rig      func(*testing.T) (*sim.Engine, *disk.Disk, *Driver)
+		buffered bool // the disk has a read-ahead track buffer
+	}{{"toshiba", newRig, false}, {"fujitsu", newFujitsuRig, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, dsk, drv := tc.rig(t)
+			p, _ := drv.Label().Partition(0)
+			blocks := p.Size / 16
+			rnd := sim.NewRand(0xA5)
+			for i := 0; i < 40; i++ { // populate, before the window
+				drv.WriteBlock(0, rnd.Int63n(blocks), blockOf(byte(i)), nil)
+			}
+			eng.Run()
+
+			drv.ReadStats()
+			reg := metrics.NewRegistry()
+			drv.BindMetrics(reg)
+			requests := func() float64 {
+				for _, m := range reg.Snapshot().Metrics {
+					if m.Name == "driver_requests" {
+						return m.Value
+					}
+				}
+				t.Fatal("driver_requests not registered")
+				return 0
+			}
+			cyl0, req0 := dsk.SeekCylinders(), requests()
+			_, _, hits0 := dsk.Counters()
+			start := eng.Now()
+			for i := 0; i < 300; i++ {
+				blk, write := rnd.Int63n(blocks), rnd.Bool(0.3)
+				eng.At(start+float64(rnd.Intn(15000)), func() {
+					if write {
+						drv.WriteBlock(0, blk, blockOf(1), nil)
+					} else {
+						drv.ReadBlock(0, blk, nil)
+					}
+				})
+			}
+			// A spaced sequential run: the Fujitsu's read-ahead serves it.
+			for i := int64(0); i < 30; i++ {
+				blk := 1000 + i
+				eng.At(start+16000+float64(30*i), func() { drv.ReadBlock(0, blk, nil) })
+			}
+			eng.Run()
+
+			sched := drv.ReadStats().All().SchedDist
+			var cyls int64
+			var seekMS float64
+			curve := dsk.Model().Seek
+			for d, c := range sched.counts {
+				cyls += int64(d) * c
+				seekMS += float64(c) * curve.SeekMS(d)
+			}
+			if moved := dsk.SeekCylinders() - cyl0; cyls != moved {
+				t.Errorf("scheduled distances add up to %d cylinders, the disk moved %d", cyls, moved)
+			}
+			got := reg.Histogram("driver_seek_ms", metrics.HistogramOpts{}).Sum()
+			if math.Abs(seekMS-got) > 1e-9*got || got == 0 {
+				t.Errorf("curve over the distances gives %v ms of seeks, driver_seek_ms %v", seekMS, got)
+			}
+			if n := requests() - req0; float64(sched.Count()) != n || n < 330 {
+				t.Errorf("%d seeks in the distribution, driver_requests rose by %v", sched.Count(), n)
+			}
+			if _, _, hits := dsk.Counters(); (hits > hits0) != tc.buffered {
+				t.Errorf("%d track-buffer hits in the window", hits-hits0)
+			}
+		})
 	}
 }
 
@@ -195,29 +284,70 @@ func TestQueueingVsServiceWindows(t *testing.T) {
 	if st.ReadSide.Count() != 2 {
 		t.Fatalf("%d requests", st.ReadSide.Count())
 	}
-	wait2 = st.ReadSide.Queueing.SumMS() // first waited 0
+	wait2 = st.ReadSide.QueueMS // first waited 0
 	if math.Abs(wait2-svc1) > 1e-6 {
 		t.Errorf("second request waited %.3f ms, want first's service %.3f ms", wait2, svc1)
 	}
 }
 
-// TestStatsHistogramResolution verifies the 1 ms bucketing with
-// full-resolution means of Section 4.1.5.
+// TestStatsHistogramResolution verifies Section 4.1.5's accounting
+// against the driver's own spans: the service-time distribution at
+// 1 ms resolution, and the service and queueing sums at full
+// resolution.
 func TestStatsHistogramResolution(t *testing.T) {
 	eng, _, drv := newRig(t)
-	for i := int64(0); i < 10; i++ {
+	var svc []float64
+	var svcSum, queueSum float64
+	drv.SetSink(telemetry.SinkFunc(func(e *telemetry.Event) {
+		if e.Kind == telemetry.KindSpan && !e.Internal {
+			v := e.CompleteMS - e.DispatchMS
+			svc = append(svc, v)
+			svcSum += v
+			queueSum += e.DispatchMS - e.ArriveMS
+		}
+	}))
+	// A burst queues behind the head; the spaced reads do not.
+	for i := int64(0); i < 20; i++ {
 		drv.ReadBlock(0, i*137, nil)
 	}
-	eng.Run()
-	svc := drv.ReadStats().ReadSide.Service
-	cdf := svc.CDF()
-	if len(cdf) == 0 {
-		t.Fatal("no CDF")
+	for i := int64(0); i < 20; i++ {
+		blk := 5000 + i*311
+		eng.At(float64(200+40*i), func() { drv.ReadBlock(0, blk, nil) })
 	}
-	// Bucket boundaries are integral milliseconds.
-	for _, pt := range cdf[:3] {
-		if pt.X != math.Trunc(pt.X) {
-			t.Errorf("bucket boundary %v not integral", pt.X)
+	eng.Run()
+	side := drv.ReadStats().ReadSide
+	if side.Count() != int64(len(svc)) || side.Count() != 40 {
+		t.Fatalf("%d requests counted, %d spans", side.Count(), len(svc))
+	}
+	for x := 0; x <= 128; x++ {
+		var want int64
+		for _, v := range svc {
+			if int(v) < x {
+				want++
+			}
 		}
+		if got := side.Service.CountBelow(float64(x)); got != want {
+			t.Errorf("%d requests below %d ms, want %d", got, x, want)
+		}
+	}
+	if side.Service.Sum() != svcSum || side.QueueMS != queueSum {
+		t.Errorf("sums %v/%v ms, spans %v/%v ms", side.Service.Sum(), side.QueueMS, svcSum, queueSum)
+	}
+	if m := side.MeanServiceMS(); m == math.Trunc(m) {
+		t.Errorf("mean service %v ms is whole: not full resolution", m)
+	}
+}
+
+// TestDistHistAddZeroAllocs: once the counts cover the disk's distances,
+// recording a seek is an indexed increment.
+func TestDistHistAddZeroAllocs(t *testing.T) {
+	h := &DistHist{}
+	h.Add(1500)
+	d := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Add(d % 1501)
+		d += 37
+	}); n != 0 {
+		t.Errorf("Add: %v allocs per seek, want 0", n)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/hotlist"
 	"repro/internal/seek"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracein"
@@ -416,7 +415,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	// Seek metrics: merge every member's arrival-order and
 	// scheduled-order distance distributions (reads and writes), then
 	// price both through the members' seek curve.
-	fcfs, sched := stats.NewDistHist(), stats.NewDistHist()
+	var fcfs, sched driver.DistHist
 	for _, m := range v.Members {
 		all := m.Driver.ReadStats().All()
 		fcfs.Merge(all.FCFSDist)

@@ -222,8 +222,8 @@ func TestServiceCDFOnDominatesOff(t *testing.T) {
 	// Figure 4: the rearranged day's service-time CDF dominates at the
 	// 20 ms anchor.
 	off, on := detailDays(named(systemRuns(t), "fujitsu"))
-	offAt20 := off.Stats.All().Service.FracBelow(20)
-	onAt20 := on.Stats.All().Service.FracBelow(20)
+	offAt20 := fracBelow(off.Stats.All().Service, 20)
+	onAt20 := fracBelow(on.Stats.All().Service, 20)
 	if onAt20 <= offAt20 {
 		t.Errorf("CDF at 20ms: on %.2f <= off %.2f", onAt20, offAt20)
 	}

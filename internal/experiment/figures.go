@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hotlist"
+	"repro/internal/metrics"
 	"repro/internal/plot"
 )
 
@@ -25,23 +26,35 @@ func cdfFigure(id, title, chartTitle, note string, runs []*Run) []Renderable {
 	}
 	off, on := detailDays(named(runs, "fujitsu"))
 	if !lacksDay(rep, off, on) {
-		offSvc, onSvc := off.Stats.All().Service, on.Stats.All().Service
+		svc := [2]*metrics.Histogram{off.Stats.All().Service, on.Stats.All().Service}
 		for _, ms := range []float64{5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100} {
-			rep.AddRow(f0(ms), fmt.Sprintf("%.3f", offSvc.FracBelow(ms)), fmt.Sprintf("%.3f", onSvc.FracBelow(ms)))
+			rep.AddRow(f0(ms), fmt.Sprintf("%.3f", fracBelow(svc[0], ms)), fmt.Sprintf("%.3f", fracBelow(svc[1], ms)))
 		}
-		for i, d := range []DayResult{off, on} {
+		// The curve runs in 1 ms steps and stops at the first step that
+		// covers every request.
+		for i, h := range svc {
 			s := &chart.Series[i]
-			for _, pt := range d.Stats.All().Service.CDF() {
-				if pt.X > 60 {
+			for ms := 1.0; ms <= 60 && h.Count() > 0; ms++ {
+				f := fracBelow(h, ms)
+				s.X = append(s.X, ms)
+				s.Y = append(s.Y, f)
+				if f == 1 {
 					break
 				}
-				s.X = append(s.X, pt.X)
-				s.Y = append(s.Y, pt.Frac)
 			}
 		}
 	}
 	rep.AddNote(note)
 	return []Renderable{rep, chart}
+}
+
+// fracBelow returns the fraction of h's samples below ms, a whole number
+// of milliseconds up to 128, or 0 for an empty h.
+func fracBelow(h *metrics.Histogram, ms float64) float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return float64(h.CountBelow(ms)) / float64(h.Count())
 }
 
 // Figure4 renders Figure 4: service-time distributions for the system

@@ -1,9 +1,10 @@
 package experiment
 
 import (
+	"fmt"
+
 	"repro/internal/driver"
 	"repro/internal/seek"
-	"repro/internal/stats"
 )
 
 // Metrics is the set of per-day quantities the paper's tables report.
@@ -64,8 +65,7 @@ func (d DayResult) Metrics(curve seek.Curve, side Side) Metrics {
 // times of a set of days into the min/avg/max triples of the paper's
 // on/off tables (2, 4, 5, 6).
 type OnOffSummary struct {
-	Seek, Service, Wait stats.Summary
-	Days                int
+	Seek, Service, Wait Summary
 }
 
 // Summarize builds an OnOffSummary over days for the selected side.
@@ -79,9 +79,47 @@ func Summarize(days []DayResult, curve seek.Curve, side Side) OnOffSummary {
 		out.Seek.Add(m.SeekMS)
 		out.Service.Add(m.ServiceMS)
 		out.Wait.Add(m.WaitMS)
-		out.Days++
 	}
 	return out
+}
+
+// Summary aggregates a series of per-day values into the min/avg/max
+// triple of the paper's on/off tables ("daily mean ...").
+type Summary struct {
+	n             int
+	min, max, sum float64
+}
+
+// Add records one daily value.
+func (s *Summary) Add(v float64) {
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	if s.n == 0 || v > s.max {
+		s.max = v
+	}
+	s.n++
+	s.sum += v
+}
+
+// Min returns the smallest value, or 0 when empty.
+func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest value, or 0 when empty.
+func (s *Summary) Max() float64 { return s.max }
+
+// Avg returns the mean value, or 0 when empty.
+func (s *Summary) Avg() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
+
+// String renders the summary as "min/avg/max" with two decimals, the
+// format of the paper's on/off tables.
+func (s *Summary) String() string {
+	return fmt.Sprintf("%.2f/%.2f/%.2f", s.Min(), s.Avg(), s.Max())
 }
 
 // SeekReductionPct returns the percentage reduction of a day's mean seek

@@ -194,6 +194,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
+// CountBelow returns the number of observations in the buckets that lie
+// wholly below x. When x is a bucket boundary at or above 2^MinExp it is
+// exact: the number of recorded values v < x. With SubBits s the
+// boundaries in [2^e, 2^(e+1)) are the multiples of 2^(e-s), so with
+// SubBits 6 every whole number up to 128 is one.
+func (h *Histogram) CountBelow(x float64) int64 {
+	var n int64
+	for i, c := range h.buckets {
+		if h.upperBound(i) > x {
+			break
+		}
+		n += c
+	}
+	return n
+}
+
 // quantileRank converts a quantile to a 1-based rank among count
 // observations.
 func quantileRank(q float64, count int64) int64 {
