@@ -12,9 +12,11 @@ import (
 // Allocation regression tests for the request round trip. The budget:
 //
 //   - writes: 0 allocations — the ioreq comes from the driver's pool,
-//     the completion event is the ioreq itself (sim.Caller), the
-//     scheduler candidates and device queue reuse their backing arrays,
-//     and the disk keeps the payload as the block's page;
+//     the completion event is the ioreq itself (sim.Caller), the device
+//     queue and its cylinder slice reuse their backing arrays, and the
+//     disk keeps the payload as the block's page;
+//   - a dispatch from a deep queue: 0 allocations — the scheduler picks
+//     from the cylinder slice in place;
 //   - reads: 0 allocations — the disk lends the block's page (or the
 //     zero page), which the completion passes on, read-only;
 //   - a BCopy: no new page — the reserved copy is the original's page.
@@ -42,6 +44,27 @@ func TestWriteRoundTripZeroAllocs(t *testing.T) {
 		eng.Run()
 	}); n != 0 {
 		t.Errorf("write round trip: %v allocs, want 0", n)
+	}
+}
+
+// 256 writes queued behind a busy device and drained: every dispatch
+// picks from a 256-deep queue or less, and none allocates.
+func TestDispatchFromDeepQueueZeroAllocs(t *testing.T) {
+	eng, _, drv := newRig(t)
+	blocks := randomBlocks(drv, 256, 1)
+	done := func(int) DoneFunc { return nil }
+	for i := 0; i < 4; i++ { // warm the queue, the pool and the pages
+		queued(drv, blocks, done)
+		eng.Run()
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		queued(drv, blocks, done)
+		if drv.QueueLen() != 256 {
+			t.Fatalf("QueueLen = %d, want 256", drv.QueueLen())
+		}
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("256-deep queue drained: %v allocs, want 0", n)
 	}
 }
 

@@ -118,16 +118,12 @@ type ioreq struct {
 	data       []byte
 	arriveMS   float64
 	dispatchMS float64 // first queue exit; retries keep the original
-	cyl        int
 	done       DoneFunc
 
 	// Completion-interrupt payload, filled by issue for Call.
 	rdata  []byte
 	timing disk.Timing
 }
-
-// Cylinder implements sched.Cylindered.
-func (r *ioreq) Cylinder() int { return r.cyl }
 
 // Call implements sim.Caller: the completion interrupt of the in-flight
 // service attempt recorded by issue.
@@ -143,14 +139,15 @@ type Driver struct {
 	bt  *blocktable.Table
 	cfg Config
 
+	// queue holds the waiting requests in arrival order, and qcyl each
+	// one's target cylinder, index for index: the scheduler picks from
+	// qcyl alone.
 	queue []*ioreq
+	qcyl  []int32
 	busy  bool
 
-	// Hot-path scratch: completed ioreqs are recycled through reqFree,
-	// and start reuses cands for the scheduler's candidate view instead
-	// of allocating a slice per dispatch.
+	// Completed ioreqs are recycled through reqFree.
 	reqFree []*ioreq
-	cands   []sched.Cylindered
 
 	// tableBuf is the reusable encoding buffer for block-table writes
 	// (see writeTable); tableBufBusy guards the window where a queued
@@ -574,7 +571,6 @@ func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, 
 	r.count = count
 	r.data = data
 	r.arriveMS = d.eng.Now()
-	r.cyl = d.dsk.Geom().CylinderOf(target)
 	r.done = done
 	d.enqueue(r)
 }
@@ -648,7 +644,6 @@ func (d *Driver) applyRemap(r *ioreq) {
 	if r.sector+int64(r.count) > blockStart+bsec {
 		return
 	}
-	moved := false
 	for {
 		spare, ok := d.remaps[blockStart]
 		if !ok {
@@ -656,10 +651,6 @@ func (d *Driver) applyRemap(r *ioreq) {
 		}
 		r.sector = spare + (r.sector - blockStart)
 		blockStart = spare
-		moved = true
-	}
-	if moved {
-		r.cyl = d.dsk.Geom().CylinderOf(r.sector)
 	}
 }
 
@@ -674,6 +665,7 @@ func (d *Driver) enqueue(r *ioreq) {
 	d.applyRemap(r)
 	r.qdepth = d.Outstanding()
 	d.queue = append(d.queue, r)
+	d.qcyl = append(d.qcyl, int32(d.dsk.Geom().CylinderOf(r.sector)))
 	if !d.busy {
 		d.start()
 	}
@@ -686,14 +678,10 @@ func (d *Driver) start() {
 		return
 	}
 	d.busy = true
-	cands := d.cands[:0]
-	for _, r := range d.queue {
-		cands = append(cands, r)
-	}
-	d.cands = cands
-	idx := d.cfg.Sched.Pick(d.dsk.HeadCylinder(), cands)
+	idx := d.cfg.Sched.Next(d.dsk.HeadCylinder(), d.qcyl)
 	r := d.queue[idx]
 	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
+	d.qcyl = append(d.qcyl[:idx], d.qcyl[idx+1:]...)
 	r.dispatchMS = d.eng.Now()
 	d.issue(r)
 }
@@ -749,7 +737,7 @@ func (d *Driver) handleError(r *ioreq, err error) {
 		d.dead = true
 		d.emitFault(r, fe, "crash")
 		failed := append([]*ioreq{r}, d.queue...)
-		d.queue = nil
+		d.queue, d.qcyl = nil, nil
 		d.busy = false
 		d.eng.After(0, func() {
 			for _, q := range failed {
@@ -799,7 +787,6 @@ func (d *Driver) tryRemap(r *ioreq, fe *fault.Error) bool {
 	d.cum.Remaps++
 	d.emitFault(r, fe, "remap")
 	r.sector = spare + (r.sector - blockStart)
-	r.cyl = d.dsk.Geom().CylinderOf(r.sector)
 	d.issue(r)
 	return true
 }

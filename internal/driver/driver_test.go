@@ -12,7 +12,7 @@ import (
 
 // newRig builds a rearranged Toshiba disk with one file system partition
 // covering the whole virtual disk, attaches a driver, and returns both.
-func newRig(t *testing.T) (*sim.Engine, *disk.Disk, *Driver) {
+func newRig(t testing.TB) (*sim.Engine, *disk.Disk, *Driver) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dsk := disk.MustNew(disk.Toshiba())

@@ -49,7 +49,6 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 	}
 	// 1: read the block from its original location.
 	d.enqueue(&ioreq{internal: true, phase: "bcopy-read", orig: orig, sector: orig, count: bsec, arriveMS: d.eng.Now(),
-		cyl: d.dsk.Geom().CylinderOf(orig),
 		done: func(data []byte, err error) {
 			if err != nil {
 				finish(fmt.Errorf("driver bcopy: reading original: %w", err))
@@ -59,8 +58,7 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 			// original's page, and the reserved copy keeps that very
 			// page: a second address, not a second copy of the bytes.
 			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
-				arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(dst),
-				done: func(_ []byte, err error) {
+				arriveMS: d.eng.Now(), done: func(_ []byte, err error) {
 					if err != nil {
 						finish(fmt.Errorf("driver bcopy: writing reserved copy: %w", err))
 						return
@@ -179,15 +177,13 @@ func (d *Driver) cleanNext(entries []blocktable.Entry, i int, done ErrFunc) {
 	}
 	// Copy the reserved copy back to the original location first.
 	d.enqueue(&ioreq{internal: true, phase: "clean-read", orig: e.Orig, sector: e.New, count: bsec, arriveMS: d.eng.Now(),
-		cyl: d.dsk.Geom().CylinderOf(e.New),
 		done: func(data []byte, err error) {
 			if err != nil {
 				step(fmt.Errorf("driver clean: reading reserved copy: %w", err))
 				return
 			}
 			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "clean-write", orig: e.Orig, sector: e.Orig, count: bsec, data: data,
-				arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(e.Orig),
-				done: func(_ []byte, err error) {
+				arriveMS: d.eng.Now(), done: func(_ []byte, err error) {
 					if err != nil {
 						step(fmt.Errorf("driver clean: restoring original: %w", err))
 						return
@@ -234,8 +230,7 @@ func (d *Driver) writeTable(done ErrFunc) {
 		img = d.bt.Encode()
 	}
 	d.enqueue(&ioreq{internal: true, write: true, phase: "table-write", orig: at, sector: at,
-		count: sectors, data: img,
-		arriveMS: d.eng.Now(), cyl: d.dsk.Geom().CylinderOf(at),
+		count: sectors, data: img, arriveMS: d.eng.Now(),
 		done: func(_ []byte, err error) {
 			if usedScratch {
 				d.tableBufBusy = false

@@ -102,7 +102,7 @@ func TestRotTransferAccounting(t *testing.T) {
 
 // newFujitsuRig is newRig's Fujitsu counterpart: a rearranged Fujitsu
 // with its read-ahead track buffer and one file-system partition.
-func newFujitsuRig(t *testing.T) (*sim.Engine, *disk.Disk, *Driver) {
+func newFujitsuRig(t testing.TB) (*sim.Engine, *disk.Disk, *Driver) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dsk := disk.MustNew(disk.Fujitsu())
@@ -167,7 +167,7 @@ func TestBufferHitsCounted(t *testing.T) {
 func TestSeekArithmetic(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		rig      func(*testing.T) (*sim.Engine, *disk.Disk, *Driver)
+		rig      func(testing.TB) (*sim.Engine, *disk.Disk, *Driver)
 		buffered bool // the disk has a read-ahead track buffer
 	}{{"toshiba", newRig, false}, {"fujitsu", newFujitsuRig, true}} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,12 +10,16 @@
 // 5.2 attributes part of the rearranged zero-seek rate to synergy
 // between SCAN and the clustering of hot blocks; the ablation
 // benchmarks quantify that claim.
+//
+// A policy picks from the queue's target cylinders alone: a dense,
+// arrival-ordered []int32 the driver keeps beside its queue, scanned
+// once per pick with no interface call per entry.
 package sched
 
 import "fmt"
 
-// Cylindered is anything with a target cylinder — the only property a
-// head scheduler needs.
+// Cylindered is anything with a target cylinder. Only (*SCAN).Pick
+// still takes it.
 type Cylindered interface {
 	Cylinder() int
 }
@@ -26,10 +30,11 @@ type Cylindered interface {
 type Scheduler interface {
 	// Name returns the policy name (e.g. "scan").
 	Name() string
-	// Pick returns the index within pending of the request to service
-	// next, given the current head cylinder. pending is in arrival
-	// order and is never empty.
-	Pick(headCyl int, pending []Cylindered) int
+	// Next returns the index within cyls of the request to service
+	// next, given the current head cylinder. cyls holds the pending
+	// requests' target cylinders in arrival order and is never empty;
+	// among equally good requests the earliest arrival wins.
+	Next(headCyl int, cyls []int32) int
 }
 
 // New returns a scheduler by policy name: "fcfs", "scan", "cscan" or
@@ -55,8 +60,8 @@ type FCFS struct{}
 // Name implements Scheduler.
 func (FCFS) Name() string { return "fcfs" }
 
-// Pick implements Scheduler.
-func (FCFS) Pick(_ int, _ []Cylindered) int { return 0 }
+// Next implements Scheduler.
+func (FCFS) Next(int, []int32) int { return 0 }
 
 // SSTF services the request with the shortest seek distance from the
 // current head position, breaking ties in arrival order.
@@ -65,11 +70,12 @@ type SSTF struct{}
 // Name implements Scheduler.
 func (SSTF) Name() string { return "sstf" }
 
-// Pick implements Scheduler.
-func (SSTF) Pick(headCyl int, pending []Cylindered) int {
-	best, bestDist := 0, abs(pending[0].Cylinder()-headCyl)
-	for i := 1; i < len(pending); i++ {
-		if d := abs(pending[i].Cylinder() - headCyl); d < bestDist {
+// Next implements Scheduler.
+func (SSTF) Next(headCyl int, cyls []int32) int {
+	head := int32(headCyl)
+	best, bestDist := 0, abs(cyls[0]-head)
+	for i, c := range cyls {
+		if d := abs(c - head); d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -81,7 +87,8 @@ func (SSTF) Pick(headCyl int, pending []Cylindered) int {
 // requests remain in the direction of travel. This matches the SunOS
 // driver's disksort behaviour described in the paper.
 type SCAN struct {
-	up bool
+	up      bool
+	scratch []int32 // Pick's cylinder view, reused across calls
 }
 
 // NewSCAN returns a SCAN scheduler initially sweeping toward higher
@@ -91,34 +98,41 @@ func NewSCAN() *SCAN { return &SCAN{up: true} }
 // Name implements Scheduler.
 func (s *SCAN) Name() string { return "scan" }
 
-// Pick implements Scheduler.
-func (s *SCAN) Pick(headCyl int, pending []Cylindered) int {
-	if i := s.pickDir(headCyl, pending, s.up); i >= 0 {
+// Next implements Scheduler.
+func (s *SCAN) Next(headCyl int, cyls []int32) int {
+	if i := ahead(int32(headCyl), cyls, s.up); i >= 0 {
 		return i
 	}
 	s.up = !s.up
-	if i := s.pickDir(headCyl, pending, s.up); i >= 0 {
+	if i := ahead(int32(headCyl), cyls, s.up); i >= 0 {
 		return i
 	}
-	return 0 // unreachable when pending is non-empty
+	return 0 // unreachable when cyls is non-empty
 }
 
-// pickDir returns the nearest request at or beyond headCyl in the given
+// Pick is Next over a queue of Cylindered values.
+func (s *SCAN) Pick(headCyl int, pending []Cylindered) int {
+	s.scratch = s.scratch[:0]
+	for _, r := range pending {
+		s.scratch = append(s.scratch, int32(r.Cylinder()))
+	}
+	return s.Next(headCyl, s.scratch)
+}
+
+// ahead returns the nearest request at or beyond head in the given
 // direction, ties broken in arrival order, or -1 if none exists.
-func (s *SCAN) pickDir(headCyl int, pending []Cylindered, up bool) int {
-	best, bestDist := -1, 0
-	for i, r := range pending {
-		c := r.Cylinder()
-		var d int
-		if up {
-			d = c - headCyl
-		} else {
-			d = headCyl - c
+// Cylinders are non-negative int32s, so the distance c-head (head-c
+// going down) is negative exactly when its uint32 is at least 1<<31:
+// one unsigned compare against a best that starts there both skips the
+// requests behind the head and keeps the nearest ahead.
+func ahead(head int32, cyls []int32, up bool) int {
+	best, bestDist := -1, uint32(1<<31)
+	for i, c := range cyls {
+		d := uint32(c - head)
+		if !up {
+			d = uint32(head - c)
 		}
-		if d < 0 {
-			continue
-		}
-		if best == -1 || d < bestDist {
+		if d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -133,26 +147,21 @@ type CSCAN struct{}
 // Name implements Scheduler.
 func (CSCAN) Name() string { return "cscan" }
 
-// Pick implements Scheduler.
-func (CSCAN) Pick(headCyl int, pending []Cylindered) int {
-	best, bestCyl := -1, 0
-	lowest, lowestCyl := 0, pending[0].Cylinder()
-	for i, r := range pending {
-		c := r.Cylinder()
-		if c < lowestCyl {
-			lowest, lowestCyl = i, c
-		}
-		if c >= headCyl && (best == -1 || c < bestCyl) {
-			best, bestCyl = i, c
-		}
+// Next implements Scheduler.
+func (CSCAN) Next(headCyl int, cyls []int32) int {
+	if i := ahead(int32(headCyl), cyls, true); i >= 0 {
+		return i
 	}
-	if best >= 0 {
-		return best
+	lowest := 0
+	for i, c := range cyls {
+		if c < cyls[lowest] {
+			lowest = i
+		}
 	}
 	return lowest
 }
 
-func abs(x int) int {
+func abs(x int32) int32 {
 	if x < 0 {
 		return -x
 	}
