@@ -6,17 +6,19 @@
 // Usage:
 //
 //	abrreport -trace day.trace [-disk toshiba|fujitsu] [-sched scan]
-//	          [-format binary|text|msr|blkparse|auto] [-rearrange N]
-//	          [-policy organ-pipe] [-telemetry FILE] [-metrics FILE]
-//	          [-chrome IN [-chrome-out OUT]]
+//	          [-rearrange N] [-policy organ-pipe] [-telemetry FILE]
+//	          [-metrics FILE] [-chrome IN [-chrome-out OUT]]
 //
-// The trace is read by internal/tracein, the reader abrsim -trace-in
-// uses: tracegen's binary and text encodings, SNIA MSR-Cambridge CSV
-// and blkparse text, or -format auto to detect which.
+// The replay is a trace experiment on one disk, run by
+// experiment.Execute as abrsim -exp trace-replay runs its rows. Its
+// format is detected, as abrsim -trace-in detects it: tracegen's
+// binary and text encodings, SNIA MSR-Cambridge CSV or blkparse text.
+// Records addressed past the disk are folded onto it, as abrsim
+// -trace-in folds them.
 //
-// With -rearrange N, the trace is replayed twice: once to learn the N
-// hottest blocks, then again after rearranging them, and both
-// measurements are reported.
+// With -rearrange N, a second run replays the trace once to learn the N
+// hottest blocks, rearranges them and replays it again; the report of
+// that measured replay follows the first.
 //
 // With -telemetry FILE, a time-series CSV written by abrsim -sample is
 // summarized as a queue-depth-over-time table per job, plus the final
@@ -54,11 +56,8 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/driver"
+	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/rig"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tracein"
 )
@@ -69,7 +68,6 @@ func main() {
 	schedName := flag.String("sched", "scan", "head scheduling: scan, fcfs, cscan, sstf")
 	rearrange := flag.Int("rearrange", 0, "rearrange the N hottest blocks between two replays")
 	policy := flag.String("policy", "organ-pipe", "placement policy for -rearrange")
-	format := flag.String("format", "binary", "trace format: binary, text, msr, blkparse, or auto (detect)")
 	timeout := flag.Duration("timeout", 0, "abort the replay after this long (0 = no limit)")
 	teleFile := flag.String("telemetry", "", "summarize a telemetry CSV written by abrsim -sample")
 	metricsFile := flag.String("metrics", "", "print latency percentile tables from a metrics JSON snapshot written by abrsim -metrics")
@@ -109,7 +107,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, os.Stdout, *traceFile, *diskName, *schedName, *policy, *format, *rearrange); err != nil {
+	if err := run(ctx, os.Stdout, *traceFile, *diskName, *schedName, *policy, *rearrange); err != nil {
 		fmt.Fprintln(os.Stderr, "abrreport:", err)
 		os.Exit(1)
 	}
@@ -359,116 +357,51 @@ func convertChrome(inPath, outPath string) error {
 	return nil
 }
 
-// run replays the trace and prints the measurement report to w — twice,
-// around a rearrangement of the hottest blocks, when rearrange > 0.
-func run(ctx context.Context, w io.Writer, traceFile, diskName, schedName, policyName, format string, rearrange int) error {
+// run replays the trace through experiment.Execute on a bare disk and
+// prints the measured pass's report to w. With rearrange > 0 a second
+// run replays it once to learn the hottest blocks, rearranges them and
+// replays it measured again, and its report follows.
+func run(ctx context.Context, w io.Writer, traceFile, diskName, schedName, policyName string, rearrange int) error {
 	if traceFile == "" {
 		return fmt.Errorf("-trace is required")
 	}
 	if rearrange < 0 {
 		return fmt.Errorf("-rearrange %d: a negative count of blocks cannot be rearranged; want 0 (replay once, no rearrangement) or the number of hottest blocks to move", rearrange)
 	}
-	tf, err := tracein.ParseFormat(format)
-	if err != nil {
-		return fmt.Errorf("-format: %w", err)
+	e := experiment.Experiment{
+		Name:     traceFile,
+		Devices:  experiment.Devices{Disk: diskName, Sched: schedName},
+		Workload: experiment.Workload{Source: experiment.Trace, TracePath: traceFile, Mode: tracein.OpenLoop},
 	}
-	recs, _, err := tracein.ReadFile(traceFile, tf, tracein.Options{})
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("trace is empty")
-	}
-
-	model, reserved, err := rig.PaperDisk(diskName)
-	if err != nil {
-		return fmt.Errorf("-disk: %w", err)
-	}
-	schedPolicy, err := sched.New(schedName)
+	r, err := experiment.Execute(ctx, e)
 	if err != nil {
 		return err
 	}
-	r, err := rig.New(rig.Options{
-		Ctx:  ctx,
-		Disk: model, ReservedCyls: reserved, Sched: schedPolicy,
-		// The whole trace must fit the monitoring table so the learning
-		// replay sees every request.
-		RequestTableSize: len(recs) + 1024,
-	})
-	if err != nil {
+	report(w, "original layout ("+schedName+")", r)
+	if rearrange == 0 {
+		return nil
+	}
+	e.Rearrange = &experiment.Rearrange{Policy: policyName, Blocks: rearrange}
+	if r, err = experiment.Execute(ctx, e); err != nil {
 		return err
 	}
-
-	replay := func(label string) (*driver.Side, error) {
-		rep, err := tracein.NewReplayer(r.Eng, r.Driver, recs, tracein.ReplayOptions{Mode: tracein.OpenLoop})
-		if err != nil {
-			return nil, err
-		}
-		done := false
-		var res tracein.Result
-		rep.Start(func(r tracein.Result) { res, done = r, true })
-		r.Eng.Run()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if !done {
-			return nil, fmt.Errorf("replay stalled")
-		}
-		if res.Errors > 0 {
-			fmt.Fprintf(os.Stderr, "abrreport: %s: %d of %d requests failed\n", label, res.Errors, res.Completed+res.Errors)
-		}
-		return r.Driver.ReadStats().All(), nil
-	}
-
-	report := func(label string, s *driver.Side) {
-		fmt.Fprintf(w, "%s:\n", label)
-		fmt.Fprintf(w, "  requests:             %d\n", s.Count())
-		fmt.Fprintf(w, "  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n",
-			s.FCFSDist.MeanDist(), s.FCFSMeanSeekMS(model.Seek))
-		fmt.Fprintf(w, "  mean seek distance:   %.0f cylinders (%.2f ms)\n",
-			s.SchedDist.MeanDist(), s.MeanSeekMS(model.Seek))
-		fmt.Fprintf(w, "  zero-length seeks:    %.0f%%\n", s.SchedDist.ZeroFrac()*100)
-		fmt.Fprintf(w, "  mean service time:    %.2f ms\n", s.MeanServiceMS())
-		fmt.Fprintf(w, "  mean waiting time:    %.2f ms\n", s.MeanQueueingMS())
-	}
-
-	side, err := replay("replay 1")
-	if err != nil {
-		return err
-	}
-	report("original layout ("+schedName+")", side)
-
-	if rearrange > 0 {
-		placement, err := core.NewPolicy(policyName)
-		if err != nil {
-			return err
-		}
-		rear, err := core.New(r.Eng, r.Driver, core.Config{Policy: placement, MaxBlocks: rearrange})
-		if err != nil {
-			return err
-		}
-		rear.Poll()
-		rdone := false
-		var installed int
-		var rerr error
-		rear.Rearrange(func(n int, err error) { installed, rerr, rdone = n, err, true })
-		r.Eng.Run()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if !rdone {
-			return fmt.Errorf("rearrangement stalled")
-		}
-		if rerr != nil {
-			return rerr
-		}
-		fmt.Fprintf(w, "\nrearranged %d blocks (%s placement)\n\n", installed, policyName)
-		r.Driver.ReadStats() // discard movement-era stats
-		side, err := replay("replay 2")
-		if err != nil {
-			return err
-		}
-		report("rearranged layout ("+schedName+")", side)
-	}
+	fmt.Fprintf(w, "\nrearranged %d blocks (%s placement)\n\n", r.Installed[0], policyName)
+	report(w, "rearranged layout ("+schedName+")", r)
 	return nil
+}
+
+// report prints the measured replay of a single-disk trace run, and
+// its failed requests to stderr.
+func report(w io.Writer, label string, r *experiment.Run) {
+	if t := r.Replay; t.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "abrreport: %s: %d of %d requests failed\n", label, t.Errors, t.Records)
+	}
+	s := r.Days[0].Stats.All()
+	fmt.Fprintf(w, "%s:\n", label)
+	fmt.Fprintf(w, "  requests:             %d\n", s.Count())
+	fmt.Fprintf(w, "  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n", s.FCFSDist.MeanDist(), r.Replay.FCFSSeekMS)
+	fmt.Fprintf(w, "  mean seek distance:   %.0f cylinders (%.2f ms)\n", s.SchedDist.MeanDist(), r.Replay.SeekMS)
+	fmt.Fprintf(w, "  zero-length seeks:    %.0f%%\n", s.SchedDist.ZeroFrac()*100)
+	fmt.Fprintf(w, "  mean service time:    %.2f ms\n", s.MeanServiceMS())
+	fmt.Fprintf(w, "  mean waiting time:    %.2f ms\n", s.MeanQueueingMS())
 }

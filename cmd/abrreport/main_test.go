@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/tracein"
 )
 
 // A two-section sampler CSV as abrsim -sample writes for a mixed run:
@@ -211,8 +213,8 @@ func replayRecords() []trace.Record {
 }
 
 // The replay path end to end: the same records written as binary, text
-// and MSR CSV must read back — by name or by detection — to the same
-// report, and -rearrange must move blocks and report a second replay.
+// and MSR CSV must be detected and read back to the same report, and
+// -rearrange must move blocks and report a second replay.
 func TestRunSameReportFromEveryEncoding(t *testing.T) {
 	recs := replayRecords()
 	var bin, text, msr bytes.Buffer
@@ -245,19 +247,15 @@ func TestRunSameReportFromEveryEncoding(t *testing.T) {
 	for _, rearrange := range []int{0, 50} {
 		var want string
 		for _, enc := range encodings {
-			path := filepath.Join(dir, "t."+enc.format)
-			for _, format := range []string{enc.format, "auto"} {
-				var out bytes.Buffer
-				if err := run(context.Background(), &out, path, "toshiba", "scan", "organ-pipe", format, rearrange); err != nil {
-					t.Fatalf("%s as -format %s, -rearrange %d: %v", enc.format, format, rearrange, err)
-				}
-				if want == "" {
-					want = out.String()
-				}
-				if out.String() != want {
-					t.Errorf("%s as -format %s, -rearrange %d: report differs from binary's\n%s\nwant\n%s",
-						enc.format, format, rearrange, out.String(), want)
-				}
+			var out bytes.Buffer
+			if err := run(context.Background(), &out, filepath.Join(dir, "t."+enc.format), "toshiba", "scan", "organ-pipe", rearrange); err != nil {
+				t.Fatalf("%s, -rearrange %d: %v", enc.format, rearrange, err)
+			}
+			if want == "" {
+				want = out.String()
+			}
+			if out.String() != want {
+				t.Errorf("%s, -rearrange %d: report differs from binary's\n%s\nwant\n%s", enc.format, rearrange, out.String(), want)
 			}
 		}
 		if !strings.HasPrefix(want, "original layout (scan):\n  requests:             300\n") {
@@ -274,23 +272,24 @@ func TestRunSameReportFromEveryEncoding(t *testing.T) {
 }
 
 func TestRunRejects(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.text")
-	if err := os.WriteFile(path, []byte("0 R 0 1\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "t.trace")
+	if err := os.WriteFile(path, []byte("what is this\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name, trace, format string
-		rearrange           int
-		want                string
+		name, trace string
+		rearrange   int
+		want        string
 	}{
-		{"no trace", "", "binary", 0, "-trace is required"},
-		{"negative rearrange", path, "text", -1, "-rearrange -1: a negative count"},
-		{"unknown format", path, "ascii", 0, `-format: tracein: unknown trace format "ascii" (want binary, text, msr, blkparse, or auto)`},
-		{"wrong format", path, "binary", 0, "bad header"},
+		{"no trace", "", 0, "-trace is required"},
+		{"negative rearrange", path, -1, "-rearrange -1: a negative count"},
 	} {
-		err := run(context.Background(), io.Discard, c.trace, "toshiba", "scan", "organ-pipe", c.format, c.rearrange)
+		err := run(context.Background(), io.Discard, c.trace, "toshiba", "scan", "organ-pipe", c.rearrange)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+	if err := run(context.Background(), io.Discard, path, "toshiba", "scan", "organ-pipe", 0); !errors.Is(err, tracein.ErrUnknownFormat) {
+		t.Errorf("a file no format matches: error %v, want tracein.ErrUnknownFormat", err)
 	}
 }

@@ -10,98 +10,72 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
-	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/experiment"
-	"repro/internal/rig"
-	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/tracein"
 	"repro/internal/workload"
 )
 
 func main() {
 	// 1. Capture one hour of the system file-server workload — the
-	// library call behind cmd/tracegen.
-	recs, _, err := experiment.CaptureDay(context.Background(), "toshiba", "system", workload.HourMS, 1)
+	// library call behind cmd/tracegen — and write it as tracegen does.
+	ctx := context.Background()
+	recs, _, err := experiment.CaptureDay(ctx, "toshiba", "system", workload.HourMS, 1)
 	if err != nil {
+		log.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "tracereplay")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "hour.trace")
+	if err := writeTrace(path, recs); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("captured %d block requests (1 hour of the system workload)\n\n", len(recs))
 
-	// 2. Replay it under each scheduler, original layout vs rearranged.
+	// 2. Replay it on a fresh Toshiba under each scheduler, original
+	// layout vs the paper's 1018 hottest blocks rearranged (learned from
+	// a prior replay of the same trace).
 	fmt.Println("scheduler   layout      mean seek   zero-seeks   mean service")
 	for _, s := range []string{"fcfs", "scan", "cscan", "sstf"} {
-		for _, rearranged := range []bool{false, true} {
-			seekMS, zeroPct, svcMS := replay(recs, s, rearranged)
+		for _, rearrange := range []*experiment.Rearrange{nil, {}} {
+			r, err := experiment.Execute(ctx, experiment.Experiment{
+				Devices:   experiment.Devices{Sched: s},
+				Workload:  experiment.Workload{Source: experiment.Trace, TracePath: path},
+				Rearrange: rearrange,
+			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if r.Replay.Errors > 0 {
+				log.Fatalf("%d replay errors", r.Replay.Errors)
+			}
 			layout := "original  "
-			if rearranged {
+			if rearrange != nil {
 				layout = "rearranged"
 			}
+			side := r.Days[0].Stats.All()
 			fmt.Printf("%-10s  %s  %7.2f ms  %9.0f%%  %10.2f ms\n",
-				s, layout, seekMS, zeroPct, svcMS)
+				s, layout, r.Replay.SeekMS, side.SchedDist.ZeroFrac()*100, side.MeanServiceMS())
 		}
 	}
 	fmt.Println("\nrearrangement helps under every scheduler; SCAN + rearrangement")
 	fmt.Println("compound (the synergy the paper describes in Section 5.2).")
 }
 
-// replay runs the trace on a fresh disk with the given scheduler,
-// optionally rearranging the 1018 hottest blocks first (learned from a
-// prior replay of the same trace).
-func replay(recs []trace.Record, schedName string, rearranged bool) (seekMS, zeroPct, svcMS float64) {
-	policy, err := sched.New(schedName)
+// writeTrace writes recs to path in tracegen's binary encoding.
+func writeTrace(path string, recs []trace.Record) error {
+	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	r, err := rig.New(rig.Options{
-		ReservedCyls:     48,
-		Sched:            policy,
-		RequestTableSize: len(recs) + 1,
-	})
-	if err != nil {
-		log.Fatal(err)
+	if err := trace.WriteBinary(f, recs); err != nil {
+		f.Close()
+		return err
 	}
-	model := disk.Toshiba()
-
-	if rearranged {
-		// Learning pass: replay once to collect counts, rearrange, and
-		// discard the learning statistics.
-		runReplay(r, recs)
-		rear, err := core.New(r.Eng, r.Driver, core.Config{MaxBlocks: 1018})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rear.Poll()
-		rear.Rearrange(func(_ int, err error) {
-			if err != nil {
-				log.Fatal(err)
-			}
-		})
-		r.Eng.Run()
-		r.Driver.ReadStats()
-	}
-
-	runReplay(r, recs)
-	side := r.Driver.ReadStats().All()
-	return side.MeanSeekMS(model.Seek), side.SchedDist.ZeroFrac() * 100, side.MeanServiceMS()
-}
-
-func runReplay(r *rig.Rig, recs []trace.Record) {
-	rep, err := tracein.NewReplayer(r.Eng, r.Driver, recs, tracein.ReplayOptions{Mode: tracein.OpenLoop})
-	if err != nil {
-		log.Fatal(err)
-	}
-	done := false
-	rep.Start(func(res tracein.Result) {
-		if res.Errors > 0 {
-			log.Fatalf("%d replay errors", res.Errors)
-		}
-		done = true
-	})
-	r.Eng.Run()
-	if !done {
-		log.Fatal("replay stalled")
-	}
+	return f.Close()
 }

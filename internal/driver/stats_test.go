@@ -2,6 +2,7 @@ package driver
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/disk"
@@ -349,5 +350,162 @@ func TestDistHistAddZeroAllocs(t *testing.T) {
 		d += 37
 	}); n != 0 {
 		t.Errorf("Add: %v allocs per seek, want 0", n)
+	}
+}
+
+func TestDistHist(t *testing.T) {
+	var h DistHist
+	h.Add(0)
+	h.Add(0)
+	h.Add(10)
+	h.Add(-10) // abs
+	if h.Count() != 4 {
+		t.Errorf("Count = %d", h.Count())
+	}
+	if got := h.MeanDist(); math.Abs(got-5) > 1e-12 {
+		t.Errorf("MeanDist = %v, want 5", got)
+	}
+	if got := h.ZeroFrac(); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("ZeroFrac = %v, want 0.5", got)
+	}
+}
+
+func TestDistHistSeekTime(t *testing.T) {
+	var h DistHist
+	h.Add(0)
+	h.Add(100)
+	l := seek.Linear{StartupMS: 2, PerCylMS: 0.01}
+	// times: 0 and 3 -> mean 1.5
+	if got := h.MeanSeekMS(l); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("MeanSeekMS = %v, want 1.5", got)
+	}
+}
+
+func TestDistHistMergeHistogram(t *testing.T) {
+	var a, b DistHist
+	a.Add(1)
+	b.Add(1)
+	b.Add(2)
+	a.Merge(&b)
+	// Two seeks of 1 and one of 2: under this curve a seek of d > 0
+	// costs d+1 ms, so the seek mean is the mean distance plus 1.
+	l := seek.Linear{StartupMS: 1, PerCylMS: 1}
+	if a.Count() != 3 || a.MeanDist() != 4.0/3 || a.MeanSeekMS(l) != 7.0/3 {
+		t.Errorf("merged: count %d, mean %v cylinders, %v ms", a.Count(), a.MeanDist(), a.MeanSeekMS(l))
+	}
+	// The merge copied b's counts.
+	b.Add(2)
+	if a.Count() != 3 || a.MeanDist() != 4.0/3 {
+		t.Error("merged histogram shares its source's counts")
+	}
+}
+
+func TestDistHistEmpty(t *testing.T) {
+	var h DistHist
+	if h.Count() != 0 || h.MeanDist() != 0 || h.ZeroFrac() != 0 || h.MeanSeekMS(seek.ToshibaMK156F) != 0 {
+		t.Error("empty DistHist should report zeros")
+	}
+}
+
+// meanMS is the reference for DistHist.MeanSeekMS: the mean seek time
+// of curve c over a distance histogram (hist[d] seeks of distance d),
+// summed in sorted distance order, or 0 for an empty histogram.
+func meanMS(c seek.Curve, hist map[int]int64) float64 {
+	keys := make([]int, 0, len(hist))
+	for d := range hist {
+		keys = append(keys, d)
+	}
+	sort.Ints(keys)
+	var n int64
+	var sum float64
+	for _, d := range keys {
+		cnt := hist[d]
+		if cnt <= 0 {
+			continue
+		}
+		n += cnt
+		sum += float64(float64(cnt) * c.SeekMS(d))
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+func TestMeanMS(t *testing.T) {
+	l := seek.Linear{StartupMS: 1, PerCylMS: 1}
+	hist := map[int]int64{0: 2, 1: 1, 3: 1} // times: 0,0,2,4 -> mean 1.5
+	if got := meanMS(l, hist); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("meanMS = %v, want 1.5", got)
+	}
+}
+
+// seekStream adds n seeks of up to maxDist cylinders, in either
+// direction, to h, and the same distances to ref.
+func seekStream(h *DistHist, ref map[int]int64, rnd *sim.Rand, n, maxDist int) {
+	for i := 0; i < n; i++ {
+		d := rnd.Intn(maxDist + 1)
+		if rnd.Bool(0.3) {
+			d = 0 // the rearranged layout's share of zero-length seeks
+		}
+		ref[d]++
+		if rnd.Bool(0.5) {
+			d = -d
+		}
+		h.Add(d)
+	}
+}
+
+// TestDistHistMeanSeekMSBitEqual holds the dense histogram to a map of
+// the distances added, |d| for a negative d: its seek mean to meanMS to
+// the bit, and its count, mean distance and zero share exactly, on
+// random streams and after merging histograms of unequal length in
+// both directions.
+func TestDistHistMeanSeekMSBitEqual(t *testing.T) {
+	curves := []seek.Curve{seek.ToshibaMK156F, seek.FujitsuM2266}
+	check := func(what string, h *DistHist, ref map[int]int64) {
+		t.Helper()
+		for _, c := range curves {
+			if got, want := h.MeanSeekMS(c), meanMS(c, ref); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MeanSeekMS = %v, reference %v", what, got, want)
+			}
+		}
+		var n, sum int64
+		for d, c := range ref {
+			n += c
+			sum += int64(d) * c
+		}
+		var dist, zero float64
+		if n > 0 {
+			dist, zero = float64(sum)/float64(n), float64(ref[0])/float64(n)
+		}
+		if h.Count() != n || h.MeanDist() != dist || h.ZeroFrac() != zero {
+			t.Fatalf("%s: count %d, mean %v, zero share %v; reference %d, %v, %v",
+				what, h.Count(), h.MeanDist(), h.ZeroFrac(), n, dist, zero)
+		}
+	}
+	check("empty", &DistHist{}, map[int]int64{})
+	rnd := sim.NewRand(0x5EEC)
+	for trial := 0; trial < 50; trial++ {
+		short, long := &DistHist{}, &DistHist{}
+		shortRef, longRef := map[int]int64{}, map[int]int64{}
+		seekStream(short, shortRef, rnd, 1+rnd.Intn(500), 1+rnd.Intn(60))
+		seekStream(long, longRef, rnd, 1+rnd.Intn(5000), 200+rnd.Intn(2000))
+		check("short stream", short, shortRef)
+		check("long stream", long, longRef)
+
+		both := map[int]int64{}
+		for _, ref := range []map[int]int64{shortRef, longRef} {
+			for d, c := range ref {
+				both[d] += c
+			}
+		}
+		grown, kept := &DistHist{}, &DistHist{}
+		grown.Merge(short)
+		grown.Merge(long) // grows to long's length
+		kept.Merge(long)
+		kept.Merge(short) // already longer than short
+		check("short+long", grown, both)
+		check("long+short", kept, both)
 	}
 }

@@ -104,7 +104,11 @@ func Execute(ctx context.Context, e Experiment) (*Run, error) {
 		if e.Rearrange != nil {
 			// The learning pass must observe every request: size each
 			// member's monitoring table for the whole scaled trace.
-			spec.volume.RequestTableSize = len(recs)*e.Workload.Copies + 1
+			if n := len(recs)*e.Workload.Copies + 1; spec.rig != nil {
+				spec.rig.RequestTableSize = n
+			} else {
+				spec.volume.RequestTableSize = n
+			}
 		}
 	}
 	st, err := newStack(ctx, spec)
@@ -323,13 +327,20 @@ func (e Experiment) sourceTrace(ctx context.Context) (recs []trace.Record, captu
 	return recs, captureEvents, err
 }
 
-// measureReplay scales the trace onto the volume and replays it
+// measureReplay scales the trace onto the device and replays it
 // measured — after a learning replay and a rearrangement of every member
 // from the counts it left, when the experiment rearranges: the
-// trace-driven equivalent of an on-day.
+// trace-driven equivalent of an on-day. On a single disk the measured
+// pass's driver statistics are the run's one day.
 func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
-	e, v := run.Experiment, st.vol
-	blocks := v.Blocks()
+	e := run.Experiment
+	var dev driver.BlockDevice
+	var blocks int64
+	if st.vol != nil {
+		dev, blocks = st.vol, st.vol.Blocks()
+	} else {
+		dev, blocks = st.rig.Driver, st.rig.PartitionBlocks(0)
+	}
 	scale := tracein.Scale{
 		Compress:    float64(e.Workload.Copies),
 		Copies:      e.Workload.Copies,
@@ -362,7 +373,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	ropts := tracein.ReplayOptions{Mode: e.Workload.Mode, Seed: int64(e.Seed)}
 
 	if e.Rearrange != nil {
-		learn, err := tracein.NewReplayer(st.eng, v, scaled, ropts)
+		learn, err := tracein.NewReplayer(st.eng, dev, scaled, ropts)
 		if err != nil {
 			return fmt.Errorf("experiment: trace %s learning replayer: %w", e.Name, err)
 		}
@@ -381,12 +392,14 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	// Discard everything measured so far — populate-analogue traffic,
 	// the learning pass, the rearrangement moves — so the measured pass
 	// starts from clean statistics on every member.
-	run.Volume.start(v)
-	for _, m := range v.Members {
+	if st.vol != nil {
+		run.Volume.start(st.vol)
+	}
+	for _, m := range st.members {
 		m.Driver.ReadStats()
 	}
 
-	rep, err := tracein.NewReplayer(st.eng, v, scaled, ropts)
+	rep, err := tracein.NewReplayer(st.eng, dev, scaled, ropts)
 	if err != nil {
 		return fmt.Errorf("experiment: trace %s replayer: %w", e.Name, err)
 	}
@@ -401,8 +414,10 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		return err
 	}
 
-	run.Volume.add(v)
-	run.Volume.finish(v, res.ElapsedMS/1000)
+	if st.vol != nil {
+		run.Volume.add(st.vol)
+		run.Volume.finish(st.vol, res.ElapsedMS/1000)
+	}
 	pt := &TracePoint{
 		Records:   len(scaled),
 		Errors:    res.Errors,
@@ -416,8 +431,13 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	// scheduled-order distance distributions (reads and writes), then
 	// price both through the members' seek curve.
 	var fcfs, sched driver.DistHist
-	for _, m := range v.Members {
-		all := m.Driver.ReadStats().All()
+	for _, m := range st.members {
+		stats := m.Driver.ReadStats()
+		if st.rig != nil {
+			run.Days = []DayResult{{On: e.Rearrange != nil, Stats: stats}}
+			run.Counters = m.Driver.Counters()
+		}
+		all := stats.All()
 		fcfs.Merge(all.FCFSDist)
 		sched.Merge(all.SchedDist)
 	}

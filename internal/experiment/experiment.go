@@ -101,8 +101,8 @@ type Devices struct {
 	// "fujitsu".
 	Disk string
 	// Layout combines the disks into a volume. Empty is one disk driven
-	// directly, with no volume layer; the raw-block sources, which speak
-	// to a volume, read it as a concat.
+	// directly, with no volume layer; only the tenants, whose server
+	// speaks to a volume, read it as a concat.
 	Layout volume.Layout
 	// Disks is the member count, spares excluded; zero selects 1.
 	// StripeUnit and ReadPolicy are as in volume.Options.
@@ -297,8 +297,8 @@ func (e Experiment) withDefaults() (Experiment, error) {
 	switch w.Source {
 	case "":
 		w.Source = System
-	case System, Users, SystemAndUsers:
-	case Tenants, Trace:
+	case System, Users, SystemAndUsers, Trace:
+	case Tenants:
 		if d.Layout == "" {
 			d.Layout = volume.Concat
 		}

@@ -362,3 +362,20 @@ func TestSharedDiskExtension(t *testing.T) {
 		t.Errorf("report rows = %d", len(rep.Rows))
 	}
 }
+
+func TestSummary(t *testing.T) {
+	var s Summary
+	for _, v := range []float64{3, 1, 2} {
+		s.Add(v)
+	}
+	if s.Min() != 1 || s.Max() != 3 || s.Avg() != 2 || s.String() != "1.00/2.00/3.00" {
+		t.Errorf("summary = %v/%v/%v (%q)", s.Min(), s.Avg(), s.Max(), s.String())
+	}
+}
+
+func TestSummaryEmpty(t *testing.T) {
+	var s Summary
+	if s.Min() != 0 || s.Max() != 0 || s.Avg() != 0 || s.String() != "0.00/0.00/0.00" {
+		t.Errorf("empty summary = %q, want zeros", s.String())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -86,5 +87,49 @@ func TestOneAssemblySite(t *testing.T) {
 	}
 	if len(defaulters) != 1 {
 		t.Errorf("withDefaults is declared %d times (%v), want once: the description has one set of defaults", len(defaulters), defaulters)
+	}
+}
+
+// TestNoAssemblyInCommands holds the module's commands and examples to
+// the same rule: none builds a stack or a trace replayer by hand. Each
+// describes an Experiment and runs it with Execute.
+func TestNoAssemblyInCommands(t *testing.T) {
+	constructors := map[string]bool{
+		"rig.New": true, "rig.MustNew": true, "volume.New": true, "fs.Newfs": true,
+		"server.New": true, "core.New": true, "tracein.NewReplayer": true,
+	}
+	fset := token.NewFileSet()
+	var files int
+	for _, root := range []string{"../../cmd", "../../examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			files++
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && constructors[x.Name+"."+sel.Sel.Name] {
+						t.Errorf("%s calls %s.%s; describe an experiment.Experiment and run it with experiment.Execute",
+							fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files < 9 {
+		t.Fatalf("parsed %d files under cmd/ and examples/, expected every command and example", files)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // This file is the trace-replay extension: a captured block
 // trace — loaded from a file in any tracein format, or synthesized
 // deterministically from the system workload — scaled and replayed
-// against a volume, with and without adaptive rearrangement, in open
-// (timestamp-faithful) and closed (think-time) loop. It validates the
-// paper's seek-savings claim on trace-driven load, the methodology the
-// paper itself used, rather than on the harness's own synthetic
-// clients.
+// against a disk or a volume, with and without adaptive rearrangement,
+// in open (timestamp-faithful) and closed (think-time) loop. It
+// validates the paper's seek-savings claim on trace-driven load, the
+// methodology the paper itself used, rather than on the harness's own
+// synthetic clients.
 
 // TracePoint is what the measured replay of a run showed.
 type TracePoint struct {
@@ -90,7 +90,7 @@ func CaptureDay(ctx context.Context, diskName, fsName string, windowMS float64, 
 func traceConfigs(o Options) []Experiment {
 	row := func(name string, w Workload, rearr bool) Experiment {
 		w.Source = Trace
-		e := Experiment{Name: name, Workload: w, WindowMS: o.WindowMS, Seed: o.Seed}
+		e := Experiment{Name: name, Devices: Devices{Layout: volume.Concat}, Workload: w, WindowMS: o.WindowMS, Seed: o.Seed}
 		if rearr {
 			e.Rearrange = &Rearrange{}
 		}

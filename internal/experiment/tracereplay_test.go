@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/runner"
 	"repro/internal/tracein"
 	"repro/internal/volume"
+	"repro/internal/workload"
 )
 
 // TestTraceReplayEvidence runs the trace-replay matrix once and asserts
@@ -127,6 +130,47 @@ func TestTrimRearrSuffix(t *testing.T) {
 	} {
 		if got := trimRearrSuffix(in); got != want {
 			t.Errorf("trimRearrSuffix(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestBareDiskEqualsOneMemberVolume: a volume of one member adds
+// nothing to a replay. The same captured trace replayed on the bare
+// disk, on a 1-member concat and on a 1-member stripe measures bit for
+// bit the same, with no rearranger and after rearranging 100 blocks.
+func TestBareDiskEqualsOneMemberVolume(t *testing.T) {
+	for _, rearrange := range []*Rearrange{nil, {Blocks: 100}} {
+		var want *Run
+		for _, d := range []Devices{{}, {Layout: volume.Concat}, {Layout: volume.Stripe, Disks: 1}} {
+			r, err := Execute(context.Background(), Experiment{
+				Devices:   d,
+				Workload:  Workload{Source: Trace},
+				Rearrange: rearrange,
+				WindowMS:  0.2 * workload.HourMS,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = r
+				if p := r.Replay; p.Errors != 0 || p.SeekMS <= 0 || p.SeekMS >= p.FCFSSeekMS {
+					t.Fatalf("bare disk, rearrange %v: %+v, want a clean replay that SCAN improves on", rearrange, p)
+				}
+				if rearrange != nil && !reflect.DeepEqual(r.Installed, []int{100}) {
+					t.Fatalf("bare disk: installed %v, want [100]", r.Installed)
+				}
+				continue
+			}
+			figures := func(r *Run) [4]uint64 {
+				p := r.Replay
+				return [4]uint64{math.Float64bits(p.FCFSSeekMS), math.Float64bits(p.SeekMS),
+					math.Float64bits(p.P99MS), math.Float64bits(p.ElapsedMS)}
+			}
+			if figures(r) != figures(want) || !reflect.DeepEqual(r.Installed, want.Installed) {
+				t.Errorf("layout %q of %d, rearrange %v: FCFS seek %v, seek %v, p99 %v, elapsed %v ms, installed %v; bare disk %v, %v, %v, %v ms, %v",
+					d.Layout, d.Disks, rearrange, r.Replay.FCFSSeekMS, r.Replay.SeekMS, r.Replay.P99MS, r.Replay.ElapsedMS, r.Installed,
+					want.Replay.FCFSSeekMS, want.Replay.SeekMS, want.Replay.P99MS, want.Replay.ElapsedMS, want.Installed)
+			}
 		}
 	}
 }

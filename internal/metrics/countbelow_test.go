@@ -73,6 +73,28 @@ func TestCountBelow(t *testing.T) {
 	}
 }
 
+// TestMsLayoutFullResolutionMean: in the service-time layout the mean
+// keeps full resolution below 1 ms.
+func TestMsLayoutFullResolutionMean(t *testing.T) {
+	h := NewHistogram(msOpts)
+	h.Record(0.1)
+	h.Record(0.9)
+	if got := h.Mean(); math.Abs(got-0.5) > 1e-12 || h.CountBelow(1) != 2 {
+		t.Errorf("Mean = %v, CountBelow(1) = %d; want 0.5 (full resolution) and 2", got, h.CountBelow(1))
+	}
+}
+
+// TestMsLayoutOverflow: samples past the last whole-millisecond
+// boundary are still counted and summed exactly.
+func TestMsLayoutOverflow(t *testing.T) {
+	h := NewHistogram(msOpts)
+	h.Record(5)
+	h.Record(500)
+	if h.Count() != 2 || math.Abs(h.Mean()-252.5) > 1e-12 || h.CountBelow(128) != 1 {
+		t.Errorf("Count = %d, Mean = %v, CountBelow(128) = %d; want 2, 252.5, 1", h.Count(), h.Mean(), h.CountBelow(128))
+	}
+}
+
 // FuzzCountBelow holds CountBelow to the one-bucket-per-millisecond
 // rule for any samples ≥ 0 and every whole millisecond in [0, 128].
 // Each 8 bytes of input are one sample's float64 bits, its absolute

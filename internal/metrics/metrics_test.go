@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func TestKindString(t *testing.T) {
@@ -195,6 +196,67 @@ func TestHistogramMerge(t *testing.T) {
 	// Layout mismatch is an error.
 	if err := a.Merge(NewHistogram(HistogramOpts{SubBits: 2, MinExp: 0, MaxExp: 4})); err == nil {
 		t.Error("incompatible merge did not error")
+	}
+}
+
+// TestHistogramMergeEmpty: merging a window with no requests, as the
+// driver does for an idle direction, changes nothing.
+func TestHistogramMergeEmpty(t *testing.T) {
+	a := NewHistogram(msOpts)
+	a.Record(7.5)
+	if err := a.Merge(NewHistogram(msOpts)); err != nil {
+		t.Fatal(err)
+	}
+	if a.Count() != 1 || a.Sum() != 7.5 || a.Min() != 7.5 || a.Max() != 7.5 {
+		t.Errorf("after merging an empty histogram: %d samples, sum %v, range [%v, %v]", a.Count(), a.Sum(), a.Min(), a.Max())
+	}
+}
+
+// TestHistogramMergeLeavesSource: in the service-time layout a merge
+// keeps the whole-millisecond counts, and leaves its source as it was
+// when the merge is recorded into, as the driver's per-window merges
+// need.
+func TestHistogramMergeLeavesSource(t *testing.T) {
+	a, b := NewHistogram(msOpts), NewHistogram(msOpts)
+	a.Record(10)
+	b.Record(20)
+	b.Record(30)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Count() != 3 || math.Abs(a.Mean()-20) > 1e-12 || a.CountBelow(25) != 2 {
+		t.Errorf("after merge: count=%d mean=%v below 25 ms=%d", a.Count(), a.Mean(), a.CountBelow(25))
+	}
+	fresh := NewHistogram(msOpts)
+	if err := fresh.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Record(40)
+	if b.Count() != 2 || b.Sum() != 50 || fresh.Count() != 3 {
+		t.Errorf("source %d/%v, merged %d after recording into the merge", b.Count(), b.Sum(), fresh.Count())
+	}
+}
+
+// TestHistogramMeanWithinRange: the mean, kept at full resolution,
+// always lies within the recorded samples' range.
+func TestHistogramMeanWithinRange(t *testing.T) {
+	f := func(raw []uint16) bool {
+		h := NewHistogram(msOpts)
+		if len(raw) == 0 {
+			return h.Mean() == 0
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, r := range raw {
+			v := float64(r) / 16
+			h.Record(v)
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		m := h.Mean()
+		return m >= lo-1e-9 && m <= hi+1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

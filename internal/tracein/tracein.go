@@ -48,7 +48,7 @@ const (
 	FormatBlkparse
 )
 
-// String names the format for errors and flags.
+// String names the format for errors.
 func (f Format) String() string {
 	switch f {
 	case FormatBinary:
@@ -61,24 +61,6 @@ func (f Format) String() string {
 		return "blkparse"
 	}
 	return "unknown"
-}
-
-// ParseFormat maps a format name ("binary", "text", "msr", "blkparse",
-// or "auto"/"" for detection) to its Format.
-func ParseFormat(name string) (Format, error) {
-	switch name {
-	case "", "auto":
-		return FormatUnknown, nil
-	case "binary":
-		return FormatBinary, nil
-	case "text":
-		return FormatText, nil
-	case "msr":
-		return FormatMSR, nil
-	case "blkparse":
-		return FormatBlkparse, nil
-	}
-	return FormatUnknown, fmt.Errorf("tracein: unknown trace format %q (want binary, text, msr, blkparse, or auto)", name)
 }
 
 // Typed parse failures, matchable with errors.Is through the wrapping

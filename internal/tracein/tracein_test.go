@@ -23,28 +23,14 @@ func sampleRecords() []trace.Record {
 	}
 }
 
-func TestParseFormatNames(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want Format
-	}{
-		{"", FormatUnknown}, {"auto", FormatUnknown},
-		{"binary", FormatBinary}, {"text", FormatText},
-		{"msr", FormatMSR}, {"blkparse", FormatBlkparse},
+func TestFormatString(t *testing.T) {
+	for f, want := range map[Format]string{
+		FormatUnknown: "unknown", FormatBinary: "binary", FormatText: "text",
+		FormatMSR: "msr", FormatBlkparse: "blkparse",
 	} {
-		got, err := ParseFormat(tc.name)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		if got := f.String(); got != want {
+			t.Errorf("Format(%d).String() = %q, want %q", int(f), got, want)
 		}
-		if tc.want != FormatUnknown && tc.want.String() != tc.name {
-			t.Errorf("Format %v String() = %q, want %q", tc.want, tc.want.String(), tc.name)
-		}
-	}
-	if _, err := ParseFormat("csv"); err == nil {
-		t.Error("ParseFormat(csv) should fail")
-	}
-	if got := FormatUnknown.String(); got != "unknown" {
-		t.Errorf("FormatUnknown.String() = %q", got)
 	}
 }
 
