@@ -16,9 +16,10 @@
 // Records addressed past the disk are folded onto it, as abrsim
 // -trace-in folds them.
 //
-// With -rearrange N, a second run replays the trace once to learn the N
-// hottest blocks, rearranges them and replays it again; the report of
-// that measured replay follows the first.
+// With -rearrange N, the same run replays the trace twice: the first
+// pass learns the N hottest blocks, which are rearranged before the
+// second. The first pass is the original layout's report, and the
+// second's follows it.
 //
 // With -telemetry FILE, a time-series CSV written by abrsim -sample is
 // summarized as a queue-depth-over-time table per job, plus the final
@@ -358,9 +359,10 @@ func convertChrome(inPath, outPath string) error {
 }
 
 // run replays the trace through experiment.Execute on a bare disk and
-// prints the measured pass's report to w. With rearrange > 0 a second
-// run replays it once to learn the hottest blocks, rearranges them and
-// replays it measured again, and its report follows.
+// prints the report of each replay pass to w: the original layout's,
+// and with rearrange > 0 — the first pass then learns the hottest
+// blocks, which are rearranged before a second — the rearranged
+// layout's after it.
 func run(ctx context.Context, w io.Writer, traceFile, diskName, schedName, policyName string, rearrange int) error {
 	if traceFile == "" {
 		return fmt.Errorf("-trace is required")
@@ -373,35 +375,31 @@ func run(ctx context.Context, w io.Writer, traceFile, diskName, schedName, polic
 		Devices:  experiment.Devices{Disk: diskName, Sched: schedName},
 		Workload: experiment.Workload{Source: experiment.Trace, TracePath: traceFile, Mode: tracein.OpenLoop},
 	}
+	if rearrange > 0 {
+		e.Rearrange = &experiment.Rearrange{Policy: policyName, Blocks: rearrange}
+	}
 	r, err := experiment.Execute(ctx, e)
 	if err != nil {
 		return err
 	}
-	report(w, "original layout ("+schedName+")", r)
-	if rearrange == 0 {
-		return nil
+	if t := r.Replay; t.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "abrreport: %d of %d requests failed\n", t.Errors, t.Records)
 	}
-	e.Rearrange = &experiment.Rearrange{Policy: policyName, Blocks: rearrange}
-	if r, err = experiment.Execute(ctx, e); err != nil {
-		return err
+	report(w, "original layout ("+schedName+")", r.Days[0].Metrics(r.Curve, experiment.AllRequests))
+	if rearrange > 0 {
+		fmt.Fprintf(w, "\nrearranged %d blocks (%s placement)\n\n", r.Installed[0], policyName)
+		report(w, "rearranged layout ("+schedName+")", r.Days[1].Metrics(r.Curve, experiment.AllRequests))
 	}
-	fmt.Fprintf(w, "\nrearranged %d blocks (%s placement)\n\n", r.Installed[0], policyName)
-	report(w, "rearranged layout ("+schedName+")", r)
 	return nil
 }
 
-// report prints the measured replay of a single-disk trace run, and
-// its failed requests to stderr.
-func report(w io.Writer, label string, r *experiment.Run) {
-	if t := r.Replay; t.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "abrreport: %s: %d of %d requests failed\n", label, t.Errors, t.Records)
-	}
-	s := r.Days[0].Stats.All()
+// report prints one replay pass's measurements.
+func report(w io.Writer, label string, m experiment.Metrics) {
 	fmt.Fprintf(w, "%s:\n", label)
-	fmt.Fprintf(w, "  requests:             %d\n", s.Count())
-	fmt.Fprintf(w, "  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n", s.FCFSDist.MeanDist(), r.Replay.FCFSSeekMS)
-	fmt.Fprintf(w, "  mean seek distance:   %.0f cylinders (%.2f ms)\n", s.SchedDist.MeanDist(), r.Replay.SeekMS)
-	fmt.Fprintf(w, "  zero-length seeks:    %.0f%%\n", s.SchedDist.ZeroFrac()*100)
-	fmt.Fprintf(w, "  mean service time:    %.2f ms\n", s.MeanServiceMS())
-	fmt.Fprintf(w, "  mean waiting time:    %.2f ms\n", s.MeanQueueingMS())
+	fmt.Fprintf(w, "  requests:             %d\n", m.Count)
+	fmt.Fprintf(w, "  FCFS mean seek dist:  %.0f cylinders (%.2f ms)\n", m.FCFSDist, m.FCFSSeekMS)
+	fmt.Fprintf(w, "  mean seek distance:   %.0f cylinders (%.2f ms)\n", m.Dist, m.SeekMS)
+	fmt.Fprintf(w, "  zero-length seeks:    %.0f%%\n", m.ZeroSeekPct)
+	fmt.Fprintf(w, "  mean service time:    %.2f ms\n", m.ServiceMS)
+	fmt.Fprintf(w, "  mean waiting time:    %.2f ms\n", m.WaitMS)
 }

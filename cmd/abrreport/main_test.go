@@ -83,13 +83,13 @@ func buildMetricsSnapshot(t *testing.T) string {
 	for i := 1; i <= 1000; i++ {
 		h.Record(float64(i))
 	}
-	reg.Counter("driver_requests").Add(1000)
+	reg.CounterFunc("driver_requests", func() int64 { return 1000 })
 
 	vreg := metrics.NewRegistry()
 	hv := vreg.Histogram("driver_service_ms", metrics.HistogramOpts{},
 		metrics.Label{Key: "disk", Value: "3"})
 	hv.Record(12.5)
-	vreg.Gauge("volume_dead_members").Set(1)
+	vreg.GaugeFunc("volume_dead_members", func() float64 { return 1 })
 
 	jobs := []metrics.JobSnapshot{
 		{Job: "onoff/system/toshiba", Metrics: reg.Snapshot().Metrics},

@@ -14,7 +14,7 @@
 // correctly lists the rearranged blocks and their positions, but the
 // dirty bits may be stale; after a crash, recovery conservatively marks
 // every entry dirty so that no update to a repositioned block can be
-// lost (RecoverDecode).
+// lost (MarkAllDirty, which the driver's attach applies after decoding).
 package blocktable
 
 import (
@@ -398,18 +398,6 @@ func Decode(buf []byte) (*Table, error) {
 			t.MarkDirty(orig)
 		}
 	}
-	return t, nil
-}
-
-// RecoverDecode decodes a table image as Decode does, then marks every
-// entry dirty. This is the conservative start-up path used after an
-// unclean shutdown (Section 4.1.2).
-func RecoverDecode(buf []byte) (*Table, error) {
-	t, err := Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	t.MarkAllDirty()
 	return t, nil
 }
 

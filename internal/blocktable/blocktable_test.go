@@ -228,26 +228,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestRecoverDecodeMarksAllDirty(t *testing.T) {
-	// Section 4.1.2: after a crash the dirty bits on disk may be stale,
-	// so recovery must conservatively treat every block as dirty.
-	bt := New(geom.Block8K)
-	for i := int64(0); i < 10; i++ {
-		if err := bt.Add(i*32, 64000+i*16); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := RecoverDecode(bt.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range got.Entries() {
-		if !e.Dirty {
-			t.Errorf("entry %d not dirty after recovery", e.Orig)
-		}
-	}
-}
-
 func TestEncodedSectors(t *testing.T) {
 	if got := EncodedSectors(0); got != 1 {
 		t.Errorf("EncodedSectors(0) = %d", got)

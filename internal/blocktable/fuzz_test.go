@@ -7,7 +7,7 @@ import (
 	"repro/internal/geom"
 )
 
-// fuzzSeeds builds the seed corpus both fuzz targets share: valid
+// fuzzSeeds builds FuzzDecode's seed corpus: valid
 // encodings of several table shapes plus truncated and bit-flipped
 // variants — the images a torn table write or a failing sector could
 // hand to recovery.
@@ -77,23 +77,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(again.Encode(), tbl.Encode()) {
 			t.Fatal("encode/decode/encode not stable")
-		}
-	})
-}
-
-// FuzzRecoverDecode asserts the conservative recovery path never
-// panics and that every entry of a recovered table is dirty.
-func FuzzRecoverDecode(f *testing.F) {
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl, err := RecoverDecode(data)
-		if err != nil {
-			return
-		}
-		for _, e := range tbl.Entries() {
-			if !e.Dirty {
-				t.Fatalf("entry %d not dirty after recovery", e.Orig)
-			}
 		}
 	})
 }

@@ -135,7 +135,7 @@ func volumeHarness(t *testing.T, opts volume.Options, kill bool, deadBlk func(v 
 			if !v.StartScrub() {
 				t.Fatal("StartScrub refused")
 			}
-			v.RunUntil(v.Now() + scrubEveryMS)
+			v.Eng.RunUntil(v.Eng.Now() + scrubEveryMS)
 			v.Close()
 			v.Run()
 			if v.RAID().ScrubPasses != 1 {

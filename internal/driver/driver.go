@@ -410,6 +410,19 @@ type Counters struct {
 	BackoffMS float64
 }
 
+// Add adds other's counts into c: a volume's counters are its
+// members' summed.
+func (c *Counters) Add(other Counters) {
+	c.Requests += other.Requests
+	c.Redirected += other.Redirected
+	c.InternalIO += other.InternalIO
+	c.Faults += other.Faults
+	c.Retries += other.Retries
+	c.Remaps += other.Remaps
+	c.Unrecovered += other.Unrecovered
+	c.BackoffMS += other.BackoffMS
+}
+
 // Counters returns the driver's lifetime counters.
 func (d *Driver) Counters() Counters { return d.cum }
 

@@ -149,6 +149,13 @@ func (s *Stats) side(write bool) *Side {
 	return s.ReadSide
 }
 
+// Merge adds other's samples into s, direction by direction: a
+// volume's window is its members' statistics merged.
+func (s *Stats) Merge(other *Stats) {
+	s.ReadSide.merge(other.ReadSide)
+	s.WriteSide.merge(other.WriteSide)
+}
+
 // All returns a merged view of both directions. The result is a fresh
 // copy; mutating it does not affect the driver.
 func (s *Stats) All() *Side {

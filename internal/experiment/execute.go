@@ -13,26 +13,32 @@ import (
 	"repro/internal/workload"
 )
 
-// DayResult is one measured day of a single disk.
+// DayResult is one measured window of a run: a file-system day, the
+// tenants' traffic window, or a replay pass.
 type DayResult struct {
+	// Day numbers the window: the day of a file-system workload, the
+	// pass of a replay (the learning pass is 0).
 	Day int
-	// On reports whether the disk was rearranged for this day.
+	// On reports whether the disks were rearranged for this window.
 	On bool
-	// Stats is the driver's full measurement snapshot for the day.
+	// Stats is the drivers' full measurement snapshot for the window:
+	// a single disk's own, every member's merged on a volume.
 	Stats *driver.Stats
 }
 
 // Run is a completed experiment: the description as run and what each
-// layer of its stack measured. Which parts are filled follows from the
-// description: Days and Counters on a single disk, Volume on a volume,
-// Server behind a front end, Replay for a trace.
+// layer of its stack measured. Days and Counters are filled for every
+// run; which other parts are follows from the description: Volume on a
+// volume, Server behind a front end, Replay for a trace.
 type Run struct {
 	// Experiment is the description, every default resolved.
 	Experiment Experiment
 	// Curve is the disks' seek-time function, used to derive seek times
 	// from distance distributions.
 	Curve seek.Curve
-	// Days holds one entry per measured day.
+	// Days holds one entry per measured window: each day of a
+	// file-system workload, the tenants' one window, each replay pass
+	// (the learning pass, when the run rearranges, as the off day).
 	Days []DayResult
 	// AccessDist is the block-access distribution of the run's last off
 	// day (the day detailDays reports) over all requests, hottest first,
@@ -46,9 +52,9 @@ type Run struct {
 	// Installed records how many blocks each rearrangement installed,
 	// over all members.
 	Installed []int
-	// Counters is the driver's lifetime counter snapshot at the end of
-	// the run; its fault fields (Faults, Retries, Remaps, Unrecovered)
-	// are nonzero only under an active fault plan.
+	// Counters is the drivers' lifetime counter snapshot at the end of
+	// the run, summed over members; its fault fields (Faults, Retries,
+	// Remaps, Unrecovered) are nonzero only under an active fault plan.
 	Counters driver.Counters
 	Volume   *VolumePoint
 	Server   *TenantPoint
@@ -133,7 +139,36 @@ func Execute(ctx context.Context, e Experiment) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, m := range st.members {
+		run.Counters.Add(m.Driver.Counters())
+	}
 	return run, nil
+}
+
+// openWindow starts a measured window: every member's statistics are
+// discarded — populate, overnight and rearrangement traffic — and a
+// volume's request statistics restart.
+func (st *stack) openWindow(run *Run) {
+	for _, m := range st.members {
+		m.Driver.ReadStats()
+	}
+	if st.vol != nil {
+		run.Volume.start(st.vol)
+	}
+}
+
+// closeWindow ends the window opened last as day: it appends the day
+// with every member's statistics since, merged, and adds a volume's
+// window to the run's VolumePoint.
+func (st *stack) closeWindow(run *Run, day DayResult) {
+	day.Stats = st.members[0].Driver.ReadStats()
+	for _, m := range st.members[1:] {
+		day.Stats.Merge(m.Driver.ReadStats())
+	}
+	run.Days = append(run.Days, day)
+	if st.vol != nil {
+		run.Volume.add(st.vol)
+	}
 }
 
 // fileWorkload is one of the paper's two file-server workloads.
@@ -182,13 +217,10 @@ func (st *stack) measureDays(run *Run) error {
 	}
 	st.observe(binders...)
 
-	// What a day leaves behind: on a single disk the driver's tables and
-	// the access distributions, on a volume its request statistics.
+	// Every day is a measured window. A single disk's last off day also
+	// counts the block-access distributions.
 	var before, after func(day int)
-	if st.rig == nil {
-		before = func(int) { run.Volume.start(st.vol) } // discard overnight / populate traffic
-		after = func(int) { run.Volume.add(st.vol) }
-	} else {
+	if st.rig != nil {
 		drv := st.rig.Driver
 		// The access distributions consume the same event stream
 		// telemetry does, on one day only: the last off day, the one
@@ -211,25 +243,18 @@ func (st *stack) measureDays(run *Run) error {
 			daySink, countSink = st.col, telemetry.Multi(countSink, st.col)
 		}
 		before = func(day int) {
-			drv.ReadStats() // discard overnight / populate noise
 			if day == countDay {
 				drv.SetSink(countSink)
 			}
 		}
 		after = func(day int) {
-			run.Days = append(run.Days, DayResult{
-				Day:   day,
-				On:    isOnDay(e, day),
-				Stats: drv.ReadStats(),
-			})
 			if day == countDay {
 				drv.SetSink(daySink)
 				run.AccessDist, run.ReadDist = allCnt.Distribution(), readCnt.Distribution()
 			}
 		}
 	}
-	var err error
-	run.Installed, err = st.runDays(e.Days, e.WindowMS, e.OnPattern,
+	err := st.runDays(run,
 		func(day int, done func(error)) {
 			// All the workloads run concurrently over the same window.
 			remaining := len(ws)
@@ -251,9 +276,7 @@ func (st *stack) measureDays(run *Run) error {
 	for _, w := range ws {
 		run.WorkloadErrors += w.Errors()
 	}
-	if st.rig != nil {
-		run.Counters = st.rig.Driver.Counters()
-	} else {
+	if st.vol != nil {
 		run.Volume.finish(st.vol, float64(e.Days)*e.WindowMS/1000)
 	}
 	return nil
@@ -277,7 +300,7 @@ func lastOffDay(e Experiment) int {
 // window.
 func (st *stack) measureWindow(run *Run) error {
 	e := run.Experiment
-	w, err := workload.NewTenants(st.eng, st.srv, st.vol.Blocks(), workload.TenantConfig{
+	w, err := workload.NewTenants(st.eng, st.srv, st.blocks, workload.TenantConfig{
 		Tenants:     e.Workload.Tenants,
 		Classes:     3,
 		RatePerSec:  e.Workload.RatePerSec,
@@ -295,11 +318,13 @@ func (st *stack) measureWindow(run *Run) error {
 	// purely so every configuration shares one well-known clock origin.
 	start := workload.DayStartMS
 	end := start + e.WindowMS
+	st.openWindow(run)
 	if err := st.await("tenant traffic", end+60_000, func(done func(error)) {
 		w.Run(start, end, done)
 	}); err != nil {
 		return err
 	}
+	st.closeWindow(run, DayResult{})
 	run.Server = &TenantPoint{
 		Issued:  w.Issued(),
 		Failed:  w.Failed(),
@@ -307,7 +332,6 @@ func (st *stack) measureWindow(run *Run) error {
 		Breaker: st.srv.Breaker().Counts(),
 		Classes: st.srv.ClassStats(),
 	}
-	run.Volume.add(st.vol)
 	run.Volume.finish(st.vol, e.WindowMS/1000)
 	return nil
 }
@@ -327,37 +351,31 @@ func (e Experiment) sourceTrace(ctx context.Context) (recs []trace.Record, captu
 	return recs, captureEvents, err
 }
 
-// measureReplay scales the trace onto the device and replays it
-// measured — after a learning replay and a rearrangement of every member
-// from the counts it left, when the experiment rearranges: the
-// trace-driven equivalent of an on-day. On a single disk the measured
-// pass's driver statistics are the run's one day.
+// measureReplay scales the trace onto the device and replays it as a
+// measured window — after a learning pass, itself a window, and a
+// rearrangement of every member from the counts it left, when the
+// experiment rearranges: the trace-driven equivalent of an off day, a
+// night and an on day. The run's TracePoint and VolumePoint describe
+// the last pass.
 func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	e := run.Experiment
-	var dev driver.BlockDevice
-	var blocks int64
-	if st.vol != nil {
-		dev, blocks = st.vol, st.vol.Blocks()
-	} else {
-		dev, blocks = st.rig.Driver, st.rig.PartitionBlocks(0)
-	}
 	scale := tracein.Scale{
 		Compress:    float64(e.Workload.Copies),
 		Copies:      e.Workload.Copies,
 		ShiftBlocks: e.Workload.ShiftBlocks,
-		WrapBlocks:  blocks,
+		WrapBlocks:  st.blocks,
 	}
 	if scale.ShiftBlocks == 0 && scale.Copies > 1 {
-		scale.ShiftBlocks = blocks / int64(scale.Copies)
+		scale.ShiftBlocks = st.blocks / int64(scale.Copies)
 	}
 	scaled := scale.Apply(recs)
 	// An external trace (or a capture from a slightly different
 	// geometry) may address past the target partition; fold it in
 	// deterministically rather than failing mid-matrix.
 	for i := range scaled {
-		if scaled[i].Part != 0 || scaled[i].Block >= blocks {
+		if scaled[i].Part != 0 || scaled[i].Block >= st.blocks {
 			scaled[i].Part = 0
-			scaled[i].Block %= blocks
+			scaled[i].Block %= st.blocks
 		}
 	}
 	// Horizon for the await loops: the open-loop span is known from the
@@ -372,15 +390,38 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	}
 	ropts := tracein.ReplayOptions{Mode: e.Workload.Mode, Seed: int64(e.Seed)}
 
-	if e.Rearrange != nil {
-		learn, err := tracein.NewReplayer(st.eng, dev, scaled, ropts)
+	// pass replays the trace once as a measured window: the learning
+	// pass monitored by the rearrangers, the measured pass observed.
+	pass := func(what string, learning bool) (*tracein.Replayer, tracein.Result, error) {
+		var res tracein.Result
+		st.openWindow(run)
+		rep, err := tracein.NewReplayer(st.eng, st.dev, scaled, ropts)
 		if err != nil {
-			return fmt.Errorf("experiment: trace %s learning replayer: %w", e.Name, err)
+			return nil, res, fmt.Errorf("experiment: trace %s %s: %w", e.Name, what, err)
 		}
-		if err := st.monitored("learning replay", st.eng.Now()+horizon, func(done func(error)) {
-			learn.Start(func(tracein.Result) { done(nil) })
+		drive := st.monitored
+		if !learning {
+			drive = st.await
+			st.observe(rep)
+		}
+		if err := drive(what, st.eng.Now()+horizon, func(done func(error)) {
+			rep.Start(func(r tracein.Result) {
+				res = r
+				done(nil)
+			})
 		}); err != nil {
+			return nil, res, err
+		}
+		st.closeWindow(run, DayResult{Day: len(run.Days), On: !learning && e.Rearrange != nil})
+		return rep, res, nil
+	}
+
+	if e.Rearrange != nil {
+		if _, _, err := pass("learning replay", true); err != nil {
 			return err
+		}
+		if st.vol != nil {
+			run.Volume = &VolumePoint{} // it describes the measured pass alone
 		}
 		n, err := st.rearrange(true, "after the learning replay")
 		if err != nil {
@@ -388,61 +429,28 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		}
 		run.Installed = []int{n}
 	}
-
-	// Discard everything measured so far — populate-analogue traffic,
-	// the learning pass, the rearrangement moves — so the measured pass
-	// starts from clean statistics on every member.
-	if st.vol != nil {
-		run.Volume.start(st.vol)
-	}
-	for _, m := range st.members {
-		m.Driver.ReadStats()
-	}
-
-	rep, err := tracein.NewReplayer(st.eng, dev, scaled, ropts)
+	rep, res, err := pass("measured replay", false)
 	if err != nil {
-		return fmt.Errorf("experiment: trace %s replayer: %w", e.Name, err)
-	}
-	st.observe(rep)
-	var res tracein.Result
-	if err := st.await("measured replay", st.eng.Now()+horizon, func(done func(error)) {
-		rep.Start(func(r tracein.Result) {
-			res = r
-			done(nil)
-		})
-	}); err != nil {
 		return err
 	}
 
 	if st.vol != nil {
-		run.Volume.add(st.vol)
 		run.Volume.finish(st.vol, res.ElapsedMS/1000)
 	}
+	// The seek means price the measured pass's distance distributions,
+	// every member's merged, through the members' seek curve.
+	m := run.Days[len(run.Days)-1].Metrics(run.Curve, AllRequests)
 	pt := &TracePoint{
-		Records:   len(scaled),
-		Errors:    res.Errors,
-		ElapsedMS: res.ElapsedMS,
-		P99MS:     rep.Latency().Quantile(0.99),
+		Records:    len(scaled),
+		Errors:     res.Errors,
+		ElapsedMS:  res.ElapsedMS,
+		P99MS:      rep.Latency().Quantile(0.99),
+		FCFSSeekMS: m.FCFSSeekMS,
+		SeekMS:     m.SeekMS,
 	}
 	if res.ElapsedMS > 0 {
 		pt.Throughput = float64(res.Completed) / (res.ElapsedMS / 1000)
 	}
-	// Seek metrics: merge every member's arrival-order and
-	// scheduled-order distance distributions (reads and writes), then
-	// price both through the members' seek curve.
-	var fcfs, sched driver.DistHist
-	for _, m := range st.members {
-		stats := m.Driver.ReadStats()
-		if st.rig != nil {
-			run.Days = []DayResult{{On: e.Rearrange != nil, Stats: stats}}
-			run.Counters = m.Driver.Counters()
-		}
-		all := stats.All()
-		fcfs.Merge(all.FCFSDist)
-		sched.Merge(all.SchedDist)
-	}
-	pt.FCFSSeekMS = fcfs.MeanSeekMS(run.Curve)
-	pt.SeekMS = sched.MeanSeekMS(run.Curve)
 	if pt.FCFSSeekMS > 0 {
 		pt.SeekRedPct = (1 - pt.SeekMS/pt.FCFSSeekMS) * 100
 	}

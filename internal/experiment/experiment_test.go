@@ -379,3 +379,68 @@ func TestSummaryEmpty(t *testing.T) {
 		t.Errorf("empty summary = %q, want zeros", s.String())
 	}
 }
+
+// TestEveryRunRecordsItsWindows holds the Run contract on every kind of
+// run: Days has one entry per measured window — each day of a
+// file-system workload, the tenants' one window, one replay pass or two
+// when the run rearranges — on a single disk and on a volume alike, and
+// Counters sums every member's lifetime counts. It runs the first row of
+// every need, and the first rearranging row of a need whose first does
+// not rearrange, at a three-minute window.
+func TestEveryRunRecordsItsWindows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one run per need in -short mode")
+	}
+	o := Options{Days: 2, WindowMS: 0.05 * workload.HourMS}
+	for n := Need(0); n < needCount; n++ {
+		if n == NeedCrash {
+			continue // the crashcheck harness, not a stack
+		}
+		rows := needTable[n].rows(o)
+		picked := rows[:1]
+		for _, e := range rows {
+			if rows[0].Rearrange == nil && e.Rearrange != nil {
+				picked = append(picked, e)
+				break
+			}
+		}
+		for _, e := range picked {
+			run, err := Execute(context.Background(), e)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", n, e.Name, err)
+			}
+			e = run.Experiment
+			var want []DayResult
+			switch e.Workload.Source {
+			case Tenants:
+				want = []DayResult{{}}
+			case Trace:
+				want = []DayResult{{}}
+				if e.Rearrange != nil {
+					want = append(want, DayResult{Day: 1, On: true})
+				}
+			default:
+				for day := 0; day < e.Days; day++ {
+					want = append(want, DayResult{Day: day, On: isOnDay(e, day)})
+				}
+			}
+			if len(run.Days) != len(want) {
+				t.Errorf("%s/%s: %d windows, want %d", n, e.Name, len(run.Days), len(want))
+				continue
+			}
+			var measured int64
+			for i, d := range run.Days {
+				if d.Day != want[i].Day || d.On != want[i].On || d.Stats == nil || d.Stats.All().Count() == 0 {
+					t.Errorf("%s/%s: window %d is day %d, on %v, stats %v; want day %d, on %v, with requests",
+						n, e.Name, i, d.Day, d.On, d.Stats, want[i].Day, want[i].On)
+					continue
+				}
+				measured += d.Stats.All().Count()
+			}
+			if run.Counters.Requests < measured {
+				t.Errorf("%s/%s: the drivers' lifetime counters hold %d requests, fewer than the %d measured",
+					n, e.Name, run.Counters.Requests, measured)
+			}
+		}
+	}
+}

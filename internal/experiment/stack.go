@@ -60,10 +60,15 @@ type stack struct {
 	rig     *rig.Rig
 	vol     *volume.Volume
 	members []*rig.Rig
-	mounts  []mount
-	fs      []*fs.FS // by partition
-	srv     *server.Server
-	rears   []*core.Rearranger // by member
+	// dev is the block device the workload drives — the rig's driver
+	// or the volume — and blocks its size in blocks: partition 0's on a
+	// single disk.
+	dev    driver.BlockDevice
+	blocks int64
+	mounts []mount
+	fs     []*fs.FS // by partition
+	srv    *server.Server
+	rears  []*core.Rearranger // by member
 	// otherEvents is the event count of any other engine the job ran
 	// (a trace capture), added to this engine's in the job's total.
 	otherEvents int64
@@ -79,7 +84,6 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		ctx = context.Background()
 	}
 	s := &stack{ctx: ctx, col: telemetry.FromContext(ctx), mounts: d.mounts}
-	var dev driver.BlockDevice
 	if d.rig != nil {
 		o := *d.rig
 		o.Ctx, o.Telemetry = ctx, s.col
@@ -87,7 +91,8 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.rig, s.eng, s.members, dev = r, r.Eng, []*rig.Rig{r}, r.Driver
+		s.rig, s.eng, s.members = r, r.Eng, []*rig.Rig{r}
+		s.dev, s.blocks = r.Driver, r.PartitionBlocks(0)
 	} else {
 		o := *d.volume
 		o.Ctx, o.Telemetry = ctx, s.col
@@ -95,10 +100,11 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.vol, s.eng, s.members, dev = v, v.Eng, v.Members, v
+		s.vol, s.eng, s.members = v, v.Eng, v.Members
+		s.dev, s.blocks = v, v.Blocks()
 	}
 	for part, m := range d.mounts {
-		f, err := fs.Newfs(s.eng, dev, part, m.params)
+		f, err := fs.Newfs(s.eng, s.dev, part, m.params)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +116,7 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 	}
 	if d.server != nil {
 		var err error
-		if s.srv, err = server.New(s.eng, dev, *d.server); err != nil {
+		if s.srv, err = server.New(s.eng, s.dev, *d.server); err != nil {
 			return nil, err
 		}
 	}
@@ -194,42 +200,48 @@ func (s *stack) rearrange(on bool, when string) (int, error) {
 	return installed, nil
 }
 
-// runDays is the paper's measurement protocol (§5). Each day: run to
-// the day's start, let before discard the overnight and populate noise,
-// run the day's workload monitored, let after collect the day's
-// figures; overnight, rearrange if on says the next day is an on-day,
-// else clean. It returns the blocks each rearrangement installed.
-func (s *stack) runDays(days int, windowMS float64, on func(day int) bool,
-	runDay func(day int, done func(error)), before, after func(day int)) ([]int, error) {
-	var installed []int
-	for day := 0; day < days; day++ {
+// runDays is the paper's measurement protocol (§5) over the run's
+// days. Each day: run to the day's start, open a measured window, let
+// before (if any) begin, run the day's workload monitored, close the
+// window as the day, let after (if any) end; overnight, rearrange if
+// the next day is an on-day, else clean. It records the blocks each
+// rearrangement installed in run.Installed.
+func (s *stack) runDays(run *Run, runDay func(day int, done func(error)), before, after func(day int)) error {
+	e := run.Experiment
+	for day := 0; day < e.Days; day++ {
 		if err := s.ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		dayStart := float64(float64(day)*workload.DayMS) + workload.DayStartMS
 		s.eng.RunUntil(dayStart)
-		before(day)
-		err := s.monitored(fmt.Sprintf("day %d", day), dayStart+windowMS+30*60*1000,
+		s.openWindow(run)
+		if before != nil {
+			before(day)
+		}
+		err := s.monitored(fmt.Sprintf("day %d", day), dayStart+e.WindowMS+30*60*1000,
 			func(done func(error)) { runDay(day, done) })
 		if err != nil {
-			return nil, err
+			return err
 		}
-		after(day)
-		if day+1 < days {
-			onNext := on(day + 1)
+		s.closeWindow(run, DayResult{Day: day, On: isOnDay(e, day)})
+		if after != nil {
+			after(day)
+		}
+		if day+1 < e.Days {
+			onNext := e.OnPattern(day + 1)
 			n, err := s.rearrange(onNext, fmt.Sprintf("after day %d", day))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if onNext {
-				installed = append(installed, n)
+				run.Installed = append(run.Installed, n)
 			}
 		}
 		for _, rear := range s.rears {
 			rear.ResetCounts()
 		}
 	}
-	return installed, nil
+	return nil
 }
 
 // metricsBinder is a workload or replayer with instruments of its own.

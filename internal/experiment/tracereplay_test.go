@@ -134,32 +134,57 @@ func TestTrimRearrSuffix(t *testing.T) {
 	}
 }
 
+// replayOn replays the system workload's 0.2-hour capture on the given
+// devices, rearranging as asked.
+func replayOn(t *testing.T, d Devices, rearrange *Rearrange) *Run {
+	t.Helper()
+	r, err := Execute(context.Background(), Experiment{
+		Devices:   d,
+		Workload:  Workload{Source: Trace},
+		Rearrange: rearrange,
+		WindowMS:  0.2 * workload.HourMS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + len(r.Installed); len(r.Days) != want {
+		t.Fatalf("layout %q, rearrange %v: %d replay passes, want %d", d.Layout, rearrange, len(r.Days), want)
+	}
+	return r
+}
+
 // TestBareDiskEqualsOneMemberVolume: a volume of one member adds
 // nothing to a replay. The same captured trace replayed on the bare
 // disk, on a 1-member concat and on a 1-member stripe measures bit for
-// bit the same, with no rearranger and after rearranging 100 blocks.
+// bit the same in every pass, with no rearranger and with one
+// rearranging 100 blocks after its learning pass. And a learning pass
+// measures what a plain replay does.
 func TestBareDiskEqualsOneMemberVolume(t *testing.T) {
+	var plain *Run
 	for _, rearrange := range []*Rearrange{nil, {Blocks: 100}} {
 		var want *Run
 		for _, d := range []Devices{{}, {Layout: volume.Concat}, {Layout: volume.Stripe, Disks: 1}} {
-			r, err := Execute(context.Background(), Experiment{
-				Devices:   d,
-				Workload:  Workload{Source: Trace},
-				Rearrange: rearrange,
-				WindowMS:  0.2 * workload.HourMS,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := replayOn(t, d, rearrange)
 			if want == nil {
 				want = r
 				if p := r.Replay; p.Errors != 0 || p.SeekMS <= 0 || p.SeekMS >= p.FCFSSeekMS {
 					t.Fatalf("bare disk, rearrange %v: %+v, want a clean replay that SCAN improves on", rearrange, p)
 				}
-				if rearrange != nil && !reflect.DeepEqual(r.Installed, []int{100}) {
+				if rearrange == nil {
+					plain = r
+				} else if !reflect.DeepEqual(r.Installed, []int{100}) {
 					t.Fatalf("bare disk: installed %v, want [100]", r.Installed)
+				} else if !reflect.DeepEqual(r.Days[0], plain.Days[0]) {
+					t.Errorf("bare disk: the learning pass measured %+v, a plain replay %+v",
+						r.Days[0].Metrics(r.Curve, AllRequests), plain.Days[0].Metrics(r.Curve, AllRequests))
 				}
 				continue
+			}
+			for i := range r.Days {
+				if !reflect.DeepEqual(r.Days[i], want.Days[i]) {
+					t.Errorf("layout %q of %d, rearrange %v, pass %d: measured %+v; bare disk %+v",
+						d.Layout, d.Disks, rearrange, i, r.Days[i].Metrics(r.Curve, AllRequests), want.Days[i].Metrics(r.Curve, AllRequests))
+				}
 			}
 			figures := func(r *Run) [4]uint64 {
 				p := r.Replay
@@ -170,6 +195,32 @@ func TestBareDiskEqualsOneMemberVolume(t *testing.T) {
 				t.Errorf("layout %q of %d, rearrange %v: FCFS seek %v, seek %v, p99 %v, elapsed %v ms, installed %v; bare disk %v, %v, %v, %v ms, %v",
 					d.Layout, d.Disks, rearrange, r.Replay.FCFSSeekMS, r.Replay.SeekMS, r.Replay.P99MS, r.Replay.ElapsedMS, r.Installed,
 					want.Replay.FCFSSeekMS, want.Replay.SeekMS, want.Replay.P99MS, want.Replay.ElapsedMS, want.Installed)
+			}
+		}
+	}
+}
+
+// TestMirrorWritesTwiceReadsOnce: a healthy 2-member mirror serves each
+// read from one member and each write on both. Replaying one captured
+// trace on it and on the bare disk, its merged statistics count the
+// bare disk's reads once and its writes twice, in every pass, with and
+// without a rearranger.
+func TestMirrorWritesTwiceReadsOnce(t *testing.T) {
+	for _, rearrange := range []*Rearrange{nil, {Blocks: 100}} {
+		bare := replayOn(t, Devices{}, rearrange)
+		mirror := replayOn(t, Devices{Layout: volume.Mirror, Disks: 2}, rearrange)
+		if len(mirror.Days) != len(bare.Days) {
+			t.Fatalf("rearrange %v: mirror replayed %d passes, bare disk %d", rearrange, len(mirror.Days), len(bare.Days))
+		}
+		for i, d := range bare.Days {
+			b, m := d.Stats, mirror.Days[i].Stats
+			if b.WriteSide.Count() == 0 || b.ReadSide.Count() == 0 {
+				t.Fatalf("rearrange %v, pass %d: the bare disk saw %d reads and %d writes, want both",
+					rearrange, i, b.ReadSide.Count(), b.WriteSide.Count())
+			}
+			if m.ReadSide.Count() != b.ReadSide.Count() || m.WriteSide.Count() != 2*b.WriteSide.Count() {
+				t.Errorf("rearrange %v, pass %d: mirror %d reads, %d writes; bare disk %d reads, %d writes",
+					rearrange, i, m.ReadSide.Count(), m.WriteSide.Count(), b.ReadSide.Count(), b.WriteSide.Count())
 			}
 		}
 	}

@@ -8,14 +8,14 @@ import (
 
 func sampleJobs() []JobSnapshot {
 	r := NewRegistry()
-	r.Counter("driver_requests").Add(1234)
-	r.Gauge("volume_dead_members").Set(1)
+	r.CounterFunc("driver_requests", func() int64 { return 1234 })
+	r.GaugeFunc("volume_dead_members", func() float64 { return 1 })
 	h := r.Histogram("driver_service_ms", HistogramOpts{}, Label{"disk", "0"})
 	for _, v := range []float64{1.5, 2.5, 40} {
 		h.Record(v)
 	}
 	r2 := NewRegistry()
-	r2.Counter("driver_requests").Add(99)
+	r2.CounterFunc("driver_requests", func() int64 { return 99 })
 	return []JobSnapshot{
 		{Job: "volume/disks-1", Metrics: r.Snapshot().Metrics},
 		{Job: "volume/disks-4", Metrics: r2.Snapshot().Metrics},

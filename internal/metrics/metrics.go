@@ -1,7 +1,7 @@
 // Package metrics is the simulator's deterministic metrics core:
-// monotonic counters, gauges, and log-linear bucketed histograms with
-// quantile estimation, organized in labeled registries with mergeable
-// snapshots.
+// monotonic counters and gauges read from the layers' own state, and
+// log-linear bucketed histograms with quantile estimation, organized in
+// labeled registries with mergeable snapshots.
 //
 // The package is built around two contracts the rest of the repository
 // already honours:
@@ -12,9 +12,10 @@
 //     function of the multiset *and order* of recorded values. Because
 //     the simulation replays the same event sequence for any -jobs
 //     value, snapshots are byte-identical across worker counts.
-//   - Allocation-free recording. Counter.Inc, Gauge.Set and
-//     Histogram.Record never allocate: the bucket array is sized at
-//     construction. All allocation happens at registration or snapshot
+//   - Allocation-free recording. Histogram.Record and Counter.Add never
+//     allocate: the bucket array is sized at construction. A counter or
+//     gauge is a function, read at snapshot time, over state its layer
+//     keeps anyway. All allocation happens at registration or snapshot
 //     time, off the simulation hot path.
 //
 // Metrics are single-goroutine by design, like the engines they
@@ -91,27 +92,10 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// Counter is a monotonic event count. Not safe for concurrent use; see
-// the package comment for the single-goroutine contract.
+// Counter is a count its owner adds to (Registry.Counter). Not safe for
+// concurrent use; see the package comment for the single-goroutine
+// contract.
 type Counter struct{ v int64 }
 
-// Inc adds one. It never allocates.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n, which must be non-negative.
+// Add adds n, which must be non-negative. It never allocates.
 func (c *Counter) Add(n int64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is an instantaneous value. Not safe for concurrent use.
-type Gauge struct{ v float64 }
-
-// Set replaces the value. It never allocates.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }

@@ -37,21 +37,6 @@ func TestName(t *testing.T) {
 	}
 }
 
-func TestCounterGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d, want 5", c.Value())
-	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", g.Value())
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(HistogramOpts{})
 	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
@@ -262,16 +247,10 @@ func TestHistogramMeanWithinRange(t *testing.T) {
 
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs")
-	c.Inc()
-	if r.Counter("reqs") != c {
-		t.Error("re-registering a counter should return the same instance")
-	}
-	g := r.Gauge("depth")
-	g.Set(3)
-	if r.Gauge("depth") != g {
-		t.Error("re-registering a gauge should return the same instance")
-	}
+	reqs, depth := int64(0), 0.0
+	r.CounterFunc("reqs", func() int64 { return reqs })
+	r.GaugeFunc("depth", func() float64 { return depth })
+	reqs, depth = 1, 3 // read when snapshotted, not when registered
 	h := r.Histogram("lat", HistogramOpts{})
 	h.Record(1)
 	if r.Histogram("lat", HistogramOpts{SubBits: 2}) != h {
@@ -287,9 +266,12 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Histogram("adopted", HistogramOpts{}) != own {
 		t.Error("an adopted histogram should be the one the registry returns")
 	}
+	added := r.Counter("added")
+	added.Add(2)
+	added.Add(3)
 
 	s := r.Snapshot()
-	wantNames := []string{"reqs", "depth", "lat", "fn_count", "fn_gauge", "adopted"}
+	wantNames := []string{"reqs", "depth", "lat", "fn_count", "fn_gauge", "adopted", "added"}
 	if len(s.Metrics) != len(wantNames) {
 		t.Fatalf("snapshot has %d metrics, want %d", len(s.Metrics), len(wantNames))
 	}
@@ -307,6 +289,9 @@ func TestRegistryBasics(t *testing.T) {
 	if s.Metrics[5].Hist == nil || s.Metrics[5].Hist.Count != 2 {
 		t.Errorf("adopted histogram snapshot = %+v", s.Metrics[5].Hist)
 	}
+	if s.Metrics[6].Value != 5 {
+		t.Errorf("added counter = %v, want 5", s.Metrics[6].Value)
+	}
 }
 
 // Each visits every metric in registration order and reads a
@@ -316,7 +301,7 @@ func TestRegistryEachReadsLazily(t *testing.T) {
 	reads := 0
 	r.GaugeFunc("g", func() float64 { reads++; return 1.5 })
 	r.Histogram("h", HistogramOpts{}).Record(2)
-	r.Counter("c", Label{"disk", "0"}).Add(3)
+	r.CounterFunc("c", func() int64 { return 3 }, Label{"disk", "0"})
 	var names []string
 	r.Each(func(m Metric) { names = append(names, m.Name()+":"+m.Kind().String()) })
 	if reads != 0 {
@@ -340,12 +325,8 @@ func TestRegistryEachReadsLazily(t *testing.T) {
 
 func TestRegistryLabels(t *testing.T) {
 	r := NewRegistry()
-	c0 := r.Counter("faults", Label{"disk", "0"})
-	c1 := r.Counter("faults", Label{"disk", "1"})
-	if c0 == c1 {
-		t.Fatal("differently labeled metrics must be distinct")
-	}
-	c0.Inc()
+	r.CounterFunc("faults", func() int64 { return 1 }, Label{"disk", "0"})
+	r.CounterFunc("faults", func() int64 { return 0 }, Label{"disk", "1"}) // distinct: no re-register panic
 	s := r.Snapshot()
 	if s.Metrics[0].Name != `faults{disk="0"}` || s.Metrics[1].Name != `faults{disk="1"}` {
 		t.Errorf("labeled names = %s, %s", s.Metrics[0].Name, s.Metrics[1].Name)
@@ -363,13 +344,10 @@ func TestRegistryPanics(t *testing.T) {
 		f()
 	}
 	r := NewRegistry()
-	r.Counter("c")
-	expectPanic("kind clash", func() { r.Gauge("c") })
 	r.CounterFunc("cf", func() int64 { return 0 })
-	expectPanic("counter over func", func() { r.Counter("cf") })
+	expectPanic("kind clash", func() { r.GaugeFunc("cf", func() float64 { return 0 }) })
 	expectPanic("CounterFunc re-register", func() { r.CounterFunc("cf", func() int64 { return 0 }) })
 	r.GaugeFunc("gf", func() float64 { return 0 })
-	expectPanic("gauge over func", func() { r.Gauge("gf") })
 	r.Histogram("h", HistogramOpts{})
 	expectPanic("AdoptHistogram re-register", func() { r.AdoptHistogram("h", NewHistogram(HistogramOpts{})) })
 	expectPanic("GaugeFunc re-register", func() { r.GaugeFunc("gf", func() float64 { return 0 }) })

@@ -2,34 +2,15 @@ package metrics
 
 import "fmt"
 
-// metricEntry is one registered metric. Counters and gauges are either
-// instance-backed (Counter/Gauge) or func-backed (resolved lazily at
-// snapshot time).
+// metricEntry is one registered metric. A counter or gauge is a
+// function, resolved when read.
 type metricEntry struct {
 	name string
 	kind Kind
 
-	counter   *Counter
 	counterFn func() int64
-
-	gauge   *Gauge
-	gaugeFn func() float64
-
-	hist *Histogram
-}
-
-func (e *metricEntry) counterValue() int64 {
-	if e.counterFn != nil {
-		return e.counterFn()
-	}
-	return e.counter.v
-}
-
-func (e *metricEntry) gaugeValue() float64 {
-	if e.gaugeFn != nil {
-		return e.gaugeFn()
-	}
-	return e.gauge.v
+	gaugeFn   func() float64
+	hist      *Histogram
 }
 
 // Registry holds a set of named metrics in registration order, which is
@@ -61,28 +42,12 @@ func (r *Registry) entry(name string, kind Kind) (*metricEntry, bool) {
 	return e, false
 }
 
-// Counter returns the counter with the given name and labels, creating
-// it on first use.
+// Counter registers a counter the caller adds to, under a name that
+// must be unused: a CounterFunc over the returned Counter's count.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	e, ok := r.entry(Name(name, labels...), KindCounter)
-	if !ok {
-		e.counter = &Counter{}
-	} else if e.counter == nil {
-		panic("metrics: " + e.name + " is func-backed, cannot be requested as a Counter instance")
-	}
-	return e.counter
-}
-
-// Gauge returns the gauge with the given name and labels, creating it
-// on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	e, ok := r.entry(Name(name, labels...), KindGauge)
-	if !ok {
-		e.gauge = &Gauge{}
-	} else if e.gauge == nil {
-		panic("metrics: " + e.name + " is func-backed, cannot be requested as a Gauge instance")
-	}
-	return e.gauge
+	c := &Counter{}
+	r.CounterFunc(name, func() int64 { return c.v }, labels...)
+	return c
 }
 
 // Histogram returns the histogram with the given name and labels,
@@ -139,14 +104,14 @@ func (m Metric) Name() string { return m.e.name }
 // Kind returns the metric's kind.
 func (m Metric) Kind() Kind { return m.e.kind }
 
-// Value reads a counter or gauge now, calling a func-backed one's
-// function; a histogram reads 0.
+// Value reads a counter or gauge now, calling its function; a
+// histogram reads 0.
 func (m Metric) Value() float64 {
 	switch m.e.kind {
 	case KindCounter:
-		return float64(m.e.counterValue())
+		return float64(m.e.counterFn())
 	case KindGauge:
-		return m.e.gaugeValue()
+		return m.e.gaugeFn()
 	}
 	return 0
 }
@@ -161,7 +126,7 @@ func (r *Registry) Each(fn func(Metric)) {
 }
 
 // Snapshot renders every metric to pure data, in registration order.
-// Func-backed metrics are evaluated now, so take the snapshot at a
+// Counters and gauges are evaluated now, so take the snapshot at a
 // deterministic point — the end of a run.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Metrics: make([]MetricSnap, 0, len(r.order))}

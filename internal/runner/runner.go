@@ -41,7 +41,7 @@ type Progress struct {
 	Units float64
 	// TotalUnits is the sum over all jobs.
 	TotalUnits float64
-	// Elapsed is the wall-clock time since Run started.
+	// Elapsed is the wall-clock time since RunWithMetrics started.
 	Elapsed time.Duration
 }
 
@@ -60,8 +60,8 @@ type Config struct {
 	// GOMAXPROCS(0).
 	Workers int
 	// Timeout bounds the whole run; 0 means no bound. On expiry the
-	// shared context is cancelled, running jobs wind down, and Run
-	// returns an error wrapping context.DeadlineExceeded.
+	// shared context is cancelled, running jobs wind down, and
+	// RunWithMetrics returns an error wrapping context.DeadlineExceeded.
 	Timeout time.Duration
 	// OnProgress, when non-nil, is called after each job completes. It
 	// is called from worker goroutines under the pool's lock: keep it
@@ -93,20 +93,15 @@ func (m Metric) Rate() float64 {
 	return m.Units / m.Wall.Seconds()
 }
 
-// Run executes jobs on a worker pool and returns their results in job
-// order (results[i] belongs to jobs[i], whatever order they finished
-// in). A job that panics fails with an error carrying the panic value
-// and stack instead of crashing the process. The first failure cancels
-// the shared context; workers drain the remaining queue without
-// starting new jobs, and Run reports the failed job with the lowest
-// index so the returned error does not depend on scheduling.
-func Run(ctx context.Context, jobs []Job, cfg Config) ([]any, error) {
-	results, _, err := RunWithMetrics(ctx, jobs, cfg)
-	return results, err
-}
-
-// RunWithMetrics is Run, additionally returning per-job metrics in job
-// order. Metrics are recorded even when the run fails.
+// RunWithMetrics executes jobs on a worker pool and returns their
+// results in job order (results[i] belongs to jobs[i], whatever order
+// they finished in), with per-job metrics in the same order. A job that
+// panics fails with an error carrying the panic value and stack instead
+// of crashing the process. The first failure cancels the shared
+// context; workers drain the remaining queue without starting new jobs,
+// and RunWithMetrics reports the failed job with the lowest index so the
+// returned error does not depend on scheduling. Metrics are recorded
+// even when the run fails.
 func RunWithMetrics(ctx context.Context, jobs []Job, cfg Config) ([]any, []Metric, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -25,7 +25,7 @@ func TestResultsInJobOrder(t *testing.T) {
 			return i, nil
 		}))
 	}
-	results, err := Run(context.Background(), jobs, Config{Workers: 8})
+	results, _, err := RunWithMetrics(context.Background(), jobs, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestWorkerCountIndependence(t *testing.T) {
 		}
 		return jobs
 	}
-	seq, err := Run(context.Background(), mk(), Config{Workers: 1})
+	seq, _, err := RunWithMetrics(context.Background(), mk(), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), mk(), Config{Workers: 8})
+	par, _, err := RunWithMetrics(context.Background(), mk(), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPanicBecomesError(t *testing.T) {
 		job("ok", func(context.Context) (any, error) { return "fine", nil }),
 		job("boom", func(context.Context) (any, error) { panic("kapow") }),
 	}
-	_, err := Run(context.Background(), jobs, Config{Workers: 2})
+	_, _, err := RunWithMetrics(context.Background(), jobs, Config{Workers: 2})
 	if err == nil {
 		t.Fatal("panicking job did not fail the run")
 	}
@@ -92,7 +92,7 @@ func TestFirstErrorCancelsRemaining(t *testing.T) {
 			return nil, nil
 		}))
 	}
-	_, err := Run(context.Background(), jobs, Config{Workers: 1})
+	_, _, err := RunWithMetrics(context.Background(), jobs, Config{Workers: 1})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the real failure", err)
 	}
@@ -119,7 +119,7 @@ func TestContextCancellation(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, err := Run(ctx, jobs, Config{Workers: 1})
+	_, _, err := RunWithMetrics(ctx, jobs, Config{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -135,7 +135,7 @@ func TestTimeout(t *testing.T) {
 		}
 	})}
 	start := time.Now()
-	_, err := Run(context.Background(), jobs, Config{Workers: 1, Timeout: 20 * time.Millisecond})
+	_, _, err := RunWithMetrics(context.Background(), jobs, Config{Workers: 1, Timeout: 20 * time.Millisecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -150,7 +150,7 @@ func TestProgressReporting(t *testing.T) {
 		{Name: "a", Units: 2, Run: func(context.Context) (any, error) { return nil, nil }},
 		{Name: "b", Units: 3, Run: func(context.Context) (any, error) { return nil, nil }},
 	}
-	_, err := Run(context.Background(), jobs, Config{
+	_, _, err := RunWithMetrics(context.Background(), jobs, Config{
 		Workers:    1,
 		OnProgress: func(p Progress) { snaps = append(snaps, p) },
 	})
@@ -182,14 +182,14 @@ func TestProgressRate(t *testing.T) {
 }
 
 func TestEmptyJobs(t *testing.T) {
-	results, err := Run(context.Background(), nil, Config{})
+	results, _, err := RunWithMetrics(context.Background(), nil, Config{})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty run: results=%v err=%v", results, err)
 	}
 }
 
 func TestNilContext(t *testing.T) {
-	results, err := Run(nil, []Job{job("x", func(context.Context) (any, error) { return 7, nil })}, Config{})
+	results, _, err := RunWithMetrics(nil, []Job{job("x", func(context.Context) (any, error) { return 7, nil })}, Config{})
 	if err != nil || results[0].(int) != 7 {
 		t.Fatalf("nil ctx run: results=%v err=%v", results, err)
 	}
@@ -212,7 +212,7 @@ func TestManyJobsFewWorkers(t *testing.T) {
 			return nil, nil
 		}))
 	}
-	if _, err := Run(context.Background(), jobs, Config{Workers: 4}); err != nil {
+	if _, _, err := RunWithMetrics(context.Background(), jobs, Config{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 4 {

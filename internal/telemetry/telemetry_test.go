@@ -113,7 +113,7 @@ func TestFreezeDropsRegistry(t *testing.T) {
 	c := NewCollector("j1", Options{Metrics: true})
 	reads := int64(0)
 	c.Metrics().CounterFunc("reads", func() int64 { reads++; return reads })
-	c.Metrics().Gauge("g").Set(2)
+	c.Metrics().GaugeFunc("g", func() float64 { return 2 })
 	c.Freeze()
 	c.Freeze() // idempotent
 	if c.Metrics() != nil || c.MetricsEnabled() {
@@ -179,7 +179,8 @@ func TestWriteCSVHeaderPerSection(t *testing.T) {
 	mk := func(name string, gauges ...string) *Collector {
 		c := NewCollector(name, Options{SamplePeriodMS: 10})
 		for _, g := range gauges {
-			c.Metrics().Gauge(g).Set(float64(len(g)))
+			v := float64(len(g))
+			c.Metrics().GaugeFunc(g, func() float64 { return v })
 		}
 		c.StartSampler(eng)
 		return c
@@ -237,8 +238,8 @@ func TestCSVQuotedNamesRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewCollector(`shared,"odd"`, Options{SamplePeriodMS: 10})
 	two := []metrics.Label{{Key: "fs", Value: "sys"}, {Key: "cache", Value: "data"}}
-	c.Metrics().Counter("cache_hits", two...).Add(7)
-	c.Metrics().Gauge("driver_queue_len", metrics.Label{Key: "disk", Value: "2"}).Set(3)
+	c.Metrics().CounterFunc("cache_hits", func() int64 { return 7 }, two...)
+	c.Metrics().GaugeFunc("driver_queue_len", func() float64 { return 3 }, metrics.Label{Key: "disk", Value: "2"})
 	c.StartSampler(eng)
 	eng.RunUntil(15)
 	want := "job,t_ms,\"cache_hits{cache=\"\"data\"\",fs=\"\"sys\"\"}\",\"driver_queue_len{disk=\"\"2\"\"}\"\n"

@@ -276,7 +276,7 @@ func backgroundSteps(t *testing.T, v *Volume, mark func() int64, by int64, runni
 			if !running() {
 				t.Fatal("the pass ended inside the measurement")
 			}
-			v.RunUntil(v.Now() + 1)
+			v.Eng.RunUntil(v.Eng.Now() + 1)
 		}
 	}
 	for i := 0; i < 20; i++ {
@@ -294,7 +294,7 @@ func TestRebuildStepAllocFloor(t *testing.T) {
 		v.WriteBlock(0, k, blockOf(byte(k+1)), nil)
 	}
 	for !v.Rebuilding() {
-		v.RunUntil(v.Now() + 1)
+		v.Eng.RunUntil(v.Eng.Now() + 1)
 	}
 	rebuilt := func() int64 { return v.RAID().RebuiltBlocks }
 	n := backgroundSteps(t, v, rebuilt, 1, v.Rebuilding)
@@ -317,7 +317,7 @@ func TestScrubCleanRowZeroAllocs(t *testing.T) {
 		t.Fatal("StartScrub refused")
 	}
 	for !v.ra.scrubbing {
-		v.RunUntil(v.Now() + 1)
+		v.Eng.RunUntil(v.Eng.Now() + 1)
 	}
 	// A clean scrub step reads every member once.
 	reads := func() (n int64) {

@@ -46,7 +46,7 @@ func TestBindMetricsParity(t *testing.T) {
 
 	for k := int64(0); k < 40; k++ {
 		v.WriteBlock(0, k%16, blockOf(byte(k)), nil)
-		v.RunUntil(v.Now() + 100)
+		v.Eng.RunUntil(v.Eng.Now() + 100)
 	}
 	if v.DeadMembers() != 1 {
 		t.Fatalf("DeadMembers() = %d after the kill plan, want 1", v.DeadMembers())
@@ -98,7 +98,7 @@ func TestDispatched(t *testing.T) {
 		v.WriteBlock(0, k, blockOf(byte(k)), nil)
 		v.Run()
 	}
-	if v.Dispatched() == 0 {
-		t.Fatal("Dispatched() = 0 after 10 writes")
+	if v.Eng.Dispatched() == 0 {
+		t.Fatal("the engine dispatched no event for 10 writes")
 	}
 }

@@ -107,14 +107,14 @@ func parityProgram(t *testing.T, seed int64) {
 			})
 		}
 		if rng.Intn(4) == 0 {
-			v.RunUntil(v.Now() + float64(rng.Intn(40)))
+			v.Eng.RunUntil(v.Eng.Now() + float64(rng.Intn(40)))
 		}
 	}
 	// Drain everything, including any rebuild in flight. With the
 	// scrub ticker armed the engine is never quiescent, so advance
 	// far enough for foreground + rebuild + a full pass instead.
 	if scrub {
-		v.RunUntil(v.Now() + 600_000)
+		v.Eng.RunUntil(v.Eng.Now() + 600_000)
 	} else {
 		v.Run()
 	}
@@ -142,7 +142,7 @@ func parityProgram(t *testing.T, seed int64) {
 		fired := false
 		v.ReadBlock(0, blk, func(d []byte, err error) { got, gerr, fired = d, err, true })
 		if scrub {
-			v.RunUntil(v.Now() + 30_000)
+			v.Eng.RunUntil(v.Eng.Now() + 30_000)
 		} else {
 			v.Run()
 		}

@@ -470,17 +470,17 @@ func TestRebuildUnderForegroundLoad(t *testing.T) {
 		busy.WriteBlock(0, k, blockOf(byte(k)), nil)
 		kills++
 		if kills%3 == 0 {
-			busy.RunUntil(busy.Now() + 5)
+			busy.Eng.RunUntil(busy.Eng.Now() + 5)
 		}
 	}
 	blk := int64(0)
 	for !busy.Rebuilding() && busy.DeadMembers() == 0 {
-		busy.RunUntil(busy.Now() + 5)
+		busy.Eng.RunUntil(busy.Eng.Now() + 5)
 	}
 	for i := 0; i < 4000 && (busy.Rebuilding() || busy.RAID().RebuildsDone == 0); i++ {
 		busy.WriteBlock(0, blk%30, blockOf(byte(blk)), nil)
 		blk++
-		busy.RunUntil(busy.Now() + 5)
+		busy.Eng.RunUntil(busy.Eng.Now() + 5)
 	}
 	busy.Run()
 	bst := busy.RAID()
@@ -567,7 +567,7 @@ func TestScrubRepairsLatentSectorError(t *testing.T) {
 				var rerr error
 				fired := false
 				v.Members[tc.member].Driver.ReadBlock(0, 9, func(_ []byte, err error) { rerr, fired = err, true })
-				v.RunUntil(v.Now() + 30_000)
+				v.Eng.RunUntil(v.Eng.Now() + 30_000)
 				if !fired {
 					t.Fatal("member read never completed")
 				}
@@ -582,7 +582,7 @@ func TestScrubRepairsLatentSectorError(t *testing.T) {
 					var rerr error
 					fired := false
 					v.ReadBlock(0, blk, func(d []byte, err error) { data, rerr, fired = d, err, true })
-					v.RunUntil(v.Now() + 30_000)
+					v.Eng.RunUntil(v.Eng.Now() + 30_000)
 					if !fired || rerr != nil || !bytes.Equal(data, make([]byte, v.bs.Bytes())) {
 						t.Fatalf("read of block %d: fired=%v err=%v, or wrong data", blk, fired, rerr)
 					}
@@ -604,7 +604,7 @@ func TestScrubRepairsLatentSectorError(t *testing.T) {
 				t.Fatal("StartScrub armed twice")
 			}
 			// One interval to the first tick, then the pass itself.
-			v.RunUntil(v.Now() + 120_000)
+			v.Eng.RunUntil(v.Eng.Now() + 120_000)
 			st := v.RAID()
 			if st.ScrubPasses == 0 {
 				t.Fatal("no scrub pass ran")

@@ -385,16 +385,6 @@ func New(opts Options) (*Volume, error) {
 // Run drives the simulation until the engine is quiescent.
 func (v *Volume) Run() { v.Eng.Run() }
 
-// RunUntil drives the simulation through time t inclusive, then
-// advances the clock to t, like sim.Engine.RunUntil.
-func (v *Volume) RunUntil(t float64) { v.Eng.RunUntil(t) }
-
-// Now returns the engine's current simulated time.
-func (v *Volume) Now() float64 { return v.Eng.Now() }
-
-// Dispatched returns the number of events the volume's engine has fired.
-func (v *Volume) Dispatched() int64 { return v.Eng.Dispatched() }
-
 // Close disarms the periodic scrub so its ticker stops re-arming on the
 // engine. Close is idempotent.
 func (v *Volume) Close() {
