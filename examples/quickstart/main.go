@@ -1,78 +1,34 @@
-// Quickstart: assemble an adaptive file server on the paper's Toshiba
-// MK156F disk, generate a skewed workload, let the rearranger move the
-// hot blocks to the reserved cylinders, and compare seek times before
-// and after — the paper's core claim in ~80 lines.
+// Quickstart: the paper's core claim in one experiment. The system file
+// server runs on the Toshiba MK156F for two one-hour days: day 0 in the
+// layout the file system chose, then overnight the rearranger moves the
+// hot blocks it counted to the reserved middle cylinders, and day 1
+// serves the same workload from the rearranged disk.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	repro "repro"
-	"repro/internal/fs"
-	"repro/internal/seek"
-	"repro/internal/sim"
+	"repro/internal/experiment"
+	"repro/internal/workload"
 )
 
 func main() {
-	srv, err := repro.NewServer(repro.ServerConfig{DiskModel: "toshiba"})
+	r, err := experiment.Execute(context.Background(), experiment.Experiment{
+		Workload:  experiment.Workload{Source: experiment.System},
+		Rearrange: &experiment.Rearrange{},
+		Days:      2, // day 0 off, day 1 on
+		WindowMS:  workload.HourMS,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Create 200 files scattered across the disk.
-	var handles []*fs.Handle
-	for i := 0; i < 200; i++ {
-		path := fmt.Sprintf("/f%03d", i)
-		srv.FS.Create(path, func(ino fs.Ino, err error) {
-			if err != nil {
-				log.Fatal(err)
-			}
-			h, _ := srv.FS.OpenIno(ino)
-			h.WriteAt(0, 4, nil)
-			handles = append(handles, h)
-		})
-	}
-	srv.RunFor(60_000)
-
-	// A skewed reference stream: Zipf over the files.
-	rnd := sim.NewRand(42)
-	zipf := sim.NewZipf(len(handles), 1.4)
-	day := func() {
-		for i := 0; i < 5000; i++ {
-			h := handles[zipf.Rank(rnd)]
-			srv.Eng.After(float64(i)*50, func() {
-				h.ReadAt(0, h.SizeBlocks(), nil)
-			})
-		}
-		srv.RunFor(5000*50 + 60_000)
-	}
-
-	// Day 1: measure with the layout the file system chose.
-	srv.StartMonitoring()
-	srv.Stats() // clear
-	day()
-	srv.StopMonitoring()
-	before := srv.Stats().All()
-
-	// Overnight: move the hot blocks to the reserved middle cylinders.
-	installed, err := srv.Rearrange()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Day 2: same traffic against the rearranged disk.
-	day()
-	after := srv.Stats().All()
-
-	curve := seek.ToshibaMK156F
-	fmt.Printf("rearranged blocks:      %d\n", installed)
-	fmt.Printf("mean seek before:       %.2f ms (%.0f cylinders)\n",
-		before.MeanSeekMS(curve), before.SchedDist.MeanDist())
-	fmt.Printf("mean seek after:        %.2f ms (%.0f cylinders)\n",
-		after.MeanSeekMS(curve), after.SchedDist.MeanDist())
-	fmt.Printf("zero-length seeks:      %.0f%% -> %.0f%%\n",
-		before.SchedDist.ZeroFrac()*100, after.SchedDist.ZeroFrac()*100)
-	fmt.Printf("mean service time:      %.2f ms -> %.2f ms\n",
-		before.MeanServiceMS(), after.MeanServiceMS())
+	before := r.Days[0].Metrics(r.Curve, experiment.AllRequests)
+	after := r.Days[1].Metrics(r.Curve, experiment.AllRequests)
+	fmt.Printf("rearranged blocks:      %d\n", r.Installed[0])
+	fmt.Printf("mean seek before:       %.2f ms (%.0f cylinders)\n", before.SeekMS, before.Dist)
+	fmt.Printf("mean seek after:        %.2f ms (%.0f cylinders)\n", after.SeekMS, after.Dist)
+	fmt.Printf("zero-length seeks:      %.0f%% -> %.0f%%\n", before.ZeroSeekPct, after.ZeroSeekPct)
+	fmt.Printf("mean service time:      %.2f ms -> %.2f ms\n", before.ServiceMS, after.ServiceMS)
 }

@@ -28,12 +28,6 @@ type Config struct {
 	// PollPeriodMS is the analyzer polling period; zero selects the
 	// paper's two minutes.
 	PollPeriodMS float64
-	// CountWrites controls whether write references contribute to the
-	// hot list. The paper's analyzer counts all references.
-	CountWrites bool
-	// CountReads controls whether read references contribute. Both
-	// flags default to true via New.
-	CountReads bool
 }
 
 // Rearranger is the adaptive block rearrangement controller: the
@@ -62,9 +56,6 @@ func New(eng *sim.Engine, drv *driver.Driver, cfg Config) (*Rearranger, error) {
 	}
 	if cfg.PollPeriodMS <= 0 {
 		cfg.PollPeriodMS = DefaultPollPeriodMS
-	}
-	if !cfg.CountWrites && !cfg.CountReads {
-		cfg.CountWrites, cfg.CountReads = true, true
 	}
 	if cfg.MaxBlocks <= 0 {
 		var capacity int
@@ -138,17 +129,12 @@ func (r *Rearranger) StopMonitoring() {
 }
 
 // Poll drains the driver's request table into the reference counter —
-// one analyzer wake-up.
+// one analyzer wake-up. Reads and writes count alike, as in the paper's
+// analyzer.
 func (r *Rearranger) Poll() {
 	recs, missed := r.drv.ReadRequestTable()
 	r.missed += missed
 	for _, rec := range recs {
-		if rec.Write && !r.cfg.CountWrites {
-			continue
-		}
-		if !rec.Write && !r.cfg.CountReads {
-			continue
-		}
 		r.cfg.Counter.Observe(rec.Sector)
 	}
 }

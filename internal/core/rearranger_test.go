@@ -70,15 +70,17 @@ func TestPollAccumulatesCounts(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		r.Driver.ReadBlock(0, 42, nil)
 	}
+	// Reads and writes count alike, as in the paper's analyzer.
 	r.Driver.ReadBlock(0, 99, nil)
+	r.Driver.WriteBlock(0, 99, make([]byte, r.Driver.BlockSize().Bytes()), nil)
 	r.Eng.Run()
 	ra.Poll()
 	hot := ra.HotList()
-	if len(hot) < 2 {
-		t.Fatalf("hot list has %d entries", len(hot))
+	if len(hot) != 2 {
+		t.Fatalf("hot list has %d entries, want 2", len(hot))
 	}
-	if hot[0].Count != 7 {
-		t.Errorf("hottest count = %d, want 7", hot[0].Count)
+	if hot[0].Count != 7 || hot[1].Count != 2 {
+		t.Errorf("counts = %d, %d, want 7, 2", hot[0].Count, hot[1].Count)
 	}
 }
 
@@ -120,22 +122,6 @@ func TestStopMonitoringStopsPolling(t *testing.T) {
 	r.Eng.RunUntil(10000)
 	if got := len(ra.HotList()); got != 0 {
 		t.Errorf("hot list has %d entries after stop", got)
-	}
-}
-
-func TestReadWriteFiltering(t *testing.T) {
-	r := newRig(t)
-	ra, err := New(r.Eng, r.Driver, Config{CountReads: true, CountWrites: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockData := make([]byte, r.Driver.BlockSize().Bytes())
-	r.Driver.ReadBlock(0, 1, nil)
-	r.Driver.WriteBlock(0, 2, blockData, nil)
-	r.Eng.Run()
-	ra.Poll()
-	if got := len(ra.HotList()); got != 1 {
-		t.Errorf("hot list has %d entries, want 1 (reads only)", got)
 	}
 }
 
@@ -284,9 +270,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if ra.cfg.PollPeriodMS != DefaultPollPeriodMS {
 		t.Errorf("default poll period = %v", ra.cfg.PollPeriodMS)
-	}
-	if !ra.cfg.CountReads || !ra.cfg.CountWrites {
-		t.Error("defaults should count both reads and writes")
 	}
 	if ra.cfg.MaxBlocks <= 900 {
 		t.Errorf("default MaxBlocks = %d, want reserved capacity (~1000)", ra.cfg.MaxBlocks)

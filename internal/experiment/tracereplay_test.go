@@ -154,47 +154,96 @@ func replayOn(t *testing.T, d Devices, rearrange *Rearrange) *Run {
 }
 
 // TestBareDiskEqualsOneMemberVolume: a volume of one member adds
-// nothing to a replay. The same captured trace replayed on the bare
-// disk, on a 1-member concat and on a 1-member stripe measures bit for
-// bit the same in every pass, with no rearranger and with one
-// rearranging 100 blocks after its learning pass. And a learning pass
-// measures what a plain replay does.
+// nothing to a run. The same experiment on the bare disk, on a 1-member
+// concat and on a 1-member stripe measures bit for bit the same in every
+// window, installs the same blocks and counts the same workload errors:
+// a captured trace replayed with no rearranger and with one rearranging
+// 100 blocks after its learning pass, and the system and users file
+// systems over an off day and an on day. And a learning pass measures
+// what a plain replay does.
 func TestBareDiskEqualsOneMemberVolume(t *testing.T) {
+	fsDays := func(src Source) func(Devices) *Run {
+		return func(d Devices) *Run {
+			r, err := Execute(context.Background(), Experiment{
+				Devices:   d,
+				Workload:  Workload{Source: src},
+				Rearrange: &Rearrange{},
+				Days:      2,
+				WindowMS:  0.1 * workload.HourMS,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	}
 	var plain *Run
-	for _, rearrange := range []*Rearrange{nil, {Blocks: 100}} {
+	inputs := []struct {
+		name string
+		run  func(Devices) *Run
+		// bare checks the bare disk's run on its own.
+		bare func(*Run)
+	}{
+		{"trace", func(d Devices) *Run { return replayOn(t, d, nil) }, func(r *Run) { plain = r }},
+		{"trace, rearranging 100 blocks", func(d Devices) *Run { return replayOn(t, d, &Rearrange{Blocks: 100}) }, func(r *Run) {
+			if !reflect.DeepEqual(r.Installed, []int{100}) {
+				t.Fatalf("installed %v, want [100]", r.Installed)
+			}
+			if !reflect.DeepEqual(r.Days[0], plain.Days[0]) {
+				t.Errorf("the learning pass measured %+v, a plain replay %+v",
+					r.Days[0].Metrics(r.Curve, AllRequests), plain.Days[0].Metrics(r.Curve, AllRequests))
+			}
+		}},
+		{"system", fsDays(System), nil},
+		{"users", fsDays(Users), nil},
+	}
+	for _, in := range inputs {
 		var want *Run
 		for _, d := range []Devices{{}, {Layout: volume.Concat}, {Layout: volume.Stripe, Disks: 1}} {
-			r := replayOn(t, d, rearrange)
+			r := in.run(d)
 			if want == nil {
 				want = r
-				if p := r.Replay; p.Errors != 0 || p.SeekMS <= 0 || p.SeekMS >= p.FCFSSeekMS {
-					t.Fatalf("bare disk, rearrange %v: %+v, want a clean replay that SCAN improves on", rearrange, p)
+				if p := r.Replay; p != nil && (p.Errors != 0 || p.SeekMS <= 0 || p.SeekMS >= p.FCFSSeekMS) {
+					t.Fatalf("%s on the bare disk: %+v, want a clean replay that SCAN improves on", in.name, p)
 				}
-				if rearrange == nil {
-					plain = r
-				} else if !reflect.DeepEqual(r.Installed, []int{100}) {
-					t.Fatalf("bare disk: installed %v, want [100]", r.Installed)
-				} else if !reflect.DeepEqual(r.Days[0], plain.Days[0]) {
-					t.Errorf("bare disk: the learning pass measured %+v, a plain replay %+v",
-						r.Days[0].Metrics(r.Curve, AllRequests), plain.Days[0].Metrics(r.Curve, AllRequests))
+				if r.Replay == nil {
+					off := r.Days[0].Metrics(r.Curve, AllRequests)
+					on := r.Days[1].Metrics(r.Curve, AllRequests)
+					if len(r.Installed) != 1 || r.WorkloadErrors != 0 || on.SeekMS >= off.SeekMS {
+						t.Fatalf("%s on the bare disk: installed %v, %d errors, seek %.3f -> %.3f ms; want one clean rearrangement that cuts the seek",
+							in.name, r.Installed, r.WorkloadErrors, off.SeekMS, on.SeekMS)
+					}
+				}
+				if in.bare != nil {
+					in.bare(r)
 				}
 				continue
 			}
+			if len(r.Days) != len(want.Days) {
+				t.Fatalf("%s, layout %q of %d: %d windows, bare disk %d", in.name, d.Layout, d.Disks, len(r.Days), len(want.Days))
+			}
 			for i := range r.Days {
 				if !reflect.DeepEqual(r.Days[i], want.Days[i]) {
-					t.Errorf("layout %q of %d, rearrange %v, pass %d: measured %+v; bare disk %+v",
-						d.Layout, d.Disks, rearrange, i, r.Days[i].Metrics(r.Curve, AllRequests), want.Days[i].Metrics(r.Curve, AllRequests))
+					t.Errorf("%s, layout %q of %d, window %d: measured %+v; bare disk %+v",
+						in.name, d.Layout, d.Disks, i, r.Days[i].Metrics(r.Curve, AllRequests), want.Days[i].Metrics(r.Curve, AllRequests))
 				}
+			}
+			if !reflect.DeepEqual(r.Installed, want.Installed) || r.WorkloadErrors != want.WorkloadErrors {
+				t.Errorf("%s, layout %q of %d: installed %v, %d workload errors; bare disk %v, %d",
+					in.name, d.Layout, d.Disks, r.Installed, r.WorkloadErrors, want.Installed, want.WorkloadErrors)
+			}
+			if r.Replay == nil {
+				continue
 			}
 			figures := func(r *Run) [4]uint64 {
 				p := r.Replay
 				return [4]uint64{math.Float64bits(p.FCFSSeekMS), math.Float64bits(p.SeekMS),
 					math.Float64bits(p.P99MS), math.Float64bits(p.ElapsedMS)}
 			}
-			if figures(r) != figures(want) || !reflect.DeepEqual(r.Installed, want.Installed) {
-				t.Errorf("layout %q of %d, rearrange %v: FCFS seek %v, seek %v, p99 %v, elapsed %v ms, installed %v; bare disk %v, %v, %v, %v ms, %v",
-					d.Layout, d.Disks, rearrange, r.Replay.FCFSSeekMS, r.Replay.SeekMS, r.Replay.P99MS, r.Replay.ElapsedMS, r.Installed,
-					want.Replay.FCFSSeekMS, want.Replay.SeekMS, want.Replay.P99MS, want.Replay.ElapsedMS, want.Installed)
+			if figures(r) != figures(want) {
+				t.Errorf("%s, layout %q of %d: FCFS seek %v, seek %v, p99 %v, elapsed %v ms; bare disk %v, %v, %v, %v ms",
+					in.name, d.Layout, d.Disks, r.Replay.FCFSSeekMS, r.Replay.SeekMS, r.Replay.P99MS, r.Replay.ElapsedMS,
+					want.Replay.FCFSSeekMS, want.Replay.SeekMS, want.Replay.P99MS, want.Replay.ElapsedMS)
 			}
 		}
 	}

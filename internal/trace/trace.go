@@ -109,18 +109,6 @@ func ScanBinary(r io.Reader, emit func(Record) error) error {
 	return nil
 }
 
-// ReadBinary reads a binary trace stream.
-func ReadBinary(r io.Reader) ([]Record, error) {
-	var out []Record
-	if err := ScanBinary(r, func(rec Record) error {
-		out = append(out, rec)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // WriteText writes records as one line each: "<timeMS> <R|W> <part>
 // <block>". Times are formatted with the shortest decimal that parses
 // back to the identical float64, so a text round trip is lossless —
@@ -173,18 +161,6 @@ func ScanText(r io.Reader, emit func(Record) error) error {
 		}
 	}
 	return sc.Err()
-}
-
-// ReadText parses the text format.
-func ReadText(r io.Reader) ([]Record, error) {
-	var out []Record
-	if err := ScanText(r, func(rec Record) error {
-		out = append(out, rec)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Capture records every file system block request issued to the driver

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -16,12 +17,22 @@ func sample() []Record {
 	}
 }
 
+// readAll collects every record a scan emits.
+func readAll(scan func(io.Reader, func(Record) error) error, r io.Reader) ([]Record, error) {
+	var out []Record
+	err := scan(r, func(rec Record) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, sample()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readAll(ScanBinary, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +48,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a trace file"))); err == nil {
+	if _, err := readAll(ScanBinary, bytes.NewReader([]byte("not a trace file"))); err == nil {
 		t.Error("garbage accepted")
 	}
 	var buf bytes.Buffer
@@ -45,7 +56,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := readAll(ScanBinary, bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
 }
@@ -62,7 +73,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, sample()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := readAll(ScanText, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +86,10 @@ func TestTextRoundTrip(t *testing.T) {
 }
 
 func TestTextRejectsBadLines(t *testing.T) {
-	if _, err := ReadText(bytes.NewReader([]byte("1.0 X 0 5\n"))); err == nil {
+	if _, err := readAll(ScanText, bytes.NewReader([]byte("1.0 X 0 5\n"))); err == nil {
 		t.Error("bad direction accepted")
 	}
-	if _, err := ReadText(bytes.NewReader([]byte("hello\n"))); err == nil {
+	if _, err := readAll(ScanText, bytes.NewReader([]byte("hello\n"))); err == nil {
 		t.Error("malformed line accepted")
 	}
 }
@@ -105,7 +116,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(&buf, recs); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readAll(ScanBinary, &buf)
 		if err != nil || len(got) != n {
 			return false
 		}

@@ -197,7 +197,7 @@ func TestReplayScaledDeterminism(t *testing.T) {
 		r := rig.MustNew(rig.Options{})
 		blocks := r.PartitionBlocks(0)
 		base := testTrace(100, blocks/8)
-		scaled := Scale{Compress: 2, Copies: 4, ShiftBlocks: blocks / 8, WrapBlocks: blocks, PhaseMS: 1}.Apply(base)
+		scaled := Scale{Compress: 2, Copies: 4, ShiftBlocks: blocks / 8, WrapBlocks: blocks}.Apply(base)
 		rep, err := NewReplayer(r.Eng, r.Driver, scaled, ReplayOptions{})
 		if err != nil {
 			t.Fatal(err)

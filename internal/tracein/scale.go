@@ -2,7 +2,6 @@ package tracein
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -28,10 +27,6 @@ type Scale struct {
 	// so every copy stays inside the target partition. Set it to the
 	// partition's block count.
 	WrapBlocks int64
-	// PhaseMS offsets copy i's timestamps by i*PhaseMS, desynchronizing
-	// the copies. Zero starts all copies together; their records
-	// interleave in copy order at each timestamp.
-	PhaseMS float64
 }
 
 // identity reports whether the scale changes nothing.
@@ -53,10 +48,9 @@ func (s Scale) String() string {
 	return fmt.Sprintf("%dx@%.1f", n, c)
 }
 
-// Apply produces the scaled trace. The result is deterministic: with
-// PhaseMS zero the copies interleave record by record in copy order
-// (timestamps already agree), otherwise the merged stream is stably
-// sorted by time so equal timestamps keep copy order. The input is not
+// Apply produces the scaled trace. The result is deterministic: all
+// copies start together and interleave record by record in copy order,
+// so the merged stream keeps the input's time order. The input is not
 // modified.
 func (s Scale) Apply(recs []trace.Record) []trace.Record {
 	if s.identity() && len(recs) > 0 {
@@ -77,7 +71,7 @@ func (s Scale) Apply(recs []trace.Record) []trace.Record {
 		t := r.TimeMS / compress
 		for c := 0; c < copies; c++ {
 			rc := r
-			rc.TimeMS = t + float64(float64(c)*s.PhaseMS)
+			rc.TimeMS = t
 			if s.ShiftBlocks != 0 {
 				rc.Block += int64(c) * s.ShiftBlocks
 				if s.WrapBlocks > 0 {
@@ -89,11 +83,6 @@ func (s Scale) Apply(recs []trace.Record) []trace.Record {
 			}
 			out = append(out, rc)
 		}
-	}
-	if s.PhaseMS != 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			return out[i].TimeMS < out[j].TimeMS
-		})
 	}
 	return out
 }

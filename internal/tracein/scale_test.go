@@ -80,38 +80,6 @@ func TestScaleWrap(t *testing.T) {
 	}
 }
 
-// TestScalePhase locks the phase-offset merge: copies start PhaseMS
-// apart and the merged stream is time-sorted with ties kept in copy
-// order (stable sort), so the result is reproducible byte for byte.
-func TestScalePhase(t *testing.T) {
-	in := []trace.Record{{TimeMS: 0, Block: 1}, {TimeMS: 10, Block: 2}}
-	got := Scale{Copies: 2, ShiftBlocks: 100, PhaseMS: 10}.Apply(in)
-	want := []trace.Record{
-		{TimeMS: 0, Block: 1},
-		{TimeMS: 10, Block: 101}, // copy 1 of record 0
-		{TimeMS: 10, Block: 2},   // copy 0 of record 1
-		{TimeMS: 20, Block: 102},
-	}
-	// Stable sort preserves the pre-sort order of equal timestamps: the
-	// pre-sort stream is (r0c0, r0c1, r1c0, r1c1) = times (0, 10, 10, 20),
-	// so the two t=10 entries keep that order: r0c1 then r1c0.
-	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Applying the same scale twice gives the identical stream.
-	again := Scale{Copies: 2, ShiftBlocks: 100, PhaseMS: 10}.Apply(in)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("record %d differs between applications", i)
-		}
-	}
-}
-
 func TestScaleEmpty(t *testing.T) {
 	if got := (Scale{}).Apply(nil); len(got) != 0 {
 		t.Errorf("identity of empty = %d records", len(got))
