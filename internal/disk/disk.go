@@ -142,6 +142,14 @@ type Disk struct {
 	// page in it, so an untouched 2 MB of the disk costs one nil pointer.
 	chunks []*chunk
 
+	// zeroKept is the start of the last owned (WriteOwned) run writeData
+	// found all zeros, and zeroKeptLen its length. An owned payload is
+	// never written again, so a run starting there and no longer is
+	// zeros too: replayers and the server hand every write one zero
+	// buffer, and it is scanned once, not on every write.
+	zeroKept    *byte
+	zeroKeptLen int
+
 	// Read-ahead buffer state: the half-open sector range currently held
 	// in the drive buffer, and the time at which read-ahead stopped
 	// advancing (it advances between requests while the drive is idle).
@@ -504,7 +512,7 @@ func (d *Disk) writeData(sector int64, data []byte, keep bool) {
 		run := data[:n*geom.SectorSize]
 		data, sector, count = data[len(run):], sector+int64(n), count-n
 		p := d.slot(key)
-		if (p == nil || p.b == nil) && bytes.Equal(run, zeroPage[:len(run)]) {
+		if (p == nil || p.b == nil) && d.isZero(run, keep) {
 			continue
 		}
 		if p == nil {
@@ -521,6 +529,22 @@ func (d *Disk) writeData(sector int64, data []byte, keep bool) {
 		}
 		copy(p.b[off:], run)
 	}
+}
+
+// isZero reports whether run holds only zeros. An owned run at the
+// address of the last owned run found zero is not scanned again; a copied
+// run is always scanned, as its caller may have changed it since.
+func (d *Disk) isZero(run []byte, keep bool) bool {
+	if keep && &run[0] == d.zeroKept && len(run) <= d.zeroKeptLen {
+		return true
+	}
+	if !bytes.Equal(run, zeroPage[:len(run)]) {
+		return false
+	}
+	if keep {
+		d.zeroKept, d.zeroKeptLen = &run[0], len(run)
+	}
+	return true
 }
 
 // unshare replaces the shared page with a private copy.

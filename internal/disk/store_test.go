@@ -642,3 +642,45 @@ func TestWriteOwnedAndLendNoAlloc(t *testing.T) {
 		t.Errorf("lend: %v allocs, want 0", n)
 	}
 }
+
+// Only an owned payload is known zero by its address: a buffer handed to
+// Write or PokeData is the caller's again once the call returns, so a
+// write of it after the caller changed it must store what it holds now —
+// even at the address of an owned payload the store found all zeros.
+func TestZeroByAddressOnlyWhenOwned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(d *Disk, sector int64, buf []byte) error
+	}{
+		{"copied", func(d *Disk, sector int64, buf []byte) error {
+			_, err := d.Write(0, sector, pageSectors, buf)
+			return err
+		}},
+		{"poked", func(d *Disk, sector int64, buf []byte) error { return d.PokeData(sector, buf) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := MustNew(Toshiba())
+			check := func(buf []byte, sector int64, owned bool) {
+				t.Helper()
+				if owned {
+					if _, err := d.WriteOwned(0, sector, pageSectors, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				clear(buf)
+				if err := tc.write(d, sector+pageSectors, buf); err != nil {
+					t.Fatal(err)
+				}
+				buf[pageBytes-1] = 7
+				if err := tc.write(d, sector+2*pageSectors, buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.PeekData(sector+2*pageSectors, pageSectors); !bytes.Equal(got, buf) {
+					t.Errorf("owned first %v: the changed buffer's write stored %d at its last byte, want 7", owned, got[pageBytes-1])
+				}
+			}
+			check(make([]byte, pageBytes), 0, false)
+			check(make([]byte, pageBytes), 10*pageSectors, true)
+		})
+	}
+}

@@ -221,16 +221,16 @@ func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.Job
 // the measured values, plain then -race where they differ; 0 marks a
 // mode the spec is never run in.
 var allocCeilings = map[string]struct{ plain, observed float64 }{
-	"onoff-system": {0.08200, 0.08773}, // 0.0779, 0.0834; -race 0.0802, 0.0858
-	"onoff-users":  {0.45404, 0.47994}, // 0.4302, 0.4542; -race 0.4449, 0.4686
-	"faults":       {0.06030, 0.06614}, // 0.0567, 0.0624; -race 0.0589, 0.0647
-	"policies":     {0.07895, 0},       // 0.0772
-	"volume-scale": {0.00303, 0.00321}, // 0.00277, 0.00295
+	"onoff-system": {0.07287, 0.07860}, // 0.0702, 0.0758; -race 0.0712, 0.0769
+	"onoff-users":  {0.40642, 0.43125}, // 0.3919, 0.4164; -race 0.3983, 0.4226
+	"faults":       {0.05111, 0.05697}, // 0.0490, 0.0547; -race 0.0499, 0.0557
+	"policies":     {0.07120, 0},       // 0.0696
+	"volume-scale": {0.00276, 0.00294}, // 0.00250, 0.00268
 	"tenant-scale": {0.00173, 0.00248}, // 0.0015, 0.0022
-	"raid-rebuild": {0.00596, 0},       // 0.00565
-	"trace-replay": {0.09881, 0.10166}, // 0.0967, 0.0995
-	"ablations":    {0.02984, 0},       // 0.02905
-	"shared":       {0, 0.07914},       // observed 0.0740; -race 0.0774
+	"raid-rebuild": {0.00570, 0},       // 0.00539
+	"trace-replay": {0.08245, 0.08530}, // 0.0806, 0.0834
+	"ablations":    {0.02554, 0},       // 0.02484
+	"shared":       {0, 0.06560},       // observed 0.0628; -race 0.0641
 }
 
 // checkAllocs fails the test if the run made more heap allocations per

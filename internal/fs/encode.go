@@ -20,7 +20,6 @@ import (
 const (
 	descMagic  = 0x43475250 // "CGRP"
 	inodeMagic = 0x494E4F44 // "INOD"
-	dataMagic  = 0x44415441 // "DATA"
 )
 
 func (f *FS) encodeDescriptor(gi int) []byte {
@@ -279,45 +278,54 @@ func (f *FS) decodeDirBlock(nd *inode, blkIdx int, buf []byte, n int) {
 		}
 		o := slot * DirEntrySize
 		ino := Ino(int64(be.Uint64(buf[o:])))
-		name := trimNul(buf[o+8 : o+8+MaxNameLen])
+		raw, _, _ := bytes.Cut(buf[o+8:o+8+MaxNameLen], []byte{0})
+		name := string(raw)
 		nd.entries[name] = ino
 		nd.order = append(nd.order, name)
 	}
 }
 
-func trimNul(b []byte) string {
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i])
+// A data block is a window of its file system's tape, word w of which is
+// tapeWord(w): one starts at each of the first tapeSlots words, and one
+// block of words more makes the last whole. tapeStride, odd (tapeSlots
+// over the golden ratio), steps the slot from one inode to the next.
+const tapeSlots, tapeStride = 1 << 16, 40503
+
+// tapeWord is the (w+1)-th output of splitmix64 seeded at 0, a bijection
+// on uint64: windows at different slots differ in every word.
+func tapeWord(w uint64) uint64 {
+	z := (w + 1) * 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+func tapeSlot(ino Ino, idx int64) int {
+	return int((uint64(ino)*tapeStride + uint64(idx)) % tapeSlots)
+}
+
+// dataPattern is the deterministic content of block idx of file ino,
+// which lets tests verify that block rearrangement never corrupts file
+// contents: its slot's window of the tape, capped so an append cannot
+// write into the tape. It allocates nothing. No two blocks of one file
+// share a window while idx < tapeSlots, nor two inodes below tapeSlots
+// at one idx; any other two blocks do with chance about 1/tapeSlots
+// (1.5e-5), measured 1.8e-6 over all pairs among the first 4096 inodes'
+// first 16 blocks.
+func (f *FS) dataPattern(ino Ino, idx int64) []byte {
+	o := 8 * tapeSlot(ino, idx)
+	return f.tape[o : o+f.blockBytes : o+f.blockBytes]
+}
+
+// CheckPattern reports whether data is the content of block idx of file
+// ino. It recomputes the words from the generator and never reads the
+// tape: it is the reference the windows are checked against.
+func (f *FS) CheckPattern(data []byte, ino Ino, idx int64) bool {
+	w := uint64(tapeSlot(ino, idx))
+	for o := 0; o+8 <= len(data); o, w = o+8, w+1 {
+		if binary.LittleEndian.Uint64(data[o:]) != tapeWord(w) {
+			return false
 		}
 	}
-	return string(b)
-}
-
-// dataPattern generates the deterministic content of a file data block.
-// The pattern lets tests verify, byte for byte, that block rearrangement
-// never corrupts file contents. It returns a fresh page; WriteAt calls it
-// once per (inode, file block) and keeps the result in inode.pages.
-func (f *FS) dataPattern(ino Ino, idx int64) []byte {
-	buf := make([]byte, f.blockBytes)
-	be := binary.BigEndian
-	be.PutUint32(buf[0:], dataMagic)
-	be.PutUint32(buf[4:], uint32(ino))
-	be.PutUint64(buf[8:], uint64(idx))
-	seed := uint64(ino)*2654435761 + uint64(idx)*40503
-	for i := 16; i < len(buf); i += 8 {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		be.PutUint64(buf[i:], seed)
-	}
-	return buf
-}
-
-// CheckPattern reports whether data is the expected content of block idx
-// of file ino. It builds the expected bytes from scratch and never looks
-// at the pages the inode keeps: it is the reference those kept pages are
-// checked against, so it must not share their mistakes.
-func (f *FS) CheckPattern(data []byte, ino Ino, idx int64) bool {
-	return bytes.Equal(data, f.dataPattern(ino, idx))
+	return len(data) == f.blockBytes
 }

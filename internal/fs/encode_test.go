@@ -185,38 +185,87 @@ func TestDirBlockRoundTrip(t *testing.T) {
 }
 
 func TestDataPatternProperties(t *testing.T) {
-	_, f := newFS(t)
+	r, f := newFS(t)
 	a := f.dataPattern(5, 3)
-	b := f.dataPattern(5, 3)
-	c := f.dataPattern(5, 4)
-	d := f.dataPattern(6, 3)
 	if !f.CheckPattern(a, 5, 3) {
 		t.Error("pattern does not verify against itself")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pattern not deterministic")
-		}
+	if b := f.dataPattern(5, 3); &a[0] != &b[0] || len(b) != f.blockBytes || cap(b) != f.blockBytes {
+		t.Errorf("a second window of (5, 3): len %d cap %d, another array %v; want the same window, len = cap = %d",
+			len(b), cap(b), &a[0] != &b[0], f.blockBytes)
 	}
-	if f.CheckPattern(c, 5, 3) || f.CheckPattern(d, 5, 3) {
+	if f.CheckPattern(f.dataPattern(5, 4), 5, 3) || f.CheckPattern(f.dataPattern(6, 3), 5, 3) {
 		t.Error("pattern collision across (ino, idx)")
 	}
 	if f.CheckPattern(a[:100], 5, 3) {
 		t.Error("short buffer verified")
 	}
 
-	// CheckPattern is the reference the pages an inode keeps are checked
-	// against, so it must not consult them: a wrong page kept for a block
+	// CheckPattern is the reference the windows handed down are checked
+	// against, so it must not read the tape: a word changed in the tape
 	// must fail it.
-	r, f := newFS(t)
 	ino := mustCreate(t, r, f, "/p")
 	h, _ := f.OpenIno(ino)
 	mustWrite(t, r, h, 0, 2)
-	nd := f.inodes[ino]
-	nd.pages[0] = nd.pages[1]
-	if f.CheckPattern(nd.pages[0], ino, 0) {
-		t.Error("block 1's page verified as block 0: CheckPattern trusts the kept pages")
+	w := f.dataPattern(ino, 1)
+	old := w[40]
+	w[40] ^= 0xff
+	if f.CheckPattern(w, ino, 1) {
+		t.Error("a changed tape word verified: CheckPattern trusts the tape")
 	}
+	w[40] = old
+	checkTape(t, f)
+}
+
+// The two guarantees dataPattern's comment gives: no two blocks of one
+// file share a window while idx < tapeSlots, and no two inode numbers
+// below tapeSlots at the same idx.
+func TestDataWindowsDistinct(t *testing.T) {
+	seen := make([]bool, tapeSlots)
+	for _, ino := range []Ino{0, 1, 2, 4095, tapeSlots - 1} {
+		clear(seen)
+		for idx := int64(0); idx < tapeSlots; idx++ {
+			s := tapeSlot(ino, idx)
+			if seen[s] {
+				t.Fatalf("inode %d: block %d shares slot %d with an earlier block", ino, idx, s)
+			}
+			seen[s] = true
+		}
+	}
+	for _, idx := range []int64{0, 1, 12, 1035, tapeSlots - 1} {
+		clear(seen)
+		for ino := Ino(0); ino < tapeSlots; ino++ {
+			s := tapeSlot(ino, idx)
+			if seen[s] {
+				t.Fatalf("block %d: inode %d shares slot %d with a lower inode", idx, ino, s)
+			}
+			seen[s] = true
+		}
+	}
+}
+
+// FuzzDataWindow: every block's window verifies as that block and fails
+// as any block at another slot, and is exactly one block long with no
+// room to append.
+func FuzzDataWindow(f *testing.F) {
+	_, fsys := newFS(f)
+	f.Add(uint32(5), int64(3), uint32(5), int64(4))
+	f.Add(uint32(0), int64(0), uint32(tapeSlots), int64(0))
+	f.Add(uint32(1), int64(0), uint32(0), int64(tapeStride))
+	f.Fuzz(func(t *testing.T, ia uint32, xa int64, ib uint32, xb int64) {
+		a, b := Ino(ia), Ino(ib)
+		xa, xb = max(xa, 0), max(xb, 0)
+		w := fsys.dataPattern(a, xa)
+		if len(w) != fsys.blockBytes || cap(w) != fsys.blockBytes {
+			t.Fatalf("window of (%d, %d): len %d cap %d, want both %d", a, xa, len(w), cap(w), fsys.blockBytes)
+		}
+		if !fsys.CheckPattern(w, a, xa) {
+			t.Fatalf("window of (%d, %d) does not verify as itself", a, xa)
+		}
+		if tapeSlot(a, xa) != tapeSlot(b, xb) && fsys.CheckPattern(w, b, xb) {
+			t.Fatalf("window of (%d, %d) verifies as (%d, %d), at another slot", a, xa, b, xb)
+		}
+	})
 }
 
 func TestBitmapHelpers(t *testing.T) {

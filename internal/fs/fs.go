@@ -24,6 +24,7 @@
 package fs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -123,11 +124,6 @@ type inode struct {
 	iblock   []int64 // in-memory copy of the indirect block pointers
 	entries  map[string]Ino
 	order    []string // directory entry order (on-disk slot order)
-	// pages[b] is the page WriteAt built for file block b (dataPattern),
-	// nil until then; only blocks below size have one. A block's content
-	// is a pure function of (ino, b) and payloads are immutable, so every
-	// overwrite hands the same page down. The pages leave with the inode.
-	pages [][]byte
 	// h is the inode's one Handle, which OpenIno and Open hand out (see
 	// handle): a Handle is only (file system, inode number), so every
 	// open of the inode can share it.
@@ -156,6 +152,7 @@ type FS struct {
 	prm   Params
 
 	blockBytes  int
+	tape        []byte // every data block's content is a window of it (dataPattern)
 	ptrsPerBlk  int
 	inosPerBlk  int
 	blocksPerGp int64
@@ -263,6 +260,7 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 		meta:        cache.New(eng, drv, part, metaCfg),
 		prm:         prm,
 		blockBytes:  bs.Bytes(),
+		tape:        make([]byte, 8*tapeSlots+bs.Bytes()),
 		ptrsPerBlk:  bs.Bytes() / 8,
 		inosPerBlk:  inosPerBlk,
 		blocksPerGp: blocksPerGp,
@@ -283,6 +281,9 @@ func prepare(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS
 			inodeUsed: make([]bool, prm.InodeBlocksPerGroup*f.inosPerBlk),
 			dataUsed:  make([]bool, end-dataStart),
 		})
+	}
+	for w := range len(f.tape) / 8 {
+		binary.LittleEndian.PutUint64(f.tape[8*w:], tapeWord(uint64(w)))
 	}
 	// Inode numbers are group-major, each group's table a run of inode
 	// blocks right after its descriptor.
@@ -540,7 +541,7 @@ func (r *seqReq) finish(err error) {
 	case r.doneDir != nil:
 		r.doneDir(r.names, err)
 	}
-	clear(r.steps) // the steps hold pages and images
+	clear(r.steps) // the steps hold metadata images
 	*r = seqReq{f: f, next: f.freeSeq, steps: r.steps[:0], readCB: r.readCB, writeCB: r.writeCB}
 	f.freeSeq = r
 }

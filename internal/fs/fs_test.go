@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -11,12 +12,12 @@ import (
 	"repro/internal/rig"
 )
 
-func newFS(t *testing.T) (*rig.Rig, *FS) {
+func newFS(t testing.TB) (*rig.Rig, *FS) {
 	t.Helper()
 	return newFSWith(t, rig.Options{ReservedCyls: 48}, Params{})
 }
 
-func newFSWith(t *testing.T, opts rig.Options, prm Params) (*rig.Rig, *FS) {
+func newFSWith(t testing.TB, opts rig.Options, prm Params) (*rig.Rig, *FS) {
 	t.Helper()
 	r, err := rig.New(opts)
 	if err != nil {
@@ -30,29 +31,9 @@ func newFSWith(t *testing.T, opts rig.Options, prm Params) (*rig.Rig, *FS) {
 	return r, f
 }
 
-// patterns holds the reference content of every (block size, inode, file
-// block) checkImages has compared a kept page with. It is built by
-// dataPattern, never taken from the pages under test; building it again
-// for every kept page after every operation made the model test forty
-// times slower.
-var patterns = map[[3]int64][]byte{}
-
-func pattern(f *FS, ino Ino, b int64) []byte {
-	k := [3]int64{int64(f.blockBytes), int64(ino), b}
-	p, ok := patterns[k]
-	if !ok {
-		p = f.dataPattern(ino, b)
-		patterns[k] = p
-	}
-	return p
-}
-
 // checkImages is the oracle for what the file system keeps built: every
 // inode-block image must equal a fresh full encode of its block — a
-// mutation site that forgot inodeChanged fails here — and every data
-// page an inode keeps must be its block's pattern byte for byte, with
-// none kept at or past the file's size (the whole backing array is
-// looked at: a later grow reslices over it).
+// mutation site that forgot inodeChanged fails here.
 func checkImages(t *testing.T, f *FS) {
 	t.Helper()
 	for gi, g := range f.groups {
@@ -64,18 +45,17 @@ func checkImages(t *testing.T, f *FS) {
 			}
 		}
 	}
-	for _, nd := range f.inodes {
-		if nd == nil {
-			continue
-		}
-		for b, p := range nd.pages[:cap(nd.pages)] {
-			switch {
-			case p == nil:
-			case int64(b) >= nd.size:
-				t.Fatalf("inode %d keeps a page for block %d, at or past its size %d", nd.ino, b, nd.size)
-			case !bytes.Equal(p, pattern(f, nd.ino, int64(b))):
-				t.Fatalf("inode %d: the page kept for block %d is not that block's pattern", nd.ino, b)
-			}
+}
+
+// checkTape fails unless every word of the file system's tape is still
+// its generator's: the windows the tape hands down are payloads shared by
+// the cache and the disk store, and a layer that writes into one changes
+// every block sharing its words.
+func checkTape(t *testing.T, f *FS) {
+	t.Helper()
+	for w := 0; w < len(f.tape)/8; w++ {
+		if binary.LittleEndian.Uint64(f.tape[8*w:]) != tapeWord(uint64(w)) {
+			t.Fatalf("tape word %d is %#x, its generator gives %#x", w, binary.LittleEndian.Uint64(f.tape[8*w:]), tapeWord(uint64(w)))
 		}
 	}
 }

@@ -162,15 +162,25 @@ func TestWriteNoSpaceRollsBack(t *testing.T) {
 	}
 }
 
-// A data block's page is built by the first write of that file block and
-// handed down by every overwrite: the cache, and once flushed the disk,
-// hold the very array the first write built. The pages leave with the
-// inode — a file created on a reused inode number, and a file system
-// mounted afresh, build their own — and a write that runs out of space
-// keeps none past the old size.
+// slotOf returns the slot of the tape window data starts at, or -1 if
+// data does not start in f's tape.
+func slotOf(f *FS, data []byte) int {
+	for s := 0; s < tapeSlots; s++ {
+		if &f.tape[8*s] == &data[0] {
+			return s
+		}
+	}
+	return -1
+}
+
+// Every write of block b of file ino hands down one window of the file
+// system's tape, the one at tapeSlot(ino, b): the cache, and once flushed
+// the disk, hold that very window, and different blocks of the file hold
+// different ones. Nothing is kept per inode, so a file on a reused inode
+// number is handed the removed file's windows again, and a mounted file
+// system the windows at the same slots of its own tape.
 func TestOverwriteHandsSamePage(t *testing.T) {
-	// One cylinder group, so the out-of-space write at the end is near.
-	r, f := newFSWith(t, rig.Options{ReservedCyls: 48, PartitionBlocks: []int64{340}}, Params{})
+	r, f := newFS(t)
 	const n = NDirect + 2 // through the indirect block
 	// cached returns the data cache's copy of file block b.
 	cached := func(f *FS, ino Ino, b int64) []byte {
@@ -185,54 +195,46 @@ func TestOverwriteHandsSamePage(t *testing.T) {
 		r.Eng.Run()
 		return got
 	}
-	verify := func(f *FS, ino Ino, when string) {
+	// check fails unless every block of the file is held as the window
+	// at its slot of f's tape.
+	check := func(f *FS, ino Ino, when string) {
 		t.Helper()
-		h, _ := f.OpenIno(ino)
-		for b, blk := range mustRead(t, r, h, 0, h.SizeBlocks()) {
-			if !f.CheckPattern(blk, ino, int64(b)) {
-				t.Fatalf("%s: block %d corrupt", when, b)
+		seen := map[int]int64{}
+		for b := int64(0); b < n; b++ {
+			s := slotOf(f, cached(f, ino, b))
+			if s != tapeSlot(ino, b) {
+				t.Fatalf("%s: block %d is held as the window at slot %d, want %d", when, b, s, tapeSlot(ino, b))
 			}
+			if prev, ok := seen[s]; ok {
+				t.Fatalf("%s: blocks %d and %d share the window at slot %d", when, prev, b, s)
+			}
+			seen[s] = b
 		}
 	}
 
 	ino := mustCreate(t, r, f, "/a")
 	h, _ := f.OpenIno(ino)
 	mustWrite(t, r, h, 0, n)
-	first := make([][]byte, n) // held: no later page can take their address
-	for b := range first {
-		first[b] = cached(f, ino, int64(b))
-	}
+	check(f, ino, "first write")
 	mustWrite(t, r, h, 0, n)
 	mustWrite(t, r, h, 1, 1)
-	for b := range first {
-		if got := cached(f, ino, int64(b)); &got[0] != &first[b][0] {
-			t.Errorf("overwrite of block %d handed down another page than the first write built", b)
-		}
-	}
+	check(f, ino, "overwritten")
 	f.Sync(nil)
 	r.Eng.Run()
-	blk := f.blockOf(f.inodes[ino], 1)
-	r.Driver.ReadBlock(0, blk, func(data []byte, err error) {
-		if err != nil || &data[0] != &first[1][0] {
-			t.Errorf("the disk does not hold the page the write built (err=%v)", err)
+	r.Driver.ReadBlock(0, f.blockOf(f.inodes[ino], 1), func(data []byte, err error) {
+		if err != nil || slotOf(f, data) != tapeSlot(ino, 1) {
+			t.Errorf("the disk does not hold the window the write handed down (err=%v)", err)
 		}
 	})
 	r.Eng.Run()
 
-	// The inode number is reused; its pages are not.
 	mustRemove(t, r, f, "/a")
 	if again := mustCreate(t, r, f, "/b"); again != ino {
 		t.Fatalf("the new file got inode %d, want the freed %d", again, ino)
 	}
 	mustWrite(t, r, h, 0, n)
-	for b := range first {
-		if got := cached(f, ino, int64(b)); &got[0] == &first[b][0] {
-			t.Errorf("a file on a reused inode number was handed the removed file's page for block %d", b)
-		}
-	}
-	verify(f, ino, "re-created")
+	check(f, ino, "re-created")
 
-	// A mounted file system starts with no pages and builds its own.
 	f.Sync(nil)
 	r.Eng.Run()
 	var f2 *FS
@@ -243,59 +245,36 @@ func TestOverwriteHandsSamePage(t *testing.T) {
 		f2 = m
 	})
 	r.Eng.Run()
-	before := cached(f, ino, 0)
 	h2, _ := f2.OpenIno(ino)
-	mustWrite(t, r, h2, 0, 1)
-	if got := cached(f2, ino, 0); &got[0] == &before[0] {
-		t.Error("the mounted file system's first write handed down the old instance's page")
-	}
-	verify(f2, ino, "remounted")
-
-	// Out of space part way: no page is kept past the old size.
-	fill := mustCreate(t, r, f2, "/fill")
-	hf, _ := f2.OpenIno(fill)
-	mustWrite(t, r, hf, 0, f2.FreeBlocks()-1-20)
-	var werr error
-	h2.WriteAt(n-1, 25, func(err error) { werr = err })
-	r.Eng.Run()
-	if !errors.Is(werr, ErrNoSpace) {
-		t.Fatalf("overfull write: %v, want ErrNoSpace", werr)
-	}
-	checkImages(t, f2)
-	if nd := f2.inodes[ino]; len(nd.pages) != n {
-		t.Errorf("after the failed write the inode keeps %d page slots for a %d-block file", len(nd.pages), n)
-	}
-	verify(f2, ino, "after the failed write")
+	mustWrite(t, r, h2, 0, n)
+	check(f2, ino, "remounted")
 }
 
-// An overwrite builds nothing: it hands down the page the first write
-// built, so overwriting a written block allocates less than one block's
-// bytes per call — what is left is the write's steps and completions —
-// while the first write of a block still builds its page.
+// No write builds a page: the first write of a block hands down its tape
+// window as every overwrite does, so growing a file allocates less than
+// 1 KB per new block — what is left is the write's steps, the metadata
+// images it re-encodes and its completions — and dataPattern allocates
+// nothing at all.
 func TestOverwriteAllocatesNoPage(t *testing.T) {
-	r, f := newFS(t)
+	r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, Params{NoAtime: true})
 	ino := mustCreate(t, r, f, "/w")
 	h, _ := f.OpenIno(ino)
-	mustWrite(t, r, h, 0, 1)
-	overwrite := func() {
-		h.WriteAt(0, 1, nil)
-		r.Eng.Run()
-	}
-	for i := 0; i < 16; i++ {
-		overwrite()
-	}
-	const calls = 100
+	const warm, n, writes = 2 * NDirect, 128, 4
+	mustWrite(t, r, h, 0, warm)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		overwrite()
+	for i := int64(0); i < writes; i++ {
+		h.WriteAt(warm+i*n, n, nil)
+		r.Eng.Run()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= uint64(f.blockBytes) {
-		t.Errorf("an overwrite allocates %d bytes, want less than one %d-byte block", per, f.blockBytes)
+	if got := h.SizeBlocks(); got != warm+writes*n {
+		t.Fatalf("file has %d blocks, want %d", got, warm+writes*n)
 	}
-	mustWrite(t, r, h, 1, 1)
-	if p := f.inodes[ino].pages; len(p) != 2 || p[1] == nil {
-		t.Fatalf("the first write of block 1 kept no page (%d slots)", len(p))
+	if per := (after.TotalAlloc - before.TotalAlloc) / (writes * n); per >= 1024 {
+		t.Errorf("a write allocates %d bytes per new block, want under 1 KB", per)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.dataPattern(ino, 7) }); a != 0 {
+		t.Errorf("dataPattern: %v allocs, want 0", a)
 	}
 }

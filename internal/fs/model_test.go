@@ -182,4 +182,6 @@ func TestModelCheckedRandomOps(t *testing.T) {
 		t.Fatal(cerr)
 	}
 	verify(f2, "cleaned")
+	checkTape(t, f)
+	checkTape(t, f2)
 }

@@ -2,7 +2,6 @@ package fs
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -307,9 +306,8 @@ func (f *FS) ReadDir(path string, done func([]string, error)) {
 // WriteAt writes (or overwrites) n blocks of the file starting at file
 // block idx. Writing may extend the file, but not leave holes: idx must
 // not exceed the current size. Block contents are the deterministic
-// per-block pattern, so later reads can be integrity-checked; a block's
-// page is built on its first write and handed down again on every
-// overwrite (inode.pages).
+// per-block pattern, a window of the file system's tape (dataPattern),
+// so later reads can be integrity-checked.
 func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	f := h.f
 	r := f.getSeq()
@@ -363,8 +361,6 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			}
 		}
 		nd.iblock = nd.iblock[:oldIblockLen] // files have no holes: new entries were appended
-		clear(nd.pages[nd.size:])            // a later grow reslices over them
-		nd.pages = nd.pages[:nd.size]
 		if nd.indirect != oldIndirect {
 			f.freeData(nd.indirect)
 			nd.indirect = oldIndirect
@@ -373,9 +369,6 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 		r.fail(err)
 	}
 
-	if end := int(idx + n); end > len(nd.pages) {
-		nd.pages = slices.Grow(nd.pages, end-len(nd.pages))[:end]
-	}
 	for b := idx; b < idx+n; b++ {
 		if b >= NDirect && nd.indirect < 0 {
 			ib, err := f.allocData(gi, -1)
@@ -417,10 +410,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 				indirectTouched = true
 			}
 		}
-		if nd.pages[b] == nil {
-			nd.pages[b] = f.dataPattern(h.ino, b)
-		}
-		r.steps = append(r.steps, step{block: blk, data: nd.pages[b]})
+		r.steps = append(r.steps, step{block: blk, data: f.dataPattern(h.ino, b)})
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n

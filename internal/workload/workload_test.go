@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -292,21 +291,19 @@ func TestUsersInactiveDays(t *testing.T) {
 	}
 }
 
-// dataReads is the rig's driver with an ear on it: it notes, in
-// completion order, which (file, block) each data-block read returned.
-// A data block's content names its inode and index (fs.dataPattern);
-// metadata reads carry another magic and are skipped.
+// dataReads is the rig's driver with an ear on it: it holds, in
+// completion order, every block a read returned. Blocks are immutable
+// and shared end to end, so holding them is safe.
 type dataReads struct {
 	driver.BlockDevice
-	got []string
+	got [][]byte
 	on  bool
 }
 
 func (d *dataReads) ReadBlock(part int, blk int64, done driver.DoneFunc) {
 	d.BlockDevice.ReadBlock(part, blk, func(data []byte, err error) {
-		if d.on && err == nil && string(data[:4]) == "DATA" {
-			be := binary.BigEndian
-			d.got = append(d.got, fmt.Sprintf("%d:%d", be.Uint32(data[4:]), be.Uint64(data[8:])))
+		if d.on && err == nil {
+			d.got = append(d.got, data)
 		}
 		done(data, err)
 	})
@@ -366,11 +363,8 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 		{[]int64{0, 2, 1}, "1.0 2.0 1.1"},
 	} {
 		var refs []fileRef
-		name := map[string]string{}
 		for i, n := range c.sizes {
-			ref := mkfile(fmt.Sprintf("j%d-%d", ci, i), n)
-			refs = append(refs, ref)
-			name[fmt.Sprint(ref.ino)] = fmt.Sprint(i)
+			refs = append(refs, mkfile(fmt.Sprintf("j%d-%d", ci, i), n))
 		}
 		// Push the job's own last-written blocks out of the cache.
 		mkfile(fmt.Sprintf("j%d-flush", ci), 2)
@@ -384,10 +378,17 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 		if !done {
 			t.Fatalf("%d-file job did not finish", len(c.sizes))
 		}
+		// A data block is known by its content (fs.CheckPattern); a
+		// metadata read matches no block of the job's files.
 		var got []string
-		for _, g := range dev.got {
-			ino, idx, _ := strings.Cut(g, ":")
-			got = append(got, name[ino]+"."+idx)
+		for _, data := range dev.got {
+			for i, ref := range refs {
+				for b := int64(0); b < ref.blocks; b++ {
+					if f.CheckPattern(data, ref.ino, b) {
+						got = append(got, fmt.Sprintf("%d.%d", i, b))
+					}
+				}
+			}
 		}
 		if s := strings.Join(got, " "); s != c.want {
 			t.Errorf("%d-file job, sizes %v: read\n  %s\nwant\n  %s", len(c.sizes), c.sizes, s, c.want)
