@@ -27,9 +27,10 @@
 // are ignored at their zero values, so the registered matrices (and
 // their goldens) run unchanged; set, -layout collapses "raid-rebuild" to
 // one custom row and the trace flags collapse "trace-replay" to one
-// custom off/on pair, while the tenant flags resize and override every
-// row of "tenant-scale". A trace file's format (native binary/text, SNIA
-// MSR-Cambridge CSV, blkparse text) is auto-detected.
+// custom rearranging run, whose learning pass is its off row, while the
+// tenant flags resize and override every row of "tenant-scale". A trace
+// file's format (native binary/text, SNIA MSR-Cambridge CSV, blkparse
+// text) is auto-detected.
 package main
 
 import (

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/driver"
 	"repro/internal/hotlist"
@@ -59,6 +60,11 @@ type Run struct {
 	Volume   *VolumePoint
 	Server   *TenantPoint
 	Replay   *TracePoint
+	// Off is a rearranging replay's learning pass as a run of its own,
+	// the plain replay it is compared with: Days[0], the description
+	// without Rearrange, and the pass's Counters, VolumePoint and
+	// TracePoint.
+	Off *Run
 }
 
 // OnDays returns the measured on-days.
@@ -139,10 +145,16 @@ func Execute(ctx context.Context, e Experiment) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range st.members {
-		run.Counters.Add(m.Driver.Counters())
-	}
+	run.Counters = st.counters()
 	return run, nil
+}
+
+// counters sums every member's lifetime counters.
+func (st *stack) counters() (c driver.Counters) {
+	for _, m := range st.members {
+		c.Add(m.Driver.Counters())
+	}
+	return c
 }
 
 // openWindow starts a measured window: every member's statistics are
@@ -356,7 +368,8 @@ func (e Experiment) sourceTrace(ctx context.Context) (recs []trace.Record, captu
 // rearrangement of every member from the counts it left, when the
 // experiment rearranges: the trace-driven equivalent of an off day, a
 // night and an on day. The run's TracePoint and VolumePoint describe
-// the last pass.
+// the last pass; the learning pass, which measures what a plain replay
+// does, is reported as the run's Off twin.
 func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	e := run.Experiment
 	scale := tracein.Scale{
@@ -390,14 +403,15 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	}
 	ropts := tracein.ReplayOptions{Mode: e.Workload.Mode, Seed: int64(e.Seed)}
 
-	// pass replays the trace once as a measured window: the learning
-	// pass monitored by the rearrangers, the measured pass observed.
-	pass := func(what string, learning bool) (*tracein.Replayer, tracein.Result, error) {
+	// pass replays the trace once as r's measured window — the learning
+	// pass monitored by the rearrangers, the measured pass observed —
+	// and completes r from it.
+	pass := func(r *Run, what string, learning bool) error {
 		var res tracein.Result
-		st.openWindow(run)
+		st.openWindow(r)
 		rep, err := tracein.NewReplayer(st.eng, st.dev, scaled, ropts)
 		if err != nil {
-			return nil, res, fmt.Errorf("experiment: trace %s %s: %w", e.Name, what, err)
+			return fmt.Errorf("experiment: trace %s %s: %w", e.Name, what, err)
 		}
 		drive := st.monitored
 		if !learning {
@@ -405,55 +419,56 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 			st.observe(rep)
 		}
 		if err := drive(what, st.eng.Now()+horizon, func(done func(error)) {
-			rep.Start(func(r tracein.Result) {
-				res = r
+			rep.Start(func(out tracein.Result) {
+				res = out
 				done(nil)
 			})
 		}); err != nil {
-			return nil, res, err
+			return err
 		}
-		st.closeWindow(run, DayResult{Day: len(run.Days), On: !learning && e.Rearrange != nil})
-		return rep, res, nil
+		st.closeWindow(r, DayResult{Day: len(r.Days), On: r.Experiment.Rearrange != nil})
+		if st.vol != nil {
+			r.Volume.finish(st.vol, res.ElapsedMS/1000)
+		}
+		// The seek means price the pass's distance distributions, every
+		// member's merged, through the members' seek curve.
+		m := r.Days[len(r.Days)-1].Metrics(r.Curve, AllRequests)
+		pt := &TracePoint{
+			Records:    len(scaled),
+			Errors:     res.Errors,
+			ElapsedMS:  res.ElapsedMS,
+			P99MS:      rep.Latency().Quantile(0.99),
+			FCFSSeekMS: m.FCFSSeekMS,
+			SeekMS:     m.SeekMS,
+		}
+		if res.ElapsedMS > 0 {
+			pt.Throughput = float64(res.Completed) / (res.ElapsedMS / 1000)
+		}
+		if pt.FCFSSeekMS > 0 {
+			pt.SeekRedPct = (1 - pt.SeekMS/pt.FCFSSeekMS) * 100
+		}
+		r.Replay = pt
+		return nil
 	}
 
-	if e.Rearrange != nil {
-		if _, _, err := pass("learning replay", true); err != nil {
-			return err
-		}
-		if st.vol != nil {
-			run.Volume = &VolumePoint{} // it describes the measured pass alone
-		}
-		n, err := st.rearrange(true, "after the learning replay")
-		if err != nil {
-			return err
-		}
-		run.Installed = []int{n}
+	if e.Rearrange == nil {
+		return pass(run, "measured replay", false)
 	}
-	rep, res, err := pass("measured replay", false)
+	off := &Run{Experiment: e, Curve: run.Curve}
+	off.Experiment.Rearrange = nil
+	if st.vol != nil {
+		off.Volume = &VolumePoint{}
+	}
+	if err := pass(off, "learning replay", true); err != nil {
+		return err
+	}
+	off.Counters = st.counters()
+	// The measured pass appends to the run's Days, never to the twin's.
+	run.Days, run.Off = slices.Clip(off.Days), off
+	n, err := st.rearrange(true, "after the learning replay")
 	if err != nil {
 		return err
 	}
-
-	if st.vol != nil {
-		run.Volume.finish(st.vol, res.ElapsedMS/1000)
-	}
-	// The seek means price the measured pass's distance distributions,
-	// every member's merged, through the members' seek curve.
-	m := run.Days[len(run.Days)-1].Metrics(run.Curve, AllRequests)
-	pt := &TracePoint{
-		Records:    len(scaled),
-		Errors:     res.Errors,
-		ElapsedMS:  res.ElapsedMS,
-		P99MS:      rep.Latency().Quantile(0.99),
-		FCFSSeekMS: m.FCFSSeekMS,
-		SeekMS:     m.SeekMS,
-	}
-	if res.ElapsedMS > 0 {
-		pt.Throughput = float64(res.Completed) / (res.ElapsedMS / 1000)
-	}
-	if pt.FCFSSeekMS > 0 {
-		pt.SeekRedPct = (1 - pt.SeekMS/pt.FCFSSeekMS) * 100
-	}
-	run.Replay = pt
-	return nil
+	run.Installed = []int{n}
+	return pass(run, "measured replay", false)
 }

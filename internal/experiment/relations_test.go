@@ -5,12 +5,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracein"
+	"repro/internal/volume"
+	"repro/internal/workload"
 )
 
 // TestRotationAndTransferArithmetic: random single-block reads on an
@@ -88,5 +91,57 @@ func TestRotationAndTransferArithmetic(t *testing.T) {
 		rot, revMS/2, got, bare, (1-bare/got)*100, switches/reads)
 	if math.Abs(got/want-1) > 1e-9 {
 		t.Errorf("mean transfer %.6f ms, want sectors ÷ track rate plus switches, %.6f ms", got, want)
+	}
+}
+
+// TestLearningPassIsThePlainReplay: a rearranging replay's off row is
+// its learning pass, so that pass must measure exactly what a replay
+// with no rearranger does — the same window, the same volume figures,
+// the same replay figures and counters. Checked on the trace-replay
+// matrix's three shapes: open and closed loop on a concat, and four
+// copies open loop on a 4-disk stripe.
+func TestLearningPassIsThePlainReplay(t *testing.T) {
+	concat := Devices{Layout: volume.Concat}
+	stripe := Devices{Layout: volume.Stripe, Disks: 4, StripeUnit: 16}
+	for _, tc := range []struct {
+		name string
+		d    Devices
+		w    Workload
+	}{
+		{"open-1x", concat, Workload{Mode: tracein.OpenLoop}},
+		{"closed-1x", concat, Workload{Mode: tracein.ClosedLoop}},
+		{"open-4x-stripe4", stripe, Workload{Mode: tracein.OpenLoop, Copies: 4}},
+	} {
+		tc.w.Source = Trace
+		run := func(r *Rearrange) *Run {
+			got, err := Execute(context.Background(), Experiment{
+				Name: tc.name, Devices: tc.d, Workload: tc.w, Rearrange: r, WindowMS: 0.1 * workload.HourMS,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return got
+		}
+		plain, rearr := run(nil), run(&Rearrange{})
+		off := rearr.Off
+		if plain.Off != nil || off == nil || len(off.Days) != 1 || len(rearr.Days) != 2 || rearr.installed() == 0 {
+			t.Fatalf("%s: plain run's twin %v; rearranged run's twin %v, %d passes, %d blocks installed; want no twin, then a twin of one pass before a rearranged pass",
+				tc.name, plain.Off, off, len(rearr.Days), rearr.installed())
+		}
+		if off.Experiment.Rearrange != nil || off.Experiment.Name != tc.name || off.Installed != nil {
+			t.Errorf("%s: off twin describes %+v, installed %v; want the run without a rearranger",
+				tc.name, off.Experiment, off.Installed)
+		}
+		if !reflect.DeepEqual(off.Days[0], plain.Days[0]) || !reflect.DeepEqual(rearr.Days[0], plain.Days[0]) {
+			t.Errorf("%s: the learning pass measured %+v, a plain replay %+v", tc.name,
+				off.Days[0].Metrics(off.Curve, AllRequests), plain.Days[0].Metrics(plain.Curve, AllRequests))
+		}
+		if !reflect.DeepEqual(off.Replay, plain.Replay) || !reflect.DeepEqual(off.Counters, plain.Counters) {
+			t.Errorf("%s: learning pass %+v, %+v; plain replay %+v, %+v",
+				tc.name, off.Replay, off.Counters, plain.Replay, plain.Counters)
+		}
+		if !reflect.DeepEqual(off.Volume, plain.Volume) {
+			t.Errorf("%s: learning pass's volume %+v, plain replay's %+v", tc.name, off.Volume, plain.Volume)
+		}
 	}
 }

@@ -56,12 +56,13 @@ type Options struct {
 	ScrubIntervalMS float64
 	// TraceIn replays this trace file (any tracein format,
 	// auto-detected) instead of the trace-replay matrix's synthesized
-	// workload, collapsing the matrix to one custom off/on pair (abrsim
-	// -trace-in). ReplayMode ("open" or "closed"; abrsim -replay-mode),
-	// TraceScale (copies multiplexed with matching time compression;
-	// abrsim -trace-scale), and TraceShift (per-copy address shift in
-	// blocks, 0 = spread evenly; abrsim -trace-shift) configure that
-	// pair; with all four unset, the committed matrix runs unchanged.
+	// workload, collapsing the matrix to one custom rearranging row,
+	// whose learning pass is its off row (abrsim -trace-in). ReplayMode
+	// ("open" or "closed"; abrsim -replay-mode), TraceScale (copies
+	// multiplexed with matching time compression; abrsim -trace-scale),
+	// and TraceShift (per-copy address shift in blocks, 0 = spread
+	// evenly; abrsim -trace-shift) configure that row; with all four
+	// unset, the committed matrix runs unchanged.
 	TraceIn    string
 	ReplayMode string
 	TraceScale int

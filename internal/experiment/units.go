@@ -47,9 +47,9 @@ const (
 	// configuration (healthy, degraded, hot-spare rebuild, latent-error
 	// scrub, double fault).
 	NeedRAID
-	// NeedTrace is the trace-replay matrix: one run per replay
-	// configuration (open/closed loop, scale factor, rearrangement
-	// off/on).
+	// NeedTrace is the trace-replay matrix: one rearranging run per
+	// replay configuration (open/closed loop, scale factor), whose
+	// learning pass is the configuration's off row.
 	NeedTrace
 	// NeedAblations is the ablation matrix: the rearranged system
 	// workload with one design choice changed per row.
