@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/driver"
@@ -13,6 +14,19 @@ import (
 // two minutes, the period used in the paper's experiments (Section
 // 4.1.4), short enough that recording was almost never suspended.
 const DefaultPollPeriodMS = 2 * 60 * 1000
+
+// RequestTableSize is the size of the fixed request table a driver
+// keeps for its analyzer (Section 4.1.4; driver.Config.RequestTableSize):
+// 65536 entries, more than a polling period of the modelled workloads
+// fills, so recording is not suspended.
+const RequestTableSize = 65536
+
+// ErrNoRequestTable is returned by New for a driver that keeps no
+// request table.
+var ErrNoRequestTable = errors.New("core: driver keeps no request table, " +
+	"so the analyzer would count no reference and every hot list would be empty; " +
+	"attach the driver with a RequestTableSize (rig.Options, volume.Options or " +
+	"driver.Config), e.g. core.RequestTableSize")
 
 // Config carries rearranger tunables.
 type Config struct {
@@ -47,6 +61,9 @@ type Rearranger struct {
 func New(eng *sim.Engine, drv *driver.Driver, cfg Config) (*Rearranger, error) {
 	if !drv.Rearranged() {
 		return nil, fmt.Errorf("core: driver's disk has no reserved region")
+	}
+	if drv.RequestTableSize() == 0 {
+		return nil, ErrNoRequestTable
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = OrganPipe{}
@@ -132,10 +149,10 @@ func (r *Rearranger) StopMonitoring() {
 // one analyzer wake-up. Reads and writes count alike, as in the paper's
 // analyzer.
 func (r *Rearranger) Poll() {
-	recs, missed := r.drv.ReadRequestTable()
+	sectors, missed := r.drv.ReadRequestTable()
 	r.missed += missed
-	for _, rec := range recs {
-		r.cfg.Counter.Observe(rec.Sector)
+	for _, sector := range sectors {
+		r.cfg.Counter.Observe(sector)
 	}
 }
 

@@ -176,7 +176,6 @@ func BenchmarkDispatchQueued(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				queued(drv, blocks, noop)
 				eng.Run()
-				drv.ReadRequestTable()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(depth+1)), "ns/dispatch")
 		})

@@ -47,9 +47,10 @@ type Config struct {
 	Sched sched.Scheduler
 	// BlockSize is the file system block size; zero selects 8 KB.
 	BlockSize geom.BlockSize
-	// RequestTableSize caps the request-monitoring table; when the table
-	// fills before being read, recording is suspended (Section 4.1.4).
-	// Zero selects 65536 entries.
+	// RequestTableSize caps the request table a reference stream
+	// analyzer drains; when the table fills before being read, recording
+	// is suspended (Section 4.1.4). Zero keeps no table: a driver no
+	// analyzer reads records nothing.
 	RequestTableSize int
 	// Faults, when non-nil, is the fault injector shared with the disk.
 	// Attaching it switches the driver into fault-tolerant mode: retries
@@ -72,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockSize == 0 {
 		c.BlockSize = geom.Block8K
-	}
-	if c.RequestTableSize == 0 {
-		c.RequestTableSize = 65536
 	}
 	return c
 }
@@ -573,7 +571,7 @@ func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, 
 		d.cum.Redirected++
 	}
 
-	d.mon.record(blockStart, count, write)
+	d.mon.record(blockStart)
 	d.recordArrival(blockStart, write)
 	r := d.getReq()
 	r.write = write

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -13,6 +14,12 @@ import (
 // newRig builds a rearranged Toshiba disk with one file system partition
 // covering the whole virtual disk, attaches a driver, and returns both.
 func newRig(t testing.TB) (*sim.Engine, *disk.Disk, *Driver) {
+	t.Helper()
+	return newRigWith(t, Config{})
+}
+
+// newRigWith is newRig with the driver attached under cfg.
+func newRigWith(t testing.TB, cfg Config) (*sim.Engine, *disk.Disk, *Driver) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dsk := disk.MustNew(disk.Toshiba())
@@ -35,7 +42,7 @@ func newRig(t testing.TB) (*sim.Engine, *disk.Disk, *Driver) {
 	if err := InitDisk(dsk, lbl, geom.Block8K); err != nil {
 		t.Fatal(err)
 	}
-	drv, err := Attach(eng, dsk, Config{}, false)
+	drv, err := Attach(eng, dsk, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,62 +429,64 @@ func TestRequestsDelayedDuringMove(t *testing.T) {
 	}
 }
 
+// blockSector is the original physical sector of newRig's partition-0
+// block b: what the request table records for it.
+func blockSector(drv *Driver, b int64) int64 { return drv.Label().MapVirtual(256 + b*16) }
+
+// The request table holds each request's original sector in arrival
+// order, reads and writes alike, and a read clears it.
 func TestRequestMonitoring(t *testing.T) {
-	eng, _, drv := newRig(t)
+	eng, _, drv := newRigWith(t, Config{RequestTableSize: 16})
+	if n := drv.RequestTableSize(); n != 16 {
+		t.Fatalf("table size %d, want 16", n)
+	}
 	drv.ReadBlock(0, 5, nil)
 	drv.WriteBlock(0, 6, blockOf(1), nil)
+	drv.ReadBlock(0, 5, nil)
 	eng.Run()
-	recs, missed := drv.ReadRequestTable()
-	if missed != 0 {
-		t.Errorf("missed = %d", missed)
+	sectors, missed := drv.ReadRequestTable()
+	want := []int64{blockSector(drv, 5), blockSector(drv, 6), blockSector(drv, 5)}
+	if !slices.Equal(sectors, want) || missed != 0 {
+		t.Errorf("table %v, %d missed; want %v, none missed", sectors, missed, want)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("%d records", len(recs))
-	}
-	if recs[0].Write || !recs[1].Write {
-		t.Error("read/write flags wrong")
-	}
-	if recs[0].Sectors != 16 {
-		t.Errorf("record size = %d sectors", recs[0].Sectors)
-	}
-	// Table is cleared by the read.
-	recs, _ = drv.ReadRequestTable()
-	if len(recs) != 0 {
-		t.Error("table not cleared")
+	if sectors, missed := drv.ReadRequestTable(); len(sectors) != 0 || missed != 0 {
+		t.Errorf("table not cleared: %v, %d missed", sectors, missed)
 	}
 }
 
+// A full table suspends recording: the requests past its capacity are
+// counted as missed, not recorded, until a read clears it.
 func TestRequestMonitoringSuspendsWhenFull(t *testing.T) {
-	eng := sim.NewEngine()
-	dsk := disk.MustNew(disk.Toshiba())
-	firstCyl, err := label.AlignedFirstCyl(dsk.Geom(), 16, (dsk.Geom().Cylinders-48)/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbl, err := label.NewRearrangedAt("t", dsk.Geom(), firstCyl, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lbl.AddPartition(256, 160000, label.TagFS); err != nil {
-		t.Fatal(err)
-	}
-	if err := InitDisk(dsk, lbl, geom.Block8K); err != nil {
-		t.Fatal(err)
-	}
-	drv, err := Attach(eng, dsk, Config{RequestTableSize: 4}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _, drv := newRigWith(t, Config{RequestTableSize: 4})
 	for i := int64(0); i < 10; i++ {
 		drv.ReadBlock(0, i, nil)
 	}
 	eng.Run()
-	recs, missed := drv.ReadRequestTable()
-	if len(recs) != 4 {
-		t.Errorf("recorded %d, want 4", len(recs))
+	sectors, missed := drv.ReadRequestTable()
+	want := []int64{blockSector(drv, 0), blockSector(drv, 1), blockSector(drv, 2), blockSector(drv, 3)}
+	if !slices.Equal(sectors, want) || missed != 6 {
+		t.Errorf("table %v, %d missed; want %v, 6 missed", sectors, missed, want)
 	}
-	if missed != 6 {
-		t.Errorf("missed = %d, want 6", missed)
+	drv.ReadBlock(0, 9, nil)
+	eng.Run()
+	if sectors, missed := drv.ReadRequestTable(); !slices.Equal(sectors, []int64{blockSector(drv, 9)}) || missed != 0 {
+		t.Errorf("after a read: table %v, %d missed; want block 9's sector, none missed", sectors, missed)
+	}
+}
+
+// A driver attached without a table size keeps no table: nothing is
+// recorded and nothing is counted missed.
+func TestNoRequestTableRecordsNothing(t *testing.T) {
+	eng, _, drv := newRig(t)
+	for i := int64(0); i < 10; i++ {
+		drv.ReadBlock(0, i, nil)
+	}
+	drv.WriteBlock(0, 3, blockOf(1), nil)
+	eng.Run()
+	sectors, missed := drv.ReadRequestTable()
+	if drv.RequestTableSize() != 0 || sectors != nil || missed != 0 {
+		t.Errorf("tableless driver: size %d, table %v, %d missed; want nothing",
+			drv.RequestTableSize(), sectors, missed)
 	}
 }
 
@@ -514,7 +523,7 @@ func TestStatsRecorded(t *testing.T) {
 }
 
 func TestInternalOpsNotCounted(t *testing.T) {
-	eng, _, drv := newRig(t)
+	eng, _, drv := newRigWith(t, Config{RequestTableSize: 64})
 	drv.WriteBlock(0, 10, blockOf(1), nil)
 	eng.Run()
 	orig := drv.Label().MapVirtual(256 + 10*16)

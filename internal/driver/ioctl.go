@@ -48,7 +48,8 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 		}
 	}
 	// 1: read the block from its original location.
-	d.enqueue(&ioreq{internal: true, phase: "bcopy-read", orig: orig, sector: orig, count: bsec, arriveMS: d.eng.Now(),
+	rd := d.getReq()
+	*rd = ioreq{internal: true, phase: "bcopy-read", orig: orig, sector: orig, count: bsec, arriveMS: d.eng.Now(),
 		done: func(data []byte, err error) {
 			if err != nil {
 				finish(fmt.Errorf("driver bcopy: reading original: %w", err))
@@ -57,7 +58,8 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 			// 2: write it to the reserved slot. The read lent the
 			// original's page, and the reserved copy keeps that very
 			// page: a second address, not a second copy of the bytes.
-			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
+			wr := d.getReq()
+			*wr = ioreq{internal: true, write: true, keep: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
 				arriveMS: d.eng.Now(), done: func(_ []byte, err error) {
 					if err != nil {
 						finish(fmt.Errorf("driver bcopy: writing reserved copy: %w", err))
@@ -69,8 +71,10 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 					}
 					// 3: force the updated block table to disk.
 					d.writeTable(func(err error) { finish(err) })
-				}})
-		}})
+				}}
+			d.enqueue(wr)
+		}}
+	d.enqueue(rd)
 }
 
 // checkMove validates a BCopy address pair.

@@ -9,49 +9,63 @@ import (
 // and 4.1.5): the request table read by the reference stream analyzer
 // and the performance statistics used for evaluation.
 
-// ReqRecord is one entry of the request-monitoring table: the original
-// physical address of the block a request targeted (before any
-// redirect), the request size in sectors, and the direction.
-type ReqRecord struct {
-	Sector  int64
-	Sectors int
-	Write   bool
-}
-
-// monitor is the fixed-size request table. When it fills before being
+// monitor is the fixed-size request table: the original physical
+// sector of the block each request targeted, before any redirect, in
+// arrival order — all the analyzer reads. When it fills before being
 // read, recording is suspended until the next read clears it. The table
-// is double-buffered: a read hands out records and records on into
-// spare, the table the read before handed out.
+// is double-buffered: a read hands out sectors and records on into
+// spare, the table the read before handed out. A driver that keeps no
+// table has a nil monitor.
 type monitor struct {
-	records   []ReqRecord
-	spare     []ReqRecord
+	sectors   []int64
+	spare     []int64
 	capacity  int
 	suspended int64 // requests missed while the table was full
 }
 
+// newMonitor returns a table of capacity entries, or nil for none.
 func newMonitor(capacity int) *monitor {
+	if capacity <= 0 {
+		return nil
+	}
 	return &monitor{capacity: capacity}
 }
 
-func (m *monitor) record(sector int64, sectors int, write bool) {
-	if len(m.records) >= m.capacity {
+func (m *monitor) record(sector int64) {
+	if m == nil {
+		return
+	}
+	if len(m.sectors) >= m.capacity {
 		m.suspended++
 		return
 	}
-	m.records = append(m.records, ReqRecord{Sector: sector, Sectors: sectors, Write: write})
+	m.sectors = append(m.sectors, sector)
 }
 
-// ReadRequestTable returns the request table contents and the number of
-// requests missed because the table was full, then clears the table and
-// resumes recording — the monitoring ioctl of Section 4.1.4. The
-// returned slice is the driver's: it is valid until the next call, which
-// records into it again.
-func (d *Driver) ReadRequestTable() ([]ReqRecord, int64) {
+// RequestTableSize is the request table's capacity; zero when the
+// driver keeps none.
+func (d *Driver) RequestTableSize() int {
+	if d.mon == nil {
+		return 0
+	}
+	return d.mon.capacity
+}
+
+// ReadRequestTable returns the request table contents — one original
+// sector per request, in arrival order — and the number of requests
+// missed because the table was full, then clears the table and resumes
+// recording: the monitoring ioctl of Section 4.1.4. The returned slice
+// is the driver's: it is valid until the next call, which records into
+// it again. A driver that keeps no table returns nothing.
+func (d *Driver) ReadRequestTable() ([]int64, int64) {
 	m := d.mon
-	recs, missed := m.records, m.suspended
-	m.records, m.spare = m.spare[:0], recs
+	if m == nil {
+		return nil, 0
+	}
+	sectors, missed := m.sectors, m.suspended
+	m.sectors, m.spare = m.spare[:0], sectors
 	m.suspended = 0
-	return recs, missed
+	return sectors, missed
 }
 
 // Side holds the statistics for one request direction (reads or writes).

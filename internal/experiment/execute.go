@@ -113,14 +113,10 @@ func Execute(ctx context.Context, e Experiment) (*Run, error) {
 		if recs, captureEvents, err = e.sourceTrace(ctx); err != nil {
 			return nil, fmt.Errorf("experiment: trace %s: %w", e.Name, err)
 		}
-		if e.Rearrange != nil {
+		if spec.rearrange != nil {
 			// The learning pass must observe every request: size each
-			// member's monitoring table for the whole scaled trace.
-			if n := len(recs)*e.Workload.Copies + 1; spec.rig != nil {
-				spec.rig.RequestTableSize = n
-			} else {
-				spec.volume.RequestTableSize = n
-			}
+			// member's request table for the whole scaled trace.
+			spec.table = len(recs)*e.Workload.Copies + 1
 		}
 	}
 	st, err := newStack(ctx, spec)
@@ -377,31 +373,23 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		Copies:      e.Workload.Copies,
 		ShiftBlocks: e.Workload.ShiftBlocks,
 		WrapBlocks:  st.blocks,
+		FoldBlocks:  st.blocks, // an external trace may address past the target
 	}
 	if scale.ShiftBlocks == 0 && scale.Copies > 1 {
 		scale.ShiftBlocks = st.blocks / int64(scale.Copies)
 	}
-	scaled := scale.Apply(recs)
-	// An external trace (or a capture from a slightly different
-	// geometry) may address past the target partition; fold it in
-	// deterministically rather than failing mid-matrix.
-	for i := range scaled {
-		if scaled[i].Part != 0 || scaled[i].Block >= st.blocks {
-			scaled[i].Part = 0
-			scaled[i].Block %= st.blocks
-		}
-	}
 	// Horizon for the await loops: the open-loop span is known from the
 	// timestamps; closed loop is paced by the device, so give it a
 	// service-time budget per record and let await extend.
-	span := scaled[len(scaled)-1].TimeMS - scaled[0].TimeMS
+	records := scale.Len(recs)
+	span := scale.At(recs, records-1).TimeMS - scale.At(recs, 0).TimeMS
 	horizon := span + 30*60*1000
 	if e.Workload.Mode == tracein.ClosedLoop {
-		if h := float64(len(scaled)) * 10; h > horizon {
+		if h := float64(records) * 10; h > horizon {
 			horizon = h
 		}
 	}
-	ropts := tracein.ReplayOptions{Mode: e.Workload.Mode, Seed: int64(e.Seed)}
+	ropts := tracein.ReplayOptions{Mode: e.Workload.Mode, Seed: int64(e.Seed), Scale: scale}
 
 	// pass replays the trace once as r's measured window — the learning
 	// pass monitored by the rearrangers, the measured pass observed —
@@ -409,7 +397,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	pass := func(r *Run, what string, learning bool) error {
 		var res tracein.Result
 		st.openWindow(r)
-		rep, err := tracein.NewReplayer(st.eng, st.dev, scaled, ropts)
+		rep, err := tracein.NewReplayer(st.eng, st.dev, recs, ropts)
 		if err != nil {
 			return fmt.Errorf("experiment: trace %s %s: %w", e.Name, what, err)
 		}
@@ -434,7 +422,7 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		// member's merged, through the members' seek curve.
 		m := r.Days[len(r.Days)-1].Metrics(r.Curve, AllRequests)
 		pt := &TracePoint{
-			Records:    len(scaled),
+			Records:    records,
 			Errors:     res.Errors,
 			ElapsedMS:  res.ElapsedMS,
 			P99MS:      rep.Latency().Quantile(0.99),

@@ -447,7 +447,7 @@ func (e Experiment) stackSpec() (stackSpec, error) {
 		if r.HotlistSize > 0 {
 			cfg.Counter = hotlist.NewBounded(r.HotlistSize, hotlist.ReplaceMin)
 		}
-		spec.rearrange = &cfg
+		spec.rearrange, spec.table = &cfg, core.RequestTableSize
 	}
 	return spec, nil
 }

@@ -33,7 +33,7 @@ type mount struct {
 // stackSpec describes a stack, bottom up.
 type stackSpec struct {
 	// Exactly one of rig and volume describes the devices; the stack
-	// fills their Ctx and Telemetry.
+	// fills their Ctx, Telemetry and RequestTableSize.
 	rig    *rig.Options
 	volume *volume.Options
 	// mounts lists one file system per partition, in partition order;
@@ -42,10 +42,12 @@ type stackSpec struct {
 	// server, when set, puts the multi-tenant front end on the device.
 	server *server.Config
 	// rearrange, when set, gives every member disk a rearranger of this
-	// configuration: each learns from its own monitoring table and
-	// rearranges its own reserved region, exactly as N independent
-	// single-disk deployments would.
+	// configuration: each learns from its own request table, of table
+	// entries, and rearranges its own reserved region, exactly as N
+	// independent single-disk deployments would. table is set only with
+	// rearrange: a driver no analyzer reads keeps no table.
 	rearrange *core.Config
+	table     int
 }
 
 // stack is a built stackSpec.
@@ -86,7 +88,7 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 	s := &stack{ctx: ctx, col: telemetry.FromContext(ctx), mounts: d.mounts}
 	if d.rig != nil {
 		o := *d.rig
-		o.Ctx, o.Telemetry = ctx, s.col
+		o.Ctx, o.Telemetry, o.RequestTableSize = ctx, s.col, d.table
 		r, err := rig.New(o)
 		if err != nil {
 			return nil, err
@@ -95,7 +97,7 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		s.dev, s.blocks = r.Driver, r.PartitionBlocks(0)
 	} else {
 		o := *d.volume
-		o.Ctx, o.Telemetry = ctx, s.col
+		o.Ctx, o.Telemetry, o.RequestTableSize = ctx, s.col, d.table
 		v, err := volume.New(o)
 		if err != nil {
 			return nil, err

@@ -15,7 +15,7 @@ import (
 // the driver, remounts from the disk image, and verifies every file —
 // existence, size, and byte-for-byte contents — against the model.
 func TestModelCheckedRandomOps(t *testing.T) {
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
+	r, err := rig.New(rig.Options{ReservedCyls: 48, RequestTableSize: core.RequestTableSize})
 	if err != nil {
 		t.Fatal(err)
 	}

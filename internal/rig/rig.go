@@ -49,7 +49,9 @@ type Options struct {
 	// PartitionBlocks lists partition sizes in blocks. Empty creates a
 	// single partition covering the whole virtual disk.
 	PartitionBlocks []int64
-	// RequestTableSize overrides the driver's monitoring table size.
+	// RequestTableSize sizes the driver's request table for a
+	// rearranger to read (driver.Config.RequestTableSize); zero keeps
+	// none.
 	RequestTableSize int
 	// Telemetry, when non-nil and capturing spans, is attached as the
 	// driver's event sink so every request lifecycle of this rig is

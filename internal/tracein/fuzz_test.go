@@ -2,9 +2,12 @@ package tracein
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/rig"
 	"repro/internal/trace"
 )
 
@@ -85,5 +88,61 @@ func FuzzParseBlkparse(f *testing.F) {
 		n := 0
 		err := ParseBlkparse(bytes.NewReader(data), Options{}, fuzzEmit(&n))
 		checkFuzzErr(t, FormatBlkparse, err)
+	})
+}
+
+// FuzzScaleView holds the scaled-trace view to the materialised trace:
+// over fuzzed records and scales, Len and At read exactly what Apply
+// builds, folded into partition 0 as FoldBlocks says; and a replayer
+// over the view rejects the same first record, with the same error, as
+// Validate over the materialised slice. Each 6 bytes of data are one
+// record: a time step, a write bit and partition, and a signed block
+// around the test device's partition size.
+func FuzzScaleView(f *testing.F) {
+	r := rig.MustNew(rig.Options{})
+	blocks := r.PartitionBlocks(0)
+	recs := []byte{1, 0, 10, 0, 0, 0, 2, 1, 0x20, 0x4e, 0, 0, 0, 6, 0xff, 0xff, 0, 0}
+	f.Add(recs, uint8(0), 0.0, int64(0), int64(0), int64(0))
+	f.Add(recs, uint8(1), 1.0, int64(5), int64(10), int64(0))
+	f.Add(recs, uint8(1), 2.0, int64(5), int64(10), blocks)
+	f.Add(recs, uint8(4), 4.0, blocks/4, blocks, blocks)
+	f.Add(recs, uint8(4), -1.0, int64(-7), int64(0), blocks)
+	f.Add(recs, uint8(8), 0.5, int64(-blocks), int64(100), int64(3))
+	f.Add(recs, uint8(3), math.NaN(), int64(1), int64(-1), int64(-5))
+	f.Fuzz(func(t *testing.T, data []byte, copies uint8, compress float64, shift, wrap, fold int64) {
+		var in []trace.Record
+		var now float64
+		for ; len(data) >= 6 && len(in) < 256; data = data[6:] {
+			now += float64(data[0])
+			in = append(in, trace.Record{
+				TimeMS: now,
+				Write:  data[1]&1 != 0,
+				Part:   int(data[1]>>1) % 4,
+				Block:  int64(int32(binary.LittleEndian.Uint32(data[2:]))) % (3 * blocks),
+			})
+		}
+		s := Scale{Compress: compress, Copies: int(copies % 9), ShiftBlocks: shift, WrapBlocks: wrap}
+		want := s.Apply(in)
+		for i, rec := range want {
+			if fold > 0 && (rec.Part != 0 || rec.Block >= fold) {
+				want[i].Part, want[i].Block = 0, rec.Block%fold
+			}
+		}
+		s.FoldBlocks = fold
+		if n := s.Len(in); n != len(want) {
+			t.Fatalf("%+v: Len %d, Apply built %d records", s, n, len(want))
+		}
+		for i, w := range want {
+			got := s.At(in, i)
+			if math.Float64bits(got.TimeMS) != math.Float64bits(w.TimeMS) ||
+				got.Write != w.Write || got.Part != w.Part || got.Block != w.Block {
+				t.Fatalf("%+v: At(%d) = %+v, Apply then fold %+v", s, i, got, w)
+			}
+		}
+		_, viewErr := NewReplayer(r.Eng, r.Driver, in, ReplayOptions{Scale: s})
+		sliceErr := Validate(r.Driver, want)
+		if (viewErr == nil) != (sliceErr == nil) || viewErr != nil && viewErr.Error() != sliceErr.Error() {
+			t.Fatalf("%+v: replayer over the view: %v; Validate over the slice: %v", s, viewErr, sliceErr)
+		}
 	})
 }

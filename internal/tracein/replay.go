@@ -58,6 +58,11 @@ type ReplayOptions struct {
 	ThinkMS float64
 	// Seed seeds the closed-loop think-time stream.
 	Seed int64
+	// Scale is applied to the records as a view: the replayer issues
+	// Scale.At(recs, i) for i < Scale.Len(recs), so a scaled replay holds
+	// no scaled copy of the trace. The zero value replays the records
+	// as they are.
+	Scale Scale
 }
 
 // Result summarizes a finished replay.
@@ -82,15 +87,16 @@ type inflight struct {
 	done    driver.DoneFunc
 }
 
-// Replayer drives a block device with a parsed (and possibly scaled)
-// trace in simulated time. It validates every record against the
+// Replayer drives a block device with a parsed trace, scaled through
+// its options, in simulated time. It validates every record against the
 // device's label before starting, so a trace that doesn't fit the
 // device fails fast with a typed error instead of mid-replay.
 type Replayer struct {
-	eng  *sim.Engine
-	dev  driver.BlockDevice
-	recs []trace.Record
-	o    ReplayOptions
+	eng *sim.Engine
+	dev driver.BlockDevice
+	v   view // the scaled trace
+	n   int  // its length
+	o   ReplayOptions
 
 	zero    []byte
 	free    []*inflight
@@ -105,9 +111,9 @@ type Replayer struct {
 	reqs    int64              // lifetime issued requests (for metrics)
 }
 
-// NewReplayer builds a replayer for the given records over the device.
-// The record slice is read, never modified; it must stay unchanged for
-// the replayer's lifetime.
+// NewReplayer builds a replayer for the given records, scaled by
+// o.Scale, over the device. The record slice is read, never modified;
+// it must stay unchanged for the replayer's lifetime.
 func NewReplayer(eng *sim.Engine, dev driver.BlockDevice, recs []trace.Record, o ReplayOptions) (*Replayer, error) {
 	if o.Clients <= 0 {
 		o.Clients = 8
@@ -115,13 +121,15 @@ func NewReplayer(eng *sim.Engine, dev driver.BlockDevice, recs []trace.Record, o
 	if o.ThinkMS <= 0 {
 		o.ThinkMS = 10
 	}
-	if err := Validate(dev, recs); err != nil {
+	v := o.Scale.view(recs)
+	if err := validate(dev, &v); err != nil {
 		return nil, err
 	}
 	return &Replayer{
 		eng:  eng,
 		dev:  dev,
-		recs: recs,
+		v:    v,
+		n:    v.len(),
 		o:    o,
 		zero: make([]byte, dev.BlockSize().Bytes()),
 		hist: metrics.NewHistogram(metrics.HistogramOpts{}),
@@ -132,13 +140,20 @@ func NewReplayer(eng *sim.Engine, dev driver.BlockDevice, recs []trace.Record, o
 // that exist on the device, returning ErrOutOfRange (wrapped with the
 // record index) on the first violation.
 func Validate(dev driver.BlockDevice, recs []trace.Record) error {
+	v := Scale{}.view(recs)
+	return validate(dev, &v)
+}
+
+// validate is Validate over a scaled trace, read as a view.
+func validate(dev driver.BlockDevice, v *view) error {
 	lbl := dev.Label()
 	bsec := int64(dev.BlockSize().Sectors())
 	var blocks [label.MaxPartitions]int64
 	for i := range blocks {
 		blocks[i] = -1 // unprobed
 	}
-	for i, rec := range recs {
+	for i := range v.len() {
+		rec := v.at(i)
 		if rec.Part < 0 || rec.Part >= len(blocks) {
 			return fmt.Errorf("record %d: partition %d: %w", i, rec.Part, ErrOutOfRange)
 		}
@@ -176,15 +191,15 @@ func (r *Replayer) Latency() *metrics.Histogram { return r.hist }
 func (r *Replayer) Start(done func(Result)) {
 	r.onDone = done
 	r.startMS = r.eng.Now()
-	if len(r.recs) == 0 {
+	if r.n == 0 {
 		r.eng.After(0, r.finish)
 		return
 	}
 	if r.o.Mode == ClosedLoop {
 		rnd := sim.NewRand(uint64(r.o.Seed))
 		n := r.o.Clients
-		if n > len(r.recs) {
-			n = len(r.recs)
+		if n > r.n {
+			n = r.n
 		}
 		r.clients = n
 		for i := 0; i < n; i++ {
@@ -197,9 +212,9 @@ func (r *Replayer) Start(done func(Result)) {
 		}
 		return
 	}
-	r.baseMS = r.eng.Now() - r.recs[0].TimeMS
-	cur := &openCursor{r: r}
-	r.eng.AtCall(r.baseMS+r.recs[0].TimeMS, cur)
+	t0 := r.v.at(0).TimeMS
+	r.baseMS = r.eng.Now() - t0
+	r.eng.AtCall(r.baseMS+t0, &openCursor{r: r})
 }
 
 // issue sends one record to the device, charging it to a pooled
@@ -239,7 +254,7 @@ func (r *Replayer) complete(inf *inflight, err error) {
 	}
 	r.out--
 	r.free = append(r.free, inf)
-	if r.out == 0 && r.next >= len(r.recs) && r.clients == 0 {
+	if r.out == 0 && r.next >= r.n && r.clients == 0 {
 		r.finish()
 	}
 }
@@ -264,13 +279,14 @@ type openCursor struct {
 func (c *openCursor) Call() {
 	r := c.r
 	now := r.eng.Now()
-	for r.next < len(r.recs) && r.baseMS+r.recs[r.next].TimeMS <= now {
-		rec := r.recs[r.next]
+	for r.next < r.n {
+		rec := r.v.at(r.next)
+		if t := r.baseMS + rec.TimeMS; t > now {
+			r.eng.AtCall(t, c)
+			return
+		}
 		r.next++
 		r.issue(rec, r.getInflight())
-	}
-	if r.next < len(r.recs) {
-		r.eng.AtCall(r.baseMS+r.recs[r.next].TimeMS, c)
 	}
 }
 
@@ -287,14 +303,14 @@ type clClient struct {
 // retires the client when the trace is exhausted.
 func (c *clClient) Call() {
 	r := c.r
-	if r.next >= len(r.recs) {
+	if r.next >= r.n {
 		r.clients--
 		if r.out == 0 && r.clients == 0 {
 			r.finish()
 		}
 		return
 	}
-	rec := r.recs[r.next]
+	rec := r.v.at(r.next)
 	r.next++
 	r.issue(rec, &c.inf)
 }

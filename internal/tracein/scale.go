@@ -11,6 +11,10 @@ import (
 // Copies multiplexes N address-shifted replicas of the stream, emulating
 // N clients with similar but non-overlapping working sets hammering the
 // same device. The zero value is the identity scale.
+//
+// The scaled trace need not be materialised: Len and At read it as a
+// view of the input, record i being copy i mod Copies of input record
+// i / Copies, and Apply builds the same records as one slice.
 type Scale struct {
 	// Compress divides every timestamp; values <= 0 or 1 leave time
 	// unchanged.
@@ -27,11 +31,23 @@ type Scale struct {
 	// so every copy stays inside the target partition. Set it to the
 	// partition's block count.
 	WrapBlocks int64
+	// FoldBlocks, when > 0, folds every scaled record that addresses a
+	// partition other than 0, or a block at or past FoldBlocks, into
+	// partition 0 at its block modulo FoldBlocks: an external trace, or
+	// a capture from a slightly different geometry, then fits the
+	// target deterministically instead of failing validation.
+	FoldBlocks int64
 }
 
-// identity reports whether the scale changes nothing.
+// identity reports whether the scale changes no time and no address
+// (folding aside).
 func (s Scale) identity() bool {
 	return (s.Compress <= 0 || s.Compress == 1) && s.Copies <= 1
+}
+
+// copies is the number of copies of each input record.
+func (s Scale) copies() int {
+	return max(s.Copies, 1)
 }
 
 // String renders the scale for report rows ("4x@2.0" = 4 copies, 2x
@@ -41,48 +57,86 @@ func (s Scale) String() string {
 	if c <= 0 {
 		c = 1
 	}
-	n := s.Copies
-	if n < 1 {
-		n = 1
-	}
-	return fmt.Sprintf("%dx@%.1f", n, c)
+	return fmt.Sprintf("%dx@%.1f", s.copies(), c)
+}
+
+// Len is the number of records in the scaled trace of recs.
+func (s Scale) Len(recs []trace.Record) int { return len(recs) * s.copies() }
+
+// At is record i of the scaled trace of recs, 0 <= i < s.Len(recs):
+// copy i mod Copies of recs[i/Copies]. It reads recs and allocates
+// nothing, so a replay over the view holds the input alone.
+func (s Scale) At(recs []trace.Record, i int) trace.Record {
+	v := s.view(recs)
+	return v.at(i)
 }
 
 // Apply produces the scaled trace. The result is deterministic: all
 // copies start together and interleave record by record in copy order,
 // so the merged stream keeps the input's time order. The input is not
-// modified.
+// modified. Record i of the result is s.At(recs, i).
 func (s Scale) Apply(recs []trace.Record) []trace.Record {
-	if s.identity() && len(recs) > 0 {
-		out := make([]trace.Record, len(recs))
-		copy(out, recs)
-		return out
-	}
-	compress := s.Compress
-	if compress <= 0 {
-		compress = 1
-	}
-	copies := s.Copies
-	if copies < 1 {
-		copies = 1
-	}
-	out := make([]trace.Record, 0, len(recs)*copies)
+	v := s.view(recs)
+	out := make([]trace.Record, 0, v.len())
 	for _, r := range recs {
-		t := r.TimeMS / compress
-		for c := 0; c < copies; c++ {
-			rc := r
-			rc.TimeMS = t
-			if s.ShiftBlocks != 0 {
-				rc.Block += int64(c) * s.ShiftBlocks
-				if s.WrapBlocks > 0 {
-					rc.Block %= s.WrapBlocks
-					if rc.Block < 0 {
-						rc.Block += s.WrapBlocks
-					}
-				}
-			}
-			out = append(out, rc)
+		r = v.time(r)
+		for c := 0; c < v.copies; c++ {
+			out = append(out, v.place(r, c))
 		}
 	}
 	return out
+}
+
+// view is the scaled trace of recs with the scale's switches resolved
+// once, so a reader that walks the whole trace — the replayer, its
+// validation, Apply — does not resolve them again for every record.
+// The identity scale divides time by 1 and shifts and wraps no address,
+// copy 0 included.
+type view struct {
+	recs              []trace.Record
+	copies            int
+	compress          float64
+	shift, wrap, fold int64
+}
+
+func (s Scale) view(recs []trace.Record) view {
+	v := view{recs: recs, copies: s.copies(), compress: 1, fold: s.FoldBlocks}
+	if !s.identity() {
+		v.shift, v.wrap = s.ShiftBlocks, s.WrapBlocks
+		if !(s.Compress <= 0) {
+			v.compress = s.Compress
+		}
+	}
+	return v
+}
+
+func (v *view) len() int { return len(v.recs) * v.copies }
+
+func (v *view) at(i int) trace.Record {
+	return v.place(v.time(v.recs[i/v.copies]), i%v.copies)
+}
+
+// time is input record r at its compressed time.
+func (v *view) time(r trace.Record) trace.Record {
+	r.TimeMS /= v.compress
+	return r
+}
+
+// place is timed record r at copy c's address: shifted by c copies and
+// wrapped, then folded.
+func (v *view) place(r trace.Record, c int) trace.Record {
+	if v.shift != 0 {
+		r.Block += int64(c) * v.shift
+		if v.wrap > 0 {
+			r.Block %= v.wrap
+			if r.Block < 0 {
+				r.Block += v.wrap
+			}
+		}
+	}
+	if v.fold > 0 && (r.Part != 0 || r.Block >= v.fold) {
+		r.Part = 0
+		r.Block %= v.fold
+	}
+	return r
 }

@@ -130,7 +130,8 @@ type Options struct {
 	// ReservedCyls hides this many middle cylinders of every member as
 	// its reserved region, enabling per-member adaptive rearrangement.
 	ReservedCyls int
-	// RequestTableSize overrides each member driver's monitoring table.
+	// RequestTableSize sizes each member driver's request table for a
+	// per-member rearranger to read; zero keeps none.
 	RequestTableSize int
 	// Faults lists per-member fault plans by member index (spares
 	// follow the data members, at indices Disks..Disks+Spare-1); a
