@@ -14,7 +14,7 @@ import (
 // TestAnalyzerCountsEveryRequestOnce, an identity: a scaled trace replayed
 // through tracein's view under per-disk analyzers polling each second
 // leaves counts that sum to the requests completed, none missed, each
-// block's its references in Scale.Apply's folded trace. On a bare disk at
+// block's its references in Scale.Apply's trace. On a bare disk at
 // 1× and a 4-disk stripe at 4×; not via Execute: a Run has no counts.
 func TestAnalyzerCountsEveryRequestOnce(t *testing.T) {
 	const unit = 16 // the stripe unit, in blocks
@@ -39,14 +39,12 @@ func TestAnalyzerCountsEveryRequestOnce(t *testing.T) {
 		copies := max(disks, 1)
 		bsec := int64(dev.BlockSize().Sectors())
 		blocks := dev.Label().Parts[0].Size / bsec
-		// A hot set past partition 0's end, and records off it, to fold.
 		rnd, recs := sim.NewRand(3), make([]trace.Record, 3001) // not a multiple of the copies
 		for i := range recs {
-			recs[i] = trace.Record{TimeMS: float64(i) * 20, Write: i%5 == 0,
-				Part: int(rnd.Int63n(10) / 9), Block: rnd.Int63n(400) * (blocks / 350)}
+			recs[i] = trace.Record{TimeMS: float64(i) * 20, Write: i%5 == 0, Block: rnd.Int63n(400) * (blocks / 400)}
 		}
 		scale := tracein.Scale{Compress: float64(copies), Copies: copies,
-			ShiftBlocks: blocks / int64(copies), WrapBlocks: blocks, FoldBlocks: blocks}
+			ShiftBlocks: blocks / int64(copies), WrapBlocks: blocks}
 		counts := make([]*hotlist.Exact, len(drivers))
 		rears := make([]*Rearranger, len(drivers))
 		for i, d := range drivers {

@@ -373,10 +373,17 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 		Copies:      e.Workload.Copies,
 		ShiftBlocks: e.Workload.ShiftBlocks,
 		WrapBlocks:  st.blocks,
-		FoldBlocks:  st.blocks, // an external trace may address past the target
 	}
 	if scale.ShiftBlocks == 0 && scale.Copies > 1 {
 		scale.ShiftBlocks = st.blocks / int64(scale.Copies)
+	}
+	// An external trace may address past the target partition: fold it
+	// in place (the copies' wrap reduces modulo the same count, so it commutes).
+	for i := range recs {
+		if recs[i].Part != 0 || recs[i].Block >= st.blocks {
+			recs[i].Part = 0
+			recs[i].Block %= st.blocks
+		}
 	}
 	// Horizon for the await loops: the open-loop span is known from the
 	// timestamps; closed loop is paced by the device, so give it a

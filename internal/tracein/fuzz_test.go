@@ -93,23 +93,23 @@ func FuzzParseBlkparse(f *testing.F) {
 
 // FuzzScaleView holds the scaled-trace view to the materialised trace:
 // over fuzzed records and scales, Len and At read exactly what Apply
-// builds, folded into partition 0 as FoldBlocks says; and a replayer
-// over the view rejects the same first record, with the same error, as
-// Validate over the materialised slice. Each 6 bytes of data are one
-// record: a time step, a write bit and partition, and a signed block
-// around the test device's partition size.
+// builds, and a replayer over the view rejects the same first record,
+// with the same error, as a replayer over the materialised slice. Each
+// 6 bytes of data are one record: a time step, a write bit and
+// partition, and a signed block around the test device's partition
+// size.
 func FuzzScaleView(f *testing.F) {
 	r := rig.MustNew(rig.Options{})
 	blocks := r.PartitionBlocks(0)
 	recs := []byte{1, 0, 10, 0, 0, 0, 2, 1, 0x20, 0x4e, 0, 0, 0, 6, 0xff, 0xff, 0, 0}
-	f.Add(recs, uint8(0), 0.0, int64(0), int64(0), int64(0))
-	f.Add(recs, uint8(1), 1.0, int64(5), int64(10), int64(0))
-	f.Add(recs, uint8(1), 2.0, int64(5), int64(10), blocks)
-	f.Add(recs, uint8(4), 4.0, blocks/4, blocks, blocks)
-	f.Add(recs, uint8(4), -1.0, int64(-7), int64(0), blocks)
-	f.Add(recs, uint8(8), 0.5, int64(-blocks), int64(100), int64(3))
-	f.Add(recs, uint8(3), math.NaN(), int64(1), int64(-1), int64(-5))
-	f.Fuzz(func(t *testing.T, data []byte, copies uint8, compress float64, shift, wrap, fold int64) {
+	f.Add(recs, uint8(0), 0.0, int64(0), int64(0))
+	f.Add(recs, uint8(1), 1.0, int64(5), int64(10))
+	f.Add(recs, uint8(1), 2.0, int64(5), blocks)
+	f.Add(recs, uint8(4), 4.0, blocks/4, blocks)
+	f.Add(recs, uint8(4), -1.0, int64(-7), int64(0))
+	f.Add(recs, uint8(8), 0.5, int64(-blocks), int64(100))
+	f.Add(recs, uint8(3), math.NaN(), int64(1), int64(-1))
+	f.Fuzz(func(t *testing.T, data []byte, copies uint8, compress float64, shift, wrap int64) {
 		var in []trace.Record
 		var now float64
 		for ; len(data) >= 6 && len(in) < 256; data = data[6:] {
@@ -123,12 +123,6 @@ func FuzzScaleView(f *testing.F) {
 		}
 		s := Scale{Compress: compress, Copies: int(copies % 9), ShiftBlocks: shift, WrapBlocks: wrap}
 		want := s.Apply(in)
-		for i, rec := range want {
-			if fold > 0 && (rec.Part != 0 || rec.Block >= fold) {
-				want[i].Part, want[i].Block = 0, rec.Block%fold
-			}
-		}
-		s.FoldBlocks = fold
 		if n := s.Len(in); n != len(want) {
 			t.Fatalf("%+v: Len %d, Apply built %d records", s, n, len(want))
 		}
@@ -136,13 +130,13 @@ func FuzzScaleView(f *testing.F) {
 			got := s.At(in, i)
 			if math.Float64bits(got.TimeMS) != math.Float64bits(w.TimeMS) ||
 				got.Write != w.Write || got.Part != w.Part || got.Block != w.Block {
-				t.Fatalf("%+v: At(%d) = %+v, Apply then fold %+v", s, i, got, w)
+				t.Fatalf("%+v: At(%d) = %+v, Apply %+v", s, i, got, w)
 			}
 		}
 		_, viewErr := NewReplayer(r.Eng, r.Driver, in, ReplayOptions{Scale: s})
-		sliceErr := Validate(r.Driver, want)
+		_, sliceErr := NewReplayer(r.Eng, r.Driver, want, ReplayOptions{})
 		if (viewErr == nil) != (sliceErr == nil) || viewErr != nil && viewErr.Error() != sliceErr.Error() {
-			t.Fatalf("%+v: replayer over the view: %v; Validate over the slice: %v", s, viewErr, sliceErr)
+			t.Fatalf("%+v: replayer over the view: %v; over the slice: %v", s, viewErr, sliceErr)
 		}
 	})
 }

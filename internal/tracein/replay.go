@@ -136,15 +136,9 @@ func NewReplayer(eng *sim.Engine, dev driver.BlockDevice, recs []trace.Record, o
 	}, nil
 }
 
-// Validate checks that every record addresses a partition and block
-// that exist on the device, returning ErrOutOfRange (wrapped with the
-// record index) on the first violation.
-func Validate(dev driver.BlockDevice, recs []trace.Record) error {
-	v := Scale{}.view(recs)
-	return validate(dev, &v)
-}
-
-// validate is Validate over a scaled trace, read as a view.
+// validate checks that every record of the scaled trace addresses a
+// partition and block that exist on the device, returning
+// ErrOutOfRange (wrapped with the record index) on the first violation.
 func validate(dev driver.BlockDevice, v *view) error {
 	lbl := dev.Label()
 	bsec := int64(dev.BlockSize().Sectors())

@@ -31,16 +31,9 @@ type Scale struct {
 	// so every copy stays inside the target partition. Set it to the
 	// partition's block count.
 	WrapBlocks int64
-	// FoldBlocks, when > 0, folds every scaled record that addresses a
-	// partition other than 0, or a block at or past FoldBlocks, into
-	// partition 0 at its block modulo FoldBlocks: an external trace, or
-	// a capture from a slightly different geometry, then fits the
-	// target deterministically instead of failing validation.
-	FoldBlocks int64
 }
 
-// identity reports whether the scale changes no time and no address
-// (folding aside).
+// identity reports whether the scale changes no time and no address.
 func (s Scale) identity() bool {
 	return (s.Compress <= 0 || s.Compress == 1) && s.Copies <= 1
 }
@@ -93,14 +86,14 @@ func (s Scale) Apply(recs []trace.Record) []trace.Record {
 // The identity scale divides time by 1 and shifts and wraps no address,
 // copy 0 included.
 type view struct {
-	recs              []trace.Record
-	copies            int
-	compress          float64
-	shift, wrap, fold int64
+	recs        []trace.Record
+	copies      int
+	compress    float64
+	shift, wrap int64
 }
 
 func (s Scale) view(recs []trace.Record) view {
-	v := view{recs: recs, copies: s.copies(), compress: 1, fold: s.FoldBlocks}
+	v := view{recs: recs, copies: s.copies(), compress: 1}
 	if !s.identity() {
 		v.shift, v.wrap = s.ShiftBlocks, s.WrapBlocks
 		if !(s.Compress <= 0) {
@@ -123,7 +116,7 @@ func (v *view) time(r trace.Record) trace.Record {
 }
 
 // place is timed record r at copy c's address: shifted by c copies and
-// wrapped, then folded.
+// wrapped.
 func (v *view) place(r trace.Record, c int) trace.Record {
 	if v.shift != 0 {
 		r.Block += int64(c) * v.shift
@@ -133,10 +126,6 @@ func (v *view) place(r trace.Record, c int) trace.Record {
 				r.Block += v.wrap
 			}
 		}
-	}
-	if v.fold > 0 && (r.Part != 0 || r.Block >= v.fold) {
-		r.Part = 0
-		r.Block %= v.fold
 	}
 	return r
 }
