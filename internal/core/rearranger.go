@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/driver"
@@ -15,18 +14,11 @@ import (
 // 4.1.4), short enough that recording was almost never suspended.
 const DefaultPollPeriodMS = 2 * 60 * 1000
 
-// RequestTableSize is the size of the fixed request table a driver
-// keeps for its analyzer (Section 4.1.4; driver.Config.RequestTableSize):
-// 65536 entries, more than a polling period of the modelled workloads
-// fills, so recording is not suspended.
+// RequestTableSize is the size of the fixed request table a rearranger
+// gives its driver by default (Section 4.1.4): 65536 entries, more than
+// a polling period of the modelled workloads fills, so recording is not
+// suspended.
 const RequestTableSize = 65536
-
-// ErrNoRequestTable is returned by New for a driver that keeps no
-// request table.
-var ErrNoRequestTable = errors.New("core: driver keeps no request table, " +
-	"so the analyzer would count no reference and every hot list would be empty; " +
-	"attach the driver with a RequestTableSize (rig.Options, volume.Options or " +
-	"driver.Config), e.g. core.RequestTableSize")
 
 // Config carries rearranger tunables.
 type Config struct {
@@ -42,6 +34,9 @@ type Config struct {
 	// PollPeriodMS is the analyzer polling period; zero selects the
 	// paper's two minutes.
 	PollPeriodMS float64
+	// RequestTableSize is the capacity of the request table New gives
+	// the driver; zero selects RequestTableSize.
+	RequestTableSize int
 }
 
 // Rearranger is the adaptive block rearrangement controller: the
@@ -55,15 +50,25 @@ type Rearranger struct {
 	monitoring bool
 	pollSeq    int // invalidates scheduled polls on stop
 	missed     int64
+
+	// The copy-in in flight: the cycle's moves, the index of the one
+	// being copied, and the cycle's callback. copiedFn is copied, bound
+	// once in New, so a cycle allocates nothing per block copied.
+	moves    []Move
+	next     int
+	copyDone func(int, error)
+	copiedFn driver.ErrFunc
 }
 
-// New returns a rearranger for the given driver.
+// New returns a rearranger for the given driver and gives the driver
+// the request table its analyzer reads: the driver records every
+// request from here on, until Close.
 func New(eng *sim.Engine, drv *driver.Driver, cfg Config) (*Rearranger, error) {
 	if !drv.Rearranged() {
 		return nil, fmt.Errorf("core: driver's disk has no reserved region")
 	}
-	if drv.RequestTableSize() == 0 {
-		return nil, ErrNoRequestTable
+	if cfg.RequestTableSize <= 0 {
+		cfg.RequestTableSize = RequestTableSize
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = OrganPipe{}
@@ -81,7 +86,10 @@ func New(eng *sim.Engine, drv *driver.Driver, cfg Config) (*Rearranger, error) {
 		}
 		cfg.MaxBlocks = capacity
 	}
-	return &Rearranger{eng: eng, drv: drv, cfg: cfg}, nil
+	drv.SetRequestTableSize(cfg.RequestTableSize)
+	r := &Rearranger{eng: eng, drv: drv, cfg: cfg}
+	r.copiedFn = r.copied
+	return r, nil
 }
 
 // Policy returns the placement policy in use.
@@ -156,6 +164,18 @@ func (r *Rearranger) Poll() {
 	}
 }
 
+// Close ends the analyzer's reading of its driver: monitoring stops,
+// the request table is drained one last time and dropped, and the
+// driver records nothing from then on. The counts stay, so HotList and
+// Rearrange work as before. Call it once no later window is learnt
+// from.
+func (r *Rearranger) Close() {
+	r.monitoring = false
+	r.pollSeq++
+	r.Poll()
+	r.drv.SetRequestTableSize(0)
+}
+
 // Missed returns how many requests were lost to a full request table —
 // near zero when the polling period is adequate.
 func (r *Rearranger) Missed() int64 { return r.missed }
@@ -183,7 +203,7 @@ func (r *Rearranger) Rearrange(done func(moves int, err error)) {
 			return
 		}
 		moves := r.cfg.Policy.Place(hot, r.drv.ReservedSlots(), r.cfg.MaxBlocks, r.drv.BlockSize())
-		r.copyNext(moves, 0, done)
+		r.copyIn(moves, done)
 	})
 }
 
@@ -221,7 +241,7 @@ func (r *Rearranger) RearrangeIncremental(done func(moved int, err error)) {
 	var cleanNext func(i int)
 	cleanNext = func(i int) {
 		if i == len(toClean) {
-			r.copyNext(toCopy, 0, done)
+			r.copyIn(toCopy, done)
 			return
 		}
 		r.drv.BClean(toClean[i], func(err error) {
@@ -245,18 +265,38 @@ func (r *Rearranger) CleanOnly(done func(err error)) {
 	})
 }
 
-func (r *Rearranger) copyNext(moves []Move, i int, done func(int, error)) {
-	if i >= len(moves) {
-		finish(done, len(moves), nil)
+// copyIn copies moves into the reserved region one block at a time,
+// then reports the count to done. A rearranger runs one cycle at a
+// time.
+func (r *Rearranger) copyIn(moves []Move, done func(int, error)) {
+	r.moves, r.next, r.copyDone = moves, 0, done
+	r.copyNext()
+}
+
+func (r *Rearranger) copyNext() {
+	if r.next < len(r.moves) {
+		m := r.moves[r.next]
+		r.drv.BCopy(m.Orig, m.Dst, r.copiedFn)
 		return
 	}
-	r.drv.BCopy(moves[i].Orig, moves[i].Dst, func(err error) {
-		if err != nil {
-			finish(done, i, fmt.Errorf("core: copying block %d: %w", moves[i].Orig, err))
-			return
-		}
-		r.copyNext(moves, i+1, done)
-	})
+	r.endCopy(len(r.moves), nil)
+}
+
+// copied is the completion of the block copy in flight.
+func (r *Rearranger) copied(err error) {
+	if err != nil {
+		r.endCopy(r.next, fmt.Errorf("core: copying block %d: %w", r.moves[r.next].Orig, err))
+		return
+	}
+	r.next++
+	r.copyNext()
+}
+
+// endCopy ends the copy-in, which done may start again.
+func (r *Rearranger) endCopy(n int, err error) {
+	done := r.copyDone
+	r.moves, r.copyDone = nil, nil
+	finish(done, n, err)
 }
 
 func finish(done func(int, error), n int, err error) {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/blocktable"
@@ -15,7 +13,7 @@ import (
 
 func newRig(t *testing.T) *rig.Rig {
 	t.Helper()
-	r, err := rig.New(rig.Options{ReservedCyls: 48, RequestTableSize: RequestTableSize})
+	r, err := rig.New(rig.Options{ReservedCyls: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,25 +21,12 @@ func newRig(t *testing.T) *rig.Rig {
 }
 
 func TestNewRequiresRearrangedDisk(t *testing.T) {
-	r, err := rig.New(rig.Options{RequestTableSize: RequestTableSize})
+	r, err := rig.New(rig.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(r.Eng, r.Driver, Config{}); err == nil {
 		t.Fatal("rearranger accepted a non-rearranged disk")
-	}
-}
-
-// An analyzer over a driver that keeps no request table would count
-// nothing; New refuses it with ErrNoRequestTable, naming the fix.
-func TestNewRequiresRequestTable(t *testing.T) {
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(r.Eng, r.Driver, Config{})
-	if !errors.Is(err, ErrNoRequestTable) || !strings.Contains(err.Error(), "RequestTableSize") {
-		t.Fatalf("New on a tableless driver: %v; want ErrNoRequestTable naming RequestTableSize", err)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // TestAnalyzerCountsEveryRequestOnce, an identity: a scaled trace replayed
 // through tracein's view under per-disk analyzers polling each second
 // leaves counts that sum to the requests completed, none missed, each
-// block's its references in Scale.Apply's trace. On a bare disk at
-// 1× and a 4-disk stripe at 4×; not via Execute: a Run has no counts.
+// block's its references in Scale.Apply's trace; closed, the analyzers
+// leave their drivers no table and count nothing more. On a bare disk
+// at 1× and a 4-disk stripe at 4×; not via Execute: a Run has no counts.
 func TestAnalyzerCountsEveryRequestOnce(t *testing.T) {
 	const unit = 16 // the stripe unit, in blocks
 	for _, disks := range []int{0, 4} {
@@ -27,7 +28,7 @@ func TestAnalyzerCountsEveryRequestOnce(t *testing.T) {
 			eng, dev, drivers = r.Eng, r.Driver, []*driver.Driver{r.Driver}
 		} else {
 			v, err := volume.New(volume.Options{Layout: volume.Stripe, Disks: disks, StripeUnit: unit,
-				ReservedCyls: 48, RequestTableSize: RequestTableSize})
+				ReservedCyls: 48})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,6 +93,28 @@ func TestAnalyzerCountsEveryRequestOnce(t *testing.T) {
 		if n := int64(scale.Len(recs)); counted != requests || requests != n {
 			t.Errorf("%d disks: analyzers counted %d references, drivers completed %d requests, the scaled trace has %d",
 				disks, counted, requests, n)
+		}
+		// Closed, the analyzers drop their drivers' tables: a second
+		// replay is recorded nowhere and leaves the counts as they were.
+		for _, ra := range rears {
+			ra.Close()
+		}
+		if rep, err = tracein.NewReplayer(eng, dev, recs, tracein.ReplayOptions{Scale: scale}); err != nil {
+			t.Fatal(err)
+		}
+		rep.Start(nil)
+		eng.Run()
+		for i, d := range drivers {
+			sectors, missed := d.ReadRequestTable()
+			if d.RequestTableSize() != 0 || sectors != nil || missed != 0 {
+				t.Errorf("%d disks: disk %d after Close: a %d-entry table, %d sectors, %d missed; want none",
+					disks, i, d.RequestTableSize(), len(sectors), missed)
+			}
+			rears[i].Poll()
+			counted -= counts[i].Total()
+		}
+		if counted != 0 {
+			t.Errorf("%d disks: the counts moved by %d references after Close", disks, -counted)
 		}
 	}
 }

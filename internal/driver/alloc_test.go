@@ -167,8 +167,8 @@ func TestBCopyNewPageless(t *testing.T) {
 	}
 }
 
-// The block-table write is copied into the store: the driver reuses its
-// encoding scratch for the next table write, so changing the scratch
+// The block-table write that ends a move is copied into the store: the
+// driver reuses its encoding scratch for the next table write, so changing the scratch
 // after a write has completed must change nothing on disk. The table is
 // made larger than a page so that a write keeping its payload would keep
 // some of the scratch as pages.
@@ -184,7 +184,7 @@ func TestTableWriteCopiesScratch(t *testing.T) {
 		}
 	}
 	var werr error
-	drv.writeTable(func(err error) { werr = err })
+	drv.BCopy(blockSector(drv, 5000), slots[600], func(err error) { werr = err })
 	eng.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -208,7 +208,8 @@ func TestTableWriteCopiesScratch(t *testing.T) {
 // a poll's worth of records, recording and reading them allocate
 // nothing, and what a read returned stays intact until the next read.
 func TestReadRequestTableZeroAllocs(t *testing.T) {
-	eng, _, drv := newRigWith(t, Config{RequestTableSize: 64})
+	eng, _, drv := newRig(t)
+	drv.SetRequestTableSize(64)
 	poll := func() {
 		for b := int64(0); b < 8; b++ {
 			drv.ReadBlock(0, b*40, nil)
@@ -240,5 +241,60 @@ func TestReadRequestTableZeroAllocs(t *testing.T) {
 	eng.Run()
 	if !slices.Equal(sectors, want) {
 		t.Error("recording changed the table the last read returned")
+	}
+}
+
+// A night's block moves allocate nothing per block once the pools are
+// warm: each move is a pooled record stepping through pooled requests
+// on a callback bound once, and the table image reuses its scratch.
+// Half the copies are written to before the clean-out, so it takes the
+// dirty path too. What a cycle does allocate does not scale with its
+// blocks: Clean's snapshot of the entries, and the block table's
+// arrays, which a clean-out leaves empty and the next copy-in regrows
+// by doubling.
+func TestMoveCycleAllocsPerBlock(t *testing.T) {
+	eng, _, drv := newRig(t)
+	var slots []int64
+	for _, cyl := range drv.ReservedSlots() {
+		slots = append(slots, cyl...)
+	}
+	data := blockOf(0x3c)
+	var n, i int
+	var copied, cleaned ErrFunc
+	copied = func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i++; i < n {
+			drv.BCopy(blockSector(drv, int64(i)*50), slots[i], copied)
+		}
+	}
+	cleaned = func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		i = 0
+		drv.BCopy(blockSector(drv, 0), slots[0], copied)
+		eng.Run()
+		for b := 0; b < n; b += 2 {
+			drv.WriteBlock(0, int64(b)*50, data, nil)
+		}
+		eng.Run()
+		drv.Clean(cleaned)
+		eng.Run()
+	}
+	perCycle := func(blocks int) float64 {
+		n = blocks
+		for w := 0; w < 3; w++ { // warm the pools and the table scratch
+			cycle()
+		}
+		return testing.AllocsPerRun(5, cycle)
+	}
+	few, many := perCycle(32), perCycle(256)
+	if per := (many - few) / (256 - 32); per >= 1.0/16 {
+		t.Errorf("a cycle of 256 moves allocates %v, of 32 moves %v: %.3f allocs per block moved, want none",
+			many, few, per)
 	}
 }

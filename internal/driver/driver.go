@@ -15,9 +15,9 @@
 //   - BCopy and Clean, the DKIOCBCOPY/DKIOCCLEAN ioctls used by the
 //     user-level block arranger to move blocks into and out of the
 //     reserved region;
-//   - a request-monitoring table that records the original address and
-//     size of every request, drained periodically by the reference
-//     stream analyzer;
+//   - a request-monitoring table that records the original address of
+//     every request while the reference stream analyzer owns it
+//     (SetRequestTableSize), drained by that analyzer periodically;
 //   - performance monitoring: seek-distance distributions in arrival
 //     and scheduled order, and service- and queueing-time distributions,
 //     kept separately for reads and writes.
@@ -47,11 +47,6 @@ type Config struct {
 	Sched sched.Scheduler
 	// BlockSize is the file system block size; zero selects 8 KB.
 	BlockSize geom.BlockSize
-	// RequestTableSize caps the request table a reference stream
-	// analyzer drains; when the table fills before being read, recording
-	// is suspended (Section 4.1.4). Zero keeps no table: a driver no
-	// analyzer reads records nothing.
-	RequestTableSize int
 	// Faults, when non-nil, is the fault injector shared with the disk.
 	// Attaching it switches the driver into fault-tolerant mode: retries
 	// with backoff, bad-block remapping, and crash-safe dual-slot block
@@ -144,8 +139,10 @@ type Driver struct {
 	qcyl  []int32
 	busy  bool
 
-	// Completed ioreqs are recycled through reqFree.
-	reqFree []*ioreq
+	// Completed ioreqs are recycled through reqFree, finished block
+	// moves through moveFree.
+	reqFree  []*ioreq
+	moveFree *move
 
 	// tableBuf is the reusable encoding buffer for block-table writes
 	// (see writeTable); tableBufBusy guards the window where a queued
@@ -213,7 +210,6 @@ func Attach(eng *sim.Engine, dsk *disk.Disk, cfg Config, recover bool) (*Driver,
 		lbl:    lbl,
 		cfg:    cfg,
 		moving: make(map[int64][]*pendingStrategy),
-		mon:    newMonitor(cfg.RequestTableSize),
 		stats:  newStats(),
 		inj:    cfg.Faults,
 		remaps: make(map[int64]int64),

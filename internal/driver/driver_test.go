@@ -15,12 +15,6 @@ import (
 // covering the whole virtual disk, attaches a driver, and returns both.
 func newRig(t testing.TB) (*sim.Engine, *disk.Disk, *Driver) {
 	t.Helper()
-	return newRigWith(t, Config{})
-}
-
-// newRigWith is newRig with the driver attached under cfg.
-func newRigWith(t testing.TB, cfg Config) (*sim.Engine, *disk.Disk, *Driver) {
-	t.Helper()
 	eng := sim.NewEngine()
 	dsk := disk.MustNew(disk.Toshiba())
 	firstCyl, err := label.AlignedFirstCyl(dsk.Geom(), 16, (dsk.Geom().Cylinders-48)/2)
@@ -42,7 +36,7 @@ func newRigWith(t testing.TB, cfg Config) (*sim.Engine, *disk.Disk, *Driver) {
 	if err := InitDisk(dsk, lbl, geom.Block8K); err != nil {
 		t.Fatal(err)
 	}
-	drv, err := Attach(eng, dsk, cfg, false)
+	drv, err := Attach(eng, dsk, Config{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +430,8 @@ func blockSector(drv *Driver, b int64) int64 { return drv.Label().MapVirtual(256
 // The request table holds each request's original sector in arrival
 // order, reads and writes alike, and a read clears it.
 func TestRequestMonitoring(t *testing.T) {
-	eng, _, drv := newRigWith(t, Config{RequestTableSize: 16})
+	eng, _, drv := newRig(t)
+	drv.SetRequestTableSize(16)
 	if n := drv.RequestTableSize(); n != 16 {
 		t.Fatalf("table size %d, want 16", n)
 	}
@@ -457,7 +452,8 @@ func TestRequestMonitoring(t *testing.T) {
 // A full table suspends recording: the requests past its capacity are
 // counted as missed, not recorded, until a read clears it.
 func TestRequestMonitoringSuspendsWhenFull(t *testing.T) {
-	eng, _, drv := newRigWith(t, Config{RequestTableSize: 4})
+	eng, _, drv := newRig(t)
+	drv.SetRequestTableSize(4)
 	for i := int64(0); i < 10; i++ {
 		drv.ReadBlock(0, i, nil)
 	}
@@ -474,20 +470,39 @@ func TestRequestMonitoringSuspendsWhenFull(t *testing.T) {
 	}
 }
 
-// A driver attached without a table size keeps no table: nothing is
-// recorded and nothing is counted missed.
+// A driver keeps no table until its analyzer sets one, and keeps none
+// again once the analyzer drops it: without a table nothing is recorded
+// and nothing is counted missed.
 func TestNoRequestTableRecordsNothing(t *testing.T) {
 	eng, _, drv := newRig(t)
-	for i := int64(0); i < 10; i++ {
-		drv.ReadBlock(0, i, nil)
+	traffic := func() {
+		for i := int64(0); i < 10; i++ {
+			drv.ReadBlock(0, i, nil)
+		}
+		drv.WriteBlock(0, 3, blockOf(1), nil)
+		eng.Run()
 	}
-	drv.WriteBlock(0, 3, blockOf(1), nil)
+	none := func(when string) {
+		t.Helper()
+		sectors, missed := drv.ReadRequestTable()
+		if drv.RequestTableSize() != 0 || sectors != nil || missed != 0 {
+			t.Errorf("%s: size %d, table %v, %d missed; want nothing",
+				when, drv.RequestTableSize(), sectors, missed)
+		}
+	}
+	traffic()
+	none("before a table is set")
+	drv.SetRequestTableSize(4)
+	traffic()
+	if sectors, missed := drv.ReadRequestTable(); len(sectors) != 4 || missed != 7 {
+		t.Fatalf("with a 4-entry table: %d sectors, %d missed; want 4 and 7", len(sectors), missed)
+	}
+	drv.ReadBlock(0, 0, nil)
 	eng.Run()
-	sectors, missed := drv.ReadRequestTable()
-	if drv.RequestTableSize() != 0 || sectors != nil || missed != 0 {
-		t.Errorf("tableless driver: size %d, table %v, %d missed; want nothing",
-			drv.RequestTableSize(), sectors, missed)
-	}
+	drv.SetRequestTableSize(0)
+	none("after the table is dropped")
+	traffic()
+	none("traffic after the table is dropped")
 }
 
 func TestStatsRecorded(t *testing.T) {
@@ -523,7 +538,8 @@ func TestStatsRecorded(t *testing.T) {
 }
 
 func TestInternalOpsNotCounted(t *testing.T) {
-	eng, _, drv := newRigWith(t, Config{RequestTableSize: 64})
+	eng, _, drv := newRig(t)
+	drv.SetRequestTableSize(64)
 	drv.WriteBlock(0, 10, blockOf(1), nil)
 	eng.Run()
 	orig := drv.Label().MapVirtual(256 + 10*16)

@@ -35,46 +35,11 @@ func (d *Driver) BCopy(orig, dst int64, done ErrFunc) {
 		d.failCtl(done, err)
 		return
 	}
+	m := d.getMove()
+	m.orig, m.dst, m.done = orig, dst, done
 	d.moving[orig] = nil
-	bsec := d.cfg.BlockSize.Sectors()
-	finish := func(err error) {
-		waiters := d.moving[orig]
-		delete(d.moving, orig)
-		for _, w := range waiters {
-			d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
-		}
-		if done != nil {
-			done(err)
-		}
-	}
 	// 1: read the block from its original location.
-	rd := d.getReq()
-	*rd = ioreq{internal: true, phase: "bcopy-read", orig: orig, sector: orig, count: bsec, arriveMS: d.eng.Now(),
-		done: func(data []byte, err error) {
-			if err != nil {
-				finish(fmt.Errorf("driver bcopy: reading original: %w", err))
-				return
-			}
-			// 2: write it to the reserved slot. The read lent the
-			// original's page, and the reserved copy keeps that very
-			// page: a second address, not a second copy of the bytes.
-			wr := d.getReq()
-			*wr = ioreq{internal: true, write: true, keep: true, phase: "bcopy-copy", orig: orig, sector: dst, count: bsec, data: data,
-				arriveMS: d.eng.Now(), done: func(_ []byte, err error) {
-					if err != nil {
-						finish(fmt.Errorf("driver bcopy: writing reserved copy: %w", err))
-						return
-					}
-					if err := d.bt.Add(orig, dst); err != nil {
-						finish(err)
-						return
-					}
-					// 3: force the updated block table to disk.
-					d.writeTable(func(err error) { finish(err) })
-				}}
-			d.enqueue(wr)
-		}}
-	d.enqueue(rd)
+	m.issue(moveRead, orig, d.cfg.BlockSize.Sectors(), nil)
 }
 
 // checkMove validates a BCopy address pair.
@@ -123,8 +88,7 @@ func (d *Driver) Clean(done ErrFunc) {
 		d.failCtl(done, ErrNotRearranged)
 		return
 	}
-	entries := d.bt.Entries()
-	d.cleanNext(entries, 0, done)
+	d.cleanOut(d.bt.Entries(), done)
 }
 
 // BClean removes a single block from the reserved region, copying it
@@ -141,60 +105,189 @@ func (d *Driver) BClean(orig int64, done ErrFunc) {
 		d.failCtl(done, nil)
 		return
 	}
-	entry := blocktable.Entry{Orig: orig, New: dst, Dirty: d.bt.IsDirty(orig)}
-	d.cleanNext([]blocktable.Entry{entry}, 0, done)
+	d.cleanOut([]blocktable.Entry{{Orig: orig, New: dst}}, done)
 }
 
-// cleanNext removes entries[i:] one at a time, asynchronously.
-func (d *Driver) cleanNext(entries []blocktable.Entry, i int, done ErrFunc) {
-	if i >= len(entries) {
-		if done != nil {
-			done(nil)
-		}
-		return
+// cleanOut removes entries from the reserved region one at a time,
+// asynchronously, then reports to done.
+func (d *Driver) cleanOut(entries []blocktable.Entry, done ErrFunc) {
+	m := d.getMove()
+	m.entries, m.done = entries, done
+	m.cleanNext()
+}
+
+// movePhase is the device operation a block move waits on.
+type movePhase uint8
+
+const (
+	moveRead       movePhase = iota // BCopy: read the original
+	moveCopy                        // BCopy: write the reserved copy
+	moveTable                       // either: force the block table to disk
+	moveCleanRead                   // clean-out: read a dirty reserved copy
+	moveCleanWrite                  // clean-out: write it back home
+)
+
+// movePhases names each phase's operations for the fault injector.
+var movePhases = [...]string{
+	moveRead:       "bcopy-read",
+	moveCopy:       "bcopy-copy",
+	moveTable:      "table-write",
+	moveCleanRead:  "clean-read",
+	moveCleanWrite: "clean-write",
+}
+
+// move is one block movement in flight: a BCopy, or a Clean or BClean
+// removing its blocks one at a time. Its phase is a field and its one
+// completion callback is built with the record, its device operations
+// are pooled ioreqs, and records are pooled on the driver (getMove), so
+// a night of moves allocates nothing per block once warm. Concurrent
+// moves each hold a record.
+type move struct {
+	d     *Driver
+	next  *move // free list
+	phase movePhase
+	// orig is the block being moved and dst a BCopy's reserved slot.
+	orig, dst int64
+	// entries are a clean-out's blocks and at the index of orig's; a
+	// BCopy has none.
+	entries []blocktable.Entry
+	at      int
+	// scratch says the table write in flight encoded into d.tableBuf.
+	scratch bool
+	done    ErrFunc
+	stepFn  DoneFunc // m.step, bound once
+}
+
+// getMove takes a move record from the free list, or builds one with
+// its callback bound.
+func (d *Driver) getMove() *move {
+	m := d.moveFree
+	if m == nil {
+		m = &move{d: d}
+		m.stepFn = m.step
+		return m
 	}
-	e := entries[i]
-	d.moving[e.Orig] = nil
+	d.moveFree, m.next = m.next, nil
+	return m
+}
+
+// issue enqueues the move's operation of phase p, a pooled ioreq that
+// completes into step. It is identified by the block it moves, a table
+// write by its own sector.
+func (m *move) issue(p movePhase, sector int64, count int, data []byte) {
+	d := m.d
+	m.phase = p
+	r := d.getReq()
+	r.internal = true
+	r.write = p == moveCopy || p == moveTable || p == moveCleanWrite
+	r.keep = p == moveCopy || p == moveCleanWrite
+	r.phase = movePhases[p]
+	r.orig, r.sector, r.count, r.data = m.orig, sector, count, data
+	if p == moveTable {
+		r.orig = sector
+	}
+	r.arriveMS = d.eng.Now()
+	r.done = m.stepFn
+	d.enqueue(r)
+}
+
+// step ends the phase whose operation completed and starts the next.
+func (m *move) step(data []byte, err error) {
+	d := m.d
 	bsec := d.cfg.BlockSize.Sectors()
-	step := func(err error) {
-		waiters := d.moving[e.Orig]
-		delete(d.moving, e.Orig)
-		for _, w := range waiters {
-			d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
-		}
+	switch m.phase {
+	case moveRead:
 		if err != nil {
-			if done != nil {
-				done(err)
-			}
+			m.finish(fmt.Errorf("driver bcopy: reading original: %w", err))
 			return
 		}
-		d.cleanNext(entries, i+1, done)
+		// 2: write it to the reserved slot. The read lent the
+		// original's page, and the reserved copy keeps that very page:
+		// a second address, not a second copy of the bytes.
+		m.issue(moveCopy, m.dst, bsec, data)
+	case moveCopy:
+		if err != nil {
+			m.finish(fmt.Errorf("driver bcopy: writing reserved copy: %w", err))
+			return
+		}
+		if err := d.bt.Add(m.orig, m.dst); err != nil {
+			m.finish(err)
+			return
+		}
+		// 3: force the updated block table to disk.
+		m.writeTable()
+	case moveCleanRead:
+		if err != nil {
+			m.finish(fmt.Errorf("driver clean: reading reserved copy: %w", err))
+			return
+		}
+		m.issue(moveCleanWrite, m.orig, bsec, data)
+	case moveCleanWrite:
+		if err != nil {
+			m.finish(fmt.Errorf("driver clean: restoring original: %w", err))
+			return
+		}
+		m.remove()
+	case moveTable:
+		if m.scratch {
+			d.tableBufBusy = false
+		}
+		m.finish(err)
 	}
-	remove := func() {
-		d.bt.Remove(e.Orig)
-		d.writeTable(step)
+}
+
+// cleanNext starts removing the clean-out's next block, or ends the
+// clean-out when none is left.
+func (m *move) cleanNext() {
+	if m.at >= len(m.entries) {
+		m.end(nil)
+		return
 	}
-	if !d.bt.IsDirty(e.Orig) {
+	e := m.entries[m.at]
+	m.orig = e.Orig
+	m.d.moving[e.Orig] = nil
+	if !m.d.bt.IsDirty(e.Orig) {
 		// The original copy is still current; just drop the mapping.
-		remove()
+		m.remove()
 		return
 	}
 	// Copy the reserved copy back to the original location first.
-	d.enqueue(&ioreq{internal: true, phase: "clean-read", orig: e.Orig, sector: e.New, count: bsec, arriveMS: d.eng.Now(),
-		done: func(data []byte, err error) {
-			if err != nil {
-				step(fmt.Errorf("driver clean: reading reserved copy: %w", err))
-				return
-			}
-			d.enqueue(&ioreq{internal: true, write: true, keep: true, phase: "clean-write", orig: e.Orig, sector: e.Orig, count: bsec, data: data,
-				arriveMS: d.eng.Now(), done: func(_ []byte, err error) {
-					if err != nil {
-						step(fmt.Errorf("driver clean: restoring original: %w", err))
-						return
-					}
-					remove()
-				}})
-		}})
+	m.issue(moveCleanRead, e.New, m.d.cfg.BlockSize.Sectors(), nil)
+}
+
+// remove drops the clean-out's current block from the block table and
+// forces the table to disk.
+func (m *move) remove() {
+	m.d.bt.Remove(m.orig)
+	m.writeTable()
+}
+
+// finish ends the move of m.orig: the requests delayed behind it run,
+// then a clean-out goes on to its next block unless err stopped it.
+func (m *move) finish(err error) {
+	d := m.d
+	waiters := d.moving[m.orig]
+	delete(d.moving, m.orig)
+	for _, w := range waiters {
+		d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
+	}
+	if m.entries != nil && err == nil {
+		m.at++
+		m.cleanNext()
+		return
+	}
+	m.end(err)
+}
+
+// end returns the record to the pool, then reports err: done may start
+// the next move on the same record.
+func (m *move) end(err error) {
+	done := m.done
+	m.entries, m.at, m.scratch, m.done = nil, 0, false, nil
+	m.next, m.d.moveFree = m.d.moveFree, m
+	if done != nil {
+		done(err)
+	}
 }
 
 // writeTable forces the current block table image to its home at the
@@ -203,7 +296,8 @@ func (d *Driver) cleanNext(entries []blocktable.Entry, i int, done ErrFunc) {
 // slot the previous committed write did not use, so a power loss can
 // tear at most the slot being written while the other slot still
 // decodes to the previous generation.
-func (d *Driver) writeTable(done ErrFunc) {
+func (m *move) writeTable() {
+	d := m.d
 	at := d.tableAt
 	sectors := tableSectors(d.cfg.BlockSize)
 	if d.inj != nil {
@@ -223,8 +317,8 @@ func (d *Driver) writeTable(done ErrFunc) {
 	// which covers that window. The scratch grows by doubling, as the
 	// table does one entry at a time.
 	var img []byte
-	usedScratch := !d.tableBufBusy
-	if usedScratch {
+	m.scratch = !d.tableBufBusy
+	if m.scratch {
 		if n := blocktable.EncodedSectors(d.bt.Len()) * geom.SectorSize; cap(d.tableBuf) < n {
 			d.tableBuf = make([]byte, 0, 2*n)
 		}
@@ -233,16 +327,7 @@ func (d *Driver) writeTable(done ErrFunc) {
 	} else {
 		img = d.bt.Encode()
 	}
-	d.enqueue(&ioreq{internal: true, write: true, phase: "table-write", orig: at, sector: at,
-		count: sectors, data: img, arriveMS: d.eng.Now(),
-		done: func(_ []byte, err error) {
-			if usedScratch {
-				d.tableBufBusy = false
-			}
-			if done != nil {
-				done(err)
-			}
-		}})
+	m.issue(moveTable, at, sectors, img)
 }
 
 // ReservedSlots returns the physical sector addresses of all reserved-

@@ -42,6 +42,14 @@ func (m *monitor) record(sector int64) {
 	m.sectors = append(m.sectors, sector)
 }
 
+// SetRequestTableSize gives the driver a fresh, empty request table of
+// capacity entries, or, for capacity zero, drops its table and
+// whatever it held: a driver with no table records nothing. The table
+// belongs to the reference stream analyzer that reads it (core.New
+// creates it, Rearranger.Close drops it), so only a driver an analyzer
+// will read pays for recording.
+func (d *Driver) SetRequestTableSize(capacity int) { d.mon = newMonitor(capacity) }
+
 // RequestTableSize is the request table's capacity; zero when the
 // driver keeps none.
 func (d *Driver) RequestTableSize() int {

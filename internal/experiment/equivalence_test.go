@@ -222,21 +222,20 @@ func checkSamplerColumns(t *testing.T, col *telemetry.Collector, job metrics.Job
 // the measured values, plain then -race where they differ; 0 marks a
 // mode the spec is never run in.
 var allocCeilings = map[string]struct{ plain, observed float64 }{
-	"onoff-system": {0.06391, 0.06963}, // 0.0614, 0.0671; -race 0.0625, 0.0681
-	"onoff-users":  {0.35316, 0.37857}, // 0.3395, 0.3647; -race 0.3460, 0.3710
-	"faults":       {0.04675, 0.05263}, // 0.0448, 0.0505; -race 0.0456, 0.0514
-	"policies":     {0.06228, 0},       // 0.0609
-	"volume-scale": {0.00269, 0.00287}, // 0.00244, 0.00262
+	"onoff-system": {0.03282, 0.03855}, // 0.0308, 0.0366; -race 0.0320, 0.0376
+	"onoff-users":  {0.16580, 0.19498}, // 0.1559, 0.1846; -race 0.1624, 0.1910
+	"faults":       {0.03166, 0.03754}, // 0.0299, 0.0357; -race 0.0308, 0.0366
+	"policies":     {0.03107, 0},       // 0.0303
+	"volume-scale": {0.00252, 0.00270}, // 0.00227, 0.00244
 	"tenant-scale": {0.00159, 0.00233}, // 0.00136, 0.00209
 	"raid-rebuild": {0.00569, 0},       // 0.00538
-	// 59 430 allocs / 651 287 events plain, 61 953 / 651 444 observed
-	// (64 448 and 66 979 while every driver filled a 24-byte request
-	// table and the replay held a materialised scaled trace): the three
-	// captures' populate and the three rearrangements' block copies are
-	// most of what is left, per row.
-	"trace-replay": {0.09328, 0.09720}, // 0.09125, 0.09510
-	"ablations":    {0.02364, 0},       // 0.02298
-	"shared":       {0, 0.06178},       // observed 0.0591; -race 0.0604
+	// 41 953 allocs / 651 287 events plain, 44 478 / 651 444 observed
+	// (59 430 and 61 953 while every block move built its closures and
+	// requests afresh): the three captures' populate and the nights'
+	// placements are most of what is left, per row.
+	"trace-replay": {0.06591, 0.06985}, // 0.06442, 0.06828
+	"ablations":    {0.01701, 0},       // 0.01648
+	"shared":       {0, 0.04858},       // observed 0.0462; -race 0.0474
 }
 
 // checkAllocs fails the test if the run made more heap allocations per

@@ -116,7 +116,7 @@ func Execute(ctx context.Context, e Experiment) (*Run, error) {
 		if spec.rearrange != nil {
 			// The learning pass must observe every request: size each
 			// member's request table for the whole scaled trace.
-			spec.table = len(recs)*e.Workload.Copies + 1
+			spec.rearrange.RequestTableSize = len(recs)*e.Workload.Copies + 1
 		}
 	}
 	st, err := newStack(ctx, spec)
@@ -463,6 +463,10 @@ func (st *stack) measureReplay(run *Run, recs []trace.Record) error {
 	n, err := st.rearrange(true, "after the learning replay")
 	if err != nil {
 		return err
+	}
+	// Nothing learns from the measured pass: drop the tables.
+	for _, rear := range st.rears {
+		rear.Close()
 	}
 	run.Installed = []int{n}
 	return pass(run, "measured replay", false)

@@ -1,15 +1,21 @@
 package experiment
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracein"
 	"repro/internal/volume"
@@ -142,6 +148,110 @@ func TestLearningPassIsThePlainReplay(t *testing.T) {
 		}
 		if !reflect.DeepEqual(off.Volume, plain.Volume) {
 			t.Errorf("%s: learning pass's volume %+v, plain replay's %+v", tc.name, off.Volume, plain.Volume)
+		}
+	}
+}
+
+// TestSeekTravelAcrossNights lifts the driver's TestSeekArithmetic to
+// every disk of an Execute run, nights included. Every device operation
+// is one span carrying the cylinders its seek crossed, so per disk the
+// spans' distances add up to the disk's lifetime head travel
+// (driver_seek_cylinders): the nights' block moves and table writes,
+// which no window counts, complete as operations like any other. And
+// per measured window, Σ d·SchedDist(d) over its members adds up to
+// the distances of the window's spans: the first of the window's count
+// of request spans completing after it opened. Checked on a short
+// rearranging on/off run of the system file system (populate, a
+// rearranging night and a cleaning night between three days) and on
+// the trace-replay matrix's 4-disk stripe, whose windows are its two
+// passes around a night.
+func TestSeekTravelAcrossNights(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two observed runs in -short mode")
+	}
+	system := Options{WindowMS: 0.2 * workload.HourMS}.paper("toshiba", "toshiba", System, 3)
+	for _, tc := range []struct {
+		e Experiment
+		// opened is when window k opened, or 0 when the windows are the
+		// run's only request traffic and follow each other.
+		opened func(k int) float64
+	}{
+		{system, func(k int) float64 { return float64(k)*workload.DayMS + workload.DayStartMS }},
+		{Experiment{Name: "open-4x-stripe4", Devices: Devices{Layout: volume.Stripe, Disks: 4, StripeUnit: 16},
+			Workload:  Workload{Source: Trace, Mode: tracein.OpenLoop, Copies: 4},
+			Rearrange: &Rearrange{}, WindowMS: 0.1 * workload.HourMS},
+			func(int) float64 { return 0 }},
+	} {
+		col := telemetry.NewCollector(tc.e.Name, telemetry.Options{Spans: true, Metrics: true})
+		run, err := Execute(telemetry.NewContext(context.Background(), col), tc.e)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.e.Name, err)
+		}
+		type span struct {
+			K        string
+			Internal int     `json:"int"`
+			Dist     int     `json:"dist"`
+			Done     float64 `json:"done"`
+			Disk     int     `json:"disk"`
+		}
+		var requests []span
+		var travel []int64  // by disk
+		var nightCyls int64 // the internal operations'
+		sc := bufio.NewScanner(bytes.NewReader(col.TraceJSONL()))
+		for sc.Scan() {
+			var sp span
+			if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+				t.Fatal(err)
+			}
+			if sp.K != "span" {
+				continue
+			}
+			for len(travel) <= sp.Disk {
+				travel = append(travel, 0)
+			}
+			travel[sp.Disk] += int64(sp.Dist)
+			if sp.Internal != 0 {
+				nightCyls += int64(sp.Dist)
+			} else {
+				requests = append(requests, sp)
+			}
+		}
+		if nightCyls == 0 || run.installed() == 0 {
+			t.Fatalf("%s: the nights moved the heads %d cylinders and installed %d blocks; want both",
+				tc.e.Name, nightCyls, run.installed())
+		}
+		got := map[string]float64{}
+		for _, m := range col.Metrics().Snapshot().Metrics {
+			got[m.Name] = m.Value
+		}
+		for i, cyls := range travel {
+			name := "driver_seek_cylinders"
+			if run.Volume != nil {
+				name = metrics.Name(name, metrics.Label{Key: "disk", Value: strconv.Itoa(i)})
+			}
+			if moved := got[name]; float64(cyls) != moved || moved == 0 {
+				t.Errorf("%s: disk %d's spans add up to %d cylinders, its head moved %v", tc.e.Name, i, cyls, moved)
+			}
+		}
+		next := 0
+		for k, day := range run.Days {
+			for next < len(requests) && requests[next].Done <= tc.opened(k) {
+				next++
+			}
+			sched := day.Stats.All().SchedDist
+			n := int(sched.Count())
+			if next+n > len(requests) {
+				t.Fatalf("%s: window %d counts %d requests, %d spans are left", tc.e.Name, k, n, len(requests)-next)
+			}
+			var cyls int64
+			for _, sp := range requests[next : next+n] {
+				cyls += int64(sp.Dist)
+			}
+			next += n
+			if sum := math.Round(sched.MeanDist() * float64(n)); sum != float64(cyls) || n == 0 {
+				t.Errorf("%s: window %d: Σ d·SchedDist(d) = %v over %d requests, the window's spans moved %d cylinders",
+					tc.e.Name, k, sum, n, cyls)
+			}
 		}
 	}
 }

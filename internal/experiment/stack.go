@@ -33,7 +33,7 @@ type mount struct {
 // stackSpec describes a stack, bottom up.
 type stackSpec struct {
 	// Exactly one of rig and volume describes the devices; the stack
-	// fills their Ctx, Telemetry and RequestTableSize.
+	// fills their Ctx and Telemetry.
 	rig    *rig.Options
 	volume *volume.Options
 	// mounts lists one file system per partition, in partition order;
@@ -42,12 +42,10 @@ type stackSpec struct {
 	// server, when set, puts the multi-tenant front end on the device.
 	server *server.Config
 	// rearrange, when set, gives every member disk a rearranger of this
-	// configuration: each learns from its own request table, of table
-	// entries, and rearranges its own reserved region, exactly as N
-	// independent single-disk deployments would. table is set only with
-	// rearrange: a driver no analyzer reads keeps no table.
+	// configuration: each learns from its own request table and
+	// rearranges its own reserved region, exactly as N independent
+	// single-disk deployments would.
 	rearrange *core.Config
-	table     int
 }
 
 // stack is a built stackSpec.
@@ -88,7 +86,7 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 	s := &stack{ctx: ctx, col: telemetry.FromContext(ctx), mounts: d.mounts}
 	if d.rig != nil {
 		o := *d.rig
-		o.Ctx, o.Telemetry, o.RequestTableSize = ctx, s.col, d.table
+		o.Ctx, o.Telemetry = ctx, s.col
 		r, err := rig.New(o)
 		if err != nil {
 			return nil, err
@@ -97,13 +95,26 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		s.dev, s.blocks = r.Driver, r.PartitionBlocks(0)
 	} else {
 		o := *d.volume
-		o.Ctx, o.Telemetry, o.RequestTableSize = ctx, s.col, d.table
+		o.Ctx, o.Telemetry = ctx, s.col
 		v, err := volume.New(o)
 		if err != nil {
 			return nil, err
 		}
 		s.vol, s.eng, s.members = v, v.Eng, v.Members
 		s.dev, s.blocks = v, v.Blocks()
+	}
+	// The rearrangers come before the format: each gives its driver
+	// the request table, which records everything from here on, so day
+	// 0's counts include the format's and populate's writes
+	// (EXPERIMENTS.md D6).
+	if d.rearrange != nil {
+		for i, m := range s.members {
+			rear, err := core.New(s.eng, m.Driver, *d.rearrange)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: member %d rearranger: %w", i, err)
+			}
+			s.rears = append(s.rears, rear)
+		}
 	}
 	for part, m := range d.mounts {
 		f, err := fs.Newfs(s.eng, s.dev, part, m.params)
@@ -120,15 +131,6 @@ func newStack(ctx context.Context, d stackSpec) (*stack, error) {
 		var err error
 		if s.srv, err = server.New(s.eng, s.dev, *d.server); err != nil {
 			return nil, err
-		}
-	}
-	if d.rearrange != nil {
-		for i, m := range s.members {
-			rear, err := core.New(s.eng, m.Driver, *d.rearrange)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: member %d rearranger: %w", i, err)
-			}
-			s.rears = append(s.rears, rear)
 		}
 	}
 	// Last, so that no failed build leaves the ticker armed; from here

@@ -265,3 +265,55 @@ func TestMirrorWritesTwiceReadsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasuredPassKeepsNoTable: a rearranging replay's analyzers close
+// once the night after the learning pass is over, so no member keeps a
+// request table through the measured pass. Afterwards every member
+// driver reports no table and nothing missed, and the analyzers hold
+// exactly the learning pass's references: a table that had recorded
+// the measured pass would have doubled them when Close drained it. The
+// stack is Execute's for the trace-replay matrix's 4-disk stripe, run
+// through measureReplay so that its members can be read; the
+// rearrangers' lists are long enough to return every counted block.
+func TestMeasuredPassKeepsNoTable(t *testing.T) {
+	ctx := context.Background()
+	e, err := Experiment{Name: "open-4x-stripe4", Devices: Devices{Layout: volume.Stripe, Disks: 4, StripeUnit: 16},
+		Workload:  Workload{Source: Trace, Mode: tracein.OpenLoop, Copies: 4},
+		Rearrange: &Rearrange{Blocks: 1 << 20}, WindowMS: 0.1 * workload.HourMS}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := e.stackSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := e.sourceTrace(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newStack(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.finish()
+	run := &Run{Experiment: e, Curve: e.model.Seek, Volume: &VolumePoint{}}
+	if err := st.measureReplay(run, recs); err != nil {
+		t.Fatal(err)
+	}
+	var counted int64
+	for i, m := range st.members {
+		sectors, missed := m.Driver.ReadRequestTable()
+		if n := m.Driver.RequestTableSize(); n != 0 || sectors != nil || missed != 0 {
+			t.Errorf("member %d after the measured pass: a %d-entry table holding %d sectors, %d missed; want no table",
+				i, n, len(sectors), missed)
+		}
+		for _, bc := range st.rears[i].HotList() {
+			counted += bc.Count
+		}
+	}
+	learned, measured := run.Days[0].Stats.All().Count(), run.Days[1].Stats.All().Count()
+	if counted != learned || measured == 0 || run.installed() == 0 {
+		t.Errorf("the analyzers counted %d references; the learning pass made %d requests, the measured pass %d, %d blocks installed",
+			counted, learned, measured, run.installed())
+	}
+}

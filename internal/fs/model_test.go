@@ -15,7 +15,12 @@ import (
 // the driver, remounts from the disk image, and verifies every file —
 // existence, size, and byte-for-byte contents — against the model.
 func TestModelCheckedRandomOps(t *testing.T) {
-	r, err := rig.New(rig.Options{ReservedCyls: 48, RequestTableSize: core.RequestTableSize})
+	r, err := rig.New(rig.Options{ReservedCyls: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The analyzer's request table records everything from here on.
+	rear, err := core.New(r.Eng, r.Driver, core.Config{MaxBlocks: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +119,6 @@ func TestModelCheckedRandomOps(t *testing.T) {
 	// Flush everything, then rearrange the hottest blocks.
 	f.Sync(nil)
 	r.Eng.Run()
-	rear, err := core.New(r.Eng, r.Driver, core.Config{MaxBlocks: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rear.Poll()
 	var installed int
 	rear.Rearrange(func(n int, err error) {

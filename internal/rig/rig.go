@@ -49,10 +49,6 @@ type Options struct {
 	// PartitionBlocks lists partition sizes in blocks. Empty creates a
 	// single partition covering the whole virtual disk.
 	PartitionBlocks []int64
-	// RequestTableSize sizes the driver's request table for a
-	// rearranger to read (driver.Config.RequestTableSize); zero keeps
-	// none.
-	RequestTableSize int
 	// Telemetry, when non-nil and capturing spans, is attached as the
 	// driver's event sink so every request lifecycle of this rig is
 	// recorded. Callers needing extra consumers compose their own sink
@@ -174,10 +170,9 @@ func New(opts Options) (*Rig, error) {
 		dsk.SetFaults(inj)
 	}
 	drv, err := driver.Attach(eng, dsk, driver.Config{
-		Sched:            opts.Sched,
-		BlockSize:        opts.BlockSize,
-		RequestTableSize: opts.RequestTableSize,
-		Faults:           inj,
+		Sched:     opts.Sched,
+		BlockSize: opts.BlockSize,
+		Faults:    inj,
 	}, false)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package tracein
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/rig"
@@ -72,5 +74,35 @@ func TestClosedLoopReadAllocs(t *testing.T) {
 func TestClosedLoopWriteAllocs(t *testing.T) {
 	if per := replayAllocs(t, 512, true, ClosedLoop); per > 0.25 {
 		t.Errorf("closed-loop write replay: %.3f allocs/request, want <= 0.25", per)
+	}
+}
+
+// ParseMSR parses a line in the scanner's buffer: once the scanner is
+// built, a line costs no allocation. A parse of many lines allocates
+// exactly what a parse of a few does.
+func TestParseMSRZeroAllocsPerLine(t *testing.T) {
+	lines := func(n int) []byte {
+		var b bytes.Buffer
+		b.WriteString("Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n")
+		for i := 0; i < n; i++ {
+			typ := "Read"
+			if i%3 == 0 {
+				typ = "Write"
+			}
+			fmt.Fprintf(&b, "%d,usr,%d,%s,%d,%d,%d\n", 128166372003061629+int64(i)*977, i%4, typ, int64(i)*24576, 4096+i%3*8192, 100+i)
+		}
+		return b.Bytes()
+	}
+	parse := func(in []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := ParseMSR(bytes.NewReader(in), Options{}, func(trace.Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := parse(lines(16)), parse(lines(4096))
+	if many != few {
+		t.Errorf("a parse of 4096 lines allocates %v, of 16 lines %v: %.4f allocs per line, want 0",
+			many, few, (many-few)/(4096-16))
 	}
 }

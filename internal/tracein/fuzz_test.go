@@ -1,10 +1,15 @@
 package tracein
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/rig"
@@ -65,17 +70,122 @@ func FuzzParseTrace(f *testing.F) {
 	})
 }
 
-// FuzzParseMSR hammers the MSR-Cambridge CSV parser directly.
+// FuzzParseMSR hammers the MSR-Cambridge CSV parser directly and holds
+// it to refParseMSR, a strconv reference: the same records, or the
+// same error text, line number included.
 func FuzzParseMSR(f *testing.F) {
 	f.Add([]byte("128166372003061629,usr,0,Read,16384,8192,100\n"))
 	f.Add([]byte("Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n1,h,0,Write,0,4096,1\n"))
 	f.Add([]byte("1,h,0,Read,-1,4096,1\n"))
 	f.Add([]byte("2,h,0,Read,0,4096,1\n1,h,0,Read,0,4096,1\n"))
+	f.Add([]byte(" +7 ,h, 255 , wRITE ,9223372036854775807,0,\r\n-9223372036854775808,h,0,read,0,1,1\n"))
+	f.Add([]byte("1,h,-0,Read,0,1,1\n2,h,0,Read,9223372036854775808,1,1\n"))
+	f.Add([]byte("1,h,0,Read,0,1,1\n99999999999999999999,h,0,Read,0,1,1\n"))
+	f.Add([]byte("1,h,256,Read,0,1,1\n"))
+	f.Add([]byte("1,h,0,Read,0,1,1\n1,h,0x1,Read,0,1,1\n1,h,1_0,Read,0,1,1\n1,h,0,R\u00e9ad,0,1,1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := 0
-		err := ParseMSR(bytes.NewReader(data), Options{}, fuzzEmit(&n))
+		parse := func(p func(io.Reader, Options, EmitFunc) error) ([]trace.Record, error) {
+			var recs []trace.Record
+			err := p(bytes.NewReader(data), Options{}, func(r trace.Record) error {
+				if len(recs) >= 1<<16 {
+					return errors.New("fuzz: emit cap")
+				}
+				recs = append(recs, r)
+				return nil
+			})
+			return recs, err
+		}
+		got, err := parse(ParseMSR)
 		checkFuzzErr(t, FormatMSR, err)
+		want, wantErr := parse(refParseMSR)
+		if !slices.Equal(got, want) {
+			t.Fatalf("ParseMSR emitted %d records, the reference %d; first difference at %d",
+				len(got), len(want), firstDiff(got, want))
+		}
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ParseMSR: %v; the reference: %v", err, wantErr)
+		}
 	})
+}
+
+func firstDiff(a, b []trace.Record) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// refParseMSR is ParseMSR written over strings with strconv, as
+// FuzzParseMSR's reference.
+func refParseMSR(r io.Reader, o Options, emit EmitFunc) error {
+	o = o.withDefaults()
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	lineNo, first := 0, true
+	var baseTicks, prevTicks int64
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		f := strings.Split(line, ",")
+		if len(f) != msrFields {
+			return parseErr(FormatMSR, lineNo, ErrTruncated, "want %d comma-separated fields, got %q", msrFields, line)
+		}
+		ticks, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
+		if err != nil {
+			if lineNo == 1 {
+				continue
+			}
+			return parseErr(FormatMSR, lineNo, ErrBadField, "timestamp %q", f[0])
+		}
+		disk, err := strconv.Atoi(strings.TrimSpace(f[2]))
+		if err != nil {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "disk number %q", f[2])
+		}
+		if disk < 0 || disk > 255 {
+			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "disk number %d", disk)
+		}
+		typ := strings.TrimSpace(f[3])
+		write := strings.EqualFold(typ, "Write")
+		if !write && !strings.EqualFold(typ, "Read") {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "request type %q", typ)
+		}
+		offset, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
+		if err != nil {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "offset %q", f[4])
+		}
+		if offset < 0 {
+			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "offset %d", offset)
+		}
+		size, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
+		if err != nil {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "size %q", f[5])
+		}
+		if size < 0 || size/int64(o.BlockBytes) > maxRequestBlocks {
+			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "size %d", size)
+		}
+		if offset > math.MaxInt64-size {
+			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "offset %d + size %d overflows", offset, size)
+		}
+		if first {
+			baseTicks, prevTicks, first = ticks, ticks, false
+		}
+		if ticks < prevTicks {
+			return parseErr(FormatMSR, lineNo, ErrNonMonotonic, "timestamp %d after %d", ticks, prevTicks)
+		}
+		prevTicks = ticks
+		if err := emitRange(float64(ticks-baseTicks)/filetimeTicksPerMS, write, disk, offset, size, o.BlockBytes, emit); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return parseErr(FormatMSR, lineNo+1, ErrTruncated, "%v", err)
+	}
+	return nil
 }
 
 // FuzzParseBlkparse hammers the blkparse text parser directly.

@@ -2,10 +2,9 @@ package tracein
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/trace"
 )
@@ -38,7 +37,9 @@ const msrFields = 7
 // skipped. Timestamps are rebased so the first event is at 0 ms;
 // a timestamp earlier than its predecessor fails with ErrNonMonotonic
 // (equal timestamps are fine — MSR traces batch events at tick
-// granularity).
+// granularity). Lines are parsed in the scanner's buffer, so a line
+// costs no allocation; a field is copied out only to quote it in an
+// error.
 func ParseMSR(r io.Reader, o Options, emit EmitFunc) error {
 	o = o.withDefaults()
 	sc := bufio.NewScanner(r)
@@ -48,46 +49,46 @@ func ParseMSR(r io.Reader, o Options, emit EmitFunc) error {
 	var baseTicks, prevTicks int64
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var f [msrFields]string
+		var f [msrFields][]byte
 		if !splitFields(line, ',', f[:]) {
-			return parseErr(FormatMSR, lineNo, ErrTruncated, "want %d comma-separated fields, got %q", msrFields, line)
+			return parseErr(FormatMSR, lineNo, ErrTruncated, "want %d comma-separated fields, got %q", msrFields, string(line))
 		}
-		ticks, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
-		if err != nil {
+		ticks, ok := parseInt(bytes.TrimSpace(f[0]))
+		if !ok {
 			if lineNo == 1 {
 				continue // header line
 			}
-			return parseErr(FormatMSR, lineNo, ErrBadField, "timestamp %q", f[0])
+			return parseErr(FormatMSR, lineNo, ErrBadField, "timestamp %q", string(f[0]))
 		}
-		disk, err := strconv.Atoi(strings.TrimSpace(f[2]))
-		if err != nil {
-			return parseErr(FormatMSR, lineNo, ErrBadField, "disk number %q", f[2])
+		disk, ok := parseInt(bytes.TrimSpace(f[2]))
+		if !ok {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "disk number %q", string(f[2]))
 		}
 		if disk < 0 || disk > 255 {
 			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "disk number %d", disk)
 		}
 		var write bool
-		switch typ := strings.TrimSpace(f[3]); {
-		case strings.EqualFold(typ, "Read"):
-		case strings.EqualFold(typ, "Write"):
+		switch typ := bytes.TrimSpace(f[3]); {
+		case bytes.EqualFold(typ, []byte("Read")):
+		case bytes.EqualFold(typ, []byte("Write")):
 			write = true
 		default:
-			return parseErr(FormatMSR, lineNo, ErrBadField, "request type %q", typ)
+			return parseErr(FormatMSR, lineNo, ErrBadField, "request type %q", string(typ))
 		}
-		offset, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-		if err != nil {
-			return parseErr(FormatMSR, lineNo, ErrBadField, "offset %q", f[4])
+		offset, ok := parseInt(bytes.TrimSpace(f[4]))
+		if !ok {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "offset %q", string(f[4]))
 		}
 		if offset < 0 {
 			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "offset %d", offset)
 		}
-		size, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
-		if err != nil {
-			return parseErr(FormatMSR, lineNo, ErrBadField, "size %q", f[5])
+		size, ok := parseInt(bytes.TrimSpace(f[5]))
+		if !ok {
+			return parseErr(FormatMSR, lineNo, ErrBadField, "size %q", string(f[5]))
 		}
 		if size < 0 || size/int64(o.BlockBytes) > maxRequestBlocks {
 			return parseErr(FormatMSR, lineNo, ErrOutOfRange, "size %d", size)
@@ -104,7 +105,7 @@ func ParseMSR(r io.Reader, o Options, emit EmitFunc) error {
 		}
 		prevTicks = ticks
 		timeMS := float64(ticks-baseTicks) / filetimeTicksPerMS
-		if err := emitRange(timeMS, write, disk, offset, size, o.BlockBytes, emit); err != nil {
+		if err := emitRange(timeMS, write, int(disk), offset, size, o.BlockBytes, emit); err != nil {
 			return err
 		}
 	}
@@ -112,6 +113,35 @@ func ParseMSR(r io.Reader, o Options, emit EmitFunc) error {
 		return parseErr(FormatMSR, lineNo+1, ErrTruncated, "%v", err)
 	}
 	return nil
+}
+
+// parseInt parses b as strconv.ParseInt(string(b), 10, 64) does — an
+// optional sign, then one or more decimal digits, within int64 — and
+// reports false wherever ParseInt would fail. It does not allocate.
+func parseInt(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	const limit = 1 << 63 // |math.MinInt64|
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		return -int64(n), true // n == limit wraps to math.MinInt64
+	}
+	if n == limit {
+		return 0, false
+	}
+	return int64(n), true
 }
 
 // emitRange quantizes a byte range to blocks, emitting one record per
@@ -134,10 +164,10 @@ func emitRange(timeMS float64, write bool, part int, offset, size int64, blockBy
 
 // splitFields splits line on sep into exactly len(out) fields without
 // allocating; it reports false when the field count differs.
-func splitFields(line string, sep byte, out []string) bool {
+func splitFields(line []byte, sep byte, out [][]byte) bool {
 	n := 0
 	for {
-		i := strings.IndexByte(line, sep)
+		i := bytes.IndexByte(line, sep)
 		if i < 0 {
 			break
 		}
@@ -155,15 +185,15 @@ func splitFields(line string, sep byte, out []string) bool {
 // looksMSR reports whether a line parses as an MSR CSV event or header:
 // seven comma-separated fields whose fourth is Read/Write (events) or
 // whose first is non-numeric (header — "Timestamp,Hostname,...").
-func looksMSR(line string) bool {
-	var f [msrFields]string
-	if !splitFields(strings.TrimSpace(line), ',', f[:]) {
+func looksMSR(line []byte) bool {
+	var f [msrFields][]byte
+	if !splitFields(bytes.TrimSpace(line), ',', f[:]) {
 		return false
 	}
-	typ := strings.TrimSpace(f[3])
-	if strings.EqualFold(typ, "Read") || strings.EqualFold(typ, "Write") {
+	typ := bytes.TrimSpace(f[3])
+	if bytes.EqualFold(typ, []byte("Read")) || bytes.EqualFold(typ, []byte("Write")) {
 		return true
 	}
-	_, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
-	return err != nil // seven fields with a non-numeric timestamp: header
+	_, ok := parseInt(bytes.TrimSpace(f[0]))
+	return !ok // seven fields with a non-numeric timestamp: header
 }

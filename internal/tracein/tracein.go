@@ -150,7 +150,7 @@ func Detect(prefix []byte) Format {
 	if len(line) == 0 {
 		return FormatUnknown
 	}
-	if looksMSR(string(line)) {
+	if looksMSR(line) {
 		return FormatMSR
 	}
 	if looksBlkparse(string(line)) {

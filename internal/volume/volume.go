@@ -130,9 +130,6 @@ type Options struct {
 	// ReservedCyls hides this many middle cylinders of every member as
 	// its reserved region, enabling per-member adaptive rearrangement.
 	ReservedCyls int
-	// RequestTableSize sizes each member driver's request table for a
-	// per-member rearranger to read; zero keeps none.
-	RequestTableSize int
 	// Faults lists per-member fault plans by member index (spares
 	// follow the data members, at indices Disks..Disks+Spare-1); a
 	// short list (or nil entries) leaves the remaining members
@@ -275,11 +272,10 @@ func New(opts Options) (*Volume, error) {
 			plan = opts.Faults[i]
 		}
 		m, err := rig.New(rig.Options{
-			Eng:              eng,
-			Disk:             opts.Disk,
-			ReservedCyls:     opts.ReservedCyls,
-			RequestTableSize: opts.RequestTableSize,
-			Fault:            plan,
+			Eng:          eng,
+			Disk:         opts.Disk,
+			ReservedCyls: opts.ReservedCyls,
+			Fault:        plan,
 		})
 		if err != nil {
 			v.Close()
