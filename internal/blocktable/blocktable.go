@@ -130,8 +130,9 @@ func (t *Table) Add(orig, new int64) error {
 }
 
 // Remove deletes the mapping for the block at orig. It returns the
-// removed entry and whether it existed. Removing the lowest address —
-// the order Clean empties the table in — moves no other entry.
+// removed entry and whether it existed. The later entries move down in
+// place, so a table emptied by a clean-out keeps its arrays for the
+// next night's Adds.
 func (t *Table) Remove(orig int64) (Entry, bool) {
 	new, ok := t.byOrig[orig]
 	if !ok {
@@ -145,14 +146,10 @@ func (t *Table) Remove(orig int64) (Entry, bool) {
 	s, w := recordSums(rec)
 	t.sum -= s
 	t.wsum -= uint64(entrySize*k)*s + w
-	if k == 0 {
-		t.img, t.sums = t.img[entrySize:], t.sums[1:]
-	} else {
-		copy(t.img[k*entrySize:], t.img[(k+1)*entrySize:])
-		t.img = t.img[:len(t.img)-entrySize]
-		copy(t.sums[k:], t.sums[k+1:])
-		t.sums = t.sums[:len(t.sums)-1]
-	}
+	copy(t.img[k*entrySize:], t.img[(k+1)*entrySize:])
+	t.img = t.img[:len(t.img)-entrySize]
+	copy(t.sums[k:], t.sums[k+1:])
+	t.sums = t.sums[:len(t.sums)-1]
 	// Every later entry moved down one place.
 	t.wsum -= entrySize * t.sumFrom(k)
 	return e, true

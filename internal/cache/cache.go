@@ -87,7 +87,6 @@ type Cache struct {
 	freeBatch *batch
 
 	syncing bool
-	syncSeq int
 	rnd     *sim.Rand
 
 	// free heads the pool of zero-delay completion records (see
@@ -547,19 +546,15 @@ func (b *batch) complete(_ []byte, err error) {
 	}
 }
 
-// StartSyncDaemon begins the periodic update policy.
+// StartSyncDaemon begins the periodic update policy. It runs for the
+// life of the cache; a second call does nothing.
 func (c *Cache) StartSyncDaemon() {
 	if c.syncing {
 		return
 	}
 	c.syncing = true
-	c.syncSeq++
-	seq := c.syncSeq
 	var tick func()
 	tick = func() {
-		if !c.syncing || seq != c.syncSeq {
-			return
-		}
 		c.Sync(nil)
 		c.eng.After(c.cfg.SyncPeriodMS, tick)
 	}
@@ -567,21 +562,11 @@ func (c *Cache) StartSyncDaemon() {
 	if c.cfg.PressurePeriodMS > 0 {
 		var ptick func()
 		ptick = func() {
-			if !c.syncing || seq != c.syncSeq {
-				return
-			}
 			c.applyPressure()
 			c.eng.After(c.cfg.PressurePeriodMS, ptick)
 		}
 		c.eng.After(c.cfg.PressurePeriodMS, ptick)
 	}
-}
-
-// StopSyncDaemon stops the periodic update policy (dirty blocks remain
-// cached until Sync or eviction).
-func (c *Cache) StopSyncDaemon() {
-	c.syncing = false
-	c.syncSeq++
 }
 
 // Invalidate drops a block from the cache without writing it back. The

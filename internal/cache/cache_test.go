@@ -270,12 +270,6 @@ func TestSyncDaemonFlushesPeriodically(t *testing.T) {
 	if n := r.Driver.PeekStats().WriteSide.Count(); n != 2 {
 		t.Errorf("second flush: %d writes", n)
 	}
-	c.StopSyncDaemon()
-	c.WriteOwned(5, block(r, 3), nil)
-	r.Eng.RunUntil(10000)
-	if n := r.Driver.PeekStats().WriteSide.Count(); n != 2 {
-		t.Errorf("daemon still flushing after stop (%d writes)", n)
-	}
 }
 
 func TestSyncProducesWriteBurst(t *testing.T) {
@@ -388,7 +382,6 @@ func TestPressureDropsCleanBlocks(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("pressure left %d blocks cached", c.Len())
 	}
-	c.StopSyncDaemon()
 }
 
 func TestPressureSparesDirtyBlocks(t *testing.T) {
@@ -411,7 +404,6 @@ func TestPressureSparesDirtyBlocks(t *testing.T) {
 	if c.DirtyLen() != 1 {
 		t.Errorf("pressure evicted a dirty block (dirty=%d)", c.DirtyLen())
 	}
-	c.StopSyncDaemon()
 }
 
 // The hit and deferred-write paths are the hottest events in the whole

@@ -207,54 +207,6 @@ func (r *Rearranger) Rearrange(done func(moves int, err error)) {
 	})
 }
 
-// RearrangeIncremental runs one rearrangement cycle like Rearrange, but
-// computes the difference against the blocks already in the reserved
-// region and only moves what changed: blocks that keep their reserved
-// slot stay put, stale blocks are cleaned out individually, and only new
-// or relocated blocks are copied. Because access patterns change slowly,
-// the daily difference is small, so the cycle costs a fraction of the
-// I/O of a full Clean+copy — the incremental-rearrangement benefit the
-// paper credits block granularity with (Section 1.1). done receives the
-// number of blocks copied in (kept blocks are not counted).
-func (r *Rearranger) RearrangeIncremental(done func(moved int, err error)) {
-	hot := r.HotList()
-	moves := r.cfg.Policy.Place(hot, r.drv.ReservedSlots(), r.cfg.MaxBlocks, r.drv.BlockSize())
-	desired := make(map[int64]int64, len(moves)) // orig -> dst
-	for _, m := range moves {
-		desired[m.Orig] = m.Dst
-	}
-	// Split the work: stale entries to clean, changed/new blocks to copy.
-	var toClean []int64
-	for _, e := range r.drv.BlockTable() {
-		if dst, ok := desired[e.Orig]; ok && dst == e.New {
-			delete(desired, e.Orig) // already in place
-			continue
-		}
-		toClean = append(toClean, e.Orig)
-	}
-	var toCopy []Move
-	for _, m := range moves {
-		if _, ok := desired[m.Orig]; ok {
-			toCopy = append(toCopy, m)
-		}
-	}
-	var cleanNext func(i int)
-	cleanNext = func(i int) {
-		if i == len(toClean) {
-			r.copyIn(toCopy, done)
-			return
-		}
-		r.drv.BClean(toClean[i], func(err error) {
-			if err != nil {
-				finish(done, 0, fmt.Errorf("core: incremental clean of block %d: %w", toClean[i], err))
-				return
-			}
-			cleanNext(i + 1)
-		})
-	}
-	cleanNext(0)
-}
-
 // CleanOnly empties the reserved region without installing new blocks —
 // used on the "off" days of the paper's alternating experiments.
 func (r *Rearranger) CleanOnly(done func(err error)) {

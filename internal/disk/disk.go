@@ -610,9 +610,6 @@ func (d *Disk) PokeData(sector int64, data []byte) error {
 // injects nothing leaves service times untouched.
 func (d *Disk) SetFaults(in *fault.Injector) { d.faults = in }
 
-// Faults returns the attached injector, or nil.
-func (d *Disk) Faults() *fault.Injector { return d.faults }
-
 // tearWrite applies the prefix of a count-sector write that made it to
 // the media before power was lost: a run of complete sectors plus a
 // partial overlay of the next sector, with the split point drawn
@@ -638,16 +635,4 @@ func (d *Disk) tearWrite(sector int64, count int, data []byte) {
 		d.writeData(s, old, false)
 	}
 	d.invalidateBufferRange(sector, count)
-}
-
-// ParkHead moves the head to the given cylinder with no timing effects.
-// Intended for tests and for establishing initial conditions.
-func (d *Disk) ParkHead(cyl int) {
-	if cyl < 0 {
-		cyl = 0
-	}
-	if cyl >= d.model.Geom.Cylinders {
-		cyl = d.model.Geom.Cylinders - 1
-	}
-	d.headCyl = cyl
 }

@@ -230,7 +230,6 @@ func TestCrashTearsShortPayloadLikeFull(t *testing.T) {
 
 func TestSeekTimingMatchesCurve(t *testing.T) {
 	d := MustNew(Toshiba())
-	d.ParkHead(0)
 	targetCyl := 400
 	sector := d.Geom().FirstSectorOfCyl(targetCyl)
 	_, tm, err := d.Read(0, sector, 16)
@@ -469,18 +468,6 @@ func TestPokePeek(t *testing.T) {
 	}
 	if d.HeadCylinder() != 0 {
 		t.Error("PokeData moved the head")
-	}
-}
-
-func TestParkHeadClamps(t *testing.T) {
-	d := MustNew(Toshiba())
-	d.ParkHead(-5)
-	if d.HeadCylinder() != 0 {
-		t.Errorf("ParkHead(-5) -> %d", d.HeadCylinder())
-	}
-	d.ParkHead(100000)
-	if d.HeadCylinder() != 814 {
-		t.Errorf("ParkHead(huge) -> %d", d.HeadCylinder())
 	}
 }
 

@@ -248,10 +248,10 @@ func TestReadRequestTableZeroAllocs(t *testing.T) {
 // warm: each move is a pooled record stepping through pooled requests
 // on a callback bound once, and the table image reuses its scratch.
 // Half the copies are written to before the clean-out, so it takes the
-// dirty path too. What a cycle does allocate does not scale with its
-// blocks: Clean's snapshot of the entries, and the block table's
-// arrays, which a clean-out leaves empty and the next copy-in regrows
-// by doubling.
+// dirty path too. A cycle allocates one thing, whatever its size:
+// Clean's snapshot of the entries. The block table's arrays keep their
+// capacity through the clean-out (Table.Remove moves entries down in
+// place), so the next copy-in does not regrow them.
 func TestMoveCycleAllocsPerBlock(t *testing.T) {
 	eng, _, drv := newRig(t)
 	var slots []int64
@@ -293,8 +293,8 @@ func TestMoveCycleAllocsPerBlock(t *testing.T) {
 		return testing.AllocsPerRun(5, cycle)
 	}
 	few, many := perCycle(32), perCycle(256)
-	if per := (many - few) / (256 - 32); per >= 1.0/16 {
-		t.Errorf("a cycle of 256 moves allocates %v, of 32 moves %v: %.3f allocs per block moved, want none",
-			many, few, per)
+	if few > 1 || many > 1 {
+		t.Errorf("a cycle of 32 moves allocates %v, of 256 moves %v: want one, Clean's snapshot of the entries",
+			few, many)
 	}
 }

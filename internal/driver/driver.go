@@ -26,7 +26,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/blocktable"
 	"repro/internal/disk"
@@ -99,7 +98,7 @@ type DoneFunc func(data []byte, err error)
 type ioreq struct {
 	d          *Driver // owner; set at enqueue, used by Call
 	write      bool
-	keep       bool  // write: the disk may keep data's pages (disk.WriteOwned)
+	keep       bool  // write: the disk keeps data's pages (disk.WriteOwned), as for all but table writes
 	internal   bool  // driver-generated (block movement, table writes)
 	redirected bool  // sent to the reserved region by the block table
 	orig       int64 // pre-redirect physical sector (monitoring identity)
@@ -185,9 +184,7 @@ type Driver struct {
 // pendingStrategy is a request delayed behind an in-flight block move.
 type pendingStrategy struct {
 	write bool
-	keep  bool
 	vsec  int64
-	count int
 	data  []byte
 	done  DoneFunc
 }
@@ -312,7 +309,7 @@ func (d *Driver) BlockTableLen() int {
 }
 
 // BlockTable returns a copy of the current block table entries, sorted
-// by original address. Incremental rearrangement diffs against it.
+// by original address. The crash-recovery check reads it.
 func (d *Driver) BlockTable() []blocktable.Entry {
 	if d.bt == nil {
 		return nil
@@ -366,7 +363,7 @@ func (d *Driver) blockIO(write bool, part int, blk int64, data []byte, done Done
 		d.sink.Event(&d.ev)
 	}
 	vsec := p.Start + blk*bsec
-	d.strategy(write, write, vsec, int(bsec), data, done) // a block write is kept
+	d.strategy(write, vsec, data, done)
 }
 
 // SetSink attaches a telemetry sink to the driver's event stream: one
@@ -381,7 +378,7 @@ func (d *Driver) SetSink(s telemetry.Sink) { d.sink = s }
 // never cleared by ReadStats, so time-series probes can track
 // cumulative progress across measurement windows.
 type Counters struct {
-	// Requests counts completed file system and raw requests.
+	// Requests counts completed block requests.
 	Requests int64
 	// Redirected counts requests sent to the reserved region.
 	Redirected int64
@@ -470,72 +467,12 @@ func (d *Driver) Outstanding() int {
 	return n
 }
 
-// Physio issues a raw-interface request addressed in virtual-disk
-// sectors. Large requests are broken into block-sized subrequests so
-// that a request can never straddle a rearranged/unrearranged boundary
-// (Section 4.1.2); done fires once, after the last subrequest, with the
-// concatenated data for reads.
-func (d *Driver) Physio(write bool, vsector int64, count int, data []byte, done DoneFunc) {
-	if count <= 0 || vsector < 0 || vsector+int64(count) > d.lbl.VirtualSectors() {
-		d.fail(done, fmt.Errorf("%w: raw range [%d, %d)", ErrBadBlock, vsector, vsector+int64(count)))
-		return
-	}
-	if write && len(data) != count*geom.SectorSize {
-		d.fail(done, fmt.Errorf("driver: raw write of %d sectors with %d bytes", count, len(data)))
-		return
-	}
-	bsec := int64(d.cfg.BlockSize.Sectors())
-	type piece struct {
-		vsec  int64
-		count int
-	}
-	var pieces []piece
-	for s := vsector; s < vsector+int64(count); {
-		// Split at block boundaries of the virtual disk.
-		next := (s/bsec + 1) * bsec
-		if end := vsector + int64(count); next > end {
-			next = end
-		}
-		pieces = append(pieces, piece{vsec: s, count: int(next - s)})
-		s = next
-	}
-	var out []byte
-	if !write {
-		out = make([]byte, count*geom.SectorSize)
-	}
-	remaining := len(pieces)
-	var firstErr error
-	off := 0
-	for _, pc := range pieces {
-		pc := pc
-		pcOff := off
-		var wdata []byte
-		if write {
-			wdata = data[pcOff : pcOff+pc.count*geom.SectorSize]
-		}
-		d.strategy(write, false, pc.vsec, pc.count, wdata, func(rdata []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if !write && err == nil {
-				copy(out[pcOff:], rdata)
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(out, firstErr)
-			}
-		})
-		off += pc.count * geom.SectorSize
-	}
-}
-
 // strategy is the heart of the driver (Section 4.1.2): it maps the
-// virtual address to a physical address, redirects through the block
-// table, records the request in the monitoring table, and enqueues it.
-// keep says whether the disk may keep a write's payload as its pages: a
-// block write's is immutable from the call on (BlockDevice.WriteBlock);
-// a raw write's is a piece of the caller's buffer, so it is copied.
-func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, done DoneFunc) {
+// virtual address of the block at vsec to a physical address, redirects
+// through the block table, records the request in the monitoring table,
+// and enqueues it. A write's payload is immutable from the call on
+// (BlockDevice.WriteBlock), so the disk keeps it as its pages.
+func (d *Driver) strategy(write bool, vsec int64, data []byte, done DoneFunc) {
 	psec := d.lbl.MapVirtual(vsec)
 
 	// Identify the containing block in original physical coordinates;
@@ -547,7 +484,7 @@ func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, 
 	// (Section 4.1.3) and re-run when the move completes.
 	if waiters, ok := d.moving[blockStart]; ok {
 		d.moving[blockStart] = append(waiters, &pendingStrategy{
-			write: write, keep: keep, vsec: vsec, count: count, data: data, done: done,
+			write: write, vsec: vsec, data: data, done: done,
 		})
 		return
 	}
@@ -571,11 +508,11 @@ func (d *Driver) strategy(write, keep bool, vsec int64, count int, data []byte, 
 	d.recordArrival(blockStart, write)
 	r := d.getReq()
 	r.write = write
-	r.keep = keep
+	r.keep = write
 	r.redirected = redirected
 	r.orig = blockStart
 	r.sector = target
-	r.count = count
+	r.count = int(bsec)
 	r.data = data
 	r.arriveMS = d.eng.Now()
 	r.done = done
@@ -619,24 +556,6 @@ func (d *Driver) recordArrival(origSector int64, write bool) {
 // A dead driver fails every request; re-attaching a fresh Driver to the
 // disk models the reboot.
 func (d *Driver) Dead() bool { return d.dead }
-
-// Remap records one bad-block remapping: requests addressed to the
-// block at Orig are serviced by the spare reserved slot at Spare.
-type Remap struct {
-	Orig, Spare int64
-}
-
-// RemapTable returns the bad-block remap table sorted by original
-// address — the analogue of an ioctl exposing the remap state to
-// diagnostic tools.
-func (d *Driver) RemapTable() []Remap {
-	out := make([]Remap, 0, len(d.remaps))
-	for o, s := range d.remaps {
-		out = append(out, Remap{Orig: o, Spare: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Orig < out[j].Orig })
-	return out
-}
 
 // applyRemap retargets a request whose physical destination block has
 // been remapped to a spare. Remaps are block-granular, so only requests

@@ -322,76 +322,6 @@ func TestNonRecoveryAttachWouldLoseUpdate(t *testing.T) {
 	}
 }
 
-func TestPhysioSplitsAndReassembles(t *testing.T) {
-	eng, _, drv := newRig(t)
-	lbl := drv.Label()
-	p, _ := lbl.Partition(0)
-
-	// Rearrange block 10 so a large raw read straddles a rearranged and
-	// a plain block.
-	drv.WriteBlock(0, 10, blockOf(0xAA), nil)
-	drv.WriteBlock(0, 11, blockOf(0xBB), nil)
-	eng.Run()
-	orig := lbl.MapVirtual(p.Start + 10*16)
-	drv.BCopy(orig, drv.ReservedSlots()[0][0], nil)
-	eng.Run()
-
-	// Raw read spanning blocks 10 and 11, starting mid-block.
-	start := p.Start + 10*16 + 8
-	var got []byte
-	drv.Physio(false, start, 16, nil, func(data []byte, err error) {
-		if err != nil {
-			t.Errorf("physio: %v", err)
-		}
-		got = data
-	})
-	eng.Run()
-	if len(got) != 16*geom.SectorSize {
-		t.Fatalf("physio returned %d bytes", len(got))
-	}
-	// First 8 sectors from block 10 (0xAA), next 8 from block 11 (0xBB).
-	if got[0] != 0xAA || got[8*geom.SectorSize] != 0xBB {
-		t.Fatalf("physio data wrong: %x %x", got[0], got[8*geom.SectorSize])
-	}
-}
-
-func TestPhysioWrite(t *testing.T) {
-	eng, _, drv := newRig(t)
-	p, _ := drv.Label().Partition(0)
-	data := bytes.Repeat([]byte{0x3C}, 40*geom.SectorSize)
-	var werr error
-	drv.Physio(true, p.Start+100*16, 40, data, func(_ []byte, err error) { werr = err })
-	eng.Run()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	var got []byte
-	drv.Physio(false, p.Start+100*16, 40, nil, func(d []byte, err error) { got = d })
-	eng.Run()
-	if !bytes.Equal(got, data) {
-		t.Fatal("physio write/read mismatch")
-	}
-}
-
-func TestPhysioValidation(t *testing.T) {
-	eng, _, drv := newRig(t)
-	var errs []error
-	collect := func(_ []byte, err error) { errs = append(errs, err) }
-	drv.Physio(false, -1, 16, nil, collect)
-	drv.Physio(false, 0, 0, nil, collect)
-	drv.Physio(false, drv.Label().VirtualSectors(), 16, nil, collect)
-	drv.Physio(true, 0, 16, []byte{1, 2}, collect)
-	eng.Run()
-	if len(errs) != 4 {
-		t.Fatalf("%d completions, want 4", len(errs))
-	}
-	for i, err := range errs {
-		if err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 func TestRequestsDelayedDuringMove(t *testing.T) {
 	eng, _, drv := newRig(t)
 	lbl := drv.Label()

@@ -167,18 +167,18 @@ func TestMediaWriteErrorRemaps(t *testing.T) {
 	if wErr != nil {
 		t.Fatalf("remapped write failed: %v", wErr)
 	}
-	rt := drv.RemapTable()
-	if len(rt) != 1 || rt[0].Orig != badBlock {
-		t.Fatalf("remap table %+v", rt)
+	spare, ok := drv.remaps[badBlock]
+	if len(drv.remaps) != 1 || !ok {
+		t.Fatalf("remap table %v", drv.remaps)
 	}
-	if !drv.Label().InReserved(rt[0].Spare) {
-		t.Errorf("spare %d outside the reserved region", rt[0].Spare)
+	if !drv.Label().InReserved(spare) {
+		t.Errorf("spare %d outside the reserved region", spare)
 	}
 	if c := drv.Counters(); c.Remaps != 1 || c.Unrecovered != 0 {
 		t.Errorf("counters: %+v", c)
 	}
 	// The data lives in the spare, and reads are redirected to it.
-	if got := dsk.PeekData(rt[0].Spare, 16); !bytes.Equal(got, want) {
+	if got := dsk.PeekData(spare, 16); !bytes.Equal(got, want) {
 		t.Error("spare slot does not hold the written data")
 	}
 	var got []byte
@@ -190,7 +190,7 @@ func TestMediaWriteErrorRemaps(t *testing.T) {
 	// The arranger must not be offered the consumed spare.
 	for _, cylSlots := range drv.ReservedSlots() {
 		for _, s := range cylSlots {
-			if s == rt[0].Spare {
+			if s == spare {
 				t.Fatal("spare slot still offered to the arranger")
 			}
 		}
@@ -351,28 +351,18 @@ func TestDoneExactlyOnceOnFailure(t *testing.T) {
 	var nBad int
 	var errBad error
 	drv.ReadBlock(7, 0, count(&nBad, &errBad))
-	// Validation failure in Physio.
-	var nRaw int
-	var errRaw error
-	drv.Physio(false, -1, 16, nil, count(&nRaw, &errRaw))
-	// Device failure inside a multi-piece Physio: the raw read spans
-	// three blocks, the middle one bad.
-	p, _ := drv.Label().Partition(0)
-	vbad := p.Start + 500*16
+	// Device failure: a read of the bad block.
 	var nDev int
 	var errDev error
-	drv.Physio(false, vbad-16, 48, nil, count(&nDev, &errDev))
+	drv.ReadBlock(0, 500, count(&nDev, &errDev))
 	eng.Run()
 
 	if nBad != 1 || errBad == nil {
 		t.Errorf("blockIO validation: %d calls, err=%v", nBad, errBad)
 	}
-	if nRaw != 1 || errRaw == nil {
-		t.Errorf("Physio validation: %d calls, err=%v", nRaw, errRaw)
-	}
 	var fe *fault.Error
 	if nDev != 1 || !errors.As(errDev, &fe) {
-		t.Errorf("Physio device error: %d calls, err=%v", nDev, errDev)
+		t.Errorf("device error: %d calls, err=%v", nDev, errDev)
 	}
 	if drv.Outstanding() != 0 {
 		t.Errorf("Outstanding = %d", drv.Outstanding())

@@ -88,31 +88,8 @@ func (d *Driver) Clean(done ErrFunc) {
 		d.failCtl(done, ErrNotRearranged)
 		return
 	}
-	d.cleanOut(d.bt.Entries(), done)
-}
-
-// BClean removes a single block from the reserved region, copying it
-// back to its original location first if dirty — the per-block variant
-// of DKIOCCLEAN that incremental rearrangement uses. It is a no-op if
-// the block is not rearranged.
-func (d *Driver) BClean(orig int64, done ErrFunc) {
-	if d.bt == nil {
-		d.failCtl(done, ErrNotRearranged)
-		return
-	}
-	dst, ok := d.bt.Lookup(orig)
-	if !ok {
-		d.failCtl(done, nil)
-		return
-	}
-	d.cleanOut([]blocktable.Entry{{Orig: orig, New: dst}}, done)
-}
-
-// cleanOut removes entries from the reserved region one at a time,
-// asynchronously, then reports to done.
-func (d *Driver) cleanOut(entries []blocktable.Entry, done ErrFunc) {
 	m := d.getMove()
-	m.entries, m.done = entries, done
+	m.entries, m.done = d.bt.Entries(), done
 	m.cleanNext()
 }
 
@@ -136,8 +113,8 @@ var movePhases = [...]string{
 	moveCleanWrite: "clean-write",
 }
 
-// move is one block movement in flight: a BCopy, or a Clean or BClean
-// removing its blocks one at a time. Its phase is a field and its one
+// move is one block movement in flight: a BCopy, or a Clean removing
+// its blocks one at a time. Its phase is a field and its one
 // completion callback is built with the record, its device operations
 // are pooled ioreqs, and records are pooled on the driver (getMove), so
 // a night of moves allocates nothing per block once warm. Concurrent
@@ -269,7 +246,7 @@ func (m *move) finish(err error) {
 	waiters := d.moving[m.orig]
 	delete(d.moving, m.orig)
 	for _, w := range waiters {
-		d.strategy(w.write, w.keep, w.vsec, w.count, w.data, w.done)
+		d.strategy(w.write, w.vsec, w.data, w.done)
 	}
 	if m.entries != nil && err == nil {
 		m.at++

@@ -255,3 +255,87 @@ func TestSeekTravelAcrossNights(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulingOrderRelations holds what §5 reads off the two seek
+// distributions, on a short system file-system run of each disk with no
+// rearranger. FCFSDist is the distance between consecutive arrivals'
+// blocks. Under FCFS service with nothing rearranged the head serves
+// the arrivals in order, so a request's seek is its FCFS distance
+// unless the head did not end where FCFSDist assumes: after a block
+// that crosses into the next cylinder, where it ends on that cylinder,
+// or after or on a read served from the drive's buffer, which does not
+// move it. So each day's SchedDist is not FCFSDist bin for bin
+// (EXPERIMENTS.md): a day also counts the requests in flight at its
+// edges in one distribution and not the other. SCAN reorders the same
+// arrivals to shorten the seeks, so its mean SchedDist is at most the
+// mean FCFSDist.
+func TestSchedulingOrderRelations(t *testing.T) {
+	type span struct {
+		K         string
+		Internal  int     `json:"int"`
+		Orig      int64   `json:"orig"`
+		Sec       int64   `json:"sec"`
+		N         int64   `json:"n"`
+		Arr       float64 `json:"arr"`
+		Dist      int     `json:"dist"`
+		BufferHit int     `json:"bh"`
+	}
+	for _, dsk := range []string{"toshiba", "fujitsu"} {
+		for _, sched := range []string{"fcfs", "scan"} {
+			e := Experiment{Name: dsk + "/" + sched, Devices: Devices{Disk: dsk, Sched: sched},
+				Workload: Workload{Source: System}, Days: 2, WindowMS: 0.25 * workload.HourMS}
+			col := telemetry.NewCollector(e.Name, telemetry.Options{Spans: true})
+			run, err := Execute(telemetry.NewContext(context.Background(), col), e)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			for _, day := range run.Days {
+				got, fcfs := day.Stats.All().SchedDist, day.Stats.All().FCFSDist
+				if got.Count() == 0 {
+					t.Fatalf("%s: day %d measured no requests", e.Name, day.Day)
+				}
+				if sched == "scan" && got.MeanDist() > fcfs.MeanDist() {
+					t.Errorf("%s: day %d: mean SchedDist %.3f cyl under SCAN exceeds mean FCFSDist %.3f",
+						e.Name, day.Day, got.MeanDist(), fcfs.MeanDist())
+				}
+			}
+			if sched != "fcfs" {
+				continue
+			}
+			cyl := func(sector int64) int { return run.Experiment.model.Geom.CylinderOf(sector) }
+			var prev span
+			var served, equal int
+			sc := bufio.NewScanner(bytes.NewReader(col.TraceJSONL()))
+			for sc.Scan() {
+				var sp span
+				if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+					t.Fatal(err)
+				}
+				if sp.K != "span" {
+					continue
+				}
+				if sp.Internal != 0 {
+					t.Fatalf("%s: an internal operation with no rearranger", e.Name)
+				}
+				if served > 0 {
+					if sp.Arr < prev.Arr {
+						t.Fatalf("%s: a request that arrived at %v ms was served after one that arrived at %v ms", e.Name, sp.Arr, prev.Arr)
+					}
+					d := cyl(sp.Orig) - cyl(prev.Orig)
+					if d < 0 {
+						d = -d
+					}
+					crossed := cyl(prev.Sec+prev.N-1) != cyl(prev.Sec)
+					if sp.Dist == d {
+						equal++
+					} else if !crossed && prev.BufferHit == 0 && sp.BufferHit == 0 {
+						t.Errorf("%s: request %d sought %d cylinders, its FCFS distance is %d", e.Name, served, sp.Dist, d)
+					}
+				}
+				prev = sp
+				served++
+			}
+			t.Logf("%s: %d of %d requests sought their FCFS distance", e.Name, equal, served-1)
+		}
+	}
+}

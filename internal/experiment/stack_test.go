@@ -5,8 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -92,66 +90,32 @@ func TestOneAssemblySite(t *testing.T) {
 }
 
 // TestNoAssemblyInCommands holds the rest of the module's programs to
-// the same rule: no non-test file directly under the module root, under
-// cmd/ or under examples/ builds a stack or a trace replayer by hand.
-// Each describes an Experiment and runs it with Execute.
+// the same rule: no non-test file of a package at the module root,
+// under cmd/ or under examples/ builds a stack or a trace replayer by
+// hand. Each describes an Experiment and runs it with Execute.
 func TestNoAssemblyInCommands(t *testing.T) {
 	constructors := map[string]bool{
 		"rig.New": true, "rig.MustNew": true, "volume.New": true, "fs.Newfs": true,
 		"server.New": true, "core.New": true, "tracein.NewReplayer": true,
 	}
-	program := func(name string) bool {
-		return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-	}
-	// The module root itself, not its subdirectories: go.mod marks it.
-	const root = "../.."
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var paths []string
-	var sawMod bool
-	for _, e := range entries {
-		sawMod = sawMod || e.Name() == "go.mod"
-		if !e.IsDir() && program(e.Name()) {
-			paths = append(paths, filepath.Join(root, e.Name()))
+	src := loadSource(t)
+	programs := 0
+	for _, sp := range src.pkgs {
+		if sp.path != "repro" && !strings.HasPrefix(sp.path, "repro/cmd/") && !strings.HasPrefix(sp.path, "repro/examples/") {
+			continue
 		}
-	}
-	if !sawMod {
-		t.Fatalf("%s has no go.mod: not the module root", root)
-	}
-	for _, dir := range []string{"cmd", "examples"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && program(path) {
-				paths = append(paths, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(paths) < 9 {
-		t.Fatalf("found %d files under the module root, cmd/ and examples/, expected every command and example", len(paths))
-	}
-	fset := token.NewFileSet()
-	for _, path := range paths {
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && constructors[x.Name+"."+sel.Sel.Name] {
-					t.Errorf("%s calls %s.%s; describe an experiment.Experiment and run it with experiment.Execute",
-						fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+		programs++
+		for _, f := range sp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && constructors[internalName(sp.info.Uses[id])] {
+					t.Errorf("%s uses %s; describe an experiment.Experiment and run it with experiment.Execute",
+						src.pos(id.Pos()), internalName(sp.info.Uses[id]))
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
+	}
+	if programs < 9 {
+		t.Fatalf("found %d packages at the module root, under cmd/ and examples/, expected every command and example", programs)
 	}
 }

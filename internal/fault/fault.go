@@ -254,9 +254,6 @@ type Injector struct {
 	phase   string
 	phaseN  map[string]int
 	crashed bool
-
-	// Counters, for probes and reports.
-	nTransient, nMedia int64
 }
 
 // NewInjector returns an injector executing the plan. A nil receiver
@@ -264,9 +261,6 @@ type Injector struct {
 func NewInjector(p Plan) *Injector {
 	return &Injector{plan: p, phaseN: make(map[string]int)}
 }
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Ops returns the number of device operations observed so far.
 func (in *Injector) Ops() int64 {
@@ -278,15 +272,6 @@ func (in *Injector) Ops() int64 {
 
 // Crashed reports whether the simulated power loss has happened.
 func (in *Injector) Crashed() bool { return in != nil && in.crashed }
-
-// Counts returns how many transient and permanent media faults have
-// been injected.
-func (in *Injector) Counts() (transient, media int64) {
-	if in == nil {
-		return 0, 0
-	}
-	return in.nTransient, in.nMedia
-}
 
 // SetPhase tags subsequent operations with a driver phase name
 // ("bcopy-copy", "table-write", ...). The driver sets it around each
@@ -326,7 +311,6 @@ func (in *Injector) BeginOp(write bool, sector int64, count int) *Error {
 	}
 	for _, r := range in.plan.Bad {
 		if r.overlaps(sector, count) {
-			in.nMedia++
 			return mk(Media)
 		}
 	}
@@ -335,7 +319,6 @@ func (in *Injector) BeginOp(write bool, sector int64, count int) *Error {
 		prob = in.plan.TransientWrite
 	}
 	if prob > 0 && in.draw(in.ops) < prob {
-		in.nTransient++
 		return mk(Transient)
 	}
 	return nil

@@ -320,12 +320,6 @@ func (f *FS) StartSyncDaemon() {
 	f.meta.StartSyncDaemon()
 }
 
-// StopSyncDaemon stops the update policy on both caches.
-func (f *FS) StopSyncDaemon() {
-	f.cache.StopSyncDaemon()
-	f.meta.StopSyncDaemon()
-}
-
 // SetReadOnly switches the mount mode. On a read-only file system user
 // writes fail, but the OS still performs bookkeeping writes (access-time
 // updates), as the paper describes for the system file system.

@@ -69,13 +69,6 @@ func (g Geometry) CylinderOf(sector int64) int {
 	return int(c)
 }
 
-// TrackOf returns the track (surface index within its cylinder) that
-// holds the given sector.
-func (g Geometry) TrackOf(sector int64) int {
-	within := sector % int64(g.SectorsPerCyl())
-	return int(within) / g.SectorsPerTrack
-}
-
 // SectorInTrack returns the sector's index within its track, in
 // [0, SectorsPerTrack).
 func (g Geometry) SectorInTrack(sector int64) int {
@@ -85,27 +78,6 @@ func (g Geometry) SectorInTrack(sector int64) int {
 // FirstSectorOfCyl returns the first linear sector of the given cylinder.
 func (g Geometry) FirstSectorOfCyl(cyl int) int64 {
 	return int64(cyl) * int64(g.SectorsPerCyl())
-}
-
-// Chs is a (cylinder, track, sector-in-track) coordinate triple.
-type Chs struct {
-	Cyl, Track, Sector int
-}
-
-// ToChs converts a linear sector number to cylinder/track/sector form.
-func (g Geometry) ToChs(sector int64) Chs {
-	return Chs{
-		Cyl:    g.CylinderOf(sector),
-		Track:  g.TrackOf(sector),
-		Sector: g.SectorInTrack(sector),
-	}
-}
-
-// FromChs converts a cylinder/track/sector coordinate to a linear sector
-// number.
-func (g Geometry) FromChs(c Chs) int64 {
-	return int64(c.Cyl)*int64(g.SectorsPerCyl()) +
-		int64(c.Track)*int64(g.SectorsPerTrack) + int64(c.Sector)
 }
 
 // Shrink returns a copy of the geometry with n fewer cylinders. It is

@@ -46,29 +46,14 @@ func TestRevolutionMS(t *testing.T) {
 	}
 }
 
-func TestChsRoundTrip(t *testing.T) {
-	g := toshiba()
-	f := func(s uint32) bool {
-		sector := int64(s) % g.TotalSectors()
-		return g.FromChs(g.ToChs(sector)) == sector
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestChsRanges(t *testing.T) {
 	g := fujitsu()
 	for _, sector := range []int64{0, 1, 84, 85, 1274, 1275, g.TotalSectors() - 1} {
-		c := g.ToChs(sector)
-		if c.Cyl < 0 || c.Cyl >= g.Cylinders {
-			t.Errorf("sector %d: cylinder %d out of range", sector, c.Cyl)
+		if c := g.CylinderOf(sector); c < 0 || c >= g.Cylinders {
+			t.Errorf("sector %d: cylinder %d out of range", sector, c)
 		}
-		if c.Track < 0 || c.Track >= g.TracksPerCyl {
-			t.Errorf("sector %d: track %d out of range", sector, c.Track)
-		}
-		if c.Sector < 0 || c.Sector >= g.SectorsPerTrack {
-			t.Errorf("sector %d: sector-in-track %d out of range", sector, c.Sector)
+		if s := g.SectorInTrack(sector); s < 0 || s >= g.SectorsPerTrack {
+			t.Errorf("sector %d: sector-in-track %d out of range", sector, s)
 		}
 	}
 }

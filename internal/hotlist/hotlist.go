@@ -187,23 +187,3 @@ func sortCounts(xs []BlockCount) {
 		return cmp.Compare(a.Block, b.Block)
 	})
 }
-
-// Overlap returns the fraction of blocks in want that also appear in
-// got, comparing only block identities. It is the accuracy metric used
-// to evaluate bounded counters against exact counts.
-func Overlap(want, got []BlockCount) float64 {
-	if len(want) == 0 {
-		return 1
-	}
-	set := make(map[int64]bool, len(got))
-	for _, g := range got {
-		set[g.Block] = true
-	}
-	var hit int
-	for _, w := range want {
-		if set[w.Block] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(want))
-}

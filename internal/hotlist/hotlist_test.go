@@ -119,9 +119,8 @@ func TestBoundedFindsHotBlocksInSkewedStream(t *testing.T) {
 		exact.Observe(blk)
 		bounded.Observe(blk)
 	}
-	overlap := Overlap(exact.Top(100), bounded.Top(100))
-	if overlap < 0.9 {
-		t.Errorf("bounded counter found %.0f%% of true top-100, want >= 90%%", overlap*100)
+	if got := overlap(exact.Top(100), bounded.Top(100)); got < 0.9 {
+		t.Errorf("bounded counter found %.0f%% of true top-100, want >= 90%%", got*100)
 	}
 }
 
@@ -140,10 +139,10 @@ func TestBothHeuristicsFindHotSetUnderChurn(t *testing.T) {
 		em.Observe(blk)
 	}
 	top := exact.Top(50)
-	if got := Overlap(top, rm.Top(50)); got < 0.7 {
+	if got := overlap(top, rm.Top(50)); got < 0.7 {
 		t.Errorf("ReplaceMin overlap = %.2f, want >= 0.7", got)
 	}
-	if got := Overlap(top, em.Top(50)); got < 0.7 {
+	if got := overlap(top, em.Top(50)); got < 0.7 {
 		t.Errorf("EvictMin overlap = %.2f, want >= 0.7", got)
 	}
 }
@@ -186,14 +185,34 @@ func TestBoundedCapacityFloor(t *testing.T) {
 	}
 }
 
+// overlap returns the fraction of blocks in want that also appear in
+// got, comparing only block identities: the accuracy of a bounded
+// counter against exact counts.
+func overlap(want, got []BlockCount) float64 {
+	if len(want) == 0 {
+		return 1
+	}
+	set := make(map[int64]bool, len(got))
+	for _, g := range got {
+		set[g.Block] = true
+	}
+	var hit int
+	for _, w := range want {
+		if set[w.Block] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(want))
+}
+
 func TestOverlap(t *testing.T) {
 	a := []BlockCount{{Block: 1}, {Block: 2}, {Block: 3}, {Block: 4}}
 	b := []BlockCount{{Block: 2}, {Block: 4}, {Block: 9}}
-	if got := Overlap(a, b); got != 0.5 {
-		t.Errorf("Overlap = %v, want 0.5", got)
+	if got := overlap(a, b); got != 0.5 {
+		t.Errorf("overlap = %v, want 0.5", got)
 	}
-	if got := Overlap(nil, b); got != 1 {
-		t.Errorf("Overlap(empty) = %v, want 1", got)
+	if got := overlap(nil, b); got != 1 {
+		t.Errorf("overlap(empty) = %v, want 1", got)
 	}
 }
 

@@ -167,12 +167,9 @@ func NewZipf(n int, theta float64) *Zipf {
 // unit maps a 53-bit k to [0, 1) exactly as Float64 does.
 func unit(k uint64) float64 { return float64(k) / (1 << 53) }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Rank draws a rank in [0, N) (0 is the most popular). It consumes one
-// Uint64 and returns sort.SearchFloat64s(cum, u) for the u that Float64
-// would have drawn.
+// Rank draws a rank in [0, n) for NewZipf's n (0 is the most
+// popular). It consumes one Uint64 and returns sort.SearchFloat64s(cum,
+// u) for the u that Float64 would have drawn.
 func (z *Zipf) Rank(r *Rand) int { return z.rank(r.Uint64() >> 11) }
 
 // rank returns the rank of the 53-bit draw k: the first i with
@@ -194,12 +191,4 @@ func (z *Zipf) rank(k uint64) int {
 		i++
 	}
 	return i
-}
-
-// Prob returns the probability of rank i (0-based).
-func (z *Zipf) Prob(i int) float64 {
-	if i == 0 {
-		return z.cum[0]
-	}
-	return z.cum[i] - z.cum[i-1]
 }

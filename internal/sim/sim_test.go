@@ -509,14 +509,25 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfProbSumsToOne reads each rank's probability off the
+// cumulative table: it is the Zipf(θ) mass of the rank, and the last
+// entry, which NewZipf pins to 1, is where the masses sum to.
 func TestZipfProbSumsToOne(t *testing.T) {
-	z := NewZipf(50, 0.9)
-	var sum float64
-	for i := 0; i < z.N(); i++ {
-		sum += z.Prob(i)
+	const n, theta = 50, 0.9
+	z := NewZipf(n, theta)
+	var h float64
+	for i := 1; i <= n; i++ {
+		h += 1 / math.Pow(float64(i), theta)
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
+	var prev float64
+	for i, c := range z.cum {
+		if want := 1 / math.Pow(float64(i+1), theta) / h; math.Abs(c-prev-want) > 1e-9 {
+			t.Errorf("rank %d: probability %v, want %v", i, c-prev, want)
+		}
+		prev = c
+	}
+	if prev != 1 {
+		t.Errorf("probabilities sum to %v", prev)
 	}
 }
 

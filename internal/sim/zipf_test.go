@@ -16,7 +16,7 @@ func (z *Zipf) searchRank(u float64) int { return sort.SearchFloat64s(z.cum, u) 
 func checkRank(t *testing.T, z *Zipf, k uint64) {
 	t.Helper()
 	if got, want := z.rank(k), z.searchRank(unit(k)); got != want {
-		t.Fatalf("n=%d k=%#x: guide rank %d, search rank %d", z.N(), k, got, want)
+		t.Fatalf("n=%d k=%#x: guide rank %d, search rank %d", len(z.cum), k, got, want)
 	}
 }
 

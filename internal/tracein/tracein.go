@@ -113,8 +113,8 @@ type Options struct {
 	// sector-addressed formats (MSR, blkparse) are quantized to; zero
 	// selects 8192, the simulated stack's block size. A request
 	// spanning several blocks emits one record per covered block at
-	// the request's timestamp, which is how the simulated driver
-	// would see it (physio splits raw requests the same way).
+	// the request's timestamp: the simulated driver takes block
+	// requests only, as the paper's physio split raw ones.
 	BlockBytes int
 }
 

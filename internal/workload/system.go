@@ -246,19 +246,12 @@ func (w *System) launch(_ int, next func()) {
 	w.f.Open(j.refs[0].path, j.onOpen)
 }
 
-// runJob demand-pages a set of files together: single-block reads
-// round-robin across the files, one outstanding at a time, until every
-// file is fully read, then calls next. (The NFS client's biod daemons
-// could keep several in flight; serial demand paging is what matches
-// the paper's low read waiting times.)
-func (w *System) runJob(refs []fileRef, next func()) {
-	j := w.getJob()
-	j.next = next
-	j.start(refs)
-}
-
 // job is one client job in flight: its files and how far each has been
-// read. Jobs are pooled on System with their file list and cursors
+// read. A job demand-pages its files together: single-block reads
+// round-robin across the files, one outstanding at a time, until every
+// file is fully read, then it calls next. (The NFS client's biod
+// daemons could keep several in flight; serial demand paging is what
+// matches the paper's low read waiting times.) Jobs are pooled on System with their file list and cursors
 // inline and their two callbacks built once, so launching a job and
 // demand-paging it allocate nothing.
 type job struct {

@@ -138,9 +138,6 @@ func NewTenants(eng *sim.Engine, srv BlockServer, blocks int64, cfg TenantConfig
 	return w, nil
 }
 
-// Name identifies the workload.
-func (w *Tenants) Name() string { return "tenants" }
-
 // Issued, Responded and Failed count requests put on the wire,
 // responses received (every request gets exactly one), and responses
 // carrying an error of any kind — rejections, deadline failures, and

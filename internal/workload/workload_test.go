@@ -309,7 +309,7 @@ func (d *dataReads) ReadBlock(part int, blk int64, done driver.DoneFunc) {
 	})
 }
 
-// runJob reads its files one block at a time, round-robin, skipping the
+// A job reads its files one block at a time, round-robin, skipping the
 // files already read to the end — the interleaving Section 1.1 is about,
 // and what every system golden depends on. The expected orders are
 // written out by hand; a two-block data cache makes every read a miss,
@@ -371,7 +371,9 @@ func TestRunJobReadsRoundRobin(t *testing.T) {
 		done := false
 		f.Sync(func(error) {
 			dev.got, dev.on = nil, true
-			w.runJob(refs, func() { done = true })
+			j := w.getJob()
+			j.next = func() { done = true }
+			j.start(refs)
 		})
 		r.Eng.Run()
 		dev.on = false
