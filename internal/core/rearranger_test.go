@@ -276,7 +276,7 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestBoundedCounterIntegration(t *testing.T) {
 	r := newRig(t)
-	counter := hotlist.NewBounded(64, hotlist.ReplaceMin)
+	counter := hotlist.NewBounded(64)
 	ra, err := New(r.Eng, r.Driver, Config{Counter: counter, MaxBlocks: 10})
 	if err != nil {
 		t.Fatal(err)

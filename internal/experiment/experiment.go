@@ -445,7 +445,7 @@ func (e Experiment) stackSpec() (stackSpec, error) {
 			}
 		}
 		if r.HotlistSize > 0 {
-			cfg.Counter = hotlist.NewBounded(r.HotlistSize, hotlist.ReplaceMin)
+			cfg.Counter = hotlist.NewBounded(r.HotlistSize)
 		}
 		spec.rearrange = &cfg
 	}

@@ -339,3 +339,33 @@ func TestSchedulingOrderRelations(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantRateScaling: with QoS off nothing sheds or throttles, so
+// the open-loop tenants issue what their Poisson arrivals draw — half
+// the aggregate rate issues half the requests, within four standard
+// deviations of a Poisson count — and the disk, offered half the load,
+// queues them no longer on average.
+func TestTenantRateScaling(t *testing.T) {
+	run := func(rate float64) *Run {
+		got, err := Execute(context.Background(), Experiment{
+			Name:     "tenants-qos-off",
+			Server:   &Frontend{QoSOff: true},
+			Workload: Workload{Source: Tenants, Tenants: 1000, RatePerSec: rate},
+			WindowMS: 0.1 * workload.HourMS, Seed: 3,
+		})
+		if err != nil {
+			t.Fatalf("%v req/s: %v", rate, err)
+		}
+		return got
+	}
+	full, half := run(20), run(10)
+	want := float64(full.Server.Issued) / 2
+	if got := float64(half.Server.Issued); want == 0 || math.Abs(got-want) > 4*math.Sqrt(want) {
+		t.Errorf("half rate issued %v requests, full rate %d; want %v ± %.0f", got, full.Server.Issued, want, 4*math.Sqrt(want))
+	}
+	wait := func(r *Run) float64 { return r.Days[0].Metrics(r.Curve, AllRequests).WaitMS }
+	if wait(half) > wait(full) {
+		t.Errorf("mean driver wait %.3f ms at half rate, above %.3f ms at full rate", wait(half), wait(full))
+	}
+	t.Logf("issued %d and %d, mean wait %.3f and %.3f ms", full.Server.Issued, half.Server.Issued, wait(full), wait(half))
+}

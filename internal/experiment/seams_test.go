@@ -49,10 +49,7 @@ var seams = map[string]string{
 	"fs.Handle.IsDir":                "whether a handle is a directory: the fs path-walk tests",
 	"fs.Mount":                       "the reboot tests' read-back of an image: an image Newfs wrote must mount to the same tree",
 	"geom.Block4K":                   "the second block size: the driver, block table, rig and fs tests run at it",
-	"geom.BlockSize.BlockOfSector":   "block-sector arithmetic checked only by geom's own test; the driver inlines it",
-	"geom.BlockSize.SectorOfBlock":   "block-sector arithmetic checked only by geom's own test; the driver inlines it",
 	"hotlist.Bounded.Replacements":   "newcomers that displaced an entry: the replacement-heuristic tests read it",
-	"hotlist.EvictMin":               "§4.2's second replacement heuristic: the hotlist tests measure it against ReplaceMin, which every experiment runs",
 	"hotlist.Exact.Count":            "one block's exact count: the bounded counters' oracle in the hotlist tests",
 	"hotlist.Exact.Total":            "references observed: the hotlist tests' oracle",
 	"label.NewRearranged":            "a rearranged label with the reserved region centred: the label tests",

@@ -179,11 +179,9 @@ type FS struct {
 	// change (see encodeInodeBlock). Bounded by the inode table.
 	inoImages [][]byte
 
-	// freeRead and freeSeq head the pools of ReadAt walk records (see
-	// readReq in ops.go) and of step records (see seqReq).
+	// freeSeq heads the pool of step records (see seqReq).
 	// Single-threaded like the rest of the file system.
-	freeRead *readReq
-	freeSeq  *seqReq
+	freeSeq *seqReq
 
 	// mxRead/mxWrite are end-to-end file operation latency histograms,
 	// nil until BindMetrics.
@@ -219,9 +217,9 @@ func Newfs(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS, 
 	// root's inode block.
 	r := f.getSeq()
 	for gi := range f.groups {
-		r.steps = append(r.steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+		r.write(f.groups[gi].base, f.encodeDescriptor(gi), true)
 	}
-	r.steps = append(r.steps, step{block: f.inodeBlockOf(RootIno), data: f.encodeInodeBlock(f.inodeBlockOf(RootIno)), meta: true})
+	r.write(f.inodeBlockOf(RootIno), f.encodeInodeBlock(f.inodeBlockOf(RootIno)), true)
 	r.run()
 	return f, nil
 }
@@ -387,13 +385,14 @@ func (f *FS) inoOf(gi, idx int) Ino {
 	return Ino(gi*len(f.groups[0].inodeUsed) + idx)
 }
 
-// step is one cache operation of an I/O sequence: a read (data == nil)
-// or a write of the given serialized content. meta routes the operation
-// through the metadata cache.
+// step is one cache operation of an I/O sequence: a read, or a write of
+// its record's next image (see seqReq.write). meta routes the operation
+// through the metadata cache. A step holds no pointer, so appending one
+// is a plain store even while the collector runs.
 type step struct {
 	block int64
-	data  []byte
 	meta  bool
+	write bool
 }
 
 // cacheFor selects the cache a step goes through.
@@ -409,36 +408,43 @@ func (f *FS) cacheFor(meta bool) *cache.Cache {
 // data, one block at a time, the I/O ordering a real kernel
 // implementation would produce — and the completion it owes its caller.
 // Building that chain from closures cost a closure per step and per
-// call, most of what a simulated day allocated; like readReq, the record
-// is pooled instead, with its step buffer reused and its two cache
-// callbacks built once. An operation takes a record (getSeq), sets one
-// done callback, appends its steps and starts them (run), or schedules
-// its failure (fail). Either way the record goes back to the pool only
-// after done has returned, so an operation that done itself starts
-// takes another record.
+// call, most of what a simulated day allocated; the record is pooled
+// instead, with its step buffer and result slice reused and its two
+// cache callbacks built once. Every operation, ReadAt too, takes a
+// record (getSeq), sets one done callback, appends its steps and starts
+// them (run), or schedules its failure (fail). Either way the record goes
+// back to the pool only after done has returned, so an operation that
+// done itself starts takes another record.
 type seqReq struct {
 	f     *FS
 	next  *seqReq
 	steps []step
-	i     int   // the step in flight
-	err   error // the failure fail scheduled
+	imgs  [][]byte // the write steps' images, in step order
+	out   [][]byte // ReadAt's data blocks, one per data step (a step not meta)
+	i     int      // the step in flight
+	w     int      // the image the next write step writes
+	err   error    // the failure fail scheduled
 
 	// At most one done callback is set. target, when set, is what the
 	// operation found or made: Lookup and create hand on its number,
-	// Open its handle. names is ReadDir's listing.
-	done    func(error)
-	doneIno func(Ino, error)
-	doneH   func(*Handle, error)
-	doneDir func([]string, error)
-	target  *inode
-	names   []string
+	// Open its handle, ReadAt reads it. names is ReadDir's listing.
+	done     func(error)
+	doneIno  func(Ino, error)
+	doneH    func(*Handle, error)
+	doneDir  func([]string, error)
+	doneData func([][]byte, error)
+	target   *inode
+	names    []string
 	// walk marks a path lookup (Lookup, Open): when its steps succeed,
 	// the directories along path get their access times dirtied before
 	// done runs.
 	walk bool
 	path string
+	// read marks a ReadAt: when its steps succeed, target's inode block
+	// gets its access time dirtied before done runs.
+	read bool
 	// hist, when set, records the operation's latency from startMS
-	// (WriteAt, while write-latency metrics are bound).
+	// (ReadAt and WriteAt, while latency metrics are bound).
 	hist    *metrics.Histogram
 	startMS float64
 
@@ -453,16 +459,28 @@ func (f *FS) getSeq() *seqReq {
 	if r == nil {
 		r = &seqReq{f: f}
 		r.writeCB = r.stepDone
-		r.readCB = func(_ []byte, err error) { r.stepDone(err) }
+		r.readCB = func(data []byte, err error) {
+			if err == nil && !r.steps[r.i].meta {
+				r.out = append(r.out, data)
+			}
+			r.stepDone(err)
+		}
 	} else {
 		f.freeSeq = r.next
 	}
 	return r
 }
 
+// write appends a step that writes img to block. The cache takes img
+// as-is: images are never written to once encoded.
+func (r *seqReq) write(block int64, img []byte, meta bool) {
+	r.imgs = append(r.imgs, img)
+	r.steps = append(r.steps, step{block: block, meta: meta, write: true})
+}
+
 // run starts the record's steps.
 func (r *seqReq) run() {
-	r.i = 0
+	r.i, r.w = 0, 0
 	r.issue()
 }
 
@@ -473,17 +491,18 @@ func (r *seqReq) issue() {
 		r.finish(nil)
 		return
 	}
-	s := &r.steps[r.i]
+	s := r.steps[r.i]
 	c := r.f.cacheFor(s.meta)
-	switch {
-	case s.data == nil:
+	if !s.write {
 		c.Read(s.block, r.readCB)
-	case !s.meta && r.f.prm.SyncData:
-		// Step buffers are never written to once encoded, so the
-		// cache can take them as-is.
-		c.WriteThroughOwned(s.block, s.data, r.writeCB)
-	default:
-		c.WriteOwned(s.block, s.data, r.writeCB)
+		return
+	}
+	img := r.imgs[r.w]
+	r.w++
+	if !s.meta && r.f.prm.SyncData {
+		c.WriteThroughOwned(s.block, img, r.writeCB)
+	} else {
+		c.WriteOwned(s.block, img, r.writeCB)
 	}
 }
 
@@ -507,21 +526,34 @@ func (r *seqReq) fail(err error) {
 // Call implements sim.Caller: the failure fail scheduled.
 func (r *seqReq) Call() { r.finish(r.err) }
 
-// finish completes the operation — the latency sample, then a walk's
-// access-time touch, then done — and returns the record to the pool.
+// finish completes the operation — the latency sample, then a walk's or
+// a read's access-time touch, then done — and returns the record to the
+// pool.
 func (r *seqReq) finish(err error) {
 	f := r.f
 	if r.hist != nil {
 		r.hist.Record(f.eng.Now() - r.startMS)
 	}
-	if err == nil && r.walk && !f.prm.NoAtime {
-		f.touchWalk(r.path)
+	if err == nil && !f.prm.NoAtime {
+		switch {
+		case r.walk:
+			f.touchWalk(r.path)
+		case r.read:
+			ib := f.inodeBlockOf(r.target.ino)
+			f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
+		}
 	}
 	var ino Ino
 	if r.target != nil {
 		ino = r.target.ino
 	}
 	switch {
+	case r.doneData != nil:
+		if err != nil {
+			r.doneData(nil, err)
+		} else {
+			r.doneData(r.out, nil)
+		}
 	case r.done != nil:
 		r.done(err)
 	case r.doneIno != nil:
@@ -535,9 +567,18 @@ func (r *seqReq) finish(err error) {
 	case r.doneDir != nil:
 		r.doneDir(r.names, err)
 	}
-	clear(r.steps) // the steps hold metadata images
-	*r = seqReq{f: f, next: f.freeSeq, steps: r.steps[:0], readCB: r.readCB, writeCB: r.writeCB}
-	f.freeSeq = r
+	// Drop what the record holds onto, field by field: zeroing it in one
+	// assignment costs a bulk write barrier while the collector runs, on
+	// the stack's most frequent operation.
+	if r.read {
+		clear(r.out)
+	} else {
+		clear(r.imgs)
+	}
+	r.steps, r.imgs, r.out = r.steps[:0], r.imgs[:0], r.out[:0]
+	r.err, r.done, r.doneIno, r.doneH, r.doneDir, r.doneData = nil, nil, nil, nil, nil, nil
+	r.target, r.names, r.walk, r.path, r.read, r.hist = nil, nil, false, "", false, nil
+	r.next, f.freeSeq = f.freeSeq, r
 }
 
 func checkName(name string) error {

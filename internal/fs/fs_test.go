@@ -876,9 +876,47 @@ func TestReadAtBlocksValidUntilDoneReturns(t *testing.T) {
 	}
 }
 
-// A fully cached single-block read allocates nothing: the walk record,
+// A read's data blocks are the file's even when a write grows the file
+// while the read is in flight: the blocks in [0, size) never move, since
+// WriteAt allocates only past the end (here the indirect block too), so
+// ReadAt may resolve every data-block address when it is called.
+func TestReadAtUnmovedByGrowingWrite(t *testing.T) {
+	r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, Params{})
+	mustCreate(t, r, f, "/grow")
+	h := mustOpen(t, r, f, "/grow")
+	mustWrite(t, r, h, 0, NDirect)
+	nd := f.inode(h.Ino())
+	if nd.indirect >= 0 {
+		t.Fatal("a file of NDirect blocks already has an indirect block")
+	}
+	var out [][]byte
+	var rerr, werr error
+	reads := 0
+	h.ReadAt(0, NDirect, func(d [][]byte, err error) {
+		out, rerr = append(out, d...), err
+		reads++
+	})
+	h.WriteAt(NDirect, 4, func(err error) { werr = err })
+	r.Eng.Run()
+	if werr != nil || rerr != nil || reads != 1 {
+		t.Fatalf("write: %v, read: %v, %d read completions", werr, rerr, reads)
+	}
+	if nd.indirect < 0 || len(nd.iblock) != 4 {
+		t.Fatalf("the write did not grow the file past NDirect: indirect %d, %d indirect pointers", nd.indirect, len(nd.iblock))
+	}
+	if len(out) != NDirect {
+		t.Fatalf("read %d blocks, want %d", len(out), NDirect)
+	}
+	for k, blk := range out {
+		if !f.CheckPattern(blk, h.Ino(), int64(k)) {
+			t.Errorf("block %d is not the file's", k)
+		}
+	}
+}
+
+// A fully cached single-block read allocates nothing: the step record,
 // its callbacks and the result slice handed to done are pooled (see
-// readReq), and the cache's hit delivery is pooled one layer down — this
+// seqReq), and the cache's hit delivery is pooled one layer down — this
 // is the floor that keeps read-heavy simulated workloads out of the
 // garbage collector. It holds with access times on as well: the touch
 // hands the cache the inode block's held image, so it neither allocates

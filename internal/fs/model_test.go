@@ -9,12 +9,23 @@ import (
 	"repro/internal/sim"
 )
 
-// TestModelCheckedRandomOps drives the file system with a long random
-// operation sequence while mirroring the expected state in a simple
-// in-memory model, then syncs, rearranges the hottest blocks through
-// the driver, remounts from the disk image, and verifies every file —
-// existence, size, and byte-for-byte contents — against the model.
-func TestModelCheckedRandomOps(t *testing.T) {
+// TestModelCheckedRandomOps runs the model program at one fixed seed.
+func TestModelCheckedRandomOps(t *testing.T) { modelProgram(t, 20260706) }
+
+// FuzzFSModelOps runs the model program at any seed.
+func FuzzFSModelOps(f *testing.F) {
+	f.Add(uint64(1))
+	f.Add(uint64(2))
+	f.Fuzz(modelProgram)
+}
+
+// modelProgram drives the file system with a long random operation
+// sequence drawn from seed while mirroring the expected state in a
+// simple in-memory model, then syncs, rearranges the hottest blocks
+// through the driver, remounts from the disk image, and verifies every
+// file — existence, size, and byte-for-byte contents — against the
+// model.
+func modelProgram(t *testing.T, seed uint64) {
 	r, err := rig.New(rig.Options{ReservedCyls: 48})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +47,7 @@ func TestModelCheckedRandomOps(t *testing.T) {
 	}
 	model := make(map[string]*modelFile) // path -> state
 	var dirs []string
-	rnd := sim.NewRand(20260706)
+	rnd := sim.NewRand(seed)
 
 	// A few directories to work under.
 	for i := 0; i < 4; i++ {

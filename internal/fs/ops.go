@@ -211,29 +211,28 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 
 	dirty := f.dirtyGroups()
 	dirty[int(ino)/perGroup] = true
-	r.steps, err = f.addEntry(parent, name, ino, dirty, r.steps)
-	if err != nil {
+	if err := f.addEntry(r, parent, name, ino, dirty); err != nil {
 		f.freeInode(ino)
 		r.fail(err)
 		return
 	}
-	r.steps = append(r.steps, step{block: f.inodeBlockOf(ino), data: f.encodeInodeBlock(f.inodeBlockOf(ino)), meta: true})
-	r.steps = f.descSteps(dirty, r.steps)
+	r.write(f.inodeBlockOf(ino), f.encodeInodeBlock(f.inodeBlockOf(ino)), true)
+	f.descSteps(r, dirty)
 	r.target = nd
 	r.run()
 }
 
 // addEntry appends a directory entry, allocating a new directory data
 // block when the current last block is full. It appends the write steps
-// to steps.
-func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty []bool, steps []step) ([]step, error) {
+// to r.
+func (f *FS) addEntry(r *seqReq, parent *inode, name string, ino Ino, dirty []bool) error {
 	per := f.entriesPerBlock()
 	slot := len(parent.order)
 	blkIdx := slot / per
 	if slot%per == 0 {
 		// Need a fresh directory block.
 		if int64(blkIdx) >= int64(NDirect) {
-			return steps, fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
+			return fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
 		}
 		prev := int64(-1)
 		if blkIdx > 0 {
@@ -242,7 +241,7 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty []bool, steps [
 		perGroup := len(f.groups[0].inodeUsed)
 		b, err := f.allocData(int(parent.ino)/perGroup, prev)
 		if err != nil {
-			return steps, err
+			return err
 		}
 		parent.direct[blkIdx] = b
 		dirty[f.groupOf(b)] = true
@@ -251,10 +250,9 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty []bool, steps [
 	parent.order = append(parent.order, name)
 	parent.size = int64(len(parent.order))
 	f.inodeChanged(parent.ino)
-	return append(steps,
-		step{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
-		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
-	), nil
+	r.write(parent.direct[blkIdx], f.encodeDirBlock(parent, blkIdx), true)
+	r.write(f.inodeBlockOf(parent.ino), f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), true)
+	return nil
 }
 
 // dirtyGroups returns the file system's set of cylinder groups whose
@@ -266,15 +264,14 @@ func (f *FS) dirtyGroups() []bool {
 	return f.dirty
 }
 
-// descSteps appends descriptor write-back steps for groups whose
-// bitmaps changed to steps, in ascending group order.
-func (f *FS) descSteps(dirty []bool, steps []step) []step {
+// descSteps appends to r descriptor write-back steps for groups whose
+// bitmaps changed, in ascending group order.
+func (f *FS) descSteps(r *seqReq, dirty []bool) {
 	for gi, d := range dirty {
 		if d {
-			steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+			r.write(f.groups[gi].base, f.encodeDescriptor(gi), true)
 		}
 	}
-	return steps
 }
 
 // ReadDir lists a directory's entries in on-disk order, reading the
@@ -410,18 +407,18 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 				indirectTouched = true
 			}
 		}
-		r.steps = append(r.steps, step{block: blk, data: f.dataPattern(h.ino, b)})
+		r.write(blk, f.dataPattern(h.ino, b), false)
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
 		f.inodeChanged(h.ino)
 	}
 	if indirectTouched {
-		r.steps = append(r.steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
+		r.write(nd.indirect, f.encodeIndirect(nd.iblock), true)
 	}
 	// Inode update (size, mtime).
-	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), data: f.encodeInodeBlock(f.inodeBlockOf(h.ino)), meta: true})
-	r.steps = f.descSteps(dirty, r.steps)
+	r.write(f.inodeBlockOf(h.ino), f.encodeInodeBlock(f.inodeBlockOf(h.ino)), true)
+	f.descSteps(r, dirty)
 	r.run()
 }
 
@@ -437,137 +434,40 @@ func (h *Handle) Append(n int64, done func(error)) {
 //
 // The blocks in the result are the buffer cache's read-only copies:
 // not to be modified, and valid for as long as the caller keeps them.
-// The slice holding them is the walk's own and is valid until done
-// returns; a caller that keeps it copies the slice (not the blocks).
+// The slice holding them is the step record's own and is valid until
+// done returns; a caller that keeps it copies the slice (not the blocks).
 func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	f := h.f
+	r := f.getSeq()
+	r.doneData = done
 	nd := f.inode(h.ino)
-	fail := func(err error) {
-		f.eng.After(0, func() {
-			if done != nil {
-				done(nil, err)
-			}
-		})
-	}
 	if nd == nil {
-		fail(fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
+		r.fail(fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
 		return
 	}
 	if nd.dir {
-		fail(ErrIsDir)
+		r.fail(ErrIsDir)
 		return
 	}
 	if idx < 0 || n <= 0 || idx+n > nd.size {
-		fail(fmt.Errorf("%w: read [%d,+%d) of %d-block file", ErrBadRange, idx, n, nd.size))
+		r.fail(fmt.Errorf("%w: read [%d,+%d) of %d-block file", ErrBadRange, idx, n, nd.size))
 		return
 	}
-	r := f.getRead()
 	if f.mxRead != nil {
-		r.startMS = f.eng.Now()
+		r.hist, r.startMS = f.mxRead, f.eng.Now()
 	}
-	r.nd, r.ino, r.idx, r.n, r.b = nd, h.ino, idx, n, idx
-	r.done = done
-	r.meta[0] = f.inodeBlockOf(h.ino)
-	r.mn, r.mi = 1, 0
+	// The inode and indirect blocks are read first. The data blocks'
+	// addresses are resolved now: blocks below the file's size never
+	// move, since only growing past the end allocates.
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), meta: true})
 	if idx+n > NDirect {
-		r.meta[1], r.mn = nd.indirect, 2
+		r.steps = append(r.steps, step{block: nd.indirect, meta: true})
 	}
-	f.meta.Read(r.meta[0], r.metaCB)
-}
-
-// readReq is one ReadAt in flight. A file read walks up to two
-// metadata blocks and then each data block strictly in sequence, one
-// cache read per completion; building that walk from closures
-// allocated a fresh chain per call — the hottest allocation site in
-// the whole stack, per the volume-scale profile. The record carries
-// the walk state with two prebuilt callbacks instead, and the result
-// slice as well, reused once done has returned (see finish), so nothing
-// is allocated per read.
-type readReq struct {
-	f      *FS
-	next   *readReq
-	nd     *inode
-	ino    Ino
-	idx, n int64
-	b      int64 // next file block to read
-	// startMS is the walk's start time, set only while read-latency
-	// metrics are bound.
-	startMS float64
-	out     [][]byte // the data blocks read so far, in file order
-	done    func([][]byte, error)
-	meta    [2]int64 // metadata prelude: inode block, then indirect
-	mi, mn  int
-	metaCB  func([]byte, error)
-	dataCB  func([]byte, error)
-}
-
-// getRead pops a walk record off the pool, building its callbacks on
-// first use.
-func (f *FS) getRead() *readReq {
-	r := f.freeRead
-	if r == nil {
-		r = &readReq{f: f}
-		r.metaCB = func(_ []byte, err error) {
-			if err != nil {
-				r.finish(err)
-				return
-			}
-			if r.mi++; r.mi < r.mn {
-				r.f.meta.Read(r.meta[r.mi], r.metaCB)
-				return
-			}
-			r.step()
-		}
-		r.dataCB = func(data []byte, err error) {
-			if err != nil {
-				r.finish(err)
-				return
-			}
-			r.out = append(r.out, data)
-			r.b++
-			r.step()
-		}
-	} else {
-		f.freeRead = r.next
+	for b := idx; b < idx+n; b++ {
+		r.steps = append(r.steps, step{block: f.blockOf(nd, b)})
 	}
-	return r
-}
-
-// step issues the next data-block read, or finishes the walk — with
-// the access-time inode write-back first, exactly as before pooling.
-func (r *readReq) step() {
-	if r.b == r.idx+r.n {
-		f := r.f
-		if !f.prm.NoAtime {
-			ib := f.inodeBlockOf(r.ino)
-			f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
-		}
-		r.finish(nil)
-		return
-	}
-	r.f.cache.Read(r.f.blockOf(r.nd, r.b), r.dataCB)
-}
-
-// finish completes the walk: done sees the blocks read (nil with an
-// error), and only when it has returned does the record, with its result
-// slice, go back to the pool. A read that done itself issues therefore
-// takes another record.
-func (r *readReq) finish(err error) {
-	f := r.f
-	if f.mxRead != nil {
-		f.mxRead.Record(f.eng.Now() - r.startMS)
-	}
-	if r.done != nil {
-		out := r.out
-		if err != nil {
-			out = nil
-		}
-		r.done(out, err)
-	}
-	clear(r.out)
-	r.out = r.out[:0]
-	r.nd, r.done = nil, nil
-	r.next, f.freeRead = f.freeRead, r
+	r.target, r.read = nd, true
+	r.run()
 }
 
 // Remove deletes a file or an empty directory, freeing its blocks.
@@ -622,9 +522,9 @@ func (f *FS) Remove(path string, done func(error)) {
 	delete(parent.entries, name)
 	parent.size = int64(len(parent.order))
 
-	r.steps = append(r.steps, step{block: parent.direct[slot/per], data: f.encodeDirBlock(parent, slot/per), meta: true})
+	r.write(parent.direct[slot/per], f.encodeDirBlock(parent, slot/per), true)
 	if last/per != slot/per {
-		r.steps = append(r.steps, step{block: parent.direct[last/per], data: f.encodeDirBlock(parent, last/per), meta: true})
+		r.write(parent.direct[last/per], f.encodeDirBlock(parent, last/per), true)
 	}
 	// Free the parent's last directory block if it emptied.
 	if last%per == 0 && last/per > 0 {
@@ -635,10 +535,8 @@ func (f *FS) Remove(path string, done func(error)) {
 		dirty[f.groupOf(freed)] = true
 	}
 	f.inodeChanged(parent.ino)
-	r.steps = append(r.steps,
-		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
-		step{block: targetIB, data: f.encodeInodeBlock(targetIB), meta: true},
-	)
-	r.steps = f.descSteps(dirty, r.steps)
+	r.write(f.inodeBlockOf(parent.ino), f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), true)
+	r.write(targetIB, f.encodeInodeBlock(targetIB), true)
+	f.descSteps(r, dirty)
 	r.run()
 }

@@ -138,9 +138,3 @@ func (b BlockSize) Bytes() int { return int(b) }
 
 // BlocksIn returns how many whole blocks fit in n sectors.
 func (b BlockSize) BlocksIn(sectors int64) int64 { return sectors / int64(b.Sectors()) }
-
-// SectorOfBlock returns the first sector of block number blk.
-func (b BlockSize) SectorOfBlock(blk int64) int64 { return blk * int64(b.Sectors()) }
-
-// BlockOfSector returns the block number containing the given sector.
-func (b BlockSize) BlockOfSector(sector int64) int64 { return sector / int64(b.Sectors()) }

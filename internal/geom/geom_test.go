@@ -172,24 +172,8 @@ func TestBlockSize(t *testing.T) {
 	if Block4K.Sectors() != 8 {
 		t.Errorf("4K block = %d sectors, want 8", Block4K.Sectors())
 	}
-	if Block8K.SectorOfBlock(3) != 48 {
-		t.Errorf("SectorOfBlock(3) = %d", Block8K.SectorOfBlock(3))
-	}
-	if Block8K.BlockOfSector(47) != 2 {
-		t.Errorf("BlockOfSector(47) = %d", Block8K.BlockOfSector(47))
-	}
 	if Block8K.BlocksIn(165) != 10 {
 		t.Errorf("BlocksIn(165) = %d", Block8K.BlocksIn(165))
-	}
-}
-
-func TestBlockSectorRoundTrip(t *testing.T) {
-	f := func(b uint16) bool {
-		blk := int64(b)
-		return Block8K.BlockOfSector(Block8K.SectorOfBlock(blk)) == blk
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -87,36 +87,23 @@ func (e *Exact) Total() int64 {
 // material of the paper's block-access-distribution figures (5 and 7).
 func (e *Exact) Distribution() []BlockCount { return e.Top(len(e.counts)) }
 
-// ReplacePolicy selects the bounded counter's behaviour when a new block
-// arrives and the list is full.
-type ReplacePolicy int
-
-const (
-	// ReplaceMin replaces the minimum-count entry and credits the new
-	// block with min+1 (the space-saving heuristic): counts become upper
-	// bounds, and recently-hot blocks displace stale ones quickly.
-	ReplaceMin ReplacePolicy = iota
-	// EvictMin discards the minimum-count entry and starts the new block
-	// at count 1: simpler, but slower to adapt.
-	EvictMin
-)
-
-// Bounded is a fixed-capacity counter with a replacement heuristic.
+// Bounded is a fixed-capacity counter. When a new block arrives and the
+// list is full, it replaces the minimum-count entry and credits the new
+// block with min+1 (the space-saving heuristic): counts become upper
+// bounds, and recently-hot blocks displace stale ones quickly.
 type Bounded struct {
 	capacity int
-	policy   ReplacePolicy
 	counts   map[int64]int64
 	replaced int64
 }
 
 // NewBounded returns a counter that tracks at most capacity blocks.
-func NewBounded(capacity int, policy ReplacePolicy) *Bounded {
+func NewBounded(capacity int) *Bounded {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	return &Bounded{
 		capacity: capacity,
-		policy:   policy,
 		counts:   make(map[int64]int64, capacity),
 	}
 }
@@ -142,12 +129,7 @@ func (b *Bounded) Observe(block int64) {
 		}
 	}
 	delete(b.counts, minBlock)
-	switch b.policy {
-	case ReplaceMin:
-		b.counts[block] = minCount + 1
-	default:
-		b.counts[block] = 1
-	}
+	b.counts[block] = minCount + 1
 }
 
 // Len implements Counter.

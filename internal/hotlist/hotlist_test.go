@@ -78,22 +78,20 @@ func TestDistributionCoversAll(t *testing.T) {
 }
 
 func TestBoundedStaysBounded(t *testing.T) {
-	for _, policy := range []ReplacePolicy{ReplaceMin, EvictMin} {
-		b := NewBounded(10, policy)
-		for i := int64(0); i < 1000; i++ {
-			b.Observe(i)
-		}
-		if b.Len() > 10 {
-			t.Errorf("policy %d: Len = %d", policy, b.Len())
-		}
-		if b.Replacements() == 0 {
-			t.Errorf("policy %d: no replacements on overflow", policy)
-		}
+	b := NewBounded(10)
+	for i := int64(0); i < 1000; i++ {
+		b.Observe(i)
+	}
+	if b.Len() > 10 {
+		t.Errorf("Len = %d", b.Len())
+	}
+	if b.Replacements() == 0 {
+		t.Error("no replacements on overflow")
 	}
 }
 
 func TestBoundedNoReplacementWhenRoomy(t *testing.T) {
-	b := NewBounded(100, ReplaceMin)
+	b := NewBounded(100)
 	for i := int64(0); i < 50; i++ {
 		b.Observe(i)
 		b.Observe(i)
@@ -113,7 +111,7 @@ func TestBoundedFindsHotBlocksInSkewedStream(t *testing.T) {
 	r := sim.NewRand(42)
 	z := sim.NewZipf(10000, 1.3)
 	exact := NewExact()
-	bounded := NewBounded(500, ReplaceMin)
+	bounded := NewBounded(500)
 	for i := 0; i < 200000; i++ {
 		blk := int64(z.Rank(r))
 		exact.Observe(blk)
@@ -124,34 +122,28 @@ func TestBoundedFindsHotBlocksInSkewedStream(t *testing.T) {
 	}
 }
 
-func TestBothHeuristicsFindHotSetUnderChurn(t *testing.T) {
+func TestBoundedFindsHotSetUnderChurn(t *testing.T) {
 	// Even with heavy replacement churn (50k distinct blocks through a
-	// 200-entry list), both heuristics must keep most of the true top-50.
+	// 200-entry list), the counter must keep most of the true top-50.
 	r := sim.NewRand(7)
 	z := sim.NewZipf(50000, 1.1)
 	exact := NewExact()
-	rm := NewBounded(200, ReplaceMin)
-	em := NewBounded(200, EvictMin)
+	b := NewBounded(200)
 	for i := 0; i < 300000; i++ {
 		blk := int64(z.Rank(r))
 		exact.Observe(blk)
-		rm.Observe(blk)
-		em.Observe(blk)
+		b.Observe(blk)
 	}
-	top := exact.Top(50)
-	if got := overlap(top, rm.Top(50)); got < 0.7 {
-		t.Errorf("ReplaceMin overlap = %.2f, want >= 0.7", got)
-	}
-	if got := overlap(top, em.Top(50)); got < 0.7 {
-		t.Errorf("EvictMin overlap = %.2f, want >= 0.7", got)
+	if got := overlap(exact.Top(50), b.Top(50)); got < 0.7 {
+		t.Errorf("overlap = %.2f, want >= 0.7", got)
 	}
 }
 
 func TestReplaceMinAdaptsToShift(t *testing.T) {
-	// When the hot set shifts, ReplaceMin lets the new hot blocks climb
+	// When the hot set shifts, replace-min lets the new hot blocks climb
 	// onto a full list (newcomers inherit min+1).
 	r := sim.NewRand(9)
-	b := NewBounded(100, ReplaceMin)
+	b := NewBounded(100)
 	// Phase 1: blocks 0..99 hot.
 	for i := 0; i < 20000; i++ {
 		b.Observe(int64(r.Intn(100)))
@@ -177,7 +169,7 @@ func TestReplaceMinAdaptsToShift(t *testing.T) {
 }
 
 func TestBoundedCapacityFloor(t *testing.T) {
-	b := NewBounded(0, ReplaceMin)
+	b := NewBounded(0)
 	b.Observe(1)
 	b.Observe(2)
 	if b.Len() != 1 {
@@ -219,7 +211,7 @@ func TestOverlap(t *testing.T) {
 func TestTopNeverExceedsK(t *testing.T) {
 	f := func(blocks []uint8, k uint8) bool {
 		e := NewExact()
-		b := NewBounded(16, ReplaceMin)
+		b := NewBounded(16)
 		for _, blk := range blocks {
 			e.Observe(int64(blk))
 			b.Observe(int64(blk))
@@ -255,7 +247,7 @@ func TestTopSortedProperty(t *testing.T) {
 }
 
 func TestBoundedReset(t *testing.T) {
-	b := NewBounded(10, ReplaceMin)
+	b := NewBounded(10)
 	for i := int64(0); i < 100; i++ {
 		b.Observe(i)
 	}
@@ -290,7 +282,7 @@ func TestResetThenObserveMatchesFresh(t *testing.T) {
 		new  func() Counter
 	}{
 		{"exact", func() Counter { return NewExact() }},
-		{"bounded", func() Counter { return NewBounded(64, ReplaceMin) }},
+		{"bounded", func() Counter { return NewBounded(64) }},
 	} {
 		reused, fresh := mk.new(), mk.new()
 		for _, b := range first {
