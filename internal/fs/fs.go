@@ -217,9 +217,9 @@ func Newfs(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS, 
 	// root's inode block.
 	r := f.getSeq()
 	for gi := range f.groups {
-		r.write(f.groups[gi].base, f.encodeDescriptor(gi), true)
+		r.steps = append(r.steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
 	}
-	r.write(f.inodeBlockOf(RootIno), f.encodeInodeBlock(f.inodeBlockOf(RootIno)), true)
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(RootIno), data: f.encodeInodeBlock(f.inodeBlockOf(RootIno)), meta: true})
 	r.run()
 	return f, nil
 }
@@ -385,14 +385,13 @@ func (f *FS) inoOf(gi, idx int) Ino {
 	return Ino(gi*len(f.groups[0].inodeUsed) + idx)
 }
 
-// step is one cache operation of an I/O sequence: a read, or a write of
-// its record's next image (see seqReq.write). meta routes the operation
-// through the metadata cache. A step holds no pointer, so appending one
-// is a plain store even while the collector runs.
+// step is one cache operation of an I/O sequence: a read (data == nil)
+// or a write of the given serialized content. meta routes the operation
+// through the metadata cache.
 type step struct {
 	block int64
+	data  []byte
 	meta  bool
-	write bool
 }
 
 // cacheFor selects the cache a step goes through.
@@ -409,47 +408,54 @@ func (f *FS) cacheFor(meta bool) *cache.Cache {
 // implementation would produce — and the completion it owes its caller.
 // Building that chain from closures cost a closure per step and per
 // call, most of what a simulated day allocated; the record is pooled
-// instead, with its step buffer and result slice reused and its two
-// cache callbacks built once. Every operation, ReadAt too, takes a
-// record (getSeq), sets one done callback, appends its steps and starts
-// them (run), or schedules its failure (fail). Either way the record goes
-// back to the pool only after done has returned, so an operation that
-// done itself starts takes another record.
+// instead, with its step buffer and result slice reused and its cache
+// callbacks built once. Every operation, ReadAt too, takes a record
+// (getSeq), sets one done callback, appends its steps and starts them
+// (run), or schedules its failure (fail). Either way the record goes back
+// to the pool only after done has returned, so an operation that done
+// itself starts takes another record.
+//
+// A ReadAt, the stack's most frequent operation, reads its data blocks
+// after its steps (readData) and completes in readDone, which resets the
+// record field by field (TestPooledRecordsAreReset). Its fields come
+// first, so a read touches few of the record's cache lines.
 type seqReq struct {
-	f     *FS
-	next  *seqReq
-	steps []step
-	imgs  [][]byte // the write steps' images, in step order
-	out   [][]byte // ReadAt's data blocks, one per data step (a step not meta)
-	i     int      // the step in flight
-	w     int      // the image the next write step writes
-	err   error    // the failure fail scheduled
-
-	// At most one done callback is set. target, when set, is what the
-	// operation found or made: Lookup and create hand on its number,
-	// Open its handle, ReadAt reads it. names is ReadDir's listing.
-	done     func(error)
-	doneIno  func(Ino, error)
-	doneH    func(*Handle, error)
-	doneDir  func([]string, error)
+	f      *FS
+	steps  []step
+	i      int // the step in flight
+	readCB func([]byte, error)
+	// A ReadAt reads target's file blocks [b, end) after its steps, each
+	// into out through dataCB.
+	b, end int64
+	dataCB func([]byte, error)
+	out    [][]byte
+	// read marks a ReadAt: when its blocks are read, target's inode
+	// block gets its access time dirtied before doneData runs.
+	read     bool
 	doneData func([][]byte, error)
-	target   *inode
-	names    []string
+	// target, when set, is what the operation found or made: Lookup and
+	// create hand on its number, Open its handle, ReadAt reads it.
+	target *inode
+	// hist, when set, records the operation's latency from startMS
+	// (ReadAt and WriteAt, while latency metrics are bound).
+	hist    *metrics.Histogram
+	startMS float64
+	next    *seqReq
+	err     error // the failure fail scheduled
+
+	writeCB func(error)
+	// At most one done callback is set, doneData included. names is
+	// ReadDir's listing.
+	done    func(error)
+	doneIno func(Ino, error)
+	doneH   func(*Handle, error)
+	doneDir func([]string, error)
+	names   []string
 	// walk marks a path lookup (Lookup, Open): when its steps succeed,
 	// the directories along path get their access times dirtied before
 	// done runs.
 	walk bool
 	path string
-	// read marks a ReadAt: when its steps succeed, target's inode block
-	// gets its access time dirtied before done runs.
-	read bool
-	// hist, when set, records the operation's latency from startMS
-	// (ReadAt and WriteAt, while latency metrics are bound).
-	hist    *metrics.Histogram
-	startMS float64
-
-	readCB  func([]byte, error)
-	writeCB func(error)
 }
 
 // getSeq pops a step record off the pool, building its callbacks on
@@ -459,11 +465,22 @@ func (f *FS) getSeq() *seqReq {
 	if r == nil {
 		r = &seqReq{f: f}
 		r.writeCB = r.stepDone
-		r.readCB = func(data []byte, err error) {
-			if err == nil && !r.steps[r.i].meta {
-				r.out = append(r.out, data)
+		r.readCB = func(_ []byte, err error) {
+			if err != nil {
+				r.finish(err)
+				return
 			}
-			r.stepDone(err)
+			r.i++
+			r.issue()
+		}
+		r.dataCB = func(data []byte, err error) {
+			if err != nil {
+				r.finish(err)
+				return
+			}
+			r.out = append(r.out, data)
+			r.b++
+			r.readData()
 		}
 	} else {
 		f.freeSeq = r.next
@@ -471,38 +488,47 @@ func (f *FS) getSeq() *seqReq {
 	return r
 }
 
-// write appends a step that writes img to block. The cache takes img
-// as-is: images are never written to once encoded.
-func (r *seqReq) write(block int64, img []byte, meta bool) {
-	r.imgs = append(r.imgs, img)
-	r.steps = append(r.steps, step{block: block, meta: meta, write: true})
+// readStep appends a step that reads block. It fills the step in place,
+// where a literal copied in costs a read a measurable stall; past len,
+// steps hold no image (finish clears them).
+func (r *seqReq) readStep(block int64, meta bool) {
+	if n := len(r.steps); n < cap(r.steps) {
+		r.steps = r.steps[:n+1]
+	} else {
+		r.steps = append(r.steps, step{})
+	}
+	s := &r.steps[len(r.steps)-1]
+	s.block, s.meta = block, meta
 }
 
 // run starts the record's steps.
 func (r *seqReq) run() {
-	r.i, r.w = 0, 0
+	r.i = 0
 	r.issue()
 }
 
-// issue hands the cache the step in flight, or finishes the operation
-// when none is left.
+// issue hands the cache the step in flight, or, when none is left, goes
+// on to a read's data blocks or finishes the operation.
 func (r *seqReq) issue() {
 	if r.i == len(r.steps) {
-		r.finish(nil)
+		if r.read {
+			r.readData()
+		} else {
+			r.finish(nil)
+		}
 		return
 	}
-	s := r.steps[r.i]
+	s := &r.steps[r.i]
 	c := r.f.cacheFor(s.meta)
-	if !s.write {
+	switch {
+	case s.data == nil:
 		c.Read(s.block, r.readCB)
-		return
-	}
-	img := r.imgs[r.w]
-	r.w++
-	if !s.meta && r.f.prm.SyncData {
-		c.WriteThroughOwned(s.block, img, r.writeCB)
-	} else {
-		c.WriteOwned(s.block, img, r.writeCB)
+	case !s.meta && r.f.prm.SyncData:
+		// Step buffers are never written to once encoded, so the
+		// cache can take them as-is.
+		c.WriteThroughOwned(s.block, s.data, r.writeCB)
+	default:
+		c.WriteOwned(s.block, s.data, r.writeCB)
 	}
 }
 
@@ -526,34 +552,26 @@ func (r *seqReq) fail(err error) {
 // Call implements sim.Caller: the failure fail scheduled.
 func (r *seqReq) Call() { r.finish(r.err) }
 
-// finish completes the operation — the latency sample, then a walk's or
-// a read's access-time touch, then done — and returns the record to the
-// pool.
+// finish completes the operation — the latency sample, then a walk's
+// access-time touch, then done — and returns the record to the pool. A
+// read completes in readDone.
 func (r *seqReq) finish(err error) {
+	if r.read {
+		r.readDone(err)
+		return
+	}
 	f := r.f
 	if r.hist != nil {
 		r.hist.Record(f.eng.Now() - r.startMS)
 	}
-	if err == nil && !f.prm.NoAtime {
-		switch {
-		case r.walk:
-			f.touchWalk(r.path)
-		case r.read:
-			ib := f.inodeBlockOf(r.target.ino)
-			f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
-		}
+	if err == nil && r.walk && !f.prm.NoAtime {
+		f.touchWalk(r.path)
 	}
 	var ino Ino
 	if r.target != nil {
 		ino = r.target.ino
 	}
 	switch {
-	case r.doneData != nil:
-		if err != nil {
-			r.doneData(nil, err)
-		} else {
-			r.doneData(r.out, nil)
-		}
 	case r.done != nil:
 		r.done(err)
 	case r.doneIno != nil:
@@ -567,17 +585,45 @@ func (r *seqReq) finish(err error) {
 	case r.doneDir != nil:
 		r.doneDir(r.names, err)
 	}
-	// Drop what the record holds onto, field by field: zeroing it in one
-	// assignment costs a bulk write barrier while the collector runs, on
-	// the stack's most frequent operation.
-	if r.read {
-		clear(r.out)
-	} else {
-		clear(r.imgs)
+	clear(r.steps) // the steps hold metadata images
+	*r = seqReq{f: f, next: f.freeSeq, steps: r.steps[:0], out: r.out, readCB: r.readCB, dataCB: r.dataCB, writeCB: r.writeCB}
+	f.freeSeq = r
+}
+
+// readData reads a ReadAt's next data block, or completes the read.
+func (r *seqReq) readData() {
+	if r.b == r.end {
+		r.readDone(nil)
+		return
 	}
-	r.steps, r.imgs, r.out = r.steps[:0], r.imgs[:0], r.out[:0]
-	r.err, r.done, r.doneIno, r.doneH, r.doneDir, r.doneData = nil, nil, nil, nil, nil, nil
-	r.target, r.names, r.walk, r.path, r.read, r.hist = nil, nil, false, "", false, nil
+	r.f.cache.Read(r.f.blockOf(r.target, r.b), r.dataCB)
+}
+
+// readDone is finish for a ReadAt: doneData sees the blocks read (nil
+// with an error).
+func (r *seqReq) readDone(err error) {
+	f := r.f
+	if r.hist != nil {
+		r.hist.Record(f.eng.Now() - r.startMS)
+	}
+	if err == nil && !f.prm.NoAtime {
+		ib := f.inodeBlockOf(r.target.ino)
+		f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
+	}
+	if r.doneData != nil {
+		out := r.out
+		if err != nil {
+			out = nil
+		}
+		r.doneData(out, err)
+	}
+	// A read sets only these fields, and its steps hold no image. A loop,
+	// not clear, which calls into the runtime for a block or two.
+	for i := 0; i < len(r.out); i++ {
+		r.out[i] = nil
+	}
+	r.steps, r.out = r.steps[:0], r.out[:0]
+	r.read, r.i, r.b, r.end, r.doneData, r.target, r.hist, r.startMS, r.err = false, 0, 0, 0, nil, nil, nil, 0, nil
 	r.next, f.freeSeq = f.freeSeq, r
 }
 

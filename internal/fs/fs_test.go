@@ -878,8 +878,8 @@ func TestReadAtBlocksValidUntilDoneReturns(t *testing.T) {
 
 // A read's data blocks are the file's even when a write grows the file
 // while the read is in flight: the blocks in [0, size) never move, since
-// WriteAt allocates only past the end (here the indirect block too), so
-// ReadAt may resolve every data-block address when it is called.
+// WriteAt allocates only past the end (here the indirect block too), so a
+// data block's address is the same whenever the read resolves it.
 func TestReadAtUnmovedByGrowingWrite(t *testing.T) {
 	r, f := newFSWith(t, rig.Options{ReservedCyls: 48}, Params{})
 	mustCreate(t, r, f, "/grow")

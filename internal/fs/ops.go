@@ -211,28 +211,29 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 
 	dirty := f.dirtyGroups()
 	dirty[int(ino)/perGroup] = true
-	if err := f.addEntry(r, parent, name, ino, dirty); err != nil {
+	r.steps, err = f.addEntry(parent, name, ino, dirty, r.steps)
+	if err != nil {
 		f.freeInode(ino)
 		r.fail(err)
 		return
 	}
-	r.write(f.inodeBlockOf(ino), f.encodeInodeBlock(f.inodeBlockOf(ino)), true)
-	f.descSteps(r, dirty)
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(ino), data: f.encodeInodeBlock(f.inodeBlockOf(ino)), meta: true})
+	r.steps = f.descSteps(dirty, r.steps)
 	r.target = nd
 	r.run()
 }
 
 // addEntry appends a directory entry, allocating a new directory data
 // block when the current last block is full. It appends the write steps
-// to r.
-func (f *FS) addEntry(r *seqReq, parent *inode, name string, ino Ino, dirty []bool) error {
+// to steps.
+func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty []bool, steps []step) ([]step, error) {
 	per := f.entriesPerBlock()
 	slot := len(parent.order)
 	blkIdx := slot / per
 	if slot%per == 0 {
 		// Need a fresh directory block.
 		if int64(blkIdx) >= int64(NDirect) {
-			return fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
+			return steps, fmt.Errorf("%w: directory %d", ErrFileTooBig, parent.ino)
 		}
 		prev := int64(-1)
 		if blkIdx > 0 {
@@ -241,7 +242,7 @@ func (f *FS) addEntry(r *seqReq, parent *inode, name string, ino Ino, dirty []bo
 		perGroup := len(f.groups[0].inodeUsed)
 		b, err := f.allocData(int(parent.ino)/perGroup, prev)
 		if err != nil {
-			return err
+			return steps, err
 		}
 		parent.direct[blkIdx] = b
 		dirty[f.groupOf(b)] = true
@@ -250,9 +251,10 @@ func (f *FS) addEntry(r *seqReq, parent *inode, name string, ino Ino, dirty []bo
 	parent.order = append(parent.order, name)
 	parent.size = int64(len(parent.order))
 	f.inodeChanged(parent.ino)
-	r.write(parent.direct[blkIdx], f.encodeDirBlock(parent, blkIdx), true)
-	r.write(f.inodeBlockOf(parent.ino), f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), true)
-	return nil
+	return append(steps,
+		step{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
+		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
+	), nil
 }
 
 // dirtyGroups returns the file system's set of cylinder groups whose
@@ -264,14 +266,15 @@ func (f *FS) dirtyGroups() []bool {
 	return f.dirty
 }
 
-// descSteps appends to r descriptor write-back steps for groups whose
-// bitmaps changed, in ascending group order.
-func (f *FS) descSteps(r *seqReq, dirty []bool) {
+// descSteps appends descriptor write-back steps for groups whose
+// bitmaps changed to steps, in ascending group order.
+func (f *FS) descSteps(dirty []bool, steps []step) []step {
 	for gi, d := range dirty {
 		if d {
-			r.write(f.groups[gi].base, f.encodeDescriptor(gi), true)
+			steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
 		}
 	}
+	return steps
 }
 
 // ReadDir lists a directory's entries in on-disk order, reading the
@@ -407,18 +410,18 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 				indirectTouched = true
 			}
 		}
-		r.write(blk, f.dataPattern(h.ino, b), false)
+		r.steps = append(r.steps, step{block: blk, data: f.dataPattern(h.ino, b)})
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
 		f.inodeChanged(h.ino)
 	}
 	if indirectTouched {
-		r.write(nd.indirect, f.encodeIndirect(nd.iblock), true)
+		r.steps = append(r.steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
 	}
 	// Inode update (size, mtime).
-	r.write(f.inodeBlockOf(h.ino), f.encodeInodeBlock(f.inodeBlockOf(h.ino)), true)
-	f.descSteps(r, dirty)
+	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), data: f.encodeInodeBlock(f.inodeBlockOf(h.ino)), meta: true})
+	r.steps = f.descSteps(dirty, r.steps)
 	r.run()
 }
 
@@ -439,7 +442,7 @@ func (h *Handle) Append(n int64, done func(error)) {
 func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	f := h.f
 	r := f.getSeq()
-	r.doneData = done
+	r.doneData, r.read = done, true
 	nd := f.inode(h.ino)
 	if nd == nil {
 		r.fail(fmt.Errorf("%w: inode %d", ErrNotFound, h.ino))
@@ -456,17 +459,12 @@ func (h *Handle) ReadAt(idx, n int64, done func([][]byte, error)) {
 	if f.mxRead != nil {
 		r.hist, r.startMS = f.mxRead, f.eng.Now()
 	}
-	// The inode and indirect blocks are read first. The data blocks'
-	// addresses are resolved now: blocks below the file's size never
-	// move, since only growing past the end allocates.
-	r.steps = append(r.steps, step{block: f.inodeBlockOf(h.ino), meta: true})
+	// The inode and indirect blocks are read first, then the data blocks.
+	r.readStep(f.inodeBlockOf(h.ino), true)
 	if idx+n > NDirect {
-		r.steps = append(r.steps, step{block: nd.indirect, meta: true})
+		r.readStep(nd.indirect, true)
 	}
-	for b := idx; b < idx+n; b++ {
-		r.steps = append(r.steps, step{block: f.blockOf(nd, b)})
-	}
-	r.target, r.read = nd, true
+	r.target, r.b, r.end = nd, idx, idx+n
 	r.run()
 }
 
@@ -522,9 +520,9 @@ func (f *FS) Remove(path string, done func(error)) {
 	delete(parent.entries, name)
 	parent.size = int64(len(parent.order))
 
-	r.write(parent.direct[slot/per], f.encodeDirBlock(parent, slot/per), true)
+	r.steps = append(r.steps, step{block: parent.direct[slot/per], data: f.encodeDirBlock(parent, slot/per), meta: true})
 	if last/per != slot/per {
-		r.write(parent.direct[last/per], f.encodeDirBlock(parent, last/per), true)
+		r.steps = append(r.steps, step{block: parent.direct[last/per], data: f.encodeDirBlock(parent, last/per), meta: true})
 	}
 	// Free the parent's last directory block if it emptied.
 	if last%per == 0 && last/per > 0 {
@@ -535,8 +533,10 @@ func (f *FS) Remove(path string, done func(error)) {
 		dirty[f.groupOf(freed)] = true
 	}
 	f.inodeChanged(parent.ino)
-	r.write(f.inodeBlockOf(parent.ino), f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), true)
-	r.write(targetIB, f.encodeInodeBlock(targetIB), true)
-	f.descSteps(r, dirty)
+	r.steps = append(r.steps,
+		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
+		step{block: targetIB, data: f.encodeInodeBlock(targetIB), meta: true},
+	)
+	r.steps = f.descSteps(dirty, r.steps)
 	r.run()
 }

@@ -2,9 +2,12 @@ package fs
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // splitRef is the path parser the in-place walk replaced, kept as its
@@ -229,6 +232,57 @@ func TestWalkFromInsideDone(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Errorf("%d step records pooled after three overlapping walks, want 3", len(seen))
+	}
+}
+
+// Every record back in the pool is a zero record but for what it keeps
+// across operations — its file system, pool link, callbacks and empty
+// buffers — after every kind of operation, failed ones and latency-timed
+// ones included. finish resets a record in one assignment, readDone
+// field by field, so a field added to seqReq and left out of readDone's
+// list fails here.
+func TestPooledRecordsAreReset(t *testing.T) {
+	r, f := newFS(t)
+	f.BindMetrics(metrics.NewRegistry())
+	mustMkdir(t, r, f, "/d")
+	mustCreate(t, r, f, "/d/a")
+	h := mustOpen(t, r, f, "/d/a")
+	mustWrite(t, r, h, 0, NDirect+2)
+	mustRead(t, r, h, NDirect-1, 3)
+	h.ReadAt(0, NDirect+3, func([][]byte, error) {})
+	f.Lookup("/d/missing", func(Ino, error) {})
+	f.ReadDir("/d", func([]string, error) {})
+	f.Remove("/d", func(error) {})
+	r.Eng.Run()
+	mustRemove(t, r, f, "/d/a")
+
+	kept := map[string]bool{"f": true, "next": true, "steps": true, "out": true, "readCB": true, "dataCB": true, "writeCB": true}
+	n := 0
+	for q := f.freeSeq; q != nil; q = q.next {
+		n++
+		v := reflect.ValueOf(q).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; !kept[name] && !v.Field(i).IsZero() {
+				t.Errorf("pooled record keeps %s = %v", name, v.Field(i))
+			}
+		}
+		if q.f != f || q.readCB == nil || q.dataCB == nil || q.writeCB == nil || len(q.steps) != 0 || len(q.out) != 0 {
+			t.Errorf("pooled record lost what it keeps: f %v, callbacks %v %v %v, %d steps, %d blocks",
+				q.f == f, q.readCB != nil, q.dataCB != nil, q.writeCB != nil, len(q.steps), len(q.out))
+		}
+		for _, s := range q.steps[:cap(q.steps)] {
+			if s.data != nil {
+				t.Errorf("pooled record's step buffer holds an image of block %d", s.block)
+			}
+		}
+		for _, b := range q.out[:cap(q.out)] {
+			if b != nil {
+				t.Error("pooled record's result slice holds a block")
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no record in the pool")
 	}
 }
 
