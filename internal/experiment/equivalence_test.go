@@ -227,7 +227,7 @@ var allocCeilings = map[string]struct{ plain, observed float64 }{
 	"faults":       {0.03166, 0.03754}, // 0.0299, 0.0357; -race 0.0308, 0.0366
 	"policies":     {0.03107, 0},       // 0.0303
 	"volume-scale": {0.00252, 0.00270}, // 0.00227, 0.00244
-	"tenant-scale": {0.00159, 0.00233}, // 0.00136, 0.00209
+	"tenant-scale": {0.00159, 0.00233}, // 0.00137, 0.00211
 	"raid-rebuild": {0.00569, 0},       // 0.00538
 	// 41 953 allocs / 651 287 events plain, 44 478 / 651 444 observed
 	// (59 430 and 61 953 while every block move built its closures and

@@ -369,3 +369,35 @@ func TestTenantRateScaling(t *testing.T) {
 	}
 	t.Logf("issued %d and %d, mean wait %.3f and %.3f ms", full.Server.Issued, half.Server.Issued, wait(full), wait(half))
 }
+
+// TestUnthrottledQoSIsInvisible: token buckets only ever reject, so a
+// run in which QoS throttled nothing must be the run with QoS off,
+// counter for counter and day for day. A million Zipf tenants at the
+// default rate for a tenth of an hour all stay within their classes'
+// contracts, which the test checks before it compares.
+func TestUnthrottledQoSIsInvisible(t *testing.T) {
+	run := func(qosOff bool) *Run {
+		got, err := Execute(context.Background(), Experiment{
+			Name:     "tenants-1000000",
+			Server:   &Frontend{QoSOff: qosOff},
+			Workload: Workload{Source: Tenants, Tenants: 1_000_000},
+			WindowMS: 0.1 * workload.HourMS, Seed: 1,
+		})
+		if err != nil {
+			t.Fatalf("QoSOff %v: %v", qosOff, err)
+		}
+		return got
+	}
+	on, off := run(false), run(true)
+	if on.Server.Server.Throttled != 0 || on.Server.Issued == 0 {
+		t.Fatalf("QoS on issued %d requests and throttled %d; the relation needs some and none throttled",
+			on.Server.Issued, on.Server.Server.Throttled)
+	}
+	if !reflect.DeepEqual(on.Server, off.Server) {
+		t.Errorf("server outcome with QoS on\n%+v\ndiffers from QoS off\n%+v", on.Server, off.Server)
+	}
+	if !reflect.DeepEqual(on.Days, off.Days) {
+		t.Error("the measured window with QoS on differs from the one with QoS off")
+	}
+	t.Logf("%d requests issued, none throttled", on.Server.Issued)
+}

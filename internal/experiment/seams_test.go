@@ -62,7 +62,6 @@ var seams = map[string]string{
 	"rig.MustNew":                    "a rig that cannot fail to build, for tests' one-line set-ups",
 	"rig.Rig.Err":                    "the rig's context error: the rig test checks a cancelled rig reports it",
 	"seek.Linear":                    "an affine seek curve: the driver stats and seek tests check seek-time arithmetic on round numbers",
-	"server.TokenBucket.Tokens":      "the bucket's level: the bucket test checks refill to the burst",
 	"sim.Engine.Pending":             "events queued: the engine's property and allocation tests",
 	"telemetry.Collector.Name":       "the job a collector records: the telemetry tests name failing jobs by it",
 	"volume.Volume.Err":              "the volume's context error: the volume tests",

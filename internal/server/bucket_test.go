@@ -26,8 +26,8 @@ func TestTokenBucketStartsFullAndRefills(t *testing.T) {
 		t.Fatal("no token 100 ms after draining a 10/s bucket")
 	}
 	// A long idle stretch caps at the burst, not the elapsed time.
-	if got := b.Tokens(1e9, c); got != 5 {
-		t.Fatalf("Tokens after long idle = %v, want burst 5", got)
+	if b.refill(1e9, c); b.tokens != 5 {
+		t.Fatalf("level after long idle = %v, want burst 5", b.tokens)
 	}
 }
 
@@ -83,11 +83,49 @@ func TestTokenBucketDeterminism(t *testing.T) {
 	}
 }
 
-// TestTokenBucketSize: the server keeps one bucket per tenant, a
-// million of them at tenant-scale's largest row, so the bucket carries
-// its class index, not a copy of the class's contract.
+// TestTokenBucketSize: the server keeps one bucket per sending tenant,
+// inline in a bucketTable slot, so the bucket carries its class index,
+// not a copy of the class's contract, and a sender costs one 32-byte
+// slot with its key.
 func TestTokenBucketSize(t *testing.T) {
 	if n := unsafe.Sizeof(TokenBucket{}); n != 24 {
 		t.Errorf("TokenBucket is %d bytes, want 24", n)
+	}
+}
+
+// TestBucketTableMatchesMap drives the bucket table with a seeded stream
+// of tenants, half of them from a small hot set, through many doublings,
+// and checks every answer against a Go map: a tenant is new exactly on
+// its first lookup, and its bucket is the one stored then.
+func TestBucketTableMatchesMap(t *testing.T) {
+	const seed = 0x7AB1E
+	t.Logf("seed=%#x", seed)
+	rnd := sim.NewRand(seed)
+	var tab bucketTable
+	ref := map[int]float64{}
+	for i := 0; i < 200_000; i++ {
+		tenant := rnd.Intn(1_000_000)
+		if rnd.Bool(0.5) {
+			tenant = rnd.Intn(64)
+		}
+		b, seen := tab.get(tenant)
+		want, stored := ref[tenant]
+		if seen != stored {
+			t.Fatalf("op %d, tenant %d: seen = %v, want %v", i, tenant, seen, stored)
+		}
+		if !seen {
+			if *b != (TokenBucket{}) {
+				t.Fatalf("op %d: new tenant %d got a used bucket %+v", i, tenant, *b)
+			}
+			want = float64(i)
+			ref[tenant] = want
+			b.last = want
+		}
+		if b.last != want {
+			t.Fatalf("op %d, tenant %d: bucket clock %v, want %v", i, tenant, b.last, want)
+		}
+	}
+	if tab.n != len(ref) || 8*tab.n > 7*len(tab.slots) {
+		t.Errorf("%d tenants stored in %d slots; want %d, at most 7/8 full", tab.n, len(tab.slots), len(ref))
 	}
 }

@@ -230,7 +230,9 @@ type Server struct {
 	dev driver.BlockDevice
 	cfg Config
 
-	buckets []TokenBucket
+	// buckets holds a token bucket for each tenant that has sent a
+	// request; it stays empty when QoS is off.
+	buckets bucketTable
 	breaker *Breaker
 	classes []classState
 
@@ -270,15 +272,6 @@ func New(eng *sim.Engine, dev driver.BlockDevice, cfg Config) (*Server, error) {
 	}
 	for i, c := range cfg.Classes {
 		s.classes[i] = classState{cfg: c, hist: metrics.NewHistogram(metrics.HistogramOpts{})}
-	}
-	if !cfg.QoSOff {
-		s.buckets = make([]TokenBucket, cfg.Tenants)
-		now := eng.Now()
-		for i := range s.buckets {
-			// Every tenant starts with a full bucket; the class is only
-			// known per request, so the bucket is filled lazily there.
-			s.buckets[i] = TokenBucket{tokens: -1, last: now}
-		}
 	}
 	return s, nil
 }
@@ -398,13 +391,16 @@ func (s *Server) arrive(r *sreq) {
 		return
 	}
 	r.probe = probe
-	if s.buckets != nil {
-		b := &s.buckets[r.tenant]
-		if b.tokens < 0 {
+	if !s.cfg.QoSOff {
+		b, seen := s.buckets.get(r.tenant)
+		if !seen {
 			// First sight of this tenant: fill its bucket for its
-			// class. A tenant's bucket keeps the contract of its first
+			// class. Every tenant has had a full bucket since the
+			// server was built, and a full bucket refills to no more
+			// than its burst, so filling it now is the same bucket. A
+			// tenant's bucket keeps the contract of its first
 			// request's class (tenants do not change class mid-run).
-			*b = NewTokenBucket(r.class, &s.classes[r.class].cfg, b.last)
+			*b = NewTokenBucket(r.class, &s.classes[r.class].cfg, now)
 		}
 		if !b.Take(now, &s.classes[b.class].cfg) {
 			if r.probe {

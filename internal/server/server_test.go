@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/driver"
@@ -146,6 +147,103 @@ func TestServerThrottlesFloodingTenant(t *testing.T) {
 	}
 	if st := srv.ClassStats()[2]; st.Throttled != 96 || st.Submitted != 100 {
 		t.Errorf("bronze stats: %+v", st)
+	}
+}
+
+// TestServerBucketsOnlyForSenders: building a server costs the same for
+// a million tenants as for one, because a tenant's token bucket is
+// stored only once it sends; a dense table would be 24 MB here.
+func TestServerBucketsOnlyForSenders(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &fakeDev{eng: eng, serviceMS: 10}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv, err := New(eng, dev, Config{Tenants: 1_000_000})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("New with a million tenants allocated %d bytes, want under 64 KiB", got)
+	}
+	var okCount int
+	for _, tenant := range []int{999_999, 0, 999_999} {
+		srv.Read(tenant, 0, 1, func(_ []byte, err error) {
+			if err == nil {
+				okCount++
+			}
+		})
+	}
+	eng.Run()
+	if okCount != 3 || srv.buckets.n != 2 {
+		t.Errorf("ok = %d with %d buckets stored; want 3 requests answered from 2 buckets", okCount, srv.buckets.n)
+	}
+}
+
+// TestServerLateTenantStartsFull: a tenant whose first request comes
+// long after the server was built, and after another tenant drained
+// its own bucket, still gets its class's full burst.
+func TestServerLateTenantStartsFull(t *testing.T) {
+	eng, _, srv := newTestServer(t, nil, Config{Tenants: 2})
+	burst := int(DefaultClasses()[2].TokenBurst)
+	results := map[int][]error{}
+	flood := func(tenant, n int) {
+		for i := 0; i < n; i++ {
+			srv.Read(tenant, 2, int64(i), func(_ []byte, err error) {
+				results[tenant] = append(results[tenant], err)
+			})
+		}
+	}
+	flood(0, 2*burst)
+	eng.After(3600e3, func() { flood(1, burst+1) })
+	eng.Run()
+	var okCount, throttled int
+	for _, err := range results[1] {
+		switch {
+		case err == nil:
+			okCount++
+		case errors.Is(err, ErrThrottled):
+			throttled++
+		}
+	}
+	if okCount != burst || throttled != 1 {
+		t.Errorf("late tenant: ok = %d, throttled = %d; want its burst %d and 1", okCount, throttled, burst)
+	}
+}
+
+// TestServerTenantKeepsFirstClass: a tenant's bucket keeps the contract
+// of its first request's class; a later request that names another
+// class refills and spends under the first class's rate and burst,
+// while the throttle is counted against the class the request named.
+func TestServerTenantKeepsFirstClass(t *testing.T) {
+	eng, _, srv := newTestServer(t, nil, Config{Tenants: 1})
+	bronze, gold := DefaultClasses()[2], DefaultClasses()[0]
+	var okCount, throttled int
+	srv.Read(0, 2, 0, func(_ []byte, err error) {})
+	// Ten seconds later bronze has refilled to its burst of 4; gold
+	// would allow 10 at once.
+	const n = 10
+	if n > int(gold.TokenBurst) {
+		t.Fatalf("gold's burst %v would throttle too; the test needs a larger one", gold.TokenBurst)
+	}
+	eng.After(10e3, func() {
+		for i := 0; i < n; i++ {
+			srv.Read(0, 0, int64(i), func(_ []byte, err error) {
+				switch {
+				case err == nil:
+					okCount++
+				case errors.Is(err, ErrThrottled):
+					throttled++
+				}
+			})
+		}
+	})
+	eng.Run()
+	if want := int(bronze.TokenBurst); okCount != want || throttled != n-want {
+		t.Errorf("gold requests of a bronze tenant: ok = %d, throttled = %d; want %d and %d", okCount, throttled, want, n-want)
+	}
+	if st := srv.ClassStats(); st[0].Throttled != int64(n)-int64(bronze.TokenBurst) || st[2].Throttled != 0 {
+		t.Errorf("throttles counted gold %d, bronze %d; want %d and 0", st[0].Throttled, st[2].Throttled, n-int(bronze.TokenBurst))
 	}
 }
 
