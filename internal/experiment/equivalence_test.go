@@ -228,7 +228,7 @@ var allocCeilings = map[string]struct{ plain, observed float64 }{
 	"policies":     {0.03107, 0},       // 0.0303
 	"volume-scale": {0.00252, 0.00270}, // 0.00227, 0.00244
 	"tenant-scale": {0.00159, 0.00233}, // 0.00137, 0.00211
-	"raid-rebuild": {0.00569, 0},       // 0.00538
+	"raid-rebuild": {0.00536, 0},       // 0.00506
 	// 41 953 allocs / 651 287 events plain, 44 478 / 651 444 observed
 	// (59 430 and 61 953 while every block move built its closures and
 	// requests afresh): the three captures' populate and the nights'

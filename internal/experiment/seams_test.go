@@ -51,7 +51,6 @@ var seams = map[string]string{
 	"geom.Block4K":                   "the second block size: the driver, block table, rig and fs tests run at it",
 	"hotlist.Bounded.Replacements":   "newcomers that displaced an entry: the replacement-heuristic tests read it",
 	"hotlist.Exact.Count":            "one block's exact count: the bounded counters' oracle in the hotlist tests",
-	"hotlist.Exact.Total":            "references observed: the hotlist tests' oracle",
 	"label.NewRearranged":            "a rearranged label with the reserved region centred: the label tests",
 	"label.TagRaw":                   "the paper's raw-partition tag: the label tests round-trip every tag",
 	"metrics.Counter.Add":            "a counter's increment: the metrics tests and bench/report_test.go (until ROADMAP item 9)",

@@ -74,15 +74,6 @@ func (e *Exact) Top(k int) []BlockCount {
 // Count returns the exact count for one block.
 func (e *Exact) Count(block int64) int64 { return e.counts[block] }
 
-// Total returns the total number of observations.
-func (e *Exact) Total() int64 {
-	var n int64
-	for _, c := range e.counts {
-		n += c
-	}
-	return n
-}
-
 // Distribution returns all counts ordered hottest-first; it is the raw
 // material of the paper's block-access-distribution figures (5 and 7).
 func (e *Exact) Distribution() []BlockCount { return e.Top(len(e.counts)) }

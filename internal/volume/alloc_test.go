@@ -13,8 +13,10 @@ import (
 //     the volume's pool with its fan-in callbacks prebuilt, the mirror
 //     fan-out target list reuses volume-level scratch, and the member
 //     drivers are allocation-free on writes; a parity small write
-//     allocates its new parity, 1 block on RAID-5 and 2 on RAID-6,
-//     because the members keep what they are written;
+//     allocates its new parity, at most 1 block on RAID-5 and 2 on
+//     RAID-6, because the members keep what they are written — and
+//     none where a parity has at most one non-zero operand, which is
+//     then that operand's buffer: a row's first write;
 //   - reads: 0 allocations — the member disk lends the block's page,
 //     which the volume passes up untouched.
 //
@@ -135,6 +137,40 @@ func TestRAID6WriteRoundTripAllocFloor(t *testing.T) {
 	}
 }
 
+// A row's first write finds its old data and parity zero, so the new
+// data is its new P — and its new Q in column 0, whose coefficient is
+// 1; any other column's Q is the one fresh block.
+func TestRAIDFirstWriteAllocFloor(t *testing.T) {
+	for _, tc := range []struct {
+		opts  Options
+		col   int
+		floor float64
+	}{
+		{Options{Layout: RAID5, Disks: 4, StripeUnit: 4}, 0, 0},
+		{Options{Layout: RAID5, Disks: 4, StripeUnit: 4}, 2, 0},
+		{Options{Layout: RAID6, Disks: 5, StripeUnit: 4}, 0, 0},
+		{Options{Layout: RAID6, Disks: 5, StripeUnit: 4}, 1, 1},
+	} {
+		v := mustNew(t, tc.opts)
+		data := blockOf(0x5a)
+		done := func(_ []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rowBlocks := v.ra.unit * int64(v.ra.ndata)
+		row := int64(0)
+		n := steadyState(t, v, func() {
+			v.WriteBlock(0, row*rowBlocks+int64(tc.col)*v.ra.unit, data, done)
+			row++
+			v.Run()
+		})
+		if n != tc.floor {
+			t.Errorf("%s first write in column %d: %v allocs, want %v", tc.opts.Layout, tc.col, n, tc.floor)
+		}
+	}
+}
+
 func TestRAID5ReadRoundTripOneAlloc(t *testing.T) {
 	// A healthy parity read is a plain single-member read: one
 	// allocation for the returned buffer, nothing for parity.
@@ -157,6 +193,39 @@ func TestRAID5ReadRoundTripOneAlloc(t *testing.T) {
 		v.Run()
 	}); n != 0 {
 		t.Errorf("raid5 read round trip: %v allocs, want 0", n)
+	}
+}
+
+// A degraded read of a row whose survivors are all zero is P itself, so
+// it allocates nothing: the answer is the lent zero page.
+func TestRAIDDegradedEmptyRowZeroAllocs(t *testing.T) {
+	v := mustNew(t, Options{Layout: RAID5, Disks: 4, StripeUnit: 4})
+	v.Members[1].Disk.SetFaults(fault.NewInjector(fault.Plan{CrashAfterOps: 1}))
+	var blks []int64
+	for blk := int64(0); blk < v.Blocks() && len(blks) < 1024; blk++ {
+		row, col, _ := v.ra.addr(blk)
+		if v.ra.dataSlot(row, col) == 1 {
+			blks = append(blks, blk)
+		}
+	}
+	if _, err := read(t, v, blks[0]); err != nil || v.DeadMembers() != 1 {
+		t.Fatalf("first read: %v, %d members dead, want a reconstruction past one", err, v.DeadMembers())
+	}
+	done := func(got []byte, err error) {
+		if err != nil || len(got) == 0 || got[0] != 0 {
+			t.Fatal("bad degraded read")
+		}
+	}
+	i := 0
+	if n := steadyState(t, v, func() {
+		v.ReadBlock(0, blks[i%len(blks)], done)
+		i++
+		v.Run()
+	}); n != 0 {
+		t.Errorf("degraded read of an empty row: %v allocs, want 0", n)
+	}
+	if v.RAID().DegradedReads < 500 {
+		t.Fatalf("%d degraded reads: the reads were meant to reconstruct", v.RAID().DegradedReads)
 	}
 }
 
@@ -262,9 +331,10 @@ func TestRetiredRecordHoldsNoBuffer(t *testing.T) {
 }
 
 // Background repair allocates only what the members keep. A rebuild
-// step allocates the one block the spare keeps — a recomputed parity,
-// or the solved column handed off the scratch list — and a scrub step
-// over a clean row allocates nothing: the record, its callbacks, the
+// step over a written row allocates the one block the spare keeps — a
+// recomputed parity, or the solved column handed off the scratch list —
+// one over a never-written row nothing, since its answer is a zero
+// block it reads, and a scrub step over a clean row nothing: the record, its callbacks, the
 // row lock and the expected-parity scratch are pooled, and the next
 // step's callback is prebuilt. Both chains run on the engine, so a
 // step is measured as the engine time until its mark moves.
@@ -285,22 +355,43 @@ func backgroundSteps(t *testing.T, v *Volume, mark func() int64, by int64, runni
 	return testing.AllocsPerRun(100, step)
 }
 
-func TestRebuildStepAllocFloor(t *testing.T) {
+// rebuildFrom writes blocks [0, written) of a 3-member RAID-5 whose
+// member 1 dies under the writes, and returns it once the rebuild onto
+// its spare has copied skip blocks. With unit 1 a row holds two blocks.
+func rebuildFrom(t *testing.T, written, skip int64) *Volume {
+	t.Helper()
 	v := mustNew(t, Options{Layout: RAID5, Disks: 3, Spare: 1, StripeUnit: 1, Disk: tinyDisk(),
 		Faults: []*fault.Plan{nil, {CrashAfterOps: 10}}})
 	// The writes kill member 1; the rebuild starts as one of them
 	// observes the death.
-	for k := int64(0); k < 40; k++ {
-		v.WriteBlock(0, k, blockOf(byte(k+1)), nil)
+	for k := int64(0); k < written; k++ {
+		v.WriteBlock(0, k, blockOf(byte(k%255+1)), nil)
 	}
-	for !v.Rebuilding() {
+	for !v.Rebuilding() || v.RAID().RebuiltBlocks < skip {
 		v.Eng.RunUntil(v.Eng.Now() + 1)
 	}
+	return v
+}
+
+func TestRebuildStepAllocFloor(t *testing.T) {
+	// 300 written rows outlast the 121 steps measured.
+	v := rebuildFrom(t, 600, 0)
 	rebuilt := func() int64 { return v.RAID().RebuiltBlocks }
 	n := backgroundSteps(t, v, rebuilt, 1, v.Rebuilding)
 	t.Logf("rebuild step: %v allocs", n)
 	if n > 1 {
 		t.Errorf("rebuild step: %v allocs, want at most 1 (the block the spare keeps)", n)
+	}
+}
+
+func TestRebuildStepEmptyRowZeroAllocs(t *testing.T) {
+	// Rows 0-19 are written; the steps measured start past them.
+	v := rebuildFrom(t, 40, 20)
+	rebuilt := func() int64 { return v.RAID().RebuiltBlocks }
+	n := backgroundSteps(t, v, rebuilt, 1, v.Rebuilding)
+	t.Logf("rebuild step over a never-written row: %v allocs", n)
+	if n != 0 {
+		t.Errorf("rebuild step over a never-written row: %v allocs, want 0", n)
 	}
 }
 

@@ -11,16 +11,25 @@ package volume
 // columns. With both syndromes any two erasures are solvable; with
 // only one, a single erasure is.
 //
-// The tables are tiny (768 bytes) and built once at init; the hot
-// helpers below work block-at-a-time over []byte so the parity of an
-// 8 KB block is two table lookups plus an XOR per byte, with no
-// allocation.
+// The log/exp tables (768 bytes) are built once at init, and from them
+// the 64 KB product table gfTab, whose row a is every product a·b: the
+// block helpers below scale a block by a coefficient through one
+// 256-byte row, a lookup and an XOR per byte with no zero test and no
+// allocation. A zero block adds nothing to a parity sum, so a parity
+// block or solved column with at most one non-zero operand is that
+// operand (sole, isZero), up to its coefficient: parity.go hands the
+// operand's buffer on where the coefficient is 1 instead of computing
+// a copy.
 
-import "crypto/subtle"
+import (
+	"bytes"
+	"crypto/subtle"
+)
 
 var (
-	gfExp [512]byte // g^i, doubled so products index without a mod
-	gfLog [256]byte // log_g, gfLog[0] unused
+	gfExp [512]byte      // g^i, doubled so products index without a mod
+	gfLog [256]byte      // log_g, gfLog[0] unused
+	gfTab [256][256]byte // gfTab[a][b] = a·b
 )
 
 func init() {
@@ -38,14 +47,11 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
-}
-
-// gfMul multiplies two field elements.
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			gfTab[a][b] = gfExp[int(gfLog[a])+int(gfLog[b])]
+		}
 	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
 // gfDiv divides a by b (b must be nonzero).
@@ -74,33 +80,28 @@ func xor3(dst, a, b, c []byte) {
 
 // gfMulAddDelta sets dst = base ⊕ coef·(a ⊕ b): a parity block updated
 // for a data column that changed from a to b, with the delta computed
-// byte by byte instead of into a buffer of its own. coef is nonzero.
+// byte by byte instead of into a buffer of its own.
 func gfMulAddDelta(dst, base []byte, coef byte, a, b []byte) {
-	lc := int(gfLog[coef])
+	row := &gfTab[coef]
 	_, _, _ = dst[len(base)-1], a[len(base)-1], b[len(base)-1]
 	for i, p := range base {
-		if d := a[i] ^ b[i]; d != 0 {
-			p ^= gfExp[lc+int(gfLog[d])]
-		}
-		dst[i] = p
+		dst[i] = p ^ row[a[i]^b[i]]
 	}
 }
 
 // gfMulAddInto accumulates a scaled block: dst ^= coef·src.
 func gfMulAddInto(dst []byte, coef byte, src []byte) {
-	if coef == 0 {
+	switch coef {
+	case 0:
 		return
-	}
-	if coef == 1 {
+	case 1:
 		xorInto(dst, src)
 		return
 	}
-	lc := int(gfLog[coef])
+	row := &gfTab[coef]
 	_ = dst[len(src)-1]
 	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[lc+int(gfLog[s])]
-		}
+		dst[i] ^= row[s]
 	}
 }
 
@@ -109,16 +110,47 @@ func gfMulInto(dst []byte, coef byte) {
 	if coef == 1 {
 		return
 	}
-	if coef == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	lc := int(gfLog[coef])
+	row := &gfTab[coef]
 	for i, d := range dst {
-		if d != 0 {
-			dst[i] = gfExp[lc+int(gfLog[d])]
-		}
+		dst[i] = row[d]
 	}
+}
+
+// zeros is what isZero compares a block against, a page at a time.
+var zeros [8192]byte
+
+// isZero reports whether b holds only zeros. A block with data in its
+// first byte — most written blocks — costs one load; an all-zero one,
+// such as the store's zero page every never-written block reads as, a
+// word-wide compare.
+func isZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeros))
+		if b[0] != 0 || !bytes.Equal(b[:n], zeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// sole returns the one operand of ops that is not all zero, or ops[0]
+// when every one is: the XOR of ops, since zero is its identity. With
+// two or more non-zero operands there is no such block and it returns
+// nil.
+func sole(ops ...[]byte) []byte {
+	var one []byte
+	for _, b := range ops {
+		if isZero(b) {
+			continue
+		}
+		if one != nil {
+			return nil
+		}
+		one = b
+	}
+	if one == nil {
+		return ops[0]
+	}
+	return one
 }

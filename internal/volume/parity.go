@@ -231,8 +231,8 @@ func (ra *raid) errLost(blk int64, missing int) error {
 // free list (its contents are unspecified: every use below starts with
 // a whole-block copy) and notes it in *pool, which release returns at
 // request end. Member reads are never written to — they are shared
-// with the member's store — so every result is computed into scratch
-// or into a fresh buffer.
+// with the member's store — so every result is one of its operands
+// (sole), or computed into scratch or into a fresh buffer.
 func (ra *raid) scratch(pool *[][]byte) []byte {
 	var buf []byte
 	if n := len(ra.free); n > 0 {
@@ -274,8 +274,10 @@ func handOff(pool [][]byte, buf []byte) {
 
 // solveRow fills the nil (unreadable) entries of colv — the row's
 // data columns — from whichever parity blocks are available (nil =
-// unreadable). Solved columns land in scratch buffers noted in *pool.
-// Returns how many columns remain unsolved.
+// unreadable). Solved columns land in scratch buffers noted in *pool,
+// except that a column solved from P with no other non-zero operand is
+// that operand's own (read-only) buffer. Returns how many columns
+// remain unsolved.
 func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 	x, y, unknown := -1, -1, 0
 	for c, b := range colv {
@@ -292,7 +294,13 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 	case unknown == 0:
 		return 0
 	case unknown == 1 && p != nil:
-		// D_x = P ⊕ ⊕_{c≠x} D_c
+		// D_x = P ⊕ ⊕_{c≠x} D_c, the XOR of the row with P standing in
+		// for column x.
+		colv[x] = p
+		if one := sole(colv...); one != nil {
+			colv[x] = one
+			return 0
+		}
 		buf := ra.scratch(pool)
 		copy(buf, p)
 		for c, b := range colv {
@@ -328,10 +336,11 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 			}
 		}
 		t := gfPow(x) ^ gfPow(y)
-		a, b := gfDiv(gfPow(y), t), gfDiv(1, t)
-		for i := range pxy {
-			dx := gfMul(a, pxy[i]) ^ gfMul(b, qxy[i])
-			pxy[i], qxy[i] = dx, dx^pxy[i]
+		a, b := &gfTab[gfDiv(gfPow(y), t)], &gfTab[gfDiv(1, t)]
+		_ = qxy[len(pxy)-1]
+		for i, pv := range pxy {
+			dx := a[pv] ^ b[qxy[i]]
+			pxy[i], qxy[i] = dx, dx^pv
 		}
 		colv[x], colv[y] = pxy, qxy
 		return 0
@@ -339,21 +348,35 @@ func (ra *raid) solveRow(colv [][]byte, p, q []byte, pool *[][]byte) int {
 	return unknown
 }
 
-// parityP sets dst to the P parity of the row's data columns (every
-// entry of colv set) and returns it.
+// parityP returns the P parity of the row's data columns (every entry
+// of colv set): the one non-zero column itself if there is at most one
+// (sole), else their XOR computed into dst — with dst nil, into a fresh
+// buffer built by copy, so a parity block a member keeps is not zeroed
+// first.
 func (ra *raid) parityP(dst []byte, colv [][]byte) []byte {
-	copy(dst, colv[0])
+	if one := sole(colv...); one != nil {
+		return one
+	}
+	dst = append(dst[:0], colv[0]...)
 	for c := 1; c < ra.ndata; c++ {
 		xorInto(dst, colv[c])
 	}
 	return dst
 }
 
-// parityQ sets dst to the Q syndrome of the row's data columns and
-// returns it.
+// parityQ returns the Q syndrome of the row's data columns the same
+// way: column 0 itself when every other column is zero (g^0 = 1), else
+// the syndrome computed into dst, or a fresh buffer when dst is nil.
 func (ra *raid) parityQ(dst []byte, colv [][]byte) []byte {
-	copy(dst, colv[0]) // g^0 = 1
-	for c := 1; c < ra.ndata; c++ {
+	rest := 1
+	for rest < ra.ndata && isZero(colv[rest]) {
+		rest++
+	}
+	if rest == ra.ndata {
+		return colv[0]
+	}
+	dst = append(dst[:0], colv[0]...)
+	for c := rest; c < ra.ndata; c++ {
 		gfMulAddInto(dst, gfPow(c), colv[c])
 	}
 	return dst
@@ -663,13 +686,23 @@ func (r *rreq) rmwDone() {
 	}
 	// The 4-I/O small write: both new parities follow from the data
 	// delta, folded into fresh buffers — the members keep what they are
-	// written, and the old blocks the reads lent are never changed.
+	// written, and the old blocks the reads lent are never changed. A
+	// parity with at most one non-zero operand is that operand (sole):
+	// a row's first write makes the new data its P, and its Q too in
+	// column 0, whose coefficient is 1.
 	oldD := r.bufs[r.dslot]
-	r.newP = make([]byte, len(r.data))
-	xor3(r.newP, r.bufs[r.pslot], oldD, r.data)
+	if r.newP = sole(r.bufs[r.pslot], oldD, r.data); r.newP == nil {
+		r.newP = make([]byte, len(r.data))
+		xor3(r.newP, r.bufs[r.pslot], oldD, r.data)
+	}
 	if ra.dbl {
-		r.newQ = make([]byte, len(r.data))
-		gfMulAddDelta(r.newQ, r.bufs[r.qslot], gfPow(r.col), oldD, r.data)
+		if r.col == 0 {
+			r.newQ = sole(r.bufs[r.qslot], oldD, r.data)
+		}
+		if r.newQ == nil {
+			r.newQ = make([]byte, len(r.data))
+			gfMulAddDelta(r.newQ, r.bufs[r.qslot], gfPow(r.col), oldD, r.data)
+		}
 	}
 	ra.cum.ParityRecomputes++
 	r.beginWrites()
@@ -691,13 +724,15 @@ func (r *rreq) rowWriteDone() {
 	}
 	r.colv[r.col] = r.data
 	rb := ra.rebuild
-	// The new parities are written, so they are fresh buffers, not
-	// scratch.
+	// The new parities are written, so they are fresh buffers or
+	// columns; a column solved into scratch leaves it.
 	if ra.alive(r.pslot) || (rb != nil && rb.slot == r.pslot && r.mb < rb.cursor) {
-		r.newP = ra.parityP(make([]byte, len(r.data)), r.colv)
+		r.newP = ra.parityP(nil, r.colv)
+		handOff(r.pool, r.newP)
 	}
 	if ra.dbl && (ra.alive(r.qslot) || (rb != nil && rb.slot == r.qslot && r.mb < rb.cursor)) {
-		r.newQ = ra.parityQ(make([]byte, len(r.data)), r.colv)
+		r.newQ = ra.parityQ(nil, r.colv)
+		handOff(r.pool, r.newQ)
 	}
 	ra.cum.ParityRecomputes++
 	r.beginWrites()
@@ -789,7 +824,8 @@ func (r *rreq) finishRecon() {
 		return
 	}
 	// The caller gets the solved column itself, which therefore leaves
-	// the scratch the record releases.
+	// the scratch the record releases (unless it is an operand's buffer,
+	// which is not scratch).
 	out := r.colv[r.col]
 	handOff(r.pool, out)
 	ra.cum.DegradedReads++

@@ -34,7 +34,9 @@ func FuzzParityPrograms(f *testing.F) {
 // a RAID-5 or RAID-6 volume with randomized geometry, spares, scrub,
 // and planned member deaths within the parity budget, runs a random
 // interleaved write/read program across the failures (including
-// mid-rebuild spare death and mid-scrub member death), and asserts
+// mid-rebuild spare death and mid-scrub member death) — with zero
+// payloads among the writes, and most of them landing in rows nothing
+// has written yet — and asserts
 // every acknowledged write reads back byte-identical after the dust
 // settles. The seed and its derived configuration are logged so a
 // failure is reproducible verbatim.
@@ -91,7 +93,11 @@ func parityProgram(t *testing.T, seed int64) {
 	for op := 0; op < nops; op++ {
 		if rng.Intn(10) < 7 {
 			blk := rng.Int63n(v.Blocks())
-			data := blockOf(byte(rng.Intn(256)))
+			b := byte(rng.Intn(256))
+			if rng.Intn(8) == 0 {
+				b = 0 // a zero block, the identity of parity arithmetic
+			}
+			data := blockOf(b)
 			v.WriteBlock(0, blk, data, func(_ []byte, err error) {
 				if err != nil {
 					wErrs = append(wErrs, err)

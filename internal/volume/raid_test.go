@@ -87,14 +87,14 @@ func TestGFField(t *testing.T) {
 		t.Fatalf("generator cycle covers %d elements, want 255", len(seen))
 	}
 	for a := 1; a < 256; a++ {
-		if got := gfMul(byte(a), gfDiv(1, byte(a))); got != 1 {
+		if got := gfMulRef(byte(a), gfDiv(1, byte(a))); got != 1 {
 			t.Fatalf("a * a^-1 = %d for a=%d", got, a)
 		}
 	}
 	// Spot-check distributivity over addition (XOR).
 	for _, tr := range [][3]byte{{3, 7, 250}, {0x53, 0xCA, 1}, {255, 2, 128}} {
 		a, b, c := tr[0], tr[1], tr[2]
-		if gfMul(a, b^c) != gfMul(a, b)^gfMul(a, c) {
+		if gfMulRef(a, b^c) != gfMulRef(a, b)^gfMulRef(a, c) {
 			t.Fatalf("distributivity fails for %v", tr)
 		}
 	}
@@ -160,7 +160,7 @@ func TestParityDeltaFolds(t *testing.T) {
 			if want := base[i] ^ a[i] ^ b[i]; gotP[i] != want {
 				t.Fatalf("xor3 byte %d: %#x, want %#x", i, gotP[i], want)
 			}
-			if want := base[i] ^ gfMul(coef, a[i]^b[i]); gotQ[i] != want {
+			if want := base[i] ^ gfMulRef(coef, a[i]^b[i]); gotQ[i] != want {
 				t.Fatalf("gfMulAddDelta coef %#x byte %d: %#x, want %#x", coef, i, gotQ[i], want)
 			}
 		}

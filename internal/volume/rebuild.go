@@ -97,19 +97,19 @@ func (r *rreq) copyDone() {
 	ra := r.ra
 	rb := ra.rebuild
 	p, q := r.gather(false)
-	// What the spare is written it keeps: a parity block is computed
-	// into a fresh buffer, a solved data column leaves the scratch.
+	// What the spare is written it keeps: a parity block is a column or
+	// a fresh buffer, and a column solved into scratch leaves it.
 	var val []byte
 	if ra.solveRow(r.colv, p, q, &r.pool) == 0 {
 		switch rb.slot {
 		case r.pslot:
-			val = ra.parityP(make([]byte, ra.v.bs.Bytes()), r.colv)
+			val = ra.parityP(nil, r.colv)
 		case r.qslot:
-			val = ra.parityQ(make([]byte, ra.v.bs.Bytes()), r.colv)
+			val = ra.parityQ(nil, r.colv)
 		default:
 			val = r.colv[ra.colOfSlot(r.row, rb.slot)]
-			handOff(r.pool, val)
 		}
+		handOff(r.pool, val)
 	}
 	if val == nil {
 		// This row lost more than parity covers; its data is gone

@@ -108,11 +108,14 @@ func TestSystemDayGeneratesSkewedTraffic(t *testing.T) {
 	}
 	// Figure 5 shape: heavy skew, bounded footprint.
 	dist := cnt.Distribution()
-	var top100 int64
-	for i := 0; i < 100 && i < len(dist); i++ {
-		top100 += dist[i].Count
+	var top100, all int64
+	for i, bc := range dist {
+		if i < 100 {
+			top100 += bc.Count
+		}
+		all += bc.Count
 	}
-	if frac := float64(top100) / float64(cnt.Total()); frac < 0.70 {
+	if frac := float64(top100) / float64(all); frac < 0.70 {
 		t.Errorf("top-100 blocks absorb %.2f of requests, want >= 0.70", frac)
 	}
 	if len(dist) > 3000 {
@@ -229,12 +232,14 @@ func TestUsersFlatterThanSystem(t *testing.T) {
 		for _, rec := range recs {
 			cnt.Observe(rec.Block)
 		}
-		dist := cnt.Distribution()
-		var top int64
-		for i := 0; i < 100 && i < len(dist); i++ {
-			top += dist[i].Count
+		var top, all int64
+		for i, bc := range cnt.Distribution() {
+			if i < 100 {
+				top += bc.Count
+			}
+			all += bc.Count
 		}
-		return float64(top) / float64(cnt.Total())
+		return float64(top) / float64(all)
 	}
 	rs, _, ws := buildSystem(t, 5)
 	populate(t, rs, ws)
